@@ -21,7 +21,7 @@ from .simplicial import (GeometricRealization, PointLocation, Simplex,
 from .smoothmap import (CircleMap, Domain, LineMap, PointMap, PolyCurveMap,
                         SmoothMap, SurfacePatchMap, TorusKnotMap, map_from_params)
 from .charts import (AmbientDiffeo, TriangulationState, TubularChart,
-                     dump_chain_metadata, make_chart, point_in_star)
+                     dump_chain_metadata, make_chart)
 from .perturb import (LocalPerturbation, build_local_diffeo, estimate_c_sigma,
                       make_transverse, perturb_level, sample_regular_value)
 from .verify import (IntersectionRecord, TransversalityReport,

@@ -30,14 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeshError, NewtonDivergenceError
-from .simplicial import Simplex, simplex_sort_key
+from .simplicial import Simplex, _locate_among, _TopIndex, simplex_sort_key
 
 __all__ = [
     "TubularChart",
     "AmbientDiffeo",
     "TriangulationState",
     "make_chart",
-    "point_in_star",
     "dump_chain_metadata",
 ]
 
@@ -121,18 +120,6 @@ class ChainOps:
         return x
 
 
-_EMPTY_OPS = None
-
-
-def _chain_ops(links):
-    global _EMPTY_OPS
-    if not links:
-        if _EMPTY_OPS is None:
-            _EMPTY_OPS = ChainOps(())
-        return _EMPTY_OPS
-    return ChainOps(links)
-
-
 @dataclass(frozen=True, eq=False)
 class TubularChart:
     """Affine tubular frame for one simplex, tied to a chain snapshot."""
@@ -141,14 +128,12 @@ class TubularChart:
     base: np.ndarray          # frame origin b
     tangent: np.ndarray       # m x l edge matrix A
     normal: np.ndarray        # m x (m-l) orthonormal completion N
-    links: tuple              # chain snapshot (links recorded before this chart)
-    dilation: float = 1.1     # open slab: standard simplex dilated about its barycenter
+    ops: ChainOps             # chain snapshot (links recorded before this chart)
 
     def __post_init__(self):
         M = np.hstack([self.tangent, self.normal])
         object.__setattr__(self, "_M", M)
         object.__setattr__(self, "_Minv", np.linalg.inv(M))
-        object.__setattr__(self, "_ops", _chain_ops(self.links))
 
     @property
     def l(self):
@@ -157,10 +142,6 @@ class TubularChart:
     @property
     def m(self):
         return self.base.size
-
-    @property
-    def frame_matrix(self):
-        return self._M
 
     def frame_point(self, t, v):
         """Base-coordinate point b + A t + N v."""
@@ -173,25 +154,16 @@ class TubularChart:
 
     def forward(self, t, v):
         """Chart value: frame point pushed through the chain snapshot."""
-        return self._ops.apply(self.frame_point(t, v))
+        return self.ops.apply(self.frame_point(t, v))
 
     def forward_jacobian(self, t, v):
         """d(chart) as an m x m matrix in (t, v) block order."""
-        x, J = self._ops.apply_with_jacobian(self.frame_point(t, v))
+        x, J = self.ops.apply_with_jacobian(self.frame_point(t, v))
         return J @ self._M
 
     def inverse(self, x):
         """Chart coordinates (t, v) of an ambient point."""
-        return self.frame_coords(self._ops.invert(np.asarray(x, float)))
-
-    def in_slab(self, t):
-        """Whether t lies in the dilated open parameter simplex."""
-        t = np.asarray(t, float)
-        if t.size == 0:
-            return True
-        c = np.full(t.size, 1.0 / (t.size + 1))
-        s = c + (t - c) / self.dilation
-        return bool(np.all(s > 0.0) and s.sum() < 1.0)
+        return self.frame_coords(self.ops.invert(np.asarray(x, float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,9 +172,7 @@ class AmbientDiffeo:
 
     ``local`` acts on (t, v) frame coordinates and is the identity
     whenever t leaves the open simplex or |v| exceeds the fade profile;
-    the link conjugates it by the affine frame.  The ambient action (the
-    conjugate by the chart's chain snapshot) is available as
-    ``ambient_apply`` for reporting and tests.
+    the link conjugates it by the affine frame.
     """
 
     simplex: Simplex
@@ -213,9 +183,6 @@ class AmbientDiffeo:
     support_hi: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    def _split(self, x):
-        return self.chart.frame_coords(x)
-
     def in_box(self, x):
         return bool(np.all(x >= self.support_lo) and np.all(x <= self.support_hi))
 
@@ -223,7 +190,7 @@ class AmbientDiffeo:
         x = np.asarray(x, float)
         if not self.in_box(x):
             return x
-        t, v = self._split(x)
+        t, v = self.chart.frame_coords(x)
         t2, v2 = self.local.eval(t, v)
         if v2 is v:
             return x
@@ -234,7 +201,7 @@ class AmbientDiffeo:
         m = x.size
         if not self.in_box(x):
             return np.eye(m)
-        t, v = self._split(x)
+        t, v = self.chart.frame_coords(x)
         Jl = self.local.jacobian(t, v)
         return self.chart._M @ Jl @ self.chart._Minv
 
@@ -242,7 +209,7 @@ class AmbientDiffeo:
         x = np.asarray(x, float)
         if not self.in_box(x):
             return x
-        t, w = self._split(x)
+        t, w = self.chart.frame_coords(x)
         try:
             v = self.local.invert(t, w)
         except NewtonDivergenceError as exc:
@@ -251,15 +218,6 @@ class AmbientDiffeo:
         if v is w:
             return x
         return self.chart.frame_point(t, v)
-
-    def ambient_apply(self, x):
-        """Action as a diffeomorphism of the ambient space at append time."""
-        y = self.chart._ops.invert(np.asarray(x, float))
-        return self.chart._ops.apply(self.apply(y))
-
-    def ambient_invert(self, x):
-        y = self.chart._ops.invert(np.asarray(x, float))
-        return self.chart._ops.apply(self.invert(y))
 
 
 class TriangulationState:
@@ -275,7 +233,7 @@ class TriangulationState:
         self.links = tuple(links)
         self.ambient_dim = realization.ambient_dim
         self.mesh_scale = realization.min_edge_length(cplx)
-        self._ops = _chain_ops(self.links)
+        self._ops = ChainOps(self.links)
 
     def with_link(self, link):
         return TriangulationState(self.complex, self.realization, self.links + (link,))
@@ -283,10 +241,6 @@ class TriangulationState:
     def eval_eta(self, p):
         """Current triangulation map at a base-coordinate point."""
         return self._ops.apply(p)
-
-    def eta_jacobian(self, p):
-        """Differential of eta at a base point, an m x m matrix."""
-        return self._ops.apply_with_jacobian(p)[1]
 
     def eval_eta_with_jacobian(self, p):
         return self._ops.apply_with_jacobian(p)
@@ -298,11 +252,6 @@ class TriangulationState:
         unwound first.
         """
         return self._ops.invert(x)
-
-    def embedded_point(self, s, t):
-        """eta composed with the affine chart of simplex s at parameter t."""
-        b, A = self.realization.simplex_frame(s)
-        return self.eval_eta(b + A @ np.asarray(t, float))
 
     def bbox(self):
         lo, hi = self.realization.bbox()
@@ -323,7 +272,7 @@ def make_chart(state, s):
         raise MeshError(f"simplex {s.vertices} not in complex")
     b, A = state.realization.simplex_frame(s)
     N = _normal_completion(A, m)
-    return TubularChart(simplex=s, base=b, tangent=A, normal=N, links=state.links)
+    return TubularChart(simplex=s, base=b, tangent=A, normal=N, ops=state._ops)
 
 
 class StarLocator:
@@ -338,8 +287,6 @@ class StarLocator:
     """
 
     def __init__(self, star_simplices, sd_realization, tol=1e-10):
-        from .simplicial import _TopIndex
-
         self.star = frozenset(star_simplices)
         tops = [s for s in self.star
                 if not any(o.dim > s.dim and set(s.vertices) < set(o.vertices)
@@ -350,23 +297,8 @@ class StarLocator:
         self.tol = tol
 
     def contains_base_point(self, p):
-        from .simplicial import _locate_among
-
         loc = _locate_among(self.realization, self.tops, p, self.tol, index=self.index)
         return loc is not None and loc.simplex in self.star
-
-
-def point_in_star(state, x, star_simplices, sd_realization, tol=1e-10, locator=None):
-    """Whether an ambient point pulls back into the given open star.
-
-    ``star_simplices`` comes from :func:`simplicial.star` on the
-    barycentric subdivision; pass a prebuilt StarLocator to amortize the
-    location index over many queries.
-    """
-    if locator is None:
-        locator = StarLocator(star_simplices, sd_realization, tol)
-    base = state.eval_eta_inverse(x)
-    return locator.contains_base_point(base)
 
 
 def dump_chain_metadata(state):

@@ -19,7 +19,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import ConfigError, DomainError, MeshError, PerturbationError
 from .perturb import make_transverse
 from .render import atomic_write, write_curve_csv, write_obj, write_svg
 from .simplicial import grid_triangulation, read_mesh
-from .smoothmap import MAP_FAMILIES
+from .smoothmap import MAP_FAMILIES, map_from_params
 from .verify import report_summary, report_to_csv, verify_triangulation
 
 log = logging.getLogger(__name__)
@@ -78,6 +78,13 @@ def _scalar(value, line):
     return nums[0]
 
 
+def _integer(value, line):
+    num = _scalar(value, line)
+    if not num.is_integer():
+        raise ConfigError(f"expected an integer, got {value!r}", line=line)
+    return int(num)
+
+
 def _boolean(value, line):
     v = value.strip().lower()
     if v in ("true", "yes", "1", "on"):
@@ -100,12 +107,7 @@ class Scenario:
     base_dir: str = "."
 
 
-_PIPELINE_INT_KEYS = {"seed", "max_retries", "containment_density", "curve_density",
-                      "surface_density", "simplex_seed_density", "max_eps_shrinks",
-                      "newton_max_iter", "gn_max_iter"}
-_PIPELINE_FLOAT_KEYS = {"c_min", "epsilon_max", "mesh_scale_factor", "tol_rank",
-                        "solve_tol", "vertex_clearance", "dedupe_radius",
-                        "barycentric_tol", "newton_tol"}
+_PIPELINE_TYPES = {f.name: type(f.default) for f in fields(PipelineConfig)}
 
 
 def load_scenario(path):
@@ -123,7 +125,7 @@ def load_scenario(path):
             raise ConfigError(f"unknown scenario key {key!r}", line=line)
     if "ambient_dim" not in scen:
         raise ConfigError("missing ambient_dim in [scenario]")
-    m = int(_scalar(*scen["ambient_dim"]))
+    m = _integer(*scen["ambient_dim"])
     if m not in (2, 3):
         raise ConfigError(f"ambient_dim must be 2 or 3, got {m}",
                           line=scen["ambient_dim"][1])
@@ -140,7 +142,7 @@ def load_scenario(path):
             if len(vals) != m:
                 raise ConfigError(f"{key} needs {m} numbers", line=mesh[key][1])
             mesh_spec[key] = vals
-        mesh_spec["resolution"] = int(_scalar(*mesh.get("resolution", ("1", None))))
+        mesh_spec["resolution"] = _integer(*mesh.get("resolution", ("1", None)))
     elif gen == "file":
         allowed_mesh = {"generator", "path"}
         if "path" not in mesh:
@@ -161,13 +163,14 @@ def load_scenario(path):
 
     overrides = {}
     for key, (value, line) in sections.get("pipeline", {}).items():
-        if key in _PIPELINE_INT_KEYS:
-            overrides[key] = int(_scalar(value, line))
-        elif key in _PIPELINE_FLOAT_KEYS:
-            overrides[key] = _scalar(value, line)
-        else:
+        kind = _PIPELINE_TYPES.get(key)
+        if kind is None:
             raise ConfigError(f"unknown pipeline key {key!r}", line=line)
-    config = PipelineConfig(**overrides)
+        overrides[key] = _integer(value, line) if kind is int else _scalar(value, line)
+    try:
+        config = PipelineConfig(**overrides)
+    except ValueError as exc:
+        raise ConfigError(f"[pipeline] {exc}") from exc
 
     outputs = {"svg": m == 2, "obj": m == 3, "curve_csv": m == 3}
     for key, (value, line) in sections.get("output", {}).items():
@@ -190,7 +193,7 @@ def _map_params(family, section):
         if key in skip:
             continue
         if key in scalar_keys:
-            params[key] = _scalar(value, line)
+            params[key] = _integer(value, line) if key in ("p", "q") else _scalar(value, line)
         elif key in vector_keys:
             vals = _floats(value, line)
             params[key] = vals[0] if key in ("lo", "hi") and family != "surface_patch" \
@@ -230,10 +233,6 @@ def _map_params(family, section):
         params["coeffs"] = coeffs
     elif coeff_rows:
         raise ConfigError(f"family {family} takes no coefficient rows")
-    if family == "torus_knot":
-        for key in ("p", "q"):
-            if key in params:
-                params[key] = int(params[key])
     return params
 
 
@@ -253,7 +252,7 @@ def _build_inputs(scenario):
     if real.ambient_dim != scenario.ambient_dim:
         raise MeshError(f"mesh is {real.ambient_dim}-dimensional, scenario says "
                         f"{scenario.ambient_dim}")
-    h = MAP_FAMILIES[scenario.map_family](**scenario.map_params)
+    h = map_from_params(scenario.map_family, scenario.map_params)
     if h.ambient_dim != scenario.ambient_dim:
         raise MeshError("map codomain dimension does not match the scenario")
     return cplx, real, h
@@ -306,15 +305,14 @@ def verify_only(scenario, out_dir="out"):
 
 
 def _apply_cli_overrides(scenario, args):
-    overrides = {}
-    if getattr(args, "density", None) is not None:
-        overrides["curve_density"] = args.density
-    if getattr(args, "max_retries", None) is not None:
-        overrides["max_retries"] = args.max_retries
-    if getattr(args, "tol_rank", None) is not None:
-        overrides["tol_rank"] = args.tol_rank
-    if overrides:
+    flags = {"density": "curve_density", "max_retries": "max_retries",
+             "tol_rank": "tol_rank", "seed": "seed"}
+    overrides = {key: getattr(args, flag) for flag, key in flags.items()
+                 if getattr(args, flag, None) is not None}
+    try:
         scenario.config = scenario.config.replace(**overrides)
+    except ValueError as exc:
+        raise ConfigError(f"command line: {exc}") from exc
 
 
 def main(argv=None):
@@ -341,7 +339,7 @@ def main(argv=None):
         return 2
     try:
         if args.command == "run":
-            return run(scenario, seed=args.seed, out_dir=args.out)
+            return run(scenario, out_dir=args.out)
         return verify_only(scenario, out_dir=args.out)
     except (MeshError, DomainError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

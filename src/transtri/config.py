@@ -28,19 +28,18 @@ class PipelineConfig:
     vertex_clearance: float = 1e-7     # separation demanded when dimensions cannot span
     dedupe_radius: float = 1e-6        # parameter-space clustering radius
     barycentric_tol: float = 1e-10     # interior/boundary split for located points
-    # Newton / Gauss-Newton
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 50
-    gn_max_iter: int = 60
+    gn_max_iter: int = 60              # Gauss-Newton iterations per seed pair
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
         positive = [
             "containment_density", "c_min", "epsilon_max", "mesh_scale_factor",
             "tol_rank", "curve_density", "surface_density", "simplex_seed_density",
             "solve_tol", "vertex_clearance", "dedupe_radius", "barycentric_tol",
-            "newton_tol", "newton_max_iter", "gn_max_iter", "max_eps_shrinks",
+            "gn_max_iter", "max_eps_shrinks",
         ]
         for name in positive:
             if getattr(self, name) <= 0:

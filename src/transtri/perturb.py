@@ -34,8 +34,10 @@ from .charts import AmbientDiffeo, StarLocator, TriangulationState, make_chart
 from .config import PipelineConfig
 from .errors import (DegenerateGeometryError, EpsilonTooLargeError, MeshError,
                      NewtonDivergenceError, PerturbationError, SamplingFailureError)
-from .simplicial import Simplex, barycentric_subdivision, star
-from .verify import Patch, patch_roots, transversality_margin, verify_triangulation
+from .simplicial import (Simplex, _locate_among, _TopIndex, barycentric_subdivision,
+                         simplex_sort_key, star)
+from .verify import (Patch, interior_lattice, patch_roots, transversality_margin,
+                     verify_triangulation)
 
 log = logging.getLogger(__name__)
 
@@ -116,11 +118,8 @@ class LocalDiffeo:
         self.l = pert.l
         self.m = pert.l + pert.v.size
 
-    def _rho(self, t):
-        return bump.rho_l(t)
-
     def eval(self, t, v):
-        rho = self._rho(t)
+        rho = bump.rho_l(t)
         fade = self.eps * rho
         vn = float(np.linalg.norm(v))
         if fade <= 0.0 or vn >= fade:
@@ -133,7 +132,7 @@ class LocalDiffeo:
 
     def jacobian(self, t, v):
         J = np.eye(self.m)
-        rho = self._rho(t)
+        rho = bump.rho_l(t)
         fade = self.eps * rho
         vn = float(np.linalg.norm(v))
         if fade <= 0.0 or vn >= fade:
@@ -147,13 +146,19 @@ class LocalDiffeo:
         if l:
             grad_rho = bump.rho_l_grad(t)
             J[l:, :l] = np.outer(self.v_shift, grad_rho) * (b * w2 - bp * r * w1)
+        J[l:, l:] = self._fiber_block(v, vn, bp, w1)
+        return J
+
+    def _fiber_block(self, v, vn, bp, w1):
+        """d/dv of v + beta(|v| / (eps rho)) s(t) in the fiber, (m-l) x (m-l)."""
+        J = np.eye(self.m - self.l)
         if vn > 0.0 and bp != 0.0:
-            J[l:, l:] += (bp * w1 / self.eps) * np.outer(self.v_shift, np.asarray(v) / vn)
+            J += (bp * w1 / self.eps) * np.outer(self.v_shift, np.asarray(v) / vn)
         return J
 
     def invert(self, t, w):
         """Solve v + beta(|v|/(eps rho)) s = w in the fiber by Newton."""
-        rho = self._rho(t)
+        rho = bump.rho_l(t)
         fade = self.eps * rho
         if fade <= 0.0:
             return w
@@ -174,10 +179,7 @@ class LocalDiffeo:
             g = v + bump.beta(r) * s - w
             if float(np.linalg.norm(g)) < tol:
                 return v
-            Jg = np.eye(v.size)
-            bp = bump.beta_deriv(r)
-            if vn > 0.0 and bp != 0.0:
-                Jg += (bp * w1 / self.eps) * np.outer(self.v_shift, v / vn)
+            Jg = self._fiber_block(v, vn, bump.beta_deriv(r), w1)
             v = v - np.linalg.solve(Jg, g)
         raise NewtonDivergenceError("fiber Newton did not converge")
 
@@ -197,16 +199,12 @@ class SubdivisionData:
     index: object
 
     def carrier(self, p, tol=1e-10):
-        from .simplicial import _locate_among
-
         loc = _locate_among(self.realization, self.tops, p, tol, index=self.index)
         return None if loc is None else loc.simplex
 
 
 def subdivision_data(state):
     """Barycentric subdivision of the base complex, with barycenter ids."""
-    from .simplicial import _TopIndex, simplex_sort_key
-
     sd_cplx, sd_real, bids = barycentric_subdivision(state.complex, state.realization)
     tops = tuple(sorted(sd_cplx.top_simplices(), key=simplex_sort_key))
     return SubdivisionData(sd_cplx, sd_real, bids, tops, _TopIndex(sd_real, tops))
@@ -230,8 +228,6 @@ def _unit_directions(k):
 
 
 def _containment_lattice(l, config):
-    from .verify import interior_lattice
-
     per_dim = max(2, config.containment_density // max(1, 2 ** (l - 1))) if l else 0
     return interior_lattice(l, per_dim)
 
@@ -311,13 +307,13 @@ def _deformed_patch(chart, pert):
     return Patch(l=l, eval=ev, jac=ja)
 
 
-def _candidate_transverse(state, chart, pert, h, config, hy_cache=None):
+def _candidate_transverse(state, chart, pert, h, config):
     """Verifier verdict for one candidate shift vector."""
     n = h.domain.dim
     m = state.ambient_dim
     l = chart.l
     patch = _deformed_patch(chart, pert)
-    roots, min_resid = patch_roots(h, patch, config, state.mesh_scale, hy_cache)
+    roots, min_resid = patch_roots(h, patch, config, state.mesh_scale)
     if n + l < m:
         return min_resid > config.vertex_clearance
     for y, t, resid in roots:
@@ -338,15 +334,14 @@ def _draw_shift(rng, dim, eps):
             return v
 
 
-def _sample_shift(state, s, h, eps, config, rng, chart, sd_data=None, c_sigma=None,
-                  hy_cache=None):
+def _sample_shift(state, s, h, eps, config, rng, chart, c_sigma=None):
     c_val = c_sigma if c_sigma is not None else eps
     last = None
     for tries in range(config.max_retries):
         v = _draw_shift(rng, state.ambient_dim - s.dim, eps)
         pert = LocalPerturbation(s, chart, max(c_val, eps), eps, v)
         last = pert
-        if _candidate_transverse(state, chart, pert, h, config, hy_cache):
+        if _candidate_transverse(state, chart, pert, h, config):
             return v, tries
     raise SamplingFailureError(
         f"{config.max_retries} candidates rejected for simplex {s.vertices}; "
@@ -442,14 +437,13 @@ def extend_to_ambient(state, psi, chart, level=None, meta=None):
 # per-level pipeline
 
 
-def _build_simplex_link(state, s, h, config, rng, sd_data, level, hy_cache=None):
+def _build_simplex_link(state, s, h, config, rng, sd_data, level):
     chart = make_chart(state, s)
     c_sigma = estimate_c_sigma(state, s, config, sd_data=sd_data, chart=chart)
     eps = min(c_sigma, 0.5 / bump.c_beta(), config.epsilon_max,
               config.mesh_scale_factor * state.mesh_scale)
     for shrink in range(config.max_eps_shrinks + 1):
-        v, tries = _sample_shift(state, s, h, eps, config, rng, chart,
-                                 sd_data=sd_data, c_sigma=c_sigma, hy_cache=hy_cache)
+        v, tries = _sample_shift(state, s, h, eps, config, rng, chart, c_sigma=c_sigma)
         pert = LocalPerturbation(s, chart, c_sigma, eps, v,
                                  retries_used=tries, shrinks_used=shrink)
         try:
@@ -465,7 +459,7 @@ def _build_simplex_link(state, s, h, config, rng, sd_data, level, hy_cache=None)
         f" for simplex {s.vertices}")
 
 
-def perturb_level(state, level, h, config=None, sd_data=None, hy_cache=None):
+def perturb_level(state, level, h, config=None, sd_data=None):
     """Perturb every simplex of one dimension into transverse position.
 
     Each simplex is built against the state at the start of the level
@@ -486,8 +480,7 @@ def perturb_level(state, level, h, config=None, sd_data=None, hy_cache=None):
     for idx, s in enumerate(simplices):
         rng = np.random.default_rng([config.seed, level, idx])
         try:
-            links.append(_build_simplex_link(state, s, h, config, rng, sd_data,
-                                             level, hy_cache))
+            links.append(_build_simplex_link(state, s, h, config, rng, sd_data, level))
         except (DegenerateGeometryError, SamplingFailureError,
                 EpsilonTooLargeError, NewtonDivergenceError) as exc:
             raise PerturbationError(
@@ -535,11 +528,7 @@ def make_transverse(cplx, realization, h, config=None):
         log.info("map image disjoint from the mesh; nothing to perturb")
         return state, verify_triangulation(state, h, config)
     sd_data = subdivision_data(state)
-    from .verify import _domain_seeds
-
-    ys = _domain_seeds(h, config)
-    hy_cache = (ys, h.eval_batch(ys))
     for level in range(state.ambient_dim):
-        state = perturb_level(state, level, h, config, sd_data, hy_cache)
+        state = perturb_level(state, level, h, config, sd_data)
     report = verify_triangulation(state, h, config)
     return state, report

@@ -26,6 +26,7 @@ __all__ = [
     "star",
     "barycenter",
     "barycentric_subdivision",
+    "carrier_face",
     "point_locate",
     "locate_in_simplex",
     "grid_triangulation",
@@ -297,6 +298,19 @@ def locate_in_simplex(realization, s, x, tol=1e-10):
     return lam, resid
 
 
+def carrier_face(s, lam, tol):
+    """Carrier face of barycentric coordinates lam on s, and the
+    coordinates renormalized on it.
+
+    Coordinates at or below tol drop the corresponding vertices.
+    """
+    keep = [i for i, v in enumerate(lam) if v > tol]
+    if not keep:
+        keep = [int(np.argmax(lam))]
+    sub = lam[keep]
+    return Simplex(tuple(s.vertices[i] for i in keep)), sub / sub.sum()
+
+
 class _TopIndex:
     """Bounding boxes of a set of simplices for fast candidate pruning."""
 
@@ -321,12 +335,7 @@ def _locate_among(realization, tops, x, tol, index=None):
         if hit is None:
             continue
         lam, resid = hit
-        keep = [j for j, lj in enumerate(lam) if lj > tol]
-        if not keep:
-            keep = [int(np.argmax(lam))]
-        carrier = Simplex(tuple(s.vertices[j] for j in keep))
-        sub = np.array([lam[j] for j in keep])
-        sub = sub / sub.sum()
+        carrier, sub = carrier_face(s, lam, tol)
         return PointLocation(carrier, tuple(float(c) for c in sub),
                              float(sub.min()), resid)
     return None

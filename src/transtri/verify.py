@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bump
 from .config import PipelineConfig
-from .simplicial import Simplex, simplex_sort_key
+from .simplicial import Simplex, carrier_face, simplex_sort_key
 
 log = logging.getLogger(__name__)
 
@@ -178,14 +178,14 @@ def _gauss_newton(h, patch, y0, t0, config, scale):
     return y, t, best_r
 
 
-def _pair_seeds(h, patch, config, scale, hy_cache=None, t_per_dim=None):
+def _pair_seeds(h, patch, config, scale, t_per_dim=None):
     """Seed (y, t) pairs whose images are close enough to share a root.
 
     At most a handful of map-parameter seeds are kept per simplex seed;
     extra seeds in the same basin only repeat the refinement.
     """
-    ys = _domain_seeds(h, config) if hy_cache is None else hy_cache[0]
-    hy = h.eval_batch(ys) if hy_cache is None else hy_cache[1]
+    ys = _domain_seeds(h, config)
+    hy = h.eval_batch(ys)
     if t_per_dim is None:
         t_per_dim = _simplex_seed_count(config, patch.l)
     ts = interior_lattice(patch.l, t_per_dim)
@@ -213,7 +213,7 @@ def _inside_closed_simplex(t, slack=1e-6):
     return float(t.min()) >= -slack and float(t.sum()) <= 1.0 + slack
 
 
-def patch_roots(h, patch, config, scale, hy_cache=None, t_per_dim=None):
+def patch_roots(h, patch, config, scale, t_per_dim=None):
     """Gauss-Newton roots of h(y) = patch(t) from pruned grid seeds.
 
     Returns (roots, min_residual) with roots deduplicated in parameter
@@ -224,7 +224,7 @@ def patch_roots(h, patch, config, scale, hy_cache=None, t_per_dim=None):
     min_residual includes the coarse seed distances, so it is meaningful
     even when no seed pair survives pruning.
     """
-    ys, ts, pairs, coarse = _pair_seeds(h, patch, config, scale, hy_cache, t_per_dim)
+    ys, ts, pairs, coarse = _pair_seeds(h, patch, config, scale, t_per_dim)
     roots = []
     min_resid = coarse
     for iy, it in pairs:
@@ -289,31 +289,16 @@ class IntersectionRecord:
     classification: str  # transverse | tangent | skeleton-hit
 
 
-def _face_and_coords(s, t, tol):
-    """Carrier face of a parameter point and its coordinates there.
-
-    Barycentric coordinates below tol drop the corresponding vertices;
-    coordinates of the root inside the face are renormalized.
-    """
-    t = np.asarray(t, float)
-    lam = np.concatenate([[1.0 - t.sum()], t])
-    lam = np.clip(lam, 0.0, None)
-    keep = [i for i, v in enumerate(lam) if v > tol]
-    if not keep:
-        keep = [int(np.argmax(lam))]
-    face = Simplex(tuple(s.vertices[i] for i in keep))
-    sub = lam[keep]
-    sub = sub / sub.sum()
-    return face, sub[1:]
-
-
 def _make_record(state, h, s, y, t, resid, config):
     """Classify a root and attribute it to the carrier face of s."""
-    tol = config.barycentric_tol
-    lam_min = min(1.0 - float(np.sum(t)), float(np.min(t))) if s.dim else 0.0
-    if s.dim and lam_min < -1e-8:
-        return None  # converged outside this simplex; owned by a neighbor
-    face, t_face = _face_and_coords(s, t, tol) if s.dim else (s, np.zeros(0))
+    face, t_face = s, np.zeros(0)
+    if s.dim:
+        t = np.asarray(t, float)
+        lam = np.concatenate([[1.0 - t.sum()], t])
+        if lam.min() < -1e-8:
+            return None  # converged outside this simplex; owned by a neighbor
+        face, lam = carrier_face(s, np.clip(lam, 0.0, None), config.barycentric_tol)
+        t_face = lam[1:]
     n = h.domain.dim
     m = state.ambient_dim
     b, A = state.realization.simplex_frame(face)
@@ -338,7 +323,7 @@ def _make_record(state, h, s, y, t, resid, config):
     )
 
 
-def find_intersections(state, s, h, config=None, hy_cache=None):
+def find_intersections(state, s, h, config=None):
     """Roots of h(y) = eta(iota_s(t)) with t in the closed simplex.
 
     Returns (records, min_residual).  Roots landing on the simplex
@@ -356,7 +341,7 @@ def find_intersections(state, s, h, config=None, hy_cache=None):
         # intersections come in positive-dimensional families; a sparse
         # sample of the family is enough for the rank verdict
         t_per_dim = max(2, t_per_dim // 4)
-    roots, min_resid = patch_roots(h, patch, config, state.mesh_scale, hy_cache, t_per_dim)
+    roots, min_resid = patch_roots(h, patch, config, state.mesh_scale, t_per_dim)
     threshold = config.solve_tol if n + s.dim >= m else config.vertex_clearance
     records = []
     for y, t, resid in roots:
@@ -402,12 +387,10 @@ def verify_triangulation(state, h, config=None):
     n = h.domain.dim
     m = state.ambient_dim
     cplx = state.complex
-    ys = _domain_seeds(h, config)
-    hy_cache = (ys, h.eval_batch(ys))
     by_simplex = {}
     vertex_dist = {}
     for s in sorted(cplx.simplices, key=simplex_sort_key):
-        records, min_resid = find_intersections(state, s, h, config, hy_cache)
+        records, min_resid = find_intersections(state, s, h, config)
         for rec in records:
             by_simplex.setdefault(rec.simplex, []).append(rec)
         if s.dim == 0:

@@ -1,11 +1,13 @@
 """Scenario parsing, command exit codes, artifacts, determinism."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from transtri.cli import Scenario, load_scenario, main, run, verify_only
+from transtri.config import PipelineConfig
 from transtri.errors import ConfigError
 
 SCEN_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
@@ -58,6 +60,51 @@ class TestParsing:
         s = load_scenario(cfg)
         code = verify_only(s, out_dir=str(tmp_path / "out"))
         assert code == 0
+
+
+def write_scenario(tmp_path, pipeline="", mesh=""):
+    """A unit-square scenario with a point map inside the mesh."""
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("[scenario]\nambient_dim = 2\n"
+                   f"[mesh]\ngenerator = grid\nbox_lo = 0 0\nbox_hi = 1 1\n{mesh}"
+                   "[map]\nfamily = point\nvalue = 0.3 0.2\n"
+                   f"[pipeline]\n{pipeline}")
+    return cfg
+
+
+class TestKnobs:
+    def test_every_pipeline_field_parses_to_its_type(self, tmp_path):
+        want = {f.name: f.default + 1 if type(f.default) is int else f.default * 2
+                for f in fields(PipelineConfig)}
+        s = load_scenario(write_scenario(
+            tmp_path, "".join(f"{k} = {v!r}\n" for k, v in want.items())))
+        for f in fields(PipelineConfig):
+            got = getattr(s.config, f.name)
+            assert type(got) is type(f.default) and got == want[f.name], f.name
+
+    def test_removed_newton_knob_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="newton_tol"):
+            load_scenario(write_scenario(tmp_path, "newton_tol = 1e-9\n"))
+
+    @pytest.mark.parametrize("mesh,pipeline,line", [
+        ("resolution = 1.7\n", "", 7),
+        ("", "seed = 2.9\n", 11),
+    ], ids=["resolution", "seed"])
+    def test_integer_keys_reject_fractions(self, tmp_path, mesh, pipeline, line):
+        with pytest.raises(ConfigError, match="expected an integer") as info:
+            load_scenario(write_scenario(tmp_path, pipeline, mesh))
+        assert f"line {line}:" in str(info.value)
+
+    @pytest.mark.parametrize("pipeline,flags", [
+        ("max_retries = 0\n", []),
+        ("", ["--density", "0"]),
+        ("", ["--seed", "-1"]),
+    ], ids=["max_retries", "density", "seed"])
+    def test_out_of_range_knob_exits_2(self, tmp_path, capsys, pipeline, flags):
+        code = main(["run", str(write_scenario(tmp_path, pipeline)),
+                     "--out", str(tmp_path / "o")] + flags)
+        assert code == 2
+        assert "scenario error:" in capsys.readouterr().err
 
 
 class TestCommands:

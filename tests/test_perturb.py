@@ -225,13 +225,6 @@ class TestAmbientExtension:
             assert np.linalg.norm(q - p) < 1e-9
             count += 1
 
-    def test_ambient_conjugation_consistent_on_base_chain(self, base_state):
-        # with an empty prior chain the ambient action equals the link action
-        link = self._link(base_state, sc.Simplex((0, 3)))
-        for _ in range(20):
-            p = RNG.uniform(0, 1, size=2)
-            assert np.allclose(link.ambient_apply(p), link.apply(p), atol=0)
-
 
 class TestLevels:
     def test_level_without_simplices_unchanged(self):
