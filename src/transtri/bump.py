@@ -67,75 +67,87 @@ _RHO_POLYS = (
 _LOG_SAFE_U = 500.0
 
 
+def _entrywise(fn, x):
+    """fn over the entries of x (a 0-d input gives a scalar), in Python floats.
+
+    numpy's vectorized exp differs from math.exp in the last bit on a few
+    percent of inputs, so the exp/log primitives below run math per entry:
+    every value, and so the repr-printed chain metadata, stays the same
+    however points are batched.
+    """
+    x = np.asarray(x, float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)[()]
+
+
 def rho(r):
-    """Flat mollifier exp(-1/r) on r > 0, identically 0 on r <= 0."""
-    if r <= 0.0:
-        return 0.0
-    return math.exp(-1.0 / r)
+    """Flat mollifier exp(-1/r) on r > 0, identically 0 on r <= 0; entrywise."""
+    return _entrywise(lambda x: math.exp(-1.0 / x) if x > 0.0 else 0.0, r)
 
 
 def rho_deriv(r, k):
-    """k-th derivative of rho at r, exact closed form, k <= RHO_DERIV_MAX."""
+    """k-th derivative of rho, exact closed form, k <= RHO_DERIV_MAX; entrywise."""
     if not 0 <= k <= RHO_DERIV_MAX:
         raise ValueError(f"derivative order {k} unsupported (max {RHO_DERIV_MAX})")
-    if r <= 0.0:
-        return 0.0
-    u = 1.0 / r
-    coeffs = _RHO_POLYS[k]
-    poly = float(np.polyval(coeffs[::-1], u))
-    if u > _LOG_SAFE_U:
-        if poly == 0.0:
+    coeffs = _RHO_POLYS[k][::-1].tolist()
+
+    def entry(x):
+        if x <= 0.0:
             return 0.0
-        return math.copysign(math.exp(-u + math.log(abs(poly))), poly)
-    return math.exp(-u) * poly
+        u = 1.0 / x
+        poly = 0.0
+        for c in coeffs:  # Horner, as np.polyval
+            poly = poly * u + c
+        if u > _LOG_SAFE_U:
+            if poly == 0.0:
+                return 0.0
+            return math.copysign(math.exp(-u + math.log(abs(poly))), poly)
+        return math.exp(-u) * poly
+
+    return _entrywise(entry, r)
+
+
+def _factor_args(t):
+    # Arguments of the rho factors of rho_l, last axis: factor 0 is
+    # rho(1 - sum t), factor a >= 1 is rho(t_a).
+    return np.concatenate([1.0 - t.sum(axis=-1)[..., None], t], axis=-1)
 
 
 def rho_l(t):
-    """Simplex bump rho(1 - sum t) * prod rho(t_i); constant 1 for l = 0.
+    """Simplex bump rho(1 - sum t) * prod rho(t_i) over the last axis of t.
 
-    Positive exactly on the open standard simplex of dimension len(t).
+    Positive exactly on the open standard simplex of dimension
+    t.shape[-1]; constant 1 for l = 0.  A (N, l) array gives (N,) values.
     """
-    t = np.asarray(t, dtype=float)
-    if t.size == 0:
-        return 1.0
-    val = rho(1.0 - float(t.sum()))
-    for ti in t:
-        if val == 0.0:
-            return 0.0
-        val *= rho(float(ti))
+    t = np.asarray(t, float)
+    if t.shape[-1] == 0:
+        return np.ones(t.shape[:-1])[()]
+    g = rho(_factor_args(t))
+    val = g[..., 0]
+    for a in range(1, g.shape[-1]):
+        val = val * g[..., a]
     return val
 
 
-def _factor_data(t):
-    # Factor values and first/second derivatives w.r.t. their scalar argument.
-    # Factor 0 is rho(1 - sum t); factor a >= 1 is rho(t_a).
-    u = 1.0 - float(t.sum())
-    args = [u] + [float(ti) for ti in t]
-    g = [rho(a) for a in args]
-    g1 = [rho_deriv(a, 1) for a in args]
-    g2 = [rho_deriv(a, 2) for a in args]
-    return g, g1, g2
-
-
 def rho_l_grad(t):
-    """Gradient of rho_l, exact zeros outside the open simplex."""
-    t = np.asarray(t, dtype=float)
-    l = t.size
+    """Gradient of rho_l over the last axis of t, exact zeros outside the
+    open simplex."""
+    t = np.asarray(t, float)
+    l = t.shape[-1]
     if l == 0:
-        return np.zeros(0)
-    g, g1, _ = _factor_data(t)
-    grad = np.zeros(l)
+        return np.zeros(t.shape)
+    args = _factor_args(t)
+    g, g1 = rho(args), rho_deriv(args, 1)
+    grad = np.empty(t.shape)
     for j in range(l):
         # d/dt_j hits factor 0 with a sign flip, and factor j+1 directly.
-        term0 = -g1[0]
+        term0 = -g1[..., 0]
         for a in range(1, l + 1):
-            term0 *= g[a]
-        termj = g1[j + 1]
+            term0 = term0 * g[..., a]
+        termj = g1[..., j + 1]
         for a in range(l + 1):
-            if a == j + 1:
-                continue
-            termj *= g[a]
-        grad[j] = term0 + termj
+            if a != j + 1:
+                termj = termj * g[..., a]
+        grad[..., j] = term0 + termj
     return grad
 
 
@@ -145,7 +157,8 @@ def rho_l_hess(t):
     l = t.size
     if l == 0:
         return np.zeros((0, 0))
-    g, g1, g2 = _factor_data(t)
+    args = _factor_args(t)
+    g, g1, g2 = rho(args), rho_deriv(args, 1), rho_deriv(args, 2)
     n_fac = l + 1
 
     def d1(a, j):
@@ -184,25 +197,24 @@ def rho_l_hess(t):
 
 
 def beta(r):
-    """Smooth step: 1 for r <= 1/2, 0 for r >= 1, rho-ratio blend between."""
-    if r <= 0.5:
-        return 1.0
-    if r >= 1.0:
-        return 0.0
+    """Smooth step: 1 for r <= 1/2, 0 for r >= 1, rho-ratio blend between;
+    entrywise.
+
+    rho(r - 1/2) vanishes for r <= 1/2 and rho(1 - r) for r >= 1, so the
+    blend formula itself gives exactly 1.0 and 0.0 on the flat branches.
+    """
+    r = np.asarray(r, float)
     a = rho(1.0 - r)
-    b = rho(r - 0.5)
-    return a / (a + b)
+    return a / (a + rho(r - 0.5))
 
 
 def beta_deriv(r):
-    """First derivative of beta, exactly 0 outside (1/2, 1)."""
-    if r <= 0.5 or r >= 1.0:
-        return 0.0
-    a = rho(1.0 - r)
-    b = rho(r - 0.5)
-    da = -rho_deriv(1.0 - r, 1)
-    db = rho_deriv(r - 0.5, 1)
-    return (da * b - a * db) / (a + b) ** 2
+    """First derivative of beta, exactly 0 outside (1/2, 1); entrywise."""
+    r = np.asarray(r, float)
+    a, b = rho(1.0 - r), rho(r - 0.5)
+    da, db = -rho_deriv(1.0 - r, 1), rho_deriv(r - 0.5, 1)
+    blend = (da * b - a * db) / (a + b) ** 2
+    return np.where((r > 0.5) & (r < 1.0), blend, 0.0)[()]
 
 
 @lru_cache(maxsize=1)
@@ -212,23 +224,23 @@ def c_beta():
     Only ever used through constraints of the form eps < 1/c_beta, so an
     over-estimate is safe.
     """
-    rs = np.linspace(0.5, 1.0, 10_001)
-    m = max(abs(beta_deriv(float(r))) for r in rs)
+    m = float(np.abs(beta_deriv(np.linspace(0.5, 1.0, 10_001))).max())
     return 1.05 * m
 
 
 def scaled_warp(rho_value, power=0):
-    """exp(-1/rho) * rho**(-power), evaluated in log space.
+    """exp(-1/rho) * rho**(-power), evaluated in log space; entrywise.
 
     Underflow-coherent: returns exact 0.0 when the combined exponent falls
     below the representable range, and 0.0 when rho_value == 0.
     """
-    if rho_value <= 0.0:
-        return 0.0
-    expo = -1.0 / rho_value - power * math.log(rho_value)
-    if expo < -745.0:
-        return 0.0
-    return math.exp(expo)
+    def entry(x):
+        if x <= 0.0:
+            return 0.0
+        expo = -1.0 / x - power * math.log(x)
+        return 0.0 if expo < -745.0 else math.exp(expo)
+
+    return _entrywise(entry, rho_value)
 
 
 def warp(t):

@@ -64,14 +64,30 @@ def _normal_completion(A, m):
     return N
 
 
+def matvec(M, x):
+    """M @ x over the rows of x, each row bitwise as a single M @ row.
+
+    A stacked matmul runs the same BLAS kernel per row as the 1-D call; a
+    plain (N, k) @ M.T runs a different kernel and rounds differently.
+    """
+    return (M @ np.asarray(x, float)[..., None])[..., 0]
+
+
+def row_norms(x):
+    """Euclidean norm of each row, bitwise as np.linalg.norm of that row
+    (a stacked row-times-column product runs the same dot kernel)."""
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
 class ChainOps:
     """Masked evaluation of an ordered chain of compactly supported links.
 
-    The chain is split into contiguous same-level runs; within a run
+    Points are rows of an (N, m) array; a single (m,) point is the N = 1
+    case.  The chain is split into contiguous same-level runs; within a run
     supports are pairwise disjoint by construction, so one vectorized box
-    test per run finds every link acting on a point.  Masks are refreshed
+    test per run finds every link acting on every row.  Masks are refreshed
     between runs because earlier links can move points by more than later
-    slab widths.
+    slab widths, and each link re-tests its own box on the rows it gets.
     """
 
     def __init__(self, links):
@@ -91,32 +107,37 @@ class ChainOps:
 
     @staticmethod
     def _active(run, x):
+        """(link index, rows of x in its box), in chain order."""
         idx, lo, hi = run
-        mask = np.all((x >= lo) & (x <= hi), axis=1)
-        hits = np.nonzero(mask)[0]
-        return [idx[i] for i in hits]
+        inside = np.all((x[:, None, :] >= lo) & (x[:, None, :] <= hi), axis=2)
+        return [(idx[j], np.nonzero(inside[:, j])[0])
+                for j in np.nonzero(inside.any(axis=0))[0]]
 
     def apply(self, x):
         x = np.asarray(x, float)
+        X = x.reshape(-1, x.shape[-1]).copy()
         for run in reversed(self.runs):
-            for i in reversed(self._active(run, x)):
-                x = self.links[i].apply(x)
-        return x
+            for i, rows in reversed(self._active(run, X)):
+                X[rows] = self.links[i].apply(X[rows])
+        return X.reshape(x.shape)
 
     def apply_with_jacobian(self, x):
         x = np.asarray(x, float)
-        J = np.eye(x.size)
+        m = x.shape[-1]
+        X = x.reshape(-1, m).copy()
+        J = np.tile(np.eye(m), (len(X), 1, 1))
         for run in reversed(self.runs):
-            for i in reversed(self._active(run, x)):
-                J = self.links[i].jacobian(x) @ J
-                x = self.links[i].apply(x)
-        return x, J
+            for i, rows in reversed(self._active(run, X)):
+                X[rows], Jl = self.links[i].apply_with_jacobian(X[rows])
+                J[rows] = Jl @ J[rows]
+        return X.reshape(x.shape), J.reshape(x.shape + (m,))
 
     def invert(self, x):
+        """Preimage of one point, oldest links unwound first."""
         x = np.asarray(x, float)
-        for run in self.runs:
-            for i in self._active(run, x):
-                x = self.links[i].invert(x)
+        for idx, lo, hi in self.runs:
+            for j in np.nonzero(np.all((x >= lo) & (x <= hi), axis=1))[0]:
+                x = self.links[idx[j]].invert(x)
         return x
 
 
@@ -144,22 +165,22 @@ class TubularChart:
         return self.base.size
 
     def frame_point(self, t, v):
-        """Base-coordinate point b + A t + N v."""
-        return self.base + self.tangent @ np.asarray(t, float) + self.normal @ np.asarray(v, float)
+        """Base-coordinate points b + A t + N v, over rows of t and v."""
+        return self.base + matvec(self.tangent, t) + matvec(self.normal, v)
 
     def frame_coords(self, x):
-        """Invert the affine frame: returns (t, v)."""
-        tv = self._Minv @ (np.asarray(x, float) - self.base)
-        return tv[: self.l], tv[self.l :]
+        """Invert the affine frame: returns (t, v), over rows of x."""
+        tv = matvec(self._Minv, np.asarray(x, float) - self.base)
+        return tv[..., : self.l], tv[..., self.l :]
 
     def forward(self, t, v):
         """Chart value: frame point pushed through the chain snapshot."""
         return self.ops.apply(self.frame_point(t, v))
 
-    def forward_jacobian(self, t, v):
-        """d(chart) as an m x m matrix in (t, v) block order."""
+    def forward_with_jacobian(self, t, v):
+        """Chart value and d(chart), m x m in (t, v) block order."""
         x, J = self.ops.apply_with_jacobian(self.frame_point(t, v))
-        return J @ self._M
+        return x, J @ self._M
 
     def inverse(self, x):
         """Chart coordinates (t, v) of an ambient point."""
@@ -183,27 +204,46 @@ class AmbientDiffeo:
     support_hi: np.ndarray
     meta: dict = field(default_factory=dict)
 
+    def box_mask(self, x):
+        """Rows of x inside the closed support box."""
+        return np.all((x >= self.support_lo) & (x <= self.support_hi), axis=-1)
+
     def in_box(self, x):
-        return bool(np.all(x >= self.support_lo) and np.all(x <= self.support_hi))
+        """Whether one point lies inside the closed support box."""
+        return bool(self.box_mask(x))
 
     def apply(self, x):
-        x = np.asarray(x, float)
-        if not self.in_box(x):
-            return x
-        t, v = self.chart.frame_coords(x)
-        t2, v2 = self.local.eval(t, v)
-        if v2 is v:
-            return x
-        return self.chart.frame_point(t2, v2)
+        """Link values at the rows of x.
 
-    def jacobian(self, x):
+        Rows outside the box, or on the local identity branch, come back
+        unchanged rather than round-tripped through the frame; x itself
+        comes back when no row moves.
+        """
+        return self._eval(x, False)[0]
+
+    def apply_with_jacobian(self, x):
+        """Link values and Jacobians at the rows of x, from one frame pass;
+        the Jacobian is the identity outside the box."""
+        return self._eval(x, True)
+
+    def _eval(self, x, with_jacobian):
         x = np.asarray(x, float)
-        m = x.size
-        if not self.in_box(x):
-            return np.eye(m)
-        t, v = self.chart.frame_coords(x)
-        Jl = self.local.jacobian(t, v)
-        return self.chart._M @ Jl @ self.chart._Minv
+        m = x.shape[-1]
+        X = x.reshape(-1, m)
+        rows = np.nonzero(self.box_mask(X))[0]
+        J = np.tile(np.eye(m), (len(X), 1, 1)) if with_jacobian else None
+        out = x
+        if rows.size:
+            chart = self.chart
+            t, v = chart.frame_coords(X[rows])
+            moved, v2, Jl = self.local.moves(t, v, with_jacobian)
+            if with_jacobian:
+                J[rows] = chart._M @ Jl @ chart._Minv
+            if moved.any():
+                out = X.copy()
+                out[rows[moved]] = chart.frame_point(t[moved], v2)
+                out = out.reshape(x.shape)
+        return out, None if J is None else J.reshape(x.shape + (m,))
 
     def invert(self, x):
         x = np.asarray(x, float)
@@ -239,10 +279,11 @@ class TriangulationState:
         return TriangulationState(self.complex, self.realization, self.links + (link,))
 
     def eval_eta(self, p):
-        """Current triangulation map at a base-coordinate point."""
+        """Current triangulation map at base-coordinate points (rows)."""
         return self._ops.apply(p)
 
     def eval_eta_with_jacobian(self, p):
+        """eta and its m x m Jacobian at base-coordinate points (rows)."""
         return self._ops.apply_with_jacobian(p)
 
     def eval_eta_inverse(self, x):

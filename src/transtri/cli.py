@@ -15,6 +15,7 @@ level.
 """
 
 import argparse
+import inspect
 import logging
 import os
 import sys
@@ -184,24 +185,24 @@ def load_scenario(path):
 
 
 def _map_params(family, section):
-    skip = {"family"}
+    # keys the family's constructor takes; coeff* rows stand for coeffs
+    accepted = set(inspect.signature(MAP_FAMILIES[family]).parameters)
     vector_keys = {"value", "origin", "direction", "center", "u1", "u2", "lo", "hi"}
-    scalar_keys = {"radius", "p", "q", "big_radius", "small_radius"}
     params = {}
     coeff_rows = {}
     for key, (value, line) in section.items():
-        if key in skip:
+        if key == "family":
             continue
-        if key in scalar_keys:
-            params[key] = _integer(value, line) if key in ("p", "q") else _scalar(value, line)
+        if ("coeffs" if key.startswith("coeff") else key) not in accepted:
+            raise ConfigError(f"unknown map key {key!r} for family {family}", line=line)
+        if key.startswith("coeff"):
+            coeff_rows[key] = (_floats(value, line), line)
         elif key in vector_keys:
             vals = _floats(value, line)
             params[key] = vals[0] if key in ("lo", "hi") and family != "surface_patch" \
                 and len(vals) == 1 else vals
-        elif key.startswith("coeff"):
-            coeff_rows[key] = (_floats(value, line), line)
         else:
-            raise ConfigError(f"unknown map key {key!r} for family {family}", line=line)
+            params[key] = _integer(value, line) if key in ("p", "q") else _scalar(value, line)
     if family == "poly_curve":
         if not coeff_rows:
             raise ConfigError("poly_curve needs coeff0, coeff1, ...")
@@ -231,8 +232,6 @@ def _map_params(family, section):
             _, j, k = name.split("_")
             coeffs[int(j), int(k)] = vals
         params["coeffs"] = coeffs
-    elif coeff_rows:
-        raise ConfigError(f"family {family} takes no coefficient rows")
     return params
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bump
-from .charts import AmbientDiffeo, StarLocator, TriangulationState, make_chart
+from .charts import AmbientDiffeo, StarLocator, TriangulationState, make_chart, row_norms
 from .config import PipelineConfig
 from .errors import (DegenerateGeometryError, EpsilonTooLargeError, MeshError,
                      NewtonDivergenceError, PerturbationError, SamplingFailureError)
@@ -88,27 +88,26 @@ class LocalPerturbation:
         return self.chart.l
 
     def shift(self, t):
-        """s(t) = warp(t) * v, the normal displacement of the zero section."""
-        return bump.scaled_warp(bump.rho_l(t), 0) * self.v
+        """s(t) = warp(t) * v, the normal displacement of the zero section,
+        over the rows of t."""
+        return np.multiply.outer(bump.scaled_warp(bump.rho_l(t), 0), self.v)
 
     def shift_jacobian(self, t):
-        """d s / d t, an (m-l) x l matrix, zero at and beyond the boundary."""
-        t = np.asarray(t, float)
-        if t.size == 0:
-            return np.zeros((self.v.size, 0))
-        w2 = bump.scaled_warp(bump.rho_l(t), 2)
-        if w2 == 0.0:
-            return np.zeros((self.v.size, t.size))
-        return np.outer(self.v, bump.rho_l_grad(t)) * w2
+        """d s / d t, (m-l) x l per row of t, zero at and beyond the boundary."""
+        w2 = np.asarray(bump.scaled_warp(bump.rho_l(t), 2))[..., None, None]
+        J = self.v[:, None] * bump.rho_l_grad(t)[..., None, :] * w2
+        return np.where(w2 == 0.0, 0.0, J)
 
 
 class LocalDiffeo:
     """Fiber-preserving local diffeomorphism in chart coordinates.
 
-    eval(t, v) returns the input objects unchanged on the identity branch
-    (t outside the open simplex, |v| at or beyond the fade radius, or a
-    shift that underflowed to zero), which lets callers keep exact
-    identity behavior outside the support.
+    eval and jacobian take rows of t (N, l) and v (N, m-l); a 1-D pair is
+    the N = 1 case.  A row on the identity branch (t outside the open
+    simplex, |v| at or beyond the fade radius, or a shift that underflowed
+    to zero) is left exactly as it is, and eval returns the input v object
+    when no row moves, which lets callers keep exact identity behavior
+    outside the support.
     """
 
     def __init__(self, pert):
@@ -118,46 +117,65 @@ class LocalDiffeo:
         self.l = pert.l
         self.m = pert.l + pert.v.size
 
-    def eval(self, t, v):
+    def moves(self, t, v, with_jacobian=False):
+        """Rows that move, their new fibers and, on request, the Jacobian at
+        every row, from one bump evaluation; t is (N, l) and v is (N, m-l)."""
+        n, l = len(v), self.l
+        J = np.tile(np.eye(self.m), (n, 1, 1)) if with_jacobian else None
+        moved = np.zeros(n, bool)
         rho = bump.rho_l(t)
         fade = self.eps * rho
-        vn = float(np.linalg.norm(v))
-        if fade <= 0.0 or vn >= fade:
+        vn = row_norms(v)
+        rows = np.nonzero((fade > 0.0) & (vn < fade))[0]
+        if not rows.size:
+            return moved, v[:0], J
+        rho, vn = rho[rows], vn[rows]
+        r = vn / fade[rows]
+        b = bump.beta(r)
+        s = bump.scaled_warp(rho, 0)[:, None] * self.v_shift
+        nz = s.any(axis=1)
+        moved[rows[nz]] = True
+        v2 = v[rows[nz]] + b[nz, None] * s[nz]
+        if with_jacobian:
+            w1 = bump.scaled_warp(rho, 1)
+            w2 = bump.scaled_warp(rho, 2)
+            bp = bump.beta_deriv(r)
+            if l:
+                grad_rho = bump.rho_l_grad(t[rows])
+                J[rows, l:, :l] = (self.v_shift[:, None] * grad_rho[:, None, :]
+                                   * (b * w2 - bp * r * w1)[:, None, None])
+            J[rows, l:, l:] = self._fiber_block(v[rows], vn, bp, w1)
+        return moved, v2, J
+
+    def _reshaped(self, t, v):
+        v = np.asarray(v, float).reshape(-1, self.m - self.l)
+        return np.asarray(t, float).reshape(len(v), self.l), v
+
+    def eval(self, t, v):
+        T, V = self._reshaped(t, v)
+        moved, v2, _ = self.moves(T, V)
+        if not moved.any():
             return t, v
-        r = vn / fade
-        s = bump.scaled_warp(rho, 0) * self.v_shift
-        if not s.any():
-            return t, v
-        return t, v + bump.beta(r) * s
+        V = V.copy()
+        V[moved] = v2
+        return t, V.reshape(np.shape(v))
 
     def jacobian(self, t, v):
-        J = np.eye(self.m)
-        rho = bump.rho_l(t)
-        fade = self.eps * rho
-        vn = float(np.linalg.norm(v))
-        if fade <= 0.0 or vn >= fade:
-            return J
-        r = vn / fade
-        w1 = bump.scaled_warp(rho, 1)
-        w2 = bump.scaled_warp(rho, 2)
-        b = bump.beta(r)
-        bp = bump.beta_deriv(r)
-        l = self.l
-        if l:
-            grad_rho = bump.rho_l_grad(t)
-            J[l:, :l] = np.outer(self.v_shift, grad_rho) * (b * w2 - bp * r * w1)
-        J[l:, l:] = self._fiber_block(v, vn, bp, w1)
-        return J
+        J = self.moves(*self._reshaped(t, v), with_jacobian=True)[2]
+        return J.reshape(np.shape(v)[:-1] + (self.m, self.m))
 
     def _fiber_block(self, v, vn, bp, w1):
-        """d/dv of v + beta(|v| / (eps rho)) s(t) in the fiber, (m-l) x (m-l)."""
-        J = np.eye(self.m - self.l)
-        if vn > 0.0 and bp != 0.0:
-            J += (bp * w1 / self.eps) * np.outer(self.v_shift, np.asarray(v) / vn)
+        """d/dv of v + beta(|v| / (eps rho)) s(t) in the fiber, per row."""
+        J = np.tile(np.eye(self.m - self.l), (len(v), 1, 1))
+        sel = (vn > 0.0) & (bp != 0.0)
+        coef = (bp * w1 / self.eps)[sel]
+        J[sel] += coef[:, None, None] * (self.v_shift[:, None]
+                                         * (v[sel] / vn[sel, None])[:, None, :])
         return J
 
     def invert(self, t, w):
-        """Solve v + beta(|v|/(eps rho)) s = w in the fiber by Newton."""
+        """Solve v + beta(|v|/(eps rho)) s = w in the fiber by Newton, at one
+        point."""
         rho = bump.rho_l(t)
         fade = self.eps * rho
         if fade <= 0.0:
@@ -179,8 +197,8 @@ class LocalDiffeo:
             g = v + bump.beta(r) * s - w
             if float(np.linalg.norm(g)) < tol:
                 return v
-            Jg = self._fiber_block(v, vn, bump.beta_deriv(r), w1)
-            v = v - np.linalg.solve(Jg, g)
+            Jg = self._fiber_block(v[None], np.array([vn]), np.array([bump.beta_deriv(r)]), w1)
+            v = v - np.linalg.solve(Jg[0], g)
         raise NewtonDivergenceError("fiber Newton did not converge")
 
 
@@ -246,20 +264,25 @@ def containment_ok(state, chart, locator, lattice, dirs, c, sd_data=None):
     boundary the fiber region pokes into free ambient space, where the
     extended diffeomorphism owes nothing to the complex.
     """
-    for t in lattice:
-        rho = bump.rho_l(t)
-        if rho <= 0.0:
+    rho = bump.rho_l(lattice)
+    ts, vs = [], []
+    for t, rho_t in zip(lattice, rho):
+        if rho_t <= 0.0:
             continue
         for frac in (1.0, 0.5):
-            rad = c * rho * frac
+            rad = c * rho_t * frac
             for u in dirs:
-                x = chart.forward(t, rad * u)
-                base = state.eval_eta_inverse(x)
-                if locator.contains_base_point(base):
-                    continue
-                if sd_data is not None and sd_data.carrier(base) is None:
-                    continue  # outside the realized complex
-                return False
+                ts.append(t)
+                vs.append(rad * u)
+    if not ts:
+        return True
+    for x in chart.forward(np.array(ts), np.array(vs)):
+        base = state.eval_eta_inverse(x)
+        if locator.contains_base_point(base):
+            continue
+        if sd_data is not None and sd_data.carrier(base) is None:
+            continue  # outside the realized complex
+        return False
     return True
 
 
@@ -298,13 +321,11 @@ def _deformed_patch(chart, pert):
     def ev(t):
         return chart.forward(t, pert.shift(t))
 
-    def ja(t):
-        J = chart.forward_jacobian(t, pert.shift(t))
-        if l == 0:
-            return np.zeros((chart.m, 0))
-        return J[:, :l] + J[:, l:] @ pert.shift_jacobian(t)
+    def ej(t):
+        x, J = chart.forward_with_jacobian(t, pert.shift(t))
+        return x, J[..., :l] + J[..., l:] @ pert.shift_jacobian(t)
 
-    return Patch(l=l, eval=ev, jac=ja)
+    return Patch(l=l, eval=ev, eval_jac=ej)
 
 
 def _candidate_transverse(state, chart, pert, h, config):
@@ -316,13 +337,12 @@ def _candidate_transverse(state, chart, pert, h, config):
     roots, min_resid = patch_roots(h, patch, config, state.mesh_scale)
     if n + l < m:
         return min_resid > config.vertex_clearance
-    for y, t, resid in roots:
-        if resid >= config.solve_tol:
-            continue
-        margin = transversality_margin(h.jacobian_raw(y), patch.jac(t))
-        if margin < config.tol_rank:
-            return False
-    return True
+    roots = [(y, t) for y, t, resid in roots if resid < config.solve_tol]
+    if not roots:
+        return True
+    _, df = patch.eval_jac(np.array([t for _, t in roots]))
+    return all(transversality_margin(h.jacobian_raw(y), d) >= config.tol_rank
+               for (y, _), d in zip(roots, df))
 
 
 def _draw_shift(rng, dim, eps):
@@ -374,24 +394,19 @@ def build_local_diffeo(pert, check_samples=24):
     epsilon and resample (EpsilonTooLargeError).
     """
     psi = LocalDiffeo(pert)
-    l, k = pert.l, pert.v.size
-    ts = _containment_lattice(l, PipelineConfig(containment_density=4)) if l else [np.zeros(0)]
-    dirs = _unit_directions(k)
-    worst = 0.0
-    count = 0
-    for t in ts:
-        rho = bump.rho_l(t)
+    ts = _containment_lattice(pert.l, PipelineConfig(containment_density=4))
+    dirs = _unit_directions(pert.v.size)
+    rows_t, rows_v = [], []
+    for t, rho in zip(ts, bump.rho_l(ts)):
         if rho <= 0.0:
             continue
         for frac in (0.0, 0.4, 0.8):
             for u in dirs:
-                v = frac * pert.epsilon * rho * u
-                J = psi.jacobian(t, v)
-                dev = float(np.linalg.norm(J - np.eye(psi.m), 2))
-                worst = max(worst, dev)
-                count += 1
-                if count >= check_samples and worst < 0.5:
-                    return psi
+                rows_t.append(t)
+                rows_v.append(frac * pert.epsilon * rho * u)
+    # the first check_samples samples decide
+    J = psi.jacobian(np.array(rows_t[:check_samples]), np.array(rows_v[:check_samples]))
+    worst = float(np.linalg.norm(J - np.eye(psi.m), 2, axis=(1, 2)).max(initial=0.0))
     if worst >= 0.5:
         raise EpsilonTooLargeError(
             f"sampled |J - I| = {worst:.3f} >= 1/2 for epsilon {pert.epsilon}")

@@ -9,6 +9,8 @@ import tempfile
 
 import numpy as np
 
+from .charts import matvec
+
 __all__ = ["atomic_write", "write_svg", "write_obj", "write_curve_csv"]
 
 
@@ -28,8 +30,12 @@ def atomic_write(path, text):
 
 def _edge_polyline(state, s, samples):
     b, A = state.realization.simplex_frame(s)
-    return np.array([state.eval_eta(b + A @ np.array([u]))
-                     for u in np.linspace(0.0, 1.0, samples)])
+    return state.eval_eta(b + matvec(A, np.linspace(0.0, 1.0, samples)[:, None]))
+
+
+def _vertex_images(state):
+    real = state.realization
+    return state.eval_eta(np.array([real.point(v) for v in real.vertex_ids]))
 
 
 def write_svg(path, state, h=None, report=None, edge_samples=16, size=800):
@@ -52,8 +58,7 @@ def write_svg(path, state, h=None, report=None, edge_samples=16, size=800):
         pts = _edge_polyline(state, s, edge_samples)
         parts.append('<polyline fill="none" stroke="#444" stroke-width="1" points="'
                      + " ".join(pix(p) for p in pts) + '"/>')
-    for v in state.realization.vertex_ids:
-        p = state.eval_eta(state.realization.point(v))
+    for p in _vertex_images(state):
         parts.append(f'<circle cx="{pix(p).split(",")[0]}" cy="{pix(p).split(",")[1]}" '
                      f'r="2" fill="#888"/>')
     if h is not None:
@@ -83,8 +88,7 @@ def write_obj(path, state):
     vids = state.realization.vertex_ids
     remap = {v: i + 1 for i, v in enumerate(vids)}
     lines = []
-    for v in vids:
-        p = state.eval_eta(state.realization.point(v))
+    for p in _vertex_images(state):
         lines.append("v " + " ".join(f"{c:.12g}" for c in p))
     for s in state.complex.by_dim(2):
         lines.append("f " + " ".join(str(remap[v]) for v in s.vertices))

@@ -247,7 +247,8 @@ class PolyCurveMap(SmoothMap):
 
     def _eval_batch(self, ys):
         powers = ys[:, :1] ** np.arange(self.coeffs.shape[0])
-        return powers @ self.coeffs
+        # row by row, so a batch gives each row's bits from a one-row call
+        return (powers[:, None, :] @ self.coeffs)[:, 0, :]
 
     def _jac(self, y):
         k = np.arange(1, self.coeffs.shape[0])

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bump
+from .charts import matvec
 from .config import PipelineConfig
 from .simplicial import Simplex, carrier_face, simplex_sort_key
 
@@ -81,11 +82,16 @@ def check_transverse_at(dh, df, tol_rank):
 
 @dataclass(frozen=True, eq=False)
 class Patch:
-    """A parametric patch t -> R^m over the standard l-simplex."""
+    """A parametric patch t -> R^m over the standard l-simplex.
+
+    eval maps rows of t, (N, l), to (N, m) points; eval_jac returns those
+    points and their (N, m, l) Jacobians from one chain pass.  A 1-D t is
+    the N = 1 case.
+    """
 
     l: int
     eval: object
-    jac: object
+    eval_jac: object
 
 
 def simplex_patch(state, s):
@@ -93,31 +99,31 @@ def simplex_patch(state, s):
     b, A = state.realization.simplex_frame(s)
 
     def ev(t):
-        return state.eval_eta(b + A @ np.asarray(t, float))
+        return state.eval_eta(b + matvec(A, t))
 
-    def ja(t):
-        _, J = state.eval_eta_with_jacobian(b + A @ np.asarray(t, float))
-        return J @ A
+    def ej(t):
+        x, J = state.eval_eta_with_jacobian(b + matvec(A, t))
+        return x, J @ A
 
-    return Patch(l=s.dim, eval=ev, jac=ja)
+    return Patch(l=s.dim, eval=ev, eval_jac=ej)
 
 
 def interior_lattice(l, per_dim):
-    """Strictly interior lattice points of the standard l-simplex."""
+    """Strictly interior lattice points of the standard l-simplex, as rows."""
     if l == 0:
-        return [np.zeros(0)]
+        return np.zeros((1, 0))
     n = per_dim + l
     pts = []
 
     def rec(prefix, remaining):
         if len(prefix) == l:
-            pts.append(np.array(prefix, float) / n)
+            pts.append(prefix)
             return
         for i in range(1, remaining):
             rec(prefix + [i], remaining - i)
 
     rec([], n)
-    return pts
+    return np.array(pts, float).reshape(-1, l) / n
 
 
 def _simplex_seed_count(config, l):
@@ -135,47 +141,63 @@ def _domain_seeds(h, config):
 
 
 def _gauss_newton(h, patch, y0, t0, config, scale):
-    """Refine a seed toward h(y) = f(t); returns (y, t, residual) or None."""
-    y = np.array(y0, float)
-    t = np.array(t0, float)
-    n = y.size
-    best = None
-    best_r = np.inf
-    stall = 0
+    """Refine seeds toward h(y) = f(t).
+
+    With 1-D y0 and t0, refines one pair and returns (y, t, residual) or
+    None.  With (P, n) and (P, l) rows, refines all P pairs at once and
+    returns a list of those results: every iteration evaluates h and the
+    patch once over the pairs still running, and each pair keeps its own
+    best point, stall counter, divergence test and domain test, so every
+    result equals that of the one-pair call.
+    """
+    single = np.ndim(t0) == 1
+    n = h.domain.dim
+    P = 1 if single else len(t0)
+    Y = np.array(y0, float).reshape(P, n)
+    T = np.array(t0, float).reshape(P, patch.l)
+    best_y, best_t = Y.copy(), T.copy()
+    best_r = np.full(P, np.inf)
+    stall = np.zeros(P, int)
+    diverged = np.zeros(P, bool)
+    live = np.arange(P)
     step_cap = 0.75 * scale
     for _ in range(config.gn_max_iter):
-        r = h.eval_raw(y) - patch.eval(t)
-        rn = float(np.linalg.norm(r))
-        if rn < 0.9999 * best_r:
-            stall = 0
-        else:
-            stall += 1
-        if rn < best_r:
-            best, best_r = (y.copy(), t.copy()), rn
-        if rn < 1e-14 or stall >= 3:
+        if not live.size:
             break
-        if rn > 50.0 * (best_r + scale):
-            return None
-        J = np.hstack([h.jacobian_raw(y), -patch.jac(t)]) if n + patch.l > 0 else None
-        if J is None or J.size == 0:
+        f, df = patch.eval_jac(T[live])
+        r = h.eval_batch(Y[live]) - f
+        rn = np.array([float(np.linalg.norm(ri)) for ri in r])
+        stall[live] = np.where(rn < 0.9999 * best_r[live], 0, stall[live] + 1)
+        better = rn < best_r[live]
+        improved = live[better]
+        best_y[improved], best_t[improved], best_r[improved] = Y[improved], T[improved], rn[better]
+        stop = (rn < 1e-14) | (stall[live] >= 3)
+        lost = ~stop & (rn > 50.0 * (best_r[live] + scale))
+        diverged[live[lost]] = True
+        go = ~stop & ~lost
+        if n + patch.l == 0:
             break
-        step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        sn = float(np.linalg.norm(step))
-        if sn > step_cap:
-            step *= step_cap / sn
-        y = y + step[:n]
-        t = t + step[n:]
-        y = h.domain.wrap(y)
-        if patch.l and np.any(np.abs(t) > 10.0):
-            return None
-        if sn < 1e-15:
-            break
-    if best is None:
-        return None
-    y, t = best
-    if not h.domain.contains(y, tol=1e-6 * (1.0 + scale)):
-        return None
-    return y, t, best_r
+        keep = []
+        for k in np.nonzero(go)[0]:
+            p = live[k]
+            J = np.hstack([h.jacobian_raw(Y[p]), -df[k]])
+            step, *_ = np.linalg.lstsq(J, -r[k], rcond=None)
+            sn = float(np.linalg.norm(step))
+            if sn > step_cap:
+                step *= step_cap / sn
+            Y[p] = h.domain.wrap(Y[p] + step[:n])
+            T[p] = T[p] + step[n:]
+            if patch.l and np.any(np.abs(T[p]) > 10.0):
+                diverged[p] = True
+            elif sn >= 1e-15:
+                keep.append(p)
+        live = np.array(keep, int)
+    out = []
+    tol = 1e-6 * (1.0 + scale)
+    for p in range(P):
+        ok = not diverged[p] and best_r[p] < np.inf and h.domain.contains(best_y[p], tol=tol)
+        out.append((best_y[p], best_t[p], float(best_r[p])) if ok else None)
+    return out[0] if single else out
 
 
 def _pair_seeds(h, patch, config, scale, t_per_dim=None):
@@ -189,7 +211,7 @@ def _pair_seeds(h, patch, config, scale, t_per_dim=None):
     if t_per_dim is None:
         t_per_dim = _simplex_seed_count(config, patch.l)
     ts = interior_lattice(patch.l, t_per_dim)
-    ft = np.array([patch.eval(t) for t in ts])
+    ft = patch.eval(ts)
     gap = 0.0
     if len(hy) > 1:
         gap = float(np.linalg.norm(np.diff(hy, axis=0), axis=1).max())
@@ -227,11 +249,12 @@ def patch_roots(h, patch, config, scale, t_per_dim=None):
     ys, ts, pairs, coarse = _pair_seeds(h, patch, config, scale, t_per_dim)
     roots = []
     min_resid = coarse
-    for iy, it in pairs:
-        out = _gauss_newton(h, patch, ys[iy], ts[it], config, scale)
+    iy, it = np.array(pairs, int).reshape(-1, 2).T
+    refined = _gauss_newton(h, patch, ys[iy], ts[it], config, scale) if pairs else []
+    for a, b, out in zip(iy, it, refined):
         if out is None:
             log.debug("seed (y=%s, t=%s) discarded: refinement left the domain "
-                      "or diverged", ys[iy], ts[it])
+                      "or diverged", ys[a], ts[b])
             continue
         y, t, resid = out
         if not _inside_closed_simplex(t):
@@ -289,28 +312,27 @@ class IntersectionRecord:
     classification: str  # transverse | tangent | skeleton-hit
 
 
-def _make_record(state, h, s, y, t, resid, config):
-    """Classify a root and attribute it to the carrier face of s."""
-    face, t_face = s, np.zeros(0)
-    if s.dim:
-        t = np.asarray(t, float)
-        lam = np.concatenate([[1.0 - t.sum()], t])
-        if lam.min() < -1e-8:
-            return None  # converged outside this simplex; owned by a neighbor
-        face, lam = carrier_face(s, np.clip(lam, 0.0, None), config.barycentric_tol)
-        t_face = lam[1:]
-    n = h.domain.dim
-    m = state.ambient_dim
-    b, A = state.realization.simplex_frame(face)
-    base_pt = b + (A @ t_face if face.dim else 0.0)
-    point, Jeta = state.eval_eta_with_jacobian(base_pt)
-    if n + face.dim < m:
+def _carrier(s, t, config):
+    """Carrier face of parameter t on s, and t in the face's frame; None
+    when t converged outside s (a neighbor owns that root)."""
+    if not s.dim:
+        return s, np.zeros(0)
+    t = np.asarray(t, float)
+    lam = np.concatenate([[1.0 - t.sum()], t])
+    if lam.min() < -1e-8:
+        return None
+    face, lam = carrier_face(s, np.clip(lam, 0.0, None), config.barycentric_tol)
+    return face, lam[1:]
+
+
+def _make_record(state, h, face, y, t_face, resid, point, Jeta, config):
+    """Classify a root on its carrier face, given eta and its Jacobian there."""
+    if h.domain.dim + face.dim < state.ambient_dim:
         margin = 0.0
         cls = "skeleton-hit"
     else:
-        dh = h.jacobian_raw(y)
-        df = Jeta @ A
-        margin = transversality_margin(dh, df)
+        _, A = state.realization.simplex_frame(face)
+        margin = transversality_margin(h.jacobian_raw(y), Jeta @ A)
         cls = "transverse" if margin >= config.tol_rank else "tangent"
     return IntersectionRecord(
         simplex=face,
@@ -343,13 +365,22 @@ def find_intersections(state, s, h, config=None):
         t_per_dim = max(2, t_per_dim // 4)
     roots, min_resid = patch_roots(h, patch, config, state.mesh_scale, t_per_dim)
     threshold = config.solve_tol if n + s.dim >= m else config.vertex_clearance
-    records = []
+    hits = []
     for y, t, resid in roots:
         if resid >= threshold:
             continue
-        rec = _make_record(state, h, s, y, t, resid, config)
-        if rec is not None:
-            records.append(rec)
+        carrier = _carrier(s, t, config)
+        if carrier is not None:
+            hits.append((y, resid) + carrier)
+    if not hits:
+        return [], min_resid
+    base = []
+    for _, _, face, t_face in hits:
+        b, A = state.realization.simplex_frame(face)
+        base.append(b + (A @ t_face if face.dim else 0.0))
+    points, jacs = state.eval_eta_with_jacobian(np.array(base))
+    records = [_make_record(state, h, face, y, t_face, resid, x, J, config)
+               for (y, resid, face, t_face), x, J in zip(hits, points, jacs)]
     return records, min_resid
 
 
@@ -435,25 +466,20 @@ def verify_triangulation(state, h, config=None):
 def min_distance_to_image(h, point, config=None):
     """Refined minimum distance from a fixed point to the image of h."""
     config = config or PipelineConfig()
+    x = np.asarray(point, float)
 
-    class _Const:
-        l = 0
+    def ev(t):
+        return np.tile(x, (len(t), 1))
 
-        @staticmethod
-        def eval(t):
-            return np.asarray(point, float)
-
-        @staticmethod
-        def jac(t):
-            return np.zeros((np.asarray(point).size, 0))
+    const = Patch(l=0, eval=ev, eval_jac=lambda t: (ev(t), np.zeros((len(t), x.size, 0))))
 
     best = np.inf
     ys = _domain_seeds(h, config)
     hy = h.eval_batch(ys)
-    d = np.linalg.norm(hy - np.asarray(point, float), axis=1)
+    d = np.linalg.norm(hy - x, axis=1)
     order = np.argsort(d)[: max(3, d.size // 8)]
     for i in order:
-        out = _gauss_newton(h, _Const, ys[i], np.zeros(0), config, 1.0)
+        out = _gauss_newton(h, const, ys[i], np.zeros(0), config, 1.0)
         if out is not None:
             best = min(best, out[2])
     return float(min(best, d.min() if d.size else np.inf))

@@ -57,7 +57,7 @@ class TestFrame:
             return ch.forward(tv[:1], tv[1:])
 
         def jac(tv):
-            return ch.forward_jacobian(tv[:1], tv[1:])
+            return ch.forward_with_jacobian(tv[:1], tv[1:])[1]
 
         pts = [np.array([RNG.uniform(0.1, 0.9), RNG.uniform(-0.2, 0.2)])
                for _ in range(40)]

@@ -226,3 +226,35 @@ class TestCoefficientFamilies:
                        "big_radius = 1\nsmall_radius = 0.35\n")
         s = load_scenario(cfg)
         assert s.map_params["p"] == 2 and isinstance(s.map_params["p"], int)
+
+
+class TestMapKeys:
+    """Each family accepts only its own constructor's keys."""
+
+    @pytest.mark.parametrize("family,keys,stray", [
+        ("point", "value = 0.5 0.5\n", "radius = 1"),
+        ("line", "origin = 0 0\ndirection = 1 0\n", "p = 2"),
+        ("circle", "center = 0 0\nradius = 1\n", "p = 2"),
+        ("poly_curve", "coeff0 = 0 0\ncoeff1 = 1 1\n", "center = 0 0"),
+        ("torus_knot", "p = 2\nq = 3\n", "radius = 1"),
+        ("surface_patch", "coeff_0_0 = 0 0\ncoeff_1_1 = 1 1\n", "direction = 1 0"),
+    ])
+    def test_stray_key_names_key_family_and_line(self, tmp_path, family, keys, stray):
+        text = ("[scenario]\nambient_dim = 2\n"
+                "[mesh]\ngenerator = grid\nbox_lo = 0 0\nbox_hi = 1 1\n"
+                f"[map]\nfamily = {family}\n{keys}{stray}\n")
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(text)
+        line = text.count("\n")
+        key = stray.split(" =")[0]
+        with pytest.raises(ConfigError, match=rf"line {line}: .*'{key}'.*{family}"):
+            load_scenario(cfg)
+
+    def test_stray_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("[scenario]\nambient_dim = 2\n"
+                       "[mesh]\ngenerator = grid\nbox_lo = 0 0\nbox_hi = 1 1\n"
+                       "[map]\nfamily = circle\ncenter = 0 0\nradius = 1\np = 2\n")
+        code = main(["verify-only", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "scenario error:" in capsys.readouterr().err
