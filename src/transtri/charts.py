@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MeshError, NewtonDivergenceError
-from .simplicial import Simplex, _locate_among, _TopIndex, simplex_sort_key
+from .rows import matvec
+from .simplicial import Simplex, _TopIndex, simplex_sort_key
 
 __all__ = [
     "TubularChart",
@@ -62,21 +63,6 @@ def _normal_completion(A, m):
         if N[k, j] < 0:
             N[:, j] = -N[:, j]
     return N
-
-
-def matvec(M, x):
-    """M @ x over the rows of x, each row bitwise as a single M @ row.
-
-    A stacked matmul runs the same BLAS kernel per row as the 1-D call; a
-    plain (N, k) @ M.T runs a different kernel and rounds differently.
-    """
-    return (M @ np.asarray(x, float)[..., None])[..., 0]
-
-
-def row_norms(x):
-    """Euclidean norm of each row, bitwise as np.linalg.norm of that row
-    (a stacked row-times-column product runs the same dot kernel)."""
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
 class ChainOps:
@@ -133,12 +119,13 @@ class ChainOps:
         return X.reshape(x.shape), J.reshape(x.shape + (m,))
 
     def invert(self, x):
-        """Preimage of one point, oldest links unwound first."""
+        """Preimage of the rows of x, oldest links unwound first."""
         x = np.asarray(x, float)
-        for idx, lo, hi in self.runs:
-            for j in np.nonzero(np.all((x >= lo) & (x <= hi), axis=1))[0]:
-                x = self.links[idx[j]].invert(x)
-        return x
+        X = x.reshape(-1, x.shape[-1]).copy()
+        for run in self.runs:
+            for i, rows in self._active(run, X):
+                X[rows] = self.links[i].invert(X[rows])
+        return X.reshape(x.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,18 +233,27 @@ class AmbientDiffeo:
         return out, None if J is None else J.reshape(x.shape + (m,))
 
     def invert(self, x):
+        """Link preimages of the rows of x.
+
+        Rows outside the box, or whose fiber the local inverse leaves
+        alone, come back unchanged; x itself comes back when no row moves.
+        """
         x = np.asarray(x, float)
-        if not self.in_box(x):
+        X = x.reshape(-1, x.shape[-1])
+        rows = np.nonzero(self.box_mask(X))[0]
+        if not rows.size:
             return x
-        t, w = self.chart.frame_coords(x)
+        t, w = self.chart.frame_coords(X[rows])
         try:
-            v = self.local.invert(t, w)
+            moved, v = self.local.inverse_moves(t, w)
         except NewtonDivergenceError as exc:
             exc.link = self
             raise
-        if v is w:
+        if not moved.size:
             return x
-        return self.chart.frame_point(t, v)
+        out = X.copy()
+        out[rows[moved]] = self.chart.frame_point(t[moved], v)
+        return out.reshape(x.shape)
 
 
 class TriangulationState:
@@ -287,7 +283,7 @@ class TriangulationState:
         return self._ops.apply_with_jacobian(p)
 
     def eval_eta_inverse(self, x):
-        """Preimage of an ambient point under the current eta.
+        """Preimage of ambient points (rows) under the current eta.
 
         Newton inversion happens inside each active link, oldest links
         unwound first.
@@ -334,12 +330,14 @@ class StarLocator:
                            for o in self.star)]
         self.tops = sorted(tops, key=simplex_sort_key)
         self.index = _TopIndex(sd_realization, self.tops)
-        self.realization = sd_realization
         self.tol = tol
 
     def contains_base_point(self, p):
-        loc = _locate_among(self.realization, self.tops, p, self.tol, index=self.index)
-        return loc is not None and loc.simplex in self.star
+        """Whether each row of p lies in the open star (a bool for a 1-D p)."""
+        p = np.asarray(p, float)
+        faces = self.index.carriers(p.reshape(-1, p.shape[-1]), self.tol)
+        inside = np.array([face in self.star for face in faces], bool)
+        return inside if p.ndim > 1 else bool(inside[0])
 
 
 def dump_chain_metadata(state):

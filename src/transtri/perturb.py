@@ -30,12 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bump
-from .charts import AmbientDiffeo, StarLocator, TriangulationState, make_chart, row_norms
+from .charts import AmbientDiffeo, StarLocator, TriangulationState, make_chart
 from .config import PipelineConfig
 from .errors import (DegenerateGeometryError, EpsilonTooLargeError, MeshError,
                      NewtonDivergenceError, PerturbationError, SamplingFailureError)
-from .simplicial import (Simplex, _locate_among, _TopIndex, barycentric_subdivision,
-                         simplex_sort_key, star)
+from .rows import row_norms
+from .simplicial import Simplex, _TopIndex, barycentric_subdivision, simplex_sort_key, star
 from .verify import (Patch, interior_lattice, patch_roots, transversality_margin,
                      verify_triangulation)
 
@@ -173,33 +173,50 @@ class LocalDiffeo:
                                          * (v[sel] / vn[sel, None])[:, None, :])
         return J
 
-    def invert(self, t, w):
-        """Solve v + beta(|v|/(eps rho)) s = w in the fiber by Newton, at one
-        point."""
+    def inverse_moves(self, t, w):
+        """Rows of w that the inverse moves and their preimage fibers, for
+        t (N, l) and w (N, m-l).
+
+        Newton on v + beta(|v| / (eps rho)) s = w over every such row at
+        once; the other rows are their own preimages, because the forward
+        map fixes the fiber outside the fade radius and maps the inside
+        onto itself.  The |J - I| < 1/2 guard makes the iteration a
+        contraction, so a row that fails to converge raises.
+        """
         rho = bump.rho_l(t)
         fade = self.eps * rho
-        if fade <= 0.0:
-            return w
-        wn = float(np.linalg.norm(w))
-        if wn >= fade:
-            # forward map fixes the fiber outside the fade radius and maps
-            # the inside onto itself, so the preimage is w itself
-            return w
-        s = bump.scaled_warp(rho, 0) * self.v_shift
-        if not s.any():
-            return w
-        w1 = bump.scaled_warp(rho, 1)
-        v = np.array(w, float)
-        tol = 1e-12
+        rows = np.nonzero((fade > 0.0) & (row_norms(w) < fade))[0]
+        if rows.size:
+            s = bump.scaled_warp(rho[rows], 0)[:, None] * self.v_shift
+            nz = s.any(axis=1)
+            rows, s = rows[nz], s[nz]
+        if not rows.size:
+            return rows, w[:0]
+        fade, w, w1 = fade[rows], w[rows], bump.scaled_warp(rho[rows], 1)
+        v = w.copy()
+        live = np.arange(rows.size)
         for _ in range(50):
-            vn = float(np.linalg.norm(v))
-            r = vn / fade
-            g = v + bump.beta(r) * s - w
-            if float(np.linalg.norm(g)) < tol:
-                return v
-            Jg = self._fiber_block(v[None], np.array([vn]), np.array([bump.beta_deriv(r)]), w1)
-            v = v - np.linalg.solve(Jg[0], g)
+            vl = v[live]
+            vn = row_norms(vl)
+            r = vn / fade[live]
+            g = vl + bump.beta(r)[:, None] * s[live] - w[live]
+            go = ~(row_norms(g) < 1e-12)
+            if not go.any():
+                return rows, v
+            live, vl, vn, r, g = live[go], vl[go], vn[go], r[go], g[go]
+            Jg = self._fiber_block(vl, vn, bump.beta_deriv(r), w1[live])
+            v[live] = vl - np.linalg.solve(Jg, g[..., None])[..., 0]
         raise NewtonDivergenceError("fiber Newton did not converge")
+
+    def invert(self, t, w):
+        """Preimage fibers of the rows of w; w itself when no row moves."""
+        T, W = self._reshaped(t, w)
+        moved, v = self.inverse_moves(T, W)
+        if not moved.size:
+            return w
+        W = W.copy()
+        W[moved] = v
+        return W.reshape(np.shape(w))
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +234,11 @@ class SubdivisionData:
     index: object
 
     def carrier(self, p, tol=1e-10):
-        loc = _locate_among(self.realization, self.tops, p, tol, index=self.index)
-        return None if loc is None else loc.simplex
+        """Carrier simplex of each row of p, None outside the complex (one
+        simplex or None for a 1-D p)."""
+        p = np.asarray(p, float)
+        carriers = self.index.carriers(p.reshape(-1, p.shape[-1]), tol)
+        return carriers if p.ndim > 1 else carriers[0]
 
 
 def subdivision_data(state):
@@ -262,28 +282,25 @@ def containment_ok(state, chart, locator, lattice, dirs, c, sd_data=None):
     Points at fiber radii c*rho and c*rho/2 in every direction must pull
     back into the star, or miss the complex entirely: near the mesh
     boundary the fiber region pokes into free ambient space, where the
-    extended diffeomorphism owes nothing to the complex.
+    extended diffeomorphism owes nothing to the complex.  Both tests use
+    the locator's barycentric tolerance.  All samples are mapped forward,
+    pulled back and located at once.
     """
     rho = bump.rho_l(lattice)
-    ts, vs = [], []
-    for t, rho_t in zip(lattice, rho):
-        if rho_t <= 0.0:
-            continue
-        for frac in (1.0, 0.5):
-            rad = c * rho_t * frac
-            for u in dirs:
-                ts.append(t)
-                vs.append(rad * u)
-    if not ts:
+    live = rho > 0.0
+    if not live.any():
         return True
-    for x in chart.forward(np.array(ts), np.array(vs)):
-        base = state.eval_eta_inverse(x)
-        if locator.contains_base_point(base):
-            continue
-        if sd_data is not None and sd_data.carrier(base) is None:
-            continue  # outside the realized complex
+    dirs = np.asarray(dirs, float)
+    rad = (c * rho[live])[:, None] * np.array([1.0, 0.5])
+    vs = (rad[:, :, None, None] * dirs).reshape(-1, dirs.shape[1])
+    ts = np.repeat(lattice[live], 2 * len(dirs), axis=0)
+    base = state.eval_eta_inverse(chart.forward(ts, vs))
+    outside = ~locator.contains_base_point(base)
+    if not outside.any():
+        return True
+    if sd_data is None:
         return False
-    return True
+    return all(s is None for s in sd_data.carrier(base[outside], locator.tol))
 
 
 def estimate_c_sigma(state, s, config=None, sd_data=None, chart=None):

@@ -15,6 +15,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .errors import MeshError
+from .rows import lstsq_rows, matvec, row_norms
 
 __all__ = [
     "Simplex",
@@ -277,25 +278,31 @@ class PointLocation:
     residual: float
 
 
-def _barycentric_in(pts, x):
-    # Solve for barycentric coordinates of x w.r.t. rows of pts; returns
-    # (lam, residual) where residual measures distance from the affine hull.
-    k = pts.shape[0]
-    A = np.vstack([pts.T, np.ones((1, k))])
-    rhs = np.concatenate([x, [1.0]])
-    lam, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    resid = float(np.linalg.norm(pts.T @ lam - x))
-    return lam, resid
+def _barycentric_rows(pts, x):
+    """Barycentric coordinates of each row of x, (Q, m), with respect to the
+    simplex whose vertices are the rows of pts[i], (Q, k, m), and the
+    distance of x[i] from that simplex's affine hull; one stacked
+    least-squares solve for all rows."""
+    q, k, _ = pts.shape
+    P = pts.transpose(0, 2, 1)
+    lam = lstsq_rows(np.concatenate([P, np.ones((q, 1, k))], axis=1),
+                     np.concatenate([x, np.ones((q, 1))], axis=1))
+    return lam, row_norms(matvec(P, lam) - x)
+
+
+def _accepted(lam, resid, scale, tol):
+    # written as "not rejected" so that NaN coordinates are accepted, as a
+    # scalar `if resid > ... or lam.min() < ...: reject` test does
+    return ~((resid > tol * scale) | (lam.min(axis=-1) < -tol))
 
 
 def locate_in_simplex(realization, s, x, tol=1e-10):
     """Barycentric coordinates of x in the closed simplex s, or None."""
     pts = realization.simplex_points(s)
-    lam, resid = _barycentric_in(pts, np.asarray(x, dtype=float))
-    scale = max(1.0, float(np.abs(pts).max()))
-    if resid > tol * scale or lam.min() < -tol:
+    lam, resid = _barycentric_rows(pts[None], np.asarray(x, dtype=float)[None])
+    if not _accepted(lam, resid, max(1.0, float(np.abs(pts).max())), tol)[0]:
         return None
-    return lam, resid
+    return lam[0], float(resid[0])
 
 
 def carrier_face(s, lam, tol):
@@ -312,33 +319,61 @@ def carrier_face(s, lam, tol):
 
 
 class _TopIndex:
-    """Bounding boxes of a set of simplices for fast candidate pruning."""
+    """Bounding boxes, vertex coordinates and residual scales of a set of
+    simplices, for locating many points at once."""
 
     def __init__(self, realization, tops):
         self.tops = tuple(tops)
-        boxes = [realization.simplex_points(s) for s in self.tops]
-        self.lo = np.array([b.min(axis=0) for b in boxes])
-        self.hi = np.array([b.max(axis=0) for b in boxes])
+        pts = [realization.simplex_points(s) for s in self.tops]
+        self.lo = np.array([p.min(axis=0) for p in pts])
+        self.hi = np.array([p.max(axis=0) for p in pts])
+        self.scale = np.array([max(1.0, float(np.abs(p).max())) for p in pts])
+        self.size = np.array([len(p) for p in pts])
+        self.sizes = sorted(set(self.size.tolist()))
+        # vertex coordinates, zero rows padding the smaller tops
+        self.pts = np.zeros((len(pts), self.size.max(initial=0), realization.ambient_dim))
+        for i, p in enumerate(pts):
+            self.pts[i, :len(p)] = p
 
-    def candidates(self, x, tol):
-        mask = np.all((x >= self.lo - tol) & (x <= self.hi + tol), axis=1)
-        return np.nonzero(mask)[0]
+    def first_hits(self, x, tol, prune=True):
+        """Locate the rows of x, (N, m), each in the first top, in top
+        order, whose closed simplex holds it up to tol.
 
+        Returns, for every row some top holds: the row, the top, the
+        barycentric coordinates there (zero-padded to the largest top) and
+        the distance from the top's affine hull.  With prune, only tops
+        whose bounding box padded by 10 tol holds the row are tried.  All
+        (row, top) pairs are solved with one stacked least-squares call per
+        simplex size.
+        """
+        x = np.asarray(x, dtype=float)
+        if prune:
+            pad = tol * 10.0
+            near = np.all((x[:, None, :] >= self.lo - pad) & (x[:, None, :] <= self.hi + pad),
+                          axis=2)
+        else:
+            near = np.ones((len(x), len(self.tops)), bool)
+        ip, it = np.nonzero(near)  # pairs by row, then by top
+        lam = np.zeros((ip.size, self.pts.shape[1]))
+        resid = np.zeros(ip.size)
+        ok = np.zeros(ip.size, bool)
+        for k in self.sizes:
+            sel = np.nonzero(self.size[it] == k)[0]
+            if sel.size:
+                lam_k, resid[sel] = _barycentric_rows(self.pts[it[sel], :k], x[ip[sel]])
+                lam[sel, :k] = lam_k
+                ok[sel] = _accepted(lam_k, resid[sel], self.scale[it[sel]], tol)
+        hits = np.nonzero(ok)[0]
+        first = hits[np.unique(ip[hits], return_index=True)[1]]
+        return ip[first], it[first], lam[first], resid[first]
 
-def _locate_among(realization, tops, x, tol, index=None):
-    x = np.asarray(x, dtype=float)
-    scale_tol = tol * 10.0
-    idx = index.candidates(x, scale_tol) if index is not None else range(len(tops))
-    for i in idx:
-        s = tops[i]
-        hit = locate_in_simplex(realization, s, x, tol)
-        if hit is None:
-            continue
-        lam, resid = hit
-        carrier, sub = carrier_face(s, lam, tol)
-        return PointLocation(carrier, tuple(float(c) for c in sub),
-                             float(sub.min()), resid)
-    return None
+    def carriers(self, x, tol):
+        """Carrier simplex of each row of x, (N, m), None outside every top."""
+        rows, top, lam, _ = self.first_hits(x, tol)
+        out = [None] * len(x)
+        for i, j, lam_i in zip(rows.tolist(), top.tolist(), lam):
+            out[i] = carrier_face(self.tops[j], lam_i[:self.size[j]], tol)[0]
+        return out
 
 
 def point_locate(cplx, realization, x, tol=1e-10):
@@ -351,7 +386,13 @@ def point_locate(cplx, realization, x, tol=1e-10):
     and the corresponding vertices dropped from the carrier.
     """
     tops = sorted(cplx.top_simplices(), key=simplex_sort_key)
-    return _locate_among(realization, tops, x, tol)
+    _, top, lam, resid = _TopIndex(realization, tops).first_hits(
+        np.asarray(x, dtype=float)[None], tol, prune=False)
+    if not top.size:
+        return None
+    s = tops[top[0]]
+    carrier, sub = carrier_face(s, lam[0, :len(s.vertices)], tol)
+    return PointLocation(carrier, tuple(float(c) for c in sub), float(sub.min()), float(resid[0]))
 
 
 def grid_triangulation(box_lo, box_hi, resolution):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bump
-from .charts import matvec
 from .config import PipelineConfig
+from .rows import lstsq_rows, matvec, row_norms
 from .simplicial import Simplex, carrier_face, simplex_sort_key
 
 log = logging.getLogger(__name__)
@@ -146,9 +146,10 @@ def _gauss_newton(h, patch, y0, t0, config, scale):
     With 1-D y0 and t0, refines one pair and returns (y, t, residual) or
     None.  With (P, n) and (P, l) rows, refines all P pairs at once and
     returns a list of those results: every iteration evaluates h and the
-    patch once over the pairs still running, and each pair keeps its own
-    best point, stall counter, divergence test and domain test, so every
-    result equals that of the one-pair call.
+    patch once and solves one stacked least-squares problem over the pairs
+    still running, and each pair keeps its own best point, stall counter,
+    divergence test and domain test, so every result equals that of the
+    one-pair call.
     """
     single = np.ndim(t0) == 1
     n = h.domain.dim
@@ -166,7 +167,7 @@ def _gauss_newton(h, patch, y0, t0, config, scale):
             break
         f, df = patch.eval_jac(T[live])
         r = h.eval_batch(Y[live]) - f
-        rn = np.array([float(np.linalg.norm(ri)) for ri in r])
+        rn = row_norms(r)
         stall[live] = np.where(rn < 0.9999 * best_r[live], 0, stall[live] + 1)
         better = rn < best_r[live]
         improved = live[better]
@@ -174,24 +175,24 @@ def _gauss_newton(h, patch, y0, t0, config, scale):
         stop = (rn < 1e-14) | (stall[live] >= 3)
         lost = ~stop & (rn > 50.0 * (best_r[live] + scale))
         diverged[live[lost]] = True
-        go = ~stop & ~lost
-        if n + patch.l == 0:
+        go = np.nonzero(~stop & ~lost)[0]
+        if n + patch.l == 0 or not go.size:
             break
-        keep = []
-        for k in np.nonzero(go)[0]:
-            p = live[k]
-            J = np.hstack([h.jacobian_raw(Y[p]), -df[k]])
-            step, *_ = np.linalg.lstsq(J, -r[k], rcond=None)
-            sn = float(np.linalg.norm(step))
-            if sn > step_cap:
-                step *= step_cap / sn
-            Y[p] = h.domain.wrap(Y[p] + step[:n])
-            T[p] = T[p] + step[n:]
-            if patch.l and np.any(np.abs(T[p]) > 10.0):
-                diverged[p] = True
-            elif sn >= 1e-15:
-                keep.append(p)
-        live = np.array(keep, int)
+        p = live[go]
+        # jacobian_raw stays per pair: its math-module bits differ from numpy's
+        J = np.empty((p.size, df.shape[1], n + patch.l))
+        J[:, :, n:] = -df[go]
+        for i, q in enumerate(p):
+            J[i, :, :n] = h.jacobian_raw(Y[q])
+        step = lstsq_rows(J, -r[go])
+        sn = row_norms(step)
+        cap = sn > step_cap
+        step[cap] *= (step_cap / sn[cap])[:, None]
+        Y[p] = h.domain.wrap(Y[p] + step[:, :n])
+        T[p] = T[p] + step[:, n:]
+        far = np.any(np.abs(T[p]) > 10.0, axis=1)
+        diverged[p[far]] = True
+        live = p[~far & (sn >= 1e-15)]
     out = []
     tol = 1e-6 * (1.0 + scale)
     for p in range(P):

@@ -1,10 +1,12 @@
 """Batched evaluation equals stacked single-point evaluation, bit for bit.
 
-The chain, the verifier's Gauss-Newton refinement and the bump forms take
-(N, .) arrays with a single point as the N = 1 case.  Each batched result
-must equal the stack of the single-point results exactly, and the bump
-forms must equal a scalar reference built on the math module, because
-chain metadata and reports print these values with repr.
+The chain and its inverse, point location, the clearance test, the
+verifier's Gauss-Newton refinement and the bump forms take (N, .) arrays
+with a single point as the N = 1 case.  Each batched result must equal the
+stack of the single-point results exactly, and the bump forms, the inverse
+and point location must also equal scalar references (the math module for
+the bump forms, the one-point loops the stacked solves replaced for the
+others), because chain metadata and reports print these values with repr.
 """
 
 import math
@@ -14,6 +16,10 @@ import pytest
 
 from transtri import bump
 from transtri import simplicial as sc
+from transtri.charts import TriangulationState, make_chart
+from transtri.perturb import (_containment_lattice, _star_locator, _unit_directions,
+                              containment_ok, subdivision_data)
+from transtri.rows import lstsq_rows
 from transtri.smoothmap import (CircleMap, LineMap, PointMap, PolyCurveMap, SurfacePatchMap,
                                 TorusKnotMap)
 from transtri.verify import _gauss_newton, _pair_seeds, simplex_patch
@@ -236,3 +242,170 @@ def test_gauss_newton_pairs_equal_single_pairs(scenario_a_run, name):
         assert not found  # every refinement leaves the map's domain
     else:
         assert found
+
+
+# ---------------------------------------------------------------------------
+# stacked least squares
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (3, 2), (4, 3), (2, 3), (3, 4)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("rank_deficient", [False, True], ids=["full", "deficient"])
+def test_lstsq_rows_equal_single_solves(shape, rank_deficient):
+    A = RNG.normal(size=(300,) + shape) * 10.0 ** RNG.uniform(-4.0, 4.0, size=(300, 1, 1))
+    if rank_deficient:
+        A[:, :, -1] = 2.0 * A[:, :, 0]
+    b = RNG.normal(size=(300, shape[0]))
+    x = lstsq_rows(A, b)
+    assert x.shape == (300, shape[1])
+    for Ai, bi, xi in zip(A, b, x):
+        assert same_bits(xi, np.linalg.lstsq(Ai, bi, rcond=None)[0])
+
+
+def test_lstsq_rows_raises_on_nan():
+    A = RNG.normal(size=(4, 3, 2))
+    A[2, 1, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        lstsq_rows(A, np.ones((4, 3)))
+
+
+# ---------------------------------------------------------------------------
+# chain inverse and point location against the one-point loops they replaced
+
+
+def ref_fiber_invert(psi, t, w):
+    """One-point fiber Newton: solve v + beta(|v| / (eps rho)) s = w."""
+    rho = bump.rho_l(t)
+    fade = psi.eps * rho
+    if fade <= 0.0 or float(np.linalg.norm(w)) >= fade:
+        return w
+    s = bump.scaled_warp(rho, 0) * psi.v_shift
+    if not s.any():
+        return w
+    w1 = bump.scaled_warp(rho, 1)
+    v = np.array(w, float)
+    for _ in range(50):
+        vn = float(np.linalg.norm(v))
+        r = vn / fade
+        g = v + bump.beta(r) * s - w
+        if float(np.linalg.norm(g)) < 1e-12:
+            return v
+        Jg = psi._fiber_block(v[None], np.array([vn]), np.array([bump.beta_deriv(r)]), w1)
+        v = v - np.linalg.solve(Jg[0], g)
+    raise AssertionError("reference fiber Newton did not converge")
+
+
+def ref_chain_invert(state, x):
+    """Preimage of one point: a box test per same-level run, then every
+    link in it, oldest first, re-testing its own box."""
+    ops = state._ops
+    for idx, lo, hi in ops.runs:
+        for j in np.nonzero(np.all((x >= lo) & (x <= hi), axis=1))[0]:
+            link = ops.links[idx[j]]
+            if not link.in_box(x):
+                continue
+            t, w = link.chart.frame_coords(x)
+            v = ref_fiber_invert(link.local, t, w)
+            if v is not w:
+                x = link.chart.frame_point(t, v)
+    return x
+
+
+def ref_carrier(realization, tops, x, tol):
+    """Carrier of one point from the first top, in order, whose padded box
+    and closed simplex hold it, with one least-squares solve per top."""
+    for s in tops:
+        pts = realization.simplex_points(s)
+        if not np.all((x >= pts.min(axis=0) - 10.0 * tol) & (x <= pts.max(axis=0) + 10.0 * tol)):
+            continue
+        A = np.vstack([pts.T, np.ones((1, len(pts)))])
+        lam = np.linalg.lstsq(A, np.concatenate([x, [1.0]]), rcond=None)[0]
+        resid = float(np.linalg.norm(pts.T @ lam - x))
+        if resid > tol * max(1.0, float(np.abs(pts).max())) or lam.min() < -tol:
+            continue
+        return sc.carrier_face(s, lam, tol)[0]
+    return None
+
+
+@pytest.mark.parametrize("kind", ["interior", "near_vertex", "outside"])
+def test_chain_inverse_rows_equal_single_points(scenario_a_run, kind):
+    state = scenario_a_run["state"]
+    x = state.eval_eta(_probe_points(state, kind))
+    pre = state.eval_eta_inverse(x)
+    assert same_bits(pre, [state.eval_eta_inverse(p) for p in x])
+    assert same_bits(pre, [ref_chain_invert(state, p) for p in x])
+    assert np.abs(state.eval_eta(pre) - x).max() < 1e-12
+    if kind == "outside":
+        assert same_bits(pre, x)
+    if kind == "near_vertex":
+        assert (pre != x).any(axis=1).sum() > len(x) // 2
+
+
+@pytest.mark.parametrize("kind", ["interior", "near_vertex", "outside"])
+def test_point_location_rows_equal_single_points(scenario_a_run, kind):
+    state, config = scenario_a_run["state"], scenario_a_run["config"]
+    sd = subdivision_data(state)
+    pts = _probe_points(state, kind)
+    carriers = sd.carrier(pts)
+    assert carriers == [sd.carrier(p) for p in pts]
+    assert carriers == [ref_carrier(sd.realization, sd.tops, p, 1e-10) for p in pts]
+    assert (kind == "outside") == all(c is None for c in carriers)
+    # vertex 12 is (0, 0), 7 is (-1, 0) and 13 is (0, 1)
+    seen_inside = False
+    for s in (sc.Simplex((12,)), sc.Simplex((7, 12)), sc.Simplex((7, 12, 13))):
+        locator = _star_locator(state, s, sd, config)
+        inside = locator.contains_base_point(pts)
+        assert inside.dtype == bool and inside.shape == (len(pts),)
+        assert inside.tolist() == [locator.contains_base_point(p) for p in pts]
+        assert inside.tolist() == [ref_carrier(sd.realization, locator.tops, p, locator.tol)
+                                   in locator.star for p in pts]
+        seen_inside |= inside.any()
+    assert seen_inside == (kind != "outside")
+
+
+def ref_containment_ok(state, chart, locator, lattice, dirs, c, sd_data):
+    """Sequential scan: one sample at a time, stopping at the first that
+    pulls back neither into the star nor outside the complex."""
+    ts, vs = [], []
+    for t, rho_t in zip(lattice, bump.rho_l(lattice)):
+        if rho_t <= 0.0:
+            continue
+        for frac in (1.0, 0.5):
+            for u in dirs:
+                ts.append(t)
+                vs.append(c * rho_t * frac * u)
+    if not ts:
+        return True
+    for x in chart.forward(np.array(ts), np.array(vs)):
+        base = state.eval_eta_inverse(x)
+        if locator.contains_base_point(base):
+            continue
+        if sd_data.carrier(base, locator.tol) is None:
+            continue
+        return False
+    return True
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_containment_equals_sequential_scan(scenario_a_run, level):
+    final, config = scenario_a_run["state"], scenario_a_run["config"]
+    # the state the clearance search of this level ran against
+    state = TriangulationState(final.complex, final.realization,
+                               [lk for lk in final.links if lk.level < level])
+    sd = subdivision_data(state)
+    dirs = _unit_directions(state.ambient_dim - level)
+    lattice = _containment_lattice(level, config)
+    verdicts = []
+    for s in state.complex.by_dim(level):
+        chart = make_chart(state, s)
+        locator = _star_locator(state, s, sd, config)
+        c = float(np.linalg.norm(locator.index.hi.max(axis=0) - locator.index.lo.min(axis=0)))
+        while c > config.c_min:
+            got = containment_ok(state, chart, locator, lattice, dirs, c, sd)
+            assert got == ref_containment_ok(state, chart, locator, lattice, dirs, c, sd), \
+                (s.vertices, c)
+            verdicts.append(got)
+            c *= 0.5
+    # at level 0 the larger radii leave the star; an edge's fade keeps every
+    # fiber sample of the level-1 search close to the edge
+    assert any(verdicts) and (level == 1 or not all(verdicts))

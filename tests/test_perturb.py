@@ -67,6 +67,24 @@ class TestClearanceSearch:
                                       base_state.eval_eta_inverse(x))
                 assert loc is not None and loc.simplex in star_set
 
+    def test_outside_complex_test_uses_barycentric_tol(self, base_state):
+        # one fiber sample of vertex 0 at (-1e-8, 0.9): 1e-8 outside the left
+        # mesh edge, beside the half of it that is not in the star; the other
+        # sample, at (-5e-9, 0.45), lies beside the half that is
+        s = sc.Simplex((0,))
+        sd = subdivision_data(base_state)
+        chart = make_chart(base_state, s)
+        target = np.array([-1e-8, 0.9])
+        c = float(np.linalg.norm(target))
+        args = (_containment_lattice(0, CFG), (target / c)[None], c, sd)
+        # at barycentric_tol = 1e-6 the sample lies on the complex and outside
+        # the star, so the fiber region fails ...
+        loose = CFG.replace(barycentric_tol=1e-6)
+        assert not containment_ok(base_state, chart, _star_locator(base_state, s, sd, loose),
+                                  *args)
+        # ... while at the default 1e-10 it misses the complex entirely
+        assert containment_ok(base_state, chart, _star_locator(base_state, s, sd, CFG), *args)
+
     def test_degenerate_floor_raises(self, base_state):
         # an absurd barycentric tolerance makes every membership test fail
         bad = CFG.replace(barycentric_tol=0.9, c_min=1e-3)
@@ -364,7 +382,7 @@ class TestNewtonErrorContract:
         link = small_pipeline["state"].links[0]
 
         class Stuck:
-            def invert(self, t, w):
+            def inverse_moves(self, t, w):
                 raise NewtonDivergenceError("stuck")
 
         broken = type(link)(simplex=link.simplex, level=link.level,
