@@ -2,10 +2,10 @@
 """Run every workload listed in BENCHMARK.json once and write BENCH_<n>.json.
 
     python3 scripts/bench_trajectory.py 7            # about three minutes
-    python3 scripts/bench_trajectory.py 7 --seconds 20
 
 Each workload runs as `perfbench/run.py --workload W --trace 0` for the
-benchmark's run_seconds (or --seconds), and its result line (the JSON
+benchmark's run_seconds, so every file in the trajectory has the same run
+length, and its result line (the JSON
 object the run prints last) is kept as it is.  The file also records what
 the numbers belong to, from the run's environment record: the commit and
 whether src/ differed from it, the src/ sha256 and non-blank line count,
@@ -48,12 +48,10 @@ def src_dirty():
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("n", type=int, help="writes BENCH_<n>.json at the repository root")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per workload (default: BENCHMARK.json run_seconds)")
     args = parser.parse_args()
     with open(ROOT / "BENCHMARK.json") as fh:
         bench = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     results, env = {}, None
     for workload in bench["workloads"]:
         name = workload["name"]

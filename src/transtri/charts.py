@@ -186,7 +186,7 @@ class AmbientDiffeo:
     simplex: Simplex
     level: int
     chart: TubularChart
-    local: object             # eval/jacobian/invert in (t, v) coordinates
+    local: object             # moves/inverse_moves in (t, v) coordinates
     support_lo: np.ndarray
     support_hi: np.ndarray
     meta: dict = field(default_factory=dict)

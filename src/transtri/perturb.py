@@ -208,16 +208,6 @@ class LocalDiffeo:
             v[live] = vl - np.linalg.solve(Jg, g[..., None])[..., 0]
         raise NewtonDivergenceError("fiber Newton did not converge")
 
-    def invert(self, t, w):
-        """Preimage fibers of the rows of w; w itself when no row moves."""
-        T, W = self._reshaped(t, w)
-        moved, v = self.inverse_moves(T, W)
-        if not moved.size:
-            return w
-        W = W.copy()
-        W[moved] = v
-        return W.reshape(np.shape(w))
-
 
 # ---------------------------------------------------------------------------
 # clearance (containment) search
@@ -285,6 +275,12 @@ def containment_ok(state, chart, locator, lattice, dirs, c, sd_data=None):
     extended diffeomorphism owes nothing to the complex.  Both tests use
     the locator's barycentric tolerance.  All samples are mapped forward,
     pulled back and located at once.
+
+    The verdict is that of a scan in sample order that stops at the first
+    bad sample: when the pull-back of some sample fails to converge, the
+    samples are pulled back one at a time, so a bad sample earlier in the
+    scan still fails the test and only a failure before every bad sample
+    raises NewtonDivergenceError.
     """
     rho = bump.rho_l(lattice)
     live = rho > 0.0
@@ -294,7 +290,18 @@ def containment_ok(state, chart, locator, lattice, dirs, c, sd_data=None):
     rad = (c * rho[live])[:, None] * np.array([1.0, 0.5])
     vs = (rad[:, :, None, None] * dirs).reshape(-1, dirs.shape[1])
     ts = np.repeat(lattice[live], 2 * len(dirs), axis=0)
-    base = state.eval_eta_inverse(chart.forward(ts, vs))
+    xs = chart.forward(ts, vs)
+    try:
+        base = state.eval_eta_inverse(xs)
+    except NewtonDivergenceError:
+        return all(_pulled_back_ok(locator, state.eval_eta_inverse(x[None]), sd_data)
+                   for x in xs)
+    return _pulled_back_ok(locator, base, sd_data)
+
+
+def _pulled_back_ok(locator, base, sd_data):
+    """Whether every row of base lies in the locator's open star or, given
+    sd_data, outside the realized complex."""
     outside = ~locator.contains_base_point(base)
     if not outside.any():
         return True

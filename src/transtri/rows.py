@@ -38,8 +38,10 @@ def lstsq_rows(A, b):
     Calls the stacked gufunc behind np.linalg.lstsq with the same rcond
     (eps * max(M, K)), signature and error state, so each row has the bits
     of np.linalg.lstsq(A[i], b[i], rcond=None) and a non-converging SVD
-    raises LinAlgError.  The gufunc is private to numpy: the row-against-
-    single-call tests guard against it changing.
+    raises LinAlgError.  The gufunc is private to numpy and has this name
+    and signature from numpy 2.0 on (1.x split it into lstsq_m and
+    lstsq_n), hence the numpy>=2.0 requirement; the row-against-single-call
+    tests guard against it changing.
     """
     A = np.asarray(A, float)
     M, K = A.shape[-2:]

@@ -386,6 +386,9 @@ def point_locate(cplx, realization, x, tol=1e-10):
     and the corresponding vertices dropped from the carrier.
     """
     tops = sorted(cplx.top_simplices(), key=simplex_sort_key)
+    # every top is tried: a coordinate of -tol puts x up to tol times the
+    # simplex's height outside it, past the 10 tol box pad when that
+    # height exceeds 10
     _, top, lam, resid = _TopIndex(realization, tops).first_hits(
         np.asarray(x, dtype=float)[None], tol, prune=False)
     if not top.size:

@@ -85,6 +85,33 @@ class TestClearanceSearch:
         # ... while at the default 1e-10 it misses the complex entirely
         assert containment_ok(base_state, chart, _star_locator(base_state, s, sd, CFG), *args)
 
+    def test_divergence_after_a_bad_sample_fails_the_test(self, base_state):
+        # vertex 0 at the origin: the first sample, at (0.6, 0.6), lies on
+        # the complex outside the star; the second, at (0.6, 0), pulls back
+        # through a stuck Newton iteration
+        from transtri.errors import NewtonDivergenceError
+
+        class StuckAt:
+            def __init__(self, point):
+                self.point = point
+
+            def eval_eta_inverse(self, x):
+                if np.all(np.atleast_2d(x) == self.point, axis=1).any():
+                    raise NewtonDivergenceError("stuck")
+                return base_state.eval_eta_inverse(x)
+
+        s = sc.Simplex((0,))
+        sd = subdivision_data(base_state)
+        chart = make_chart(base_state, s)
+        locator = _star_locator(base_state, s, sd, CFG)
+        lattice = _containment_lattice(0, CFG)
+        bad, stuck = np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, 0.0])
+        c = 0.6 * np.sqrt(2.0)
+        state = StuckAt(chart.forward(lattice[0], c * stuck))
+        assert not containment_ok(state, chart, locator, lattice, [bad, stuck], c, sd)
+        with pytest.raises(NewtonDivergenceError):
+            containment_ok(state, chart, locator, lattice, [stuck, bad], c, sd)
+
     def test_degenerate_floor_raises(self, base_state):
         # an absurd barycentric tolerance makes every membership test fail
         bad = CFG.replace(barycentric_tol=0.9, c_min=1e-3)
@@ -195,7 +222,8 @@ class TestLocalDiffeo:
             rho = bump.rho_l(t)
             v = RNG.uniform(-1, 1, size=1) * pert.epsilon * rho
             _, w = psi.eval(t, v)
-            v2 = psi.invert(t, w)
+            moved, v2 = psi.inverse_moves(t[None], w[None])
+            v2 = v2[0] if moved.size else w
             assert np.linalg.norm(v2 - v) < 1e-11
 
     def test_invariants_enforced(self, base_state):

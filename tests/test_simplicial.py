@@ -184,6 +184,17 @@ class TestPointLocate:
         assert loc.simplex == sc.Simplex((0, 1, 2))
         assert np.allclose(loc.coords, [1 / 3, 1 / 3, 1 / 3])
 
+    def test_point_beside_large_simplex_found(self):
+        # x is 5e-9 left of the edge (0, 2), a coordinate of -5e-11 > -tol:
+        # on the closed triangle up to tol, yet outside its box padded by
+        # 10 tol, so point_locate must not prune by boxes
+        cplx = sc.build_complex(3, [(0, 1, 2)])
+        real = sc.GeometricRealization(
+            {0: np.array([0.0, 0.0]), 1: np.array([100.0, 0.0]), 2: np.array([0.0, 100.0])},
+            cplx)
+        loc = sc.point_locate(cplx, real, np.array([-5e-9, 50.0]))
+        assert loc is not None and loc.simplex == sc.Simplex((0, 2))
+
     def test_far_point_is_none(self, two_triangle):
         cplx, real = two_triangle
         assert sc.point_locate(cplx, real, np.array([10.0, 10.0])) is None
