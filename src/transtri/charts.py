@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import MeshError, NewtonDivergenceError
 from .rows import matvec
-from .simplicial import Simplex, _TopIndex, simplex_sort_key
+from .simplicial import Simplex, _TopIndex
 
 __all__ = [
     "TubularChart",
@@ -313,22 +313,20 @@ def make_chart(state, s):
 
 
 class StarLocator:
-    """Reusable membership test for one open star in a subdivision.
+    """Reusable membership test for the open star of one subdivision vertex.
 
     The open star of a vertex is the union of open simplices containing
     it; a point belongs exactly when the carrier simplex of its location
-    is a member of the star set.  Locating only against the maximal star
-    members is enough: their closed union covers the open star, and a
-    point outside it either misses them all or lands on a carrier that is
-    not in the set.
+    has the vertex.  Locating only against the maximal star members, the
+    top simplices holding the vertex, is enough: their closed union covers
+    the open star, and a point outside it either misses them all or lands
+    on a carrier without the vertex.  tops must come in simplex order, as
+    a location keeps its first hit in that order.
     """
 
-    def __init__(self, star_simplices, sd_realization, tol=1e-10):
-        self.star = frozenset(star_simplices)
-        tops = [s for s in self.star
-                if not any(o.dim > s.dim and set(s.vertices) < set(o.vertices)
-                           for o in self.star)]
-        self.tops = sorted(tops, key=simplex_sort_key)
+    def __init__(self, vertex, tops, sd_realization, tol=1e-10):
+        self.vertex = vertex
+        self.tops = tuple(tops)
         self.index = _TopIndex(sd_realization, self.tops)
         self.tol = tol
 
@@ -336,7 +334,8 @@ class StarLocator:
         """Whether each row of p lies in the open star (a bool for a 1-D p)."""
         p = np.asarray(p, float)
         faces = self.index.carriers(p.reshape(-1, p.shape[-1]), self.tol)
-        inside = np.array([face in self.star for face in faces], bool)
+        inside = np.array([face is not None and self.vertex in face.vertices
+                           for face in faces], bool)
         return inside if p.ndim > 1 else bool(inside[0])
 
 

@@ -21,7 +21,10 @@ Levels run l = 0 .. m-1 in order (open top-dimensional embeddings are
 automatically transverse).  Within a level every simplex is built against
 the state at the start of the level; supports of same-level links live in
 disjoint stars, so the links commute and the append order (ascending
-simplex id) is a determinism convention, not a mathematical need.
+simplex id) is a determinism convention, not a mathematical need.  Stage
+2 runs over the whole level at once: each round draws one candidate per
+unresolved simplex, from that simplex's own rng, and certifies the round
+with one verifier search.
 """
 
 import logging
@@ -34,8 +37,8 @@ from .charts import AmbientDiffeo, StarLocator, TriangulationState, make_chart
 from .config import PipelineConfig
 from .errors import (DegenerateGeometryError, EpsilonTooLargeError, MeshError,
                      NewtonDivergenceError, PerturbationError, SamplingFailureError)
-from .rows import row_norms
-from .simplicial import Simplex, _TopIndex, barycentric_subdivision, simplex_sort_key, star
+from .rows import matvec, row_norms
+from .simplicial import Simplex, _TopIndex, barycentric_subdivision, simplex_sort_key
 from .verify import (Patch, interior_lattice, patch_roots, transversality_margin,
                      verify_triangulation)
 
@@ -54,6 +57,18 @@ __all__ = [
     "perturb_level",
     "make_transverse",
 ]
+
+
+def _shift(t, v):
+    """s(t) = warp(t) * v over the rows of t, for one v or one v per row."""
+    return np.asarray(bump.scaled_warp(bump.rho_l(t), 0))[..., None] * v
+
+
+def _shift_jacobian(t, v):
+    """d s / d t, (m-l) x l per row of t, zero at and beyond the boundary."""
+    w2 = np.asarray(bump.scaled_warp(bump.rho_l(t), 2))[..., None, None]
+    J = v[..., :, None] * bump.rho_l_grad(t)[..., None, :] * w2
+    return np.where(w2 == 0.0, 0.0, J)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,13 +105,7 @@ class LocalPerturbation:
     def shift(self, t):
         """s(t) = warp(t) * v, the normal displacement of the zero section,
         over the rows of t."""
-        return np.multiply.outer(bump.scaled_warp(bump.rho_l(t), 0), self.v)
-
-    def shift_jacobian(self, t):
-        """d s / d t, (m-l) x l per row of t, zero at and beyond the boundary."""
-        w2 = np.asarray(bump.scaled_warp(bump.rho_l(t), 2))[..., None, None]
-        J = self.v[:, None] * bump.rho_l_grad(t)[..., None, :] * w2
-        return np.where(w2 == 0.0, 0.0, J)
+        return _shift(t, self.v)
 
 
 class LocalDiffeo:
@@ -215,13 +224,18 @@ class LocalDiffeo:
 
 @dataclass(frozen=True, eq=False)
 class SubdivisionData:
-    """Barycentric subdivision of the base complex plus location indexes."""
+    """Barycentric subdivision of the base complex plus location indexes.
+
+    star_tops maps each subdivision vertex to the top simplices holding
+    it, in simplex order: the maximal members of its open star.
+    """
 
     cplx: object
     realization: object
     barycenter_ids: dict
     tops: tuple
     index: object
+    star_tops: dict
 
     def carrier(self, p, tol=1e-10):
         """Carrier simplex of each row of p, None outside the complex (one
@@ -235,7 +249,11 @@ def subdivision_data(state):
     """Barycentric subdivision of the base complex, with barycenter ids."""
     sd_cplx, sd_real, bids = barycentric_subdivision(state.complex, state.realization)
     tops = tuple(sorted(sd_cplx.top_simplices(), key=simplex_sort_key))
-    return SubdivisionData(sd_cplx, sd_real, bids, tops, _TopIndex(sd_real, tops))
+    star_tops = {}
+    for top in tops:
+        for v in top.vertices:
+            star_tops.setdefault(v, []).append(top)
+    return SubdivisionData(sd_cplx, sd_real, bids, tops, _TopIndex(sd_real, tops), star_tops)
 
 
 def _unit_directions(k):
@@ -261,9 +279,9 @@ def _containment_lattice(l, config):
 
 
 def _star_locator(state, s, sd_data, config):
-    s_bary_vertex = Simplex((sd_data.barycenter_ids[s],))
-    star_set = star(sd_data.cplx, s_bary_vertex)
-    return StarLocator(star_set, sd_data.realization, config.barycentric_tol)
+    vertex = sd_data.barycenter_ids[s]
+    return StarLocator(vertex, sd_data.star_tops[vertex], sd_data.realization,
+                       config.barycentric_tol)
 
 
 def containment_ok(state, chart, locator, lattice, dirs, c, sd_data=None):
@@ -338,35 +356,49 @@ def estimate_c_sigma(state, s, config=None, sd_data=None, chart=None):
 # regular-value sampling
 
 
-def _deformed_patch(chart, pert):
-    """The deformed embedding t -> chart(t, s(t)) as a verifier patch."""
-    l = chart.l
+def _deformed_patch(charts, perts):
+    """The deformed embeddings t -> chart(t, s(t)) of simplices of one
+    dimension as one verifier patch, owner k being charts[k] shifted by
+    perts[k].  The charts share the chain snapshot of their level."""
+    l = charts[0].l
+    ops = charts[0].ops
+    b, A, N, M = (np.array([getattr(c, a) for c in charts])
+                  for a in ("base", "tangent", "normal", "_M"))
+    V = np.array([p.v for p in perts])
 
-    def ev(t):
-        return chart.forward(t, pert.shift(t))
+    def frame_point(t, owner):
+        return b[owner] + matvec(A[owner], t) + matvec(N[owner], _shift(t, V[owner]))
 
-    def ej(t):
-        x, J = chart.forward_with_jacobian(t, pert.shift(t))
-        return x, J[..., :l] + J[..., l:] @ pert.shift_jacobian(t)
+    def ev(t, owner):
+        return ops.apply(frame_point(t, owner))
 
-    return Patch(l=l, eval=ev, eval_jac=ej)
+    def ej(t, owner):
+        x, J = ops.apply_with_jacobian(frame_point(t, owner))
+        J = J @ M[owner]
+        return x, J[..., :l] + J[..., l:] @ _shift_jacobian(t, V[owner])
+
+    return Patch(l=l, eval=ev, eval_jac=ej, size=len(charts))
 
 
-def _candidate_transverse(state, chart, pert, h, config):
-    """Verifier verdict for one candidate shift vector."""
+def _candidate_transverse(state, charts, perts, h, config):
+    """Verifier verdicts for one candidate shift per chart, as a list of
+    bools, from one root search over all of them."""
     n = h.domain.dim
     m = state.ambient_dim
-    l = chart.l
-    patch = _deformed_patch(chart, pert)
-    roots, min_resid = patch_roots(h, patch, config, state.mesh_scale)
+    l = charts[0].l
+    patch = _deformed_patch(charts, perts)
+    found = patch_roots(h, patch, config, state.mesh_scale)
     if n + l < m:
-        return min_resid > config.vertex_clearance
-    roots = [(y, t) for y, t, resid in roots if resid < config.solve_tol]
-    if not roots:
-        return True
-    _, df = patch.eval_jac(np.array([t for _, t in roots]))
-    return all(transversality_margin(h.jacobian_raw(y), d) >= config.tol_rank
-               for (y, _), d in zip(roots, df))
+        return [min_resid > config.vertex_clearance for _, min_resid in found]
+    roots = [(k, y, t) for k, (rs, _) in enumerate(found)
+             for y, t, resid in rs if resid < config.solve_tol]
+    ok = [True] * len(charts)
+    if roots:
+        _, df = patch.eval_jac(np.array([t for _, _, t in roots]),
+                               np.array([k for k, _, _ in roots]))
+        for (k, y, _), d in zip(roots, df):
+            ok[k] = ok[k] and transversality_margin(h.jacobian_raw(y), d) >= config.tol_rank
+    return ok
 
 
 def _draw_shift(rng, dim, eps):
@@ -378,22 +410,60 @@ def _draw_shift(rng, dim, eps):
             return v
 
 
-def _sample_shift(state, s, h, eps, config, rng, chart, c_sigma=None):
-    c_val = c_sigma if c_sigma is not None else eps
-    last = None
-    for tries in range(config.max_retries):
-        v = _draw_shift(rng, state.ambient_dim - s.dim, eps)
-        pert = LocalPerturbation(s, chart, max(c_val, eps), eps, v)
-        last = pert
-        if _candidate_transverse(state, chart, pert, h, config):
-            return v, tries
-    raise SamplingFailureError(
-        f"{config.max_retries} candidates rejected for simplex {s.vertices}; "
-        "the deformation scale cannot clear the verifier thresholds "
-        "(tolerances too strict for this geometry)",
-        simplex=s,
-        diagnostics={"epsilon": eps, "last_v": None if last is None else tuple(last.v)},
-    )
+@dataclass(eq=False)
+class _Draw:
+    """Shift sampling state of one simplex: its chart, scales and rng, the
+    rejections and shrinks so far, and the outcome (the accepted candidate,
+    the guarded local diffeomorphism, or the error that ends the simplex)."""
+
+    simplex: Simplex
+    chart: object
+    rng: object
+    c_sigma: float = None
+    eps: float = None
+    tries: int = 0
+    shrinks: int = 0
+    pert: object = None
+    psi: object = None
+    error: Exception = None
+
+
+def _sample_shift(state, draws, h, config):
+    """Draw certified shift vectors for simplices of one dimension.
+
+    Runs in rounds: each round draws one candidate per unresolved simplex
+    from that simplex's own rng and judges the whole round with one
+    _candidate_transverse call, so every simplex sees the candidates and
+    verdicts that drawing for it alone would give.  An accepted candidate
+    goes to draw.pert (its retries_used counts the rejections before it);
+    max_retries rejections leave a SamplingFailureError in draw.error.
+    Simplices after a failed one stop drawing: a level reports its
+    lowest failing simplex, so their outcome no longer matters.
+    """
+    live = list(draws)
+    while live:
+        perts = [LocalPerturbation(d.simplex, d.chart, d.c_sigma, d.eps,
+                                   _draw_shift(d.rng, d.chart.m - d.chart.l, d.eps),
+                                   retries_used=d.tries, shrinks_used=d.shrinks)
+                 for d in live]
+        verdicts = _candidate_transverse(state, [d.chart for d in live], perts, h, config)
+        still = []
+        for d, pert, ok in zip(live, perts, verdicts):
+            if ok:
+                d.pert = pert
+                continue
+            d.tries += 1
+            if d.tries == config.max_retries:
+                d.error = SamplingFailureError(
+                    f"{config.max_retries} candidates rejected for simplex {d.simplex.vertices}; "
+                    "the deformation scale cannot clear the verifier thresholds "
+                    "(tolerances too strict for this geometry)",
+                    simplex=d.simplex,
+                    diagnostics={"epsilon": d.eps, "last_v": tuple(pert.v)},
+                )
+                break
+            still.append(d)
+        live = still
 
 
 def sample_regular_value(state, s, h, eps, config=None, rng=None):
@@ -401,9 +471,11 @@ def sample_regular_value(state, s, h, eps, config=None, rng=None):
     certified transverse to h; deterministic given the rng."""
     config = config or PipelineConfig()
     rng = rng or np.random.default_rng(config.seed)
-    chart = make_chart(state, s)
-    v, _ = _sample_shift(state, s, h, eps, config, rng, chart)
-    return v
+    draw = _Draw(s, make_chart(state, s), rng, c_sigma=eps, eps=eps)
+    _sample_shift(state, [draw], h, config)
+    if draw.error is not None:
+        raise draw.error
+    return draw.pert.v
 
 
 # ---------------------------------------------------------------------------
@@ -476,26 +548,28 @@ def extend_to_ambient(state, psi, chart, level=None, meta=None):
 # per-level pipeline
 
 
-def _build_simplex_link(state, s, h, config, rng, sd_data, level):
-    chart = make_chart(state, s)
-    c_sigma = estimate_c_sigma(state, s, config, sd_data=sd_data, chart=chart)
-    eps = min(c_sigma, 0.5 / bump.c_beta(), config.epsilon_max,
-              config.mesh_scale_factor * state.mesh_scale)
-    for shrink in range(config.max_eps_shrinks + 1):
-        v, tries = _sample_shift(state, s, h, eps, config, rng, chart, c_sigma=c_sigma)
-        pert = LocalPerturbation(s, chart, c_sigma, eps, v,
-                                 retries_used=tries, shrinks_used=shrink)
+def _guard(draws, config):
+    """Guard the accepted candidates of draws up to the first failed one;
+    returns the draws whose epsilon the guard halved, to be sampled again.
+    Past max_eps_shrinks halvings a draw keeps an EpsilonTooLargeError
+    instead."""
+    again = []
+    for d in draws:
+        if d.error is not None:
+            break
         try:
-            psi = build_local_diffeo(pert)
+            d.psi = build_local_diffeo(d.pert)
         except EpsilonTooLargeError:
-            eps *= 0.5
-            continue
-        log.info("level=%d simplex=%s c_sigma=%.6g epsilon=%.6g |v|=%.6g retries=%d shrinks=%d",
-                 level, s.vertices, c_sigma, eps, float(np.linalg.norm(v)), tries, shrink)
-        return extend_to_ambient(state, psi, chart, level=level)
-    raise EpsilonTooLargeError(
-        f"epsilon still too large after {config.max_eps_shrinks} shrinks"
-        f" for simplex {s.vertices}")
+            if d.shrinks == config.max_eps_shrinks:
+                d.error = EpsilonTooLargeError(
+                    f"epsilon still too large after {config.max_eps_shrinks} shrinks"
+                    f" for simplex {d.simplex.vertices}")
+                break
+            d.eps *= 0.5
+            d.shrinks += 1
+            d.tries = 0
+            again.append(d)
+    return again
 
 
 def perturb_level(state, level, h, config=None, sd_data=None):
@@ -503,8 +577,11 @@ def perturb_level(state, level, h, config=None, sd_data=None):
 
     Each simplex is built against the state at the start of the level
     (supports of same-level links are disjoint, so they commute); links
-    are then appended in ascending simplex order for determinism.  Any
-    per-simplex failure aborts the level, naming the simplex.
+    are then appended in ascending simplex order for determinism.  The
+    clearance search and the guard run per simplex; shift sampling runs
+    over the whole level at once, each simplex drawing from its own rng
+    (see _sample_shift).  Any per-simplex failure aborts the level, naming
+    the lowest-index failing simplex.
     """
     config = config or PipelineConfig()
     m = state.ambient_dim
@@ -515,19 +592,32 @@ def perturb_level(state, level, h, config=None, sd_data=None):
         return state
     if sd_data is None:
         sd_data = subdivision_data(state)
-    links = []
+    draws = []
     for idx, s in enumerate(simplices):
-        rng = np.random.default_rng([config.seed, level, idx])
+        d = _Draw(s, make_chart(state, s), np.random.default_rng([config.seed, level, idx]))
+        draws.append(d)
         try:
-            links.append(_build_simplex_link(state, s, h, config, rng, sd_data, level))
-        except (DegenerateGeometryError, SamplingFailureError,
-                EpsilonTooLargeError, NewtonDivergenceError) as exc:
-            raise PerturbationError(
-                f"level {level} aborted at simplex {s.vertices}: {exc}",
-                simplex=s, level=level) from exc
+            d.c_sigma = estimate_c_sigma(state, s, config, sd_data=sd_data, chart=d.chart)
+        except (DegenerateGeometryError, NewtonDivergenceError) as exc:
+            d.error = exc  # the simplices after this one no longer matter
+            break
+        d.eps = min(d.c_sigma, 0.5 / bump.c_beta(), config.epsilon_max,
+                    config.mesh_scale_factor * state.mesh_scale)
+    pending = [d for d in draws if d.error is None]
+    while pending:
+        _sample_shift(state, pending, h, config)
+        pending = _guard(pending, config)
+    failed = next((d for d in draws if d.error is not None), None)
+    if failed is not None:
+        s = failed.simplex
+        raise PerturbationError(f"level {level} aborted at simplex {s.vertices}: {failed.error}",
+                                simplex=s, level=level) from failed.error
     new_state = state
-    for link in links:
-        new_state = new_state.with_link(link)
+    for d in draws:
+        log.info("level=%d simplex=%s c_sigma=%.6g epsilon=%.6g |v|=%.6g retries=%d shrinks=%d",
+                 level, d.simplex.vertices, d.c_sigma, d.eps, float(np.linalg.norm(d.pert.v)),
+                 d.pert.retries_used, d.shrinks)
+        new_state = new_state.with_link(extend_to_ambient(state, d.psi, d.chart, level=level))
     return new_state
 
 

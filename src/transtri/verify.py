@@ -82,30 +82,39 @@ def check_transverse_at(dh, df, tol_rank):
 
 @dataclass(frozen=True, eq=False)
 class Patch:
-    """A parametric patch t -> R^m over the standard l-simplex.
+    """Parametric patches t -> R^m over the standard l-simplex, one per
+    owner simplex.
 
-    eval maps rows of t, (N, l), to (N, m) points; eval_jac returns those
-    points and their (N, m, l) Jacobians from one chain pass.  A 1-D t is
-    the N = 1 case.
+    eval maps rows of t, (N, l), each on the patch of its owner (an (N,)
+    index array into range(size)), to (N, m) points; eval_jac returns those
+    points and their (N, m, l) Jacobians from one chain pass.  One simplex
+    is the size = 1 case.
     """
 
     l: int
     eval: object
     eval_jac: object
+    size: int = 1
 
 
-def simplex_patch(state, s):
-    """The current embedding of a simplex: eta composed with its frame."""
-    b, A = state.realization.simplex_frame(s)
+def simplex_patch(state, simplices):
+    """The current embedding of simplices of one dimension: eta composed
+    with each frame, owner k being simplices[k].  One Simplex is the
+    size = 1 case."""
+    if isinstance(simplices, Simplex):
+        simplices = [simplices]
+    frames = [state.realization.simplex_frame(s) for s in simplices]
+    b = np.array([f[0] for f in frames])
+    A = np.array([f[1] for f in frames])
 
-    def ev(t):
-        return state.eval_eta(b + matvec(A, t))
+    def ev(t, owner):
+        return state.eval_eta(b[owner] + matvec(A[owner], t))
 
-    def ej(t):
-        x, J = state.eval_eta_with_jacobian(b + matvec(A, t))
-        return x, J @ A
+    def ej(t, owner):
+        x, J = state.eval_eta_with_jacobian(b[owner] + matvec(A[owner], t))
+        return x, J @ A[owner]
 
-    return Patch(l=s.dim, eval=ev, eval_jac=ej)
+    return Patch(l=simplices[0].dim, eval=ev, eval_jac=ej, size=len(simplices))
 
 
 def interior_lattice(l, per_dim):
@@ -140,7 +149,7 @@ def _domain_seeds(h, config):
     return h.sample_domain(config.surface_density)
 
 
-def _gauss_newton(h, patch, y0, t0, config, scale):
+def _gauss_newton(h, patch, y0, t0, config, scale, owner=None):
     """Refine seeds toward h(y) = f(t).
 
     With 1-D y0 and t0, refines one pair and returns (y, t, residual) or
@@ -149,13 +158,15 @@ def _gauss_newton(h, patch, y0, t0, config, scale):
     patch once and solves one stacked least-squares problem over the pairs
     still running, and each pair keeps its own best point, stall counter,
     divergence test and domain test, so every result equals that of the
-    one-pair call.
+    one-pair call.  Pair i lies on the patch of owner[i] (owner 0 when no
+    owner is given).
     """
     single = np.ndim(t0) == 1
     n = h.domain.dim
     P = 1 if single else len(t0)
     Y = np.array(y0, float).reshape(P, n)
     T = np.array(t0, float).reshape(P, patch.l)
+    O = np.zeros(P, int) if owner is None else np.asarray(owner, int).reshape(P)
     best_y, best_t = Y.copy(), T.copy()
     best_r = np.full(P, np.inf)
     stall = np.zeros(P, int)
@@ -165,7 +176,7 @@ def _gauss_newton(h, patch, y0, t0, config, scale):
     for _ in range(config.gn_max_iter):
         if not live.size:
             break
-        f, df = patch.eval_jac(T[live])
+        f, df = patch.eval_jac(T[live], O[live])
         r = h.eval_batch(Y[live]) - f
         rn = row_norms(r)
         stall[live] = np.where(rn < 0.9999 * best_r[live], 0, stall[live] + 1)
@@ -204,29 +215,39 @@ def _gauss_newton(h, patch, y0, t0, config, scale):
 def _pair_seeds(h, patch, config, scale, t_per_dim=None):
     """Seed (y, t) pairs whose images are close enough to share a root.
 
-    At most a handful of map-parameter seeds are kept per simplex seed;
-    extra seeds in the same basin only repeat the refinement.
+    ts stacks the simplex seed lattice once per owner, owner k holding rows
+    k T .. (k + 1) T - 1, so the pair (iy, it) belongs to owner it // T;
+    pairs come owner by owner.  At most a handful of map-parameter seeds
+    are kept per simplex seed; extra seeds in the same basin only repeat
+    the refinement.  Returns (ys, ts, pairs, dmin), dmin holding the
+    smallest seed distance of each owner.
     """
     ys = _domain_seeds(h, config)
     hy = h.eval_batch(ys)
     if t_per_dim is None:
         t_per_dim = _simplex_seed_count(config, patch.l)
-    ts = interior_lattice(patch.l, t_per_dim)
-    ft = patch.eval(ts)
+    lattice = interior_lattice(patch.l, t_per_dim)
+    T = len(lattice)
+    ts = np.tile(lattice, (patch.size, 1))
+    ft = patch.eval(ts, np.repeat(np.arange(patch.size), T))
     gap = 0.0
     if len(hy) > 1:
         gap = float(np.linalg.norm(np.diff(hy, axis=0), axis=1).max())
     t_gap = scale / max(1, t_per_dim) if patch.l else 0.0
     prune = 1.5 * (gap + t_gap) + 1e-9
-    d = np.linalg.norm(hy[:, None, :] - ft[None, :, :], axis=2)
     pairs = []
-    for it in range(len(ts)):
-        col = d[:, it]
-        keep = np.nonzero(col <= prune)[0]
-        if keep.size > 6:
-            keep = keep[np.argsort(col[keep])[:6]]
-        pairs.extend((int(iy), it) for iy in keep)
-    return ys, ts, pairs, float(d.min()) if d.size else np.inf
+    dmin = np.full(patch.size, np.inf)
+    for k in range(patch.size):
+        d = np.linalg.norm(hy[:, None, :] - ft[None, k * T:(k + 1) * T, :], axis=2)
+        if d.size:
+            dmin[k] = d.min()
+        for it in range(T):
+            col = d[:, it]
+            keep = np.nonzero(col <= prune)[0]
+            if keep.size > 6:
+                keep = keep[np.argsort(col[keep])[:6]]
+            pairs.extend((int(iy), k * T + it) for iy in keep)
+    return ys, ts, pairs, dmin
 
 
 def _inside_closed_simplex(t, slack=1e-6):
@@ -237,22 +258,25 @@ def _inside_closed_simplex(t, slack=1e-6):
 
 
 def patch_roots(h, patch, config, scale, t_per_dim=None):
-    """Gauss-Newton roots of h(y) = patch(t) from pruned grid seeds.
+    """Gauss-Newton roots of h(y) = patch(t) from pruned grid seeds, for
+    every owner of the patch at once.
 
-    Returns (roots, min_residual) with roots deduplicated in parameter
-    space; every converged local minimum is reported, thresholding is the
-    caller's business.  Refinements that leave the closed parameter
-    simplex are dropped: a root on the line extension of the patch says
-    nothing about the patch (its own face or neighbor owns that point).
-    min_residual includes the coarse seed distances, so it is meaningful
-    even when no seed pair survives pruning.
+    Returns one (roots, min_residual) per owner, with roots deduplicated in
+    parameter space; every converged local minimum is reported,
+    thresholding is the caller's business.  Refinements that leave the
+    closed parameter simplex are dropped: a root on the line extension of
+    the patch says nothing about the patch (its own face or neighbor owns
+    that point).  min_residual includes the coarse seed distances, so it
+    is meaningful even when no seed pair survives pruning.  The seed pairs
+    of all owners are refined in one _gauss_newton call.
     """
     ys, ts, pairs, coarse = _pair_seeds(h, patch, config, scale, t_per_dim)
-    roots = []
-    min_resid = coarse
+    roots = [[] for _ in range(patch.size)]
+    min_resid = coarse.tolist()
     iy, it = np.array(pairs, int).reshape(-1, 2).T
-    refined = _gauss_newton(h, patch, ys[iy], ts[it], config, scale) if pairs else []
-    for a, b, out in zip(iy, it, refined):
+    owner = it // max(1, len(ts) // patch.size)
+    refined = _gauss_newton(h, patch, ys[iy], ts[it], config, scale, owner) if pairs else []
+    for a, b, k, out in zip(iy, it, owner, refined):
         if out is None:
             log.debug("seed (y=%s, t=%s) discarded: refinement left the domain "
                       "or diverged", ys[a], ts[b])
@@ -261,10 +285,11 @@ def patch_roots(h, patch, config, scale, t_per_dim=None):
         if not _inside_closed_simplex(t):
             log.debug("root at t=%s discarded: outside the closed simplex", t)
             continue
-        min_resid = min(min_resid, resid)
-        roots.append((y, t, resid))
-    roots.sort(key=lambda r: r[2])
-    return _cluster(roots, config.dedupe_radius, _domain_period(h)), float(min_resid)
+        min_resid[k] = min(min_resid[k], resid)
+        roots[k].append((y, t, resid))
+    period = _domain_period(h)
+    return [(_cluster(sorted(rs, key=lambda r: r[2]), config.dedupe_radius, period), float(mr))
+            for rs, mr in zip(roots, min_resid)]
 
 
 def _param_dist(a, b, y_period):
@@ -346,43 +371,50 @@ def _make_record(state, h, face, y, t_face, resid, point, Jeta, config):
     )
 
 
-def find_intersections(state, s, h, config=None):
-    """Roots of h(y) = eta(iota_s(t)) with t in the closed simplex.
+def find_intersections(state, simplices, h, config=None):
+    """Roots of h(y) = eta(iota_s(t)) with t in the closed simplex s, for
+    every simplex s of one dimension at once.
 
-    Returns (records, min_residual).  Roots landing on the simplex
-    boundary are attributed to the corresponding face.  The intersection
-    threshold is the solve tolerance when spanning is possible and the
-    clearance threshold when it is not; min_residual reports the best
-    approach found (used for vertex distance diagnostics).
+    Returns (records, min_residual) per simplex, or that pair alone for
+    one Simplex.  Roots landing on the simplex boundary are attributed to
+    the corresponding face.  The intersection threshold is the solve
+    tolerance when spanning is possible and the clearance threshold when
+    it is not; min_residual reports the best approach found (used for
+    vertex distance diagnostics).  One refinement covers every simplex,
+    and one chain pass evaluates eta at all of their roots.
     """
     config = config or PipelineConfig()
+    single = isinstance(simplices, Simplex)
+    group = [simplices] if single else list(simplices)
+    l = group[0].dim
     n = h.domain.dim
     m = state.ambient_dim
-    patch = simplex_patch(state, s)
-    t_per_dim = _simplex_seed_count(config, s.dim)
-    if n + s.dim > m:
+    t_per_dim = _simplex_seed_count(config, l)
+    if n + l > m:
         # intersections come in positive-dimensional families; a sparse
         # sample of the family is enough for the rank verdict
         t_per_dim = max(2, t_per_dim // 4)
-    roots, min_resid = patch_roots(h, patch, config, state.mesh_scale, t_per_dim)
-    threshold = config.solve_tol if n + s.dim >= m else config.vertex_clearance
+    found = patch_roots(h, simplex_patch(state, group), config, state.mesh_scale, t_per_dim)
+    threshold = config.solve_tol if n + l >= m else config.vertex_clearance
     hits = []
-    for y, t, resid in roots:
-        if resid >= threshold:
-            continue
-        carrier = _carrier(s, t, config)
-        if carrier is not None:
-            hits.append((y, resid) + carrier)
-    if not hits:
-        return [], min_resid
-    base = []
-    for _, _, face, t_face in hits:
-        b, A = state.realization.simplex_frame(face)
-        base.append(b + (A @ t_face if face.dim else 0.0))
-    points, jacs = state.eval_eta_with_jacobian(np.array(base))
-    records = [_make_record(state, h, face, y, t_face, resid, x, J, config)
-               for (y, resid, face, t_face), x, J in zip(hits, points, jacs)]
-    return records, min_resid
+    for k, (s, (roots, _)) in enumerate(zip(group, found)):
+        for y, t, resid in roots:
+            if resid >= threshold:
+                continue
+            carrier = _carrier(s, t, config)
+            if carrier is not None:
+                hits.append((k, y, resid) + carrier)
+    records = [[] for _ in group]
+    if hits:
+        base = []
+        for _, _, _, face, t_face in hits:
+            b, A = state.realization.simplex_frame(face)
+            base.append(b + (A @ t_face if face.dim else 0.0))
+        points, jacs = state.eval_eta_with_jacobian(np.array(base))
+        for (k, y, resid, face, t_face), x, J in zip(hits, points, jacs):
+            records[k].append(_make_record(state, h, face, y, t_face, resid, x, J, config))
+    out = [(recs, min_resid) for recs, (_, min_resid) in zip(records, found)]
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +443,8 @@ class TransversalityReport:
 def verify_triangulation(state, h, config=None):
     """Transversality verdict for every simplex of the complex.
 
-    A simplex with n + l < m passes when no intersection is found (and,
+    The simplices of each dimension are searched together (see
+    find_intersections).  A simplex with n + l < m passes when no intersection is found (and,
     for vertices, when the map image keeps its distance); otherwise it
     passes when every attributed intersection is transverse.
     """
@@ -421,12 +454,15 @@ def verify_triangulation(state, h, config=None):
     cplx = state.complex
     by_simplex = {}
     vertex_dist = {}
-    for s in sorted(cplx.simplices, key=simplex_sort_key):
-        records, min_resid = find_intersections(state, s, h, config)
-        for rec in records:
-            by_simplex.setdefault(rec.simplex, []).append(rec)
-        if s.dim == 0:
-            vertex_dist[s] = min_resid
+    for l in range(cplx.dim + 1):
+        group = cplx.by_dim(l)
+        if not group:
+            continue
+        for s, (records, min_resid) in zip(group, find_intersections(state, group, h, config)):
+            for rec in records:
+                by_simplex.setdefault(rec.simplex, []).append(rec)
+            if l == 0:
+                vertex_dist[s] = min_resid
     statuses = {}
     all_records = []
     period = _domain_period(h)
@@ -469,20 +505,17 @@ def min_distance_to_image(h, point, config=None):
     config = config or PipelineConfig()
     x = np.asarray(point, float)
 
-    def ev(t):
+    def ev(t, owner):
         return np.tile(x, (len(t), 1))
 
-    const = Patch(l=0, eval=ev, eval_jac=lambda t: (ev(t), np.zeros((len(t), x.size, 0))))
-
-    best = np.inf
+    const = Patch(l=0, eval=ev,
+                  eval_jac=lambda t, owner: (ev(t, owner), np.zeros((len(t), x.size, 0))))
     ys = _domain_seeds(h, config)
     hy = h.eval_batch(ys)
     d = np.linalg.norm(hy - x, axis=1)
     order = np.argsort(d)[: max(3, d.size // 8)]
-    for i in order:
-        out = _gauss_newton(h, const, ys[i], np.zeros(0), config, 1.0)
-        if out is not None:
-            best = min(best, out[2])
+    refined = _gauss_newton(h, const, ys[order], np.zeros((order.size, 0)), config, 1.0)
+    best = min((out[2] for out in refined if out is not None), default=np.inf)
     return float(min(best, d.min() if d.size else np.inf))
 
 

@@ -7,24 +7,38 @@ stack of the single-point results exactly, and the bump forms, the inverse
 and point location must also equal scalar references (the math module for
 the bump forms, the one-point loops the stacked solves replaced for the
 others), because chain metadata and reports print these values with repr.
+The verifier searches all simplices of a dimension at once and shift
+sampling judges one candidate per simplex of a level at once; both must
+give every simplex what searching or sampling it alone gives.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from transtri import bump
+from transtri import bump, cli, perturb, verify
 from transtri import simplicial as sc
 from transtri.charts import TriangulationState, make_chart
-from transtri.perturb import (_containment_lattice, _star_locator, _unit_directions,
-                              containment_ok, subdivision_data)
-from transtri.rows import lstsq_rows
+from transtri.config import PipelineConfig
+from transtri.errors import DegenerateGeometryError, EpsilonTooLargeError, PerturbationError
+from transtri.perturb import (LocalPerturbation, _containment_lattice, _draw_shift,
+                              _star_locator, _unit_directions, containment_ok, perturb_level,
+                              subdivision_data)
+from transtri.rows import lstsq_rows, matvec
 from transtri.smoothmap import (CircleMap, LineMap, PointMap, PolyCurveMap, SurfacePatchMap,
                                 TorusKnotMap)
-from transtri.verify import _gauss_newton, _pair_seeds, simplex_patch
+from transtri.verify import (Patch, _carrier, _cluster, _domain_period, _domain_seeds,
+                             _gauss_newton, _inside_closed_simplex, _make_record, _pair_seeds,
+                             _simplex_seed_count, find_intersections, interior_lattice,
+                             min_distance_to_image, patch_roots, report_summary, report_to_csv,
+                             simplex_patch, transversality_margin, verify_triangulation)
 
 RNG = np.random.default_rng(20261018)
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+VERIFY_SCENARIOS = ["scenario_a", "scenario_b", "scenario_b_degenerate", "scenario_c",
+                    "scenario_tangent", "scenario_disjoint"]
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +371,9 @@ def test_point_location_rows_equal_single_points(scenario_a_run, kind):
         inside = locator.contains_base_point(pts)
         assert inside.dtype == bool and inside.shape == (len(pts),)
         assert inside.tolist() == [locator.contains_base_point(p) for p in pts]
+        star_set = sc.star(sd.cplx, sc.Simplex((locator.vertex,)))
         assert inside.tolist() == [ref_carrier(sd.realization, locator.tops, p, locator.tol)
-                                   in locator.star for p in pts]
+                                   in star_set for p in pts]
         seen_inside |= inside.any()
     assert seen_inside == (kind != "outside")
 
@@ -409,3 +424,310 @@ def test_containment_equals_sequential_scan(scenario_a_run, level):
     # at level 0 the larger radii leave the star; an edge's fade keeps every
     # fiber sample of the level-1 search close to the edge
     assert any(verdicts) and (level == 1 or not all(verdicts))
+
+
+# ---------------------------------------------------------------------------
+# the star table against the quadratic scan of simplicial.star
+
+
+def test_star_table_holds_the_maximal_star_members(scenario_a_run):
+    sd = subdivision_data(scenario_a_run["state"])
+    for v in sd.cplx.vertex_ids:
+        members = sc.star(sd.cplx, sc.Simplex((v,)))
+        maximal = [s for s in members
+                   if not any(o.dim > s.dim and set(s.vertices) < set(o.vertices)
+                              for o in members)]
+        assert sd.star_tops[v] == sorted(maximal, key=sc.simplex_sort_key)
+
+
+# ---------------------------------------------------------------------------
+# the verifier, one dimension at a time, against one simplex at a time
+
+
+def ref_find(state, s, h, config):
+    """(records, min_residual) of one simplex, searched alone: its own patch,
+    seeds, refinement and record evaluation, as before the verifier searched
+    a whole dimension at once."""
+    n, m, l = h.domain.dim, state.ambient_dim, s.dim
+    b, A = state.realization.simplex_frame(s)
+
+    def ej(t, owner):
+        x, J = state.eval_eta_with_jacobian(b + matvec(A, t))
+        return x, J @ A
+
+    patch = Patch(l=l, eval=lambda t, owner: state.eval_eta(b + matvec(A, t)), eval_jac=ej)
+    t_per_dim = _simplex_seed_count(config, l)
+    if n + l > m:
+        t_per_dim = max(2, t_per_dim // 4)
+    ys = _domain_seeds(h, config)
+    hy = h.eval_batch(ys)
+    ts = interior_lattice(l, t_per_dim)
+    d = np.linalg.norm(hy[:, None, :] - patch.eval(ts, None)[None, :, :], axis=2)
+    gap = float(np.linalg.norm(np.diff(hy, axis=0), axis=1).max()) if len(hy) > 1 else 0.0
+    prune = 1.5 * (gap + (state.mesh_scale / max(1, t_per_dim) if l else 0.0)) + 1e-9
+    pairs = []
+    for it in range(len(ts)):
+        keep = np.nonzero(d[:, it] <= prune)[0]
+        if keep.size > 6:
+            keep = keep[np.argsort(d[keep, it])[:6]]
+        pairs.extend((iy, it) for iy in keep)
+    min_resid = float(d.min()) if d.size else np.inf
+    roots = []
+    if pairs:
+        iy, it = np.array(pairs).T
+        for out in _gauss_newton(h, patch, ys[iy], ts[it], config, state.mesh_scale):
+            if out is not None and _inside_closed_simplex(out[1]):
+                min_resid = min(min_resid, out[2])
+                roots.append(out)
+    roots.sort(key=lambda r: r[2])
+    threshold = config.solve_tol if n + l >= m else config.vertex_clearance
+    records = []
+    for y, t, resid in _cluster(roots, config.dedupe_radius, _domain_period(h)):
+        carrier = _carrier(s, t, config) if resid < threshold else None
+        if carrier is None:
+            continue
+        face, t_face = carrier
+        fb, fA = state.realization.simplex_frame(face)
+        x, J = state.eval_eta_with_jacobian(fb + (fA @ t_face if face.dim else 0.0))
+        records.append(_make_record(state, h, face, y, t_face, resid, x, J, config))
+    return records, float(min_resid)
+
+
+def _verify_only_case(name):
+    scenario = cli.load_scenario(str(SCENARIOS / f"{name}.cfg"))
+    cplx, real, h = cli._build_inputs(scenario)
+    return TriangulationState(cplx, real), h, scenario.config
+
+
+def _record_fields(rec):
+    return (rec.simplex, rec.y, rec.t, rec.point, rec.residual, rec.margin, rec.classification)
+
+
+@pytest.mark.parametrize("case", ["scenario_a_run", "point_map"] + VERIFY_SCENARIOS)
+def test_verifier_by_dimension_equals_one_simplex_at_a_time(scenario_a_run, monkeypatch, case):
+    if case == "scenario_a_run":
+        state, h, config = scenario_a_run["state"], scenario_a_run["h"], scenario_a_run["config"]
+    elif case == "point_map":
+        # the image of vertex 12, (0, 0): a skeleton hit at a vertex
+        state, config = scenario_a_run["state"], scenario_a_run["config"]
+        h = PointMap(state.eval_eta(state.realization.point(12)))
+    else:
+        state, h, config = _verify_only_case(case)
+    ref = {}
+    for l in range(state.complex.dim + 1):
+        group = state.complex.by_dim(l)
+        got = find_intersections(state, group, h, config)
+        assert len(got) == len(group)
+        for s, (records, min_resid) in zip(group, got):
+            ref[s] = ref_find(state, s, h, config)
+            assert [_record_fields(r) for r in records] == [_record_fields(r) for r in ref[s][0]]
+            assert same_bits(min_resid, ref[s][1])
+    assert any(records for records, _ in ref.values()) == (case != "scenario_disjoint")
+    report = verify_triangulation(state, h, config)
+    monkeypatch.setattr(verify, "find_intersections",
+                        lambda st, group, hh, cfg: [ref[s] for s in group])
+    want = verify_triangulation(state, h, config)
+    assert report_to_csv(report) == report_to_csv(want)
+    assert report_summary(report) == report_summary(want)
+
+
+def test_min_distance_to_image_equals_per_seed_refinement():
+    config = PipelineConfig()
+    h = CircleMap((0.1, 0.2), 1.3)
+    for point in ([2.0, 0.0], [0.1, 1.5], [0.1, 0.2], [1.4, 0.2]):
+        x = np.array(point)
+        ys = _domain_seeds(h, config)
+        d = np.linalg.norm(h.eval_batch(ys) - x, axis=1)
+        const = Patch(l=0, eval=lambda t, owner: np.tile(x, (len(t), 1)),
+                      eval_jac=lambda t, owner: (np.tile(x, (len(t), 1)), np.zeros((len(t), 2, 0))))
+        best = d.min()
+        for i in np.argsort(d)[: max(3, d.size // 8)]:
+            out = _gauss_newton(h, const, ys[i], np.zeros(0), config, 1.0)
+            if out is not None:
+                best = min(best, out[2])
+        assert same_bits(min_distance_to_image(h, x, config), best)
+
+
+# ---------------------------------------------------------------------------
+# level-wide shift sampling against the one-simplex loop
+
+
+def ref_candidate(state, chart, pert, h, config):
+    """Verifier verdict for one candidate, through the simplex's own chart."""
+    l = chart.l
+
+    def ej(t, owner):
+        x, J = chart.forward_with_jacobian(t, pert.shift(t))
+        w2 = np.asarray(bump.scaled_warp(bump.rho_l(t), 2))[..., None, None]
+        dS = np.where(w2 == 0.0, 0.0, pert.v[:, None] * bump.rho_l_grad(t)[..., None, :] * w2)
+        return x, J[..., :l] + J[..., l:] @ dS
+
+    patch = Patch(l=l, eval=lambda t, owner: chart.forward(t, pert.shift(t)), eval_jac=ej)
+    [(roots, min_resid)] = patch_roots(h, patch, config, state.mesh_scale)
+    if h.domain.dim + l < state.ambient_dim:
+        return min_resid > config.vertex_clearance
+    return all(transversality_margin(h.jacobian_raw(y), ej(t[None], None)[1][0]) >= config.tol_rank
+               for y, t, resid in roots if resid < config.solve_tol)
+
+
+def ref_level(state, level, h, config, sd):
+    """Each simplex's (v, retries, shrinks), or the message of the first
+    failure, from the one-simplex-at-a-time loop."""
+    out = []
+    for idx, s in enumerate(state.complex.by_dim(level)):
+        rng = np.random.default_rng([config.seed, level, idx])
+        chart = make_chart(state, s)
+        try:
+            c_sigma = perturb.estimate_c_sigma(state, s, config, sd_data=sd, chart=chart)
+        except DegenerateGeometryError as exc:
+            return out, f"level {level} aborted at simplex {s.vertices}: {exc}"
+        eps = min(c_sigma, 0.5 / bump.c_beta(), config.epsilon_max,
+                  config.mesh_scale_factor * state.mesh_scale)
+        for shrink in range(config.max_eps_shrinks + 1):
+            for tries in range(config.max_retries):
+                v = _draw_shift(rng, state.ambient_dim - level, eps)
+                pert = LocalPerturbation(s, chart, c_sigma, eps, v, tries, shrink)
+                if ref_candidate(state, chart, pert, h, config):
+                    break
+            else:
+                return out, (f"level {level} aborted at simplex {s.vertices}: {config.max_retries}"
+                             f" candidates rejected for simplex {s.vertices}; the deformation scale"
+                             " cannot clear the verifier thresholds (tolerances too strict for"
+                             " this geometry)")
+            try:
+                perturb.build_local_diffeo(pert)
+            except EpsilonTooLargeError:
+                eps *= 0.5
+                continue
+            out.append((tuple(v), tries, shrink, eps))
+            break
+        else:
+            return out, (f"level {level} aborted at simplex {s.vertices}: epsilon still too large"
+                         f" after {config.max_eps_shrinks} shrinks for simplex {s.vertices}")
+    return out, None
+
+
+def _level_start(scenario_a_run, level):
+    final = scenario_a_run["state"]
+    return TriangulationState(final.complex, final.realization,
+                              [lk for lk in final.links if lk.level < level])
+
+
+def _shrink_guard(times):
+    """A guard that rejects the first `times` epsilons of every other
+    simplex, by vertex-id parity, and passes everything else."""
+    real_guard = perturb.build_local_diffeo
+
+    def guard(pert):
+        if sum(pert.simplex.vertices) % 2 == 0 and pert.shrinks_used < times:
+            raise EpsilonTooLargeError("forced")
+        return real_guard(pert)
+
+    return guard
+
+
+def _sampled(state, level, h, config, sd):
+    try:
+        new = perturb_level(state, level, h, config, sd)
+    except PerturbationError as exc:
+        return str(exc)
+    links = new.links[len(state.links):]
+    return [(lk.meta["v"], lk.meta["retries"], lk.meta["shrinks"], lk.meta["epsilon"])
+            for lk in links]
+
+
+@pytest.mark.parametrize("case", ["level0", "level1", "rejections", "shrinks",
+                                  "shrinks_exhausted"])
+def test_level_sampling_equals_one_simplex_loop(scenario_a_run, monkeypatch, case):
+    h, config = scenario_a_run["h"], scenario_a_run["config"]
+    level = 1 if case == "level1" else 0
+    if case == "rejections":
+        # vertices on the circle lose the candidates that move them less
+        # than the clearance off it; they move by exp(-1) |v| < 1.3e-3
+        config = config.replace(vertex_clearance=1e-3)
+    if case.startswith("shrinks"):
+        monkeypatch.setattr(perturb, "build_local_diffeo", _shrink_guard(2))
+    if case == "shrinks_exhausted":
+        config = config.replace(max_eps_shrinks=1)
+    state = _level_start(scenario_a_run, level)
+    sd = subdivision_data(state)
+    want, error = ref_level(state, level, h, config, sd)
+    got = _sampled(state, level, h, config, sd)
+    if error is not None:
+        assert got == error
+        assert case == "shrinks_exhausted"
+        return
+    assert got == want
+    retries = [r for _, r, _, _ in got]
+    shrinks = [k for _, _, k, _ in got]
+    assert any(retries) == (case == "rejections")
+    assert (max(shrinks) == 2) == (case == "shrinks")
+
+
+@pytest.mark.parametrize("first", ["sampling", "clearance"])
+def test_level_failure_names_the_lowest_index_simplex(scenario_a_run, monkeypatch, first):
+    # a clearance above the largest vertex move, 1.3e-3, rejects every
+    # candidate of the four vertices on the circle: 7 (-1, 0), 11 (0, -1),
+    # 13 (0, 1) and 17 (1, 0)
+    h = scenario_a_run["h"]
+    config = scenario_a_run["config"].replace(vertex_clearance=2e-2, max_retries=4)
+    state = _level_start(scenario_a_run, 0)
+    sd = subdivision_data(state)
+    degenerate = sc.Simplex((3,)) if first == "clearance" else sc.Simplex((12,))
+    real_search = perturb.estimate_c_sigma
+
+    def search(state, s, *args, **kwargs):
+        if s == degenerate:
+            raise DegenerateGeometryError(f"no fiber clearance for simplex {s.vertices}")
+        return real_search(state, s, *args, **kwargs)
+
+    monkeypatch.setattr(perturb, "estimate_c_sigma", search)
+    _, want = ref_level(state, 0, h, config, sd)
+    with pytest.raises(PerturbationError) as err:
+        perturb_level(state, 0, h, config, sd)
+    assert str(err.value) == want
+    named = degenerate if first == "clearance" else sc.Simplex((7,))
+    assert err.value.simplex == named
+    assert want.startswith(f"level 0 aborted at simplex {named.vertices}: ")
+
+
+def test_degenerate_run_message(tmp_path, capsys):
+    scenario = cli.load_scenario(str(SCENARIOS / "scenario_b_degenerate.cfg"))
+    assert cli.run(scenario, out_dir=str(tmp_path)) == 1
+    assert capsys.readouterr().err == (
+        "pipeline failed: level 1 aborted at simplex (4, 13): 64 candidates rejected for"
+        " simplex (4, 13); the deformation scale cannot clear the verifier thresholds"
+        " (tolerances too strict for this geometry)\n")
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_deformed_patch_rows_equal_per_chart_evaluation(scenario_a_run, level):
+    state = _level_start(scenario_a_run, level)
+    charts = [make_chart(state, s) for s in state.complex.by_dim(level)]
+    eps = 0.05
+    perts = [LocalPerturbation(c.simplex, c, eps, eps, _draw_shift(RNG, 2 - level, eps))
+             for c in charts]
+    patch = perturb._deformed_patch(charts, perts)
+    owner = RNG.integers(len(charts), size=200)
+    t = RNG.dirichlet(np.ones(level + 1), size=200)[:, :level]
+    x, J = patch.eval_jac(t, owner)
+    assert same_bits(patch.eval(t, owner), x)
+    for k in np.unique(owner):
+        rows = owner == k
+        chart, pert = charts[k], perts[k]
+        xk, Jk = chart.forward_with_jacobian(t[rows], pert.shift(t[rows]))
+        w2 = np.asarray(bump.scaled_warp(bump.rho_l(t[rows]), 2))[..., None, None]
+        dS = np.where(w2 == 0.0, 0.0, pert.v[:, None] * bump.rho_l_grad(t[rows])[..., None, :] * w2)
+        assert same_bits(x[rows], xk)
+        assert same_bits(J[rows], Jk[..., :level] + Jk[..., level:] @ dS)
+
+
+def test_candidate_verdicts_are_a_plain_list(scenario_a_run):
+    state = _level_start(scenario_a_run, 1)
+    charts = [make_chart(state, s) for s in state.complex.by_dim(1)[:5]]
+    perts = [LocalPerturbation(c.simplex, c, 0.05, 0.05, _draw_shift(RNG, 1, 0.05))
+             for c in charts]
+    verdicts = perturb._candidate_transverse(state, charts, perts, scenario_a_run["h"],
+                                             scenario_a_run["config"])
+    assert type(verdicts) is list and len(verdicts) == 5
+    assert all(type(v) is bool for v in verdicts)

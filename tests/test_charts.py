@@ -139,9 +139,11 @@ class TestEta:
         assert fd_jacobian_check(state.eval_eta, eta_jacobian, pts) < 1e-6
 
 
-def point_in_star(state, x, star_set, sd_realization):
-    """Whether an ambient point pulls back into the given open star."""
-    return StarLocator(star_set, sd_realization).contains_base_point(
+def point_in_star(state, x, sd, s):
+    """Whether an ambient point pulls back into the open star of the
+    barycenter of s in the subdivision sd."""
+    v = sd.barycenter_ids[s]
+    return StarLocator(v, sd.star_tops[v], sd.realization).contains_base_point(
         state.eval_eta_inverse(x))
 
 
@@ -149,17 +151,14 @@ class TestPointInStar:
     def test_barycenter_in_own_star(self, base_state):
         sd = subdivision_data(base_state)
         s = sc.Simplex((0, 3))
-        bary_vertex = sc.Simplex((sd.barycenter_ids[s],))
-        star_set = sc.star(sd.cplx, bary_vertex)
         x = base_state.eval_eta(sc.barycenter(s, base_state.realization))
-        assert point_in_star(base_state, x, star_set, sd.realization)
+        assert point_in_star(base_state, x, sd, s)
 
     def test_far_vertex_not_in_star(self, base_state):
         sd = subdivision_data(base_state)
         s = sc.Simplex((0, 2))
-        star_set = sc.star(sd.cplx, sc.Simplex((sd.barycenter_ids[s],)))
         x = base_state.realization.point(1)  # opposite corner (0, 1)
-        assert not point_in_star(base_state, x, star_set, sd.realization)
+        assert not point_in_star(base_state, x, sd, s)
 
     def test_matches_brute_force_location(self, base_state):
         # membership == carrier-of-location is in the star set
@@ -168,7 +167,7 @@ class TestPointInStar:
         star_set = sc.star(sd.cplx, sc.Simplex((sd.barycenter_ids[s],)))
         for _ in range(200):
             x = RNG.uniform(-0.1, 1.1, size=2)
-            got = point_in_star(base_state, x, star_set, sd.realization)
+            got = point_in_star(base_state, x, sd, s)
             loc = sc.point_locate(sd.cplx, sd.realization, x)
             expect = loc is not None and loc.simplex in star_set
             assert got == expect

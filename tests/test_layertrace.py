@@ -4,19 +4,27 @@ breaks it fails here instead of in the minute-long smoke run:
 * its layer tracer still finds every transtri function and method it
   wraps, so no traced boundary was renamed or dropped;
 * scenario A at seed 1 still gives the chain metadata and records that
-  its cross-commit gate, perfbench/expected.json, pins.
+  its cross-commit gate, perfbench/expected.json, pins;
+* verify-only of every shipped scenario still gives the exit status,
+  verdict, records by class and chain metadata that the same file pins.
 """
 
 import hashlib
 import importlib.util
 import json
+import re
 from pathlib import Path
+
+import pytest
 
 import transtri.cli  # noqa: F401  (imports every module the tracer wraps)
 from transtri.charts import dump_chain_metadata
+from transtri.cli import load_scenario, verify_only
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 LAYERTRACE = PERFBENCH / "layertrace.py"
+RECORDS = re.compile(r"records: \d+ \(transverse (\d+), tangent (\d+), skeleton-hit (\d+)\)")
 
 
 def test_every_traced_boundary_exists():
@@ -40,3 +48,21 @@ def test_scenario_a_matches_the_cross_commit_gate(scenario_a_run):
     records = {"transverse": d["n_transverse"], "tangent": d["n_tangent"],
                "skeleton-hit": d["n_skeleton_hits"]}
     assert records == expected["records"]
+
+
+def _expected_verify():
+    with open(PERFBENCH / "expected.json") as fh:
+        return json.load(fh)["verify"]
+
+
+@pytest.mark.parametrize("name", sorted(_expected_verify()))
+def test_verify_only_matches_the_cross_commit_gate(tmp_path, capsys, name):
+    code = verify_only(load_scenario(str(ROOT / "scenarios" / f"{name}.cfg")),
+                       out_dir=str(tmp_path))
+    summary = (tmp_path / "summary.txt").read_text()
+    counts = [int(c) for c in RECORDS.search(summary).groups()]
+    got = {"exit": code, "result": summary.split("\n", 1)[0].split(": ", 1)[1],
+           "records": dict(zip(("transverse", "tangent", "skeleton-hit"), counts)),
+           "metadata_sha256": hashlib.sha256(
+               (tmp_path / "chain_metadata.txt").read_bytes()).hexdigest()}
+    assert got == _expected_verify()[name]
