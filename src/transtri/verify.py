@@ -274,7 +274,7 @@ def patch_roots(h, patch, config, scale, t_per_dim=None):
     roots = [[] for _ in range(patch.size)]
     min_resid = coarse.tolist()
     iy, it = np.array(pairs, int).reshape(-1, 2).T
-    owner = it // max(1, len(ts) // patch.size)
+    owner = it // (len(ts) // patch.size)
     refined = _gauss_newton(h, patch, ys[iy], ts[it], config, scale, owner) if pairs else []
     for a, b, k, out in zip(iy, it, owner, refined):
         if out is None:
