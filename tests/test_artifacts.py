@@ -1,0 +1,86 @@
+"""Every artifact stays byte-identical: the sha256 of each file written by
+verify-only of the six shipped scenarios and by `run` of scenario A at
+seed 1 is pinned to the value recorded at commit 9fba631.
+
+summary.txt is hashed without its elapsed-seconds line, the only timing
+in it, as scripts/artifact_digests.py does.  A refactor that keeps the
+behaviour keeps every digest; a deliberate change of an artifact updates
+the table below and says why.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from transtri.cli import load_scenario, run, verify_only
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+EMPTY_CHAIN = "c8619c088fd3a5f0df214255536af3370f6907b389c77c3cf2628774b308699c"
+
+DIGESTS = {
+    ("verify", "scenario_a"): {
+        "report.csv": "5b3656160565d1c949b71b928c7c61984b2eea183eb62a2be027f3730b727331",
+        "summary.txt": "70219b53823261daedd8a53b464d4c613c9c60ce42b9e120cb8cb7eb5895df8a",
+        "mesh.svg": "643a40b5430af45ae02a6a1b7a35c722b9f36766a3b1754cb25151001d77372d",
+        "chain_metadata.txt": EMPTY_CHAIN,
+    },
+    ("verify", "scenario_b"): {
+        "report.csv": "852bd12718758968c8f8dc690b36676bdcb6289d573a8b6a83d1c86c8975c0d5",
+        "summary.txt": "5917186896b893ce4e659576917fa029558203c5f22b4e2c8c1449ce10529a91",
+        "mesh.obj": "17c5121dca2e7850b7f5dfc62ed5b401634685d5852d2fc531ceacc07d86cc35",
+        "curve_samples.csv": "f7a2f4c764752f0dc392d734a4532d325e15ebcf8b6d67f8c96cf32191ad7469",
+        "chain_metadata.txt": EMPTY_CHAIN,
+    },
+    ("verify", "scenario_b_degenerate"): {
+        "report.csv": "ede4d4c8e06eb065f16a2d59d7871350a7dd982ec00e6c0a9492a7f081572350",
+        "summary.txt": "37bd8d63903c0da84103aa0ab066ac95ee9af159d9ba85db747fd0be65b84112",
+        "mesh.obj": "17c5121dca2e7850b7f5dfc62ed5b401634685d5852d2fc531ceacc07d86cc35",
+        "curve_samples.csv": "90b1bd9917af46c28448682649ebb0fac2ba322853649bb1aed7bad70611f05f",
+        "chain_metadata.txt": EMPTY_CHAIN,
+    },
+    ("verify", "scenario_c"): {
+        "report.csv": "99ceccbc6fcf467dcf0455b02eeb2c4294fd8afd306a35a628eb6d9e9ff9528c",
+        "summary.txt": "574ec1534394d590f8fed71756d55cc8ee0cf3691d4f31dfe1c56616f5fab4c7",
+        "mesh.svg": "25c0b3523871a599017453527878e1aacc1ba6d9e8354396f2e8b5239f3be879",
+        "chain_metadata.txt": EMPTY_CHAIN,
+    },
+    ("verify", "scenario_disjoint"): {
+        "report.csv": "7ac61d2af7b9e892bb9b9b8732a898cd50af47419e1aace7d1ea4ef15bd42717",
+        "summary.txt": "524773e8768df3a8f4d2704850d2a81ba9abcac7d88e556493bfdd82cda2740e",
+        "mesh.svg": "f8636916d1f1341b60293b1e34d625eedc56a33b87d870cd6519c6cd9a1f04d6",
+        "chain_metadata.txt": EMPTY_CHAIN,
+    },
+    ("verify", "scenario_tangent"): {
+        "report.csv": "fc7b060e42a4aeac20a0816b118a1fdeb429261238a09d93fb3723218335f8bf",
+        "summary.txt": "4730bd076264f10c01caa0f45fcea8404c7f750979aebb081a3868f18251f79c",
+        "mesh.svg": "da281dabd7c94545dbb864aa0608599cb885acb3361b9dd4ac6a8beecff55180",
+        "chain_metadata.txt": EMPTY_CHAIN,
+    },
+    ("run", "scenario_a"): {
+        "report.csv": "41043c15898e0a5cec99cd56019f5310bda22b47034a6e061c36e6bef368d1d0",
+        "summary.txt": "f589122b48d23c9cd2cbab3b32e858b76ff8ab3324f4a371c0b984d64af6b289",
+        "mesh.svg": "92a27b64f4bbdd7bf6723f862c660d8eb82597e35a7fb8dff7b63a3a162c4dbf",
+        "chain_metadata.txt": "add88ba690cc842dc373afa7d12e30f62ae1612f91997faae44d810a8630362e",
+    },
+}
+
+
+def _digest(path):
+    data = path.read_bytes()
+    if path.name == "summary.txt":
+        data = b"".join(line for line in data.splitlines(keepends=True)
+                        if not line.startswith(b"elapsed-seconds:"))
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("kind,name", sorted(DIGESTS))
+def test_artifacts_are_byte_identical(tmp_path, capsys, kind, name):
+    scenario = load_scenario(str(SCENARIOS / f"{name}.cfg"))
+    if kind == "run":
+        run(scenario, seed=1, out_dir=str(tmp_path))
+    else:
+        verify_only(scenario, out_dir=str(tmp_path))
+    written = {p.name: _digest(p) for p in tmp_path.iterdir() if not p.name.startswith(".")}
+    assert written == DIGESTS[kind, name]
