@@ -25,7 +25,7 @@ complement (QR completion, sign-fixed for determinism).  By construction
 chart(t, 0) = eta(iota(t)) on the standard simplex.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,23 +100,26 @@ class ChainOps:
                 for j in np.nonzero(inside.any(axis=0))[0]]
 
     def apply(self, x):
-        x = np.asarray(x, float)
-        X = x.reshape(-1, x.shape[-1]).copy()
-        for run in reversed(self.runs):
-            for i, rows in reversed(self._active(run, X)):
-                X[rows] = self.links[i].apply(X[rows])
-        return X.reshape(x.shape)
+        return self._forward(x, False)[0]
 
     def apply_with_jacobian(self, x):
+        return self._forward(x, True)
+
+    def _forward(self, x, with_jacobian):
+        """Chain values at the rows of x, newest link first, and on request
+        their m x m Jacobians."""
         x = np.asarray(x, float)
         m = x.shape[-1]
         X = x.reshape(-1, m).copy()
-        J = np.tile(np.eye(m), (len(X), 1, 1))
+        J = np.tile(np.eye(m), (len(X), 1, 1)) if with_jacobian else None
         for run in reversed(self.runs):
             for i, rows in reversed(self._active(run, X)):
-                X[rows], Jl = self.links[i].apply_with_jacobian(X[rows])
-                J[rows] = Jl @ J[rows]
-        return X.reshape(x.shape), J.reshape(x.shape + (m,))
+                if with_jacobian:
+                    X[rows], Jl = self.links[i].apply_with_jacobian(X[rows])
+                    J[rows] = Jl @ J[rows]
+                else:
+                    X[rows] = self.links[i].apply(X[rows])
+        return X.reshape(x.shape), None if J is None else J.reshape(x.shape + (m,))
 
     def invert(self, x):
         """Preimage of the rows of x, oldest links unwound first."""
@@ -189,7 +192,6 @@ class AmbientDiffeo:
     local: object             # moves/inverse_moves in (t, v) coordinates
     support_lo: np.ndarray
     support_hi: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def box_mask(self, x):
         """Rows of x inside the closed support box."""
@@ -200,60 +202,51 @@ class AmbientDiffeo:
         return bool(self.box_mask(x))
 
     def apply(self, x):
-        """Link values at the rows of x.
+        """Link values at the rows of x, (N, m).
 
         Rows outside the box, or on the local identity branch, come back
         unchanged rather than round-tripped through the frame; x itself
         comes back when no row moves.
         """
-        return self._eval(x, False)[0]
+        return self._step(x, self.local.moves)[0]
 
     def apply_with_jacobian(self, x):
         """Link values and Jacobians at the rows of x, from one frame pass;
         the Jacobian is the identity outside the box."""
-        return self._eval(x, True)
-
-    def _eval(self, x, with_jacobian):
-        x = np.asarray(x, float)
-        m = x.shape[-1]
-        X = x.reshape(-1, m)
-        rows = np.nonzero(self.box_mask(X))[0]
-        J = np.tile(np.eye(m), (len(X), 1, 1)) if with_jacobian else None
-        out = x
+        out, rows, local = self._step(x, lambda t, v: self.local.moves(t, v, True))
+        J = np.tile(np.eye(out.shape[1]), (len(out), 1, 1))
         if rows.size:
-            chart = self.chart
-            t, v = chart.frame_coords(X[rows])
-            moved, v2, Jl = self.local.moves(t, v, with_jacobian)
-            if with_jacobian:
-                J[rows] = chart._M @ Jl @ chart._Minv
-            if moved.any():
-                out = X.copy()
-                out[rows[moved]] = chart.frame_point(t[moved], v2)
-                out = out.reshape(x.shape)
-        return out, None if J is None else J.reshape(x.shape + (m,))
+            J[rows] = self.chart._M @ local[2] @ self.chart._Minv
+        return out, J
 
     def invert(self, x):
-        """Link preimages of the rows of x.
+        """Link preimages of the rows of x, (N, m).
 
         Rows outside the box, or whose fiber the local inverse leaves
         alone, come back unchanged; x itself comes back when no row moves.
         """
+        return self._step(x, self.local.inverse_moves)[0]
+
+    def _step(self, x, local):
+        """Run local(t, v) -> (moved rows, their new fibers, ...) on the frame
+        coordinates of the rows of x inside the box and write the moved rows
+        back.  Returns the new points (x itself when no row moves), the box
+        rows and local's result (None for an empty box)."""
         x = np.asarray(x, float)
-        X = x.reshape(-1, x.shape[-1])
-        rows = np.nonzero(self.box_mask(X))[0]
+        rows = np.nonzero(self.box_mask(x))[0]
         if not rows.size:
-            return x
-        t, w = self.chart.frame_coords(X[rows])
+            return x, rows, None
+        t, v = self.chart.frame_coords(x[rows])
         try:
-            moved, v = self.local.inverse_moves(t, w)
+            result = local(t, v)
         except NewtonDivergenceError as exc:
             exc.link = self
             raise
-        if not moved.size:
-            return x
-        out = X.copy()
-        out[rows[moved]] = self.chart.frame_point(t[moved], v)
-        return out.reshape(x.shape)
+        moved, v2 = result[:2]
+        if moved.size:
+            x = x.copy()
+            x[rows[moved]] = self.chart.frame_point(t[moved], v2)
+        return x, rows, result
 
 
 class TriangulationState:
@@ -331,12 +324,10 @@ class StarLocator:
         self.tol = tol
 
     def contains_base_point(self, p):
-        """Whether each row of p lies in the open star (a bool for a 1-D p)."""
-        p = np.asarray(p, float)
-        faces = self.index.carriers(p.reshape(-1, p.shape[-1]), self.tol)
-        inside = np.array([face is not None and self.vertex in face.vertices
-                           for face in faces], bool)
-        return inside if p.ndim > 1 else bool(inside[0])
+        """Whether each row of p lies in the open star, as a bool array."""
+        faces = self.index.carriers(np.atleast_2d(p), self.tol)
+        return np.array([face is not None and self.vertex in face.vertices
+                         for face in faces], bool)
 
 
 def dump_chain_metadata(state):
@@ -347,16 +338,14 @@ def dump_chain_metadata(state):
     """
     lines = [f"chain-links: {len(state.links)}"]
     for i, lk in enumerate(state.links):
-        meta = lk.meta
-        v = meta.get("v")
-        vtxt = "(" + ", ".join(repr(float(c)) for c in v) + ")" if v is not None else "()"
+        pert = lk.local.pert
         lines.append(
             f"link {i}: simplex={lk.simplex.vertices} level={lk.level}"
-            f" c_sigma={repr(float(meta.get('c_sigma', float('nan'))))}"
-            f" epsilon={repr(float(meta.get('epsilon', float('nan'))))}"
-            f" v={vtxt}"
-            f" retries={int(meta.get('retries', 0))}"
-            f" shrinks={int(meta.get('shrinks', 0))}"
+            f" c_sigma={repr(float(pert.c_sigma))}"
+            f" epsilon={repr(float(pert.epsilon))}"
+            f" v=({', '.join(repr(float(c)) for c in pert.v)})"
+            f" retries={int(pert.retries_used)}"
+            f" shrinks={int(pert.shrinks_used)}"
             f" support_lo=({', '.join(repr(float(c)) for c in lk.support_lo)})"
             f" support_hi=({', '.join(repr(float(c)) for c in lk.support_hi)})"
         )

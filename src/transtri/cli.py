@@ -61,7 +61,11 @@ def _parse_sections(path):
             key, value = (part.strip() for part in line.split("=", 1))
             if not key:
                 raise ConfigError("empty key", line=lineno)
-            sections[current][key.lower()] = (value, lineno)
+            key = key.lower()
+            if key in sections[current]:
+                raise ConfigError(f"key {key!r} repeated in [{current}], first on line "
+                                  f"{sections[current][key][1]}", line=lineno)
+            sections[current][key] = (value, lineno)
     return sections
 
 
@@ -160,7 +164,7 @@ def load_scenario(path):
     family = mp["family"][0].lower()
     if family not in MAP_FAMILIES:
         raise ConfigError(f"unknown map family {family!r}", line=mp["family"][1])
-    params = _map_params(family, mp)
+    params = _map_params(family, mp, m)
 
     overrides = {}
     for key, (value, line) in sections.get("pipeline", {}).items():
@@ -184,10 +188,12 @@ def load_scenario(path):
                     base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _map_params(family, section):
+_POINT_KEYS = {"value", "origin", "direction", "center", "u1", "u2"}
+
+
+def _map_params(family, section, m):
     # keys the family's constructor takes; coeff* rows stand for coeffs
     accepted = set(inspect.signature(MAP_FAMILIES[family]).parameters)
-    vector_keys = {"value", "origin", "direction", "center", "u1", "u2", "lo", "hi"}
     params = {}
     coeff_rows = {}
     for key, (value, line) in section.items():
@@ -195,14 +201,21 @@ def _map_params(family, section):
             continue
         if ("coeffs" if key.startswith("coeff") else key) not in accepted:
             raise ConfigError(f"unknown map key {key!r} for family {family}", line=line)
-        if key.startswith("coeff"):
-            coeff_rows[key] = (_floats(value, line), line)
-        elif key in vector_keys:
-            vals = _floats(value, line)
-            params[key] = vals[0] if key in ("lo", "hi") and family != "surface_patch" \
-                and len(vals) == 1 else vals
+        vals = _floats(value, line)
+        # a point or coefficient row has one number per ambient axis
+        if key.startswith("coeff") or key in _POINT_KEYS:
+            count = m
         else:
-            params[key] = _integer(value, line) if key in ("p", "q") else _scalar(value, line)
+            count = 2 if key in ("lo", "hi") and family == "surface_patch" else 1
+        if len(vals) != count:
+            raise ConfigError(f"map key {key!r} for family {family} needs {count} "
+                              f"number{'s' * (count > 1)}, got {value!r}", line=line)
+        if key.startswith("coeff"):
+            coeff_rows[key] = (vals, line)
+        elif count > 1:
+            params[key] = vals
+        else:
+            params[key] = _integer(value, line) if key in ("p", "q") else vals[0]
     if family == "poly_curve":
         if not coeff_rows:
             raise ConfigError("poly_curve needs coeff0, coeff1, ...")
@@ -226,8 +239,7 @@ def _map_params(family, section):
                                   line=coeff_rows[name][1]) from exc
         dj = max(d[0] for d in degs) + 1
         dk = max(d[1] for d in degs) + 1
-        mdim = len(next(iter(coeff_rows.values()))[0])
-        coeffs = np.zeros((dj, dk, mdim))
+        coeffs = np.zeros((dj, dk, m))
         for name, (vals, line) in coeff_rows.items():
             _, j, k = name.split("_")
             coeffs[int(j), int(k)] = vals
@@ -282,20 +294,21 @@ def run(scenario, seed=None, out_dir="out"):
         log.error("pipeline failed: %s", exc)
         print(f"pipeline failed: {exc}", file=sys.stderr)
         return 1
-    elapsed = time.monotonic() - t0
-    _write_artifacts(out_dir, scenario, state, h, report, elapsed)
-    print(f"{'PASS' if report.passed else 'FAIL'} in {elapsed:.2f}s; "
-          f"artifacts in {out_dir}")
-    return 0 if report.passed else 1
+    return _finish(out_dir, scenario, state, h, report, t0)
 
 
 def verify_only(scenario, out_dir="out"):
     """Verifier on the unperturbed mesh; useful to exhibit degeneracies."""
-    config = scenario.config
     cplx, real, h = _build_inputs(scenario)
     state = TriangulationState(cplx, real)
     t0 = time.monotonic()
-    report = verify_triangulation(state, h, config)
+    report = verify_triangulation(state, h, scenario.config)
+    return _finish(out_dir, scenario, state, h, report, t0)
+
+
+def _finish(out_dir, scenario, state, h, report, t0):
+    """Write the artifacts of a report computed since t0, print the verdict
+    and return the exit status: 0 iff the report passes."""
     elapsed = time.monotonic() - t0
     _write_artifacts(out_dir, scenario, state, h, report, elapsed)
     print(f"{'PASS' if report.passed else 'FAIL'} in {elapsed:.2f}s; "

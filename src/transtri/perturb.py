@@ -111,12 +111,11 @@ class LocalPerturbation:
 class LocalDiffeo:
     """Fiber-preserving local diffeomorphism in chart coordinates.
 
-    eval and jacobian take rows of t (N, l) and v (N, m-l); a 1-D pair is
-    the N = 1 case.  A row on the identity branch (t outside the open
-    simplex, |v| at or beyond the fade radius, or a shift that underflowed
-    to zero) is left exactly as it is, and eval returns the input v object
-    when no row moves, which lets callers keep exact identity behavior
-    outside the support.
+    Every method takes rows of t (N, l) and v (N, m-l).  A row on the
+    identity branch (t outside the open simplex, |v| at or beyond the fade
+    radius, or a shift that underflowed to zero) is left exactly as it is,
+    and eval returns the input v object when no row moves, which lets
+    callers keep exact identity behavior outside the support.
     """
 
     def __init__(self, pert):
@@ -126,24 +125,28 @@ class LocalDiffeo:
         self.l = pert.l
         self.m = pert.l + pert.v.size
 
-    def moves(self, t, v, with_jacobian=False):
-        """Rows that move, their new fibers and, on request, the Jacobian at
-        every row, from one bump evaluation; t is (N, l) and v is (N, m-l)."""
-        n, l = len(v), self.l
-        J = np.tile(np.eye(self.m), (n, 1, 1)) if with_jacobian else None
-        moved = np.zeros(n, bool)
+    def _support(self, t, v):
+        """Rows of v strictly inside the fade radius eps * rho_l(t), with
+        rho_l, the fade radius and |v| there, their shifts s = warp * v_shift
+        and which of those shifts are nonzero."""
         rho = bump.rho_l(t)
         fade = self.eps * rho
         vn = row_norms(v)
         rows = np.nonzero((fade > 0.0) & (vn < fade))[0]
-        if not rows.size:
-            return moved, v[:0], J
-        rho, vn = rho[rows], vn[rows]
-        r = vn / fade[rows]
-        b = bump.beta(r)
+        rho = rho[rows]
         s = bump.scaled_warp(rho, 0)[:, None] * self.v_shift
-        nz = s.any(axis=1)
-        moved[rows[nz]] = True
+        return rows, rho, fade[rows], vn[rows], s, s.any(axis=1)
+
+    def moves(self, t, v, with_jacobian=False):
+        """Rows that move, their new fibers and, on request, the Jacobian at
+        every row, from one bump evaluation; t is (N, l) and v is (N, m-l)."""
+        l = self.l
+        J = np.tile(np.eye(self.m), (len(v), 1, 1)) if with_jacobian else None
+        rows, rho, fade, vn, s, nz = self._support(t, v)
+        if not rows.size:
+            return rows, v[:0], J
+        r = vn / fade
+        b = bump.beta(r)
         v2 = v[rows[nz]] + b[nz, None] * s[nz]
         if with_jacobian:
             w1 = bump.scaled_warp(rho, 1)
@@ -154,24 +157,19 @@ class LocalDiffeo:
                 J[rows, l:, :l] = (self.v_shift[:, None] * grad_rho[:, None, :]
                                    * (b * w2 - bp * r * w1)[:, None, None])
             J[rows, l:, l:] = self._fiber_block(v[rows], vn, bp, w1)
-        return moved, v2, J
-
-    def _reshaped(self, t, v):
-        v = np.asarray(v, float).reshape(-1, self.m - self.l)
-        return np.asarray(t, float).reshape(len(v), self.l), v
+        return rows[nz], v2, J
 
     def eval(self, t, v):
-        T, V = self._reshaped(t, v)
-        moved, v2, _ = self.moves(T, V)
-        if not moved.any():
-            return t, v
-        V = V.copy()
-        V[moved] = v2
-        return t, V.reshape(np.shape(v))
+        """Images (t, v) of the rows of t and v; v itself when no row moves."""
+        moved, v2, _ = self.moves(t, v)
+        if moved.size:
+            v = v.copy()
+            v[moved] = v2
+        return t, v
 
     def jacobian(self, t, v):
-        J = self.moves(*self._reshaped(t, v), with_jacobian=True)[2]
-        return J.reshape(np.shape(v)[:-1] + (self.m, self.m))
+        """(N, m, m) Jacobians at the rows of t and v."""
+        return self.moves(t, v, with_jacobian=True)[2]
 
     def _fiber_block(self, v, vn, bp, w1):
         """d/dv of v + beta(|v| / (eps rho)) s(t) in the fiber, per row."""
@@ -192,16 +190,11 @@ class LocalDiffeo:
         onto itself.  The |J - I| < 1/2 guard makes the iteration a
         contraction, so a row that fails to converge raises.
         """
-        rho = bump.rho_l(t)
-        fade = self.eps * rho
-        rows = np.nonzero((fade > 0.0) & (row_norms(w) < fade))[0]
-        if rows.size:
-            s = bump.scaled_warp(rho[rows], 0)[:, None] * self.v_shift
-            nz = s.any(axis=1)
-            rows, s = rows[nz], s[nz]
+        rows, rho, fade, _, s, nz = self._support(t, w)
+        rows, s = rows[nz], s[nz]
         if not rows.size:
             return rows, w[:0]
-        fade, w, w1 = fade[rows], w[rows], bump.scaled_warp(rho[rows], 1)
+        fade, w, w1 = fade[nz], w[rows], bump.scaled_warp(rho[nz], 1)
         v = w.copy()
         live = np.arange(rows.size)
         for _ in range(50):
@@ -238,11 +231,9 @@ class SubdivisionData:
     star_tops: dict
 
     def carrier(self, p, tol=1e-10):
-        """Carrier simplex of each row of p, None outside the complex (one
-        simplex or None for a 1-D p)."""
-        p = np.asarray(p, float)
-        carriers = self.index.carriers(p.reshape(-1, p.shape[-1]), tol)
-        return carriers if p.ndim > 1 else carriers[0]
+        """Carrier simplex of each row of p, None outside the complex; a 1-D
+        p is one row."""
+        return self.index.carriers(np.atleast_2d(p), tol)
 
 
 def subdivision_data(state):
@@ -284,7 +275,7 @@ def _star_locator(state, s, sd_data, config):
                        config.barycentric_tol)
 
 
-def containment_ok(state, chart, locator, lattice, dirs, c, sd_data=None):
+def containment_ok(state, chart, locator, lattice, dirs, c, sd_data):
     """Sampled test of {(t, v): |v| <= c rho_l(t)} against the open star.
 
     Points at fiber radii c*rho and c*rho/2 in every direction must pull
@@ -318,14 +309,11 @@ def containment_ok(state, chart, locator, lattice, dirs, c, sd_data=None):
 
 
 def _pulled_back_ok(locator, base, sd_data):
-    """Whether every row of base lies in the locator's open star or, given
-    sd_data, outside the realized complex."""
+    """Whether every row of base lies in the locator's open star or outside
+    the realized complex."""
     outside = ~locator.contains_base_point(base)
-    if not outside.any():
-        return True
-    if sd_data is None:
-        return False
-    return all(s is None for s in sd_data.carrier(base[outside], locator.tol))
+    return not outside.any() or all(
+        s is None for s in sd_data.carrier(base[outside], locator.tol))
 
 
 def estimate_c_sigma(state, s, config=None, sd_data=None, chart=None):
@@ -509,38 +497,26 @@ def build_local_diffeo(pert, check_samples=24):
     return psi
 
 
-def extend_to_ambient(state, psi, chart, level=None, meta=None):
+def extend_to_ambient(state, psi, chart, level):
     """Extend a local diffeomorphism by the identity to the ambient space.
 
     The support box is the affine image of the parameter simplex times the
     maximal fiber radius; outside it the link is the identity exactly.
     """
-    pert = psi.pert
     l, m = chart.l, chart.m
-    if l:
-        bary = np.full(l, 1.0 / (l + 1))
-        rho_max = bump.rho_l(bary)
-        t_corners = [np.zeros(l)] + [np.eye(l)[i] for i in range(l)]
-    else:
-        rho_max = 1.0
-        t_corners = [np.zeros(0)]
-    rad = pert.epsilon * rho_max
-    pts = []
-    for t in t_corners:
-        for signs in np.ndindex(*(2,) * (m - l)):
-            v = rad * (2.0 * np.array(signs, float) - 1.0)
-            pts.append(chart.frame_point(t, v))
-    pts = np.array(pts)
+    rho_max = bump.rho_l(np.full(l, 1.0 / (l + 1))) if l else 1.0
+    rad = psi.pert.epsilon * rho_max
+    t_corners = np.vstack([np.zeros(l), np.eye(l)])
+    v_corners = rad * (2.0 * np.array(list(np.ndindex(*(2,) * (m - l))), float) - 1.0)
+    pts = chart.frame_point(np.repeat(t_corners, len(v_corners), axis=0),
+                            np.tile(v_corners, (l + 1, 1)))
     return AmbientDiffeo(
         simplex=chart.simplex,
-        level=level if level is not None else l,
+        level=level,
         chart=chart,
         local=psi,
         support_lo=pts.min(axis=0),
         support_hi=pts.max(axis=0),
-        meta=dict(meta or {}, c_sigma=pert.c_sigma, epsilon=pert.epsilon,
-                  v=tuple(float(x) for x in pert.v), retries=pert.retries_used,
-                  shrinks=pert.shrinks_used),
     )
 
 
@@ -623,9 +599,7 @@ def perturb_level(state, level, h, config=None, sd_data=None):
 
 def _image_clearly_disjoint(state, h, config):
     """Dense-sample test that the map image stays away from the mesh box."""
-    if h.domain.kind == "point":
-        ys = h.sample_domain(1)
-    elif h.domain.kind == "interval":
+    if h.domain.kind == "interval":
         lo, hi = h.domain.lo[0], h.domain.hi[0]
         n = max(16, int(round(4 * config.curve_density * (hi - lo))))
         ys = h.sample_domain(n)

@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 
-from .charts import matvec
+from .rows import matvec
 
 __all__ = ["atomic_write", "write_svg", "write_obj", "write_curve_csv"]
 
@@ -62,8 +62,7 @@ def write_svg(path, state, h=None, report=None, edge_samples=16, size=800):
         parts.append(f'<circle cx="{pix(p).split(",")[0]}" cy="{pix(p).split(",")[1]}" '
                      f'r="2" fill="#888"/>')
     if h is not None:
-        ys = h.sample_domain(512) if h.domain.kind != "point" else h.sample_domain(1)
-        img = h.eval_batch(ys)
+        img = h.eval_batch(h.sample_domain(512))
         if img.shape[0] > 1:
             closed = h.domain.kind == "interval" and h.domain.periodic
             pts = np.vstack([img, img[:1]]) if closed else img
@@ -97,7 +96,7 @@ def write_obj(path, state):
 
 def write_curve_csv(path, h, density=256):
     """Samples of the map image, one row per parameter point."""
-    ys = h.sample_domain(density) if h.domain.kind != "point" else h.sample_domain(1)
+    ys = h.sample_domain(density)
     img = h.eval_batch(ys)
     n = ys.shape[1]
     header = ",".join([f"y{i}" for i in range(n)] + [f"x{i}" for i in range(img.shape[1])])

@@ -461,14 +461,23 @@ def write_mesh(path, cplx, realization):
 def read_mesh(path):
     """Read a mesh written by :func:`write_mesh`."""
     with open(path) as fh:
-        rows = [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
+        rows = [(i, ln.split()) for i, ln in enumerate(fh, start=1)
+                if ln.strip() and not ln.startswith("#")]
     try:
-        nv, ns = int(rows[0][0]), int(rows[0][1])
-        coords = {i: np.array([float(c) for c in rows[1 + i]]) for i in range(nv)}
+        nv, ns = int(rows[0][1][0]), int(rows[0][1][1])
+        coords = {i: np.array([float(c) for c in rows[1 + i][1]]) for i in range(nv)}
+        simplex_rows = rows[1 + nv : 1 + nv + ns]
+        if len(simplex_rows) < ns:
+            raise ValueError(f"line {rows[0][0]}: the header declares {ns} simplex rows, "
+                             f"the file has "
+                             f"{len(simplex_rows)}")
         tops = []
-        for r in rows[1 + nv : 1 + nv + ns]:
+        for j, (lineno, r) in enumerate(simplex_rows):
             k = int(r[0])
-            tops.append([int(v) for v in r[1 : 1 + k]])
+            if len(r) != 1 + k:
+                raise ValueError(f"line {lineno}: simplex row {j} declares {k} vertex ids, "
+                                 f"has {len(r) - 1}")
+            tops.append([int(v) for v in r[1:]])
     except (IndexError, ValueError) as exc:
         raise MeshError(f"malformed mesh file {path}: {exc}") from exc
     cplx = build_complex(nv, tops)

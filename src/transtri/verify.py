@@ -140,8 +140,6 @@ def _simplex_seed_count(config, l):
 
 
 def _domain_seeds(h, config):
-    if h.domain.kind == "point":
-        return h.sample_domain(1)
     if h.domain.kind == "interval":
         lo, hi = h.domain.lo[0], h.domain.hi[0]
         n = max(4, int(round(config.curve_density * (hi - lo))))
@@ -150,22 +148,20 @@ def _domain_seeds(h, config):
 
 
 def _gauss_newton(h, patch, y0, t0, config, scale, owner=None):
-    """Refine seeds toward h(y) = f(t).
+    """Refine seed pairs toward h(y) = f(t).
 
-    With 1-D y0 and t0, refines one pair and returns (y, t, residual) or
-    None.  With (P, n) and (P, l) rows, refines all P pairs at once and
-    returns a list of those results: every iteration evaluates h and the
-    patch once and solves one stacked least-squares problem over the pairs
-    still running, and each pair keeps its own best point, stall counter,
-    divergence test and domain test, so every result equals that of the
-    one-pair call.  Pair i lies on the patch of owner[i] (owner 0 when no
-    owner is given).
+    Refines the P pairs of (P, n) and (P, l) rows at once (a 1-D pair is
+    one row) and returns one (y, t, residual) or None per pair: every
+    iteration evaluates h and the patch once and solves one stacked
+    least-squares problem over the pairs still running, and each pair keeps
+    its own best point, stall counter, divergence test and domain test, so
+    every result equals that of a one-pair call.  Pair i lies on the patch
+    of owner[i] (owner 0 when no owner is given).
     """
-    single = np.ndim(t0) == 1
     n = h.domain.dim
-    P = 1 if single else len(t0)
+    T = np.atleast_2d(np.array(t0, float))
+    P = len(T)
     Y = np.array(y0, float).reshape(P, n)
-    T = np.array(t0, float).reshape(P, patch.l)
     O = np.zeros(P, int) if owner is None else np.asarray(owner, int).reshape(P)
     best_y, best_t = Y.copy(), T.copy()
     best_r = np.full(P, np.inf)
@@ -209,7 +205,7 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None):
     for p in range(P):
         ok = not diverged[p] and best_r[p] < np.inf and h.domain.contains(best_y[p], tol=tol)
         out.append((best_y[p], best_t[p], float(best_r[p])) if ok else None)
-    return out[0] if single else out
+    return out
 
 
 def _pair_seeds(h, patch, config, scale, t_per_dim=None):
@@ -375,17 +371,16 @@ def find_intersections(state, simplices, h, config=None):
     """Roots of h(y) = eta(iota_s(t)) with t in the closed simplex s, for
     every simplex s of one dimension at once.
 
-    Returns (records, min_residual) per simplex, or that pair alone for
-    one Simplex.  Roots landing on the simplex boundary are attributed to
-    the corresponding face.  The intersection threshold is the solve
-    tolerance when spanning is possible and the clearance threshold when
-    it is not; min_residual reports the best approach found (used for
-    vertex distance diagnostics).  One refinement covers every simplex,
-    and one chain pass evaluates eta at all of their roots.
+    Returns (records, min_residual) per simplex.  Roots landing on the
+    simplex boundary are attributed to the corresponding face.  The
+    intersection threshold is the solve tolerance when spanning is possible
+    and the clearance threshold when it is not; min_residual reports the
+    best approach found (used for vertex distance diagnostics).  One
+    refinement covers every simplex, and one chain pass evaluates eta at
+    all of their roots.
     """
     config = config or PipelineConfig()
-    single = isinstance(simplices, Simplex)
-    group = [simplices] if single else list(simplices)
+    group = list(simplices)
     l = group[0].dim
     n = h.domain.dim
     m = state.ambient_dim
@@ -413,8 +408,7 @@ def find_intersections(state, simplices, h, config=None):
         points, jacs = state.eval_eta_with_jacobian(np.array(base))
         for (k, y, resid, face, t_face), x, J in zip(hits, points, jacs):
             records[k].append(_make_record(state, h, face, y, t_face, resid, x, J, config))
-    out = [(recs, min_resid) for recs, (_, min_resid) in zip(records, found)]
-    return out[0] if single else out
+    return [(recs, min_resid) for recs, (_, min_resid) in zip(records, found)]
 
 
 # ---------------------------------------------------------------------------

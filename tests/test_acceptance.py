@@ -136,11 +136,11 @@ def test_criterion_05_jacobian_suite(base_state):
         l = s.dim
 
         def f(tv, psi=psi, l=l):
-            t2, v2 = psi.eval(tv[:l], tv[l:])
-            return np.concatenate([t2, v2])
+            t2, v2 = psi.eval(tv[None, :l], tv[None, l:])
+            return np.concatenate([t2[0], v2[0]])
 
         def jac(tv, psi=psi, l=l):
-            return psi.jacobian(tv[:l], tv[l:])
+            return psi.jacobian(tv[None, :l], tv[None, l:])[0]
 
         pts = []
         while len(pts) < 50:
@@ -170,18 +170,18 @@ def test_criterion_06_diffeomorphism_suite(small_pipeline):
         p = RNG.uniform(-0.5, 1.5, size=2)
         if link.in_box(p):
             continue
-        assert np.array_equal(link.apply(p), p)
+        assert np.array_equal(link.apply(p[None])[0], p)
         outside += 1
     while inside < 100:
         p = RNG.uniform(link.support_lo, link.support_hi)
-        assert np.linalg.norm(link.invert(link.apply(p)) - p) < 1e-9
+        assert np.linalg.norm(link.invert(link.apply(p[None]))[0] - p) < 1e-9
         inside += 1
     level0 = [lk for lk in state.links if lk.level == 0]
     level1 = [lk for lk in state.links if lk.level == 1]
     worst = 0.0
     for a, b in ((level0[0], level0[-1]), (level1[0], level1[-1])):
         for _ in range(1000):
-            p = RNG.uniform(-0.2, 1.2, size=2)
+            p = RNG.uniform(-0.2, 1.2, size=(1, 2))
             worst = max(worst, float(np.linalg.norm(
                 a.apply(b.apply(p)) - b.apply(a.apply(p)))))
     assert worst <= 1e-12

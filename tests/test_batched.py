@@ -245,7 +245,8 @@ def _gn_case(scenario_a_run, name):
 def test_gauss_newton_pairs_equal_single_pairs(scenario_a_run, name):
     h, patch, y0, t0, config, scale = _gn_case(scenario_a_run, name)
     batched = _gauss_newton(h, patch, y0, t0, config, scale)
-    singles = [_gauss_newton(h, patch, y, t, config, scale) for y, t in zip(y0, t0)]
+    singles = [_gauss_newton(h, patch, y[None], t[None], config, scale)[0]
+               for y, t in zip(y0, t0)]
     assert len(batched) == len(singles) == len(y0)
     for b, s in zip(batched, singles):
         assert (b is None) == (s is None)
@@ -361,7 +362,7 @@ def test_point_location_rows_equal_single_points(scenario_a_run, kind):
     sd = subdivision_data(state)
     pts = _probe_points(state, kind)
     carriers = sd.carrier(pts)
-    assert carriers == [sd.carrier(p) for p in pts]
+    assert carriers == [sd.carrier(p[None])[0] for p in pts]
     assert carriers == [ref_carrier(sd.realization, sd.tops, p, 1e-10) for p in pts]
     assert (kind == "outside") == all(c is None for c in carriers)
     # vertex 12 is (0, 0), 7 is (-1, 0) and 13 is (0, 1)
@@ -370,7 +371,7 @@ def test_point_location_rows_equal_single_points(scenario_a_run, kind):
         locator = _star_locator(state, s, sd, config)
         inside = locator.contains_base_point(pts)
         assert inside.dtype == bool and inside.shape == (len(pts),)
-        assert inside.tolist() == [locator.contains_base_point(p) for p in pts]
+        assert inside.tolist() == [locator.contains_base_point(p[None])[0] for p in pts]
         star_set = sc.star(sd.cplx, sc.Simplex((locator.vertex,)))
         assert inside.tolist() == [ref_carrier(sd.realization, locator.tops, p, locator.tol)
                                    in star_set for p in pts]
@@ -392,10 +393,10 @@ def ref_containment_ok(state, chart, locator, lattice, dirs, c, sd_data):
     if not ts:
         return True
     for x in chart.forward(np.array(ts), np.array(vs)):
-        base = state.eval_eta_inverse(x)
-        if locator.contains_base_point(base):
+        base = state.eval_eta_inverse(x[None])
+        if locator.contains_base_point(base)[0]:
             continue
-        if sd_data.carrier(base, locator.tol) is None:
+        if sd_data.carrier(base, locator.tol)[0] is None:
             continue
         return False
     return True
@@ -542,7 +543,7 @@ def test_min_distance_to_image_equals_per_seed_refinement():
                       eval_jac=lambda t, owner: (np.tile(x, (len(t), 1)), np.zeros((len(t), 2, 0))))
         best = d.min()
         for i in np.argsort(d)[: max(3, d.size // 8)]:
-            out = _gauss_newton(h, const, ys[i], np.zeros(0), config, 1.0)
+            out = _gauss_newton(h, const, ys[i][None], np.zeros((1, 0)), config, 1.0)[0]
             if out is not None:
                 best = min(best, out[2])
         assert same_bits(min_distance_to_image(h, x, config), best)
@@ -632,8 +633,9 @@ def _sampled(state, level, h, config, sd):
     except PerturbationError as exc:
         return str(exc)
     links = new.links[len(state.links):]
-    return [(lk.meta["v"], lk.meta["retries"], lk.meta["shrinks"], lk.meta["epsilon"])
-            for lk in links]
+    perts = [lk.local.pert for lk in links]
+    return [(tuple(float(c) for c in p.v), p.retries_used, p.shrinks_used, p.epsilon)
+            for p in perts]
 
 
 @pytest.mark.parametrize("case", ["level0", "level1", "rejections", "shrinks",

@@ -258,3 +258,62 @@ class TestMapKeys:
         code = main(["verify-only", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "scenario error:" in capsys.readouterr().err
+
+
+class TestValueCounts:
+    """A map key with the wrong number of values is a scenario error."""
+
+    @pytest.mark.parametrize("family,keys,bad", [
+        # a line's interval bounds are single numbers
+        ("line", "origin = 0 0\ndirection = 1 0\n", "lo = -0.25 3"),
+        # a circle's axes are points of the ambient space
+        ("circle", "center = 0 0\nradius = 1\n", "u1 = 1 0 0"),
+        # every polynomial coefficient row is a point of the ambient space
+        ("poly_curve", "coeff0 = 0 0\n", "coeff1 = 1 1 1"),
+        # a surface patch's bounds are corners of its parameter square
+        ("surface_patch", "coeff_0_0 = 0 0\n", "lo = 0"),
+    ])
+    def test_wrong_count_exits_2_naming_key_family_and_line(self, tmp_path, capsys,
+                                                            family, keys, bad):
+        text = ("[scenario]\nambient_dim = 2\n"
+                "[mesh]\ngenerator = grid\nbox_lo = 0 0\nbox_hi = 1 1\n"
+                f"[map]\nfamily = {family}\n{keys}{bad}\n")
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(text)
+        line = text.count("\n")
+        key = bad.split(" =")[0]
+        with pytest.raises(ConfigError, match=rf"line {line}: .*'{key}'.*{family}"):
+            load_scenario(cfg)
+        code = main(["verify-only", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and f"line {line}" in err and key in err
+
+
+class TestRepeatedKeys:
+    def test_repeated_key_names_key_and_both_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("[scenario]\nambient_dim = 2\n"
+                       "[mesh]\ngenerator = grid\nbox_lo = 0 0\nbox_hi = 1 1\n"
+                       "[map]\nfamily = point\nvalue = 0 0\nvalue = 0.3 0.3\n")
+        with pytest.raises(ConfigError, match=r"line 10: key 'value' repeated in \[map\], "
+                                              r"first on line 9"):
+            load_scenario(cfg)
+        assert main(["verify-only", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "scenario error: line 10" in capsys.readouterr().err
+
+
+class TestTruncatedMesh:
+    @pytest.mark.parametrize("mesh,where", [
+        ("3 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n3 0 1\n", "line 5: simplex row 0"),
+        ("4 2\n0.0 0.0\n1.0 0.0\n0.0 1.0\n1.0 1.0\n3 0 1 2\n", "line 1: the header"),
+    ])
+    def test_truncated_mesh_file_exits_2(self, tmp_path, capsys, mesh, where):
+        (tmp_path / "m.txt").write_text(mesh)
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("[scenario]\nambient_dim = 2\n"
+                       "[mesh]\ngenerator = file\npath = m.txt\n"
+                       "[map]\nfamily = point\nvalue = 5 5\n")
+        assert main(["verify-only", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: malformed mesh file") and where in err

@@ -159,16 +159,16 @@ class TestLocalDiffeo:
         psi = build_local_diffeo(pert)
         t = np.array([0.5])
         rho = bump.rho_l(t)
-        v = np.array([2.0 * pert.epsilon * rho])
-        t2, v2 = psi.eval(t, v)
+        v = np.array([[2.0 * pert.epsilon * rho]])
+        t2, v2 = psi.eval(t[None], v)
         assert v2 is v  # exact fixed point, same object
 
     def test_identity_outside_open_simplex(self, base_state):
         pert = make_pert(base_state, sc.Simplex((0, 3)))
         psi = build_local_diffeo(pert)
         for t in (np.array([-0.1]), np.array([0.0]), np.array([1.0])):
-            v = np.array([1e-6])
-            _, v2 = psi.eval(t, v)
+            v = np.array([[1e-6]])
+            _, v2 = psi.eval(t[None], v)
             assert v2 is v
 
     def test_zero_section_moves_by_shift(self, base_state):
@@ -176,7 +176,7 @@ class TestLocalDiffeo:
         pert = make_pert(base_state, sc.Simplex((0,)), eps=0.05)
         psi = build_local_diffeo(pert)
         t = np.zeros(0)
-        _, v2 = psi.eval(t, np.zeros(2))
+        v2 = psi.eval(t[None], np.zeros((1, 2)))[1][0]
         assert np.allclose(v2, pert.shift(t), atol=0)
         assert np.allclose(v2, np.exp(-1.0) * pert.v)
 
@@ -188,11 +188,11 @@ class TestLocalDiffeo:
 
         def f(tv):
             t, v = tv[:sdim], tv[sdim:]
-            t2, v2 = psi.eval(t, v)
-            return np.concatenate([t2, v2])
+            t2, v2 = psi.eval(t[None], v[None])
+            return np.concatenate([t2[0], v2[0]])
 
         def jac(tv):
-            return psi.jacobian(tv[:sdim], tv[sdim:])
+            return psi.jacobian(tv[None, :sdim], tv[None, sdim:])[0]
 
         pts = []
         while len(pts) < 100:
@@ -211,7 +211,7 @@ class TestLocalDiffeo:
         for _ in range(50):
             v = RNG.uniform(-1, 1, size=2)
             v *= RNG.uniform(0, 1) * pert.epsilon / np.linalg.norm(v)
-            J = psi.jacobian(np.zeros(0), v)
+            J = psi.jacobian(np.zeros((1, 0)), v[None])[0]
             assert np.linalg.norm(J - np.eye(2), 2) < 0.5
 
     def test_fiber_inverse_round_trip(self, base_state):
@@ -221,7 +221,7 @@ class TestLocalDiffeo:
             t = RNG.uniform(0.2, 0.8, size=1)
             rho = bump.rho_l(t)
             v = RNG.uniform(-1, 1, size=1) * pert.epsilon * rho
-            _, w = psi.eval(t, v)
+            w = psi.eval(t[None], v[None])[1][0]
             moved, v2 = psi.inverse_moves(t[None], w[None])
             v2 = v2[0] if moved.size else w
             assert np.linalg.norm(v2 - v) < 1e-11
@@ -249,8 +249,8 @@ class TestAmbientExtension:
             p = RNG.uniform(-1, 2, size=2)
             if link.in_box(p):
                 continue
-            assert np.array_equal(link.apply(p), p)
-            assert np.array_equal(link.invert(p), p)
+            assert np.array_equal(link.apply(p[None])[0], p)
+            assert np.array_equal(link.invert(p[None])[0], p)
             count += 1
 
     def test_barycenter_moves_within_shift_bound(self, base_state):
@@ -258,7 +258,7 @@ class TestAmbientExtension:
         link = self._link(base_state, s)
         pert = link.local.pert
         b = sc.barycenter(s, base_state.realization)
-        moved = link.apply(b)
+        moved = link.apply(b[None])[0]
         rho_max = bump.rho_l(np.full(1, 0.5))
         assert np.linalg.norm(moved - b) <= pert.epsilon**2 * rho_max
 
@@ -267,7 +267,7 @@ class TestAmbientExtension:
         count = 0
         while count < 100:
             p = RNG.uniform(link.support_lo, link.support_hi)
-            q = link.invert(link.apply(p))
+            q = link.invert(link.apply(p[None]))[0]
             assert np.linalg.norm(q - p) < 1e-9
             count += 1
 
@@ -287,8 +287,8 @@ class TestLevels:
         a, b = level0[0], level0[1]
         for _ in range(1000):
             p = RNG.uniform(-0.2, 1.2, size=2)
-            ab = a.apply(b.apply(p))
-            ba = b.apply(a.apply(p))
+            ab = a.apply(b.apply(p[None]))
+            ba = b.apply(a.apply(p[None]))
             assert np.linalg.norm(ab - ba) <= 1e-12
 
     def test_lower_skeleton_fixed_after_each_level(self, two_triangle):
@@ -376,7 +376,7 @@ class TestSupportContainment:
             moved = checked = 0
             while checked < 60:
                 p = rng.uniform(link.support_lo, link.support_hi)
-                q = link.apply(p)
+                q = link.apply(p[None])[0]
                 checked += 1
                 if np.array_equal(q, p):
                     continue
@@ -415,11 +415,10 @@ class TestNewtonErrorContract:
 
         broken = type(link)(simplex=link.simplex, level=link.level,
                             chart=link.chart, local=Stuck(),
-                            support_lo=link.support_lo, support_hi=link.support_hi,
-                            meta=link.meta)
+                            support_lo=link.support_lo, support_hi=link.support_hi)
         inside = 0.5 * (link.support_lo + link.support_hi)
         with pytest.raises(NewtonDivergenceError) as info:
-            broken.invert(inside)
+            broken.invert(inside[None])
         assert info.value.link is broken
 
 

@@ -287,6 +287,20 @@ class TestMeshIO:
         with pytest.raises(MeshError, match="malformed"):
             sc.read_mesh(path)
 
+    def test_simplex_row_with_too_few_ids(self, tmp_path):
+        # "3 0 1" would otherwise be read as the edge (0, 1)
+        path = tmp_path / "short_row.txt"
+        path.write_text("3 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n3 0 1\n")
+        with pytest.raises(MeshError, match=r"line 5: simplex row 0 declares 3 vertex ids, has 2"):
+            sc.read_mesh(path)
+
+    def test_fewer_simplex_rows_than_declared(self, tmp_path):
+        path = tmp_path / "missing_row.txt"
+        path.write_text("4 2\n0.0 0.0\n1.0 0.0\n0.0 1.0\n1.0 1.0\n3 0 1 2\n")
+        with pytest.raises(MeshError, match=r"line 1: the header declares 2 simplex rows, "
+                                            r"the file has 1"):
+            sc.read_mesh(path)
+
 
 class TestRealizationValidation:
     def test_degenerate_simplex_rejected(self):

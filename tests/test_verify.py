@@ -67,7 +67,7 @@ def long_edge_state():
 class TestFindIntersections:
     def test_disjoint_images_empty(self, base_state):
         h = CircleMap((9.0, 9.0), 0.5)
-        recs, _ = find_intersections(base_state, sc.Simplex((0, 3)), h, CFG)
+        recs, _ = find_intersections(base_state, [sc.Simplex((0, 3))], h, CFG)[0]
         assert recs == []
 
     def test_circle_crosses_long_edge_twice(self):
@@ -75,7 +75,7 @@ class TestFindIntersections:
         # points (0, 1) and (0, -1), crossed at right angles
         state = long_edge_state()
         h = CircleMap((0.0, 0.0), 1.0)
-        recs, _ = find_intersections(state, sc.Simplex((0, 1)), h, CFG)
+        recs, _ = find_intersections(state, [sc.Simplex((0, 1))], h, CFG)[0]
         assert len(recs) == 2
         pts = sorted(r.point[1] for r in recs)
         assert abs(pts[0] + 1.0) < 1e-9 and abs(pts[1] - 1.0) < 1e-9
@@ -87,7 +87,7 @@ class TestFindIntersections:
         state = long_edge_state()
         h = CircleMap((0.0, 0.0), 1.0)
         dense = CFG.replace(curve_density=256, simplex_seed_density=32)
-        recs, _ = find_intersections(state, sc.Simplex((0, 1)), h, dense)
+        recs, _ = find_intersections(state, [sc.Simplex((0, 1))], h, dense)[0]
         assert len(recs) == 2
 
     def test_root_on_boundary_attributed_to_vertex(self):
@@ -99,7 +99,7 @@ class TestFindIntersections:
             {0: np.array([1.0, 0.0]), 1: np.array([2.0, 0.0])}, cplx)
         state = TriangulationState(cplx, real)
         h = CircleMap((0.0, 0.0), 1.0)
-        recs, _ = find_intersections(state, sc.Simplex((0, 1)), h, CFG)
+        recs, _ = find_intersections(state, [sc.Simplex((0, 1))], h, CFG)[0]
         assert any(r.simplex == sc.Simplex((0,)) and r.classification == "skeleton-hit"
                    for r in recs)
 
@@ -112,7 +112,7 @@ class TestFindIntersections:
             {0: np.array([1.0, 0.0]), 1: np.array([1.0, 1.0])}, cplx)
         state = TriangulationState(cplx, real)
         h = CircleMap((0.0, 0.0), 1.0)
-        recs, _ = find_intersections(state, sc.Simplex((0, 1)), h, CFG)
+        recs, _ = find_intersections(state, [sc.Simplex((0, 1))], h, CFG)[0]
         assert any(r.classification == "tangent" for r in recs)
 
 
@@ -227,6 +227,6 @@ class TestLineExtensionExclusion:
             {0: np.array([0.0, 0.0]), 1: np.array([1.0, 0.0])}, cplx)
         state = TriangulationState(cplx, real)
         h = CircleMap((2.0, 0.0), 0.5)
-        recs, min_resid = find_intersections(state, sc.Simplex((0, 1)), h, CFG)
+        recs, min_resid = find_intersections(state, [sc.Simplex((0, 1))], h, CFG)[0]
         assert recs == []
         assert min_resid > 0.4
