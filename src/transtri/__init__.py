@@ -22,11 +22,11 @@ from .smoothmap import (CircleMap, Domain, LineMap, PointMap, PolyCurveMap,
                         SmoothMap, SurfacePatchMap, TorusKnotMap, map_from_params)
 from .charts import (AmbientDiffeo, TriangulationState, TubularChart,
                      dump_chain_metadata, make_chart)
-from .perturb import (LocalPerturbation, build_local_diffeo, estimate_c_sigma,
-                      make_transverse, perturb_level, sample_regular_value)
+from .perturb import (LocalDiffeo, build_local_diffeo, estimate_c_sigma,
+                      make_transverse, perturb_level)
 from .verify import (IntersectionRecord, TransversalityReport,
                      boundary_crossing_counts, boundary_decay_check,
-                     check_transverse_at, fd_jacobian_check, find_intersections,
+                     fd_jacobian_check, find_intersections,
                      report_summary, report_to_csv, verify_triangulation)
 
 __version__ = "0.1.0"

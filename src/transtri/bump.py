@@ -22,9 +22,10 @@ On top of these the module provides:
 * ``beta``, a smooth step equal to 1 on r <= 1/2 and 0 on r >= 1, realized
   as rho(1-r) / (rho(1-r) + rho(r-1/2)), and ``c_beta``, a sampled upper
   bound for sup |beta'|;
-* ``warp``, the super-flat factor exp(-1/rho_l(t)) that fades normal
-  displacements toward the simplex boundary faster than any power of
-  rho_l.
+* ``scaled_warp``, the super-flat fade exp(-1/rho) * rho**(-k): at
+  rho = rho_l(t) and k = 0 it is the warp factor exp(-1/rho_l(t)), which
+  fades normal displacements toward the simplex boundary faster than any
+  power of rho_l.
 
 All branch functions return exact zeros on their flat branches, so the
 vanishing of derivatives at the glue locus holds identically in floating
@@ -46,7 +47,6 @@ __all__ = [
     "beta",
     "beta_deriv",
     "c_beta",
-    "warp",
     "scaled_warp",
 ]
 
@@ -242,12 +242,3 @@ def scaled_warp(rho_value, power=0):
 
     return _entrywise(entry, rho_value)
 
-
-def warp(t):
-    """Super-flat fade factor exp(-1/rho_l(t)).
-
-    Returns the continuous extension by zero outside the open simplex, so
-    near-boundary evaluation underflows gracefully to 0.0 instead of
-    raising or producing NaN.
-    """
-    return scaled_warp(rho_l(t), 0)

@@ -1,28 +1,28 @@
-"""Tubular charts and the evolving triangulation map.
+"""Tubular frames and the evolving triangulation map.
 
 A TriangulationState tracks the current map eta from the realized complex
 into R^m: the base realization composed with an ordered chain of ambient
 diffeomorphisms, each compactly supported near one simplex.
 
-Every chain link is the conjugate of a local normal-fiber diffeomorphism
-by the affine frame of its simplex in *base* coordinates.  Because each
-ambient diffeomorphism is defined as (current eta) o link o (current
-eta)^-1 at the moment it is appended, the full composition telescopes:
+A TubularChart is the affine frame of a simplex of dimension l < m in
+*base* coordinates,
+
+    (t, v) -> b + A t + N v,
+
+with A the simplex edge matrix and N an orthonormal basis of its
+orthogonal complement (QR completion, sign-fixed for determinism).  A
+chain link (AmbientDiffeo) is a local normal-fiber diffeomorphism, which
+carries its chart, plus the box outside which the link is the identity;
+the link conjugates the local map by the chart's frame.  Because each
+link is appended as (current eta) o link o (current eta)^-1, the full
+composition telescopes:
 
     eta_n = L_1 o L_2 o ... o L_n        (newest link applied first),
 
-so evaluation never needs to invert earlier chain entries.  Each link is
-exactly the identity outside its support box, which makes evaluation
-cheap: per level, one vectorized box test selects the few active links.
-
-A TubularChart for a simplex of dimension l < m is the affine slab map
-
-    (t, v) -> b + A t + N v
-
-pushed through the chain present when the chart was made, with A the
-simplex edge matrix and N an orthonormal basis of its orthogonal
-complement (QR completion, sign-fixed for determinism).  By construction
-chart(t, 0) = eta(iota(t)) on the standard simplex.
+so evaluation never needs to invert earlier chain entries, and the
+simplex deformed along a chart is eta(frame point) for the state the
+chart was made from.  Per level, one vectorized box test selects the few
+active links.
 """
 
 from dataclasses import dataclass
@@ -133,13 +133,12 @@ class ChainOps:
 
 @dataclass(frozen=True, eq=False)
 class TubularChart:
-    """Affine tubular frame for one simplex, tied to a chain snapshot."""
+    """Affine tubular frame b + A t + N v of one simplex, in base coordinates."""
 
     simplex: Simplex
     base: np.ndarray          # frame origin b
     tangent: np.ndarray       # m x l edge matrix A
     normal: np.ndarray        # m x (m-l) orthonormal completion N
-    ops: ChainOps             # chain snapshot (links recorded before this chart)
 
     def __post_init__(self):
         M = np.hstack([self.tangent, self.normal])
@@ -163,35 +162,32 @@ class TubularChart:
         tv = matvec(self._Minv, np.asarray(x, float) - self.base)
         return tv[..., : self.l], tv[..., self.l :]
 
-    def forward(self, t, v):
-        """Chart value: frame point pushed through the chain snapshot."""
-        return self.ops.apply(self.frame_point(t, v))
-
-    def forward_with_jacobian(self, t, v):
-        """Chart value and d(chart), m x m in (t, v) block order."""
-        x, J = self.ops.apply_with_jacobian(self.frame_point(t, v))
-        return x, J @ self._M
-
-    def inverse(self, x):
-        """Chart coordinates (t, v) of an ambient point."""
-        return self.frame_coords(self.ops.invert(np.asarray(x, float)))
-
 
 @dataclass(frozen=True, eq=False)
 class AmbientDiffeo:
     """One recorded chain link: a compactly supported diffeomorphism.
 
-    ``local`` acts on (t, v) frame coordinates and is the identity
-    whenever t leaves the open simplex or |v| exceeds the fade profile;
-    the link conjugates it by the affine frame.
+    ``local`` acts on (t, v) coordinates of its chart's frame and is the
+    identity whenever t leaves the open simplex or |v| exceeds the fade
+    profile; the link conjugates it by that frame, and is the identity
+    outside the closed support box.
     """
 
-    simplex: Simplex
-    level: int
-    chart: TubularChart
-    local: object             # moves/inverse_moves in (t, v) coordinates
+    local: object             # chart, moves/inverse_moves in (t, v) coordinates
     support_lo: np.ndarray
     support_hi: np.ndarray
+
+    @property
+    def chart(self):
+        return self.local.chart
+
+    @property
+    def simplex(self):
+        return self.local.chart.simplex
+
+    @property
+    def level(self):
+        return self.local.chart.l
 
     def box_mask(self, x):
         """Rows of x inside the closed support box."""
@@ -290,11 +286,8 @@ class TriangulationState:
 
 
 def make_chart(state, s):
-    """Tubular chart for a realized simplex of dimension l < m.
-
-    The frame is affine in base coordinates and composed into the current
-    chain, so chart(t, 0) equals the current eta along the simplex.
-    """
+    """Tubular frame for a realized simplex of dimension l < m, in base
+    coordinates; frame_point(t, 0) is the base realization of the simplex."""
     m = state.ambient_dim
     if s.dim >= m:
         raise MeshError(f"simplex {s.vertices} has no normal directions in R^{m}")
@@ -302,7 +295,7 @@ def make_chart(state, s):
         raise MeshError(f"simplex {s.vertices} not in complex")
     b, A = state.realization.simplex_frame(s)
     N = _normal_completion(A, m)
-    return TubularChart(simplex=s, base=b, tangent=A, normal=N, ops=state._ops)
+    return TubularChart(simplex=s, base=b, tangent=A, normal=N)
 
 
 class StarLocator:
@@ -338,14 +331,14 @@ def dump_chain_metadata(state):
     """
     lines = [f"chain-links: {len(state.links)}"]
     for i, lk in enumerate(state.links):
-        pert = lk.local.pert
+        psi = lk.local
         lines.append(
             f"link {i}: simplex={lk.simplex.vertices} level={lk.level}"
-            f" c_sigma={repr(float(pert.c_sigma))}"
-            f" epsilon={repr(float(pert.epsilon))}"
-            f" v=({', '.join(repr(float(c)) for c in pert.v)})"
-            f" retries={int(pert.retries_used)}"
-            f" shrinks={int(pert.shrinks_used)}"
+            f" c_sigma={repr(float(psi.c_sigma))}"
+            f" epsilon={repr(float(psi.epsilon))}"
+            f" v=({', '.join(repr(float(c)) for c in psi.v)})"
+            f" retries={int(psi.retries_used)}"
+            f" shrinks={int(psi.shrinks_used)}"
             f" support_lo=({', '.join(repr(float(c)) for c in lk.support_lo)})"
             f" support_hi=({', '.join(repr(float(c)) for c in lk.support_hi)})"
         )

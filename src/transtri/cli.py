@@ -42,6 +42,9 @@ __all__ = ["Scenario", "load_scenario", "run", "verify_only", "main"]
 # scenario file parsing
 
 
+_SECTIONS = ("scenario", "mesh", "map", "pipeline", "output")
+
+
 def _parse_sections(path):
     sections = {}
     current = None
@@ -52,6 +55,8 @@ def _parse_sections(path):
                 continue
             if line.startswith("[") and line.endswith("]"):
                 current = line[1:-1].strip().lower()
+                if current not in _SECTIONS:
+                    raise ConfigError(f"unknown section [{current}]", line=lineno)
                 sections.setdefault(current, {})
                 continue
             if "=" not in line:

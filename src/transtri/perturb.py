@@ -8,7 +8,7 @@ For one simplex of dimension l < m the stages are:
    subdivision (sampled containment, halving search, half the passing
    value kept as margin);
 2. regular-value sampling: draw shift vectors v with |v| < eps^2 until the
-   deformed embedding t -> chart(t, warp(t) v) is certified transverse to
+   deformed embedding t -> eta(chart(t, warp(t) v)) is certified transverse to
    the target map by the verifier's own rules;
 3. local diffeomorphism: the fiber map
    (t, v) -> (t, v + beta(|v| / (eps rho_l(t))) * warp(t) * v_shift),
@@ -38,20 +38,18 @@ from .config import PipelineConfig
 from .errors import (DegenerateGeometryError, EpsilonTooLargeError, MeshError,
                      NewtonDivergenceError, PerturbationError, SamplingFailureError)
 from .rows import matvec, row_norms
-from .simplicial import Simplex, _TopIndex, barycentric_subdivision, simplex_sort_key
-from .verify import (Patch, interior_lattice, patch_roots, transversality_margin,
-                     verify_triangulation)
+from .simplicial import _TopIndex, barycentric_subdivision, simplex_sort_key
+from .verify import (Patch, interior_lattice, lattice_per_dim, patch_roots,
+                     transversality_margin, verify_triangulation)
 
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "LocalPerturbation",
     "LocalDiffeo",
     "PipelineConfig",
     "subdivision_data",
     "estimate_c_sigma",
     "containment_ok",
-    "sample_regular_value",
     "build_local_diffeo",
     "extend_to_ambient",
     "perturb_level",
@@ -72,15 +70,22 @@ def _shift_jacobian(t, v):
 
 
 @dataclass(frozen=True, eq=False)
-class LocalPerturbation:
-    """Per-simplex perturbation data.
+class LocalDiffeo:
+    """Fiber-preserving local diffeomorphism of one simplex, in the (t, w)
+    coordinates of its chart: (t, w) -> (t, w + beta(|w| / (epsilon
+    rho_l(t))) s(t)), with the shift field s(t) = warp(t) * v and
+    |v| < epsilon^2, so |s(t)| < epsilon^2 rho_l(t) as warp < rho_l.
+    c_sigma is the simplex's fiber clearance; retries_used and
+    shrinks_used count the candidates rejected and the epsilon halvings
+    before this one.
 
-    The shift field is s(t) = warp(t) * v with |v| < epsilon^2; since
-    warp(t) < rho_l(t) on the open simplex, |s(t)| < epsilon^2 rho_l(t)
-    holds automatically.
+    Every method takes rows of t (N, l) and of fiber points (N, m-l).  A
+    row on the identity branch (t outside the open simplex, a fiber point
+    at or beyond the fade radius, or a shift that underflowed to zero) is
+    left exactly as it is, and eval returns the input fiber array when no
+    row moves, which keeps exact identity behavior outside the support.
     """
 
-    simplex: Simplex
     chart: object
     c_sigma: float
     epsilon: float
@@ -102,39 +107,25 @@ class LocalPerturbation:
     def l(self):
         return self.chart.l
 
+    @property
+    def m(self):
+        return self.chart.m
+
     def shift(self, t):
         """s(t) = warp(t) * v, the normal displacement of the zero section,
         over the rows of t."""
         return _shift(t, self.v)
 
-
-class LocalDiffeo:
-    """Fiber-preserving local diffeomorphism in chart coordinates.
-
-    Every method takes rows of t (N, l) and v (N, m-l).  A row on the
-    identity branch (t outside the open simplex, |v| at or beyond the fade
-    radius, or a shift that underflowed to zero) is left exactly as it is,
-    and eval returns the input v object when no row moves, which lets
-    callers keep exact identity behavior outside the support.
-    """
-
-    def __init__(self, pert):
-        self.pert = pert
-        self.eps = pert.epsilon
-        self.v_shift = pert.v
-        self.l = pert.l
-        self.m = pert.l + pert.v.size
-
     def _support(self, t, v):
-        """Rows of v strictly inside the fade radius eps * rho_l(t), with
-        rho_l, the fade radius and |v| there, their shifts s = warp * v_shift
+        """Rows of v strictly inside the fade radius epsilon * rho_l(t), with
+        rho_l, the fade radius and |v| there, their shifts s = warp * v
         and which of those shifts are nonzero."""
         rho = bump.rho_l(t)
-        fade = self.eps * rho
+        fade = self.epsilon * rho
         vn = row_norms(v)
         rows = np.nonzero((fade > 0.0) & (vn < fade))[0]
         rho = rho[rows]
-        s = bump.scaled_warp(rho, 0)[:, None] * self.v_shift
+        s = bump.scaled_warp(rho, 0)[:, None] * self.v
         return rows, rho, fade[rows], vn[rows], s, s.any(axis=1)
 
     def moves(self, t, v, with_jacobian=False):
@@ -154,7 +145,7 @@ class LocalDiffeo:
             bp = bump.beta_deriv(r)
             if l:
                 grad_rho = bump.rho_l_grad(t[rows])
-                J[rows, l:, :l] = (self.v_shift[:, None] * grad_rho[:, None, :]
+                J[rows, l:, :l] = (self.v[:, None] * grad_rho[:, None, :]
                                    * (b * w2 - bp * r * w1)[:, None, None])
             J[rows, l:, l:] = self._fiber_block(v[rows], vn, bp, w1)
         return rows[nz], v2, J
@@ -175,8 +166,8 @@ class LocalDiffeo:
         """d/dv of v + beta(|v| / (eps rho)) s(t) in the fiber, per row."""
         J = np.tile(np.eye(self.m - self.l), (len(v), 1, 1))
         sel = (vn > 0.0) & (bp != 0.0)
-        coef = (bp * w1 / self.eps)[sel]
-        J[sel] += coef[:, None, None] * (self.v_shift[:, None]
+        coef = (bp * w1 / self.epsilon)[sel]
+        J[sel] += coef[:, None, None] * (self.v[:, None]
                                          * (v[sel] / vn[sel, None])[:, None, :])
         return J
 
@@ -264,11 +255,6 @@ def _unit_directions(k):
     return dirs
 
 
-def _containment_lattice(l, config):
-    per_dim = max(2, config.containment_density // max(1, 2 ** (l - 1))) if l else 0
-    return interior_lattice(l, per_dim)
-
-
 def _star_locator(state, s, sd_data, config):
     vertex = sd_data.barycenter_ids[s]
     return StarLocator(vertex, sd_data.star_tops[vertex], sd_data.realization,
@@ -299,7 +285,7 @@ def containment_ok(state, chart, locator, lattice, dirs, c, sd_data):
     rad = (c * rho[live])[:, None] * np.array([1.0, 0.5])
     vs = (rad[:, :, None, None] * dirs).reshape(-1, dirs.shape[1])
     ts = np.repeat(lattice[live], 2 * len(dirs), axis=0)
-    xs = chart.forward(ts, vs)
+    xs = state.eval_eta(chart.frame_point(ts, vs))
     try:
         base = state.eval_eta_inverse(xs)
     except NewtonDivergenceError:
@@ -328,7 +314,7 @@ def estimate_c_sigma(state, s, config=None, sd_data=None, chart=None):
     chart = chart or make_chart(state, s)
     sd_data = sd_data or subdivision_data(state)
     locator = _star_locator(state, s, sd_data, config)
-    lattice = _containment_lattice(s.dim, config)
+    lattice = interior_lattice(s.dim, lattice_per_dim(config.containment_density, s.dim))
     dirs = _unit_directions(state.ambient_dim - s.dim)
     span = locator.index.hi.max(axis=0) - locator.index.lo.min(axis=0)
     c = float(np.linalg.norm(span))
@@ -344,43 +330,43 @@ def estimate_c_sigma(state, s, config=None, sd_data=None, chart=None):
 # regular-value sampling
 
 
-def _deformed_patch(charts, perts):
-    """The deformed embeddings t -> chart(t, s(t)) of simplices of one
-    dimension as one verifier patch, owner k being charts[k] shifted by
-    perts[k].  The charts share the chain snapshot of their level."""
-    l = charts[0].l
-    ops = charts[0].ops
-    b, A, N, M = (np.array([getattr(c, a) for c in charts])
+def _deformed_patch(state, cands):
+    """The deformed embeddings t -> eta(chart(t, s(t))) of simplices of one
+    dimension as one verifier patch, owner k being the chart of cands[k]
+    shifted by its shift field, with eta that of state."""
+    l = cands[0].l
+    b, A, N, M = (np.array([getattr(c.chart, a) for c in cands])
                   for a in ("base", "tangent", "normal", "_M"))
-    V = np.array([p.v for p in perts])
+    V = np.array([c.v for c in cands])
 
     def frame_point(t, owner):
         return b[owner] + matvec(A[owner], t) + matvec(N[owner], _shift(t, V[owner]))
 
     def ev(t, owner):
-        return ops.apply(frame_point(t, owner))
+        return state.eval_eta(frame_point(t, owner))
 
     def ej(t, owner):
-        x, J = ops.apply_with_jacobian(frame_point(t, owner))
+        x, J = state.eval_eta_with_jacobian(frame_point(t, owner))
         J = J @ M[owner]
         return x, J[..., :l] + J[..., l:] @ _shift_jacobian(t, V[owner])
 
-    return Patch(l=l, eval=ev, eval_jac=ej, size=len(charts))
+    return Patch(l=l, eval=ev, eval_jac=ej, size=len(cands))
 
 
-def _candidate_transverse(state, charts, perts, h, config):
-    """Verifier verdicts for one candidate shift per chart, as a list of
-    bools, from one root search over all of them."""
+def _candidate_transverse(state, cands, h, config):
+    """Verifier verdicts for candidate local diffeomorphisms of simplices of
+    one dimension, as a list of bools, from one root search over all of
+    them."""
     n = h.domain.dim
     m = state.ambient_dim
-    l = charts[0].l
-    patch = _deformed_patch(charts, perts)
+    l = cands[0].l
+    patch = _deformed_patch(state, cands)
     found = patch_roots(h, patch, config, state.mesh_scale)
     if n + l < m:
         return [min_resid > config.vertex_clearance for _, min_resid in found]
     roots = [(k, y, t) for k, (rs, _) in enumerate(found)
              for y, t, resid in rs if resid < config.solve_tol]
-    ok = [True] * len(charts)
+    ok = [True] * len(cands)
     if roots:
         _, df = patch.eval_jac(np.array([t for _, _, t in roots]),
                                np.array([k for k, _, _ in roots]))
@@ -402,16 +388,14 @@ def _draw_shift(rng, dim, eps):
 class _Draw:
     """Shift sampling state of one simplex: its chart, scales and rng, the
     rejections and shrinks so far, and the outcome (the accepted candidate,
-    the guarded local diffeomorphism, or the error that ends the simplex)."""
+    guarded once _guard passes it, or the error that ends the simplex)."""
 
-    simplex: Simplex
     chart: object
     rng: object
     c_sigma: float = None
     eps: float = None
     tries: int = 0
     shrinks: int = 0
-    pert: object = None
     psi: object = None
     error: Exception = None
 
@@ -423,101 +407,79 @@ def _sample_shift(state, draws, h, config):
     from that simplex's own rng and judges the whole round with one
     _candidate_transverse call, so every simplex sees the candidates and
     verdicts that drawing for it alone would give.  An accepted candidate
-    goes to draw.pert (its retries_used counts the rejections before it);
+    goes to draw.psi (its retries_used counts the rejections before it);
     max_retries rejections leave a SamplingFailureError in draw.error.
     Simplices after a failed one stop drawing: a level reports its
     lowest failing simplex, so their outcome no longer matters.
     """
     live = list(draws)
     while live:
-        perts = [LocalPerturbation(d.simplex, d.chart, d.c_sigma, d.eps,
-                                   _draw_shift(d.rng, d.chart.m - d.chart.l, d.eps),
-                                   retries_used=d.tries, shrinks_used=d.shrinks)
+        cands = [LocalDiffeo(d.chart, d.c_sigma, d.eps,
+                             _draw_shift(d.rng, d.chart.m - d.chart.l, d.eps),
+                             retries_used=d.tries, shrinks_used=d.shrinks)
                  for d in live]
-        verdicts = _candidate_transverse(state, [d.chart for d in live], perts, h, config)
+        verdicts = _candidate_transverse(state, cands, h, config)
         still = []
-        for d, pert, ok in zip(live, perts, verdicts):
+        for d, psi, ok in zip(live, cands, verdicts):
             if ok:
-                d.pert = pert
+                d.psi = psi
                 continue
             d.tries += 1
             if d.tries == config.max_retries:
+                s = d.chart.simplex
                 d.error = SamplingFailureError(
-                    f"{config.max_retries} candidates rejected for simplex {d.simplex.vertices}; "
+                    f"{config.max_retries} candidates rejected for simplex {s.vertices}; "
                     "the deformation scale cannot clear the verifier thresholds "
                     "(tolerances too strict for this geometry)",
-                    simplex=d.simplex,
-                    diagnostics={"epsilon": d.eps, "last_v": tuple(pert.v)},
+                    simplex=s,
+                    diagnostics={"epsilon": d.eps, "last_v": tuple(psi.v)},
                 )
                 break
             still.append(d)
         live = still
 
 
-def sample_regular_value(state, s, h, eps, config=None, rng=None):
-    """Shift vector v with |v| < eps^2 whose deformed embedding is
-    certified transverse to h; deterministic given the rng."""
-    config = config or PipelineConfig()
-    rng = rng or np.random.default_rng(config.seed)
-    draw = _Draw(s, make_chart(state, s), rng, c_sigma=eps, eps=eps)
-    _sample_shift(state, [draw], h, config)
-    if draw.error is not None:
-        raise draw.error
-    return draw.pert.v
-
-
 # ---------------------------------------------------------------------------
 # local diffeomorphism and ambient extension
 
 
-def build_local_diffeo(pert, check_samples=24):
-    """Local diffeomorphism for a perturbation, with a norm guard.
+def build_local_diffeo(psi):
+    """Guard a local diffeomorphism and return it.
 
-    Samples |J - I| over the support; at or above 1/2 the Newton fiber
-    inverse would lose its contraction margin, so the caller must shrink
-    epsilon and resample (EpsilonTooLargeError).
+    Samples |J - I| at fiber radii 0, 0.4 and 0.8 of the fade radius, in
+    every direction, over an interior lattice of the simplex; at or above
+    1/2 the Newton fiber inverse would lose its contraction margin, so the
+    caller must shrink epsilon and resample (EpsilonTooLargeError).
     """
-    psi = LocalDiffeo(pert)
-    ts = _containment_lattice(pert.l, PipelineConfig(containment_density=4))
-    dirs = _unit_directions(pert.v.size)
-    rows_t, rows_v = [], []
-    for t, rho in zip(ts, bump.rho_l(ts)):
-        if rho <= 0.0:
-            continue
-        for frac in (0.0, 0.4, 0.8):
-            for u in dirs:
-                rows_t.append(t)
-                rows_v.append(frac * pert.epsilon * rho * u)
-    # the first check_samples samples decide
-    J = psi.jacobian(np.array(rows_t[:check_samples]), np.array(rows_v[:check_samples]))
+    ts = interior_lattice(psi.l, lattice_per_dim(4, psi.l))
+    rho = bump.rho_l(ts)
+    ts, rho = ts[rho > 0.0], rho[rho > 0.0]
+    dirs = np.asarray(_unit_directions(psi.v.size))
+    rad = (np.array([0.0, 0.4, 0.8]) * psi.epsilon)[None, :] * rho[:, None]
+    vs = (rad[:, :, None, None] * dirs).reshape(-1, dirs.shape[1])
+    J = psi.jacobian(np.repeat(ts, 3 * len(dirs), axis=0), vs)
     worst = float(np.linalg.norm(J - np.eye(psi.m), 2, axis=(1, 2)).max(initial=0.0))
     if worst >= 0.5:
         raise EpsilonTooLargeError(
-            f"sampled |J - I| = {worst:.3f} >= 1/2 for epsilon {pert.epsilon}")
+            f"sampled |J - I| = {worst:.3f} >= 1/2 for epsilon {psi.epsilon}")
     return psi
 
 
-def extend_to_ambient(state, psi, chart, level):
+def extend_to_ambient(psi):
     """Extend a local diffeomorphism by the identity to the ambient space.
 
     The support box is the affine image of the parameter simplex times the
     maximal fiber radius; outside it the link is the identity exactly.
     """
+    chart = psi.chart
     l, m = chart.l, chart.m
     rho_max = bump.rho_l(np.full(l, 1.0 / (l + 1))) if l else 1.0
-    rad = psi.pert.epsilon * rho_max
+    rad = psi.epsilon * rho_max
     t_corners = np.vstack([np.zeros(l), np.eye(l)])
     v_corners = rad * (2.0 * np.array(list(np.ndindex(*(2,) * (m - l))), float) - 1.0)
     pts = chart.frame_point(np.repeat(t_corners, len(v_corners), axis=0),
                             np.tile(v_corners, (l + 1, 1)))
-    return AmbientDiffeo(
-        simplex=chart.simplex,
-        level=level,
-        chart=chart,
-        local=psi,
-        support_lo=pts.min(axis=0),
-        support_hi=pts.max(axis=0),
-    )
+    return AmbientDiffeo(local=psi, support_lo=pts.min(axis=0), support_hi=pts.max(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +496,12 @@ def _guard(draws, config):
         if d.error is not None:
             break
         try:
-            d.psi = build_local_diffeo(d.pert)
+            build_local_diffeo(d.psi)
         except EpsilonTooLargeError:
             if d.shrinks == config.max_eps_shrinks:
                 d.error = EpsilonTooLargeError(
                     f"epsilon still too large after {config.max_eps_shrinks} shrinks"
-                    f" for simplex {d.simplex.vertices}")
+                    f" for simplex {d.chart.simplex.vertices}")
                 break
             d.eps *= 0.5
             d.shrinks += 1
@@ -570,7 +532,7 @@ def perturb_level(state, level, h, config=None, sd_data=None):
         sd_data = subdivision_data(state)
     draws = []
     for idx, s in enumerate(simplices):
-        d = _Draw(s, make_chart(state, s), np.random.default_rng([config.seed, level, idx]))
+        d = _Draw(make_chart(state, s), np.random.default_rng([config.seed, level, idx]))
         draws.append(d)
         try:
             d.c_sigma = estimate_c_sigma(state, s, config, sd_data=sd_data, chart=d.chart)
@@ -585,15 +547,15 @@ def perturb_level(state, level, h, config=None, sd_data=None):
         pending = _guard(pending, config)
     failed = next((d for d in draws if d.error is not None), None)
     if failed is not None:
-        s = failed.simplex
+        s = failed.chart.simplex
         raise PerturbationError(f"level {level} aborted at simplex {s.vertices}: {failed.error}",
                                 simplex=s, level=level) from failed.error
     new_state = state
     for d in draws:
         log.info("level=%d simplex=%s c_sigma=%.6g epsilon=%.6g |v|=%.6g retries=%d shrinks=%d",
-                 level, d.simplex.vertices, d.c_sigma, d.eps, float(np.linalg.norm(d.pert.v)),
-                 d.pert.retries_used, d.shrinks)
-        new_state = new_state.with_link(extend_to_ambient(state, d.psi, d.chart, level=level))
+                 level, d.chart.simplex.vertices, d.c_sigma, d.eps, float(np.linalg.norm(d.psi.v)),
+                 d.psi.retries_used, d.shrinks)
+        new_state = new_state.with_link(extend_to_ambient(d.psi))
     return new_state
 
 

@@ -33,8 +33,8 @@ __all__ = [
     "simplex_patch",
     "patch_roots",
     "interior_lattice",
+    "lattice_per_dim",
     "find_intersections",
-    "check_transverse_at",
     "transversality_margin",
     "verify_triangulation",
     "fd_jacobian",
@@ -69,11 +69,6 @@ def transversality_margin(dh, df):
     norms[norms == 0.0] = 1.0
     sv = np.linalg.svd(cols / norms, compute_uv=False)
     return float(sv[m - 1])
-
-
-def check_transverse_at(dh, df, tol_rank):
-    """Spanning test for the differentials at a common image point."""
-    return transversality_margin(dh, df) >= tol_rank
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +130,10 @@ def interior_lattice(l, per_dim):
     return np.array(pts, float).reshape(-1, l) / n
 
 
-def _simplex_seed_count(config, l):
-    return max(2, config.simplex_seed_density // max(1, 2 ** (l - 1))) if l else 0
+def lattice_per_dim(density, l):
+    """Lattice steps per dimension of an l-simplex at a density: the density
+    halved per dimension past the first, at least 2, and 0 for a vertex."""
+    return max(2, density // max(1, 2 ** (l - 1))) if l else 0
 
 
 def _domain_seeds(h, config):
@@ -221,7 +218,7 @@ def _pair_seeds(h, patch, config, scale, t_per_dim=None):
     ys = _domain_seeds(h, config)
     hy = h.eval_batch(ys)
     if t_per_dim is None:
-        t_per_dim = _simplex_seed_count(config, patch.l)
+        t_per_dim = lattice_per_dim(config.simplex_seed_density, patch.l)
     lattice = interior_lattice(patch.l, t_per_dim)
     T = len(lattice)
     ts = np.tile(lattice, (patch.size, 1))
@@ -384,7 +381,7 @@ def find_intersections(state, simplices, h, config=None):
     l = group[0].dim
     n = h.domain.dim
     m = state.ambient_dim
-    t_per_dim = _simplex_seed_count(config, l)
+    t_per_dim = lattice_per_dim(config.simplex_seed_density, l)
     if n + l > m:
         # intersections come in positive-dimensional families; a sparse
         # sample of the family is enough for the rank verdict

@@ -221,7 +221,7 @@ def test_criterion_07_skeleton_preservation(grid_a):
 def test_criterion_08_decay_suite(small_pipeline):
     state = small_pipeline["state"]
     link = next(lk for lk in state.links if lk.level == 1)
-    table = boundary_decay_check(link.local.pert, max_i=3, max_j=3)
+    table = boundary_decay_check(link.local, max_i=3, max_j=3)
     assert table["passed"]
     for i in range(4):
         for j in range(4):

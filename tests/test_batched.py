@@ -23,15 +23,14 @@ from transtri import simplicial as sc
 from transtri.charts import TriangulationState, make_chart
 from transtri.config import PipelineConfig
 from transtri.errors import DegenerateGeometryError, EpsilonTooLargeError, PerturbationError
-from transtri.perturb import (LocalPerturbation, _containment_lattice, _draw_shift,
-                              _star_locator, _unit_directions, containment_ok, perturb_level,
-                              subdivision_data)
+from transtri.perturb import (LocalDiffeo, _draw_shift, _star_locator, _unit_directions,
+                              containment_ok, perturb_level, subdivision_data)
 from transtri.rows import lstsq_rows, matvec
 from transtri.smoothmap import (CircleMap, LineMap, PointMap, PolyCurveMap, SurfacePatchMap,
                                 TorusKnotMap)
 from transtri.verify import (Patch, _carrier, _cluster, _domain_period, _domain_seeds,
                              _gauss_newton, _inside_closed_simplex, _make_record, _pair_seeds,
-                             _simplex_seed_count, find_intersections, interior_lattice,
+                             find_intersections, interior_lattice, lattice_per_dim,
                              min_distance_to_image, patch_roots, report_summary, report_to_csv,
                              simplex_patch, transversality_margin, verify_triangulation)
 
@@ -291,10 +290,10 @@ def test_lstsq_rows_raises_on_nan():
 def ref_fiber_invert(psi, t, w):
     """One-point fiber Newton: solve v + beta(|v| / (eps rho)) s = w."""
     rho = bump.rho_l(t)
-    fade = psi.eps * rho
+    fade = psi.epsilon * rho
     if fade <= 0.0 or float(np.linalg.norm(w)) >= fade:
         return w
-    s = bump.scaled_warp(rho, 0) * psi.v_shift
+    s = bump.scaled_warp(rho, 0) * psi.v
     if not s.any():
         return w
     w1 = bump.scaled_warp(rho, 1)
@@ -379,6 +378,13 @@ def test_point_location_rows_equal_single_points(scenario_a_run, kind):
     assert seen_inside == (kind != "outside")
 
 
+def chart_eval_jac(state, chart, t, v):
+    """A chart's frame points (t, v) pushed through the chain of state, and
+    their m x m Jacobians in (t, v) block order."""
+    x, J = state.eval_eta_with_jacobian(chart.frame_point(t, v))
+    return x, J @ np.hstack([chart.tangent, chart.normal])
+
+
 def ref_containment_ok(state, chart, locator, lattice, dirs, c, sd_data):
     """Sequential scan: one sample at a time, stopping at the first that
     pulls back neither into the star nor outside the complex."""
@@ -392,7 +398,7 @@ def ref_containment_ok(state, chart, locator, lattice, dirs, c, sd_data):
                 vs.append(c * rho_t * frac * u)
     if not ts:
         return True
-    for x in chart.forward(np.array(ts), np.array(vs)):
+    for x in state.eval_eta(chart.frame_point(np.array(ts), np.array(vs))):
         base = state.eval_eta_inverse(x[None])
         if locator.contains_base_point(base)[0]:
             continue
@@ -410,7 +416,7 @@ def test_containment_equals_sequential_scan(scenario_a_run, level):
                                [lk for lk in final.links if lk.level < level])
     sd = subdivision_data(state)
     dirs = _unit_directions(state.ambient_dim - level)
-    lattice = _containment_lattice(level, config)
+    lattice = interior_lattice(level, lattice_per_dim(config.containment_density, level))
     verdicts = []
     for s in state.complex.by_dim(level):
         chart = make_chart(state, s)
@@ -457,7 +463,7 @@ def ref_find(state, s, h, config):
         return x, J @ A
 
     patch = Patch(l=l, eval=lambda t, owner: state.eval_eta(b + matvec(A, t)), eval_jac=ej)
-    t_per_dim = _simplex_seed_count(config, l)
+    t_per_dim = lattice_per_dim(config.simplex_seed_density, l)
     if n + l > m:
         t_per_dim = max(2, t_per_dim // 4)
     ys = _domain_seeds(h, config)
@@ -553,17 +559,18 @@ def test_min_distance_to_image_equals_per_seed_refinement():
 # level-wide shift sampling against the one-simplex loop
 
 
-def ref_candidate(state, chart, pert, h, config):
+def ref_candidate(state, pert, h, config):
     """Verifier verdict for one candidate, through the simplex's own chart."""
-    l = chart.l
+    chart, l = pert.chart, pert.l
 
     def ej(t, owner):
-        x, J = chart.forward_with_jacobian(t, pert.shift(t))
+        x, J = chart_eval_jac(state, chart, t, pert.shift(t))
         w2 = np.asarray(bump.scaled_warp(bump.rho_l(t), 2))[..., None, None]
         dS = np.where(w2 == 0.0, 0.0, pert.v[:, None] * bump.rho_l_grad(t)[..., None, :] * w2)
         return x, J[..., :l] + J[..., l:] @ dS
 
-    patch = Patch(l=l, eval=lambda t, owner: chart.forward(t, pert.shift(t)), eval_jac=ej)
+    patch = Patch(l=l, eval=lambda t, owner: state.eval_eta(chart.frame_point(t, pert.shift(t))),
+                  eval_jac=ej)
     [(roots, min_resid)] = patch_roots(h, patch, config, state.mesh_scale)
     if h.domain.dim + l < state.ambient_dim:
         return min_resid > config.vertex_clearance
@@ -587,8 +594,8 @@ def ref_level(state, level, h, config, sd):
         for shrink in range(config.max_eps_shrinks + 1):
             for tries in range(config.max_retries):
                 v = _draw_shift(rng, state.ambient_dim - level, eps)
-                pert = LocalPerturbation(s, chart, c_sigma, eps, v, tries, shrink)
-                if ref_candidate(state, chart, pert, h, config):
+                pert = LocalDiffeo(chart, c_sigma, eps, v, tries, shrink)
+                if ref_candidate(state, pert, h, config):
                     break
             else:
                 return out, (f"level {level} aborted at simplex {s.vertices}: {config.max_retries}"
@@ -620,7 +627,7 @@ def _shrink_guard(times):
     real_guard = perturb.build_local_diffeo
 
     def guard(pert):
-        if sum(pert.simplex.vertices) % 2 == 0 and pert.shrinks_used < times:
+        if sum(pert.chart.simplex.vertices) % 2 == 0 and pert.shrinks_used < times:
             raise EpsilonTooLargeError("forced")
         return real_guard(pert)
 
@@ -633,7 +640,7 @@ def _sampled(state, level, h, config, sd):
     except PerturbationError as exc:
         return str(exc)
     links = new.links[len(state.links):]
-    perts = [lk.local.pert for lk in links]
+    perts = [lk.local for lk in links]
     return [(tuple(float(c) for c in p.v), p.retries_used, p.shrinks_used, p.epsilon)
             for p in perts]
 
@@ -707,9 +714,8 @@ def test_deformed_patch_rows_equal_per_chart_evaluation(scenario_a_run, level):
     state = _level_start(scenario_a_run, level)
     charts = [make_chart(state, s) for s in state.complex.by_dim(level)]
     eps = 0.05
-    perts = [LocalPerturbation(c.simplex, c, eps, eps, _draw_shift(RNG, 2 - level, eps))
-             for c in charts]
-    patch = perturb._deformed_patch(charts, perts)
+    perts = [LocalDiffeo(c, eps, eps, _draw_shift(RNG, 2 - level, eps)) for c in charts]
+    patch = perturb._deformed_patch(state, perts)
     owner = RNG.integers(len(charts), size=200)
     t = RNG.dirichlet(np.ones(level + 1), size=200)[:, :level]
     x, J = patch.eval_jac(t, owner)
@@ -717,7 +723,7 @@ def test_deformed_patch_rows_equal_per_chart_evaluation(scenario_a_run, level):
     for k in np.unique(owner):
         rows = owner == k
         chart, pert = charts[k], perts[k]
-        xk, Jk = chart.forward_with_jacobian(t[rows], pert.shift(t[rows]))
+        xk, Jk = chart_eval_jac(state, chart, t[rows], pert.shift(t[rows]))
         w2 = np.asarray(bump.scaled_warp(bump.rho_l(t[rows]), 2))[..., None, None]
         dS = np.where(w2 == 0.0, 0.0, pert.v[:, None] * bump.rho_l_grad(t[rows])[..., None, :] * w2)
         assert same_bits(x[rows], xk)
@@ -727,9 +733,8 @@ def test_deformed_patch_rows_equal_per_chart_evaluation(scenario_a_run, level):
 def test_candidate_verdicts_are_a_plain_list(scenario_a_run):
     state = _level_start(scenario_a_run, 1)
     charts = [make_chart(state, s) for s in state.complex.by_dim(1)[:5]]
-    perts = [LocalPerturbation(c.simplex, c, 0.05, 0.05, _draw_shift(RNG, 1, 0.05))
-             for c in charts]
-    verdicts = perturb._candidate_transverse(state, charts, perts, scenario_a_run["h"],
+    perts = [LocalDiffeo(c, 0.05, 0.05, _draw_shift(RNG, 1, 0.05)) for c in charts]
+    verdicts = perturb._candidate_transverse(state, perts, scenario_a_run["h"],
                                              scenario_a_run["config"])
     assert type(verdicts) is list and len(verdicts) == 5
     assert all(type(v) is bool for v in verdicts)

@@ -1,6 +1,6 @@
-"""Tubular charts and the composed triangulation map: defining property,
-Jacobians, injectivity, exact identity off supports, Newton round trips,
-star membership."""
+"""Tubular frames and the composed triangulation map: frames pushed through
+the chain (defining property, Jacobians, injectivity, round trips), exact
+identity off supports, Newton round trips, star membership."""
 
 import numpy as np
 import pytest
@@ -19,12 +19,17 @@ def random_simplex_params(l, k=50):
     return lam[:, 1:]
 
 
+def chart_point(state, ch, t, v):
+    """The frame point (t, v) of a chart pushed through the chain of state."""
+    return state.eval_eta(ch.frame_point(t, v))
+
+
 class TestFrame:
     def test_axis_aligned_edge_chart_is_identity(self, base_state):
         # edge from (0,0) to (1,0): tangent e1, normal e2
         ch = make_chart(base_state, sc.Simplex((0, 2)))
         for t, v in [(0.0, 0.0), (0.3, 0.2), (1.0, -0.7)]:
-            out = ch.forward(np.array([t]), np.array([v]))
+            out = chart_point(base_state, ch, np.array([t]), np.array([v]))
             assert np.allclose(out, [t, v], atol=1e-15)
 
     def test_normal_frame_orthonormal_and_deterministic(self, base_state):
@@ -45,7 +50,7 @@ class TestFrame:
             ch = make_chart(state, s)
             b, A = state.realization.simplex_frame(s)
             for t in random_simplex_params(1, 50):
-                lhs = ch.forward(t, np.zeros(1))
+                lhs = chart_point(state, ch, t, np.zeros(1))
                 rhs = state.eval_eta(b + A @ t)
                 assert np.linalg.norm(lhs - rhs) < 1e-10
 
@@ -54,10 +59,11 @@ class TestFrame:
         ch = make_chart(state, sc.Simplex((0, 3)))
 
         def f(tv):
-            return ch.forward(tv[:1], tv[1:])
+            return chart_point(state, ch, tv[:1], tv[1:])
 
         def jac(tv):
-            return ch.forward_with_jacobian(tv[:1], tv[1:])[1]
+            J = state.eval_eta_with_jacobian(ch.frame_point(tv[:1], tv[1:]))[1]
+            return J @ np.hstack([ch.tangent, ch.normal])
 
         pts = [np.array([RNG.uniform(0.1, 0.9), RNG.uniform(-0.2, 0.2)])
                for _ in range(40)]
@@ -67,7 +73,7 @@ class TestFrame:
         state = small_pipeline["state"]
         ch = make_chart(state, sc.Simplex((0, 3)))
         tv = np.column_stack([RNG.uniform(0.0, 1.0, 1000), RNG.uniform(-0.3, 0.3, 1000)])
-        imgs = np.array([ch.forward(p[:1], p[1:]) for p in tv])
+        imgs = np.array([chart_point(state, ch, p[:1], p[1:]) for p in tv])
         frame = np.hstack([ch.tangent, ch.normal])
         sig_min = np.linalg.svd(frame, compute_uv=False)[-1]
         for _ in range(2000):
@@ -84,7 +90,7 @@ class TestFrame:
         for _ in range(100):
             t = RNG.uniform(0.05, 0.95, size=1)
             v = RNG.uniform(-0.2, 0.2, size=1)
-            t2, v2 = ch.inverse(ch.forward(t, v))
+            t2, v2 = ch.frame_coords(state.eval_eta_inverse(chart_point(state, ch, t, v)))
             assert np.linalg.norm(t2 - t) < 1e-9
             assert np.linalg.norm(v2 - v) < 1e-9
 

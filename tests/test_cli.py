@@ -50,6 +50,17 @@ class TestParsing:
         with pytest.raises(ConfigError, match="mesh"):
             load_scenario(bad)
 
+    def test_misspelled_section_exits_2_naming_its_line(self, tmp_path, capsys):
+        # scenario C with [pipline]: its seed would otherwise drop to 0 unseen
+        text = open(scen("scenario_c.cfg")).read()
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(text.replace("[pipeline]", "[pipline]"))
+        line = text.splitlines().index("[pipeline]") + 1
+        with pytest.raises(ConfigError, match=rf"line {line}: unknown section \[pipline\]"):
+            load_scenario(cfg)
+        assert main(["verify-only", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"scenario error: line {line}" in capsys.readouterr().err
+
     def test_mesh_from_file(self, tmp_path):
         mesh = tmp_path / "m.txt"
         mesh.write_text("3 1\n0.0 0.0\n1.0 0.0\n0.0 1.0\n3 0 1 2\n")

@@ -11,13 +11,12 @@ from transtri.charts import TriangulationState, dump_chain_metadata, make_chart
 from transtri.config import PipelineConfig
 from transtri.errors import (DegenerateGeometryError, MeshError,
                              PerturbationError, SamplingFailureError)
-from transtri.perturb import (LocalPerturbation, build_local_diffeo,
-                              containment_ok, estimate_c_sigma, extend_to_ambient,
-                              make_transverse, perturb_level, sample_regular_value,
-                              subdivision_data, _containment_lattice,
-                              _star_locator, _unit_directions)
+from transtri.perturb import (LocalDiffeo, _Draw, _sample_shift, _star_locator,
+                              _unit_directions, build_local_diffeo, containment_ok,
+                              estimate_c_sigma, extend_to_ambient, make_transverse,
+                              perturb_level, subdivision_data)
 from transtri.smoothmap import CircleMap, LineMap, PointMap
-from transtri.verify import fd_jacobian_check
+from transtri.verify import fd_jacobian_check, interior_lattice, lattice_per_dim
 
 RNG = np.random.default_rng(31)
 CFG = PipelineConfig(seed=5)
@@ -29,7 +28,16 @@ def make_pert(state, s, eps=0.05, v=None, c_sigma=0.2, seed=0):
     if v is None:
         v = rng.uniform(-1, 1, size=state.ambient_dim - s.dim)
         v *= 0.8 * eps**2 / np.linalg.norm(v)
-    return LocalPerturbation(s, chart, c_sigma, eps, np.asarray(v, float))
+    return LocalDiffeo(chart, c_sigma, eps, np.asarray(v, float))
+
+
+def containment_lattice(l, config):
+    return interior_lattice(l, lattice_per_dim(config.containment_density, l))
+
+
+def chart_point(state, chart, t, v):
+    """The chart's frame point (t, v) pushed through the chain of state."""
+    return state.eval_eta(chart.frame_point(t, v))
 
 
 class TestClearanceSearch:
@@ -46,7 +54,7 @@ class TestClearanceSearch:
         sd = subdivision_data(base_state)
         chart = make_chart(base_state, s)
         locator = _star_locator(base_state, s, sd, CFG)
-        lattice = _containment_lattice(1, CFG)
+        lattice = containment_lattice(1, CFG)
         dirs = _unit_directions(1)
         c = 2.0 * estimate_c_sigma(base_state, s, CFG, sd_data=sd, chart=chart)
         assert containment_ok(base_state, chart, locator, lattice, dirs, c, sd)
@@ -59,10 +67,10 @@ class TestClearanceSearch:
         chart = make_chart(base_state, s)
         c = estimate_c_sigma(base_state, s, CFG, sd_data=sd, chart=chart)
         star_set = sc.star(sd.cplx, sc.Simplex((sd.barycenter_ids[s],)))
-        for t in _containment_lattice(1, CFG):
+        for t in containment_lattice(1, CFG):
             rho = bump.rho_l(t)
             for u in _unit_directions(1):
-                x = chart.forward(t, c * rho * u)
+                x = chart_point(base_state, chart, t, c * rho * u)
                 loc = sc.point_locate(sd.cplx, sd.realization,
                                       base_state.eval_eta_inverse(x))
                 assert loc is not None and loc.simplex in star_set
@@ -76,7 +84,7 @@ class TestClearanceSearch:
         chart = make_chart(base_state, s)
         target = np.array([-1e-8, 0.9])
         c = float(np.linalg.norm(target))
-        args = (_containment_lattice(0, CFG), (target / c)[None], c, sd)
+        args = (containment_lattice(0, CFG), (target / c)[None], c, sd)
         # at barycentric_tol = 1e-6 the sample lies on the complex and outside
         # the star, so the fiber region fails ...
         loose = CFG.replace(barycentric_tol=1e-6)
@@ -95,6 +103,9 @@ class TestClearanceSearch:
             def __init__(self, point):
                 self.point = point
 
+            def eval_eta(self, p):
+                return base_state.eval_eta(p)
+
             def eval_eta_inverse(self, x):
                 if np.all(np.atleast_2d(x) == self.point, axis=1).any():
                     raise NewtonDivergenceError("stuck")
@@ -104,10 +115,10 @@ class TestClearanceSearch:
         sd = subdivision_data(base_state)
         chart = make_chart(base_state, s)
         locator = _star_locator(base_state, s, sd, CFG)
-        lattice = _containment_lattice(0, CFG)
+        lattice = containment_lattice(0, CFG)
         bad, stuck = np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, 0.0])
         c = 0.6 * np.sqrt(2.0)
-        state = StuckAt(chart.forward(lattice[0], c * stuck))
+        state = StuckAt(chart_point(base_state, chart, lattice[0], c * stuck))
         assert not containment_ok(state, chart, locator, lattice, [bad, stuck], c, sd)
         with pytest.raises(NewtonDivergenceError):
             containment_ok(state, chart, locator, lattice, [stuck, bad], c, sd)
@@ -119,11 +130,21 @@ class TestClearanceSearch:
             estimate_c_sigma(base_state, sc.Simplex((0, 3)), bad)
 
 
+def sampled_shift(state, s, h, eps, config, rng):
+    """The shift vector that level-wide sampling accepts for s alone, or the
+    error it leaves."""
+    draw = _Draw(make_chart(state, s), rng, c_sigma=eps, eps=eps)
+    _sample_shift(state, [draw], h, config)
+    if draw.error is not None:
+        raise draw.error
+    return draw.psi.v
+
+
 class TestSampleRegularValue:
     def test_disjoint_map_first_candidate_accepted(self, base_state):
         h = CircleMap((5.0, 5.0), 0.5)
-        v = sample_regular_value(base_state, sc.Simplex((0, 3)), h, 0.05, CFG,
-                                 np.random.default_rng(9))
+        v = sampled_shift(base_state, sc.Simplex((0, 3)), h, 0.05, CFG,
+                          np.random.default_rng(9))
         expect = None
         rng = np.random.default_rng(9)
         while expect is None:
@@ -138,8 +159,7 @@ class TestSampleRegularValue:
         # move the vertex image beyond the clearance threshold
         h = PointMap((0.0, 0.0))
         s = sc.Simplex((0,))
-        v = sample_regular_value(base_state, s, h, 0.05, CFG,
-                                 np.random.default_rng(1))
+        v = sampled_shift(base_state, s, h, 0.05, CFG, np.random.default_rng(1))
         moved = np.exp(-1.0) * v  # vertex displacement for the 0-dim profile
         assert np.linalg.norm(moved - np.zeros(2)) > CFG.vertex_clearance
 
@@ -148,8 +168,8 @@ class TestSampleRegularValue:
         h = PointMap((0.0, 0.0))
         cfg = CFG.replace(max_retries=8, vertex_clearance=0.5)
         with pytest.raises(SamplingFailureError) as info:
-            sample_regular_value(base_state, sc.Simplex((0,)), h, 0.05, cfg,
-                                 np.random.default_rng(2))
+            sampled_shift(base_state, sc.Simplex((0,)), h, 0.05, cfg,
+                          np.random.default_rng(2))
         assert info.value.diagnostics["epsilon"] == 0.05
 
 
@@ -214,6 +234,29 @@ class TestLocalDiffeo:
             J = psi.jacobian(np.zeros((1, 0)), v[None])[0]
             assert np.linalg.norm(J - np.eye(2), 2) < 0.5
 
+    @pytest.mark.parametrize("sdim,rows", [(0, 78), (1, 96)])
+    def test_guard_checks_every_sample_in_r3(self, monkeypatch, sdim, rows):
+        # 26 directions around a vertex, 8 around an edge: the guard checks
+        # fiber radii 0, 0.4 and 0.8 of the fade at every lattice point in one
+        # call, not only the leading rows (24 copies of v = 0 for a vertex)
+        cplx, real = sc.grid_triangulation((0, 0, 0), (1, 1, 1), 1)
+        state = TriangulationState(cplx, real)
+        pert = make_pert(state, cplx.by_dim(sdim)[0], eps=0.05)
+        seen = []
+        real_jacobian = LocalDiffeo.jacobian
+
+        def jacobian(psi, t, v):
+            seen.append((t, v))
+            return real_jacobian(psi, t, v)
+
+        monkeypatch.setattr(LocalDiffeo, "jacobian", jacobian)
+        assert build_local_diffeo(pert) is pert
+        [(t, v)] = seen
+        assert len(v) == rows
+        frac = np.linalg.norm(v, axis=1) / (pert.epsilon * bump.rho_l(t))
+        assert np.unique(np.round(frac, 12)).tolist() == [0.0, 0.4, 0.8]
+        assert len(np.unique(t, axis=0)) == (1 if sdim == 0 else 4)
+
     def test_fiber_inverse_round_trip(self, base_state):
         pert = make_pert(base_state, sc.Simplex((0, 3)), eps=0.05)
         psi = build_local_diffeo(pert)
@@ -229,18 +272,16 @@ class TestLocalDiffeo:
     def test_invariants_enforced(self, base_state):
         chart = make_chart(base_state, sc.Simplex((0, 3)))
         with pytest.raises(ValueError, match="c_sigma"):
-            LocalPerturbation(chart.simplex, chart, 0.01, 0.05, np.array([1e-5]))
+            LocalDiffeo(chart, 0.01, 0.05, np.array([1e-5]))
         with pytest.raises(ValueError, match="epsilon"):
-            LocalPerturbation(chart.simplex, chart, 1.0, 0.9, np.array([1e-5]))
+            LocalDiffeo(chart, 1.0, 0.9, np.array([1e-5]))
         with pytest.raises(ValueError, match=r"\|v\|"):
-            LocalPerturbation(chart.simplex, chart, 1.0, 0.05, np.array([0.01]))
+            LocalDiffeo(chart, 1.0, 0.05, np.array([0.01]))
 
 
 class TestAmbientExtension:
     def _link(self, state, s, eps=0.05):
-        pert = make_pert(state, s, eps=eps)
-        psi = build_local_diffeo(pert)
-        return extend_to_ambient(state, psi, pert.chart, level=s.dim)
+        return extend_to_ambient(build_local_diffeo(make_pert(state, s, eps=eps)))
 
     def test_identity_outside_support_box(self, base_state):
         link = self._link(base_state, sc.Simplex((0, 3)))
@@ -256,7 +297,7 @@ class TestAmbientExtension:
     def test_barycenter_moves_within_shift_bound(self, base_state):
         s = sc.Simplex((0, 3))
         link = self._link(base_state, s)
-        pert = link.local.pert
+        pert = link.local
         b = sc.barycenter(s, base_state.realization)
         moved = link.apply(b[None])[0]
         rho_max = bump.rho_l(np.full(1, 0.5))
@@ -391,15 +432,18 @@ class TestSupportContainment:
         # the final embedding of an edge equals its chart pushed along the
         # sampled shift: the chain composition telescopes exactly
         state = small_pipeline["state"]
+        # the chain the edge charts were made against: the vertex links
+        before = TriangulationState(state.complex, state.realization,
+                                    [lk for lk in state.links if lk.level < 1])
         for link in state.links:
             if link.level != 1:
                 continue
-            pert = link.local.pert
+            pert = link.local
             b, A = state.realization.simplex_frame(link.simplex)
             for t in np.linspace(0.05, 0.95, 9):
                 t = np.array([t])
                 lhs = state.eval_eta(b + A @ t)
-                rhs = link.chart.forward(t, pert.shift(t))
+                rhs = chart_point(before, link.chart, t, pert.shift(t))
                 assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
@@ -410,12 +454,13 @@ class TestNewtonErrorContract:
         link = small_pipeline["state"].links[0]
 
         class Stuck:
+            chart = link.chart
+
             def inverse_moves(self, t, w):
                 raise NewtonDivergenceError("stuck")
 
-        broken = type(link)(simplex=link.simplex, level=link.level,
-                            chart=link.chart, local=Stuck(),
-                            support_lo=link.support_lo, support_hi=link.support_hi)
+        broken = type(link)(local=Stuck(), support_lo=link.support_lo,
+                            support_hi=link.support_hi)
         inside = 0.5 * (link.support_lo + link.support_hi)
         with pytest.raises(NewtonDivergenceError) as info:
             broken.invert(inside[None])

@@ -12,7 +12,7 @@ from transtri.config import PipelineConfig
 from transtri.perturb import build_local_diffeo
 from transtri.smoothmap import CircleMap, LineMap, PointMap
 from transtri.verify import (boundary_crossing_counts, boundary_decay_check,
-                             check_transverse_at, fd_jacobian_check,
+                             fd_jacobian_check,
                              find_intersections, min_distance_to_image,
                              transversality_margin, verify_triangulation)
 
@@ -22,12 +22,12 @@ CFG = PipelineConfig(seed=5)
 
 class TestRankCondition:
     def test_orthogonal_columns_pass(self):
-        assert check_transverse_at(np.array([[0.0], [1.0]]),
-                                   np.array([[1.0], [0.0]]), 1e-6)
+        assert transversality_margin(np.array([[0.0], [1.0]]),
+                                     np.array([[1.0], [0.0]])) >= 1e-6
 
     def test_collinear_columns_fail(self):
-        assert not check_transverse_at(np.array([[1.0], [0.0]]),
-                                       np.array([[1.0], [0.0]]), 1e-6)
+        assert not transversality_margin(np.array([[1.0], [0.0]]),
+                                         np.array([[1.0], [0.0]])) >= 1e-6
 
     def test_thirty_degree_margin_matches_svd_oracle(self):
         ang = np.pi / 6
