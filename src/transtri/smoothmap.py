@@ -75,17 +75,12 @@ class Domain:
             return lo + np.mod(y - lo, hi - lo)
         return y
 
-    def contains(self, y, tol=_TOL):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if y.shape != (self.dim,):
-            return False
-        if self.kind == "point":
-            return True
-        if self.periodic:
-            return True
-        lo = np.array(self.lo)
-        hi = np.array(self.hi)
-        return bool(np.all(y >= lo - tol) and np.all(y <= hi + tol))
+    def contains(self, ys, tol=_TOL):
+        """Whether each row of ys, (N, dim), lies in the domain up to tol."""
+        ys = np.asarray(ys, dtype=float)
+        if self.kind == "point" or self.periodic:
+            return np.ones(len(ys), bool)
+        return np.all((ys >= np.array(self.lo) - tol) & (ys <= np.array(self.hi) + tol), axis=1)
 
     def sample(self, density):
         """Deterministic quasi-uniform grid with density points per axis.
@@ -132,7 +127,7 @@ class SmoothMap:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.shape != (self.domain.dim,):
             raise DomainError(f"parameter shape {y.shape} != ({self.domain.dim},)")
-        if not self.domain.contains(y):
+        if not self.domain.contains(y[None])[0]:
             raise DomainError(f"parameter {y} outside domain")
         return self.domain.wrap(y)
 

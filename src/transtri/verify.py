@@ -40,7 +40,6 @@ __all__ = [
     "fd_jacobian",
     "fd_jacobian_check",
     "boundary_decay_check",
-    "min_distance_to_image",
     "boundary_crossing_counts",
     "report_to_csv",
     "report_summary",
@@ -197,12 +196,8 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None):
         far = np.any(np.abs(T[p]) > 10.0, axis=1)
         diverged[p[far]] = True
         live = p[~far & (sn >= 1e-15)]
-    out = []
-    tol = 1e-6 * (1.0 + scale)
-    for p in range(P):
-        ok = not diverged[p] and best_r[p] < np.inf and h.domain.contains(best_y[p], tol=tol)
-        out.append((best_y[p], best_t[p], float(best_r[p])) if ok else None)
-    return out
+    ok = ~diverged & (best_r < np.inf) & h.domain.contains(best_y, tol=1e-6 * (1.0 + scale))
+    return [(best_y[p], best_t[p], float(best_r[p])) if ok[p] else None for p in range(P)]
 
 
 def _pair_seeds(h, patch, config, scale, t_per_dim=None):
@@ -285,26 +280,28 @@ def patch_roots(h, patch, config, scale, t_per_dim=None):
             for rs, mr in zip(roots, min_resid)]
 
 
-def _param_dist(a, b, y_period):
-    dy = np.asarray(a[0]) - np.asarray(b[0])
-    if y_period is not None and dy.size:
-        dy = np.abs(dy) % y_period
-        dy = np.minimum(dy, y_period - dy)
-    dt = np.asarray(a[1]) - np.asarray(b[1])
-    return float(np.sqrt(np.sum(dy ** 2) + np.sum(dt ** 2)))
-
-
 def _cluster(items, radius, y_period=None):
-    """Greedy dedupe of (y, t, ...) parameter tuples.
+    """Greedy dedupe of (y, t, ...) parameter tuples, in their order.
 
+    Each item is compared with all kept items in one array expression and
+    kept when its parameter distance to every one of them exceeds radius.
     Periodic parameter axes fold, so roots found from both sides of the
     seam collapse to one record.
     """
+    Y = np.array([it[0] for it in items], float)
+    T = np.array([it[1] for it in items], float)
     kept = []
-    for it in items:
-        if any(_param_dist(it, k, y_period) <= radius for k in kept):
-            continue
-        kept.append(it)
+    for i, it in enumerate(items):
+        # the rows of the kept items sit in the first len(kept) rows
+        c = len(kept)
+        dy = Y[i] - Y[:c]
+        if y_period is not None:
+            dy = np.abs(dy) % y_period
+            dy = np.minimum(dy, y_period - dy)
+        dt = T[i] - T[:c]
+        if not np.any(np.sqrt(np.sum(dy ** 2, axis=1) + np.sum(dt ** 2, axis=1)) <= radius):
+            Y[c], T[c] = Y[i], T[i]
+            kept.append(it)
     return kept
 
 
@@ -489,25 +486,6 @@ def verify_triangulation(state, h, config=None):
         records=tuple(all_records),
         diagnostics=diagnostics,
     )
-
-
-def min_distance_to_image(h, point, config=None):
-    """Refined minimum distance from a fixed point to the image of h."""
-    config = config or PipelineConfig()
-    x = np.asarray(point, float)
-
-    def ev(t, owner):
-        return np.tile(x, (len(t), 1))
-
-    const = Patch(l=0, eval=ev,
-                  eval_jac=lambda t, owner: (ev(t, owner), np.zeros((len(t), x.size, 0))))
-    ys = _domain_seeds(h, config)
-    hy = h.eval_batch(ys)
-    d = np.linalg.norm(hy - x, axis=1)
-    order = np.argsort(d)[: max(3, d.size // 8)]
-    refined = _gauss_newton(h, const, ys[order], np.zeros((order.size, 0)), config, 1.0)
-    best = min((out[2] for out in refined if out is not None), default=np.inf)
-    return float(min(best, d.min() if d.size else np.inf))
 
 
 def boundary_crossing_counts(cplx, report):

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transtri import bump, cli, perturb, verify
 from transtri import simplicial as sc
@@ -31,8 +33,8 @@ from transtri.smoothmap import (CircleMap, LineMap, PointMap, PolyCurveMap, Surf
 from transtri.verify import (Patch, _carrier, _cluster, _domain_period, _domain_seeds,
                              _gauss_newton, _inside_closed_simplex, _make_record, _pair_seeds,
                              find_intersections, interior_lattice, lattice_per_dim,
-                             min_distance_to_image, patch_roots, report_summary, report_to_csv,
-                             simplex_patch, transversality_margin, verify_triangulation)
+                             patch_roots, report_summary, report_to_csv, simplex_patch,
+                             transversality_margin, verify_triangulation)
 
 RNG = np.random.default_rng(20261018)
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -538,21 +540,117 @@ def test_verifier_by_dimension_equals_one_simplex_at_a_time(scenario_a_run, monk
     assert report_summary(report) == report_summary(want)
 
 
-def test_min_distance_to_image_equals_per_seed_refinement():
-    config = PipelineConfig()
-    h = CircleMap((0.1, 0.2), 1.3)
-    for point in ([2.0, 0.0], [0.1, 1.5], [0.1, 0.2], [1.4, 0.2]):
-        x = np.array(point)
-        ys = _domain_seeds(h, config)
-        d = np.linalg.norm(h.eval_batch(ys) - x, axis=1)
-        const = Patch(l=0, eval=lambda t, owner: np.tile(x, (len(t), 1)),
-                      eval_jac=lambda t, owner: (np.tile(x, (len(t), 1)), np.zeros((len(t), 2, 0))))
-        best = d.min()
-        for i in np.argsort(d)[: max(3, d.size // 8)]:
-            out = _gauss_newton(h, const, ys[i][None], np.zeros((1, 0)), config, 1.0)[0]
-            if out is not None:
-                best = min(best, out[2])
-        assert same_bits(min_distance_to_image(h, x, config), best)
+# ---------------------------------------------------------------------------
+# the parameter-space dedupe against the pairwise greedy loop
+
+
+def ref_cluster(items, radius, y_period=None):
+    """Greedy dedupe with one distance call per (item, kept item) pair, as
+    before _cluster compared an item with all kept items at once."""
+
+    def dist(a, b):
+        dy = np.asarray(a[0]) - np.asarray(b[0])
+        if y_period is not None and dy.size:
+            dy = np.abs(dy) % y_period
+            dy = np.minimum(dy, y_period - dy)
+        dt = np.asarray(a[1]) - np.asarray(b[1])
+        return float(np.sqrt(np.sum(dy ** 2) + np.sum(dt ** 2)))
+
+    kept = []
+    for it in items:
+        if not any(dist(it, k) <= radius for k in kept):
+            kept.append(it)
+    return kept
+
+
+def same_items(got, want):
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+_DYADIC = st.integers(-16, 16).map(lambda k: k / 16)
+
+
+@st.composite
+def root_lists(draw):
+    """(items, radius, period): (y, t, tag) roots with n in 0..2 and l in
+    0..3, on a dyadic lattice or anywhere, some of them an earlier root
+    moved along one axis by exactly the radius (exact on the lattice), by
+    half of it or by one and a half times it.  A periodic y lies in
+    [0, period), often within a few radii of the seam."""
+    n, l = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    period = draw(st.sampled_from([None, 1.0, 2 * math.pi])) if n == 1 else None
+    radius = draw(st.sampled_from([PipelineConfig().dedupe_radius, 0.0625, 0.25]))
+    coord = st.one_of(_DYADIC, st.floats(-1.0, 1.0))
+    seam = st.floats(0.0, 4 * radius)
+    items = []
+    for _ in range(draw(st.integers(0, 24))):
+        if items and draw(st.booleans()):
+            y, t, _ = items[draw(st.integers(0, len(items) - 1))]
+            v = np.concatenate([y, t])
+            if v.size:
+                step = draw(st.sampled_from([-1.0, 1.0])) * draw(st.sampled_from([1.0, 0.5, 1.5]))
+                v[draw(st.integers(0, v.size - 1))] += step * radius
+            y, t = v[:n], v[n:]
+        else:
+            y = np.array([draw(coord) for _ in range(n)])
+            t = np.array([draw(coord) for _ in range(l)])
+            if period is not None:
+                y = np.array([draw(st.one_of(seam, seam.map(lambda d: period - d)))])
+        if period is not None:
+            y = y % period
+        items.append((y, t, object()))
+    return items, radius, period
+
+
+@given(root_lists())
+@settings(max_examples=200, deadline=None)
+def test_cluster_keeps_the_roots_of_the_pairwise_loop(case):
+    items, radius, period = case
+    assert same_items(_cluster(items, radius, period), ref_cluster(items, radius, period))
+
+
+def test_cluster_drops_a_root_at_exactly_the_radius():
+    r = PipelineConfig().dedupe_radius
+    a = (np.array([0.0]), np.array([0.0, 0.0]), "a")
+    on = (np.array([0.0]), np.array([r, 0.0]), "on")
+    past = (np.array([0.0]), np.array([np.nextafter(r, 1.0), 0.0]), "past")
+    assert same_items(_cluster([a, on, past], r), [a, past])
+    # across the seam of a periodic axis, the folded distance counts
+    seam = (np.array([2 * math.pi - r / 2]), np.array([0.0, 0.0]), "seam")
+    assert same_items(_cluster([a, seam], r, 2 * math.pi), [a])
+    assert same_items(_cluster([a, seam], r), [a, seam])
+    # n = 0 and l = 0: every root is the same parameter point
+    empty = [(np.zeros(0), np.zeros(0), k) for k in range(3)]
+    assert same_items(_cluster(empty, r), empty[:1])
+
+
+@pytest.mark.parametrize("name", VERIFY_SCENARIOS)
+def test_cluster_keeps_the_roots_of_the_pairwise_loop_on_both_passes(monkeypatch, name):
+    state, h, config = _verify_only_case(name)
+    calls = []
+
+    def spy(items, radius, y_period=None):
+        calls.append((items, radius, y_period, _cluster(items, radius, y_period)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(verify, "_cluster", spy)
+    verify_triangulation(state, h, config)
+    for items, radius, period, got in calls:
+        assert same_items(got, ref_cluster(items, radius, period))
+    # per-owner roots carry their residual, per-carrier roots their record;
+    # the disjoint scenario keeps no root at all
+    kinds = {type(items[0][2]) for items, *_ in calls if items}
+    assert kinds == (set() if name == "scenario_disjoint" else {float, verify.IntersectionRecord})
+
+
+def test_per_carrier_dedupe_merges_scenario_a_roots():
+    # roots of neighbouring owners that attribution moves onto one face:
+    # 138 records before the per-carrier pass, 120 after it
+    state, h, config = _verify_only_case("scenario_a")
+    found = sum(len(records) for l in range(state.complex.dim + 1)
+                for records, _ in find_intersections(state, state.complex.by_dim(l), h, config))
+    report = verify_triangulation(state, h, config)
+    assert (found, report.diagnostics["n_records"]) == (138, 120)
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,16 @@ class TestDomain:
         d = Domain("interval", (0.0,), (1.0,), periodic=True)
         assert abs(float(d.wrap(np.array([1.25]))[0]) - 0.25) < 1e-15
 
+    def test_contains_judges_each_row(self):
+        box = Domain("box", (0.0, -1.0), (1.0, 1.0))
+        rows = np.array([[0.5, 0.0], [1.0 + 1e-3, 0.0], [0.5, -1.0 - 1e-3], [1.0 + 1e-3, 2.0]])
+        assert box.contains(rows).tolist() == [True, False, False, False]
+        assert box.contains(rows, tol=1e-2).tolist() == [True, True, True, False]
+        assert box.contains(np.zeros((0, 2))).shape == (0,)
+        circle = Domain("interval", (0.0,), (1.0,), periodic=True)
+        assert circle.contains(np.array([[-5.0], [0.5], [7.0]])).tolist() == [True] * 3
+        assert Domain("point").contains(np.zeros((2, 0))).tolist() == [True, True]
+
 
 class TestRegistry:
     def test_from_params(self):

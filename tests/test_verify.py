@@ -12,8 +12,7 @@ from transtri.config import PipelineConfig
 from transtri.perturb import build_local_diffeo
 from transtri.smoothmap import CircleMap, LineMap, PointMap
 from transtri.verify import (boundary_crossing_counts, boundary_decay_check,
-                             fd_jacobian_check,
-                             find_intersections, min_distance_to_image,
+                             fd_jacobian_check, find_intersections,
                              transversality_margin, verify_triangulation)
 
 RNG = np.random.default_rng(41)
@@ -148,6 +147,22 @@ class TestVerifyTriangulation:
         st0 = report.statuses[sc.Simplex((0,))]
         assert abs(st0.min_distance - 0.25) < 1e-9
 
+    def test_roots_moved_onto_a_shared_vertex_become_one_record(self, grid_a):
+        # the vertex, its six edges and its six triangles each find the
+        # image of vertex 12, and attribution moves every root onto the
+        # vertex; only the per-carrier dedupe makes them one record
+        cplx, real = grid_a
+        state = TriangulationState(cplx, real)
+        v = sc.Simplex((12,))
+        h = PointMap(real.point(12))
+        found = [r for l in range(cplx.dim + 1)
+                 for records, _ in find_intersections(state, cplx.by_dim(l), h, CFG)
+                 for r in records]
+        assert len(found) == 13 and all(r.simplex == v for r in found)
+        report = verify_triangulation(state, h, CFG)
+        assert len(report.status(v).records) == 1
+        assert report.diagnostics["n_records"] == 1
+
     def test_monotone_in_density_failing_stays_failing(self, base_state):
         h = LineMap((0.0, 0.0), (1.0, 1.0), -0.25, 1.25)
         for density in (32, 64, 128):
@@ -180,13 +195,6 @@ class TestJacobianCheck:
         pts = [RNG.normal(size=2) for _ in range(20)]
         err = fd_jacobian_check(lambda x: A @ x, lambda x: A + 0.05, pts)
         assert err > 1e-2
-
-
-class TestMinDistance:
-    def test_point_to_circle(self):
-        h = CircleMap((0.0, 0.0), 1.0)
-        assert abs(min_distance_to_image(h, np.array([2.0, 0.0]), CFG) - 1.0) < 1e-9
-        assert min_distance_to_image(h, np.array([1.0, 0.0]), CFG) < 1e-12
 
 
 class TestBoundaryDecay:
