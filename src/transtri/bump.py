@@ -67,43 +67,47 @@ _RHO_POLYS = (
 _LOG_SAFE_U = 500.0
 
 
-def _entrywise(fn, x):
-    """fn over the entries of x (a 0-d input gives a scalar), in Python floats.
-
-    numpy's vectorized exp differs from math.exp in the last bit on a few
-    percent of inputs, so the exp/log primitives below run math per entry:
-    every value, and so the repr-printed chain metadata, stays the same
-    however points are batched.
-    """
-    x = np.asarray(x, float)
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)[()]
+def _math(fn, x):
+    """math.exp or math.log over a 1-D array.  numpy's vector forms differ
+    in the last bit on a few percent of inputs; the arithmetic around them
+    runs in numpy, which rounds each operation as Python floats do.  So
+    every value, and the repr-printed chain metadata, is independent of
+    batching."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
+# Python floats stay silent where numpy warns (1/r overflows for subnormal r).
+@np.errstate(all="ignore")
 def rho(r):
     """Flat mollifier exp(-1/r) on r > 0, identically 0 on r <= 0; entrywise."""
-    return _entrywise(lambda x: math.exp(-1.0 / x) if x > 0.0 else 0.0, r)
+    r = np.asarray(r, float)
+    out = np.zeros(r.shape)
+    pos = r > 0.0
+    out[pos] = _math(math.exp, -1.0 / r[pos])
+    return out[()]
 
 
+@np.errstate(all="ignore")
 def rho_deriv(r, k):
-    """k-th derivative of rho, exact closed form, k <= RHO_DERIV_MAX; entrywise."""
+    """k-th derivative of rho, exact closed form, k <= RHO_DERIV_MAX; entrywise.
+
+    Exactly 0 where the polynomial factor or 1/r is not finite: there
+    exp(-1/r) underflows long before, so the true value rounds to 0.
+    """
     if not 0 <= k <= RHO_DERIV_MAX:
         raise ValueError(f"derivative order {k} unsupported (max {RHO_DERIV_MAX})")
-    coeffs = _RHO_POLYS[k][::-1].tolist()
-
-    def entry(x):
-        if x <= 0.0:
-            return 0.0
-        u = 1.0 / x
-        poly = 0.0
-        for c in coeffs:  # Horner, as np.polyval
-            poly = poly * u + c
-        if u > _LOG_SAFE_U:
-            if poly == 0.0:
-                return 0.0
-            return math.copysign(math.exp(-u + math.log(abs(poly))), poly)
-        return math.exp(-u) * poly
-
-    return _entrywise(entry, r)
+    r = np.asarray(r, float)
+    out = np.zeros(r.shape)
+    u = 1.0 / r
+    poly = np.zeros(r.shape)
+    for c in _RHO_POLYS[k][::-1].tolist():  # Horner, as np.polyval
+        poly = poly * u + c
+    small = (r > 0.0) & (u <= _LOG_SAFE_U)
+    out[small] = _math(math.exp, -u[small]) * poly[small]
+    big = (u > _LOG_SAFE_U) & np.isfinite(poly) & (poly != 0.0)  # 1/r = inf: NaN poly
+    p = poly[big]
+    out[big] = np.copysign(_math(math.exp, -u[big] + _math(math.log, np.abs(p))), p)
+    return out[()]
 
 
 def _factor_args(t):
@@ -196,6 +200,7 @@ def rho_l_hess(t):
     return hess
 
 
+@np.errstate(all="ignore")
 def beta(r):
     """Smooth step: 1 for r <= 1/2, 0 for r >= 1, rho-ratio blend between;
     entrywise.
@@ -208,6 +213,7 @@ def beta(r):
     return a / (a + rho(r - 0.5))
 
 
+@np.errstate(all="ignore")
 def beta_deriv(r):
     """First derivative of beta, exactly 0 outside (1/2, 1); entrywise."""
     r = np.asarray(r, float)
@@ -228,17 +234,17 @@ def c_beta():
     return 1.05 * m
 
 
+@np.errstate(all="ignore")
 def scaled_warp(rho_value, power=0):
     """exp(-1/rho) * rho**(-power), evaluated in log space; entrywise.
 
     Underflow-coherent: returns exact 0.0 when the combined exponent falls
-    below the representable range, and 0.0 when rho_value == 0.
+    below the representable range, and 0.0 when rho_value <= 0.
     """
-    def entry(x):
-        if x <= 0.0:
-            return 0.0
-        expo = -1.0 / x - power * math.log(x)
-        return 0.0 if expo < -745.0 else math.exp(expo)
-
-    return _entrywise(entry, rho_value)
-
+    x = np.asarray(rho_value, float)
+    out = np.zeros(x.shape)
+    pos = np.flatnonzero(~(x <= 0.0))  # NaN stays NaN, as in float arithmetic
+    expo = -1.0 / x.flat[pos] - power * _math(math.log, x.flat[pos])
+    live = ~(expo < -745.0)
+    out.flat[pos[live]] = _math(math.exp, expo[live])
+    return out[()]

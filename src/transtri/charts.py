@@ -21,16 +21,21 @@ composition telescopes:
 
 so evaluation never needs to invert earlier chain entries, and the
 simplex deformed along a chart is eta(frame point) for the state the
-chart was made from.  Per level, one vectorized box test selects the few
-active links.
+chart was made from.  ChainOps evaluates one same-level run of links at a
+time, from stacked link data, through the per-row fiber map kernels
+fiber_moves and fiber_preimages.
 """
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property, partial
+from operator import attrgetter
 
 import numpy as np
 
+from . import bump
 from .errors import MeshError, NewtonDivergenceError
-from .rows import matvec
+from .rows import matvec, row_norms
 from .simplicial import Simplex, _TopIndex
 
 __all__ = [
@@ -65,39 +70,153 @@ def _normal_completion(A, m):
     return N
 
 
+def _stack(arrays):
+    """Stack equally shaped arrays, each matrix kept in its memory order:
+    numpy hands C- and F-ordered matrices to different BLAS kernels, which
+    round differently."""
+    if arrays[0].flags.f_contiguous and not arrays[0].flags.c_contiguous:
+        return np.array([x.T for x in arrays]).transpose(0, 2, 1)
+    return np.array(arrays)
+
+
+def _fade_support(t, w, eps, v):
+    """Rows of w strictly inside the fade radius eps * rho_l(t), with rho_l,
+    that radius, |w|, the shift s = warp * v and whether s is nonzero."""
+    rho = bump.rho_l(t)
+    fade = eps * rho
+    wn = row_norms(w)
+    rows = np.nonzero((fade > 0.0) & (wn < fade))[0]
+    rho = rho[rows]
+    s = bump.scaled_warp(rho, 0)[:, None] * v[rows]
+    return rows, rho, fade[rows], wn[rows], s, s.any(axis=1)
+
+
+def _fiber_block(w, wn, bp, w1, eps, v):
+    """d/dw of w + beta(|w| / (eps rho)) s(t) in the fiber, per row."""
+    J = np.tile(np.eye(w.shape[1]), (len(w), 1, 1))
+    sel = (wn > 0.0) & (bp != 0.0)
+    coef = (bp * w1 / eps)[sel]
+    J[sel] += coef[:, None, None] * (v[sel][:, :, None] * (w[sel] / wn[sel, None])[:, None, :])
+    return J
+
+
+def fiber_moves(t, w, eps, v, with_jacobian=False):
+    """The fiber map (t, w) -> (t, w + beta(|w| / (eps rho_l(t))) warp(t) v)
+    of one link per row, t (N, l), w and v (N, m-l), eps (N,): the rows
+    that move, their new fibers and on request the (N, m, m) Jacobians in
+    (t, w) order.  Rows on the identity branch (t off the open simplex, w
+    at or beyond the fade radius, or a zero shift) keep J = I."""
+    l = t.shape[1]
+    J = np.tile(np.eye(l + w.shape[1]), (len(w), 1, 1)) if with_jacobian else None
+    rows, rho, fade, wn, s, nz = _fade_support(t, w, eps, v)
+    if not rows.size:
+        return rows, w[:0], J
+    r = wn / fade
+    b = bump.beta(r)
+    w2 = w[rows[nz]] + b[nz, None] * s[nz]
+    if with_jacobian:
+        v = v[rows]
+        w1 = bump.scaled_warp(rho, 1)
+        bp = bump.beta_deriv(r)
+        if l:
+            J[rows, l:, :l] = (v[:, :, None] * bump.rho_l_grad(t[rows])[:, None, :]
+                               * (b * bump.scaled_warp(rho, 2) - bp * r * w1)[:, None, None])
+        J[rows, l:, l:] = _fiber_block(w[rows], wn, bp, w1, eps[rows], v)
+    return rows[nz], w2, J
+
+
+def fiber_preimages(t, w, eps, v):
+    """Rows of w that the inverse fiber map moves and their preimages, per
+    row as in fiber_moves: Newton on x + beta(|x| / (eps rho)) s = w over
+    all of them at once.  The other rows are their own preimages.  The
+    |J - I| < 1/2 guard makes the iteration a contraction, so rows that do
+    not converge raise NewtonDivergenceError, with their indices as rows."""
+    rows, rho, fade, _, s, nz = _fade_support(t, w, eps, v)
+    rows, s = rows[nz], s[nz]
+    if not rows.size:
+        return rows, w[:0]
+    fade, w, w1 = fade[nz], w[rows], bump.scaled_warp(rho[nz], 1)
+    eps, v = eps[rows], v[rows]
+    x = w.copy()
+    live = np.arange(rows.size)
+    for _ in range(50):
+        xl = x[live]
+        xn = row_norms(xl)
+        r = xn / fade[live]
+        g = xl + bump.beta(r)[:, None] * s[live] - w[live]
+        go = ~(row_norms(g) < 1e-12)
+        if not go.any():
+            return rows, x
+        live, xl, xn, r, g = live[go], xl[go], xn[go], r[go], g[go]
+        Jg = _fiber_block(xl, xn, bump.beta_deriv(r), w1[live], eps[live], v[live])
+        x[live] = xl - np.linalg.solve(Jg, g[..., None])[..., 0]
+    exc = NewtonDivergenceError("fiber Newton did not converge")
+    exc.rows = rows[live]
+    raise exc
+
+
+class _Run:
+    """A same-level run of chain links as stacked arrays: support boxes,
+    frames b, A, N, M = [A | N] and M^-1, epsilon and shift v."""
+
+    def __init__(self, links):
+        self.links, self.l = links, links[0].level
+        self.lo, self.hi, self.eps, self.v = (
+            np.array([attrgetter(a)(lk) for lk in links])
+            for a in ("support_lo", "support_hi", "local.epsilon", "local.v"))
+        self.base, self.A, self.N, self.M, self.Minv = (
+            _stack([getattr(lk.chart, a) for lk in links])
+            for a in ("base", "tangent", "normal", "_M", "_Minv"))
+
+    def passes(self, X, newest_first):
+        """Box hits of the rows of X, as (rows, link indices) per pass: pass
+        p pairs each row with its p-th hit in chain order, or newest first."""
+        order = np.arange(len(self.links))[::-1 if newest_first else 1]
+        hit = np.all((X[:, None, :] >= self.lo) & (X[:, None, :] <= self.hi), axis=2)[:, order]
+        rows, cols = np.nonzero(hit)
+        rank, links = (np.cumsum(hit, axis=1) - 1)[rows, cols], order[cols]
+        return [(rows[rank == p], links[rank == p]) for p in range(rank.max(initial=-1) + 1)]
+
+    def step(self, X, rows, links, fiber):
+        """Run fiber(t, w, eps, v) -> (moved, new fibers, ...) of link
+        links[i] on row rows[i] of X, in place, for the rows still in their
+        link's box; returns that mask, their links and fiber's result."""
+        x = X[rows]
+        keep = np.all((x >= self.lo[links]) & (x <= self.hi[links]), axis=1)
+        j = links[keep]
+        tv = matvec(self.Minv[j], x[keep] - self.base[j])
+        t, w = tv[:, :self.l], tv[:, self.l:]
+        try:
+            result = fiber(t, w, self.eps[j], self.v[j])
+        except NewtonDivergenceError as exc:
+            exc.link = self.links[j[exc.rows].min()]
+            raise
+        moved, w2 = result[:2]
+        if moved.size:
+            jm = j[moved]
+            X[rows[keep][moved]] = (self.base[jm] + matvec(self.A[jm], t[moved])
+                                    + matvec(self.N[jm], w2))
+        return keep, j, result
+
+
 class ChainOps:
     """Masked evaluation of an ordered chain of compactly supported links.
 
     Points are rows of an (N, m) array; a single (m,) point is the N = 1
-    case.  The chain is split into contiguous same-level runs; within a run
-    supports are pairwise disjoint by construction, so one vectorized box
-    test per run finds every link acting on every row.  Masks are refreshed
-    between runs because earlier links can move points by more than later
-    slab widths, and each link re-tests its own box on the rows it gets.
+    case.  The chain is split into contiguous same-level runs of stacked
+    link data (_Run).  One box test per run finds every link whose box
+    holds a row: supports within a run are disjoint, boxes near a shared
+    face are not.  A row visits its hits in chain order (newest first when
+    applying), so pass p takes every row's p-th hit at once, and each hit
+    re-tests its box on the row's current point.  Masks are refreshed
+    between runs, as earlier links can move points by more than later slab
+    widths.  Each row has the bits of the link-by-link evaluation.
     """
 
     def __init__(self, links):
         self.links = tuple(links)
-        runs = []
-        for i, lk in enumerate(self.links):
-            if runs and runs[-1][0] == lk.level:
-                runs[-1][1].append(i)
-            else:
-                runs.append((lk.level, [i]))
-        self.runs = [
-            (idx,
-             np.array([self.links[i].support_lo for i in idx]),
-             np.array([self.links[i].support_hi for i in idx]))
-            for _, idx in runs
-        ]
-
-    @staticmethod
-    def _active(run, x):
-        """(link index, rows of x in its box), in chain order."""
-        idx, lo, hi = run
-        inside = np.all((x[:, None, :] >= lo) & (x[:, None, :] <= hi), axis=2)
-        return [(idx[j], np.nonzero(inside[:, j])[0])
-                for j in np.nonzero(inside.any(axis=0))[0]]
+        self.runs = [_Run(list(run))
+                     for _, run in itertools.groupby(self.links, key=lambda lk: lk.level)]
 
     def apply(self, x):
         return self._forward(x, False)[0]
@@ -112,13 +231,15 @@ class ChainOps:
         m = x.shape[-1]
         X = x.reshape(-1, m).copy()
         J = np.tile(np.eye(m), (len(X), 1, 1)) if with_jacobian else None
+        fiber = partial(fiber_moves, with_jacobian=with_jacobian)
         for run in reversed(self.runs):
-            for i, rows in reversed(self._active(run, X)):
+            for rows, links in run.passes(X, newest_first=True):
+                keep, j, (_, _, Jloc) = run.step(X, rows, links, fiber)
                 if with_jacobian:
-                    X[rows], Jl = self.links[i].apply_with_jacobian(X[rows])
+                    # rows that left their box still take I @ J: -0.0 becomes +0.0
+                    Jl = np.tile(np.eye(m), (len(rows), 1, 1))
+                    Jl[keep] = run.M[j] @ Jloc @ run.Minv[j]
                     J[rows] = Jl @ J[rows]
-                else:
-                    X[rows] = self.links[i].apply(X[rows])
         return X.reshape(x.shape), None if J is None else J.reshape(x.shape + (m,))
 
     def invert(self, x):
@@ -126,8 +247,8 @@ class ChainOps:
         x = np.asarray(x, float)
         X = x.reshape(-1, x.shape[-1]).copy()
         for run in self.runs:
-            for i, rows in self._active(run, X):
-                X[rows] = self.links[i].invert(X[rows])
+            for rows, links in run.passes(X, newest_first=False):
+                run.step(X, rows, links, fiber_preimages)
         return X.reshape(x.shape)
 
 
@@ -173,7 +294,7 @@ class AmbientDiffeo:
     outside the closed support box.
     """
 
-    local: object             # chart, moves/inverse_moves in (t, v) coordinates
+    local: object             # chart, epsilon and shift v of the fiber map
     support_lo: np.ndarray
     support_hi: np.ndarray
 
@@ -197,58 +318,27 @@ class AmbientDiffeo:
         """Whether one point lies inside the closed support box."""
         return bool(self.box_mask(x))
 
-    def apply(self, x):
-        """Link values at the rows of x, (N, m).
+    @cached_property
+    def _ops(self):
+        return ChainOps((self,))
 
-        Rows outside the box, or on the local identity branch, come back
-        unchanged rather than round-tripped through the frame; x itself
-        comes back when no row moves.
-        """
-        return self._step(x, self.local.moves)[0]
+    def apply(self, x):
+        """Link values at the rows of x: the one-link chain."""
+        return self._ops.apply(x)
 
     def apply_with_jacobian(self, x):
-        """Link values and Jacobians at the rows of x, from one frame pass;
-        the Jacobian is the identity outside the box."""
-        out, rows, local = self._step(x, lambda t, v: self.local.moves(t, v, True))
-        J = np.tile(np.eye(out.shape[1]), (len(out), 1, 1))
-        if rows.size:
-            J[rows] = self.chart._M @ local[2] @ self.chart._Minv
-        return out, J
+        """Link values and Jacobians (I outside the box) at the rows of x."""
+        return self._ops.apply_with_jacobian(x)
 
     def invert(self, x):
-        """Link preimages of the rows of x, (N, m).
-
-        Rows outside the box, or whose fiber the local inverse leaves
-        alone, come back unchanged; x itself comes back when no row moves.
-        """
-        return self._step(x, self.local.inverse_moves)[0]
-
-    def _step(self, x, local):
-        """Run local(t, v) -> (moved rows, their new fibers, ...) on the frame
-        coordinates of the rows of x inside the box and write the moved rows
-        back.  Returns the new points (x itself when no row moves), the box
-        rows and local's result (None for an empty box)."""
-        x = np.asarray(x, float)
-        rows = np.nonzero(self.box_mask(x))[0]
-        if not rows.size:
-            return x, rows, None
-        t, v = self.chart.frame_coords(x[rows])
-        try:
-            result = local(t, v)
-        except NewtonDivergenceError as exc:
-            exc.link = self
-            raise
-        moved, v2 = result[:2]
-        if moved.size:
-            x = x.copy()
-            x[rows[moved]] = self.chart.frame_point(t[moved], v2)
-        return x, rows, result
+        """Link preimages of the rows of x."""
+        return self._ops.invert(x)
 
 
 class TriangulationState:
     """Base realization plus an ordered chain of ambient diffeomorphisms.
 
-    Immutable between pipeline stages: appending a link returns a new
+    Immutable between pipeline stages: appending links returns a new
     state.  Reads are safe to share across threads.
     """
 
@@ -260,8 +350,8 @@ class TriangulationState:
         self.mesh_scale = realization.min_edge_length(cplx)
         self._ops = ChainOps(self.links)
 
-    def with_link(self, link):
-        return TriangulationState(self.complex, self.realization, self.links + (link,))
+    def with_links(self, links):
+        return TriangulationState(self.complex, self.realization, self.links + tuple(links))
 
     def eval_eta(self, p):
         """Current triangulation map at base-coordinate points (rows)."""
@@ -272,11 +362,8 @@ class TriangulationState:
         return self._ops.apply_with_jacobian(p)
 
     def eval_eta_inverse(self, x):
-        """Preimage of ambient points (rows) under the current eta.
-
-        Newton inversion happens inside each active link, oldest links
-        unwound first.
-        """
+        """Preimage of ambient points (rows) under the current eta, oldest
+        links unwound first, each by its fiber Newton."""
         return self._ops.invert(x)
 
     def bbox(self):

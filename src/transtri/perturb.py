@@ -33,11 +33,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bump
-from .charts import AmbientDiffeo, StarLocator, TriangulationState, make_chart
+from .charts import (AmbientDiffeo, StarLocator, TriangulationState, fiber_moves,
+                     fiber_preimages, make_chart)
 from .config import PipelineConfig
 from .errors import (DegenerateGeometryError, EpsilonTooLargeError, MeshError,
                      NewtonDivergenceError, PerturbationError, SamplingFailureError)
-from .rows import matvec, row_norms
+from .rows import matvec
 from .simplicial import _TopIndex, barycentric_subdivision, simplex_sort_key
 from .verify import (Patch, interior_lattice, lattice_per_dim, patch_roots,
                      transversality_margin, verify_triangulation)
@@ -116,39 +117,13 @@ class LocalDiffeo:
         over the rows of t."""
         return _shift(t, self.v)
 
-    def _support(self, t, v):
-        """Rows of v strictly inside the fade radius epsilon * rho_l(t), with
-        rho_l, the fade radius and |v| there, their shifts s = warp * v
-        and which of those shifts are nonzero."""
-        rho = bump.rho_l(t)
-        fade = self.epsilon * rho
-        vn = row_norms(v)
-        rows = np.nonzero((fade > 0.0) & (vn < fade))[0]
-        rho = rho[rows]
-        s = bump.scaled_warp(rho, 0)[:, None] * self.v
-        return rows, rho, fade[rows], vn[rows], s, s.any(axis=1)
+    def _per_row(self, n):
+        return np.full(n, self.epsilon), np.broadcast_to(self.v, (n, self.v.size))
 
     def moves(self, t, v, with_jacobian=False):
         """Rows that move, their new fibers and, on request, the Jacobian at
         every row, from one bump evaluation; t is (N, l) and v is (N, m-l)."""
-        l = self.l
-        J = np.tile(np.eye(self.m), (len(v), 1, 1)) if with_jacobian else None
-        rows, rho, fade, vn, s, nz = self._support(t, v)
-        if not rows.size:
-            return rows, v[:0], J
-        r = vn / fade
-        b = bump.beta(r)
-        v2 = v[rows[nz]] + b[nz, None] * s[nz]
-        if with_jacobian:
-            w1 = bump.scaled_warp(rho, 1)
-            w2 = bump.scaled_warp(rho, 2)
-            bp = bump.beta_deriv(r)
-            if l:
-                grad_rho = bump.rho_l_grad(t[rows])
-                J[rows, l:, :l] = (self.v[:, None] * grad_rho[:, None, :]
-                                   * (b * w2 - bp * r * w1)[:, None, None])
-            J[rows, l:, l:] = self._fiber_block(v[rows], vn, bp, w1)
-        return rows[nz], v2, J
+        return fiber_moves(t, v, *self._per_row(len(v)), with_jacobian)
 
     def eval(self, t, v):
         """Images (t, v) of the rows of t and v; v itself when no row moves."""
@@ -162,44 +137,10 @@ class LocalDiffeo:
         """(N, m, m) Jacobians at the rows of t and v."""
         return self.moves(t, v, with_jacobian=True)[2]
 
-    def _fiber_block(self, v, vn, bp, w1):
-        """d/dv of v + beta(|v| / (eps rho)) s(t) in the fiber, per row."""
-        J = np.tile(np.eye(self.m - self.l), (len(v), 1, 1))
-        sel = (vn > 0.0) & (bp != 0.0)
-        coef = (bp * w1 / self.epsilon)[sel]
-        J[sel] += coef[:, None, None] * (self.v[:, None]
-                                         * (v[sel] / vn[sel, None])[:, None, :])
-        return J
-
     def inverse_moves(self, t, w):
         """Rows of w that the inverse moves and their preimage fibers, for
-        t (N, l) and w (N, m-l).
-
-        Newton on v + beta(|v| / (eps rho)) s = w over every such row at
-        once; the other rows are their own preimages, because the forward
-        map fixes the fiber outside the fade radius and maps the inside
-        onto itself.  The |J - I| < 1/2 guard makes the iteration a
-        contraction, so a row that fails to converge raises.
-        """
-        rows, rho, fade, _, s, nz = self._support(t, w)
-        rows, s = rows[nz], s[nz]
-        if not rows.size:
-            return rows, w[:0]
-        fade, w, w1 = fade[nz], w[rows], bump.scaled_warp(rho[nz], 1)
-        v = w.copy()
-        live = np.arange(rows.size)
-        for _ in range(50):
-            vl = v[live]
-            vn = row_norms(vl)
-            r = vn / fade[live]
-            g = vl + bump.beta(r)[:, None] * s[live] - w[live]
-            go = ~(row_norms(g) < 1e-12)
-            if not go.any():
-                return rows, v
-            live, vl, vn, r, g = live[go], vl[go], vn[go], r[go], g[go]
-            Jg = self._fiber_block(vl, vn, bump.beta_deriv(r), w1[live])
-            v[live] = vl - np.linalg.solve(Jg, g[..., None])[..., 0]
-        raise NewtonDivergenceError("fiber Newton did not converge")
+        t (N, l) and w (N, m-l), by the fiber Newton of fiber_preimages."""
+        return fiber_preimages(t, w, *self._per_row(len(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -550,13 +491,11 @@ def perturb_level(state, level, h, config=None, sd_data=None):
         s = failed.chart.simplex
         raise PerturbationError(f"level {level} aborted at simplex {s.vertices}: {failed.error}",
                                 simplex=s, level=level) from failed.error
-    new_state = state
     for d in draws:
         log.info("level=%d simplex=%s c_sigma=%.6g epsilon=%.6g |v|=%.6g retries=%d shrinks=%d",
                  level, d.chart.simplex.vertices, d.c_sigma, d.eps, float(np.linalg.norm(d.psi.v)),
                  d.psi.retries_used, d.shrinks)
-        new_state = new_state.with_link(extend_to_ambient(d.psi))
-    return new_state
+    return state.with_links([extend_to_ambient(d.psi) for d in draws])
 
 
 def _image_clearly_disjoint(state, h, config):

@@ -28,9 +28,12 @@ def atomic_write(path, text):
         raise
 
 
-def _edge_polyline(state, s, samples):
-    b, A = state.realization.simplex_frame(s)
-    return state.eval_eta(b + matvec(A, np.linspace(0.0, 1.0, samples)[:, None]))
+def _edge_polylines(state, samples):
+    """The perturbed edges, samples points each, from one chain call."""
+    edges = state.complex.by_dim(1)
+    t = np.linspace(0.0, 1.0, samples)[:, None]
+    base = [b + matvec(A, t) for b, A in map(state.realization.simplex_frame, edges)]
+    return np.split(state.eval_eta(np.concatenate(base)), len(edges)) if edges else []
 
 
 def _vertex_images(state):
@@ -54,8 +57,7 @@ def write_svg(path, state, h=None, report=None, edge_samples=16, size=800):
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
              f'viewBox="0 0 {size} {size}">',
              f'<rect width="{size}" height="{size}" fill="white"/>']
-    for s in state.complex.by_dim(1):
-        pts = _edge_polyline(state, s, edge_samples)
+    for pts in _edge_polylines(state, edge_samples):
         parts.append('<polyline fill="none" stroke="#444" stroke-width="1" points="'
                      + " ".join(pix(p) for p in pts) + '"/>')
     for p in _vertex_images(state):

@@ -12,7 +12,9 @@ sampling judges one candidate per simplex of a level at once; both must
 give every simplex what searching or sampling it alone gives.
 """
 
+import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +24,12 @@ from hypothesis import strategies as st
 
 from transtri import bump, cli, perturb, verify
 from transtri import simplicial as sc
-from transtri.charts import TriangulationState, make_chart
+from transtri.charts import ChainOps, TriangulationState, make_chart
 from transtri.config import PipelineConfig
 from transtri.errors import DegenerateGeometryError, EpsilonTooLargeError, PerturbationError
 from transtri.perturb import (LocalDiffeo, _draw_shift, _star_locator, _unit_directions,
                               containment_ok, perturb_level, subdivision_data)
-from transtri.rows import lstsq_rows, matvec
+from transtri.rows import lstsq_rows, matvec, row_norms
 from transtri.smoothmap import (CircleMap, LineMap, PointMap, PolyCurveMap, SurfacePatchMap,
                                 TorusKnotMap)
 from transtri.verify import (Patch, _carrier, _cluster, _domain_period, _domain_seeds,
@@ -59,6 +61,8 @@ def ref_rho_deriv(r, k):
     poly = 0.0
     for c in reversed(_POLYS[k]):
         poly = poly * u + c
+    if not math.isfinite(poly):  # exp(-u) underflowed first; u = inf gives NaN
+        return 0.0
     if u > 500.0:
         if poly == 0.0:
             return 0.0
@@ -289,6 +293,16 @@ def test_lstsq_rows_raises_on_nan():
 # chain inverse and point location against the one-point loops they replaced
 
 
+def ref_fiber_block(psi, v, vn, bp, w1):
+    """d/dv of v + beta(|v| / (eps rho)) s(t) in the fiber, per row, for one
+    local diffeomorphism."""
+    J = np.tile(np.eye(psi.m - psi.l), (len(v), 1, 1))
+    sel = (vn > 0.0) & (bp != 0.0)
+    coef = (bp * w1 / psi.epsilon)[sel]
+    J[sel] += coef[:, None, None] * (psi.v[:, None] * (v[sel] / vn[sel, None])[:, None, :])
+    return J
+
+
 def ref_fiber_invert(psi, t, w):
     """One-point fiber Newton: solve v + beta(|v| / (eps rho)) s = w."""
     rho = bump.rho_l(t)
@@ -306,18 +320,35 @@ def ref_fiber_invert(psi, t, w):
         g = v + bump.beta(r) * s - w
         if float(np.linalg.norm(g)) < 1e-12:
             return v
-        Jg = psi._fiber_block(v[None], np.array([vn]), np.array([bump.beta_deriv(r)]), w1)
+        Jg = ref_fiber_block(psi, v[None], np.array([vn]), np.array([bump.beta_deriv(r)]), w1)
         v = v - np.linalg.solve(Jg[0], g)
     raise AssertionError("reference fiber Newton did not converge")
+
+
+def ref_runs(links):
+    """The chain's contiguous same-level runs, as lists of links."""
+    runs = []
+    for lk in links:
+        if runs and runs[-1][0].level == lk.level:
+            runs[-1].append(lk)
+        else:
+            runs.append([lk])
+    return runs
+
+
+def ref_box_hits(run, X):
+    """(link, rows of X in its box) for the links of a run with a hit."""
+    lo = np.array([lk.support_lo for lk in run])
+    hi = np.array([lk.support_hi for lk in run])
+    inside = np.all((X[:, None, :] >= lo) & (X[:, None, :] <= hi), axis=2)
+    return [(run[j], np.nonzero(inside[:, j])[0]) for j in np.nonzero(inside.any(axis=0))[0]]
 
 
 def ref_chain_invert(state, x):
     """Preimage of one point: a box test per same-level run, then every
     link in it, oldest first, re-testing its own box."""
-    ops = state._ops
-    for idx, lo, hi in ops.runs:
-        for j in np.nonzero(np.all((x >= lo) & (x <= hi), axis=1))[0]:
-            link = ops.links[idx[j]]
+    for run in ref_runs(state.links):
+        for link, _ in ref_box_hits(run, x[None]):
             if not link.in_box(x):
                 continue
             t, w = link.chart.frame_coords(x)
@@ -325,6 +356,65 @@ def ref_chain_invert(state, x):
             if v is not w:
                 x = link.chart.frame_point(t, v)
     return x
+
+
+def ref_moves(psi, t, v, with_jacobian):
+    """One link's fiber map on the rows of t and v, as the per-link chain
+    evaluated it: the rows that move, their new fibers and on request the
+    local Jacobians."""
+    l, m = psi.l, psi.m
+    J = np.tile(np.eye(m), (len(v), 1, 1)) if with_jacobian else None
+    rho = bump.rho_l(t)
+    fade = psi.epsilon * rho
+    vn = row_norms(v)
+    rows = np.nonzero((fade > 0.0) & (vn < fade))[0]
+    rho, fade, vn = rho[rows], fade[rows], vn[rows]
+    s = bump.scaled_warp(rho, 0)[:, None] * psi.v
+    nz = s.any(axis=1)
+    if not rows.size:
+        return rows, v[:0], J
+    r = vn / fade
+    b = bump.beta(r)
+    v2 = v[rows[nz]] + b[nz, None] * s[nz]
+    if with_jacobian:
+        w1 = bump.scaled_warp(rho, 1)
+        w2 = bump.scaled_warp(rho, 2)
+        bp = bump.beta_deriv(r)
+        if l:
+            J[rows, l:, :l] = (psi.v[:, None] * bump.rho_l_grad(t[rows])[:, None, :]
+                               * (b * w2 - bp * r * w1)[:, None, None])
+        J[rows, l:, l:] = ref_fiber_block(psi, v[rows], vn, bp, w1)
+    return rows[nz], v2, J
+
+
+def ref_link_step(link, x, with_jacobian):
+    """One link on the rows of x, re-testing its box: the new rows and the
+    link's Jacobians, the identity for rows outside the box."""
+    J = np.tile(np.eye(x.shape[1]), (len(x), 1, 1))
+    rows = np.nonzero(link.box_mask(x))[0]
+    if not rows.size:
+        return x, J
+    t, v = link.chart.frame_coords(x[rows])
+    moved, v2, Jloc = ref_moves(link.local, t, v, with_jacobian)
+    if moved.size:
+        x = x.copy()
+        x[rows[moved]] = link.chart.frame_point(t[moved], v2)
+    if with_jacobian:
+        J[rows] = link.chart._M @ Jloc @ link.chart._Minv
+    return x, J
+
+
+def ref_chain_forward(links, x, with_jacobian):
+    """The chain at the rows of x link by link: a box test per same-level
+    run, newest run first, then each link with a box hit, newest first, on
+    the rows that were in its box at the start of the run."""
+    X = np.array(x, float)
+    J = np.tile(np.eye(X.shape[1]), (len(X), 1, 1))
+    for run in reversed(ref_runs(links)):
+        for link, rows in reversed(ref_box_hits(run, X)):
+            X[rows], Jl = ref_link_step(link, X[rows], with_jacobian)
+            J[rows] = Jl @ J[rows]
+    return X, J
 
 
 def ref_carrier(realization, tops, x, tol):
@@ -355,6 +445,136 @@ def test_chain_inverse_rows_equal_single_points(scenario_a_run, kind):
         assert same_bits(pre, x)
     if kind == "near_vertex":
         assert (pre != x).any(axis=1).sum() > len(x) // 2
+
+
+def assert_chain_equals_link_by_link(links, pts):
+    ops = ChainOps(links)
+    x, J = ops.apply_with_jacobian(pts)
+    rx, rJ = ref_chain_forward(links, pts, True)
+    assert same_bits(x, rx) and same_bits(J, rJ)
+    assert same_bits(ops.apply(pts), ref_chain_forward(links, pts, False)[0])
+    for p in pts[:8]:  # N = 1, as a row and as a point
+        assert same_bits(ops.apply_with_jacobian(p[None])[1], ref_chain_forward(links, p[None], True)[1])
+        assert same_bits(ops.apply(p), rx[np.all(pts == p, axis=1)][0])
+
+
+def most_box_hits_in_one_run(links, pts):
+    return max(np.sum([lk.box_mask(pts) for lk in run], axis=0).max() for run in ref_runs(links))
+
+
+@pytest.mark.parametrize("kind", ["interior", "near_vertex", "outside"])
+def test_chain_runs_equal_link_by_link(scenario_a_run, kind):
+    state = scenario_a_run["state"]
+    pts = _probe_points(state, kind)
+    assert_chain_equals_link_by_link(state.links, pts)
+    if kind == "near_vertex":
+        # edge boxes overlap at their shared vertex, so some rows take a
+        # second pass in the level-1 run
+        assert most_box_hits_in_one_run(state.links, pts) >= 2
+
+
+TETRAHEDRA = {
+    # frame products round on a skew tetrahedron; the axis-aligned one has
+    # zero frame entries, so the chain's Jacobians hold signed zeros
+    "skew": {0: (0.1, 0.0, 0.2), 1: (1.3, 0.1, 0.0), 2: (0.2, 1.1, 0.3), 3: (0.4, 0.3, 1.2)},
+    "grid": {0: (0.0, 0.0, 0.0), 1: (1.0, 0.0, 0.0), 2: (1.0, 1.0, 0.0), 3: (1.0, 1.0, 1.0)},
+}
+
+
+def _tetrahedron_chain(shape):
+    """Links at levels 0, 1 and 2 on every face of one tetrahedron, built by
+    hand with epsilon 0.1."""
+    cplx = sc.build_complex(4, [(0, 1, 2, 3)])
+    coords = TETRAHEDRA[shape]
+    real = sc.GeometricRealization({k: np.array(v) for k, v in coords.items()}, cplx)
+    state = TriangulationState(cplx, real)
+    rng = np.random.default_rng(7)
+    links = []
+    for level in range(3):
+        for face in itertools.combinations(range(4), level + 1):
+            u = rng.normal(size=3 - level)
+            psi = LocalDiffeo(make_chart(state, sc.Simplex(face)), 0.1, 0.1,
+                              0.009 * u / np.linalg.norm(u))
+            links.append(perturb.extend_to_ambient(psi))
+    return TriangulationState(cplx, real, links), real.simplex_points(sc.Simplex((0, 1, 2, 3)))
+
+
+def _on_box_faces(links, per_link=6):
+    """Points on a face of each link's box, which the other links of its
+    run can push out of it before its own re-test."""
+    out = []
+    for lk in links:
+        p = RNG.uniform(lk.support_lo, lk.support_hi, size=(per_link, 3))
+        k = RNG.integers(3, size=per_link)
+        p[np.arange(per_link), k] = np.where(RNG.random(per_link) < 0.5,
+                                             lk.support_lo[k], lk.support_hi[k])
+        out.append(p)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("shape", ["skew", "grid"])
+@pytest.mark.parametrize("fade", ["paper", "wide"])
+def test_chain_runs_equal_link_by_link_in_space(monkeypatch, fade, shape):
+    state, corners = _tetrahedron_chain(shape)
+    near = np.repeat(corners, 20, axis=0) + 0.02 * RNG.normal(size=(80, 3))
+    inner = RNG.dirichlet(np.ones(4), 80) @ corners
+    faces = np.concatenate([RNG.dirichlet(np.ones(3), 40) @ corners[list(f)]
+                            for f in itertools.combinations(range(4), 3)])
+    pts = np.concatenate([near, inner, faces + 0.002 * RNG.normal(size=faces.shape),
+                          RNG.uniform(-0.2, 1.4, size=(80, 3)), _on_box_faces(state.links)])
+    if fade == "wide":
+        # rho_l ** (1 / (l + 1)) lets edge and triangle links move points by
+        # up to 1e-6, where the paper's fade underflows: this reaches the
+        # frame of a triangle, whose edge matrix is F-ordered, and pushes
+        # face points out of boxes they started in
+        rho_l = bump.rho_l
+        monkeypatch.setattr(bump, "rho_l", lambda t: rho_l(t) ** (1.0 / (np.shape(t)[-1] + 1)))
+        level2 = [lk for lk in state.links if lk.level == 2]
+        assert (ChainOps(level2).apply(pts) != pts).any(axis=1).sum() > 20
+    assert_chain_equals_link_by_link(state.links, pts)
+    assert most_box_hits_in_one_run(state.links, pts) >= 2
+    x = state.eval_eta(pts)
+    assert (x != pts).any(axis=1).sum() > 40
+    if fade == "paper":
+        pre = state.eval_eta_inverse(x)
+        assert same_bits(pre, [ref_chain_invert(state, p) for p in x])
+        assert np.abs(pre - pts).max() < 1e-12
+
+
+def test_rows_pushed_out_of_a_box_skip_its_link(monkeypatch):
+    # two parallel edges 0.003 apart with overlapping boxes; under a wide
+    # fade the newer link pushes points on a face of the older link's box
+    # out of it before that link re-tests its box
+    cplx = sc.build_complex(4, [(0, 1), (2, 3)])
+    coords = {0: (1.0, 0.0), 1: (0.0, 0.0), 2: (1.0, 0.003), 3: (0.0, 0.003)}
+    real = sc.GeometricRealization({k: np.array(v) for k, v in coords.items()}, cplx)
+    base = TriangulationState(cplx, real)
+    older, newer = [perturb.extend_to_ambient(LocalDiffeo(make_chart(base, sc.Simplex(e)),
+                                                          0.1, 0.1, np.array([v])))
+                    for e, v in (((0, 1), -0.009), ((2, 3), 0.009))]
+    rho_l = bump.rho_l
+    monkeypatch.setattr(bump, "rho_l", lambda t: rho_l(t) ** (1.0 / (np.shape(t)[-1] + 1)))
+    x = np.linspace(0.25, 0.75, 40)
+    pts = np.stack([x, np.full_like(x, older.support_hi[1])], axis=1)
+    assert older.box_mask(pts).all() and newer.box_mask(pts).all()
+    assert not older.box_mask(newer.apply(pts)).any()
+    assert_chain_equals_link_by_link([older, newer], pts)
+
+
+def test_bump_forms_emit_no_warnings():
+    rs = np.concatenate([_radii(), [5e-324, -5e-324, 1e-310, 2.2e-308, 1e-300, 1e-155,
+                                    0.0, -0.0, np.inf, -np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bump.rho(rs)
+        for k in range(bump.RHO_DERIV_MAX + 1):
+            bump.rho_deriv(rs, k)
+        bump.beta(rs)
+        bump.beta_deriv(rs)
+        for power in range(3):
+            bump.scaled_warp(rs, power)
+        bump.rho_l(rs[:, None])
+        bump.rho_l_grad(rs[:, None])
 
 
 @pytest.mark.parametrize("kind", ["interior", "near_vertex", "outside"])

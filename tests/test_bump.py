@@ -65,6 +65,11 @@ class TestRho:
         for k in range(bump.RHO_DERIV_MAX + 1):
             val = bump.rho_deriv(1e-8, k)
             assert np.isfinite(val)
+            # the polynomial factor overflows (or 1/r does) where exp(-1/r)
+            # is long 0
+            for r in (1e-155, 1e-300, 1e-310, 5e-324):
+                assert bump.rho_deriv(r, k) == 0.0
+        assert np.array_equal(bump.rho_l_grad([[1e-300, 0.3]]), [[0.0, 0.0]])
 
     @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
     def test_range(self, r):

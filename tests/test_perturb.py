@@ -448,23 +448,22 @@ class TestSupportContainment:
 
 
 class TestNewtonErrorContract:
-    def test_divergence_error_carries_link(self, small_pipeline):
+    def test_divergence_error_carries_link(self, small_pipeline, monkeypatch):
         from transtri.errors import NewtonDivergenceError
 
-        link = small_pipeline["state"].links[0]
-
-        class Stuck:
-            chart = link.chart
-
-            def inverse_moves(self, t, w):
-                raise NewtonDivergenceError("stuck")
-
-        broken = type(link)(local=Stuck(), support_lo=link.support_lo,
-                            support_hi=link.support_hi)
-        inside = 0.5 * (link.support_lo + link.support_hi)
+        state = small_pipeline["state"]
+        a, b = state.links[:2]
+        # a NaN fade keeps every fiber Newton iterate off its root; the
+        # vertex links move their own vertex, so the Newton runs there
+        monkeypatch.setattr(bump, "beta", lambda r: np.full(np.shape(r), np.nan))
+        centers = [0.5 * (lk.support_lo + lk.support_hi) for lk in (a, b)]
         with pytest.raises(NewtonDivergenceError) as info:
-            broken.invert(inside[None])
-        assert info.value.link is broken
+            b.invert(centers[1][None])
+        assert info.value.link is b
+        # both rows fail in one pass of the chain: the older link is named
+        with pytest.raises(NewtonDivergenceError) as info:
+            state.eval_eta_inverse(np.array(centers[::-1]))
+        assert info.value.link is a
 
 
 class TestMonotoneProgress:
