@@ -90,10 +90,8 @@ def rho(r):
 @np.errstate(all="ignore")
 def rho_deriv(r, k):
     """k-th derivative of rho, exact closed form, k <= RHO_DERIV_MAX; entrywise.
-
-    Exactly 0 where the polynomial factor or 1/r is not finite: there
-    exp(-1/r) underflows long before, so the true value rounds to 0.
-    """
+    Exactly 0 where the polynomial factor or 1/r overflows, as exp(-1/r)
+    underflowed long before."""
     if not 0 <= k <= RHO_DERIV_MAX:
         raise ValueError(f"derivative order {k} unsupported (max {RHO_DERIV_MAX})")
     r = np.asarray(r, float)
@@ -106,7 +104,8 @@ def rho_deriv(r, k):
     out[small] = _math(math.exp, -u[small]) * poly[small]
     big = (u > _LOG_SAFE_U) & np.isfinite(poly) & (poly != 0.0)  # 1/r = inf: NaN poly
     p = poly[big]
-    out[big] = np.copysign(_math(math.exp, -u[big] + _math(math.log, np.abs(p))), p)
+    if p.size:
+        out[big] = np.copysign(_math(math.exp, -u[big] + _math(math.log, np.abs(p))), p)
     return out[()]
 
 

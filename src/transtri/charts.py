@@ -71,24 +71,27 @@ def _normal_completion(A, m):
 
 
 def _stack(arrays):
-    """Stack equally shaped arrays, each matrix kept in its memory order:
-    numpy hands C- and F-ordered matrices to different BLAS kernels, which
-    round differently."""
+    """Stack equally shaped arrays, each matrix in its own memory order: numpy
+    sends C- and F-ordered matrices to BLAS kernels that round differently."""
     if arrays[0].flags.f_contiguous and not arrays[0].flags.c_contiguous:
         return np.array([x.T for x in arrays]).transpose(0, 2, 1)
     return np.array(arrays)
 
 
-def _fade_support(t, w, eps, v):
+def _fade_support(t, w, eps):
     """Rows of w strictly inside the fade radius eps * rho_l(t), with rho_l,
-    that radius, |w|, the shift s = warp * v and whether s is nonzero."""
+    that radius and |w| there."""
     rho = bump.rho_l(t)
     fade = eps * rho
     wn = row_norms(w)
     rows = np.nonzero((fade > 0.0) & (wn < fade))[0]
-    rho = rho[rows]
+    return rows, rho[rows], fade[rows], wn[rows]
+
+
+def _shift(rho, v, rows):
+    """Shifts s = warp * v of the given rows, and whether each is nonzero."""
     s = bump.scaled_warp(rho, 0)[:, None] * v[rows]
-    return rows, rho, fade[rows], wn[rows], s, s.any(axis=1)
+    return s, s.any(axis=1)
 
 
 def _fiber_block(w, wn, bp, w1, eps, v):
@@ -108,9 +111,10 @@ def fiber_moves(t, w, eps, v, with_jacobian=False):
     at or beyond the fade radius, or a zero shift) keep J = I."""
     l = t.shape[1]
     J = np.tile(np.eye(l + w.shape[1]), (len(w), 1, 1)) if with_jacobian else None
-    rows, rho, fade, wn, s, nz = _fade_support(t, w, eps, v)
+    rows, rho, fade, wn = _fade_support(t, w, eps)
     if not rows.size:
         return rows, w[:0], J
+    s, nz = _shift(rho, v, rows)
     r = wn / fade
     b = bump.beta(r)
     w2 = w[rows[nz]] + b[nz, None] * s[nz]
@@ -126,12 +130,14 @@ def fiber_moves(t, w, eps, v, with_jacobian=False):
 
 
 def fiber_preimages(t, w, eps, v):
-    """Rows of w that the inverse fiber map moves and their preimages, per
-    row as in fiber_moves: Newton on x + beta(|x| / (eps rho)) s = w over
-    all of them at once.  The other rows are their own preimages.  The
-    |J - I| < 1/2 guard makes the iteration a contraction, so rows that do
-    not converge raise NewtonDivergenceError, with their indices as rows."""
-    rows, rho, fade, _, s, nz = _fade_support(t, w, eps, v)
+    """Rows of w that the inverse fiber map moves and their preimages, per row
+    as in fiber_moves, by Newton on x + beta(|x| / (eps rho)) s = w; the |J -
+    I| < 1/2 guard makes it a contraction, so rows that do not converge raise
+    NewtonDivergenceError, with their indices as rows."""
+    rows, rho, fade, _ = _fade_support(t, w, eps)
+    if not rows.size:
+        return rows, w[:0]
+    s, nz = _shift(rho, v, rows)
     rows, s = rows[nz], s[nz]
     if not rows.size:
         return rows, w[:0]
@@ -174,13 +180,13 @@ class _Run:
         order = np.arange(len(self.links))[::-1 if newest_first else 1]
         hit = np.all((X[:, None, :] >= self.lo) & (X[:, None, :] <= self.hi), axis=2)[:, order]
         rows, cols = np.nonzero(hit)
-        rank, links = (np.cumsum(hit, axis=1) - 1)[rows, cols], order[cols]
+        rank, links = np.arange(rows.size) - np.searchsorted(rows, rows), order[cols]
         return [(rows[rank == p], links[rank == p]) for p in range(rank.max(initial=-1) + 1)]
 
     def step(self, X, rows, links, fiber):
-        """Run fiber(t, w, eps, v) -> (moved, new fibers, ...) of link
-        links[i] on row rows[i] of X, in place, for the rows still in their
-        link's box; returns that mask, their links and fiber's result."""
+        """Run fiber(t, w, eps, v) -> (moved, new fibers, ...) of link links[i]
+        on row rows[i] of X, in place, for the rows still in their link's box;
+        returns that mask, the kept links and fiber's result."""
         x = X[rows]
         keep = np.all((x >= self.lo[links]) & (x <= self.hi[links]), axis=1)
         j = links[keep]

@@ -138,8 +138,7 @@ class LocalDiffeo:
         return self.moves(t, v, with_jacobian=True)[2]
 
     def inverse_moves(self, t, w):
-        """Rows of w that the inverse moves and their preimage fibers, for
-        t (N, l) and w (N, m-l), by the fiber Newton of fiber_preimages."""
+        """Rows of w (N, m-l) that the inverse moves, and their preimages."""
         return fiber_preimages(t, w, *self._per_row(len(w)))
 
 
