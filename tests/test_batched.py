@@ -475,7 +475,7 @@ def test_chain_runs_equal_link_by_link(scenario_a_run, kind):
 
 TETRAHEDRA = {
     # frame products round on a skew tetrahedron; the axis-aligned one has
-    # zero frame entries, so the chain's Jacobians hold signed zeros
+    # exact zero and unit frame entries
     "skew": {0: (0.1, 0.0, 0.2), 1: (1.3, 0.1, 0.0), 2: (0.2, 1.1, 0.3), 3: (0.4, 0.3, 1.2)},
     "grid": {0: (0.0, 0.0, 0.0), 1: (1.0, 0.0, 0.0), 2: (1.0, 1.0, 0.0), 3: (1.0, 1.0, 1.0)},
 }
@@ -500,8 +500,8 @@ def _tetrahedron_chain(shape):
 
 
 def _on_box_faces(links, per_link=6):
-    """Points on a face of each link's box, which the other links of its
-    run can push out of it before its own re-test."""
+    """Points on a face of each link's closed box, where the box tests are
+    decided by equality."""
     out = []
     for lk in links:
         p = RNG.uniform(lk.support_lo, lk.support_hi, size=(per_link, 3))
@@ -523,10 +523,9 @@ def test_chain_runs_equal_link_by_link_in_space(monkeypatch, fade, shape):
     pts = np.concatenate([near, inner, faces + 0.002 * RNG.normal(size=faces.shape),
                           RNG.uniform(-0.2, 1.4, size=(80, 3)), _on_box_faces(state.links)])
     if fade == "wide":
-        # rho_l ** (1 / (l + 1)) lets edge and triangle links move points by
-        # up to 1e-6, where the paper's fade underflows: this reaches the
-        # frame of a triangle, whose edge matrix is F-ordered, and pushes
-        # face points out of boxes they started in
+        # rho_l ** (1 / (l + 1)) lets triangle links move points, where the
+        # paper's fade underflows: this reaches the frame point of a
+        # triangle, whose edge matrix is F-ordered
         rho_l = bump.rho_l
         monkeypatch.setattr(bump, "rho_l", lambda t: rho_l(t) ** (1.0 / (np.shape(t)[-1] + 1)))
         level2 = [lk for lk in state.links if lk.level == 2]
