@@ -9,6 +9,8 @@ Commands:
     transtri run <scenario> --seed N --out DIR
     transtri verify-only <scenario> --out DIR
 
+--density (curve_density) is for curve maps only, --max-retries and --seed for run.
+
 Exit status 0 when the final report passes, 1 on a failing report or a
 pipeline failure, 2 on a scenario parse error.  TRANSTRI_LOG sets the log
 level.
@@ -330,6 +332,11 @@ def _apply_cli_overrides(scenario, args):
         scenario.config = scenario.config.replace(**overrides)
     except ValueError as exc:
         raise ConfigError(f"command line: {exc}") from exc
+    if args.density is not None:
+        kind = map_from_params(scenario.map_family, scenario.map_params).domain.kind
+        if kind != "interval":
+            raise ConfigError(f"command line: --density sets curve_density, which only curve "
+                              f"maps read; a {scenario.map_family} map has a {kind} domain")
 
 
 def main(argv=None):
@@ -343,15 +350,15 @@ def main(argv=None):
         p.add_argument("scenario")
         p.add_argument("--out", required=True)
         p.add_argument("--density", type=int, default=None)
-        p.add_argument("--max-retries", type=int, default=None)
         p.add_argument("--tol-rank", type=float, default=None)
-        if name == "run":
+        if name == "run":  # verify-only samples no shifts
+            p.add_argument("--max-retries", type=int, default=None)
             p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
         _apply_cli_overrides(scenario, args)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
     try:

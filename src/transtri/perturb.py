@@ -3,10 +3,12 @@
 For one simplex of dimension l < m the stages are:
 
 1. clearance search: find c such that the fiber region
-   {(t, v) : |v| <= c * rho_l(t)} around the embedded simplex stays inside
-   the image of the open star of the simplex barycenter in the barycentric
-   subdivision (sampled containment, halving search, half the passing
-   value kept as margin);
+   {(t, v) : |v| <= c * rho_l(t)} around the simplex stays inside the
+   open star of the simplex barycenter in the barycentric subdivision
+   (sampled containment, halving search, half the passing value kept as
+   margin).  The chain telescopes so that every link acts in base
+   coordinates (see charts), so the region is tested there and c depends
+   on base geometry alone;
 2. regular-value sampling: draw shift vectors v with |v| < eps^2 until the
    deformed embedding t -> eta(chart(t, warp(t) v)) is certified transverse to
    the target map by the verifier's own rules;
@@ -37,7 +39,7 @@ from .charts import (AmbientDiffeo, StarLocator, TriangulationState, fiber_moves
                      fiber_preimages, make_chart)
 from .config import PipelineConfig
 from .errors import (DegenerateGeometryError, EpsilonTooLargeError, MeshError,
-                     NewtonDivergenceError, PerturbationError, SamplingFailureError)
+                     PerturbationError, SamplingFailureError)
 from .rows import matvec
 from .simplicial import _TopIndex, barycentric_subdivision, simplex_sort_key
 from .verify import (Patch, interior_lattice, lattice_per_dim, patch_roots,
@@ -195,27 +197,21 @@ def _unit_directions(k):
     return dirs
 
 
-def _star_locator(state, s, sd_data, config):
+def _star_locator(s, sd_data, config):
     vertex = sd_data.barycenter_ids[s]
     return StarLocator(vertex, sd_data.star_tops[vertex], sd_data.realization,
                        config.barycentric_tol)
 
 
-def containment_ok(state, chart, locator, lattice, dirs, c, sd_data):
+def containment_ok(chart, locator, lattice, dirs, c, sd_data):
     """Sampled test of {(t, v): |v| <= c rho_l(t)} against the open star.
 
-    Points at fiber radii c*rho and c*rho/2 in every direction must pull
-    back into the star, or miss the complex entirely: near the mesh
-    boundary the fiber region pokes into free ambient space, where the
-    extended diffeomorphism owes nothing to the complex.  Both tests use
-    the locator's barycentric tolerance.  All samples are mapped forward,
-    pulled back and located at once.
-
-    The verdict is that of a scan in sample order that stops at the first
-    bad sample: when the pull-back of some sample fails to converge, the
-    samples are pulled back one at a time, so a bad sample earlier in the
-    scan still fails the test and only a failure before every bad sample
-    raises NewtonDivergenceError.
+    Points at fiber radii c*rho and c*rho/2 in every direction must lie in
+    the star, or miss the complex entirely: near the mesh boundary the
+    fiber region pokes into free ambient space, where the extended
+    diffeomorphism owes nothing to the complex.  Both tests use the
+    locator's barycentric tolerance.  Samples are located where the chart
+    puts them: every link acts in base coordinates (see charts).
     """
     rho = bump.rho_l(lattice)
     live = rho > 0.0
@@ -225,18 +221,7 @@ def containment_ok(state, chart, locator, lattice, dirs, c, sd_data):
     rad = (c * rho[live])[:, None] * np.array([1.0, 0.5])
     vs = (rad[:, :, None, None] * dirs).reshape(-1, dirs.shape[1])
     ts = np.repeat(lattice[live], 2 * len(dirs), axis=0)
-    xs = state.eval_eta(chart.frame_point(ts, vs))
-    try:
-        base = state.eval_eta_inverse(xs)
-    except NewtonDivergenceError:
-        return all(_pulled_back_ok(locator, state.eval_eta_inverse(x[None]), sd_data)
-                   for x in xs)
-    return _pulled_back_ok(locator, base, sd_data)
-
-
-def _pulled_back_ok(locator, base, sd_data):
-    """Whether every row of base lies in the locator's open star or outside
-    the realized complex."""
+    base = chart.frame_point(ts, vs)
     outside = ~locator.contains_base_point(base)
     return not outside.any() or all(
         s is None for s in sd_data.carrier(base[outside], locator.tol))
@@ -253,13 +238,13 @@ def estimate_c_sigma(state, s, config=None, sd_data=None, chart=None):
     config = config or PipelineConfig()
     chart = chart or make_chart(state, s)
     sd_data = sd_data or subdivision_data(state)
-    locator = _star_locator(state, s, sd_data, config)
+    locator = _star_locator(s, sd_data, config)
     lattice = interior_lattice(s.dim, lattice_per_dim(config.containment_density, s.dim))
     dirs = _unit_directions(state.ambient_dim - s.dim)
     span = locator.index.hi.max(axis=0) - locator.index.lo.min(axis=0)
     c = float(np.linalg.norm(span))
     while c > config.c_min:
-        if containment_ok(state, chart, locator, lattice, dirs, c, sd_data):
+        if containment_ok(chart, locator, lattice, dirs, c, sd_data):
             return c / 2.0
         c *= 0.5
     raise DegenerateGeometryError(
@@ -476,7 +461,7 @@ def perturb_level(state, level, h, config=None, sd_data=None):
         draws.append(d)
         try:
             d.c_sigma = estimate_c_sigma(state, s, config, sd_data=sd_data, chart=d.chart)
-        except (DegenerateGeometryError, NewtonDivergenceError) as exc:
+        except DegenerateGeometryError as exc:
             d.error = exc  # the simplices after this one no longer matter
             break
         d.eps = min(d.c_sigma, 0.5 / bump.c_beta(), config.epsilon_max,

@@ -1,15 +1,17 @@
 """Batched evaluation equals stacked single-point evaluation, bit for bit.
 
-The chain and its inverse, point location, the clearance test, the
-verifier's Gauss-Newton refinement and the bump forms take (N, .) arrays
-with a single point as the N = 1 case.  Each batched result must equal the
+The chain and its inverse, point location, the verifier's Gauss-Newton
+refinement and the bump forms take (N, .) arrays with a single point as
+the N = 1 case.  Each batched result must equal the
 stack of the single-point results exactly, and the bump forms, the inverse
 and point location must also equal scalar references (the math module for
 the bump forms, the one-point loops the stacked solves replaced for the
 others), because chain metadata and reports print these values with repr.
 The verifier searches all simplices of a dimension at once and shift
 sampling judges one candidate per simplex of a level at once; both must
-give every simplex what searching or sampling it alone gives.
+give every simplex what searching or sampling it alone gives.  The
+clearance test locates its samples in base coordinates and must give the
+verdict of pushing them through the chain and pulling them back.
 """
 
 import itertools
@@ -588,7 +590,7 @@ def test_point_location_rows_equal_single_points(scenario_a_run, kind):
     # vertex 12 is (0, 0), 7 is (-1, 0) and 13 is (0, 1)
     seen_inside = False
     for s in (sc.Simplex((12,)), sc.Simplex((7, 12)), sc.Simplex((7, 12, 13))):
-        locator = _star_locator(state, s, sd, config)
+        locator = _star_locator(s, sd, config)
         inside = locator.contains_base_point(pts)
         assert inside.dtype == bool and inside.shape == (len(pts),)
         assert inside.tolist() == [locator.contains_base_point(p[None])[0] for p in pts]
@@ -607,51 +609,57 @@ def chart_eval_jac(state, chart, t, v):
 
 
 def ref_containment_ok(state, chart, locator, lattice, dirs, c, sd_data):
-    """Sequential scan: one sample at a time, stopping at the first that
-    pulls back neither into the star nor outside the complex."""
-    ts, vs = [], []
-    for t, rho_t in zip(lattice, bump.rho_l(lattice)):
-        if rho_t <= 0.0:
-            continue
-        for frac in (1.0, 0.5):
-            for u in dirs:
-                ts.append(t)
-                vs.append(c * rho_t * frac * u)
-    if not ts:
+    """The clearance test as it ran before it located samples in base
+    coordinates: every sample pushed through the chain of state and pulled
+    back, then located, all at once."""
+    rho = bump.rho_l(lattice)
+    live = rho > 0.0
+    if not live.any():
         return True
-    for x in state.eval_eta(chart.frame_point(np.array(ts), np.array(vs))):
-        base = state.eval_eta_inverse(x[None])
-        if locator.contains_base_point(base)[0]:
-            continue
-        if sd_data.carrier(base, locator.tol)[0] is None:
-            continue
-        return False
-    return True
+    dirs = np.asarray(dirs, float)
+    rad = (c * rho[live])[:, None] * np.array([1.0, 0.5])
+    vs = (rad[:, :, None, None] * dirs).reshape(-1, dirs.shape[1])
+    ts = np.repeat(lattice[live], 2 * len(dirs), axis=0)
+    base = state.eval_eta_inverse(state.eval_eta(chart.frame_point(ts, vs)))
+    outside = ~locator.contains_base_point(base)
+    return not outside.any() or all(
+        s is None for s in sd_data.carrier(base[outside], locator.tol))
 
 
-@pytest.mark.parametrize("level", [0, 1])
-def test_containment_equals_sequential_scan(scenario_a_run, level):
-    final, config = scenario_a_run["state"], scenario_a_run["config"]
-    # the state the clearance search of this level ran against
-    state = TriangulationState(final.complex, final.realization,
-                               [lk for lk in final.links if lk.level < level])
-    sd = subdivision_data(state)
-    dirs = _unit_directions(state.ambient_dim - level)
-    lattice = interior_lattice(level, lattice_per_dim(config.containment_density, level))
-    verdicts = []
-    for s in state.complex.by_dim(level):
-        chart = make_chart(state, s)
-        locator = _star_locator(state, s, sd, config)
-        c = float(np.linalg.norm(locator.index.hi.max(axis=0) - locator.index.lo.min(axis=0)))
-        while c > config.c_min:
-            got = containment_ok(state, chart, locator, lattice, dirs, c, sd)
-            assert got == ref_containment_ok(state, chart, locator, lattice, dirs, c, sd), \
-                (s.vertices, c)
-            verdicts.append(got)
-            c *= 0.5
+def test_containment_equals_chain_round_trip(scenario_a_run):
+    config = scenario_a_run["config"]
+    sd = subdivision_data(scenario_a_run["state"])
+    verdicts = {0: [], 1: []}
+    for level, found in verdicts.items():
+        # the state the clearance search of this level ran against
+        state = _level_start(scenario_a_run, level)
+        assert level == 0 or state.links  # level 1 round-trips through the level-0 links
+        dirs = _unit_directions(state.ambient_dim - level)
+        lattice = interior_lattice(level, lattice_per_dim(config.containment_density, level))
+        for s in state.complex.by_dim(level):
+            chart = make_chart(state, s)
+            locator = _star_locator(s, sd, config)
+            c = float(np.linalg.norm(locator.index.hi.max(axis=0) - locator.index.lo.min(axis=0)))
+            while c > config.c_min:
+                got = containment_ok(chart, locator, lattice, dirs, c, sd)
+                assert got == ref_containment_ok(state, chart, locator, lattice, dirs, c, sd), \
+                    (s.vertices, c)
+                found.append(got)
+                c *= 0.5
     # at level 0 the larger radii leave the star; an edge's fade keeps every
     # fiber sample of the level-1 search close to the edge
-    assert any(verdicts) and (level == 1 or not all(verdicts))
+    assert any(verdicts[0]) and not all(verdicts[0]) and any(verdicts[1])
+
+
+def test_clearance_depends_on_base_geometry_only(scenario_a_run):
+    final, config = scenario_a_run["state"], scenario_a_run["config"]
+    base = TriangulationState(final.complex, final.realization)
+    sd = subdivision_data(base)
+    links = [lk for lk in final.links if lk.level == 1]
+    assert len(links) == len(final.complex.by_dim(1))
+    for lk in links:
+        c = perturb.estimate_c_sigma(base, lk.simplex, config, sd_data=sd)
+        assert repr(c) == repr(lk.local.c_sigma), lk.simplex.vertices
 
 
 # ---------------------------------------------------------------------------

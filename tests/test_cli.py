@@ -167,8 +167,31 @@ class TestCommands:
     def test_cli_overrides_apply(self, tmp_path):
         code = main(["verify-only", scen("scenario_disjoint.cfg"),
                      "--out", str(tmp_path / "o"),
-                     "--density", "16", "--max-retries", "4", "--tol-rank", "1e-5"])
+                     "--density", "16", "--tol-rank", "1e-5"])
         assert code == 0
+
+    @pytest.mark.parametrize("family,keys,kind", [
+        ("point", "value = 0.3 0.2\n", "point"),
+        ("surface_patch", "coeff_0_0 = 0 0\ncoeff_1_1 = 1 1\n", "box"),
+    ], ids=["point", "surface_patch"])
+    def test_density_for_a_map_without_curve_exits_2(self, tmp_path, capsys, family, keys,
+                                                     kind):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("[scenario]\nambient_dim = 2\n"
+                       "[mesh]\ngenerator = grid\nbox_lo = 0 0\nbox_hi = 1 1\n"
+                       f"[map]\nfamily = {family}\n{keys}")
+        code = main(["run", str(cfg), "--out", str(tmp_path / "o"), "--density", "16"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "scenario error:" in err and f"a {family} map has a {kind} domain" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_max_retries_for_verify_only_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify-only", scen("scenario_disjoint.cfg"), "--out", str(tmp_path / "o"),
+                  "--max-retries", "4"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --max-retries 4" in capsys.readouterr().err
 
     def test_exit_matches_report_flag(self, tmp_path):
         # degenerate 3d scenario: verify-only fails on the unperturbed mesh

@@ -53,12 +53,12 @@ class TestClearanceSearch:
         s = sc.Simplex((0, 3))
         sd = subdivision_data(base_state)
         chart = make_chart(base_state, s)
-        locator = _star_locator(base_state, s, sd, CFG)
+        locator = _star_locator(s, sd, CFG)
         lattice = containment_lattice(1, CFG)
         dirs = _unit_directions(1)
         c = 2.0 * estimate_c_sigma(base_state, s, CFG, sd_data=sd, chart=chart)
-        assert containment_ok(base_state, chart, locator, lattice, dirs, c, sd)
-        assert containment_ok(base_state, chart, locator, lattice, dirs, c / 2, sd)
+        assert containment_ok(chart, locator, lattice, dirs, c, sd)
+        assert containment_ok(chart, locator, lattice, dirs, c / 2, sd)
 
     def test_accepted_points_verified_by_location_oracle(self, base_state):
         # every tested fiber point pulls back into the star (interior edge)
@@ -88,40 +88,9 @@ class TestClearanceSearch:
         # at barycentric_tol = 1e-6 the sample lies on the complex and outside
         # the star, so the fiber region fails ...
         loose = CFG.replace(barycentric_tol=1e-6)
-        assert not containment_ok(base_state, chart, _star_locator(base_state, s, sd, loose),
-                                  *args)
+        assert not containment_ok(chart, _star_locator(s, sd, loose), *args)
         # ... while at the default 1e-10 it misses the complex entirely
-        assert containment_ok(base_state, chart, _star_locator(base_state, s, sd, CFG), *args)
-
-    def test_divergence_after_a_bad_sample_fails_the_test(self, base_state):
-        # vertex 0 at the origin: the first sample, at (0.6, 0.6), lies on
-        # the complex outside the star; the second, at (0.6, 0), pulls back
-        # through a stuck Newton iteration
-        from transtri.errors import NewtonDivergenceError
-
-        class StuckAt:
-            def __init__(self, point):
-                self.point = point
-
-            def eval_eta(self, p):
-                return base_state.eval_eta(p)
-
-            def eval_eta_inverse(self, x):
-                if np.all(np.atleast_2d(x) == self.point, axis=1).any():
-                    raise NewtonDivergenceError("stuck")
-                return base_state.eval_eta_inverse(x)
-
-        s = sc.Simplex((0,))
-        sd = subdivision_data(base_state)
-        chart = make_chart(base_state, s)
-        locator = _star_locator(base_state, s, sd, CFG)
-        lattice = containment_lattice(0, CFG)
-        bad, stuck = np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, 0.0])
-        c = 0.6 * np.sqrt(2.0)
-        state = StuckAt(chart_point(base_state, chart, lattice[0], c * stuck))
-        assert not containment_ok(state, chart, locator, lattice, [bad, stuck], c, sd)
-        with pytest.raises(NewtonDivergenceError):
-            containment_ok(state, chart, locator, lattice, [stuck, bad], c, sd)
+        assert containment_ok(chart, _star_locator(s, sd, CFG), *args)
 
     def test_degenerate_floor_raises(self, base_state):
         # an absurd barycentric tolerance makes every membership test fail
