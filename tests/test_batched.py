@@ -609,46 +609,52 @@ def chart_eval_jac(state, chart, t, v):
 
 
 def ref_containment_ok(state, chart, locator, lattice, dirs, c, sd_data):
-    """The clearance test as it ran before it located samples in base
-    coordinates: every sample pushed through the chain of state and pulled
-    back, then located, all at once."""
-    rho = bump.rho_l(lattice)
-    live = rho > 0.0
-    if not live.any():
+    """Sequential scan: one sample at a time pushed through the chain of state
+    and pulled back, stopping at the first that lands neither in the star nor
+    outside the complex."""
+    ts, vs = [], []
+    for t, rho_t in zip(lattice, bump.rho_l(lattice)):
+        if rho_t <= 0.0:
+            continue
+        for frac in (1.0, 0.5):
+            for u in dirs:
+                ts.append(t)
+                vs.append(c * rho_t * frac * u)
+    if not ts:
         return True
-    dirs = np.asarray(dirs, float)
-    rad = (c * rho[live])[:, None] * np.array([1.0, 0.5])
-    vs = (rad[:, :, None, None] * dirs).reshape(-1, dirs.shape[1])
-    ts = np.repeat(lattice[live], 2 * len(dirs), axis=0)
-    base = state.eval_eta_inverse(state.eval_eta(chart.frame_point(ts, vs)))
-    outside = ~locator.contains_base_point(base)
-    return not outside.any() or all(
-        s is None for s in sd_data.carrier(base[outside], locator.tol))
+    for x in state.eval_eta(chart.frame_point(np.array(ts), np.array(vs))):
+        base = state.eval_eta_inverse(x[None])
+        if locator.contains_base_point(base)[0]:
+            continue
+        if sd_data.carrier(base, locator.tol)[0] is None:
+            continue
+        return False
+    return True
 
 
-def test_containment_equals_chain_round_trip(scenario_a_run):
+@pytest.mark.parametrize("level", [0, 1])
+def test_containment_equals_sequential_scan(scenario_a_run, level):
     config = scenario_a_run["config"]
     sd = subdivision_data(scenario_a_run["state"])
-    verdicts = {0: [], 1: []}
-    for level, found in verdicts.items():
-        # the state the clearance search of this level ran against
-        state = _level_start(scenario_a_run, level)
-        assert level == 0 or state.links  # level 1 round-trips through the level-0 links
-        dirs = _unit_directions(state.ambient_dim - level)
-        lattice = interior_lattice(level, lattice_per_dim(config.containment_density, level))
-        for s in state.complex.by_dim(level):
-            chart = make_chart(state, s)
-            locator = _star_locator(s, sd, config)
-            c = float(np.linalg.norm(locator.index.hi.max(axis=0) - locator.index.lo.min(axis=0)))
-            while c > config.c_min:
-                got = containment_ok(chart, locator, lattice, dirs, c, sd)
-                assert got == ref_containment_ok(state, chart, locator, lattice, dirs, c, sd), \
-                    (s.vertices, c)
-                found.append(got)
-                c *= 0.5
+    # the state the clearance search of this level ran against
+    state = _level_start(scenario_a_run, level)
+    assert level == 0 or state.links  # level 1 round-trips through the level-0 links
+    dirs = _unit_directions(state.ambient_dim - level)
+    lattice = interior_lattice(level, lattice_per_dim(config.containment_density, level))
+    verdicts = []
+    for s in state.complex.by_dim(level):
+        chart = make_chart(state, s)
+        locator = _star_locator(s, sd, config)
+        c = float(np.linalg.norm(locator.index.hi.max(axis=0) - locator.index.lo.min(axis=0)))
+        while c > config.c_min:
+            got = containment_ok(chart, locator, lattice, dirs, c, sd)
+            assert got == ref_containment_ok(state, chart, locator, lattice, dirs, c, sd), \
+                (s.vertices, c)
+            verdicts.append(got)
+            c *= 0.5
     # at level 0 the larger radii leave the star; an edge's fade keeps every
     # fiber sample of the level-1 search close to the edge
-    assert any(verdicts[0]) and not all(verdicts[0]) and any(verdicts[1])
+    assert any(verdicts) and (level == 1 or not all(verdicts))
 
 
 def test_clearance_depends_on_base_geometry_only(scenario_a_run):
