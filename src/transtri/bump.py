@@ -37,6 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .rows import entrywise
+
 __all__ = [
     "RHO_DERIV_MAX",
     "rho",
@@ -67,15 +69,6 @@ _RHO_POLYS = (
 _LOG_SAFE_U = 500.0
 
 
-def _math(fn, x):
-    """math.exp or math.log over a 1-D array.  numpy's vector forms differ
-    in the last bit on a few percent of inputs; the arithmetic around them
-    runs in numpy, which rounds each operation as Python floats do.  So
-    every value, and the repr-printed chain metadata, is independent of
-    batching."""
-    return np.fromiter(map(fn, x.tolist()), float, x.size)
-
-
 # Python floats stay silent where numpy warns (1/r overflows for subnormal r).
 @np.errstate(all="ignore")
 def rho(r):
@@ -83,7 +76,7 @@ def rho(r):
     r = np.asarray(r, float)
     out = np.zeros(r.shape)
     pos = r > 0.0
-    out[pos] = _math(math.exp, -1.0 / r[pos])
+    out[pos] = entrywise(math.exp, -1.0 / r[pos])
     return out[()]
 
 
@@ -101,11 +94,11 @@ def rho_deriv(r, k):
     for c in _RHO_POLYS[k][::-1].tolist():  # Horner, as np.polyval
         poly = poly * u + c
     small = (r > 0.0) & (u <= _LOG_SAFE_U)
-    out[small] = _math(math.exp, -u[small]) * poly[small]
+    out[small] = entrywise(math.exp, -u[small]) * poly[small]
     big = (u > _LOG_SAFE_U) & np.isfinite(poly) & (poly != 0.0)  # 1/r = inf: NaN poly
     p = poly[big]
     if p.size:
-        out[big] = np.copysign(_math(math.exp, -u[big] + _math(math.log, np.abs(p))), p)
+        out[big] = np.copysign(entrywise(math.exp, -u[big] + entrywise(math.log, np.abs(p))), p)
     return out[()]
 
 
@@ -243,7 +236,7 @@ def scaled_warp(rho_value, power=0):
     x = np.asarray(rho_value, float)
     out = np.zeros(x.shape)
     pos = np.flatnonzero(~(x <= 0.0))  # NaN stays NaN, as in float arithmetic
-    expo = -1.0 / x.flat[pos] - power * _math(math.log, x.flat[pos])
+    expo = -1.0 / x.flat[pos] - power * entrywise(math.log, x.flat[pos])
     live = ~(expo < -745.0)
-    out.flat[pos[live]] = _math(math.exp, expo[live])
+    out.flat[pos[live]] = entrywise(math.exp, expo[live])
     return out[()]

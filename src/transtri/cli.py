@@ -178,6 +178,9 @@ def load_scenario(path):
         kind = _PIPELINE_TYPES.get(key)
         if kind is None:
             raise ConfigError(f"unknown pipeline key {key!r}", line=line)
+        unread = _unread_density(key, family, params)
+        if unread:
+            raise ConfigError(unread, line=line)
         overrides[key] = _integer(value, line) if kind is int else _scalar(value, line)
     try:
         config = PipelineConfig(**overrides)
@@ -196,6 +199,17 @@ def load_scenario(path):
 
 
 _POINT_KEYS = {"value", "origin", "direction", "center", "u1", "u2"}
+
+# the seed density each domain kind reads; a map of another kind ignores it
+_DENSITY_DOMAIN = {"curve_density": "interval", "surface_density": "box"}
+
+
+def _unread_density(key, family, params):
+    """Why a map of the family would ignore the [pipeline] key, or None."""
+    want = _DENSITY_DOMAIN.get(key)
+    kind = want and map_from_params(family, params).domain.kind
+    if kind != want:
+        return f"{key} is read only by maps with {want} domains; a {family} map has a {kind} domain"
 
 
 def _map_params(family, section, m):
@@ -333,17 +347,17 @@ def _apply_cli_overrides(scenario, args):
     except ValueError as exc:
         raise ConfigError(f"command line: {exc}") from exc
     if args.density is not None:
-        kind = map_from_params(scenario.map_family, scenario.map_params).domain.kind
-        if kind != "interval":
-            raise ConfigError(f"command line: --density sets curve_density, which only curve "
-                              f"maps read; a {scenario.map_family} map has a {kind} domain")
+        unread = _unread_density("curve_density", scenario.map_family, scenario.map_params)
+        if unread:
+            raise ConfigError(f"command line: --density: {unread}")
 
 
 def main(argv=None):
     level = os.environ.get("TRANSTRI_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = argparse.ArgumentParser(prog="transtri", description=__doc__)
+    parser = argparse.ArgumentParser(prog="transtri", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "verify-only"):
         p = sub.add_parser(name)

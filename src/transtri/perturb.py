@@ -11,7 +11,9 @@ For one simplex of dimension l < m the stages are:
    on base geometry alone;
 2. regular-value sampling: draw shift vectors v with |v| < eps^2 until the
    deformed embedding t -> eta(chart(t, warp(t) v)) is certified transverse to
-   the target map by the verifier's own rules;
+   the target map: each candidate, built as a link (stages 3 and 4), joins
+   the chain as a trial link, and the verifier judges the simplex of that
+   trial state exactly as the final report will;
 3. local diffeomorphism: the fiber map
    (t, v) -> (t, v + beta(|v| / (eps rho_l(t))) * warp(t) * v_shift),
    identity outside the fiber region, with its analytic Jacobian and a
@@ -26,7 +28,8 @@ disjoint stars, so the links commute and the append order (ascending
 simplex id) is a determinism convention, not a mathematical need.  Stage
 2 runs over the whole level at once: each round draws one candidate per
 unresolved simplex, from that simplex's own rng, and certifies the round
-with one verifier search.
+with one verifier search on one trial state; the level appends the
+accepted trial links.
 """
 
 import logging
@@ -40,10 +43,9 @@ from .charts import (AmbientDiffeo, StarLocator, TriangulationState, fiber_moves
 from .config import PipelineConfig
 from .errors import (DegenerateGeometryError, EpsilonTooLargeError, MeshError,
                      PerturbationError, SamplingFailureError)
-from .rows import matvec
 from .simplicial import _TopIndex, barycentric_subdivision, simplex_sort_key
-from .verify import (Patch, interior_lattice, lattice_per_dim, patch_roots,
-                     transversality_margin, verify_triangulation)
+from .verify import (find_intersections, interior_lattice, lattice_per_dim, simplex_passes,
+                     verify_triangulation)
 
 log = logging.getLogger(__name__)
 
@@ -58,18 +60,6 @@ __all__ = [
     "perturb_level",
     "make_transverse",
 ]
-
-
-def _shift(t, v):
-    """s(t) = warp(t) * v over the rows of t, for one v or one v per row."""
-    return np.asarray(bump.scaled_warp(bump.rho_l(t), 0))[..., None] * v
-
-
-def _shift_jacobian(t, v):
-    """d s / d t, (m-l) x l per row of t, zero at and beyond the boundary."""
-    w2 = np.asarray(bump.scaled_warp(bump.rho_l(t), 2))[..., None, None]
-    J = v[..., :, None] * bump.rho_l_grad(t)[..., None, :] * w2
-    return np.where(w2 == 0.0, 0.0, J)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +107,7 @@ class LocalDiffeo:
     def shift(self, t):
         """s(t) = warp(t) * v, the normal displacement of the zero section,
         over the rows of t."""
-        return _shift(t, self.v)
+        return np.asarray(bump.scaled_warp(bump.rho_l(t), 0))[..., None] * self.v
 
     def _per_row(self, n):
         return np.full(n, self.epsilon), np.broadcast_to(self.v, (n, self.v.size))
@@ -255,49 +245,16 @@ def estimate_c_sigma(state, s, config=None, sd_data=None, chart=None):
 # regular-value sampling
 
 
-def _deformed_patch(state, cands):
-    """The deformed embeddings t -> eta(chart(t, s(t))) of simplices of one
-    dimension as one verifier patch, owner k being the chart of cands[k]
-    shifted by its shift field, with eta that of state."""
-    l = cands[0].l
-    b, A, N, M = (np.array([getattr(c.chart, a) for c in cands])
-                  for a in ("base", "tangent", "normal", "_M"))
-    V = np.array([c.v for c in cands])
-
-    def frame_point(t, owner):
-        return b[owner] + matvec(A[owner], t) + matvec(N[owner], _shift(t, V[owner]))
-
-    def ev(t, owner):
-        return state.eval_eta(frame_point(t, owner))
-
-    def ej(t, owner):
-        x, J = state.eval_eta_with_jacobian(frame_point(t, owner))
-        J = J @ M[owner]
-        return x, J[..., :l] + J[..., l:] @ _shift_jacobian(t, V[owner])
-
-    return Patch(l=l, eval=ev, eval_jac=ej, size=len(cands))
-
-
-def _candidate_transverse(state, cands, h, config):
-    """Verifier verdicts for candidate local diffeomorphisms of simplices of
-    one dimension, as a list of bools, from one root search over all of
-    them."""
-    n = h.domain.dim
-    m = state.ambient_dim
-    l = cands[0].l
-    patch = _deformed_patch(state, cands)
-    found = patch_roots(h, patch, config, state.mesh_scale)
-    if n + l < m:
-        return [min_resid > config.vertex_clearance for _, min_resid in found]
-    roots = [(k, y, t) for k, (rs, _) in enumerate(found)
-             for y, t, resid in rs if resid < config.solve_tol]
-    ok = [True] * len(cands)
-    if roots:
-        _, df = patch.eval_jac(np.array([t for _, _, t in roots]),
-                               np.array([k for k, _, _ in roots]))
-        for (k, y, _), d in zip(roots, df):
-            ok[k] = ok[k] and transversality_margin(h.jacobian_raw(y), d) >= config.tol_rank
-    return ok
+def _candidate_transverse(state, links, h, config):
+    """Verifier verdicts for candidate links of simplices of one dimension,
+    as a list of bools: the links join state as trial links, and each
+    simplex is judged on that trial state by find_intersections and
+    simplex_passes, as the final report will judge it.  Supports of
+    same-level links are disjoint, so one trial state holds them all."""
+    simplices = [lk.simplex for lk in links]
+    found = find_intersections(state.with_links(links), simplices, h, config)
+    n, l, m = h.domain.dim, simplices[0].dim, state.ambient_dim
+    return [simplex_passes(n, l, m, records, min_resid, config) for records, min_resid in found]
 
 
 def _draw_shift(rng, dim, eps):
@@ -312,8 +269,9 @@ def _draw_shift(rng, dim, eps):
 @dataclass(eq=False)
 class _Draw:
     """Shift sampling state of one simplex: its chart, scales and rng, the
-    rejections and shrinks so far, and the outcome (the accepted candidate,
-    guarded once _guard passes it, or the error that ends the simplex)."""
+    rejections and shrinks so far, and the outcome (the accepted trial
+    link, guarded once _guard passes it, or the error that ends the
+    simplex)."""
 
     chart: object
     rng: object
@@ -321,7 +279,7 @@ class _Draw:
     eps: float = None
     tries: int = 0
     shrinks: int = 0
-    psi: object = None
+    link: object = None
     error: Exception = None
 
 
@@ -329,25 +287,25 @@ def _sample_shift(state, draws, h, config):
     """Draw certified shift vectors for simplices of one dimension.
 
     Runs in rounds: each round draws one candidate per unresolved simplex
-    from that simplex's own rng and judges the whole round with one
-    _candidate_transverse call, so every simplex sees the candidates and
-    verdicts that drawing for it alone would give.  An accepted candidate
-    goes to draw.psi (its retries_used counts the rejections before it);
+    from that simplex's own rng, extends it to a link and judges the whole
+    round with one _candidate_transverse call, so every simplex sees the
+    candidates and verdicts that drawing for it alone would give.  An
+    accepted link goes to draw.link (the retries_used of its local
+    diffeomorphism counts the rejections before it);
     max_retries rejections leave a SamplingFailureError in draw.error.
     Simplices after a failed one stop drawing: a level reports its
     lowest failing simplex, so their outcome no longer matters.
     """
     live = list(draws)
     while live:
-        cands = [LocalDiffeo(d.chart, d.c_sigma, d.eps,
-                             _draw_shift(d.rng, d.chart.m - d.chart.l, d.eps),
-                             retries_used=d.tries, shrinks_used=d.shrinks)
-                 for d in live]
-        verdicts = _candidate_transverse(state, cands, h, config)
+        links = [extend_to_ambient(LocalDiffeo(
+            d.chart, d.c_sigma, d.eps, _draw_shift(d.rng, d.chart.m - d.chart.l, d.eps),
+            retries_used=d.tries, shrinks_used=d.shrinks)) for d in live]
+        verdicts = _candidate_transverse(state, links, h, config)
         still = []
-        for d, psi, ok in zip(live, cands, verdicts):
+        for d, link, ok in zip(live, links, verdicts):
             if ok:
-                d.psi = psi
+                d.link = link
                 continue
             d.tries += 1
             if d.tries == config.max_retries:
@@ -357,7 +315,7 @@ def _sample_shift(state, draws, h, config):
                     "the deformation scale cannot clear the verifier thresholds "
                     "(tolerances too strict for this geometry)",
                     simplex=s,
-                    diagnostics={"epsilon": d.eps, "last_v": tuple(psi.v)},
+                    diagnostics={"epsilon": d.eps, "last_v": tuple(link.local.v)},
                 )
                 break
             still.append(d)
@@ -421,7 +379,7 @@ def _guard(draws, config):
         if d.error is not None:
             break
         try:
-            build_local_diffeo(d.psi)
+            build_local_diffeo(d.link.local)
         except EpsilonTooLargeError:
             if d.shrinks == config.max_eps_shrinks:
                 d.error = EpsilonTooLargeError(
@@ -476,10 +434,11 @@ def perturb_level(state, level, h, config=None, sd_data=None):
         raise PerturbationError(f"level {level} aborted at simplex {s.vertices}: {failed.error}",
                                 simplex=s, level=level) from failed.error
     for d in draws:
+        psi = d.link.local
         log.info("level=%d simplex=%s c_sigma=%.6g epsilon=%.6g |v|=%.6g retries=%d shrinks=%d",
-                 level, d.chart.simplex.vertices, d.c_sigma, d.eps, float(np.linalg.norm(d.psi.v)),
-                 d.psi.retries_used, d.shrinks)
-    return state.with_links([extend_to_ambient(d.psi) for d in draws])
+                 level, d.chart.simplex.vertices, d.c_sigma, d.eps, float(np.linalg.norm(psi.v)),
+                 psi.retries_used, d.shrinks)
+    return state.with_links([d.link for d in draws])
 
 
 def _image_clearly_disjoint(state, h, config):
@@ -503,8 +462,9 @@ def _image_clearly_disjoint(state, h, config):
 def make_transverse(cplx, realization, h, config=None):
     """Run the full pipeline: levels 0 .. m-1, then verify everything.
 
-    Returns (state, report).  When the map image provably misses the mesh
-    no diffeomorphism is appended and the report is vacuously transverse.
+    Returns (state, report).  When a sampled test finds that the map image
+    misses the mesh, no diffeomorphism is appended and the final verify
+    runs on the unperturbed mesh.
     Construction failures raise PerturbationError; a merely failing final
     report is returned for the caller to inspect.
     """

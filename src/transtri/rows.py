@@ -9,7 +9,16 @@ chain metadata print floats with repr.
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-__all__ = ["matvec", "row_norms", "lstsq_rows"]
+__all__ = ["entrywise", "matvec", "row_norms", "lstsq_rows"]
+
+
+def entrywise(fn, x):
+    """A math-module function (math.exp, math.sin, ...) over a 1-D array.
+    numpy's vector forms differ in the last bit on a few percent of
+    inputs; the arithmetic around them runs in numpy, which rounds each
+    operation as Python floats do.  So every value, and the repr-printed
+    chain metadata, is independent of batching."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
 def matvec(M, x):

@@ -329,30 +329,34 @@ class _TopIndex:
         self.hi = np.array([p.max(axis=0) for p in pts])
         self.scale = np.array([max(1.0, float(np.abs(p).max())) for p in pts])
         self.size = np.array([len(p) for p in pts])
+        # _accepted means x = P lam - e, lam_i >= -tol, |e| <= tol scale, and
+        # the least-squares normal equations give sum(lam) - 1 = -p_i . e; so
+        # x is within tol (k ext + scale + scale^2 min |p_i|) of the box.
+        # The pad per unit tol doubles that, for rounding.
+        pmin = np.array([float(np.linalg.norm(p, axis=1).min()) for p in pts])
+        self.pad = 2.0 * (self.size[:, None] * (self.hi - self.lo)
+                          + (self.scale * (1.0 + self.scale * pmin))[:, None])
         self.sizes = sorted(set(self.size.tolist()))
         # vertex coordinates, zero rows padding the smaller tops
         self.pts = np.zeros((len(pts), self.size.max(initial=0), realization.ambient_dim))
         for i, p in enumerate(pts):
             self.pts[i, :len(p)] = p
 
-    def first_hits(self, x, tol, prune=True):
+    def first_hits(self, x, tol):
         """Locate the rows of x, (N, m), each in the first top, in top
         order, whose closed simplex holds it up to tol.
 
         Returns, for every row some top holds: the row, the top, the
         barycentric coordinates there (zero-padded to the largest top) and
-        the distance from the top's affine hull.  With prune, only tops
-        whose bounding box padded by 10 tol holds the row are tried.  All
-        (row, top) pairs are solved with one stacked least-squares call per
-        simplex size.
+        the distance from the top's affine hull.  Only tops whose bounding
+        box, padded by tol times the top's own pad, holds the row are
+        tried; the pad covers every point the barycentric test accepts.
+        All (row, top) pairs are solved with one stacked least-squares call
+        per simplex size.
         """
         x = np.asarray(x, dtype=float)
-        if prune:
-            pad = tol * 10.0
-            near = np.all((x[:, None, :] >= self.lo - pad) & (x[:, None, :] <= self.hi + pad),
-                          axis=2)
-        else:
-            near = np.ones((len(x), len(self.tops)), bool)
+        pad = tol * self.pad
+        near = np.all((x[:, None, :] >= self.lo - pad) & (x[:, None, :] <= self.hi + pad), axis=2)
         ip, it = np.nonzero(near)  # pairs by row, then by top
         lam = np.zeros((ip.size, self.pts.shape[1]))
         resid = np.zeros(ip.size)
@@ -386,11 +390,8 @@ def point_locate(cplx, realization, x, tol=1e-10):
     and the corresponding vertices dropped from the carrier.
     """
     tops = sorted(cplx.top_simplices(), key=simplex_sort_key)
-    # every top is tried: a coordinate of -tol puts x up to tol times the
-    # simplex's height outside it, past the 10 tol box pad when that
-    # height exceeds 10
     _, top, lam, resid = _TopIndex(realization, tops).first_hits(
-        np.asarray(x, dtype=float)[None], tol, prune=False)
+        np.asarray(x, dtype=float)[None], tol)
     if not top.size:
         return None
     s = tops[top[0]]

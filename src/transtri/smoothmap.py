@@ -8,7 +8,8 @@ parameter domain.  Only closed-form families are admitted: downstream
 transversality checks lean on trustworthy Jacobians.
 
 Parameter vectors always have shape (n,) with n the domain dimension;
-a point domain uses the empty vector.
+a point domain uses the empty vector.  The formula and the differential
+take (N, n) rows, and a single parameter vector is their N = 1 case.
 """
 
 import math
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .rows import entrywise
 
 __all__ = [
     "Domain",
@@ -120,7 +122,8 @@ class SmoothMap:
     def _eval_batch(self, ys):
         raise NotImplementedError
 
-    def _jac(self, y):
+    def _jac(self, ys):
+        """(N, ambient_dim, n) differentials at the rows of ys, (N, n)."""
         raise NotImplementedError
 
     def _check(self, y):
@@ -155,12 +158,14 @@ class SmoothMap:
 
     def jacobian(self, y):
         """Analytic differential, an (ambient_dim x n) matrix."""
-        y = self._check(y)
-        return self._jac(y)
+        return self._jac(self._check(y)[None])[0]
 
     def jacobian_raw(self, y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return self._jac(y)
+        """Differential without the domain check: an (ambient_dim x n)
+        matrix for one parameter vector, (N, ambient_dim, n) for (N, n)
+        rows, each row with the bits of its one-row call."""
+        y = np.asarray(y, dtype=float)
+        return self._jac(y) if y.ndim == 2 else self._jac(np.atleast_1d(y)[None])[0]
 
     def sample_domain(self, density):
         """Deterministic parameter samples, density per axis."""
@@ -180,8 +185,8 @@ class PointMap(SmoothMap):
     def _eval_batch(self, ys):
         return np.tile(self.value, (ys.shape[0], 1))
 
-    def _jac(self, y):
-        return np.zeros((self.ambient_dim, 0))
+    def _jac(self, ys):
+        return np.zeros((len(ys), self.ambient_dim, 0))
 
 
 class LineMap(SmoothMap):
@@ -200,8 +205,8 @@ class LineMap(SmoothMap):
     def _eval_batch(self, ys):
         return self.origin + ys[:, :1] * self.direction
 
-    def _jac(self, y):
-        return self.direction.reshape(-1, 1)
+    def _jac(self, ys):
+        return np.tile(self.direction[:, None], (len(ys), 1, 1))
 
 
 class CircleMap(SmoothMap):
@@ -222,10 +227,11 @@ class CircleMap(SmoothMap):
         ang = 2.0 * math.pi * ys[:, :1]
         return self.center + self.radius * (np.cos(ang) * self.u1 + np.sin(ang) * self.u2)
 
-    def _jac(self, y):
-        ang = 2.0 * math.pi * float(y[0])
-        col = 2.0 * math.pi * self.radius * (-math.sin(ang) * self.u1 + math.cos(ang) * self.u2)
-        return col.reshape(-1, 1)
+    def _jac(self, ys):
+        ang = 2.0 * math.pi * ys[:, 0]
+        sin, cos = entrywise(math.sin, ang), entrywise(math.cos, ang)
+        col = 2.0 * math.pi * self.radius * (-sin[:, None] * self.u1 + cos[:, None] * self.u2)
+        return col[:, :, None]
 
 
 class PolyCurveMap(SmoothMap):
@@ -245,12 +251,11 @@ class PolyCurveMap(SmoothMap):
         # row by row, so a batch gives each row's bits from a one-row call
         return (powers[:, None, :] @ self.coeffs)[:, 0, :]
 
-    def _jac(self, y):
+    def _jac(self, ys):
         k = np.arange(1, self.coeffs.shape[0])
         if k.size == 0:
-            return np.zeros((self.ambient_dim, 1))
-        col = (float(y[0]) ** (k - 1) * k) @ self.coeffs[1:]
-        return col.reshape(-1, 1)
+            return np.zeros((len(ys), self.ambient_dim, 1))
+        return ((ys[:, :1] ** (k - 1) * k)[:, None, :] @ self.coeffs[1:]).transpose(0, 2, 1)
 
 
 class TorusKnotMap(SmoothMap):
@@ -272,19 +277,24 @@ class TorusKnotMap(SmoothMap):
         w = self.R + self.r * np.cos(b)
         return np.stack([w * np.cos(a), w * np.sin(a), self.r * np.sin(b)], axis=1)
 
-    def _jac(self, y):
-        a = 2.0 * math.pi * self.p * float(y[0])
-        b = 2.0 * math.pi * self.q * float(y[0])
+    def _jac(self, ys):
         da = 2.0 * math.pi * self.p
         db = 2.0 * math.pi * self.q
-        w = self.R + self.r * math.cos(b)
-        dw = -self.r * math.sin(b) * db
-        col = np.array([
-            dw * math.cos(a) - w * math.sin(a) * da,
-            dw * math.sin(a) + w * math.cos(a) * da,
-            self.r * math.cos(b) * db,
-        ])
-        return col.reshape(-1, 1)
+        a, b = da * ys[:, 0], db * ys[:, 0]
+        sin_a, cos_a, sin_b, cos_b = (entrywise(f, x) for x in (a, b)
+                                      for f in (math.sin, math.cos))
+        w = self.R + self.r * cos_b
+        dw = -self.r * sin_b * db
+        col = np.stack([dw * cos_a - w * sin_a * da, dw * sin_a + w * cos_a * da,
+                        self.r * cos_b * db], axis=1)
+        return col[:, :, None]
+
+
+def _power_derivs(x, d):
+    """Rows (j x^(j - 1) for j < d) over a 1-D x, the powers taken in Python
+    floats: numpy's array power differs from math pow in the last bit."""
+    return np.array([[j * xi ** (j - 1) if j else 0.0 for j in range(d)]
+                     for xi in x.tolist()]).reshape(len(x), d)
 
 
 class SurfacePatchMap(SmoothMap):
@@ -307,16 +317,14 @@ class SurfacePatchMap(SmoothMap):
         pv = ys[:, 1:2] ** np.arange(dv)
         return np.einsum("ku,kv,uvm->km", pu, pv, self.coeffs)
 
-    def _jac(self, y):
-        u, v = float(y[0]), float(y[1])
+    def _jac(self, ys):
         du, dv, m = self.coeffs.shape
-        pu = u ** np.arange(du)
-        pv = v ** np.arange(dv)
-        dpu = np.array([j * u ** (j - 1) if j > 0 else 0.0 for j in range(du)])
-        dpv = np.array([k * v ** (k - 1) if k > 0 else 0.0 for k in range(dv)])
-        col_u = np.einsum("u,v,uvm->m", dpu, pv, self.coeffs)
-        col_v = np.einsum("u,v,uvm->m", pu, dpv, self.coeffs)
-        return np.stack([col_u, col_v], axis=1)
+        pu = ys[:, :1] ** np.arange(du)
+        pv = ys[:, 1:2] ** np.arange(dv)
+        dpu, dpv = _power_derivs(ys[:, 0], du), _power_derivs(ys[:, 1], dv)
+        col_u = np.einsum("ku,kv,uvm->km", dpu, pv, self.coeffs)
+        col_v = np.einsum("ku,kv,uvm->km", pu, dpv, self.coeffs)
+        return np.stack([col_u, col_v], axis=2)
 
 
 MAP_FAMILIES = {

@@ -35,6 +35,7 @@ __all__ = [
     "interior_lattice",
     "lattice_per_dim",
     "find_intersections",
+    "simplex_passes",
     "transversality_margin",
     "verify_triangulation",
     "fd_jacobian",
@@ -182,12 +183,7 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None):
         if n + patch.l == 0 or not go.size:
             break
         p = live[go]
-        # jacobian_raw stays per pair: its math-module bits differ from numpy's
-        J = np.empty((p.size, df.shape[1], n + patch.l))
-        J[:, :, n:] = -df[go]
-        for i, q in enumerate(p):
-            J[i, :, :n] = h.jacobian_raw(Y[q])
-        step = lstsq_rows(J, -r[go])
+        step = lstsq_rows(np.concatenate([h.jacobian_raw(Y[p]), -df[go]], axis=2), -r[go])
         sn = row_norms(step)
         cap = sn > step_cap
         step[cap] *= (step_cap / sn[cap])[:, None]
@@ -405,6 +401,19 @@ def find_intersections(state, simplices, h, config=None):
     return [(recs, min_resid) for recs, (_, min_resid) in zip(records, found)]
 
 
+def simplex_passes(n, l, m, records, min_residual, config):
+    """Verdict of one l-simplex against a map of domain dimension n in R^m,
+    from the records found on it and its smallest residual.
+
+    When n + l < m no record may exist and a vertex must keep the
+    clearance from the map image; otherwise every record must be
+    transverse.
+    """
+    if n + l < m:
+        return not records and (l > 0 or min_residual > config.vertex_clearance)
+    return all(r.classification == "transverse" for r in records)
+
+
 # ---------------------------------------------------------------------------
 # whole-triangulation verification
 
@@ -432,9 +441,8 @@ def verify_triangulation(state, h, config=None):
     """Transversality verdict for every simplex of the complex.
 
     The simplices of each dimension are searched together (see
-    find_intersections).  A simplex with n + l < m passes when no intersection is found (and,
-    for vertices, when the map image keeps its distance); otherwise it
-    passes when every attributed intersection is transverse.
+    find_intersections), and each simplex is judged on the roots
+    attributed to it by simplex_passes.
     """
     config = config or PipelineConfig()
     n = h.domain.dim
@@ -459,12 +467,7 @@ def verify_triangulation(state, h, config=None):
                         config.dedupe_radius, period)
         recs = tuple(r for _, _, r in recs)
         all_records.extend(recs)
-        if n + s.dim < m:
-            ok = len(recs) == 0
-            if s.dim == 0 and vertex_dist.get(s, np.inf) <= config.vertex_clearance:
-                ok = False
-        else:
-            ok = all(r.classification == "transverse" for r in recs)
+        ok = simplex_passes(n, s.dim, m, recs, vertex_dist.get(s, np.inf), config)
         statuses[s] = SimplexStatus(
             simplex=s, passed=ok, records=recs,
             min_distance=vertex_dist.get(s) if s.dim == 0 else None,

@@ -267,6 +267,67 @@ def test_gauss_newton_pairs_equal_single_pairs(scenario_a_run, name):
 
 
 # ---------------------------------------------------------------------------
+# map differential over rows
+
+
+def ref_map_jacobian(h, y):
+    """The one-parameter differential of each family, as a scalar formula
+    with math-module trigonometry and Python-float powers."""
+    if h.family == "point":
+        return np.zeros((h.ambient_dim, 0))
+    if h.family == "line":
+        return h.direction.reshape(-1, 1)
+    if h.family == "circle":
+        ang = 2.0 * math.pi * float(y[0])
+        return (2.0 * math.pi * h.radius
+                * (-math.sin(ang) * h.u1 + math.cos(ang) * h.u2)).reshape(-1, 1)
+    if h.family == "poly_curve":
+        k = np.arange(1, h.coeffs.shape[0])
+        return ((float(y[0]) ** (k - 1) * k) @ h.coeffs[1:]).reshape(-1, 1)
+    if h.family == "torus_knot":
+        a = 2.0 * math.pi * h.p * float(y[0])
+        b = 2.0 * math.pi * h.q * float(y[0])
+        da, db = 2.0 * math.pi * h.p, 2.0 * math.pi * h.q
+        w = h.R + h.r * math.cos(b)
+        dw = -h.r * math.sin(b) * db
+        return np.array([dw * math.cos(a) - w * math.sin(a) * da,
+                         dw * math.sin(a) + w * math.cos(a) * da,
+                         h.r * math.cos(b) * db]).reshape(-1, 1)
+    u, v = float(y[0]), float(y[1])
+    du, dv, _ = h.coeffs.shape
+    pu, pv = u ** np.arange(du), v ** np.arange(dv)
+    dpu = np.array([j * u ** (j - 1) if j > 0 else 0.0 for j in range(du)])
+    dpv = np.array([k * v ** (k - 1) if k > 0 else 0.0 for k in range(dv)])
+    return np.stack([np.einsum("u,v,uvm->m", dpu, pv, h.coeffs),
+                     np.einsum("u,v,uvm->m", pu, dpv, h.coeffs)], axis=1)
+
+
+MAP_RNG = np.random.default_rng(14)
+MAPS = {
+    "point": PointMap((-0.3, 0.4, 1.1)),
+    "line": LineMap((0.1, 0.2, 0.3), (1.0, -2.0, 0.5)),
+    "circle": CircleMap((0.3, -0.1, 0.2), 1.7, (1.0, 0.0, 0.0), (0.0, 0.6, 0.8)),
+    "poly_curve": PolyCurveMap(MAP_RNG.normal(size=(4, 3)), -1.0, 2.0),
+    "torus_knot": TorusKnotMap(3, 5, 1.3, 0.4),
+    "surface_patch": SurfacePatchMap(MAP_RNG.normal(size=(3, 4, 3)), (-1.0, -1.0), (1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(MAPS))
+def test_map_differential_rows_equal_one_row_calls(family):
+    h = MAPS[family]
+    ys = MAP_RNG.uniform(-1.5, 1.5, size=(500, h.domain.dim))
+    J = h.jacobian_raw(ys)
+    assert J.shape == (500, h.ambient_dim, h.domain.dim)
+    assert same_bits(J, [h.jacobian_raw(y) for y in ys])
+    assert same_bits(J, [ref_map_jacobian(h, y) for y in ys])
+    # the checked form wraps periodic parameters first
+    inside = h.domain.contains(ys) & np.all(h.domain.wrap(ys) == ys, axis=1)
+    assert inside.any()
+    assert same_bits([h.jacobian(y) for y in ys[inside]], J[inside])
+
+
+# ---------------------------------------------------------------------------
 # stacked least squares
 
 
@@ -1040,32 +1101,67 @@ def test_degenerate_run_message(tmp_path, capsys):
         " (tolerances too strict for this geometry)\n")
 
 
+def _trial_links(state, level, eps=0.05):
+    """One candidate link per simplex of a level, as shift sampling makes
+    them, with the local diffeomorphisms they extend."""
+    perts = [LocalDiffeo(make_chart(state, s), eps, eps,
+                         _draw_shift(RNG, state.ambient_dim - level, eps))
+             for s in state.complex.by_dim(level)]
+    return [perturb.extend_to_ambient(p) for p in perts], perts
+
+
 @pytest.mark.parametrize("level", [0, 1])
-def test_deformed_patch_rows_equal_per_chart_evaluation(scenario_a_run, level):
+def test_trial_state_patch_is_the_deformed_simplex(scenario_a_run, level):
+    # the simplex of the trial state is eta(b + A t + N warp(t) v), eta that
+    # of the level start: the telescoping chain puts the trial link first
     state = _level_start(scenario_a_run, level)
-    charts = [make_chart(state, s) for s in state.complex.by_dim(level)]
-    eps = 0.05
-    perts = [LocalDiffeo(c, eps, eps, _draw_shift(RNG, 2 - level, eps)) for c in charts]
-    patch = perturb._deformed_patch(state, perts)
-    owner = RNG.integers(len(charts), size=200)
+    links, perts = _trial_links(state, level)
+    patch = simplex_patch(state.with_links(links), [lk.simplex for lk in links])
+    owner = RNG.integers(len(links), size=200)
     t = RNG.dirichlet(np.ones(level + 1), size=200)[:, :level]
     x, J = patch.eval_jac(t, owner)
     assert same_bits(patch.eval(t, owner), x)
+    if level == 0:  # the shift moves each vertex by warp(t) |v| = exp(-1) |v|
+        base = simplex_patch(state, [lk.simplex for lk in links]).eval(t, owner)
+        assert (row_norms(x - base) > 1e-6).all()
     for k in np.unique(owner):
-        rows = owner == k
-        chart, pert = charts[k], perts[k]
-        xk, Jk = chart_eval_jac(state, chart, t[rows], pert.shift(t[rows]))
+        rows, pert = owner == k, perts[k]
+        xk, Jk = chart_eval_jac(state, pert.chart, t[rows], pert.shift(t[rows]))
         w2 = np.asarray(bump.scaled_warp(bump.rho_l(t[rows]), 2))[..., None, None]
         dS = np.where(w2 == 0.0, 0.0, pert.v[:, None] * bump.rho_l_grad(t[rows])[..., None, :] * w2)
-        assert same_bits(x[rows], xk)
-        assert same_bits(J[rows], Jk[..., :level] + Jk[..., level:] @ dS)
+        assert np.abs(x[rows] - xk).max() < 1e-12
+        assert np.abs(J[rows] - (Jk[..., :level] + Jk[..., level:] @ dS)).max(initial=0.0) < 1e-12
+
+
+def test_candidates_are_seeded_on_the_final_report_lattice(monkeypatch):
+    # a plane across the unit cube meets its triangles along segments
+    # (n + l = 4 > m = 3), where find_intersections thins the simplex lattice
+    cplx, real = sc.grid_triangulation((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 1)
+    state = TriangulationState(cplx, real)
+    coeffs = np.zeros((2, 2, 3))
+    coeffs[0, 0], coeffs[1, 0], coeffs[0, 1] = (0.0, 0.0, 0.37), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+    h = SurfacePatchMap(coeffs, (-0.2, -0.2), (1.2, 1.2))
+    config = PipelineConfig(surface_density=6)
+    seen = []
+
+    def spy(h, patch, config, scale, t_per_dim=None):
+        seen.append(t_per_dim if t_per_dim is not None
+                    else lattice_per_dim(config.simplex_seed_density, patch.l))
+        return pair_seeds(h, patch, config, scale, t_per_dim)
+
+    pair_seeds = verify._pair_seeds
+    monkeypatch.setattr(verify, "_pair_seeds", spy)
+    links, _ = _trial_links(state, 2)
+    verdicts = perturb._candidate_transverse(state, links, h, config)
+    find_intersections(state, [lk.simplex for lk in links], h, config)
+    assert len(verdicts) == len(links) and len(seen) == 2
+    assert seen[0] == seen[1] == max(2, lattice_per_dim(config.simplex_seed_density, 2) // 4)
 
 
 def test_candidate_verdicts_are_a_plain_list(scenario_a_run):
     state = _level_start(scenario_a_run, 1)
-    charts = [make_chart(state, s) for s in state.complex.by_dim(1)[:5]]
-    perts = [LocalDiffeo(c, 0.05, 0.05, _draw_shift(RNG, 1, 0.05)) for c in charts]
-    verdicts = perturb._candidate_transverse(state, perts, scenario_a_run["h"],
+    links = _trial_links(state, 1)[0][:5]
+    verdicts = perturb._candidate_transverse(state, links, scenario_a_run["h"],
                                              scenario_a_run["config"])
     assert type(verdicts) is list and len(verdicts) == 5
     assert all(type(v) is bool for v in verdicts)

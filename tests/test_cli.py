@@ -73,12 +73,20 @@ class TestParsing:
         assert code == 0
 
 
-def write_scenario(tmp_path, pipeline="", mesh=""):
-    """A unit-square scenario with a point map inside the mesh."""
+POINT_MAP = "family = point\nvalue = 0.3 0.2\n"
+# the map kinds that read each seed density
+DENSITY_MAPS = {
+    "curve_density": "family = line\norigin = 0 0\ndirection = 1 1\n",
+    "surface_density": "family = surface_patch\ncoeff_0_0 = 0 0\ncoeff_1_1 = 1 1\n",
+}
+
+
+def write_scenario(tmp_path, pipeline="", mesh="", map_keys=POINT_MAP):
+    """A unit-square scenario with a map inside the mesh, a point by default."""
     cfg = tmp_path / "s.cfg"
     cfg.write_text("[scenario]\nambient_dim = 2\n"
                    f"[mesh]\ngenerator = grid\nbox_lo = 0 0\nbox_hi = 1 1\n{mesh}"
-                   "[map]\nfamily = point\nvalue = 0.3 0.2\n"
+                   f"[map]\n{map_keys}"
                    f"[pipeline]\n{pipeline}")
     return cfg
 
@@ -87,11 +95,32 @@ class TestKnobs:
     def test_every_pipeline_field_parses_to_its_type(self, tmp_path):
         want = {f.name: f.default + 1 if type(f.default) is int else f.default * 2
                 for f in fields(PipelineConfig)}
-        s = load_scenario(write_scenario(
-            tmp_path, "".join(f"{k} = {v!r}\n" for k, v in want.items())))
-        for f in fields(PipelineConfig):
-            got = getattr(s.config, f.name)
-            assert type(got) is type(f.default) and got == want[f.name], f.name
+        # each seed density goes to a map that reads it, the rest to a point map
+        files = [(POINT_MAP, [k for k in want if k not in DENSITY_MAPS])]
+        files += [(map_keys, [k]) for k, map_keys in DENSITY_MAPS.items()]
+        for map_keys, keys in files:
+            s = load_scenario(write_scenario(
+                tmp_path, "".join(f"{k} = {want[k]!r}\n" for k in keys), map_keys=map_keys))
+            for f in fields(PipelineConfig):
+                got = getattr(s.config, f.name)
+                assert type(got) is type(f.default), f.name
+                assert got == (want[f.name] if f.name in keys else f.default), f.name
+
+    @pytest.mark.parametrize("key,map_keys,kind", [
+        ("curve_density", POINT_MAP, "point"),
+        ("surface_density", POINT_MAP, "point"),
+        ("curve_density", DENSITY_MAPS["surface_density"], "box"),
+        ("surface_density", DENSITY_MAPS["curve_density"], "interval"),
+    ], ids=["curve-point", "surface-point", "curve-box", "surface-interval"])
+    def test_density_key_the_map_ignores_exits_2(self, tmp_path, capsys, key, map_keys, kind):
+        cfg = write_scenario(tmp_path, f"seed = 1\n{key} = 3\n", map_keys=map_keys)
+        line = cfg.read_text().splitlines().index(f"{key} = 3") + 1
+        code = main(["run", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"scenario error: line {line}: {key} ")
+        assert f"has a {kind} domain" in err
+        assert not (tmp_path / "o").exists()
 
     def test_removed_newton_knob_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="newton_tol"):
@@ -185,6 +214,13 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "scenario error:" in err and f"a {family} map has a {kind} domain" in err
         assert not (tmp_path / "o").exists()
+
+    def test_help_keeps_the_command_lines(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert ("\n    transtri run <scenario> --seed N --out DIR\n"
+                "    transtri verify-only <scenario> --out DIR\n") in capsys.readouterr().out
 
     def test_max_retries_for_verify_only_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:

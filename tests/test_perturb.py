@@ -106,7 +106,7 @@ def sampled_shift(state, s, h, eps, config, rng):
     _sample_shift(state, [draw], h, config)
     if draw.error is not None:
         raise draw.error
-    return draw.psi.v
+    return draw.link.local.v
 
 
 class TestSampleRegularValue:

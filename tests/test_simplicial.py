@@ -187,13 +187,74 @@ class TestPointLocate:
     def test_point_beside_large_simplex_found(self):
         # x is 5e-9 left of the edge (0, 2), a coordinate of -5e-11 > -tol:
         # on the closed triangle up to tol, yet outside its box padded by
-        # 10 tol, so point_locate must not prune by boxes
+        # 10 tol, so a box pad must grow with the simplex
         cplx = sc.build_complex(3, [(0, 1, 2)])
         real = sc.GeometricRealization(
             {0: np.array([0.0, 0.0]), 1: np.array([100.0, 0.0]), 2: np.array([0.0, 100.0])},
             cplx)
         loc = sc.point_locate(cplx, real, np.array([-5e-9, 50.0]))
         assert loc is not None and loc.simplex == sc.Simplex((0, 2))
+
+    def test_index_keeps_a_point_beside_a_large_top(self):
+        # (50, -5e-9) has a coordinate of -5e-11 > -tol on the triangle and
+        # lies on its edge (0, 1); a fixed 10 tol pad put it outside the box
+        cplx = sc.build_complex(3, [(0, 1, 2)])
+        real = sc.GeometricRealization(
+            {0: np.array([0.0, 0.0]), 1: np.array([100.0, 0.0]), 2: np.array([0.0, 100.0])},
+            cplx)
+        x = np.array([50.0, -5e-9])
+        assert sc.point_locate(cplx, real, x).simplex == sc.Simplex((0, 1))
+        index = sc._TopIndex(real, [sc.Simplex((0, 1, 2))])
+        assert index.carriers(x[None], 1e-10) == [sc.Simplex((0, 1))]
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_box_pruning_keeps_every_accepted_top(self, m):
+        # tops of every dimension far from the origin, and points near the
+        # edge of the acceptance test: a coordinate of -0.9 tol and, off a
+        # lower-dimensional top, 0.5 tol scale away from its affine hull
+        tol = 1e-10
+        tops, coords = [], {}
+        for k in range(2, m + 2):
+            for _ in range(3):
+                ids = tuple(range(len(coords), len(coords) + k))
+                base = RNG.uniform(-300.0, 300.0, size=m)
+                for v in ids:
+                    coords[v] = base + RNG.uniform(0.0, 200.0, size=m)
+                tops.append(ids)
+        cplx = sc.build_complex(len(coords), tops)
+        real = sc.GeometricRealization(coords, cplx)
+        order = sorted(cplx.top_simplices(), key=sc.simplex_sort_key)
+        index = sc._TopIndex(real, order)
+        xs = []
+        for s in order:
+            pts = real.simplex_points(s)
+            scale = max(1.0, float(np.abs(pts).max()))
+            for _ in range(20):
+                lam = RNG.dirichlet(np.ones(len(pts)))
+                i = RNG.integers(len(pts))
+                lam[i] = 0.0
+                lam *= (1.0 + 0.9 * tol) / lam.sum()
+                lam[i] = -0.9 * tol
+                off = RNG.normal(size=m)
+                edges = (pts[1:] - pts[0]).T
+                if edges.shape[1] < m:  # the part normal to the affine hull
+                    off -= edges @ np.linalg.lstsq(edges, off, rcond=None)[0]
+                    off *= 0.5 * tol * scale / np.linalg.norm(off)
+                else:
+                    off[:] = 0.0
+                xs.append(lam @ pts + off)
+        xs = np.array(xs)
+        rows, top, _, _ = index.first_hits(xs, tol)
+        want = [next((j for j, s in enumerate(order)
+                      if sc.locate_in_simplex(real, s, x, tol) is not None), None) for x in xs]
+        got = [None] * len(xs)
+        for i, j in zip(rows.tolist(), top.tolist()):
+            got[i] = j
+        assert got == want
+        # many accepted points lie past a fixed 10 tol box pad
+        past = [np.maximum(index.lo[j] - x, x - index.hi[j]).max() > 10.0 * tol
+                for x, j in zip(xs, want) if j is not None]
+        assert len(past) > len(xs) / 2 and sum(past) > len(past) / 4
 
     def test_far_point_is_none(self, two_triangle):
         cplx, real = two_triangle
