@@ -36,7 +36,7 @@ import numpy as np
 from . import bump
 from .errors import MeshError, NewtonDivergenceError
 from .rows import matvec, row_norms
-from .simplicial import Simplex, _TopIndex
+from .simplicial import Simplex, _TopIndex, carrier_mask
 
 __all__ = [
     "TubularChart",
@@ -408,12 +408,19 @@ class StarLocator:
         self.tops = tuple(tops)
         self.index = _TopIndex(sd_realization, self.tops)
         self.tol = tol
+        # where the vertex sits in each top
+        self.slot = np.array([s.vertices.index(vertex) for s in self.tops], int)
 
     def contains_base_point(self, p):
-        """Whether each row of p lies in the open star, as a bool array."""
-        faces = self.index.carriers(np.atleast_2d(p), self.tol)
-        return np.array([face is not None and self.vertex in face.vertices
-                         for face in faces], bool)
+        """Whether each row of p lies in the open star, as a bool array:
+        whether the carrier of its first hit has the vertex."""
+        p = np.atleast_2d(p)
+        rows, top, lam, _ = self.index.first_hits(p, self.tol)
+        # the zero padding past a smaller top's own vertices never joins its carrier
+        lam = np.where(np.arange(lam.shape[1]) < self.index.size[top, None], lam, -np.inf)
+        inside = np.zeros(len(p), bool)
+        inside[rows] = carrier_mask(lam, self.tol)[np.arange(len(top)), self.slot[top]]
+        return inside
 
 
 def dump_chain_metadata(state):

@@ -28,6 +28,7 @@ __all__ = [
     "barycenter",
     "barycentric_subdivision",
     "carrier_face",
+    "carrier_mask",
     "point_locate",
     "locate_in_simplex",
     "grid_triangulation",
@@ -316,6 +317,16 @@ def carrier_face(s, lam, tol):
         keep = [int(np.argmax(lam))]
     sub = lam[keep]
     return Simplex(tuple(s.vertices[i] for i in keep)), sub / sub.sum()
+
+
+def carrier_mask(lam, tol):
+    """carrier_face's vertex choice over rows of barycentric coordinates,
+    (N, k), as a bool mask: the coordinates above tol, or the largest
+    alone when none is."""
+    keep = lam > tol
+    lone = np.nonzero(~keep.any(axis=1))[0]
+    keep[lone, np.argmax(lam[lone], axis=1)] = True
+    return keep
 
 
 class _TopIndex:

@@ -21,7 +21,7 @@ import numpy as np
 from . import bump
 from .config import PipelineConfig
 from .rows import lstsq_rows, matvec, row_norms
-from .simplicial import Simplex, carrier_face, simplex_sort_key
+from .simplicial import Simplex, carrier_mask, simplex_sort_key
 
 log = logging.getLogger(__name__)
 
@@ -55,20 +55,23 @@ def transversality_margin(dh, df):
     """Smallest singular value of the column-normalized [dh | df].
 
     Returns 0.0 when the combined columns cannot span the row space.
-    Invariant under rescaling of individual columns.
+    Invariant under rescaling of individual columns.  Stacks of (N, m, n)
+    and (N, m, l) differentials give the (N,) margins, each with the bits
+    of its one-matrix call.
     """
     dh = np.asarray(dh, float)
     df = np.asarray(df, float)
-    if dh.shape[0] != df.shape[0]:
+    if dh.shape[-2] != df.shape[-2]:
         raise ValueError("row counts differ")
-    m = dh.shape[0]
-    cols = np.hstack([dh, df])
-    if cols.shape[1] < m:
-        return 0.0
-    norms = np.linalg.norm(cols, axis=0)
-    norms[norms == 0.0] = 1.0
-    sv = np.linalg.svd(cols / norms, compute_uv=False)
-    return float(sv[m - 1])
+    m = dh.shape[-2]
+    cols = np.concatenate([dh, df], axis=-1)
+    if cols.shape[-1] < m:
+        sv = np.zeros(cols.shape[:-2])
+    else:
+        norms = np.linalg.norm(cols, axis=-2, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        sv = np.linalg.svd(cols / norms, compute_uv=False)[..., m - 1]
+    return float(sv) if sv.ndim == 0 else sv
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +204,12 @@ def _pair_seeds(h, patch, config, scale, t_per_dim=None):
 
     ts stacks the simplex seed lattice once per owner, owner k holding rows
     k T .. (k + 1) T - 1, so the pair (iy, it) belongs to owner it // T;
-    pairs come owner by owner.  At most a handful of map-parameter seeds
-    are kept per simplex seed; extra seeds in the same basin only repeat
-    the refinement.  Returns (ys, ts, pairs, dmin), dmin holding the
-    smallest seed distance of each owner.
+    pairs come owner by owner, lattice point by lattice point.  At most a
+    handful of map-parameter seeds are kept per simplex seed; extra seeds
+    in the same basin only repeat the refinement.  Returns (ys, ts, pairs,
+    dmin), dmin holding the smallest seed distance of each owner.  The
+    distances are formed one owner at a time, so memory stays at one
+    owner's (seeds, lattice, m) block.
     """
     ys = _domain_seeds(h, config)
     hy = h.eval_batch(ys)
@@ -219,85 +224,110 @@ def _pair_seeds(h, patch, config, scale, t_per_dim=None):
         gap = float(np.linalg.norm(np.diff(hy, axis=0), axis=1).max())
     t_gap = scale / max(1, t_per_dim) if patch.l else 0.0
     prune = 1.5 * (gap + t_gap) + 1e-9
-    pairs = []
     dmin = np.full(patch.size, np.inf)
+    iy, it, dist = [], [], []
     for k in range(patch.size):
         d = np.linalg.norm(hy[:, None, :] - ft[None, k * T:(k + 1) * T, :], axis=2)
         if d.size:
             dmin[k] = d.min()
-        for it in range(T):
-            col = d[:, it]
-            keep = np.nonzero(col <= prune)[0]
-            if keep.size > 6:
-                keep = keep[np.argsort(col[keep])[:6]]
-            pairs.extend((int(iy), k * T + it) for iy in keep)
-    return ys, ts, pairs, dmin
+        col, row = np.nonzero(d.T <= prune)  # lattice point by lattice point
+        iy.append(row)
+        it.append(k * T + col)
+        dist.append(d[row, col])
+    iy, it, dist = (np.concatenate(x) for x in (iy, it, dist))
+    keep = _nearest_per_column(it, dist, 6)
+    return ys, ts, list(zip(iy[keep].tolist(), it[keep].tolist())), dmin
 
 
-def _inside_closed_simplex(t, slack=1e-6):
-    t = np.asarray(t, float)
-    if t.size == 0:
-        return True
-    return float(t.min()) >= -slack and float(t.sum()) <= 1.0 + slack
+def _nearest_per_column(col, dist, cap):
+    """Entries to keep, as indices: all of a column's entries when it has
+    at most cap of them, else its cap nearest in np.argsort order.
+
+    Entries come grouped by column, in column order.  Columns of one size
+    are argsorted together, row by row, which orders every row as a 1-D
+    np.argsort of it does, ties included.
+    """
+    start = np.flatnonzero(np.diff(col, prepend=-1))
+    count = np.diff(start, append=col.size)
+    slot = np.arange(col.size)
+    keep = np.ones(col.size, bool)
+    for size in set(count[count > cap].tolist()):
+        block = start[count == size][:, None] + np.arange(size)
+        order = np.argsort(dist[block], axis=1)
+        slot[block[:, :cap]] = np.take_along_axis(block, order[:, :cap], axis=1)
+        keep[block[:, cap:]] = False
+    return slot[keep]
 
 
 def patch_roots(h, patch, config, scale, t_per_dim=None):
     """Gauss-Newton roots of h(y) = patch(t) from pruned grid seeds, for
     every owner of the patch at once.
 
-    Returns one (roots, min_residual) per owner, with roots deduplicated in
-    parameter space; every converged local minimum is reported,
-    thresholding is the caller's business.  Refinements that leave the
-    closed parameter simplex are dropped: a root on the line extension of
-    the patch says nothing about the patch (its own face or neighbor owns
-    that point).  min_residual includes the coarse seed distances, so it
-    is meaningful even when no seed pair survives pruning.  The seed pairs
-    of all owners are refined in one _gauss_newton call.
+    Returns one (roots, min_residual) per owner, roots being (y, t,
+    residual) tuples in order of residual, deduplicated in parameter space;
+    every converged local minimum is reported, thresholding is the
+    caller's business.  Refinements that leave the closed parameter
+    simplex are dropped: a root on the line extension of the patch says
+    nothing about the patch (its own face or neighbor owns that point).
+    min_residual includes the coarse seed distances, so it is meaningful
+    even when no seed pair survives pruning.  The seed pairs of all owners
+    are refined in one _gauss_newton call.
     """
     ys, ts, pairs, coarse = _pair_seeds(h, patch, config, scale, t_per_dim)
-    roots = [[] for _ in range(patch.size)]
-    min_resid = coarse.tolist()
     iy, it = np.array(pairs, int).reshape(-1, 2).T
     owner = it // (len(ts) // patch.size)
     refined = _gauss_newton(h, patch, ys[iy], ts[it], config, scale, owner) if pairs else []
-    for a, b, k, out in zip(iy, it, owner, refined):
-        if out is None:
-            log.debug("seed (y=%s, t=%s) discarded: refinement left the domain "
-                      "or diverged", ys[a], ts[b])
-            continue
-        y, t, resid = out
-        if not _inside_closed_simplex(t):
-            log.debug("root at t=%s discarded: outside the closed simplex", t)
-            continue
-        min_resid[k] = min(min_resid[k], resid)
-        roots[k].append((y, t, resid))
+    solved = [out for out in refined if out is not None]
+    owner = owner[np.array([out is not None for out in refined], bool)]
+    Y = np.array([out[0] for out in solved], float).reshape(len(solved), h.domain.dim)
+    T = np.array([out[1] for out in solved], float).reshape(len(solved), patch.l)
+    R = np.array([out[2] for out in solved], float)
+    # the closed parameter simplex, with a little slack
+    inside = np.all(T >= -1e-6, axis=1) & (T.sum(axis=1) <= 1.0 + 1e-6)
+    owner, Y, T, R = owner[inside], Y[inside], T[inside], R[inside]
+    min_resid = coarse.copy()
+    np.minimum.at(min_resid, owner, R)
+    order = np.lexsort((R, owner))
+    bounds = np.searchsorted(owner[order], np.arange(patch.size + 1)).tolist()
     period = _domain_period(h)
-    return [(_cluster(sorted(rs, key=lambda r: r[2]), config.dedupe_radius, period), float(mr))
-            for rs, mr in zip(roots, min_resid)]
+    resid = R.tolist()
+    found = []
+    for k in range(patch.size):
+        roots = [(Y[i], T[i], resid[i]) for i in order[bounds[k]:bounds[k + 1]].tolist()]
+        found.append((_cluster(roots, config.dedupe_radius, period), float(min_resid[k])))
+    log.debug("patch_roots: %d seed pairs, %d diverged or left the domain, %d roots outside "
+              "the closed simplex, %d duplicate roots dropped", len(pairs),
+              len(pairs) - len(solved), len(solved) - len(R),
+              len(R) - sum(len(roots) for roots, _ in found))
+    return found
 
 
 def _cluster(items, radius, y_period=None):
     """Greedy dedupe of (y, t, ...) parameter tuples, in their order.
 
-    Each item is compared with all kept items in one array expression and
-    kept when its parameter distance to every one of them exceeds radius.
+    An item is kept when its parameter distance to every kept item exceeds
+    radius: each kept item masks all later items within radius in one
+    array expression, and the next unmasked item is the next one kept.
     Periodic parameter axes fold, so roots found from both sides of the
     seam collapse to one record.
     """
+    if len(items) < 2:
+        return list(items)
     Y = np.array([it[0] for it in items], float)
     T = np.array([it[1] for it in items], float)
+    alive = np.ones(len(items), bool)
     kept = []
-    for i, it in enumerate(items):
-        # the rows of the kept items sit in the first len(kept) rows
-        c = len(kept)
-        dy = Y[i] - Y[:c]
+    i = 0
+    while i < len(items):
+        kept.append(items[i])
+        dy = Y[i + 1:] - Y[i]
         if y_period is not None:
             dy = np.abs(dy) % y_period
             dy = np.minimum(dy, y_period - dy)
-        dt = T[i] - T[:c]
-        if not np.any(np.sqrt(np.sum(dy ** 2, axis=1) + np.sum(dt ** 2, axis=1)) <= radius):
-            Y[c], T[c] = Y[i], T[i]
-            kept.append(it)
+        dt = T[i + 1:] - T[i]
+        alive[i + 1:] &= ~(np.sqrt(np.sum(dy ** 2, axis=1) + np.sum(dt ** 2, axis=1)) <= radius)
+        later = np.flatnonzero(alive[i + 1:])
+        i = i + 1 + int(later[0]) if later.size else len(items)
     return kept
 
 
@@ -324,39 +354,6 @@ class IntersectionRecord:
     classification: str  # transverse | tangent | skeleton-hit
 
 
-def _carrier(s, t, config):
-    """Carrier face of parameter t on s, and t in the face's frame; None
-    when t converged outside s (a neighbor owns that root)."""
-    if not s.dim:
-        return s, np.zeros(0)
-    t = np.asarray(t, float)
-    lam = np.concatenate([[1.0 - t.sum()], t])
-    if lam.min() < -1e-8:
-        return None
-    face, lam = carrier_face(s, np.clip(lam, 0.0, None), config.barycentric_tol)
-    return face, lam[1:]
-
-
-def _make_record(state, h, face, y, t_face, resid, point, Jeta, config):
-    """Classify a root on its carrier face, given eta and its Jacobian there."""
-    if h.domain.dim + face.dim < state.ambient_dim:
-        margin = 0.0
-        cls = "skeleton-hit"
-    else:
-        _, A = state.realization.simplex_frame(face)
-        margin = transversality_margin(h.jacobian_raw(y), Jeta @ A)
-        cls = "transverse" if margin >= config.tol_rank else "tangent"
-    return IntersectionRecord(
-        simplex=face,
-        y=tuple(float(v) for v in np.atleast_1d(y)),
-        t=tuple(float(v) for v in t_face),
-        point=tuple(float(v) for v in point),
-        residual=float(resid),
-        margin=float(margin),
-        classification=cls,
-    )
-
-
 def find_intersections(state, simplices, h, config=None):
     """Roots of h(y) = eta(iota_s(t)) with t in the closed simplex s, for
     every simplex s of one dimension at once.
@@ -366,8 +363,9 @@ def find_intersections(state, simplices, h, config=None):
     intersection threshold is the solve tolerance when spanning is possible
     and the clearance threshold when it is not; min_residual reports the
     best approach found (used for vertex distance diagnostics).  One
-    refinement covers every simplex, and one chain pass evaluates eta at
-    all of their roots.
+    refinement covers every simplex, one chain pass evaluates eta at all
+    of their roots, and the margins of all records on faces of one
+    dimension are one stacked computation.
     """
     config = config or PipelineConfig()
     group = list(simplices)
@@ -381,24 +379,66 @@ def find_intersections(state, simplices, h, config=None):
         t_per_dim = max(2, t_per_dim // 4)
     found = patch_roots(h, simplex_patch(state, group), config, state.mesh_scale, t_per_dim)
     threshold = config.solve_tol if n + l >= m else config.vertex_clearance
-    hits = []
-    for k, (s, (roots, _)) in enumerate(zip(group, found)):
-        for y, t, resid in roots:
-            if resid >= threshold:
-                continue
-            carrier = _carrier(s, t, config)
-            if carrier is not None:
-                hits.append((k, y, resid) + carrier)
+    hits = [(k, y, t, resid) for k, (roots, _) in enumerate(found)
+            for y, t, resid in roots if resid < threshold]
     records = [[] for _ in group]
-    if hits:
-        base = []
-        for _, _, _, face, t_face in hits:
-            b, A = state.realization.simplex_frame(face)
-            base.append(b + (A @ t_face if face.dim else 0.0))
-        points, jacs = state.eval_eta_with_jacobian(np.array(base))
-        for (k, y, resid, face, t_face), x, J in zip(hits, points, jacs):
-            records[k].append(_make_record(state, h, face, y, t_face, resid, x, J, config))
+    for k, rec in _records(state, h, group, hits, config):
+        records[k].append(rec)
     return [(recs, min_resid) for recs, (_, min_resid) in zip(records, found)]
+
+
+def _records(state, h, group, hits, config):
+    """(owner, record) of every (owner, y, t, residual) hit that lands in
+    its closed owner simplex, in hit order, each classified on its
+    carrier face.
+
+    One chain pass evaluates eta and its Jacobian at every hit, one
+    jacobian_raw call differentiates the map at every hit, and the margins
+    of the hits on faces of one dimension are one stacked computation.
+    """
+    n, m = h.domain.dim, state.ambient_dim
+    T = np.array([hit[2] for hit in hits], float).reshape(len(hits), group[0].dim)
+    lam = np.concatenate([1.0 - T.sum(axis=1, keepdims=True), T], axis=1)
+    valid = ~(lam.min(axis=1) < -1e-8)  # a root outside its simplex is a neighbor's
+    hits = [hit for hit, ok in zip(hits, valid.tolist()) if ok]
+    if not hits:
+        return []
+    owner = np.array([hit[0] for hit in hits])
+    Y = np.array([hit[1] for hit in hits], float).reshape(len(hits), n)
+    resid = [hit[3] for hit in hits]
+    lam = np.clip(lam[valid], 0.0, None)
+    keep = carrier_mask(lam, config.barycentric_tol)
+    verts = np.array([s.vertices for s in group])
+    corners = np.array([state.realization.simplex_points(s) for s in group])
+    size = keep.sum(axis=1)
+    base = np.empty((len(owner), m))
+    faces = []
+    for c in sorted(set(size.tolist())):
+        rows = np.nonzero(size == c)[0]
+        pos = np.nonzero(keep[rows])[1].reshape(-1, c)
+        # each face's frame, as simplex_frame builds it, and t on it
+        pts = corners[owner[rows, None], pos]
+        A = (pts[:, 1:] - pts[:, :1]).transpose(0, 2, 1)
+        sub = lam[rows[:, None], pos]
+        t_face = (sub / sub.sum(axis=1, keepdims=True))[:, 1:]
+        base[rows] = pts[:, 0] + (matvec(A, t_face) if c > 1 else 0.0)
+        faces.append((rows, verts[owner[rows, None], pos], A, t_face))
+    points, jacs = state.eval_eta_with_jacobian(base)
+    dh = h.jacobian_raw(Y)
+    ys, xs = Y.tolist(), points.tolist()
+    out = [None] * len(owner)
+    for rows, fv, A, t_face in faces:
+        if n + A.shape[2] < m:
+            margin, cls = np.zeros(len(rows)), ["skeleton-hit"] * len(rows)
+        else:
+            margin = transversality_margin(dh[rows], jacs[rows] @ A)
+            cls = np.where(margin >= config.tol_rank, "transverse", "tangent").tolist()
+        for r, vs, t, mg, kind in zip(rows.tolist(), fv.tolist(), t_face.tolist(),
+                                      margin.tolist(), cls):
+            out[r] = IntersectionRecord(simplex=Simplex(tuple(vs)), y=tuple(ys[r]), t=tuple(t),
+                                        point=tuple(xs[r]), residual=resid[r], margin=mg,
+                                        classification=kind)
+    return list(zip(owner.tolist(), out))
 
 
 def simplex_passes(n, l, m, records, min_residual, config):

@@ -9,7 +9,9 @@ the bump forms, the one-point loops the stacked solves replaced for the
 others), because chain metadata and reports print these values with repr.
 The verifier searches all simplices of a dimension at once and shift
 sampling judges one candidate per simplex of a level at once; both must
-give every simplex what searching or sampling it alone gives.  The
+give every simplex what searching or sampling it alone gives, and its
+seed pairing and record margins, now array operations, must equal the
+per-column and per-record loops they replaced.  The
 clearance test locates its samples in base coordinates and must give the
 verdict of pushing them through the chain and pulling them back.
 """
@@ -18,6 +20,7 @@ import itertools
 import math
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,8 +37,8 @@ from transtri.perturb import (LocalDiffeo, _draw_shift, _star_locator, _unit_dir
 from transtri.rows import lstsq_rows, matvec, row_norms
 from transtri.smoothmap import (CircleMap, LineMap, PointMap, PolyCurveMap, SurfacePatchMap,
                                 TorusKnotMap)
-from transtri.verify import (Patch, _carrier, _cluster, _domain_period, _domain_seeds,
-                             _gauss_newton, _inside_closed_simplex, _make_record, _pair_seeds,
+from transtri.verify import (IntersectionRecord, Patch, _cluster, _domain_period, _domain_seeds,
+                             _gauss_newton, _pair_seeds,
                              find_intersections, interior_lattice, lattice_per_dim,
                              patch_roots, report_summary, report_to_csv, simplex_patch,
                              transversality_margin, verify_triangulation)
@@ -747,10 +750,81 @@ def test_star_table_holds_the_maximal_star_members(scenario_a_run):
 # the verifier, one dimension at a time, against one simplex at a time
 
 
+def ref_inside_closed_simplex(t, slack=1e-6):
+    t = np.asarray(t, float)
+    if t.size == 0:
+        return True
+    return float(t.min()) >= -slack and float(t.sum()) <= 1.0 + slack
+
+
+def ref_root_carrier(s, t, config):
+    """Carrier face of parameter t on s, and t in the face's frame; None
+    when t converged outside s."""
+    if not s.dim:
+        return s, np.zeros(0)
+    t = np.asarray(t, float)
+    lam = np.concatenate([[1.0 - t.sum()], t])
+    if lam.min() < -1e-8:
+        return None
+    face, lam = sc.carrier_face(s, np.clip(lam, 0.0, None), config.barycentric_tol)
+    return face, lam[1:]
+
+
+def ref_record(state, h, face, y, t_face, resid, point, Jeta, config):
+    """One root classified on its carrier face, with its own margin."""
+    if h.domain.dim + face.dim < state.ambient_dim:
+        margin = 0.0
+        cls = "skeleton-hit"
+    else:
+        _, A = state.realization.simplex_frame(face)
+        margin = transversality_margin(h.jacobian_raw(y), Jeta @ A)
+        cls = "transverse" if margin >= config.tol_rank else "tangent"
+    return IntersectionRecord(
+        simplex=face,
+        y=tuple(float(v) for v in np.atleast_1d(y)),
+        t=tuple(float(v) for v in t_face),
+        point=tuple(float(v) for v in point),
+        residual=float(resid),
+        margin=float(margin),
+        classification=cls,
+    )
+
+
+def ref_pair_seeds(h, patch, config, scale, t_per_dim=None):
+    """_pair_seeds with one Python iteration per lattice column, as before
+    the columns were chosen with array operations."""
+    ys = _domain_seeds(h, config)
+    hy = h.eval_batch(ys)
+    if t_per_dim is None:
+        t_per_dim = lattice_per_dim(config.simplex_seed_density, patch.l)
+    lattice = interior_lattice(patch.l, t_per_dim)
+    T = len(lattice)
+    ts = np.tile(lattice, (patch.size, 1))
+    ft = patch.eval(ts, np.repeat(np.arange(patch.size), T))
+    gap = 0.0
+    if len(hy) > 1:
+        gap = float(np.linalg.norm(np.diff(hy, axis=0), axis=1).max())
+    t_gap = scale / max(1, t_per_dim) if patch.l else 0.0
+    prune = 1.5 * (gap + t_gap) + 1e-9
+    pairs = []
+    dmin = np.full(patch.size, np.inf)
+    for k in range(patch.size):
+        d = np.linalg.norm(hy[:, None, :] - ft[None, k * T:(k + 1) * T, :], axis=2)
+        if d.size:
+            dmin[k] = d.min()
+        for it in range(T):
+            col = d[:, it]
+            keep = np.nonzero(col <= prune)[0]
+            if keep.size > 6:
+                keep = keep[np.argsort(col[keep])[:6]]
+            pairs.extend((int(iy), k * T + it) for iy in keep)
+    return ys, ts, pairs, dmin
+
+
 def ref_find(state, s, h, config):
     """(records, min_residual) of one simplex, searched alone: its own patch,
-    seeds, refinement and record evaluation, as before the verifier searched
-    a whole dimension at once."""
+    seeds, refinement and record evaluation, one root at a time, as before
+    the verifier searched a whole dimension at once."""
     n, m, l = h.domain.dim, state.ambient_dim, s.dim
     b, A = state.realization.simplex_frame(s)
 
@@ -779,20 +853,20 @@ def ref_find(state, s, h, config):
     if pairs:
         iy, it = np.array(pairs).T
         for out in _gauss_newton(h, patch, ys[iy], ts[it], config, state.mesh_scale):
-            if out is not None and _inside_closed_simplex(out[1]):
+            if out is not None and ref_inside_closed_simplex(out[1]):
                 min_resid = min(min_resid, out[2])
                 roots.append(out)
     roots.sort(key=lambda r: r[2])
     threshold = config.solve_tol if n + l >= m else config.vertex_clearance
     records = []
     for y, t, resid in _cluster(roots, config.dedupe_radius, _domain_period(h)):
-        carrier = _carrier(s, t, config) if resid < threshold else None
+        carrier = ref_root_carrier(s, t, config) if resid < threshold else None
         if carrier is None:
             continue
         face, t_face = carrier
         fb, fA = state.realization.simplex_frame(face)
         x, J = state.eval_eta_with_jacobian(fb + (fA @ t_face if face.dim else 0.0))
-        records.append(_make_record(state, h, face, y, t_face, resid, x, J, config))
+        records.append(ref_record(state, h, face, y, t_face, resid, x, J, config))
     return records, float(min_resid)
 
 
@@ -832,6 +906,103 @@ def test_verifier_by_dimension_equals_one_simplex_at_a_time(scenario_a_run, monk
     want = verify_triangulation(state, h, config)
     assert report_to_csv(report) == report_to_csv(want)
     assert report_summary(report) == report_summary(want)
+
+
+# ---------------------------------------------------------------------------
+# seed pairing and record margins on arrays, against per-column and
+# per-record loops
+
+
+def _same_seeds(got, want):
+    (ys, ts, pairs, dmin), (rys, rts, rpairs, rdmin) = got, want
+    return (same_bits(ys, rys) and same_bits(ts, rts) and list(pairs) == rpairs
+            and same_bits(dmin, rdmin))
+
+
+@pytest.mark.parametrize("name", VERIFY_SCENARIOS)
+def test_pair_seeds_equal_the_per_column_loop(name):
+    state, h, config = _verify_only_case(name)
+    for l in range(state.complex.dim + 1):
+        patch = simplex_patch(state, state.complex.by_dim(l))
+        for t_per_dim in (None, 2):
+            got = _pair_seeds(h, patch, config, state.mesh_scale, t_per_dim)
+            assert len(got[2]) == len(set(got[2]))
+            assert _same_seeds(got, ref_pair_seeds(h, patch, config, state.mesh_scale, t_per_dim))
+
+
+class _ChosenSeedsMap:
+    """A stand-in map whose domain seeds have chosen images: integer points,
+    many of them at exactly one distance from a lattice image."""
+
+    def __init__(self, images):
+        self.images = np.array(images, float)
+        self.domain = SimpleNamespace(kind="box")
+
+    def sample_domain(self, density):
+        return np.arange(len(self.images), dtype=float)[:, None]
+
+    def eval_batch(self, ys):
+        return self.images[ys[:, 0].astype(int)]
+
+
+def test_pair_seeds_keep_the_argsort_order_of_tied_columns():
+    # twelve images at distance 5 from the origin, with the origin twice and
+    # a near point: the origin's column holds 15 seeds inside prune
+    ring = [(3, 4), (4, 3), (5, 0), (4, -3), (3, -4), (0, -5), (-3, -4), (-4, -3), (-5, 0),
+            (-4, 3), (-3, 4), (0, 5)]
+    h = _ChosenSeedsMap(ring[:5] + [(0, 0), (1, 0)] + ring[5:] + [(0, 0)])
+    # owner 0 sits at the origin, owner 1 on the x axis (ties by mirror
+    # symmetry) and owner 2 far off, so few or no seeds reach it
+    centers = np.array([[0.0, 0.0], [1.0, 0.0], [40.0, 40.0]])
+    patch = Patch(l=1, eval=lambda t, owner: centers[owner] + 0.0 * t, eval_jac=None, size=3)
+    config = PipelineConfig()
+    got = _pair_seeds(h, patch, config, 1.0, 2)
+    want = ref_pair_seeds(h, patch, config, 1.0, 2)
+    assert _same_seeds(got, want)
+    ys, ts, pairs, dmin = got
+    d = np.linalg.norm(h.images - centers[0], axis=1)
+    assert (d <= 15.0).sum() > 6 and len(set(d.tolist())) < len(d)  # a tied, overfull column
+    # six per lattice point of owners 0 and 1, none for owner 2
+    assert [it // 2 for _, it in pairs] == [0] * 12 + [1] * 12
+    assert dmin[0] == 0.0 and dmin[2] > 40.0
+
+
+def test_pair_seeds_memory_stays_below_one_full_broadcast():
+    # the distances are formed owner by owner: scenario_b's 120 triangles
+    # would need a (seeds, 120 lattices, 3) float block at once
+    import tracemalloc
+
+    state, h, config = _verify_only_case("scenario_b")
+    patch = simplex_patch(state, state.complex.by_dim(2))
+    _pair_seeds(h, patch, config, state.mesh_scale)
+    tracemalloc.start()
+    try:
+        ys, ts, pairs, _ = _pair_seeds(h, patch, config, state.mesh_scale)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full = len(ys) * len(ts) * state.ambient_dim * np.dtype(float).itemsize
+    assert patch.size == 120 and pairs
+    assert peak < full
+
+
+@pytest.mark.parametrize("m,n,k", [(2, 1, 1), (2, 1, 0), (2, 0, 2), (3, 1, 2), (3, 2, 1),
+                                   (3, 1, 1), (3, 0, 2), (3, 2, 2), (3, 1, 3)])
+def test_stacked_margins_equal_per_record_margins(m, n, k):
+    rng = np.random.default_rng([m, n, k])
+    N = 64
+    dh = rng.normal(size=(N, m, n)) * 10.0 ** rng.uniform(-4, 4, size=(N, 1, 1))
+    df = rng.normal(size=(N, m, k))
+    if k:
+        df[::5, :, 0] = 0.0  # a zero column keeps its unit norm
+    if n:
+        dh[1::7] = 0.0
+    got = transversality_margin(dh, df)
+    want = [transversality_margin(a, b) for a, b in zip(dh, df)]
+    assert got.shape == (N,) and all(type(w) is float for w in want)
+    assert same_bits(got, want)
+    if n + k < m:
+        assert not got.any()  # no spanning: every margin is 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,19 @@ class TestPointLocate:
         loc = sc.point_locate(cplx, real, np.array([0.5, 0.5]))
         assert loc.simplex == sc.Simplex((0, 3))
 
+    def test_carrier_mask_rows_equal_carrier_face(self):
+        # rows with every coordinate at or below tol keep their largest alone
+        s = sc.Simplex((2, 5, 7, 9))
+        tol = 1e-10
+        lam = RNG.dirichlet(np.ones(4), size=200)
+        lam[::3, RNG.integers(4)] = 0.5 * tol
+        lam[1::7] = RNG.uniform(-tol, tol, size=lam[1::7].shape)
+        lam[2] = [0.0, tol, tol, 0.0]
+        mask = sc.carrier_mask(lam, tol)
+        for row, keep in zip(lam, mask):
+            face = sc.carrier_face(s, row, tol)[0]
+            assert face.vertices == tuple(np.array(s.vertices)[keep].tolist())
+
     def test_matches_brute_force_on_random_points(self, grid_a):
         cplx, real = grid_a
         hits = 0
