@@ -36,7 +36,7 @@ import numpy as np
 from . import bump
 from .errors import MeshError, NewtonDivergenceError
 from .rows import matvec, row_norms
-from .simplicial import Simplex, _TopIndex, carrier_mask
+from .simplicial import Simplex, carrier_mask
 
 __all__ = [
     "TubularChart",
@@ -392,35 +392,51 @@ def make_chart(state, s):
 
 
 class StarLocator:
-    """Reusable membership test for the open star of one subdivision vertex.
+    """Membership tests for the open stars of the vertices of a complex,
+    over the location index of its top simplices (a _TopIndex in simplex
+    order).
 
     The open star of a vertex is the union of open simplices containing
     it; a point belongs exactly when the carrier simplex of its location
     has the vertex.  Locating only against the maximal star members, the
     top simplices holding the vertex, is enough: their closed union covers
     the open star, and a point outside it either misses them all or lands
-    on a carrier without the vertex.  tops must come in simplex order, as
-    a location keeps its first hit in that order.
+    on a carrier without the vertex.  Each star lists its tops in index
+    order, as a location keeps its first hit in that order, so a row gets
+    the pairs, solves and first hit of an index over its star alone.
     """
 
-    def __init__(self, vertex, tops, sd_realization, tol=1e-10):
-        self.vertex = vertex
-        self.tops = tuple(tops)
-        self.index = _TopIndex(sd_realization, self.tops)
+    def __init__(self, index, tol=1e-10):
+        self.index = index
         self.tol = tol
-        # where the vertex sits in each top
-        self.slot = np.array([s.vertices.index(vertex) for s in self.tops], int)
+        stars = {}
+        for j, top in enumerate(index.tops):
+            for v in top.vertices:
+                stars.setdefault(v, []).append(j)
+        # star[v]: the tops holding vertex v, -1 padded; ids: each top's vertices
+        self.star = np.full((max(stars) + 1, max(map(len, stars.values()))), -1)
+        for v, tops in stars.items():
+            self.star[v, :len(tops)] = tops
+        self.ids = np.full(index.pts.shape[:2], -1)
+        for j, top in enumerate(index.tops):
+            self.ids[j, :len(top.vertices)] = top.vertices
 
-    def contains_base_point(self, p):
-        """Whether each row of p lies in the open star, as a bool array:
-        whether the carrier of its first hit has the vertex."""
+    def contains_base_point(self, p, vertex):
+        """Whether each row of p lies in the open star of its vertex (one id,
+        or one per row), and whether a top of that star holds it at all:
+        two bool arrays.  A row inside is one whose first hit in the star
+        has a carrier with the vertex; a row held but not inside lies on
+        the complex outside the star."""
         p = np.atleast_2d(p)
-        rows, top, lam, _ = self.index.first_hits(p, self.tol)
+        vertex = np.broadcast_to(np.asarray(vertex, int), (len(p),))
+        rows, top, lam, _ = self.index.first_hits(p, self.tol, (self.star, vertex))
         # the zero padding past a smaller top's own vertices never joins its carrier
         lam = np.where(np.arange(lam.shape[1]) < self.index.size[top, None], lam, -np.inf)
-        inside = np.zeros(len(p), bool)
-        inside[rows] = carrier_mask(lam, self.tol)[np.arange(len(top)), self.slot[top]]
-        return inside
+        inside, held = np.zeros(len(p), bool), np.zeros(len(p), bool)
+        held[rows] = True
+        inside[rows] = (carrier_mask(lam, self.tol)
+                        & (self.ids[top] == vertex[rows, None])).any(axis=1)
+        return inside, held
 
 
 def dump_chain_metadata(state):

@@ -10,7 +10,13 @@ class DomainError(ValueError):
 
 
 class DegenerateGeometryError(RuntimeError):
-    """Containment search exhausted without finding a positive clearance."""
+    """Containment search exhausted without finding a positive clearance;
+    clearances holds the values found for the simplices before the failing
+    one in a search over several."""
+
+    def __init__(self, message, clearances=()):
+        super().__init__(message)
+        self.clearances = list(clearances)
 
 
 class SamplingFailureError(RuntimeError):

@@ -25,11 +25,12 @@ Levels run l = 0 .. m-1 in order (open top-dimensional embeddings are
 automatically transverse).  Within a level every simplex is built against
 the state at the start of the level; supports of same-level links live in
 disjoint stars, so the links commute and the append order (ascending
-simplex id) is a determinism convention, not a mathematical need.  Stage
-2 runs over the whole level at once: each round draws one candidate per
-unresolved simplex, from that simplex's own rng, and certifies the round
-with one verifier search on one trial state; the level appends the
-accepted trial links.
+simplex id) is a determinism convention, not a mathematical need.  Stages
+1 and 2 run over the whole level at once.  Each clearance round tests
+every simplex still searching, each at its own c, with one containment
+call.  Each sampling round draws one candidate per unresolved simplex,
+from that simplex's own rng, and certifies the round with one verifier
+search on one trial state; the level appends the accepted trial links.
 """
 
 import logging
@@ -38,12 +39,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bump
-from .charts import (AmbientDiffeo, StarLocator, TriangulationState, fiber_moves,
+from .charts import (AmbientDiffeo, StarLocator, TriangulationState, _stack, fiber_moves,
                      fiber_preimages, make_chart)
 from .config import PipelineConfig
 from .errors import (DegenerateGeometryError, EpsilonTooLargeError, MeshError,
                      PerturbationError, SamplingFailureError)
-from .simplicial import _TopIndex, barycentric_subdivision, simplex_sort_key
+from .rows import matvec, row_norms
+from .simplicial import Simplex, _TopIndex, barycentric_subdivision, simplex_sort_key
 from .verify import (find_intersections, interior_lattice, lattice_per_dim, simplex_passes,
                      verify_triangulation)
 
@@ -140,18 +142,14 @@ class LocalDiffeo:
 
 @dataclass(frozen=True, eq=False)
 class SubdivisionData:
-    """Barycentric subdivision of the base complex plus location indexes.
-
-    star_tops maps each subdivision vertex to the top simplices holding
-    it, in simplex order: the maximal members of its open star.
-    """
+    """Barycentric subdivision of the base complex plus its location index
+    over the top simplices, in simplex order."""
 
     cplx: object
     realization: object
     barycenter_ids: dict
     tops: tuple
     index: object
-    star_tops: dict
 
     def carrier(self, p, tol=1e-10):
         """Carrier simplex of each row of p, None outside the complex; a 1-D
@@ -163,11 +161,7 @@ def subdivision_data(state):
     """Barycentric subdivision of the base complex, with barycenter ids."""
     sd_cplx, sd_real, bids = barycentric_subdivision(state.complex, state.realization)
     tops = tuple(sorted(sd_cplx.top_simplices(), key=simplex_sort_key))
-    star_tops = {}
-    for top in tops:
-        for v in top.vertices:
-            star_tops.setdefault(v, []).append(top)
-    return SubdivisionData(sd_cplx, sd_real, bids, tops, _TopIndex(sd_real, tops), star_tops)
+    return SubdivisionData(sd_cplx, sd_real, bids, tops, _TopIndex(sd_real, tops))
 
 
 def _unit_directions(k):
@@ -187,58 +181,93 @@ def _unit_directions(k):
     return dirs
 
 
-def _star_locator(s, sd_data, config):
-    vertex = sd_data.barycenter_ids[s]
-    return StarLocator(vertex, sd_data.star_tops[vertex], sd_data.realization,
-                       config.barycentric_tol)
-
-
-def containment_ok(chart, locator, lattice, dirs, c, sd_data):
-    """Sampled test of {(t, v): |v| <= c rho_l(t)} against the open star.
+def containment_ok(charts, locator, lattice, dirs, cs, sd_data):
+    """Sampled test of {(t, v): |v| <= c rho_l(t)} against the open star,
+    for the simplices of charts, one dimension, each at its own c of cs:
+    one verdict per simplex, as a list of bools.
 
     Points at fiber radii c*rho and c*rho/2 in every direction must lie in
-    the star, or miss the complex entirely: near the mesh boundary the
-    fiber region pokes into free ambient space, where the extended
-    diffeomorphism owes nothing to the complex.  Both tests use the
-    locator's barycentric tolerance.  Samples are located where the chart
-    puts them: every link acts in base coordinates (see charts).
+    the star of the simplex's barycenter, or miss the complex entirely:
+    near the mesh boundary the fiber region pokes into free ambient space,
+    where the extended diffeomorphism owes nothing to the complex.  Both
+    tests use the locator's barycentric tolerance.  Samples are located
+    where the chart puts them: every link acts in base coordinates (see
+    charts).  All frame points come from stacked chart matrices, each row
+    with the bits of its chart's frame_point; each is located against its
+    own star, and only those no star top holds, of simplices not failed
+    yet, against the whole complex.
     """
     rho = bump.rho_l(lattice)
     live = rho > 0.0
     if not live.any():
-        return True
+        return [True] * len(charts)
     dirs = np.asarray(dirs, float)
-    rad = (c * rho[live])[:, None] * np.array([1.0, 0.5])
-    vs = (rad[:, :, None, None] * dirs).reshape(-1, dirs.shape[1])
-    ts = np.repeat(lattice[live], 2 * len(dirs), axis=0)
-    base = chart.frame_point(ts, vs)
-    outside = ~locator.contains_base_point(base)
-    return not outside.any() or all(
-        s is None for s in sd_data.carrier(base[outside], locator.tol))
+    rad = (np.asarray(cs, float)[:, None] * rho[live])[:, :, None] * np.array([1.0, 0.5])
+    vs = (rad[..., None, None] * dirs).reshape(-1, dirs.shape[1])
+    per = len(vs) // len(charts)
+    ts = np.tile(np.repeat(lattice[live], 2 * len(dirs), axis=0), (len(charts), 1))
+    owner = np.repeat(np.arange(len(charts)), per)
+    b, A, N = (_stack([getattr(ch, a) for ch in charts]) for a in ("base", "tangent", "normal"))
+    base = b[owner] + matvec(A[owner], ts) + matvec(N[owner], vs)
+    vertex = np.array([sd_data.barycenter_ids[ch.simplex] for ch in charts])
+    inside, held = locator.contains_base_point(base, vertex[owner])
+    ok = np.ones(len(charts), bool)
+    ok[owner[held & ~inside]] = False  # on the complex, outside the star
+    lost = np.nonzero(~held & ok[owner])[0]
+    if lost.size:
+        on = [s is not None for s in sd_data.carrier(base[lost], locator.tol)]
+        ok[owner[lost[on]]] = False
+    return ok.tolist()
 
 
-def estimate_c_sigma(state, s, config=None, sd_data=None, chart=None):
-    """Fiber clearance coefficient for one simplex.
+def estimate_c_sigma(state, simplices, config=None, sd_data=None, charts=None):
+    """Fiber clearance coefficients of simplices of one dimension.
 
-    Halving search from the star diameter down to the configured floor;
-    returns half the largest passing candidate as a safety margin.
-    Raises DegenerateGeometryError when nothing passes and MeshError for a
-    top-dimensional simplex (no normal directions, callers skip those).
+    Each simplex runs a halving search from its star's diameter down to
+    the configured floor and keeps half its largest passing candidate as
+    a safety margin; every round tests all simplices still searching with
+    one containment_ok call.  One Simplex gives one float, a list one
+    float per simplex.  The lowest-index simplex where nothing passes
+    raises DegenerateGeometryError, whose clearances hold the values of
+    the simplices before it; the simplices after it stop searching.  A
+    top-dimensional simplex raises MeshError (no normal directions, callers
+    skip those).
     """
     config = config or PipelineConfig()
-    chart = chart or make_chart(state, s)
+    one = isinstance(simplices, Simplex)
+    simplices = [simplices] if one else list(simplices)
+    charts = charts or [make_chart(state, s) for s in simplices]
     sd_data = sd_data or subdivision_data(state)
-    locator = _star_locator(s, sd_data, config)
-    lattice = interior_lattice(s.dim, lattice_per_dim(config.containment_density, s.dim))
-    dirs = _unit_directions(state.ambient_dim - s.dim)
-    span = locator.index.hi.max(axis=0) - locator.index.lo.min(axis=0)
-    c = float(np.linalg.norm(span))
-    while c > config.c_min:
-        if containment_ok(chart, locator, lattice, dirs, c, sd_data):
-            return c / 2.0
-        c *= 0.5
-    raise DegenerateGeometryError(
-        f"no fiber clearance above {config.c_min} for simplex {s.vertices}")
+    locator = StarLocator(sd_data.index, config.barycentric_tol)
+    l = simplices[0].dim
+    lattice = interior_lattice(l, lattice_per_dim(config.containment_density, l))
+    dirs = _unit_directions(state.ambient_dim - l)
+    star = locator.star[[sd_data.barycenter_ids[s] for s in simplices]]
+    held = (star >= 0)[..., None]
+    index = sd_data.index
+    cs = row_norms(np.where(held, index.hi[star], -np.inf).max(axis=1)
+                   - np.where(held, index.lo[star], np.inf).min(axis=1))
+    found = [None] * len(simplices)
+    failed = len(simplices)
+    live = np.arange(len(simplices))
+    while live.size:
+        spent = live[cs[live] <= config.c_min]
+        if spent.size:
+            failed = min(failed, int(spent[0]))
+        live = live[(cs[live] > config.c_min) & (live < failed)]
+        if not live.size:
+            break
+        ok = np.array(containment_ok([charts[i] for i in live], locator, lattice, dirs,
+                                     cs[live], sd_data))
+        for i in live[ok].tolist():
+            found[i] = float(cs[i]) / 2.0
+        live = live[~ok]
+        cs[live] *= 0.5
+    if failed < len(simplices):
+        raise DegenerateGeometryError(
+            f"no fiber clearance above {config.c_min} for simplex {simplices[failed].vertices}",
+            clearances=found[:failed])
+    return found[0] if one else found
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +428,10 @@ def perturb_level(state, level, h, config=None, sd_data=None):
     Each simplex is built against the state at the start of the level
     (supports of same-level links are disjoint, so they commute); links
     are then appended in ascending simplex order for determinism.  The
-    clearance search and the guard run per simplex; shift sampling runs
-    over the whole level at once, each simplex drawing from its own rng
-    (see _sample_shift).  Any per-simplex failure aborts the level, naming
-    the lowest-index failing simplex.
+    clearance search runs over the whole level at once (estimate_c_sigma),
+    and so does shift sampling, each simplex drawing from its own rng (see
+    _sample_shift); the guard runs per simplex.  Any per-simplex failure
+    aborts the level, naming the lowest-index failing simplex.
     """
     config = config or PipelineConfig()
     m = state.ambient_dim
@@ -413,17 +442,17 @@ def perturb_level(state, level, h, config=None, sd_data=None):
         return state
     if sd_data is None:
         sd_data = subdivision_data(state)
-    draws = []
-    for idx, s in enumerate(simplices):
-        d = _Draw(make_chart(state, s), np.random.default_rng([config.seed, level, idx]))
-        draws.append(d)
-        try:
-            d.c_sigma = estimate_c_sigma(state, s, config, sd_data=sd_data, chart=d.chart)
-        except DegenerateGeometryError as exc:
-            d.error = exc  # the simplices after this one no longer matter
-            break
-        d.eps = min(d.c_sigma, 0.5 / bump.c_beta(), config.epsilon_max,
-                    config.mesh_scale_factor * state.mesh_scale)
+    charts = [make_chart(state, s) for s in simplices]
+    try:
+        c_sigmas, error = estimate_c_sigma(state, simplices, config, sd_data, charts), None
+    except DegenerateGeometryError as exc:
+        c_sigmas, error = exc.clearances, exc  # the simplices after this one no longer matter
+    draws = [_Draw(chart, np.random.default_rng([config.seed, level, idx]), c_sigma=c,
+                   eps=min(c, 0.5 / bump.c_beta(), config.epsilon_max,
+                           config.mesh_scale_factor * state.mesh_scale))
+             for idx, (chart, c) in enumerate(zip(charts, c_sigmas))]
+    if error is not None:
+        draws.append(_Draw(charts[len(draws)], None, error=error))
     pending = [d for d in draws if d.error is None]
     while pending:
         _sample_shift(state, pending, h, config)

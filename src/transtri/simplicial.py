@@ -329,6 +329,10 @@ def carrier_mask(lam, tol):
     return keep
 
 
+# candidate (row, top) pairs per block of a location: bounds its temporaries
+_BLOCK_PAIRS = 1 << 16
+
+
 class _TopIndex:
     """Bounding boxes, vertex coordinates and residual scales of a set of
     simplices, for locating many points at once."""
@@ -353,31 +357,72 @@ class _TopIndex:
         for i, p in enumerate(pts):
             self.pts[i, :len(p)] = p
 
-    def first_hits(self, x, tol):
+    def first_hits(self, x, tol, cand=None):
         """Locate the rows of x, (N, m), each in the first top, in top
         order, whose closed simplex holds it up to tol.
 
         Returns, for every row some top holds: the row, the top, the
         barycentric coordinates there (zero-padded to the largest top) and
-        the distance from the top's affine hull.  Only tops whose bounding
-        box, padded by tol times the top's own pad, holds the row are
-        tried; the pad covers every point the barycentric test accepts.
-        All (row, top) pairs are solved with one stacked least-squares call
-        per simplex size.
+        the distance from the top's affine hull.  cand = (table, which)
+        restricts row i to the tops table[which[i]], listed in top order
+        and padded with -1; without it every top is a candidate.  Only
+        candidates whose bounding box, padded by tol times the top's own
+        pad, holds the row are tried; the pad covers every point the
+        barycentric test accepts.  Rows go in blocks of at most
+        _BLOCK_PAIRS candidate pairs, and the (row, top) pairs of a block
+        are solved with one stacked least-squares call per simplex size.
         """
         x = np.asarray(x, dtype=float)
         pad = tol * self.pad
-        near = np.all((x[:, None, :] >= self.lo - pad) & (x[:, None, :] <= self.hi + pad), axis=2)
-        ip, it = np.nonzero(near)  # pairs by row, then by top
+        lo, hi = self.lo - pad, self.hi + pad
+        if cand is None:
+            # no padded box holds a row outside their union
+            live = np.nonzero(np.all((x >= lo.min(axis=0, initial=np.inf))
+                                     & (x <= hi.max(axis=0, initial=-np.inf)), axis=1))[0]
+            width = len(self.tops)
+        else:
+            live, width = np.arange(len(x)), cand[0].shape[1]
+        step = max(1, _BLOCK_PAIRS // max(1, width))
+        blocks = []
+        for start in range(0, max(1, live.size), step):
+            rb = live[start:start + step]
+            xb = x[rb]
+            if cand is None:
+                ip, it = np.nonzero(np.all((xb[:, None, :] >= lo) & (xb[:, None, :] <= hi), axis=2))
+            else:
+                tops = cand[0][cand[1][rb]]
+                ip, col = np.nonzero(tops >= 0)
+                it = tops[ip, col]
+                near = np.all((xb[ip] >= lo[it]) & (xb[ip] <= hi[it]), axis=1)
+                ip, it = ip[near], it[near]
+            rows, top, lam, resid = self._solve(xb, ip, it, tol)  # pairs by row, then by top
+            blocks.append((rb[rows], top, lam, resid))
+        return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+    def _solve(self, x, ip, it, tol):
+        """First accepted pair of each row among the (row, top) pairs ip, it,
+        which come by row, then by top.  Pairs are solved in rounds: round
+        r takes the ranks 2^r - 1 .. 2^(r+1) - 2 within their row, of the
+        rows no earlier round accepted, so a row stops soon after its
+        first hit."""
         lam = np.zeros((ip.size, self.pts.shape[1]))
         resid = np.zeros(ip.size)
         ok = np.zeros(ip.size, bool)
-        for k in self.sizes:
-            sel = np.nonzero(self.size[it] == k)[0]
-            if sel.size:
-                lam_k, resid[sel] = _barycentric_rows(self.pts[it[sel], :k], x[ip[sel]])
-                lam[sel, :k] = lam_k
-                ok[sel] = _accepted(lam_k, resid[sel], self.scale[it[sel]], tol)
+        rank = np.arange(ip.size) - np.searchsorted(ip, ip)
+        held = np.zeros(len(x), bool)
+        first = 0
+        while True:
+            batch = np.nonzero((rank >= first) & (rank <= 2 * first) & ~held[ip])[0]
+            if not batch.size:
+                break
+            for k in self.sizes:
+                sel = batch[self.size[it[batch]] == k]
+                if sel.size:
+                    lam_k, resid[sel] = _barycentric_rows(self.pts[it[sel], :k], x[ip[sel]])
+                    lam[sel, :k] = lam_k
+                    ok[sel] = _accepted(lam_k, resid[sel], self.scale[it[sel]], tol)
+            held[ip[batch[ok[batch]]]] = True
+            first = 2 * first + 1
         hits = np.nonzero(ok)[0]
         first = hits[np.unique(ip[hits], return_index=True)[1]]
         return ip[first], it[first], lam[first], resid[first]

@@ -168,7 +168,7 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None):
     stall = np.zeros(P, int)
     diverged = np.zeros(P, bool)
     live = np.arange(P)
-    step_cap = 0.75 * scale
+    step_cap = 0.75  # a (y, t) step is in parameter units, whatever the mesh scale
     for _ in range(config.gn_max_iter):
         if not live.size:
             break
@@ -227,7 +227,7 @@ def _pair_seeds(h, patch, config, scale, t_per_dim=None):
     dmin = np.full(patch.size, np.inf)
     iy, it, dist = [], [], []
     for k in range(patch.size):
-        d = np.linalg.norm(hy[:, None, :] - ft[None, k * T:(k + 1) * T, :], axis=2)
+        d = _seed_distances(hy, ft[k * T:(k + 1) * T])
         if d.size:
             dmin[k] = d.min()
         col, row = np.nonzero(d.T <= prune)  # lattice point by lattice point
@@ -237,6 +237,17 @@ def _pair_seeds(h, patch, config, scale, t_per_dim=None):
     iy, it, dist = (np.concatenate(x) for x in (iy, it, dist))
     keep = _nearest_per_column(it, dist, 6)
     return ys, ts, list(zip(iy[keep].tolist(), it[keep].tolist())), dmin
+
+
+def _seed_distances(a, b):
+    """Distances |a[i] - b[j]| between the rows of a and b, as an (A, B)
+    array, bitwise as np.linalg.norm(a[:, None] - b[None], axis=2): numpy
+    adds that short last axis left to right, as this coordinate-by-coordinate
+    sum does, without forming the (A, B, m) difference."""
+    d2 = np.square(a[:, None, 0] - b[None, :, 0])
+    for j in range(1, a.shape[1]):
+        d2 += np.square(a[:, None, j] - b[None, :, j])
+    return np.sqrt(d2)
 
 
 def _nearest_per_column(col, dist, cap):

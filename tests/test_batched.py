@@ -29,11 +29,11 @@ from hypothesis import strategies as st
 
 from transtri import bump, cli, perturb, verify
 from transtri import simplicial as sc
-from transtri.charts import ChainOps, TriangulationState, make_chart
+from transtri.charts import ChainOps, StarLocator, TriangulationState, make_chart
 from transtri.config import PipelineConfig
 from transtri.errors import DegenerateGeometryError, EpsilonTooLargeError, PerturbationError
-from transtri.perturb import (LocalDiffeo, _draw_shift, _star_locator, _unit_directions,
-                              containment_ok, perturb_level, subdivision_data)
+from transtri.perturb import (LocalDiffeo, _draw_shift, _unit_directions, containment_ok,
+                              perturb_level, subdivision_data)
 from transtri.rows import lstsq_rows, matvec, row_norms
 from transtri.smoothmap import (CircleMap, LineMap, PointMap, PolyCurveMap, SurfacePatchMap,
                                 TorusKnotMap)
@@ -652,17 +652,82 @@ def test_point_location_rows_equal_single_points(scenario_a_run, kind):
     assert carriers == [ref_carrier(sd.realization, sd.tops, p, 1e-10) for p in pts]
     assert (kind == "outside") == all(c is None for c in carriers)
     # vertex 12 is (0, 0), 7 is (-1, 0) and 13 is (0, 1)
+    locator = StarLocator(sd.index, config.barycentric_tol)
+    vertices = [sd.barycenter_ids[s]
+                for s in (sc.Simplex((12,)), sc.Simplex((7, 12)), sc.Simplex((7, 12, 13)))]
     seen_inside = False
-    for s in (sc.Simplex((12,)), sc.Simplex((7, 12)), sc.Simplex((7, 12, 13))):
-        locator = _star_locator(s, sd, config)
-        inside = locator.contains_base_point(pts)
-        assert inside.dtype == bool and inside.shape == (len(pts),)
-        assert inside.tolist() == [locator.contains_base_point(p[None])[0] for p in pts]
-        star_set = sc.star(sd.cplx, sc.Simplex((locator.vertex,)))
-        assert inside.tolist() == [ref_carrier(sd.realization, locator.tops, p, locator.tol)
-                                   in star_set for p in pts]
+    for v in vertices:
+        inside, held = locator.contains_base_point(pts, v)
+        assert inside.dtype == held.dtype == bool and inside.shape == held.shape == (len(pts),)
+        singles = [locator.contains_base_point(p[None], v) for p in pts]
+        assert inside.tolist() == [a[0] for a, _ in singles]
+        assert held.tolist() == [b[0] for _, b in singles]
+        star_tops = [t for t in sd.tops if v in t.vertices]
+        star_set = sc.star(sd.cplx, sc.Simplex((v,)))
+        want = [ref_carrier(sd.realization, star_tops, p, locator.tol) for p in pts]
+        assert inside.tolist() == [c in star_set for c in want]
+        assert held.tolist() == [c is not None for c in want]
         seen_inside |= inside.any()
     assert seen_inside == (kind != "outside")
+    # one star per row gives each row its own star's answer
+    per_row = np.resize(vertices, len(pts))
+    mixed = locator.contains_base_point(pts, per_row)
+    for v in vertices:
+        alone = locator.contains_base_point(pts, v)
+        for got, want in zip(mixed, alone):
+            assert got[per_row == v].tolist() == want[per_row == v].tolist()
+
+
+def same_hits(a, b):
+    """Equal bits in every array of two first_hits results."""
+    return len(a) == len(b) and all(same_bits(x, y) and x.shape == y.shape for x, y in zip(a, b))
+
+
+def _per_star_index(sd, v):
+    """A location index over the tops of one star alone, in simplex order,
+    and their positions in the whole complex's index."""
+    ids = [j for j, t in enumerate(sd.tops) if v in t.vertices]
+    return sc._TopIndex(sd.realization, [sd.tops[j] for j in ids]), np.array(ids)
+
+
+@pytest.mark.parametrize("kind", ["interior", "near_vertex", "outside"])
+def test_star_restricted_hits_equal_a_per_star_index(scenario_a_run, monkeypatch, kind):
+    # rows located against their own star in the whole complex's index get
+    # the hits, coordinates and residuals of an index over that star alone,
+    # also when the rows are split into blocks of a few pairs
+    sd = subdivision_data(scenario_a_run["state"])
+    pts = _probe_points(scenario_a_run["state"], kind)
+    locator = StarLocator(sd.index)
+    # every other located row takes a star that holds it, the rest any star
+    vertices = np.resize(sorted(sd.barycenter_ids.values()), len(pts))
+    rows, top, _, _ = sd.index.first_hits(pts, 1e-10)
+    vertices[rows[::2]] = [sd.tops[j].vertices[-1] for j in top[::2]]
+    got = sd.index.first_hits(pts, 1e-10, (locator.star, vertices))
+    monkeypatch.setattr(sc, "_BLOCK_PAIRS", 7)
+    assert same_hits(got, sd.index.first_hits(pts, 1e-10, (locator.star, vertices)))
+    want = [[] for _ in range(4)]
+    for i, (p, v) in enumerate(zip(pts, vertices)):
+        index, ids = _per_star_index(sd, v)
+        rows, top, lam, resid = index.first_hits(p[None], 1e-10)
+        for parts, value in zip(want, (rows + i, ids[top], lam, resid)):
+            parts.append(value)
+    want = [np.concatenate(parts) for parts in want]
+    assert (want[0].size == 0) == (kind == "outside")
+    assert same_hits(got[:2] + got[3:], want[:2] + want[3:])
+    assert same_bits(got[2][:, :want[2].shape[1]], want[2])
+
+
+@pytest.mark.parametrize("name", ["scenario_a", "scenario_b"])
+def test_blocked_location_equals_one_block(monkeypatch, name):
+    state, _, _ = _verify_only_case(name)
+    sd = subdivision_data(state)
+    lo, hi = state.bbox()
+    pts = RNG.uniform(lo, hi, size=(300 if name == "scenario_a" else 60, state.ambient_dim))
+    whole = sd.index.first_hits(pts, 1e-10)
+    assert 0 < whole[0].size < len(pts)
+    monkeypatch.setattr(sc, "_BLOCK_PAIRS", 3 * len(sd.tops) + 1)
+    assert same_hits(sd.index.first_hits(pts, 1e-10), whole)
+    assert sd.carrier(pts) == [ref_carrier(sd.realization, sd.tops, p, 1e-10) for p in pts]
 
 
 def chart_eval_jac(state, chart, t, v):
@@ -672,10 +737,10 @@ def chart_eval_jac(state, chart, t, v):
     return x, J @ np.hstack([chart.tangent, chart.normal])
 
 
-def ref_containment_ok(state, chart, locator, lattice, dirs, c, sd_data):
+def ref_containment_ok(state, chart, locator, vertex, lattice, dirs, c, sd_data):
     """Sequential scan: one sample at a time pushed through the chain of state
-    and pulled back, stopping at the first that lands neither in the star nor
-    outside the complex."""
+    and pulled back, stopping at the first that lands neither in the star of
+    vertex nor outside the complex."""
     ts, vs = [], []
     for t, rho_t in zip(lattice, bump.rho_l(lattice)):
         if rho_t <= 0.0:
@@ -688,7 +753,7 @@ def ref_containment_ok(state, chart, locator, lattice, dirs, c, sd_data):
         return True
     for x in state.eval_eta(chart.frame_point(np.array(ts), np.array(vs))):
         base = state.eval_eta_inverse(x[None])
-        if locator.contains_base_point(base)[0]:
+        if locator.contains_base_point(base, vertex)[0][0]:
             continue
         if sd_data.carrier(base, locator.tol)[0] is None:
             continue
@@ -705,14 +770,16 @@ def test_containment_equals_sequential_scan(scenario_a_run, level):
     assert level == 0 or state.links  # level 1 round-trips through the level-0 links
     dirs = _unit_directions(state.ambient_dim - level)
     lattice = interior_lattice(level, lattice_per_dim(config.containment_density, level))
+    locator = StarLocator(sd.index, config.barycentric_tol)
     verdicts = []
     for s in state.complex.by_dim(level):
         chart = make_chart(state, s)
-        locator = _star_locator(s, sd, config)
-        c = float(np.linalg.norm(locator.index.hi.max(axis=0) - locator.index.lo.min(axis=0)))
+        v = sd.barycenter_ids[s]
+        star = locator.star[v][locator.star[v] >= 0]
+        c = float(np.linalg.norm(sd.index.hi[star].max(axis=0) - sd.index.lo[star].min(axis=0)))
         while c > config.c_min:
-            got = containment_ok(chart, locator, lattice, dirs, c, sd)
-            assert got == ref_containment_ok(state, chart, locator, lattice, dirs, c, sd), \
+            [got] = containment_ok([chart], locator, lattice, dirs, [c], sd)
+            assert got == ref_containment_ok(state, chart, locator, v, lattice, dirs, c, sd), \
                 (s.vertices, c)
             verdicts.append(got)
             c *= 0.5
@@ -732,18 +799,115 @@ def test_clearance_depends_on_base_geometry_only(scenario_a_run):
         assert repr(c) == repr(lk.local.c_sigma), lk.simplex.vertices
 
 
+def ref_c_sigma(state, s, config, sd):
+    """One simplex's halving search as it ran before the level-wide search:
+    an index over its star alone, the vertex's slot in each star top, every
+    sample outside the star located again in the whole complex."""
+    chart = make_chart(state, s)
+    v = sd.barycenter_ids[s]
+    index, _ = _per_star_index(sd, v)
+    slot = np.array([t.vertices.index(v) for t in index.tops])
+    lattice = interior_lattice(s.dim, lattice_per_dim(config.containment_density, s.dim))
+    dirs = np.asarray(_unit_directions(state.ambient_dim - s.dim), float)
+    rho = bump.rho_l(lattice)
+    live = rho > 0.0
+    tol = config.barycentric_tol
+    c = float(np.linalg.norm(index.hi.max(axis=0) - index.lo.min(axis=0)))
+    while c > config.c_min:
+        if not live.any():
+            return c / 2.0
+        rad = (c * rho[live])[:, None] * np.array([1.0, 0.5])
+        vs = (rad[:, :, None, None] * dirs).reshape(-1, dirs.shape[1])
+        base = chart.frame_point(np.repeat(lattice[live], 2 * len(dirs), axis=0), vs)
+        rows, top, lam, _ = index.first_hits(base, tol)
+        lam = np.where(np.arange(lam.shape[1]) < index.size[top, None], lam, -np.inf)
+        inside = np.zeros(len(base), bool)
+        inside[rows] = sc.carrier_mask(lam, tol)[np.arange(len(top)), slot[top]]
+        if all(x is None for x in sd.carrier(base[~inside], tol)):
+            return c / 2.0
+        c *= 0.5
+    raise DegenerateGeometryError(f"no fiber clearance above {config.c_min} for simplex "
+                                  f"{s.vertices}")
+
+
+@pytest.mark.parametrize("name", ["scenario_a", "scenario_b", "scenario_c"])
+def test_level_clearance_equals_the_per_simplex_search(name):
+    state, _, config = _verify_only_case(name)
+    sd = subdivision_data(state)
+    for level in range(state.ambient_dim):
+        simplices = state.complex.by_dim(level)
+        got = perturb.estimate_c_sigma(state, simplices, config, sd)
+        want = [ref_c_sigma(state, s, config, sd) for s in simplices]
+        assert all(type(c) is float for c in got)
+        assert [repr(c) for c in got] == [repr(c) for c in want], level
+        one = perturb.estimate_c_sigma(state, simplices[-1], config, sd)
+        assert type(one) is float and repr(one) == repr(want[-1])
+
+
+def test_level_clearance_names_the_lowest_simplex_without_clearance(scenario_a_run):
+    # a floor at vertex 6's passing value fails 6, 7, 8, 11, ... (passing
+    # values 0.2357 against 0.3359 and more before 6), and 6 is named
+    state, config = _level_start(scenario_a_run, 0), scenario_a_run["config"]
+    sd = subdivision_data(state)
+    vertices = state.complex.by_dim(0)
+    passing = 2.0 * perturb.estimate_c_sigma(state, vertices[6], config, sd)
+    config = config.replace(c_min=passing)
+    with pytest.raises(DegenerateGeometryError) as want:
+        for s in vertices:
+            ref_c_sigma(state, s, config, sd)
+    with pytest.raises(DegenerateGeometryError) as got:
+        perturb.estimate_c_sigma(state, vertices, config, sd)
+    assert str(got.value) == str(want.value) and str(got.value).endswith("simplex (6,)")
+    before = [ref_c_sigma(state, s, config, sd) for s in vertices[:6]]
+    assert [repr(c) for c in got.value.clearances] == [repr(c) for c in before]
+    with pytest.raises(PerturbationError) as err:
+        perturb_level(state, 0, scenario_a_run["h"], config, sd)
+    assert err.value.simplex == vertices[6]
+    assert str(err.value) == f"level 0 aborted at simplex (6,): {want.value}"
+
+
+def test_clearance_round_memory_stays_below_one_dense_block():
+    # one level-1 round of scenario_b: 98 edges, each sample located against
+    # its own star, the samples no star top holds against all 1152 tops in
+    # blocks; a dense box test would hold (rows, tops, m) at once
+    import tracemalloc
+
+    state, _, config = _verify_only_case("scenario_b")
+    sd = subdivision_data(state)
+    edges = state.complex.by_dim(1)
+    charts = [make_chart(state, s) for s in edges]
+    locator = StarLocator(sd.index, config.barycentric_tol)
+    lattice = interior_lattice(1, lattice_per_dim(config.containment_density, 1))
+    dirs = _unit_directions(2)
+    cs = [2.0 * c for c in perturb.estimate_c_sigma(state, edges, config, sd)]
+    args = (charts, locator, lattice, dirs, cs, sd)
+    containment_ok(*args)
+    tracemalloc.start()
+    try:
+        assert all(containment_ok(*args))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = len(edges) * len(lattice) * 2 * len(dirs)
+    assert peak < rows * len(sd.tops) * state.ambient_dim
+
+
 # ---------------------------------------------------------------------------
 # the star table against the quadratic scan of simplicial.star
 
 
 def test_star_table_holds_the_maximal_star_members(scenario_a_run):
     sd = subdivision_data(scenario_a_run["state"])
+    table = StarLocator(sd.index).star
+    assert len(table) == len(sd.cplx.vertex_ids)
     for v in sd.cplx.vertex_ids:
         members = sc.star(sd.cplx, sc.Simplex((v,)))
         maximal = [s for s in members
                    if not any(o.dim > s.dim and set(s.vertices) < set(o.vertices)
                               for o in members)]
-        assert sd.star_tops[v] == sorted(maximal, key=sc.simplex_sort_key)
+        k = len(maximal)
+        assert [sd.tops[j] for j in table[v, :k]] == sorted(maximal, key=sc.simplex_sort_key)
+        assert (table[v, k:] == -1).all()
 
 
 # ---------------------------------------------------------------------------
@@ -967,6 +1131,25 @@ def test_pair_seeds_keep_the_argsort_order_of_tied_columns():
     assert dmin[0] == 0.0 and dmin[2] > 40.0
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_seed_distances_equal_the_norm_of_the_difference(m):
+    rng = np.random.default_rng(m)
+    a = rng.normal(size=(40, m)) * 10.0 ** rng.uniform(-6, 6, size=(40, 1))
+    b = np.vstack([rng.normal(size=(30, m)), a[:5], -a[5:10], np.zeros((1, m))])
+    # squares that round differently when added in another order: with
+    # e^2 = 1.125 * 2^-53, 1 + e^2 + e^2 gives 1 + 2^-50 left to right and
+    # 1 + 2^-51 when the small ones go first
+    e = 1.5 * 2.0 ** -27
+    for row in itertools.permutations([1.0, e, e][:m]):
+        a = np.vstack([a, row])
+    # ties: mirror images are at one distance from the origin
+    a = np.vstack([a, -a[:8]])
+    got = verify._seed_distances(a, b)
+    want = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    assert got.shape == (len(a), len(b)) and same_bits(got, want)
+    assert same_bits(got[:, -1], want[:, -1]) and len(set(got[:, -1].tolist())) < len(a)
+
+
 def test_pair_seeds_memory_stays_below_one_full_broadcast():
     # the distances are formed owner by owner: scenario_b's 120 triangles
     # would need a (seeds, 120 lattices, 3) float block at once
@@ -1149,7 +1332,7 @@ def ref_level(state, level, h, config, sd):
         rng = np.random.default_rng([config.seed, level, idx])
         chart = make_chart(state, s)
         try:
-            c_sigma = perturb.estimate_c_sigma(state, s, config, sd_data=sd, chart=chart)
+            c_sigma = perturb.estimate_c_sigma(state, s, config, sd_data=sd, charts=[chart])
         except DegenerateGeometryError as exc:
             return out, f"level {level} aborted at simplex {s.vertices}: {exc}"
         eps = min(c_sigma, 0.5 / bump.c_beta(), config.epsilon_max,
@@ -1248,10 +1431,14 @@ def test_level_failure_names_the_lowest_index_simplex(scenario_a_run, monkeypatc
     degenerate = sc.Simplex((3,)) if first == "clearance" else sc.Simplex((12,))
     real_search = perturb.estimate_c_sigma
 
-    def search(state, s, *args, **kwargs):
-        if s == degenerate:
-            raise DegenerateGeometryError(f"no fiber clearance for simplex {s.vertices}")
-        return real_search(state, s, *args, **kwargs)
+    def search(state, simplices, config, sd_data=None, charts=None):
+        batch = [simplices] if isinstance(simplices, sc.Simplex) else list(simplices)
+        if degenerate not in batch:
+            return real_search(state, simplices, config, sd_data, charts)
+        j = batch.index(degenerate)
+        found = real_search(state, batch[:j], config, sd_data, charts[:j]) if j else []
+        raise DegenerateGeometryError(f"no fiber clearance for simplex {degenerate.vertices}",
+                                      clearances=found)
 
     monkeypatch.setattr(perturb, "estimate_c_sigma", search)
     _, want = ref_level(state, 0, h, config, sd)

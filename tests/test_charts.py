@@ -149,8 +149,7 @@ def point_in_star(state, x, sd, s):
     """Whether an ambient point pulls back into the open star of the
     barycenter of s in the subdivision sd."""
     v = sd.barycenter_ids[s]
-    return StarLocator(v, sd.star_tops[v], sd.realization).contains_base_point(
-        state.eval_eta_inverse(x))
+    return StarLocator(sd.index).contains_base_point(state.eval_eta_inverse(x), v)[0]
 
 
 class TestPointInStar:

@@ -7,11 +7,11 @@ import pytest
 
 from transtri import bump
 from transtri import simplicial as sc
-from transtri.charts import TriangulationState, dump_chain_metadata, make_chart
+from transtri.charts import StarLocator, TriangulationState, dump_chain_metadata, make_chart
 from transtri.config import PipelineConfig
 from transtri.errors import (DegenerateGeometryError, MeshError,
                              PerturbationError, SamplingFailureError)
-from transtri.perturb import (LocalDiffeo, _Draw, _sample_shift, _star_locator,
+from transtri.perturb import (LocalDiffeo, _Draw, _sample_shift,
                               _unit_directions, build_local_diffeo, containment_ok,
                               estimate_c_sigma, extend_to_ambient, make_transverse,
                               perturb_level, subdivision_data)
@@ -53,19 +53,19 @@ class TestClearanceSearch:
         s = sc.Simplex((0, 3))
         sd = subdivision_data(base_state)
         chart = make_chart(base_state, s)
-        locator = _star_locator(s, sd, CFG)
+        locator = StarLocator(sd.index, CFG.barycentric_tol)
         lattice = containment_lattice(1, CFG)
         dirs = _unit_directions(1)
-        c = 2.0 * estimate_c_sigma(base_state, s, CFG, sd_data=sd, chart=chart)
-        assert containment_ok(chart, locator, lattice, dirs, c, sd)
-        assert containment_ok(chart, locator, lattice, dirs, c / 2, sd)
+        c = 2.0 * estimate_c_sigma(base_state, s, CFG, sd_data=sd, charts=[chart])
+        assert containment_ok([chart], locator, lattice, dirs, [c], sd) == [True]
+        assert containment_ok([chart], locator, lattice, dirs, [c / 2], sd) == [True]
 
     def test_accepted_points_verified_by_location_oracle(self, base_state):
         # every tested fiber point pulls back into the star (interior edge)
         s = sc.Simplex((0, 3))
         sd = subdivision_data(base_state)
         chart = make_chart(base_state, s)
-        c = estimate_c_sigma(base_state, s, CFG, sd_data=sd, chart=chart)
+        c = estimate_c_sigma(base_state, s, CFG, sd_data=sd, charts=[chart])
         star_set = sc.star(sd.cplx, sc.Simplex((sd.barycenter_ids[s],)))
         for t in containment_lattice(1, CFG):
             rho = bump.rho_l(t)
@@ -84,13 +84,12 @@ class TestClearanceSearch:
         chart = make_chart(base_state, s)
         target = np.array([-1e-8, 0.9])
         c = float(np.linalg.norm(target))
-        args = (containment_lattice(0, CFG), (target / c)[None], c, sd)
+        args = (containment_lattice(0, CFG), (target / c)[None], [c], sd)
         # at barycentric_tol = 1e-6 the sample lies on the complex and outside
         # the star, so the fiber region fails ...
-        loose = CFG.replace(barycentric_tol=1e-6)
-        assert not containment_ok(chart, _star_locator(s, sd, loose), *args)
+        assert containment_ok([chart], StarLocator(sd.index, 1e-6), *args) == [False]
         # ... while at the default 1e-10 it misses the complex entirely
-        assert containment_ok(chart, _star_locator(s, sd, CFG), *args)
+        assert containment_ok([chart], StarLocator(sd.index, 1e-10), *args) == [True]
 
     def test_degenerate_floor_raises(self, base_state):
         # an absurd barycentric tolerance makes every membership test fail

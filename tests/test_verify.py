@@ -1,11 +1,14 @@
 """Verifier: rank condition, intersection finding against dense-scan
 oracles, report rules, Jacobian and decay diagnostics."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from transtri import cli
 from transtri import simplicial as sc
 from transtri.charts import TriangulationState
 from transtri.config import PipelineConfig
@@ -238,3 +241,40 @@ class TestLineExtensionExclusion:
         recs, min_resid = find_intersections(state, [sc.Simplex((0, 1))], h, CFG)[0]
         assert recs == []
         assert min_resid > 0.4
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# the lengths of each scenario that a similarity about the origin scales
+_LENGTHS = {"scenario_a": ("box_lo", "box_hi", "radius"),
+            "scenario_b": ("box_lo", "box_hi", "direction")}
+
+
+def _scaled_scenario(tmp_path, name, s):
+    """A shipped scenario with its mesh and map scaled by s about the
+    origin, over the same parameter domain and with the same seeds."""
+    lines = []
+    for line in (SCENARIOS / f"{name}.cfg").read_text().splitlines():
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in _LENGTHS[name]:
+            line = f"{key} = " + " ".join(repr(float(v) * s) for v in value.split())
+        lines.append(line)
+    path = tmp_path / f"{name}_{s!r}.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    return cli.load_scenario(str(path))
+
+
+def _verdict(scenario):
+    cplx, real, h = cli._build_inputs(scenario)
+    report = verify_triangulation(TriangulationState(cplx, real), h, scenario.config)
+    d = report.diagnostics
+    return report.passed, (d["n_transverse"], d["n_tangent"], d["n_skeleton_hits"])
+
+
+@pytest.mark.parametrize("name,s", [("scenario_b", 1e-4), ("scenario_b", 1e-2),
+                                    ("scenario_a", 1e-2)])
+def test_verify_only_verdict_does_not_depend_on_the_mesh_scale(tmp_path, name, s):
+    # a Gauss-Newton step capped by an ambient length stalls every seed of
+    # B at 1e-4 (a PASS with no records) and shifts A's records at 1e-2
+    want = _verdict(_scaled_scenario(tmp_path, name, 1.0))
+    assert not want[0] and sum(want[1]) > 0
+    assert _verdict(_scaled_scenario(tmp_path, name, s)) == want
