@@ -203,12 +203,11 @@ def containment_ok(charts, locator, lattice, dirs, cs, sd_data):
         return [True] * len(charts)
     dirs = np.asarray(dirs, float)
     rad = (np.asarray(cs, float)[:, None] * rho[live])[:, :, None] * np.array([1.0, 0.5])
-    vs = (rad[..., None, None] * dirs).reshape(-1, dirs.shape[1])
-    per = len(vs) // len(charts)
-    ts = np.tile(np.repeat(lattice[live], 2 * len(dirs), axis=0), (len(charts), 1))
-    owner = np.repeat(np.arange(len(charts)), per)
+    ts = np.repeat(lattice[live], 2 * len(dirs), axis=0)  # the same for every simplex
+    vs = (rad[..., None, None] * dirs).reshape(len(charts), len(ts), -1)
     b, A, N = (_stack([getattr(ch, a) for ch in charts]) for a in ("base", "tangent", "normal"))
-    base = b[owner] + matvec(A[owner], ts) + matvec(N[owner], vs)
+    base = (b[:, None] + matvec(A[:, None], ts) + matvec(N[:, None], vs)).reshape(-1, b.shape[1])
+    owner = np.repeat(np.arange(len(charts)), len(ts))
     vertex = np.array([sd_data.barycenter_ids[ch.simplex] for ch in charts])
     inside, held = locator.contains_base_point(base, vertex[owner])
     ok = np.ones(len(charts), bool)
@@ -242,19 +241,17 @@ def estimate_c_sigma(state, simplices, config=None, sd_data=None, charts=None):
     l = simplices[0].dim
     lattice = interior_lattice(l, lattice_per_dim(config.containment_density, l))
     dirs = _unit_directions(state.ambient_dim - l)
-    star = locator.star[[sd_data.barycenter_ids[s] for s in simplices]]
-    held = (star >= 0)[..., None]
     index = sd_data.index
-    cs = row_norms(np.where(held, index.hi[star], -np.inf).max(axis=1)
-                   - np.where(held, index.lo[star], np.inf).min(axis=1))
+    star = locator.star[[sd_data.barycenter_ids[s] for s in simplices]]
+    real = (star >= 0)[..., None]  # not padding
+    cs = row_norms(np.where(real, index.hi[star], -np.inf).max(axis=1)
+                   - np.where(real, index.lo[star], np.inf).min(axis=1))
     found = [None] * len(simplices)
-    failed = len(simplices)
     live = np.arange(len(simplices))
-    while live.size:
-        spent = live[cs[live] <= config.c_min]
-        if spent.size:
-            failed = min(failed, int(spent[0]))
-        live = live[(cs[live] > config.c_min) & (live < failed)]
+    while True:
+        over = cs[live] > config.c_min
+        # the lowest simplex at the floor fails: the simplices after it stop
+        live = live[over & (live < live[~over].min(initial=len(cs)))]
         if not live.size:
             break
         ok = np.array(containment_ok([charts[i] for i in live], locator, lattice, dirs,
@@ -263,7 +260,8 @@ def estimate_c_sigma(state, simplices, config=None, sd_data=None, charts=None):
             found[i] = float(cs[i]) / 2.0
         live = live[~ok]
         cs[live] *= 0.5
-    if failed < len(simplices):
+    failed = next((i for i, c in enumerate(found) if c is None), None)
+    if failed is not None:
         raise DegenerateGeometryError(
             f"no fiber clearance above {config.c_min} for simplex {simplices[failed].vertices}",
             clearances=found[:failed])

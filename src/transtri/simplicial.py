@@ -330,7 +330,8 @@ def carrier_mask(lam, tol):
 
 
 # candidate (row, top) pairs per block of a location: bounds its temporaries
-_BLOCK_PAIRS = 1 << 16
+# to a few hundred kB
+_BLOCK_PAIRS = 1 << 13
 
 
 class _TopIndex:
@@ -369,8 +370,9 @@ class _TopIndex:
         candidates whose bounding box, padded by tol times the top's own
         pad, holds the row are tried; the pad covers every point the
         barycentric test accepts.  Rows go in blocks of at most
-        _BLOCK_PAIRS candidate pairs, and the (row, top) pairs of a block
-        are solved with one stacked least-squares call per simplex size.
+        _BLOCK_PAIRS candidate pairs plus one row's, which bounds the
+        memory of a location; see _solve for the least-squares calls of a
+        block.
         """
         x = np.asarray(x, dtype=float)
         pad = tol * self.pad
@@ -379,18 +381,18 @@ class _TopIndex:
             # no padded box holds a row outside their union
             live = np.nonzero(np.all((x >= lo.min(axis=0, initial=np.inf))
                                      & (x <= hi.max(axis=0, initial=-np.inf)), axis=1))[0]
-            width = len(self.tops)
+            count = np.full(live.size, len(self.tops))
         else:
-            live, width = np.arange(len(x)), cand[0].shape[1]
-        step = max(1, _BLOCK_PAIRS // max(1, width))
+            live = np.arange(len(x))
+            count = (cand[0] >= 0).sum(axis=1)[cand[1]]
         blocks = []
-        for start in range(0, max(1, live.size), step):
-            rb = live[start:start + step]
+        for rb in np.split(live, np.flatnonzero(np.diff(np.cumsum(count) // _BLOCK_PAIRS)) + 1):
             xb = x[rb]
             if cand is None:
                 ip, it = np.nonzero(np.all((xb[:, None, :] >= lo) & (xb[:, None, :] <= hi), axis=2))
             else:
-                tops = cand[0][cand[1][rb]]
+                # a star lists its tops first, its -1 padding after them
+                tops = cand[0][cand[1][rb], :count[rb].max(initial=0)]
                 ip, col = np.nonzero(tops >= 0)
                 it = tops[ip, col]
                 near = np.all((xb[ip] >= lo[it]) & (xb[ip] <= hi[it]), axis=1)
@@ -401,18 +403,20 @@ class _TopIndex:
 
     def _solve(self, x, ip, it, tol):
         """First accepted pair of each row among the (row, top) pairs ip, it,
-        which come by row, then by top.  Pairs are solved in rounds: round
-        r takes the ranks 2^r - 1 .. 2^(r+1) - 2 within their row, of the
+        which come by row, then by top.  Pairs are solved in rounds, one
+        stacked least-squares call per round and simplex size: round r
+        takes the ranks 2^r - 1 .. 2^(r+1) - 2 within their row, of the
         rows no earlier round accepted, so a row stops soon after its
-        first hit."""
+        first hit.  Each pair's solve has the bits of a one-pair call, so
+        the first hit is the one solving every pair gives."""
         lam = np.zeros((ip.size, self.pts.shape[1]))
         resid = np.zeros(ip.size)
         ok = np.zeros(ip.size, bool)
         rank = np.arange(ip.size) - np.searchsorted(ip, ip)
         held = np.zeros(len(x), bool)
-        first = 0
+        start = 0
         while True:
-            batch = np.nonzero((rank >= first) & (rank <= 2 * first) & ~held[ip])[0]
+            batch = np.nonzero((rank >= start) & (rank <= 2 * start) & ~held[ip])[0]
             if not batch.size:
                 break
             for k in self.sizes:
@@ -422,7 +426,7 @@ class _TopIndex:
                     lam[sel, :k] = lam_k
                     ok[sel] = _accepted(lam_k, resid[sel], self.scale[it[sel]], tol)
             held[ip[batch[ok[batch]]]] = True
-            first = 2 * first + 1
+            start = 2 * start + 1
         hits = np.nonzero(ok)[0]
         first = hits[np.unique(ip[hits], return_index=True)[1]]
         return ip[first], it[first], lam[first], resid[first]

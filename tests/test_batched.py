@@ -879,7 +879,11 @@ def test_clearance_round_memory_stays_below_one_dense_block():
     locator = StarLocator(sd.index, config.barycentric_tol)
     lattice = interior_lattice(1, lattice_per_dim(config.containment_density, 1))
     dirs = _unit_directions(2)
-    cs = [2.0 * c for c in perturb.estimate_c_sigma(state, edges, config, sd)]
+    # the first round: each edge at its star's diameter
+    stars = [locator.star[v][locator.star[v] >= 0]
+             for v in (sd.barycenter_ids[s] for s in edges)]
+    cs = [float(np.linalg.norm(sd.index.hi[j].max(axis=0) - sd.index.lo[j].min(axis=0)))
+          for j in stars]
     args = (charts, locator, lattice, dirs, cs, sd)
     containment_ok(*args)
     tracemalloc.start()
