@@ -164,6 +164,11 @@ def subdivision_data(state):
     return SubdivisionData(sd_cplx, sd_real, bids, tops, _TopIndex(sd_real, tops))
 
 
+# fiber samples per group of a containment round: a few hundred kB of
+# temporaries, so a level-wide round peaks no higher than one simplex did
+_GROUP_SAMPLES = 1024
+
+
 def _unit_directions(k):
     if k == 1:
         return [np.array([1.0]), np.array([-1.0])]
@@ -192,31 +197,39 @@ def containment_ok(charts, locator, lattice, dirs, cs, sd_data):
     where the extended diffeomorphism owes nothing to the complex.  Both
     tests use the locator's barycentric tolerance.  Samples are located
     where the chart puts them: every link acts in base coordinates (see
-    charts).  All frame points come from stacked chart matrices, each row
-    with the bits of its chart's frame_point; each is located against its
-    own star, and only those no star top holds, of simplices not failed
-    yet, against the whole complex.
+    charts).  The simplices go in groups of about _GROUP_SAMPLES samples,
+    which bounds the memory of a round.  A group forms its samples from
+    stacked chart matrices, each row with the bits of its chart's
+    frame_point, locates each against its own star, and locates against
+    the whole complex only those no star top holds, of simplices not
+    failed yet.
     """
     rho = bump.rho_l(lattice)
     live = rho > 0.0
     if not live.any():
         return [True] * len(charts)
     dirs = np.asarray(dirs, float)
-    rad = (np.asarray(cs, float)[:, None] * rho[live])[:, :, None] * np.array([1.0, 0.5])
+    cs = np.asarray(cs, float)
     ts = np.repeat(lattice[live], 2 * len(dirs), axis=0)  # the same for every simplex
-    vs = (rad[..., None, None] * dirs).reshape(len(charts), len(ts), -1)
-    b, A, N = (_stack([getattr(ch, a) for ch in charts]) for a in ("base", "tangent", "normal"))
-    base = (b[:, None] + matvec(A[:, None], ts) + matvec(N[:, None], vs)).reshape(-1, b.shape[1])
-    owner = np.repeat(np.arange(len(charts)), len(ts))
-    vertex = np.array([sd_data.barycenter_ids[ch.simplex] for ch in charts])
-    inside, held = locator.contains_base_point(base, vertex[owner])
-    ok = np.ones(len(charts), bool)
-    ok[owner[held & ~inside]] = False  # on the complex, outside the star
-    lost = np.nonzero(~held & ok[owner])[0]
-    if lost.size:
-        on = [s is not None for s in sd_data.carrier(base[lost], locator.tol)]
-        ok[owner[lost[on]]] = False
-    return ok.tolist()
+    step = max(1, _GROUP_SAMPLES // len(ts))
+    verdicts = []
+    for i in range(0, len(charts), step):
+        group = charts[i:i + step]
+        rad = (cs[i:i + step, None] * rho[live])[:, :, None] * np.array([1.0, 0.5])
+        vs = (rad[..., None, None] * dirs).reshape(-1, dirs.shape[1])
+        owner = np.repeat(np.arange(len(group)), len(ts))
+        b, A, N = (_stack([getattr(ch, a) for ch in group]) for a in ("base", "tangent", "normal"))
+        base = b[owner] + matvec(A[owner], np.tile(ts, (len(group), 1))) + matvec(N[owner], vs)
+        vertex = np.array([sd_data.barycenter_ids[ch.simplex] for ch in group])
+        inside, held = locator.contains_base_point(base, vertex[owner])
+        ok = np.ones(len(group), bool)
+        ok[owner[held & ~inside]] = False  # on the complex, outside the star
+        lost = np.nonzero(~held & ok[owner])[0]
+        if lost.size:
+            on = [s is not None for s in sd_data.carrier(base[lost], locator.tol)]
+            ok[owner[lost[on]]] = False
+        verdicts += ok.tolist()
+    return verdicts
 
 
 def estimate_c_sigma(state, simplices, config=None, sd_data=None, charts=None):
