@@ -98,12 +98,12 @@ class Patch:
 def simplex_patch(state, simplices):
     """The current embedding of simplices of one dimension: eta composed
     with each frame, owner k being simplices[k].  One Simplex is the
-    size = 1 case."""
+    size = 1 case.  The frames are simplex_frame's, stacked in C order."""
     if isinstance(simplices, Simplex):
         simplices = [simplices]
-    frames = [state.realization.simplex_frame(s) for s in simplices]
-    b = np.array([f[0] for f in frames])
-    A = np.array([f[1] for f in frames])
+    pts = _corners(state.realization, simplices)
+    b = pts[:, 0]
+    A = np.ascontiguousarray((pts[:, 1:] - pts[:, :1]).transpose(0, 2, 1))
 
     def ev(t, owner):
         return state.eval_eta(b[owner] + matvec(A[owner], t))
@@ -113,6 +113,14 @@ def simplex_patch(state, simplices):
         return x, J @ A[owner]
 
     return Patch(l=simplices[0].dim, eval=ev, eval_jac=ej, size=len(simplices))
+
+
+def _corners(realization, simplices):
+    """Vertex coordinates of simplices of one dimension, (N, l + 1, m), in
+    one gather from a table of the realization's vertices."""
+    ids = realization.vertex_ids
+    table = np.array([realization.point(v) for v in ids])
+    return table[np.searchsorted(ids, np.array([s.vertices for s in simplices]))]
 
 
 def interior_lattice(l, per_dim):
@@ -199,6 +207,12 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None):
     return [(best_y[p], best_t[p], float(best_r[p])) if ok[p] else None for p in range(P)]
 
 
+# seed distances per block of owners in _pair_seeds, and row pairs per
+# block of _dedupe: bounds the float temporaries of either to a few hundred kB
+_BLOCK_SEEDS = 1 << 14
+_BLOCK_PAIRS = 1 << 12
+
+
 def _pair_seeds(h, patch, config, scale, t_per_dim=None):
     """Seed (y, t) pairs whose images are close enough to share a root.
 
@@ -208,8 +222,9 @@ def _pair_seeds(h, patch, config, scale, t_per_dim=None):
     handful of map-parameter seeds are kept per simplex seed; extra seeds
     in the same basin only repeat the refinement.  Returns (ys, ts, pairs,
     dmin), dmin holding the smallest seed distance of each owner.  The
-    distances are formed one owner at a time, so memory stays at one
-    owner's (seeds, lattice, m) block.
+    distances are formed for a block of owners at a time, at most
+    _BLOCK_SEEDS of them (or one owner's) per block, which bounds the
+    memory of a call.
     """
     ys = _domain_seeds(h, config)
     hy = h.eval_batch(ys)
@@ -226,11 +241,12 @@ def _pair_seeds(h, patch, config, scale, t_per_dim=None):
     prune = 1.5 * (gap + t_gap) + 1e-9
     dmin = np.full(patch.size, np.inf)
     iy, it, dist = [], [], []
-    for k in range(patch.size):
-        d = _seed_distances(hy, ft[k * T:(k + 1) * T])
+    step = max(1, _BLOCK_SEEDS // max(1, len(hy) * T))
+    for k in range(0, patch.size, step):
+        d = _seed_distances(hy, ft[k * T:(k + step) * T])
         if d.size:
-            dmin[k] = d.min()
-        col, row = np.nonzero(d.T <= prune)  # lattice point by lattice point
+            dmin[k:k + step] = d.min(axis=0).reshape(-1, T).min(axis=1)
+        col, row = np.nonzero(d.T <= prune)  # owner by owner, lattice point by lattice point
         iy.append(row)
         it.append(k * T + col)
         dist.append(d[row, col])
@@ -282,7 +298,8 @@ def patch_roots(h, patch, config, scale, t_per_dim=None):
     nothing about the patch (its own face or neighbor owns that point).
     min_residual includes the coarse seed distances, so it is meaningful
     even when no seed pair survives pruning.  The seed pairs of all owners
-    are refined in one _gauss_newton call.
+    are refined in one _gauss_newton call, and the roots of all owners are
+    deduplicated in one _dedupe call, each owner a group.
     """
     ys, ts, pairs, coarse = _pair_seeds(h, patch, config, scale, t_per_dim)
     iy, it = np.array(pairs, int).reshape(-1, 2).T
@@ -299,47 +316,58 @@ def patch_roots(h, patch, config, scale, t_per_dim=None):
     min_resid = coarse.copy()
     np.minimum.at(min_resid, owner, R)
     order = np.lexsort((R, owner))
-    bounds = np.searchsorted(owner[order], np.arange(patch.size + 1)).tolist()
-    period = _domain_period(h)
-    resid = R.tolist()
-    found = []
-    for k in range(patch.size):
-        roots = [(Y[i], T[i], resid[i]) for i in order[bounds[k]:bounds[k + 1]].tolist()]
-        found.append((_cluster(roots, config.dedupe_radius, period), float(min_resid[k])))
+    owner, Y, T = owner[order], Y[order], T[order]
+    kept = _dedupe(Y, T, owner, config.dedupe_radius, _domain_period(h))
+    bounds = np.searchsorted(owner[kept], np.arange(patch.size + 1)).tolist()
+    resid = R[order].tolist()
+    found = [([(Y[i], T[i], resid[i]) for i in kept[bounds[k]:bounds[k + 1]].tolist()],
+              float(min_resid[k])) for k in range(patch.size)]
     log.debug("patch_roots: %d seed pairs, %d diverged or left the domain, %d roots outside "
               "the closed simplex, %d duplicate roots dropped", len(pairs),
-              len(pairs) - len(solved), len(solved) - len(R),
-              len(R) - sum(len(roots) for roots, _ in found))
+              len(pairs) - len(solved), len(solved) - len(R), len(R) - len(kept))
     return found
 
 
-def _cluster(items, radius, y_period=None):
-    """Greedy dedupe of (y, t, ...) parameter tuples, in their order.
+def _dedupe(Y, T, group, radius, y_period=None):
+    """Greedy dedupe of stacked (y, t) parameter rows, group by group:
+    the indices of the rows kept, in row order.
 
-    An item is kept when its parameter distance to every kept item exceeds
-    radius: each kept item masks all later items within radius in one
-    array expression, and the next unmasked item is the next one kept.
-    Periodic parameter axes fold, so roots found from both sides of the
-    seam collapse to one record.
+    group holds each row's group id, the groups coming in order, each in
+    its own order.  A row is kept when its parameter distance to every
+    kept earlier row of its group exceeds radius; periodic parameter axes
+    fold, so roots found from both sides of the seam collapse to one.  The
+    distances of every (earlier, later) row pair of a group are formed in
+    blocks of about _BLOCK_PAIRS pairs, a group larger than a block going
+    row chunk by row chunk.  The greedy choice is then settled for all
+    groups at once, in rounds: each round keeps every open row with no
+    open close earlier row, and drops every open row close to one it kept.
     """
-    if len(items) < 2:
-        return list(items)
-    Y = np.array([it[0] for it in items], float)
-    T = np.array([it[1] for it in items], float)
-    alive = np.ones(len(items), bool)
-    kept = []
-    i = 0
-    while i < len(items):
-        kept.append(items[i])
-        dy = Y[i + 1:] - Y[i]
+    N = len(group)
+    later = np.searchsorted(group, group, side="right") - np.arange(N) - 1
+    close = []
+    for rb in np.split(np.arange(N), np.flatnonzero(np.diff(np.cumsum(later) // _BLOCK_PAIRS)) + 1):
+        i = np.repeat(rb, later[rb])
+        j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(later[rb]) - later[rb], later[rb])
+        dy = Y[j] - Y[i]
         if y_period is not None:
             dy = np.abs(dy) % y_period
             dy = np.minimum(dy, y_period - dy)
-        dt = T[i + 1:] - T[i]
-        alive[i + 1:] &= ~(np.sqrt(np.sum(dy ** 2, axis=1) + np.sum(dt ** 2, axis=1)) <= radius)
-        later = np.flatnonzero(alive[i + 1:])
-        i = i + 1 + int(later[0]) if later.size else len(items)
-    return kept
+        dt = T[j] - T[i]
+        near = np.sqrt(np.sum(dy ** 2, axis=1) + np.sum(dt ** 2, axis=1)) <= radius
+        close.append((i[near], j[near]))
+    i, j = (np.concatenate(x) for x in zip(*close))
+    keep = np.zeros(N, bool)
+    todo = np.ones(N, bool)  # every pair left has both rows still to settle
+    while todo.any():
+        waiting = np.zeros(N, bool)
+        waiting[j] = True
+        new = todo & ~waiting
+        keep |= new
+        todo &= waiting
+        todo[j[new[i]]] = False
+        live = todo[i] & todo[j]
+        i, j = i[live], j[live]
+    return np.flatnonzero(keep)
 
 
 def _domain_period(h):
@@ -420,7 +448,7 @@ def _records(state, h, group, hits, config):
     lam = np.clip(lam[valid], 0.0, None)
     keep = carrier_mask(lam, config.barycentric_tol)
     verts = np.array([s.vertices for s in group])
-    corners = np.array([state.realization.simplex_points(s) for s in group])
+    corners = _corners(state.realization, group)
     size = keep.sum(axis=1)
     base = np.empty((len(owner), m))
     faces = []
@@ -492,8 +520,10 @@ def verify_triangulation(state, h, config=None):
     """Transversality verdict for every simplex of the complex.
 
     The simplices of each dimension are searched together (see
-    find_intersections), and each simplex is judged on the roots
-    attributed to it by simplex_passes.
+    find_intersections).  The records attributed to the carrier faces of
+    one dimension are deduplicated in one _dedupe call, each face a group
+    holding its records in the order they were found, and each simplex is
+    judged on the records it keeps by simplex_passes.
     """
     config = config or PipelineConfig()
     n = h.domain.dim
@@ -510,13 +540,21 @@ def verify_triangulation(state, h, config=None):
                 by_simplex.setdefault(rec.simplex, []).append(rec)
             if l == 0:
                 vertex_dist[s] = min_resid
+    # the records of each carrier face, deduplicated once per face dimension
+    faces = sorted(by_simplex, key=simplex_sort_key)
+    kept = {}
+    for d in sorted({s.dim for s in faces}):
+        group = [s for s in faces if s.dim == d]
+        recs = [r for s in group for r in by_simplex[s]]
+        ids = np.repeat(np.arange(len(group)), [len(by_simplex[s]) for s in group])
+        Y = np.array([r.y for r in recs], float).reshape(len(recs), n)
+        T = np.array([r.t for r in recs], float).reshape(len(recs), d)
+        for i in _dedupe(Y, T, ids, config.dedupe_radius, _domain_period(h)).tolist():
+            kept.setdefault(recs[i].simplex, []).append(recs[i])
     statuses = {}
     all_records = []
-    period = _domain_period(h)
     for s in sorted(cplx.simplices, key=simplex_sort_key):
-        recs = _cluster([(np.array(r.y), np.array(r.t), r) for r in by_simplex.get(s, [])],
-                        config.dedupe_radius, period)
-        recs = tuple(r for _, _, r in recs)
+        recs = tuple(kept.get(s, ()))
         all_records.extend(recs)
         ok = simplex_passes(n, s.dim, m, recs, vertex_dist.get(s, np.inf), config)
         statuses[s] = SimplexStatus(

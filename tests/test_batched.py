@@ -10,14 +10,15 @@ others), because chain metadata and reports print these values with repr.
 The verifier searches all simplices of a dimension at once and shift
 sampling judges one candidate per simplex of a level at once; both must
 give every simplex what searching or sampling it alone gives, and its
-seed pairing and record margins, now array operations, must equal the
-per-column and per-record loops they replaced.  The
+seed pairing, root dedupe and record margins, now array operations, must
+equal the per-column, pairwise and per-record loops they replaced.  The
 clearance test locates its samples in base coordinates and must give the
 verdict of pushing them through the chain and pulling them back.
 """
 
 import itertools
 import math
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -37,7 +38,7 @@ from transtri.perturb import (LocalDiffeo, _draw_shift, _unit_directions, contai
 from transtri.rows import lstsq_rows, matvec, row_norms
 from transtri.smoothmap import (CircleMap, LineMap, PointMap, PolyCurveMap, SurfacePatchMap,
                                 TorusKnotMap)
-from transtri.verify import (IntersectionRecord, Patch, _cluster, _domain_period, _domain_seeds,
+from transtri.verify import (IntersectionRecord, Patch, _dedupe, _domain_period, _domain_seeds,
                              _gauss_newton, _pair_seeds,
                              find_intersections, interior_lattice, lattice_per_dim,
                              patch_roots, report_summary, report_to_csv, simplex_patch,
@@ -1027,7 +1028,7 @@ def ref_find(state, s, h, config):
     roots.sort(key=lambda r: r[2])
     threshold = config.solve_tol if n + l >= m else config.vertex_clearance
     records = []
-    for y, t, resid in _cluster(roots, config.dedupe_radius, _domain_period(h)):
+    for y, t, resid in ref_cluster(roots, config.dedupe_radius, _domain_period(h)):
         carrier = ref_root_carrier(s, t, config) if resid < threshold else None
         if carrier is None:
             continue
@@ -1074,6 +1075,38 @@ def test_verifier_by_dimension_equals_one_simplex_at_a_time(scenario_a_run, monk
     want = verify_triangulation(state, h, config)
     assert report_to_csv(report) == report_to_csv(want)
     assert report_summary(report) == report_summary(want)
+
+
+def ref_simplex_patch(state, simplices):
+    """simplex_patch from one simplex_frame call per simplex, stacked, as
+    before the frames came from one gather."""
+    frames = [state.realization.simplex_frame(s) for s in simplices]
+    b = np.array([f[0] for f in frames])
+    A = np.array([f[1] for f in frames])
+
+    def ej(t, owner):
+        x, J = state.eval_eta_with_jacobian(b[owner] + matvec(A[owner], t))
+        return x, J @ A[owner]
+
+    return Patch(l=simplices[0].dim, eval=lambda t, owner: state.eval_eta(b[owner] + matvec(A[owner], t)),
+                 eval_jac=ej, size=len(simplices))
+
+
+@pytest.mark.parametrize("case", ["scenario_a_run", "scenario_b", "scenario_c"])
+def test_simplex_patch_rows_equal_the_per_simplex_frames(scenario_a_run, case):
+    state = (scenario_a_run["state"] if case == "scenario_a_run"
+             else _verify_only_case(case)[0])
+    for l in range(state.complex.dim + 1):
+        group = state.complex.by_dim(l)
+        owner = RNG.integers(len(group), size=300)
+        t = RNG.dirichlet(np.ones(l + 1), size=300)[:, :l]
+        got, want = simplex_patch(state, group), ref_simplex_patch(state, group)
+        assert got.size == want.size == len(group) and got.l == l
+        assert same_bits(got.eval(t, owner), want.eval(t, owner))
+        for a, b in zip(got.eval_jac(t, owner), want.eval_jac(t, owner)):
+            assert same_bits(a, b)
+    one = simplex_patch(state, group[-1])
+    assert same_bits(one.eval(t, np.zeros(300, int)), want.eval(t, np.full(300, len(group) - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -1155,8 +1188,9 @@ def test_seed_distances_equal_the_norm_of_the_difference(m):
 
 
 def test_pair_seeds_memory_stays_below_one_full_broadcast():
-    # the distances are formed owner by owner: scenario_b's 120 triangles
-    # would need a (seeds, 120 lattices, 3) float block at once
+    # the distances are formed in blocks of owners (verify._BLOCK_SEEDS):
+    # scenario_b's 120 triangles in one block would need a (seeds, 120
+    # lattices, 3) float block at once
     import tracemalloc
 
     state, h, config = _verify_only_case("scenario_b")
@@ -1193,12 +1227,13 @@ def test_stacked_margins_equal_per_record_margins(m, n, k):
 
 
 # ---------------------------------------------------------------------------
-# the parameter-space dedupe against the pairwise greedy loop
+# the grouped parameter-space dedupe against the pairwise greedy loop
 
 
 def ref_cluster(items, radius, y_period=None):
-    """Greedy dedupe with one distance call per (item, kept item) pair, as
-    before _cluster compared an item with all kept items at once."""
+    """Greedy dedupe of (y, t, ...) tuples with one distance call per (item,
+    kept item) pair, as before the dedupe compared an item with all kept
+    items at once."""
 
     def dist(a, b):
         dy = np.asarray(a[0]) - np.asarray(b[0])
@@ -1215,27 +1250,39 @@ def ref_cluster(items, radius, y_period=None):
     return kept
 
 
+def dedupe_groups(groups, radius, y_period=None):
+    """Each group's kept (y, t, ...) items, from one _dedupe call over the
+    stacked rows of all groups."""
+    items = [it for g in groups for it in g]
+    n, l = (len(items[0][0]), len(items[0][1])) if items else (0, 0)
+    Y = np.array([it[0] for it in items], float).reshape(len(items), n)
+    T = np.array([it[1] for it in items], float).reshape(len(items), l)
+    ids = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    kept = _dedupe(Y, T, ids, radius, y_period)
+    assert (np.diff(kept) > 0).all()
+    return [[items[i] for i in kept.tolist() if ids[i] == k] for k in range(len(groups))]
+
+
 def same_items(got, want):
     return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+def same_groups(got, want):
+    return len(got) == len(want) and all(same_items(a, b) for a, b in zip(got, want))
 
 
 _DYADIC = st.integers(-16, 16).map(lambda k: k / 16)
 
 
-@st.composite
-def root_lists(draw):
-    """(items, radius, period): (y, t, tag) roots with n in 0..2 and l in
-    0..3, on a dyadic lattice or anywhere, some of them an earlier root
-    moved along one axis by exactly the radius (exact on the lattice), by
-    half of it or by one and a half times it.  A periodic y lies in
-    [0, period), often within a few radii of the seam."""
-    n, l = draw(st.integers(0, 2)), draw(st.integers(0, 3))
-    period = draw(st.sampled_from([None, 1.0, 2 * math.pi])) if n == 1 else None
-    radius = draw(st.sampled_from([PipelineConfig().dedupe_radius, 0.0625, 0.25]))
+def _roots(draw, count, n, l, radius, period):
+    """count (y, t, tag) roots on a dyadic lattice or anywhere, some of them
+    an earlier root moved along one axis by exactly the radius (exact on
+    the lattice), by half of it or by one and a half times it.  A periodic
+    y lies in [0, period), often within a few radii of the seam."""
     coord = st.one_of(_DYADIC, st.floats(-1.0, 1.0))
     seam = st.floats(0.0, 4 * radius)
     items = []
-    for _ in range(draw(st.integers(0, 24))):
+    for _ in range(count):
         if items and draw(st.booleans()):
             y, t, _ = items[draw(st.integers(0, len(items) - 1))]
             v = np.concatenate([y, t])
@@ -1251,14 +1298,33 @@ def root_lists(draw):
         if period is not None:
             y = y % period
         items.append((y, t, object()))
-    return items, radius, period
+    return items
+
+
+@st.composite
+def root_lists(draw):
+    """(groups, radius, period): groups of roots with one n in 0..2 and one
+    l in 0..3, of sizes 0, 1, 2 and up to 24 in a drawn order, and up to
+    three more groups of any of these sizes (see _roots)."""
+    n, l = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    period = draw(st.sampled_from([None, 1.0, 2 * math.pi])) if n == 1 else None
+    radius = draw(st.sampled_from([PipelineConfig().dedupe_radius, 0.0625, 0.25]))
+    size = st.one_of(st.sampled_from([0, 1, 2]), st.integers(3, 24))
+    sizes = draw(st.permutations([0, 1, 2, draw(st.integers(3, 24))]))
+    sizes += draw(st.lists(size, max_size=3))
+    return [_roots(draw, k, n, l, radius, period) for k in sizes], radius, period
 
 
 @given(root_lists())
 @settings(max_examples=200, deadline=None)
 def test_cluster_keeps_the_roots_of_the_pairwise_loop(case):
-    items, radius, period = case
-    assert same_items(_cluster(items, radius, period), ref_cluster(items, radius, period))
+    # one grouped call keeps, in every group, what the pairwise loop keeps
+    # of that group alone
+    groups, radius, period = case
+    got = dedupe_groups(groups, radius, period)
+    assert len(got) == len(groups)
+    for kept, items in zip(got, groups):
+        assert same_items(kept, ref_cluster(items, radius, period))
 
 
 def test_cluster_drops_a_root_at_exactly_the_radius():
@@ -1266,33 +1332,96 @@ def test_cluster_drops_a_root_at_exactly_the_radius():
     a = (np.array([0.0]), np.array([0.0, 0.0]), "a")
     on = (np.array([0.0]), np.array([r, 0.0]), "on")
     past = (np.array([0.0]), np.array([np.nextafter(r, 1.0), 0.0]), "past")
-    assert same_items(_cluster([a, on, past], r), [a, past])
+    assert same_groups(dedupe_groups([[a, on, past]], r), [[a, past]])
     # across the seam of a periodic axis, the folded distance counts
     seam = (np.array([2 * math.pi - r / 2]), np.array([0.0, 0.0]), "seam")
-    assert same_items(_cluster([a, seam], r, 2 * math.pi), [a])
-    assert same_items(_cluster([a, seam], r), [a, seam])
+    assert same_groups(dedupe_groups([[a, seam]], r, 2 * math.pi), [[a]])
+    assert same_groups(dedupe_groups([[a, seam]], r), [[a, seam]])
     # n = 0 and l = 0: every root is the same parameter point
     empty = [(np.zeros(0), np.zeros(0), k) for k in range(3)]
-    assert same_items(_cluster(empty, r), empty[:1])
+    assert same_groups(dedupe_groups([empty], r), [empty[:1]])
+    # a group never drops a root of another, and no row means no group
+    assert same_groups(dedupe_groups([[a], [on], [], [past, a]], r), [[a], [on], [], [past, a]])
+    assert dedupe_groups([], r) == []
+
+
+def test_dedupe_pair_blocks_equal_one_block(monkeypatch):
+    # one group of 60 roots along a chain at half the radius (each third
+    # root is kept: the next one lies at exactly the radius), and small
+    # groups around it: every block size settles the same rows
+    r = 0.25
+    chain = [(np.array([0.5 * r * k]), np.array([0.0]), k) for k in range(60)]
+    groups = [chain[:2], chain, [], chain[5:9], chain[::7]]
+    want = dedupe_groups(groups, r)
+    assert same_groups(want, [ref_cluster(g, r) for g in groups])
+    assert [len(g) for g in want] == [1, 20, 0, 2, 9]
+    for block in (1, 7, 59, 60, 61):
+        monkeypatch.setattr(verify, "_BLOCK_PAIRS", block)
+        assert same_groups(dedupe_groups(groups, r), want)
+
+
+def _dedupe_spy(monkeypatch):
+    """Calls of verify._dedupe, each as (caller, locals, Y, T, group,
+    radius, y_period, kept): the name of the function that called it and
+    its local variables at the call."""
+    calls = []
+
+    def spy(Y, T, group, radius, y_period=None):
+        frame = sys._getframe(1)
+        calls.append((frame.f_code.co_name, dict(frame.f_locals), Y, T, group, radius, y_period,
+                      _dedupe(Y, T, group, radius, y_period)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(verify, "_dedupe", spy)
+    return calls
 
 
 @pytest.mark.parametrize("name", VERIFY_SCENARIOS)
 def test_cluster_keeps_the_roots_of_the_pairwise_loop_on_both_passes(monkeypatch, name):
     state, h, config = _verify_only_case(name)
-    calls = []
-
-    def spy(items, radius, y_period=None):
-        calls.append((items, radius, y_period, _cluster(items, radius, y_period)))
-        return calls[-1][-1]
-
-    monkeypatch.setattr(verify, "_cluster", spy)
+    calls = _dedupe_spy(monkeypatch)
     verify_triangulation(state, h, config)
-    for items, radius, period, got in calls:
-        assert same_items(got, ref_cluster(items, radius, period))
-    # per-owner roots carry their residual, per-carrier roots their record;
+    kinds = set()
+    for caller, local, Y, T, group, radius, period, kept in calls:
+        rows = np.arange(len(group))
+        groups = [[(Y[i], T[i], i) for i in rows[group == k].tolist()] for k in np.unique(group)]
+        want = [i for items in groups for _, _, i in ref_cluster(items, radius, period)]
+        assert kept.tolist() == want
+        # per-owner roots carry their residual, per-carrier roots their record
+        if len(group) and caller == "patch_roots":
+            kinds.add(type(local["R"].tolist()[0]))
+        elif len(group):
+            assert caller == "verify_triangulation"
+            recs = local["recs"]
+            assert same_bits(Y, [r.y for r in recs]) and same_bits(T, [r.t for r in recs])
+            kinds.add(type(recs[0]))
     # the disjoint scenario keeps no root at all
-    kinds = {type(items[0][2]) for items, *_ in calls if items}
     assert kinds == (set() if name == "scenario_disjoint" else {float, verify.IntersectionRecord})
+
+
+def test_dedupe_memory_stays_below_one_dense_pair_block(monkeypatch):
+    # the per-carrier pass of scenario_b_degenerate: two faces carry 380
+    # records each and keep 183 and 184; a dense pair block of one face
+    # would hold (380, 380, n + l) floats
+    import tracemalloc
+
+    state, h, config = _verify_only_case("scenario_b_degenerate")
+    calls = _dedupe_spy(monkeypatch)
+    verify_triangulation(state, h, config)
+    _, _, Y, T, group, radius, period, kept = max(
+        (c for c in calls if c[0] == "verify_triangulation"),
+        key=lambda c: np.bincount(c[4]).max(initial=0))
+    sizes = np.bincount(group)
+    big = np.flatnonzero(sizes == 380)
+    assert big.size == 2 and sorted(np.bincount(group[kept])[big].tolist()) == [183, 184]
+    _dedupe(Y, T, group, radius, period)
+    tracemalloc.start()
+    try:
+        assert same_bits(_dedupe(Y, T, group, radius, period), kept)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 380 * 380 * (Y.shape[1] + T.shape[1]) * np.dtype(float).itemsize
 
 
 def test_per_carrier_dedupe_merges_scenario_a_roots():

@@ -278,3 +278,37 @@ def test_verify_only_verdict_does_not_depend_on_the_mesh_scale(tmp_path, name, s
     want = _verdict(_scaled_scenario(tmp_path, name, 1.0))
     assert not want[0] and sum(want[1]) > 0
     assert _verdict(_scaled_scenario(tmp_path, name, s)) == want
+
+
+# vertex relabellings: each maps the k-th smallest vertex id to the
+# perm[k]-th, for a permutation perm of the vertex count
+RELABELLINGS = {
+    "reversed": lambda count: np.arange(count)[::-1],
+    **{f"rng{k}": (lambda count, k=k: np.random.default_rng(k).permutation(count))
+       for k in (1, 2, 3)},
+}
+VERIFY_SCENARIOS = ["scenario_a", "scenario_b", "scenario_b_degenerate", "scenario_c",
+                    "scenario_tangent", "scenario_disjoint"]
+
+
+def _relabelled(cplx, real, perm):
+    """The same mesh with vertex ids[k] renamed ids[perm[k]], ids being the
+    sorted vertex ids: same simplices and coordinates, other labels."""
+    ids = real.vertex_ids
+    new = {v: ids[k] for v, k in zip(ids, perm)}
+    tops = [[new[v] for v in s.vertices] for s in cplx.top_simplices()]
+    relabelled = sc.build_complex(max(ids) + 1, tops)
+    return relabelled, sc.GeometricRealization({new[v]: real.point(v) for v in ids}, relabelled)
+
+
+@pytest.mark.parametrize("relabel", sorted(RELABELLINGS))
+@pytest.mark.parametrize("name", VERIFY_SCENARIOS)
+def test_verify_only_verdict_does_not_depend_on_the_vertex_labels(name, relabel):
+    # the records by class do move with the labels (duplicate roots on
+    # neighbouring faces are counted once per carrier face); the verdict
+    # must not: only the disjoint scenario passes
+    scenario = cli.load_scenario(str(SCENARIOS / f"{name}.cfg"))
+    cplx, real, h = cli._build_inputs(scenario)
+    cplx, real = _relabelled(cplx, real, RELABELLINGS[relabel](len(real.vertex_ids)))
+    report = verify_triangulation(TriangulationState(cplx, real), h, scenario.config)
+    assert report.passed == (name == "scenario_disjoint")
