@@ -1084,12 +1084,14 @@ def ref_simplex_patch(state, simplices):
     b = np.array([f[0] for f in frames])
     A = np.array([f[1] for f in frames])
 
+    def ev(t, owner):
+        return state.eval_eta(b[owner] + matvec(A[owner], t))
+
     def ej(t, owner):
         x, J = state.eval_eta_with_jacobian(b[owner] + matvec(A[owner], t))
         return x, J @ A[owner]
 
-    return Patch(l=simplices[0].dim, eval=lambda t, owner: state.eval_eta(b[owner] + matvec(A[owner], t)),
-                 eval_jac=ej, size=len(simplices))
+    return Patch(l=simplices[0].dim, eval=ev, eval_jac=ej, size=len(simplices))
 
 
 @pytest.mark.parametrize("case", ["scenario_a_run", "scenario_b", "scenario_c"])
