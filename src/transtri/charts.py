@@ -22,13 +22,19 @@ composition telescopes:
 so evaluation never needs to invert earlier chain entries, and the
 simplex deformed along a chart is eta(frame point) for the state the
 chart was made from.  ChainOps evaluates one same-level run of links at a
-time, from stacked link data, through the per-row fiber map kernels
-fiber_moves and fiber_preimages.
+time, from stacked link data.  A cell index of the run's boxes gives one
+hit list per call, every (row, link) whose box holds the row; the forward
+map takes it in rounds of one fiber_moves call each (a row's hits after
+its first moving one are re-tested at the moved point in the next round),
+skipping hits the fade radius cannot reach, and an in-box hit the link
+leaves fixed takes the link's cached Jacobian M I M^-1.  The inverse
+unwinds the same list oldest link first through fiber_preimages.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -163,7 +169,9 @@ def fiber_preimages(t, w, eps, v):
 
 class _Run:
     """A same-level run of chain links as stacked arrays: support boxes,
-    frames b, A, N, M = [A | N] and M^-1, epsilon and shift v."""
+    frames b, A, N, M = [A | N], M^-1 and P = M I M^-1 (the Jacobian of an
+    in-box hit that the link leaves fixed; P != I in floating point),
+    epsilon and shift v, and a cell index of the boxes."""
 
     def __init__(self, links):
         self.links, self.l = links, links[0].level
@@ -173,36 +181,120 @@ class _Run:
         self.base, self.A, self.N, self.M, self.Minv = (
             _stack([getattr(lk.chart, a) for lk in links])
             for a in ("base", "tangent", "normal", "_M", "_Minv"))
+        m = self.M.shape[1]
+        self.P = self.M @ np.tile(np.eye(m), (len(links), 1, 1)) @ self.Minv
+        # cells of the mean box extent per axis from the lowest box corner,
+        # held by key; a run far wider than its boxes takes larger cells, so
+        # that keys stay below 2^62
+        self.origin = self.lo.min(axis=0)
+        span = self.hi.max(axis=0) - self.origin
+        self.size = np.maximum((self.hi - self.lo).mean(axis=0), span / 2.0 ** (62 // m))
+        self.shape = (span / self.size).astype(int) + 1
+        self.stride = np.array([math.prod(self.shape[a + 1:].tolist()) for a in range(m)])
+        # _grid is monotone, so a point in a box has a cell between the cells
+        # of the box's corners
+        first = self._grid(self.lo).astype(int)
+        n = self._grid(self.hi).astype(int) - first + 1
+        count = n.prod(axis=1)
+        link = np.repeat(np.arange(len(links)), count)
+        k = np.arange(link.size) - np.repeat(np.cumsum(count) - count, count)
+        key = np.zeros(link.size, int)
+        for a in range(m - 1, -1, -1):  # k counts through its link's block of cells
+            key += (first[link, a] + k % n[link, a]) * self.stride[a]
+            k //= n[link, a]
+        order = np.lexsort((-link, key))  # a cell lists its links newest first
+        self.keys, start = np.unique(key[order], return_index=True)
+        self.start, self.cell_links = np.concatenate([start, [key.size]]), link[order]
 
-    def passes(self, X, newest_first):
-        """Box hits of the rows of X, as (rows, link indices) per pass: pass
-        p pairs each row with its p-th hit in chain order, or newest first."""
-        order = np.arange(len(self.links))[::-1 if newest_first else 1]
-        hit = np.all((X[:, None, :] >= self.lo) & (X[:, None, :] <= self.hi), axis=2)[:, order]
-        rows, cols = np.nonzero(hit)
-        rank, links = np.arange(rows.size) - np.searchsorted(rows, rows), order[cols]
-        return [(rows[rank == p], links[rank == p]) for p in range(rank.max(initial=-1) + 1)]
+    def _grid(self, x):
+        """Grid coordinates of the rows of x; a cell is their integer part."""
+        return (x - self.origin) / self.size
 
-    def step(self, X, rows, links, fiber):
-        """Run fiber(t, w, eps, v) -> (moved, new fibers, ...) of link links[i]
-        on row rows[i] of X, in place, for the rows still in their link's box;
-        returns that mask, the kept links and fiber's result."""
-        x = X[rows]
-        keep = np.all((x >= self.lo[links]) & (x <= self.hi[links]), axis=1)
-        j = links[keep]
-        tv = matvec(self.Minv[j], x[keep] - self.base[j])
-        t, w = tv[:, :self.l], tv[:, self.l:]
+    def _inside(self, x, j):
+        """Whether row i of x lies in the closed box of link j[i]."""
+        return np.all((x >= self.lo[j]) & (x <= self.hi[j]), axis=1)
+
+    def hits(self, X):
+        """Box hits of the rows of X as (rows, links, rank): rows ascending,
+        each row's links newest first, and rank a hit's place in its row.
+        A row's cell lists every link whose box can hold it; NaN and
+        infinite rows fall outside the grid."""
+        c = self._grid(X)
+        rows = np.nonzero(np.all((c >= 0.0) & (c < self.shape), axis=1))[0]
+        key = c[rows].astype(int) @ self.stride
+        at = np.minimum(np.searchsorted(self.keys, key), self.keys.size - 1)
+        found = self.keys[at] == key
+        rows, at = rows[found], at[found]
+        start, n = self.start[at], self.start[at + 1] - self.start[at]
+        rows = np.repeat(rows, n)
+        links = self.cell_links[np.arange(rows.size) + np.repeat(start - np.cumsum(n) + n, n)]
+        inside = self._inside(X[rows], links)
+        rows, links = rows[inside], links[inside]
+        return rows, links, np.arange(rows.size) - np.searchsorted(rows, rows)
+
+    def _frame(self, x, j):
+        """Frame coordinates (t, w) of row i of x in the chart of link j[i]."""
+        tv = matvec(self.Minv[j], x - self.base[j])
+        return tv[:, :self.l], tv[:, self.l:]
+
+    def _point(self, j, t, w):
+        """The point b + A t[i] + N w[i] of the chart of link j[i]."""
+        return self.base[j] + matvec(self.A[j], t) + matvec(self.N[j], w)
+
+    def movable(self, t, w, j):
+        """Whether the fiber map of link j[i] can move (t[i], w[i]): t on the
+        open simplex and |w| below the largest fade radius eps rho_l, which
+        rho_l takes at the barycentre, with room for rounding."""
+        rho = bump.rho_l(np.full(self.l, 1.0 / (self.l + 1)))
+        return ((t > 0.0).all(axis=1) & (1.0 - t.sum(axis=1) > 0.0)
+                & (row_norms(w) < self.eps[j] * rho * (1.0 + 1e-9)))
+
+    def apply(self, X, rows, links, with_jacobian):
+        """Apply the hits (rows, links), each row's newest first, to X in
+        place, and on request return each hit's m x m Jacobian.
+
+        Rounds: each takes every pending hit at its row's current point and
+        makes one fiber_moves call, on the hits still in their box that
+        movable keeps.  A row's hits up to its first moving one are final;
+        its later ones saw a stale point and stay pending for the next
+        round."""
+        m = X.shape[1]
+        Jl = np.tile(np.eye(m), (rows.size, 1, 1)) if with_jacobian else None
+        pend = np.arange(rows.size)
+        while pend.size:
+            r, j = rows[pend], links[pend]
+            x = X[r]
+            t, w = self._frame(x, j)
+            inbox = self._inside(x, j)
+            live = inbox & self.movable(t, w, j)
+            c = np.nonzero(live)[0]
+            moved, w2, Jc = fiber_moves(t[c], w[c], self.eps[j[c]], self.v[j[c]], with_jacobian)
+            head = np.diff(r[c[moved]], prepend=-1) > 0  # each row's first moving hit
+            h = c[moved[head]]
+            X[r[h]] = self._point(j[h], t[h], w2[head])
+            cut = np.full(len(X), pend.size)
+            cut[r[h]] = h
+            final = np.arange(pend.size) <= cut[r]
+            if with_jacobian:
+                fixed = final & inbox & ~live
+                Jl[pend[fixed]] = self.P[j[fixed]]
+                cf = c[final[c]]
+                Jl[pend[cf]] = self.M[j[cf]] @ Jc[final[c]] @ self.Minv[j[cf]]
+            pend = pend[~final]
+        return Jl
+
+    def unwind(self, X, rows, links):
+        """Run the inverse fiber map of link links[i] on row rows[i] of X, in
+        place, for the rows still in their link's box."""
+        keep = self._inside(X[rows], links)
+        r, j = rows[keep], links[keep]
+        t, w = self._frame(X[r], j)
         try:
-            result = fiber(t, w, self.eps[j], self.v[j])
+            moved, w2 = fiber_preimages(t, w, self.eps[j], self.v[j])
         except NewtonDivergenceError as exc:
             exc.link = self.links[j[exc.rows].min()]
             raise
-        moved, w2 = result[:2]
-        if moved.size:
-            jm = j[moved]
-            X[rows[keep][moved]] = (self.base[jm] + matvec(self.A[jm], t[moved])
-                                    + matvec(self.N[jm], w2))
-        return keep, j, result
+        X[r[moved]] = self._point(j[moved], t[moved], w2)
 
 
 class ChainOps:
@@ -210,13 +302,20 @@ class ChainOps:
 
     Points are rows of an (N, m) array; a single (m,) point is the N = 1
     case.  The chain is split into contiguous same-level runs of stacked
-    link data (_Run).  One box test per run finds every link whose box
-    holds a row: supports within a run are disjoint, boxes near a shared
-    face are not.  A row visits its hits in chain order (newest first when
-    applying), so pass p takes every row's p-th hit at once, and each hit
-    re-tests its box on the row's current point.  Masks are refreshed
-    between runs, as earlier links can move points by more than later slab
-    widths.  Each row has the bits of the link-by-link evaluation.
+    link data (_Run), newest run first.  A run's cell index gives one hit
+    list: every (row, link) whose box holds the row, each row's links
+    newest first (supports within a run are disjoint, boxes near a shared
+    face are not).  The run is evaluated in rounds, each one frame
+    transform and one fiber_moves call over the pending hits; a hit off
+    the open simplex or beyond the largest fade radius skips the fiber
+    map.  A row's hits up to its first moving one are final, and the rest
+    re-test their box at the moved point in the next round.  A final hit's
+    Jacobian is I (it left its box), the link's cached P (an in-box hit the
+    link leaves fixed) or M J_loc M^-1, multiplied into J rank by rank in
+    chain order.  The inverse takes the same hit list, oldest link first,
+    one rank at a time.  Masks are refreshed between runs, as earlier links
+    can move points by more than later slab widths.  Each row has the bits
+    of the link-by-link evaluation.
     """
 
     def __init__(self, links):
@@ -237,15 +336,14 @@ class ChainOps:
         m = x.shape[-1]
         X = x.reshape(-1, m).copy()
         J = np.tile(np.eye(m), (len(X), 1, 1)) if with_jacobian else None
-        fiber = partial(fiber_moves, with_jacobian=with_jacobian)
         for run in reversed(self.runs):
-            for rows, links in run.passes(X, newest_first=True):
-                keep, j, (_, _, Jloc) = run.step(X, rows, links, fiber)
-                if with_jacobian:
-                    # rows that left their box still take I @ J: -0.0 becomes +0.0
-                    Jl = np.tile(np.eye(m), (len(rows), 1, 1))
-                    Jl[keep] = run.M[j] @ Jloc @ run.Minv[j]
-                    J[rows] = Jl @ J[rows]
+            rows, links, rank = run.hits(X)
+            Jl = run.apply(X, rows, links, with_jacobian)
+            if with_jacobian:
+                # hits that left their box still take I @ J: -0.0 becomes +0.0
+                for p in range(rank.max(initial=-1) + 1):
+                    at = rank == p
+                    J[rows[at]] = Jl[at] @ J[rows[at]]
         return X.reshape(x.shape), None if J is None else J.reshape(x.shape + (m,))
 
     def invert(self, x):
@@ -253,8 +351,11 @@ class ChainOps:
         x = np.asarray(x, float)
         X = x.reshape(-1, x.shape[-1]).copy()
         for run in self.runs:
-            for rows, links in run.passes(X, newest_first=False):
-                run.step(X, rows, links, fiber_preimages)
+            rows, links, _ = run.hits(X)
+            # each row's hits oldest first
+            rank = np.searchsorted(rows, rows, side="right") - 1 - np.arange(rows.size)
+            for p in range(rank.max(initial=-1) + 1):
+                run.unwind(X, rows[rank == p], links[rank == p])
         return X.reshape(x.shape)
 
 

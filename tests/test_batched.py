@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from transtri import bump, cli, perturb, verify
 from transtri import simplicial as sc
-from transtri.charts import ChainOps, StarLocator, TriangulationState, make_chart
+from transtri.charts import ChainOps, StarLocator, TriangulationState, fiber_moves, make_chart
 from transtri.config import PipelineConfig
 from transtri.errors import DegenerateGeometryError, EpsilonTooLargeError, PerturbationError
 from transtri.perturb import (LocalDiffeo, _draw_shift, _unit_directions, containment_ok,
@@ -533,11 +533,16 @@ def most_box_hits_in_one_run(links, pts):
 def test_chain_runs_equal_link_by_link(scenario_a_run, kind):
     state = scenario_a_run["state"]
     pts = _probe_points(state, kind)
+    if kind == "near_vertex":
+        pts = np.concatenate([pts, [state.realization.point(v) for v in state.complex.vertex_ids]])
     assert_chain_equals_link_by_link(state.links, pts)
     if kind == "near_vertex":
-        # edge boxes overlap at their shared vertex, so some rows take a
-        # second pass in the level-1 run
-        assert most_box_hits_in_one_run(state.links, pts) >= 2
+        # edge boxes overlap at their shared vertex, and a diagonal edge's box
+        # covers its whole grid cell: a row near an interior vertex hits 6
+        # boxes of the level-1 run, and the vertex itself 8
+        level1 = [lk for lk in state.links if lk.level == 1]
+        hits = np.sum([lk.box_mask(pts) for lk in level1], axis=0)
+        assert hits.max() == 8 and (hits >= 5).sum() >= 30
 
 
 TETRAHEDRA = {
@@ -566,14 +571,15 @@ def _tetrahedron_chain(shape):
     return TriangulationState(cplx, real, links), real.simplex_points(sc.Simplex((0, 1, 2, 3)))
 
 
-def _on_box_faces(links, per_link=6):
+def _on_box_faces(links, per_link=6, rng=RNG):
     """Points on a face of each link's closed box, where the box tests are
     decided by equality."""
     out = []
     for lk in links:
-        p = RNG.uniform(lk.support_lo, lk.support_hi, size=(per_link, 3))
-        k = RNG.integers(3, size=per_link)
-        p[np.arange(per_link), k] = np.where(RNG.random(per_link) < 0.5,
+        m = lk.support_lo.size
+        p = rng.uniform(lk.support_lo, lk.support_hi, size=(per_link, m))
+        k = rng.integers(m, size=per_link)
+        p[np.arange(per_link), k] = np.where(rng.random(per_link) < 0.5,
                                              lk.support_lo[k], lk.support_hi[k])
         out.append(p)
     return np.concatenate(out)
@@ -625,6 +631,111 @@ def test_rows_pushed_out_of_a_box_skip_its_link(monkeypatch):
     assert older.box_mask(pts).all() and newer.box_mask(pts).all()
     assert not older.box_mask(newer.apply(pts)).any()
     assert_chain_equals_link_by_link([older, newer], pts)
+
+
+def ref_hits(run, X):
+    """Box hits of the rows of X by the dense test of every row against every
+    box of a run: (rows, links, rank), each row's links newest first."""
+    lo = np.array([lk.support_lo for lk in run.links])
+    hi = np.array([lk.support_hi for lk in run.links])
+    order = np.arange(len(run.links))[::-1]
+    hit = np.all((X[:, None, :] >= lo) & (X[:, None, :] <= hi), axis=2)[:, order]
+    rows, cols = np.nonzero(hit)
+    return rows, order[cols], np.arange(rows.size) - np.searchsorted(rows, rows)
+
+
+def _final_verify_rows(monkeypatch, run):
+    """Every row at which scenario A's final verify evaluates the chain."""
+    rows, forward = [], ChainOps._forward
+
+    def spy(self, x, with_jacobian):
+        rows.append(np.reshape(x, (-1, np.shape(x)[-1])))
+        return forward(self, x, with_jacobian)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(ChainOps, "_forward", spy)
+        verify_triangulation(run["state"], run["h"], run["config"])
+    return np.concatenate(rows)
+
+
+def _off_grid(links):
+    """Rows just outside the cell grid of a run's boxes, one per axis and
+    side, far away, and holding NaN or an infinity."""
+    lo = np.min([lk.support_lo for lk in links], axis=0)
+    hi = np.max([lk.support_hi for lk in links], axis=0)
+    out = []
+    for a in range(lo.size):
+        for value in (np.nextafter(lo[a], -np.inf), np.nextafter(hi[a], np.inf),
+                      -1e300, 1e300, np.nan, np.inf, -np.inf):
+            p = 0.5 * (lo + hi)
+            p[a] = value
+            out.append(p)
+    return np.array(out)
+
+
+def _far_apart_chain():
+    """Two vertex links 1e25 apart: cells of their box size would need keys
+    beyond 2^63."""
+    cplx = sc.build_complex(4, [(0, 1)])
+    real = sc.GeometricRealization({0: np.array([0.0, 0.0]), 1: np.array([1e25, 1.0])}, cplx)
+    base = TriangulationState(cplx, real)
+    return [perturb.extend_to_ambient(LocalDiffeo(make_chart(base, sc.Simplex((v,))), 0.1, 0.1,
+                                                  np.array([0.009, 0.0])))
+            for v in (0, 1)]
+
+
+@pytest.mark.parametrize("chain", ["scenario_a", "tetrahedron", "far_apart"])
+def test_box_hits_equal_the_dense_box_test(monkeypatch, scenario_a_run, chain):
+    rng = np.random.default_rng(18)
+    if chain == "scenario_a":
+        links = scenario_a_run["state"].links
+        pts = _final_verify_rows(monkeypatch, scenario_a_run)
+    elif chain == "tetrahedron":
+        links = _tetrahedron_chain("skew")[0].links
+        pts = rng.uniform(-0.2, 1.4, size=(400, 3))
+    else:
+        links = _far_apart_chain()
+        pts = np.concatenate([rng.uniform(lk.support_lo, lk.support_hi, size=(50, 2)) for lk in links])
+    pts = np.concatenate([pts, _on_box_faces(links, rng=rng)])
+    for run in ChainOps(links).runs:
+        off = _off_grid(run.links)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast of an off-grid row to a cell
+            got = run.hits(np.concatenate([pts, off]))
+        want = ref_hits(run, np.concatenate([pts, off]))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert got[0].max() < len(pts)  # no row off the grid has a hit
+    if chain == "scenario_a":
+        assert got[2].max() >= 7  # the level-1 run, last, has rows with 8 hits
+
+
+@pytest.mark.parametrize("fade", ["paper", "wide"])
+def test_moving_hits_pass_the_skip_bound(monkeypatch, scenario_a_run, fade):
+    # every hit that fiber_moves moves (or finds inside its fade radius with
+    # a nonzero shift) must not be skipped; points sit just inside the fade
+    # radius at the barycentre and at random simplex points of every link
+    if fade == "wide":
+        rho_l = bump.rho_l
+        monkeypatch.setattr(bump, "rho_l", lambda t: rho_l(t) ** (1.0 / (np.shape(t)[-1] + 1)))
+    rng = np.random.default_rng(18)
+    for links in (scenario_a_run["state"].links, _tetrahedron_chain("skew")[0].links):
+        pts = []
+        for lk in links:
+            l, m = lk.level, lk.support_lo.size
+            t = np.concatenate([np.full((1, l), 1.0 / (l + 1)), rng.dirichlet(np.ones(l + 1), 7)[:, :l]])
+            t = np.repeat(t, 3, axis=0)
+            u = rng.normal(size=(len(t), m - l))
+            radius = lk.local.epsilon * bump.rho_l(t) * np.tile([1.0 - 1e-12, 0.999, 0.5], 8)
+            pts.append(lk.chart.frame_point(t, u / np.linalg.norm(u, axis=1, keepdims=True)
+                                            * radius[:, None]))
+        pts = np.concatenate(pts)
+        for run in ChainOps(links).runs:
+            rows, j, _ = run.hits(pts)
+            t, w = run._frame(pts[rows], j)
+            moved = fiber_moves(t, w, run.eps[j], run.v[j])[0]
+            assert run.movable(t, w, j)[moved].all()
+            # the paper's fade underflows the warp of triangle links
+            assert moved.size > 0 or (fade == "paper" and run.l == 2)
 
 
 def test_bump_forms_emit_no_warnings():
