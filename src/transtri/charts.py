@@ -171,13 +171,17 @@ class _Run:
     """A same-level run of chain links as stacked arrays: support boxes,
     frames b, A, N, M = [A | N], M^-1 and P = M I M^-1 (the Jacobian of an
     in-box hit that the link leaves fixed; P != I in floating point),
-    epsilon and shift v, and a cell index of the boxes."""
+    epsilon and shift v, and a cell index of the boxes.  reach, the
+    barycentre value of rho_l, is read from bump.rho_l when the run is
+    built."""
 
     def __init__(self, links):
         self.links, self.l = links, links[0].level
         self.lo, self.hi, self.eps, self.v = (
             np.array([attrgetter(a)(lk) for lk in links])
             for a in ("support_lo", "support_hi", "local.epsilon", "local.v"))
+        # rho_l peaks at the barycentre, so eps rho_l stays below eps * reach
+        self.reach = bump.rho_l(np.full(self.l, 1.0 / (self.l + 1)))
         self.base, self.A, self.N, self.M, self.Minv = (
             _stack([getattr(lk.chart, a) for lk in links])
             for a in ("base", "tangent", "normal", "_M", "_Minv"))
@@ -243,11 +247,10 @@ class _Run:
 
     def movable(self, t, w, j):
         """Whether the fiber map of link j[i] can move (t[i], w[i]): t on the
-        open simplex and |w| below the largest fade radius eps rho_l, which
-        rho_l takes at the barycentre, with room for rounding."""
-        rho = bump.rho_l(np.full(self.l, 1.0 / (self.l + 1)))
+        open simplex and |w| below the largest fade radius eps * reach, with
+        room for rounding."""
         return ((t > 0.0).all(axis=1) & (1.0 - t.sum(axis=1) > 0.0)
-                & (row_norms(w) < self.eps[j] * rho * (1.0 + 1e-9)))
+                & (row_norms(w) < self.eps[j] * self.reach * (1.0 + 1e-9)))
 
     def apply(self, X, rows, links, with_jacobian):
         """Apply the hits (rows, links), each row's newest first, to X in
@@ -445,8 +448,11 @@ class AmbientDiffeo:
 class TriangulationState:
     """Base realization plus an ordered chain of ambient diffeomorphisms.
 
-    Immutable between pipeline stages: appending links returns a new
-    state.  Reads are safe to share across threads.
+    Its complex, realization and links never change: appending links
+    returns a new state.  It memoizes its last with_links child and the
+    one search find_intersections was asked to keep on it; neither memo
+    ever changes a result.  Reads are safe to share across threads (a race
+    on a memo at worst repeats a computation).
     """
 
     def __init__(self, cplx, realization, links=()):
@@ -456,9 +462,18 @@ class TriangulationState:
         self.ambient_dim = realization.ambient_dim
         self.mesh_scale = realization.min_edge_length(cplx)
         self._ops = ChainOps(self.links)
+        self._child = None
+        self._search = None
 
     def with_links(self, links):
-        return TriangulationState(self.complex, self.realization, self.links + tuple(links))
+        """This state with links appended, the last such state again when
+        links are the same objects in the same order."""
+        links = tuple(links)
+        child = self._child
+        if child is None or child.links[len(self.links):] != links:
+            child = TriangulationState(self.complex, self.realization, self.links + links)
+            self._child = child
+        return child
 
     def eval_eta(self, p):
         """Current triangulation map at base-coordinate points (rows)."""

@@ -30,9 +30,11 @@ simplex id) is a determinism convention, not a mathematical need.  Stages
 every simplex still searching, each at its own c, with one containment
 call.  Each sampling round draws one candidate per unresolved simplex,
 from that simplex's own rng, and certifies the round with one verifier
-search on one trial state; the level appends the accepted trial links.
+search on one trial state; one guard call then samples every accepted
+link of the round, and the level appends the accepted trial links.
 """
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -290,9 +292,11 @@ def _candidate_transverse(state, links, h, config):
     as a list of bools: the links join state as trial links, and each
     simplex is judged on that trial state by find_intersections and
     simplex_passes, as the final report will judge it.  Supports of
-    same-level links are disjoint, so one trial state holds them all."""
+    same-level links are disjoint, so one trial state holds them all; it
+    keeps the search, which the final verify takes when the trial state
+    becomes the last level's state."""
     simplices = [lk.simplex for lk in links]
-    found = find_intersections(state.with_links(links), simplices, h, config)
+    found = find_intersections(state.with_links(links), simplices, h, config, keep=True)
     n, l, m = h.domain.dim, simplices[0].dim, state.ambient_dim
     return [simplex_passes(n, l, m, records, min_resid, config) for records, min_resid in found]
 
@@ -366,25 +370,45 @@ def _sample_shift(state, draws, h, config):
 # local diffeomorphism and ambient extension
 
 
-def build_local_diffeo(psi):
-    """Guard a local diffeomorphism and return it.
-
-    Samples |J - I| at fiber radii 0, 0.4 and 0.8 of the fade radius, in
-    every direction, over an interior lattice of the simplex; at or above
-    1/2 the Newton fiber inverse would lose its contraction margin, so the
-    caller must shrink epsilon and resample (EpsilonTooLargeError).
-    """
-    ts = interior_lattice(psi.l, lattice_per_dim(4, psi.l))
+def _sampled_distortion(psis):
+    """Largest sampled |J - I| of each local diffeomorphism of psis, all of
+    one dimension, as an array: at fiber radii 0, 0.4 and 0.8 of the fade
+    radius, in every direction, over an interior lattice of the simplex.
+    One fiber_moves call and one stacked 2-norm cover every psi, and each
+    value has the bits of a one-psi call."""
+    l, k = psis[0].l, psis[0].v.size
+    ts = interior_lattice(l, lattice_per_dim(4, l))
     rho = bump.rho_l(ts)
     ts, rho = ts[rho > 0.0], rho[rho > 0.0]
-    dirs = np.asarray(_unit_directions(psi.v.size))
-    rad = (np.array([0.0, 0.4, 0.8]) * psi.epsilon)[None, :] * rho[:, None]
-    vs = (rad[:, :, None, None] * dirs).reshape(-1, dirs.shape[1])
-    J = psi.jacobian(np.repeat(ts, 3 * len(dirs), axis=0), vs)
-    worst = float(np.linalg.norm(J - np.eye(psi.m), 2, axis=(1, 2)).max(initial=0.0))
-    if worst >= 0.5:
+    dirs = np.asarray(_unit_directions(k))
+    eps = np.array([psi.epsilon for psi in psis])
+    rad = (np.array([0.0, 0.4, 0.8]) * eps[:, None])[:, None, :] * rho[None, :, None]
+    vs = (rad[..., None, None] * dirs).reshape(-1, k)
+    t = np.repeat(ts, 3 * len(dirs), axis=0)  # the sample rows of one psi
+    owner = np.repeat(np.arange(len(psis)), len(t))
+    v = np.array([psi.v for psi in psis])
+    J = fiber_moves(np.tile(t, (len(psis), 1)), vs, eps[owner], v[owner], with_jacobian=True)[2]
+    norms = np.linalg.norm(J - np.eye(l + k), 2, axis=(1, 2))
+    return norms.reshape(len(psis), len(t)).max(axis=1, initial=0.0)
+
+
+def build_local_diffeo(psi):
+    """Guard local diffeomorphisms by their sampled |J - I| (see
+    _sampled_distortion): at or above 1/2 the Newton fiber inverse would
+    lose its contraction margin, so the caller must shrink epsilon and
+    resample.
+
+    One LocalDiffeo is the N = 1 case: it is returned, or raises
+    EpsilonTooLargeError.  A list of them, all of one dimension, gives a
+    list of bools, whether each passes, from one evaluation.
+    """
+    one = isinstance(psi, LocalDiffeo)
+    worst = _sampled_distortion([psi] if one else psi)
+    if not one:
+        return (~(worst >= 0.5)).tolist()
+    if worst[0] >= 0.5:
         raise EpsilonTooLargeError(
-            f"sampled |J - I| = {worst:.3f} >= 1/2 for epsilon {psi.epsilon}")
+            f"sampled |J - I| = {float(worst[0]):.3f} >= 1/2 for epsilon {psi.epsilon}")
     return psi
 
 
@@ -410,26 +434,26 @@ def extend_to_ambient(psi):
 
 
 def _guard(draws, config):
-    """Guard the accepted candidates of draws up to the first failed one;
-    returns the draws whose epsilon the guard halved, to be sampled again.
-    Past max_eps_shrinks halvings a draw keeps an EpsilonTooLargeError
-    instead."""
+    """Guard the accepted candidates of draws up to the first failed one,
+    all with one build_local_diffeo call; returns the draws whose epsilon
+    the guard halved, to be sampled again, walking them in order.  Past
+    max_eps_shrinks halvings a draw keeps an EpsilonTooLargeError instead,
+    and the draws after it no longer matter."""
+    live = list(itertools.takewhile(lambda d: d.error is None, draws))
+    passed = build_local_diffeo([d.link.local for d in live]) if live else []
     again = []
-    for d in draws:
-        if d.error is not None:
+    for d, ok in zip(live, passed):
+        if ok:
+            continue
+        if d.shrinks == config.max_eps_shrinks:
+            d.error = EpsilonTooLargeError(
+                f"epsilon still too large after {config.max_eps_shrinks} shrinks"
+                f" for simplex {d.chart.simplex.vertices}")
             break
-        try:
-            build_local_diffeo(d.link.local)
-        except EpsilonTooLargeError:
-            if d.shrinks == config.max_eps_shrinks:
-                d.error = EpsilonTooLargeError(
-                    f"epsilon still too large after {config.max_eps_shrinks} shrinks"
-                    f" for simplex {d.chart.simplex.vertices}")
-                break
-            d.eps *= 0.5
-            d.shrinks += 1
-            d.tries = 0
-            again.append(d)
+        d.eps *= 0.5
+        d.shrinks += 1
+        d.tries = 0
+        again.append(d)
     return again
 
 
@@ -441,8 +465,10 @@ def perturb_level(state, level, h, config=None, sd_data=None):
     are then appended in ascending simplex order for determinism.  The
     clearance search runs over the whole level at once (estimate_c_sigma),
     and so does shift sampling, each simplex drawing from its own rng (see
-    _sample_shift); the guard runs per simplex.  Any per-simplex failure
-    aborts the level, naming the lowest-index failing simplex.
+    _sample_shift), and so does each guard round (_guard).  Any
+    per-simplex failure aborts the level, naming the lowest-index failing
+    simplex.  The returned state is the last round's trial state, with
+    its search, when that round held every link of the level.
     """
     config = config or PipelineConfig()
     m = state.ambient_dim

@@ -393,7 +393,7 @@ class IntersectionRecord:
     classification: str  # transverse | tangent | skeleton-hit
 
 
-def find_intersections(state, simplices, h, config=None):
+def find_intersections(state, simplices, h, config=None, keep=False):
     """Roots of h(y) = eta(iota_s(t)) with t in the closed simplex s, for
     every simplex s of one dimension at once.
 
@@ -405,9 +405,17 @@ def find_intersections(state, simplices, h, config=None):
     refinement covers every simplex, one chain pass evaluates eta at all
     of their roots, and the margins of all records on faces of one
     dimension are one stacked computation.
+
+    With keep, the state keeps the result in place of any it kept before
+    (shift sampling keeps each round's search on its trial state); a call
+    with the same simplices, in the same order, and the same h and config
+    objects returns it, in new lists, without searching again.
     """
     config = config or PipelineConfig()
-    group = list(simplices)
+    group = tuple(simplices)
+    kept = state._search
+    if kept is not None and kept[0] == group and kept[1] is h and kept[2] is config:
+        return [(list(records), min_resid) for records, min_resid in kept[3]]
     l = group[0].dim
     n = h.domain.dim
     m = state.ambient_dim
@@ -423,7 +431,10 @@ def find_intersections(state, simplices, h, config=None):
     records = [[] for _ in group]
     for k, rec in _records(state, h, group, hits, config):
         records[k].append(rec)
-    return [(recs, min_resid) for recs, (_, min_resid) in zip(records, found)]
+    out = [(recs, min_resid) for recs, (_, min_resid) in zip(records, found)]
+    if keep:
+        state._search = (group, h, config, [(tuple(recs), r) for recs, r in out])
+    return out
 
 
 def _records(state, h, group, hits, config):
@@ -520,10 +531,12 @@ def verify_triangulation(state, h, config=None):
     """Transversality verdict for every simplex of the complex.
 
     The simplices of each dimension are searched together (see
-    find_intersections).  The records attributed to the carrier faces of
-    one dimension are deduplicated in one _dedupe call, each face a group
-    holding its records in the order they were found, and each simplex is
-    judged on the records it keeps by simplex_passes.
+    find_intersections, which returns a search the state kept, as the
+    pipeline's last trial state does, without repeating it).  The
+    records attributed to the carrier faces of one dimension are
+    deduplicated in one _dedupe call, each face a group holding its
+    records in the order they were found, and each simplex is judged on
+    the records it keeps by simplex_passes.
     """
     config = config or PipelineConfig()
     n = h.domain.dim

@@ -12,6 +12,9 @@ sampling judges one candidate per simplex of a level at once; both must
 give every simplex what searching or sampling it alone gives, and its
 seed pairing, root dedupe and record margins, now array operations, must
 equal the per-column, pairwise and per-record loops they replaced.  The
+guard samples every link of a round at once and must give each link's
+one-link value, and a final verify that takes the last level's search
+from its trial state must give the report of a fresh state.  The
 clearance test locates its samples in base coordinates and must give the
 verdict of pushing them through the chain and pulling them back.
 """
@@ -645,8 +648,10 @@ def ref_hits(run, X):
 
 
 def _final_verify_rows(monkeypatch, run):
-    """Every row at which scenario A's final verify evaluates the chain."""
+    """Every row at which scenario A's final verify evaluates the chain, on
+    a fresh state with the final links, which keeps no search result."""
     rows, forward = [], ChainOps._forward
+    final = run["state"]
 
     def spy(self, x, with_jacobian):
         rows.append(np.reshape(x, (-1, np.shape(x)[-1])))
@@ -654,7 +659,8 @@ def _final_verify_rows(monkeypatch, run):
 
     with monkeypatch.context() as mp:
         mp.setattr(ChainOps, "_forward", spy)
-        verify_triangulation(run["state"], run["h"], run["config"])
+        verify_triangulation(TriangulationState(final.complex, final.realization, final.links),
+                             run["h"], run["config"])
     return np.concatenate(rows)
 
 
@@ -1615,13 +1621,19 @@ def _level_start(scenario_a_run, level):
 
 def _shrink_guard(times):
     """A guard that rejects the first `times` epsilons of every other
-    simplex, by vertex-id parity, and passes everything else."""
+    simplex, by vertex-id parity, and passes everything else: one pert is
+    returned or raises, a list of them gives one bool each."""
     real_guard = perturb.build_local_diffeo
 
-    def guard(pert):
-        if sum(pert.chart.simplex.vertices) % 2 == 0 and pert.shrinks_used < times:
-            raise EpsilonTooLargeError("forced")
-        return real_guard(pert)
+    def forced(pert):
+        return sum(pert.chart.simplex.vertices) % 2 == 0 and pert.shrinks_used < times
+
+    def guard(perts):
+        if isinstance(perts, LocalDiffeo):
+            if forced(perts):
+                raise EpsilonTooLargeError("forced")
+            return real_guard(perts)
+        return [ok and not forced(p) for p, ok in zip(perts, real_guard(perts))]
 
     return guard
 
@@ -1663,6 +1675,128 @@ def test_level_sampling_equals_one_simplex_loop(scenario_a_run, monkeypatch, cas
     shrinks = [k for _, _, k, _ in got]
     assert any(retries) == (case == "rejections")
     assert (max(shrinks) == 2) == (case == "shrinks")
+
+
+def ref_distortion(psi):
+    """Largest sampled |J - I| of one local diffeomorphism, through its own
+    jacobian, as the one-link guard computed it."""
+    ts = interior_lattice(psi.l, lattice_per_dim(4, psi.l))
+    rho = bump.rho_l(ts)
+    ts, rho = ts[rho > 0.0], rho[rho > 0.0]
+    dirs = np.asarray(_unit_directions(psi.v.size))
+    rad = (np.array([0.0, 0.4, 0.8]) * psi.epsilon)[None, :] * rho[:, None]
+    vs = (rad[:, :, None, None] * dirs).reshape(-1, dirs.shape[1])
+    J = psi.jacobian(np.repeat(ts, 3 * len(dirs), axis=0), vs)
+    return float(np.linalg.norm(J - np.eye(psi.m), 2, axis=(1, 2)).max(initial=0.0))
+
+
+def _inflated(psi, factor):
+    """psi with its shift scaled past the |v| < epsilon^2 invariant, which
+    keeps every admissible shift far below the guard's 1/2."""
+    out = LocalDiffeo(psi.chart, psi.c_sigma, psi.epsilon, psi.v)
+    object.__setattr__(out, "v", factor * psi.v)
+    return out
+
+
+@pytest.mark.parametrize("chain", ["scenario_a", "tetrahedron", "inflated"])
+def test_level_guard_equals_the_one_link_guard(scenario_a_run, chain):
+    links = scenario_a_run["state"].links
+    if chain == "tetrahedron":
+        links = _tetrahedron_chain("skew")[0].links
+    for level in sorted({lk.level for lk in links}):
+        psis = [lk.local for lk in links if lk.level == level]
+        if chain == "inflated":  # every other link far past the guard
+            psis = [_inflated(p, 200.0 if k % 2 else 1.0) for k, p in enumerate(psis)]
+        want = [ref_distortion(p) for p in psis]
+        got = perturb._sampled_distortion(psis)
+        assert same_bits(got, want)
+        verdicts = perturb.build_local_diffeo(psis)
+        assert type(verdicts) is list and verdicts == [not w >= 0.5 for w in want]
+        for p, w in zip(psis, want):
+            if w >= 0.5:
+                with pytest.raises(EpsilonTooLargeError, match=f"sampled .J - I. = {w:.3f} >= 1/2"):
+                    perturb.build_local_diffeo(p)
+            else:
+                assert perturb.build_local_diffeo(p) is p
+        if chain == "inflated" and level == 0:
+            assert 0 < verdicts.count(False) < len(verdicts)
+
+
+@pytest.mark.parametrize("case", ["seed1", "seed2", "seed3", "rejections", "shrinks"])
+def test_final_verify_reuses_only_the_last_full_trial_search(grid_a, monkeypatch, case):
+    # the final verify takes the last level's search from its last trial
+    # state only when that round held every link of the level; its report
+    # must equal that of a fresh state with the same links
+    cplx, real = grid_a
+    h = CircleMap((0.0, 0.0), 1.0)
+    config = PipelineConfig(seed=int(case[-1]) if case.startswith("seed") else 1)
+    if case == "rejections":
+        config = config.replace(vertex_clearance=1e-3)
+    if case == "shrinks":
+        monkeypatch.setattr(perturb, "build_local_diffeo", _shrink_guard(2))
+    searched, final = [], []
+    pair_seeds, verify_all = verify._pair_seeds, perturb.verify_triangulation
+
+    def spy(h, patch, config, scale, t_per_dim=None):
+        if final:
+            searched.append(patch.l)
+        return pair_seeds(h, patch, config, scale, t_per_dim)
+
+    def final_verify(state, h, config):
+        final.append(state)
+        return verify_all(state, h, config)
+
+    monkeypatch.setattr(verify, "_pair_seeds", spy)
+    monkeypatch.setattr(perturb, "verify_triangulation", final_verify)
+    state, report = perturb.make_transverse(cplx, real, h, config)
+    reused = 1 not in searched
+    del searched[:]
+    fresh = verify_triangulation(TriangulationState(cplx, real, state.links), h, config)
+    assert searched == [0, 1, 2]
+    assert report_to_csv(report) == report_to_csv(fresh)
+    assert report_summary(report) == report_summary(fresh)
+    # the shrinks case's last trial round held only the re-sampled edges
+    assert reused == (case != "shrinks")
+    last = [lk.local for lk in state.links if lk.level == 1]
+    assert any(p.retries_used or p.shrinks_used for p in last) == (case == "shrinks")
+
+
+def test_searches_are_reused_only_for_identical_inputs(scenario_a_run, monkeypatch):
+    h, config = scenario_a_run["h"], scenario_a_run["config"]
+    start = _level_start(scenario_a_run, 1)
+    links = [lk for lk in scenario_a_run["state"].links if lk.level == 1]
+    state = start.with_links(links)
+    assert start.with_links(tuple(links)) is state
+    assert start.with_links(links[:-1] + [links[-1]]) is state
+    assert start.with_links(list(reversed(links))) is not state
+    edges = list(start.complex.by_dim(1))
+    searched = []
+    pair_seeds = verify._pair_seeds
+
+    def spy(h, patch, config, scale, t_per_dim=None):
+        searched.append(patch.size)
+        return pair_seeds(h, patch, config, scale, t_per_dim)
+
+    monkeypatch.setattr(verify, "_pair_seeds", spy)
+    find_intersections(state, edges, h, config)
+    kept = find_intersections(state, edges, h, config, keep=True)
+    again = find_intersections(state, start.complex.by_dim(1), h, config)
+    assert searched == [len(edges)] * 2  # a search is kept only when asked to
+    assert again == kept and again is not kept
+    assert all(a[0] is not b[0] for a, b in zip(again, kept))  # new lists
+    for other in ([state, edges[::-1], h, config], [state, edges[:5], h, config],
+                  [state, edges, CircleMap((0.0, 0.0), 1.0), config],
+                  [state, edges, h, config.replace()],
+                  [TriangulationState(state.complex, state.realization, state.links), edges, h,
+                   config]):
+        del searched[:]
+        find_intersections(*other)
+        assert len(searched) == 1
+    # a kept search replaces the one kept before
+    find_intersections(state, start.complex.by_dim(0), h, config, keep=True)
+    del searched[:]
+    find_intersections(state, edges, h, config)
+    assert len(searched) == 1
 
 
 @pytest.mark.parametrize("first", ["sampling", "clearance"])

@@ -5,7 +5,7 @@ composition, end-to-end behavior and error contracts."""
 import numpy as np
 import pytest
 
-from transtri import bump
+from transtri import bump, perturb
 from transtri import simplicial as sc
 from transtri.charts import StarLocator, TriangulationState, dump_chain_metadata, make_chart
 from transtri.config import PipelineConfig
@@ -211,13 +211,13 @@ class TestLocalDiffeo:
         state = TriangulationState(cplx, real)
         pert = make_pert(state, cplx.by_dim(sdim)[0], eps=0.05)
         seen = []
-        real_jacobian = LocalDiffeo.jacobian
+        real_moves = perturb.fiber_moves
 
-        def jacobian(psi, t, v):
+        def moves(t, v, eps, shift, with_jacobian=False):
             seen.append((t, v))
-            return real_jacobian(psi, t, v)
+            return real_moves(t, v, eps, shift, with_jacobian)
 
-        monkeypatch.setattr(LocalDiffeo, "jacobian", jacobian)
+        monkeypatch.setattr(perturb, "fiber_moves", moves)
         assert build_local_diffeo(pert) is pert
         [(t, v)] = seen
         assert len(v) == rows
