@@ -519,7 +519,9 @@ class StarLocator:
     the open star, and a point outside it either misses them all or lands
     on a carrier without the vertex.  Each star lists its tops in index
     order, as a location keeps its first hit in that order, so a row gets
-    the pairs, solves and first hit of an index over its star alone.
+    the pairs, coordinates and first hit of an index over its star alone:
+    each pair applies its top's barycentric map, which the index computed
+    once.
     """
 
     def __init__(self, index, tol=1e-10):

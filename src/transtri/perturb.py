@@ -204,7 +204,8 @@ def containment_ok(charts, locator, lattice, dirs, cs, sd_data):
     stacked chart matrices, each row with the bits of its chart's
     frame_point, locates each against its own star, and locates against
     the whole complex only those no star top holds, of simplices not
-    failed yet.
+    failed yet; that location only asks whether some top holds a sample,
+    so it reads the rows of first_hits and builds no carrier simplex.
     """
     rho = bump.rho_l(lattice)
     live = rho > 0.0
@@ -228,7 +229,7 @@ def containment_ok(charts, locator, lattice, dirs, cs, sd_data):
         ok[owner[held & ~inside]] = False  # on the complex, outside the star
         lost = np.nonzero(~held & ok[owner])[0]
         if lost.size:
-            on = [s is not None for s in sd_data.carrier(base[lost], locator.tol)]
+            on = sd_data.index.first_hits(base[lost], locator.tol)[0]
             ok[owner[lost[on]]] = False
         verdicts += ok.tolist()
     return verdicts

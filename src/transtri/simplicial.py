@@ -15,7 +15,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .errors import MeshError
-from .rows import lstsq_rows, matvec, row_norms
+from .rows import matvec, row_norms
 
 __all__ = [
     "Simplex",
@@ -30,7 +30,6 @@ __all__ = [
     "carrier_face",
     "carrier_mask",
     "point_locate",
-    "locate_in_simplex",
     "grid_triangulation",
     "write_mesh",
     "read_mesh",
@@ -56,11 +55,19 @@ class Simplex:
     def dim(self):
         return len(self.vertices) - 1
 
+    @classmethod
+    def _trusted(cls, vertices):
+        """A simplex from a strictly increasing tuple of Python ints, taken
+        as is: the checks of __post_init__ are skipped."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "vertices", vertices)
+        return s
+
     def faces(self):
         """All nonempty faces, including the simplex itself."""
         for k in range(1, len(self.vertices) + 1):
             for combo in combinations(self.vertices, k):
-                yield Simplex(combo)
+                yield Simplex._trusted(combo)
 
     def proper_faces(self):
         for k in range(1, len(self.vertices)):
@@ -261,7 +268,7 @@ def barycentric_subdivision(cplx, realization):
     tops = []
     for top in cplx.top_simplices():
         for perm in permutations(top.vertices):
-            flag = [Simplex(tuple(sorted(perm[: k + 1]))) for k in range(len(perm))]
+            flag = [Simplex._trusted(tuple(sorted(perm[: k + 1]))) for k in range(len(perm))]
             tops.append(tuple(sorted(ids[f] for f in flag)))
     sd = build_complex(len(ordered), tops)
     return sd, GeometricRealization(coords, sd), ids
@@ -279,31 +286,10 @@ class PointLocation:
     residual: float
 
 
-def _barycentric_rows(pts, x):
-    """Barycentric coordinates of each row of x, (Q, m), with respect to the
-    simplex whose vertices are the rows of pts[i], (Q, k, m), and the
-    distance of x[i] from that simplex's affine hull; one stacked
-    least-squares solve for all rows."""
-    q, k, _ = pts.shape
-    P = pts.transpose(0, 2, 1)
-    lam = lstsq_rows(np.concatenate([P, np.ones((q, 1, k))], axis=1),
-                     np.concatenate([x, np.ones((q, 1))], axis=1))
-    return lam, row_norms(matvec(P, lam) - x)
-
-
 def _accepted(lam, resid, scale, tol):
     # written as "not rejected" so that NaN coordinates are accepted, as a
     # scalar `if resid > ... or lam.min() < ...: reject` test does
     return ~((resid > tol * scale) | (lam.min(axis=-1) < -tol))
-
-
-def locate_in_simplex(realization, s, x, tol=1e-10):
-    """Barycentric coordinates of x in the closed simplex s, or None."""
-    pts = realization.simplex_points(s)
-    lam, resid = _barycentric_rows(pts[None], np.asarray(x, dtype=float)[None])
-    if not _accepted(lam, resid, max(1.0, float(np.abs(pts).max())), tol)[0]:
-        return None
-    return lam[0], float(resid[0])
 
 
 def carrier_face(s, lam, tol):
@@ -335,8 +321,8 @@ _BLOCK_PAIRS = 1 << 13
 
 
 class _TopIndex:
-    """Bounding boxes, vertex coordinates and residual scales of a set of
-    simplices, for locating many points at once."""
+    """Bounding boxes, vertex coordinates, residual scales and barycentric
+    maps of a set of simplices, for locating many points at once."""
 
     def __init__(self, realization, tops):
         self.tops = tuple(tops)
@@ -346,17 +332,28 @@ class _TopIndex:
         self.scale = np.array([max(1.0, float(np.abs(p).max())) for p in pts])
         self.size = np.array([len(p) for p in pts])
         # _accepted means x = P lam - e, lam_i >= -tol, |e| <= tol scale, and
-        # the least-squares normal equations give sum(lam) - 1 = -p_i . e; so
-        # x is within tol (k ext + scale + scale^2 min |p_i|) of the box.
-        # The pad per unit tol doubles that, for rounding.
+        # lam = M+ (x, 1) is the least-squares solution, whose normal
+        # equations give sum(lam) - 1 = -p_i . e (e = 0 and sum(lam) = 1 for
+        # a top of full dimension); so x is within
+        # tol (k ext + scale + scale^2 min |p_i|) of the box.  The pad per
+        # unit tol doubles that, for rounding: the computed lam is off by
+        # about cond(M) eps, far below tol.
         pmin = np.array([float(np.linalg.norm(p, axis=1).min()) for p in pts])
         self.pad = 2.0 * (self.size[:, None] * (self.hi - self.lo)
                           + (self.scale * (1.0 + self.scale * pmin))[:, None])
-        self.sizes = sorted(set(self.size.tolist()))
         # vertex coordinates, zero rows padding the smaller tops
-        self.pts = np.zeros((len(pts), self.size.max(initial=0), realization.ambient_dim))
+        m = realization.ambient_dim
+        self.pts = np.zeros((len(pts), self.size.max(initial=0), m))
         for i, p in enumerate(pts):
             self.pts[i, :len(p)] = p
+        # barycentric map of each top: the (pseudo-)inverse M+ of its
+        # augmented vertex matrix M = [P; 1], (m + 1, k), zero rows padding
+        # the smaller tops; one stacked call per simplex size
+        self.inv = np.zeros((len(pts), self.pts.shape[1], m + 1))
+        for k in set(self.size.tolist()):
+            j = np.nonzero(self.size == k)[0]
+            self.inv[j, :k] = np.linalg.pinv(np.concatenate(
+                [self.pts[j, :k].transpose(0, 2, 1), np.ones((j.size, 1, k))], axis=1))
 
     def first_hits(self, x, tol, cand=None):
         """Locate the rows of x, (N, m), each in the first top, in top
@@ -371,8 +368,7 @@ class _TopIndex:
         pad, holds the row are tried; the pad covers every point the
         barycentric test accepts.  Rows go in blocks of at most
         _BLOCK_PAIRS candidate pairs plus one row's, which bounds the
-        memory of a location; see _solve for the least-squares calls of a
-        block.
+        memory of a location; _solve tests a block's pairs in one pass.
         """
         x = np.asarray(x, dtype=float)
         pad = tol * self.pad
@@ -403,31 +399,15 @@ class _TopIndex:
 
     def _solve(self, x, ip, it, tol):
         """First accepted pair of each row among the (row, top) pairs ip, it,
-        which come by row, then by top.  Pairs are solved in rounds, one
-        stacked least-squares call per round and simplex size: round r
-        takes the ranks 2^r - 1 .. 2^(r+1) - 2 within their row, of the
-        rows no earlier round accepted, so a row stops soon after its
-        first hit.  Each pair's solve has the bits of a one-pair call, so
-        the first hit is the one solving every pair gives."""
-        lam = np.zeros((ip.size, self.pts.shape[1]))
-        resid = np.zeros(ip.size)
-        ok = np.zeros(ip.size, bool)
-        rank = np.arange(ip.size) - np.searchsorted(ip, ip)
-        held = np.zeros(len(x), bool)
-        start = 0
-        while True:
-            batch = np.nonzero((rank >= start) & (rank <= 2 * start) & ~held[ip])[0]
-            if not batch.size:
-                break
-            for k in self.sizes:
-                sel = batch[self.size[it[batch]] == k]
-                if sel.size:
-                    lam_k, resid[sel] = _barycentric_rows(self.pts[it[sel], :k], x[ip[sel]])
-                    lam[sel, :k] = lam_k
-                    ok[sel] = _accepted(lam_k, resid[sel], self.scale[it[sel]], tol)
-            held[ip[batch[ok[batch]]]] = True
-            start = 2 * start + 1
-        hits = np.nonzero(ok)[0]
+        which come by row, then by top.  Every pair is tested in one pass:
+        its coordinates are its top's barycentric map applied to (x, 1),
+        one stacked matvec, and its residual is the distance of x from the
+        top's affine hull.  Acceptance is decided per pair, so a row's
+        first accepted pair does not depend on the other pairs."""
+        xs = x[ip]
+        lam = matvec(self.inv[it], np.concatenate([xs, np.ones((ip.size, 1))], axis=1))
+        resid = row_norms(matvec(self.pts[it].transpose(0, 2, 1), lam) - xs)
+        hits = np.nonzero(_accepted(lam, resid, self.scale[it], tol))[0]
         first = hits[np.unique(ip[hits], return_index=True)[1]]
         return ip[first], it[first], lam[first], resid[first]
 

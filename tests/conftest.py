@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import locate_in_simplex
 from transtri import simplicial as sc
 from transtri.charts import TriangulationState
 from transtri.config import PipelineConfig
@@ -61,7 +62,7 @@ def small_pipeline():
 def brute_force_locate(cplx, real, x, tol=1e-10):
     """Oracle: scan every simplex for the one whose open interior holds x."""
     for s in sorted(cplx.simplices, key=sc.simplex_sort_key):
-        hit = sc.locate_in_simplex(real, s, x, tol)
+        hit = locate_in_simplex(real, s, x, tol)
         if hit is None:
             continue
         lam, _ = hit

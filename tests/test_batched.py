@@ -16,7 +16,9 @@ guard samples every link of a round at once and must give each link's
 one-link value, and a final verify that takes the last level's search
 from its trial state must give the report of a fresh state.  The
 clearance test locates its samples in base coordinates and must give the
-verdict of pushing them through the chain and pulling them back.
+verdict of pushing them through the chain and pulling them back.  Point
+location applies each top's barycentric map and must give the hits of the
+least-squares solves it replaced, with coordinates within 1e-12.
 """
 
 import itertools
@@ -31,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import lstsq_solve
 from transtri import bump, cli, perturb, verify
 from transtri import simplicial as sc
 from transtri.charts import ChainOps, StarLocator, TriangulationState, fiber_moves, make_chart
@@ -846,6 +849,78 @@ def test_blocked_location_equals_one_block(monkeypatch, name):
     monkeypatch.setattr(sc, "_BLOCK_PAIRS", 3 * len(sd.tops) + 1)
     assert same_hits(sd.index.first_hits(pts, 1e-10), whole)
     assert sd.carrier(pts) == [ref_carrier(sd.realization, sd.tops, p, 1e-10) for p in pts]
+
+
+def _near_faces(sd, tol):
+    """Points 0.9 tol and 1.1 tol off a face of each top, on both sides,
+    and the vertex opposite that face: the thresholds of the acceptance
+    test (-tol) and of the carrier (tol)."""
+    pts, vertex = [], []
+    for j, top in enumerate(sd.tops):
+        corners = sd.realization.simplex_points(top)
+        i = RNG.integers(len(corners))
+        for off in (-1.1, -0.9, 0.9, 1.1):
+            lam = RNG.dirichlet(np.ones(len(corners)))
+            lam[i] = 0.0
+            lam *= (1.0 - off * tol) / lam.sum()
+            lam[i] = off * tol
+            pts.append(lam @ corners)
+            vertex.append(top.vertices[i])
+    return np.array(pts), np.array(vertex)
+
+
+@pytest.mark.parametrize("name", ["scenario_a", "scenario_b"])
+def test_affine_location_equals_the_least_squares_oracle(monkeypatch, name):
+    # random points, the fiber samples of every containment_ok round of a
+    # run at seed 1 (located by the oracle, so the samples do not depend on
+    # the kernel under test), and points near the faces of every top; the
+    # samples no star top holds are those containment_ok locates in the
+    # whole complex
+    state, h, config = _verify_only_case(name)
+    tol = config.barycentric_tol
+    spied, seen = StarLocator.contains_base_point, []
+
+    def spy(self, p, vertex):
+        seen.append((p, np.broadcast_to(vertex, (len(p),))))
+        return spied(self, p, vertex)
+
+    with monkeypatch.context() as m:
+        m.setattr(StarLocator, "contains_base_point", spy)
+        m.setattr(sc._TopIndex, "_solve", lstsq_solve)
+        perturb.make_transverse(state.complex, state.realization, h, config.replace(seed=1))
+    sd = subdivision_data(state)
+    locator = StarLocator(sd.index, tol)
+    lo, hi = state.bbox()
+    random = RNG.uniform(lo, hi, size=(100, state.ambient_dim))
+    near, near_vertex = _near_faces(sd, tol)
+    samples, vertex = (np.concatenate(parts) for parts in zip(*seen))
+    lost = samples[~locator.contains_base_point(samples, vertex)[1]]
+
+    def locate(pts, vertex, whole):
+        stars = locator.contains_base_point(pts, vertex)
+        return stars, (sd.index.first_hits(whole, tol), sd.index.carriers(whole, tol))
+
+    cases = [(random, np.resize(sorted(sd.barycenter_ids.values()), len(random)), random),
+             (samples, vertex, lost), (near, near_vertex, near)]
+    got = [locate(*case) for case in cases]
+    with monkeypatch.context() as m:
+        m.setattr(sc._TopIndex, "_solve", lstsq_solve)
+        want = [locate(*case) for case in cases]
+    for (stars, (hits, carriers)), (stars_w, (hits_w, carriers_w)) in zip(got, want):
+        assert [a.tolist() for a in stars] == [a.tolist() for a in stars_w]
+        assert hits[0].tolist() == hits_w[0].tolist() and hits[1].tolist() == hits_w[1].tolist()
+        for a, b in zip(hits[2:], hits_w[2:]):
+            assert a.shape == b.shape and np.abs(a - b).max(initial=0.0) <= 1e-12
+        assert carriers == carriers_w
+    # every set locates points; the near-face points reach the carrier's
+    # threshold (faces and tops among the carriers) and the acceptance
+    # test's: every point 0.9 tol outside a face is held, and some 1.1 tol
+    # outside a boundary face are not
+    assert all(g[1][0][0].size for g in got)
+    dims = {c.dim for c in got[2][1][1] if c is not None}
+    assert {state.ambient_dim - 1, state.ambient_dim} <= dims
+    held = set(got[2][1][0][0].tolist())
+    assert set(range(1, len(near), 4)) <= held and not set(range(0, len(near), 4)) <= held
 
 
 def chart_eval_jac(state, chart, t, v):

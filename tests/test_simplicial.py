@@ -3,6 +3,7 @@
 Counting oracles are hand enumerations; point location is checked against
 a brute-force scan over every simplex."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_locate
+from oracles import locate_in_simplex
 from transtri import simplicial as sc
 from transtri.errors import MeshError
 
@@ -43,6 +45,8 @@ class TestBuildComplex:
     def test_repeated_vertex_inside_simplex(self):
         with pytest.raises(MeshError, match="repeated"):
             sc.build_complex(3, [(0, 1, 1)])
+        with pytest.raises(MeshError, match="strictly increasing"):
+            sc.Simplex((2, 1))
 
     @given(st.sets(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)),
                    min_size=1, max_size=6))
@@ -50,10 +54,19 @@ class TestBuildComplex:
         tops = [t for t in tops if len(set(t)) == 3]
         if not tops:
             return
-        cplx = sc.build_complex(8, [tuple(sorted(set(t))) for t in {tuple(sorted(t)) for t in tops}])
+        tops = [np.array(sorted(set(t)), dtype=np.int64) for t in {tuple(sorted(t)) for t in tops}]
+        cplx = sc.build_complex(8, tops)
         for s in cplx.simplices:
             for f in s.proper_faces():
                 assert f in cplx.simplices
+        # faces skip the checks of a Simplex, yet equal the checked ones
+        for t in tops:
+            faces = list(sc.Simplex(tuple(t)).faces())
+            want = [sc.Simplex(c) for k in range(1, 4) for c in itertools.combinations(t, k)]
+            assert faces == want and list(map(hash, faces)) == list(map(hash, want))
+            order = range(len(faces))
+            assert sorted(order, key=faces.__getitem__) == sorted(order, key=want.__getitem__)
+            assert all(type(v) is int for f in faces for v in f.vertices)
 
 
 class TestSkeleton:
@@ -135,7 +148,7 @@ class TestSubdivision:
         assert len(tops) == math.factorial(l + 1)
         assert all(s.dim == l for s in tops)
 
-    def test_single_2_simplex_counts(self):
+    def test_single_2_simplex_counts(self, monkeypatch):
         cplx = sc.build_complex(3, [(0, 1, 2)])
         real = sc.GeometricRealization(
             {0: np.array([0.0, 0.0]), 1: np.array([1.0, 0.0]), 2: np.array([0.0, 1.0])}, cplx)
@@ -143,6 +156,16 @@ class TestSubdivision:
         assert len(sd.by_dim(0)) == 7
         assert len(sd.by_dim(2)) == 6
         assert len(ids) == 7
+        # faces and flags skip the checks of a Simplex; checking them gives
+        # the same subdivision, here and on the grids of scenarios A and B
+        grids = [(cplx, real), sc.grid_triangulation((-2, -2), (2, 2), 4),
+                 sc.grid_triangulation((-1, -1, -1), (1, 1, 1), 2)]
+        got = [sc.barycentric_subdivision(*grid) for grid in grids]
+        monkeypatch.setattr(sc.Simplex, "_trusted", classmethod(lambda cls, vs: cls(vs)))
+        for (sd, _, ids), grid in zip(got, grids):
+            sd_checked, _, ids_checked = sc.barycentric_subdivision(*grid)
+            assert sd.simplices == sd_checked.simplices and ids == ids_checked
+            assert sd.top_simplices() == sd_checked.top_simplices()
 
     def test_single_edge_counts(self):
         cplx = sc.build_complex(2, [(0, 1)])
@@ -246,7 +269,7 @@ class TestPointLocate:
         xs = np.array(xs)
         rows, top, _, _ = index.first_hits(xs, tol)
         want = [next((j for j, s in enumerate(order)
-                      if sc.locate_in_simplex(real, s, x, tol) is not None), None) for x in xs]
+                      if locate_in_simplex(real, s, x, tol) is not None), None) for x in xs]
         got = [None] * len(xs)
         for i, j in zip(rows.tolist(), top.tolist()):
             got[i] = j
@@ -333,7 +356,7 @@ class TestGrid:
             lam /= lam.sum()
             x = lam @ real.simplex_points(s)
             owners = [t for t in tris
-                      if (h := sc.locate_in_simplex(real, t, x)) is not None
+                      if (h := locate_in_simplex(real, t, x)) is not None
                       and np.all(h[0] > 1e-9)]
             assert owners == [s]
 
