@@ -22,17 +22,16 @@ composition telescopes:
 so evaluation never needs to invert earlier chain entries, and the
 simplex deformed along a chart is eta(frame point) for the state the
 chart was made from.  ChainOps evaluates one same-level run of links at a
-time, from stacked link data.  A cell index of the run's boxes gives one
-hit list per call, every (row, link) whose box holds the row; the forward
-map takes it in rounds of one fiber_moves call each (a row's hits after
-its first moving one are re-tested at the moved point in the next round),
-skipping hits the fade radius cannot reach, and an in-box hit the link
-leaves fixed takes the link's cached Jacobian M I M^-1.  The inverse
+time, from stacked link data.  A _BoxCells index of the run's boxes gives
+one hit list per call, every (row, link) whose box holds the row; the
+forward map takes it in rounds of one fiber_moves call each (a row's hits
+after its first moving one are re-tested at the moved point in the next
+round), skipping hits the fade radius cannot reach, and an in-box hit the
+link leaves fixed takes the link's cached Jacobian M I M^-1.  The inverse
 unwinds the same list oldest link first through fiber_preimages.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -42,7 +41,7 @@ import numpy as np
 from . import bump
 from .errors import MeshError, NewtonDivergenceError
 from .rows import matvec, row_norms
-from .simplicial import Simplex, carrier_mask
+from .simplicial import Simplex, _BoxCells, carrier_mask
 
 __all__ = [
     "TubularChart",
@@ -171,9 +170,9 @@ class _Run:
     """A same-level run of chain links as stacked arrays: support boxes,
     frames b, A, N, M = [A | N], M^-1 and P = M I M^-1 (the Jacobian of an
     in-box hit that the link leaves fixed; P != I in floating point),
-    epsilon and shift v, and a cell index of the boxes.  reach, the
-    barycentre value of rho_l, is read from bump.rho_l when the run is
-    built."""
+    epsilon and shift v, and a cell index of the boxes in reverse order, so
+    that a row's boxes come newest link first.  reach, the barycentre value
+    of rho_l, is read from bump.rho_l when the run is built."""
 
     def __init__(self, links):
         self.links, self.l = links, links[0].level
@@ -187,32 +186,7 @@ class _Run:
             for a in ("base", "tangent", "normal", "_M", "_Minv"))
         m = self.M.shape[1]
         self.P = self.M @ np.tile(np.eye(m), (len(links), 1, 1)) @ self.Minv
-        # cells of the mean box extent per axis from the lowest box corner,
-        # held by key; a run far wider than its boxes takes larger cells, so
-        # that keys stay below 2^62
-        self.origin = self.lo.min(axis=0)
-        span = self.hi.max(axis=0) - self.origin
-        self.size = np.maximum((self.hi - self.lo).mean(axis=0), span / 2.0 ** (62 // m))
-        self.shape = (span / self.size).astype(int) + 1
-        self.stride = np.array([math.prod(self.shape[a + 1:].tolist()) for a in range(m)])
-        # _grid is monotone, so a point in a box has a cell between the cells
-        # of the box's corners
-        first = self._grid(self.lo).astype(int)
-        n = self._grid(self.hi).astype(int) - first + 1
-        count = n.prod(axis=1)
-        link = np.repeat(np.arange(len(links)), count)
-        k = np.arange(link.size) - np.repeat(np.cumsum(count) - count, count)
-        key = np.zeros(link.size, int)
-        for a in range(m - 1, -1, -1):  # k counts through its link's block of cells
-            key += (first[link, a] + k % n[link, a]) * self.stride[a]
-            k //= n[link, a]
-        order = np.lexsort((-link, key))  # a cell lists its links newest first
-        self.keys, start = np.unique(key[order], return_index=True)
-        self.start, self.cell_links = np.concatenate([start, [key.size]]), link[order]
-
-    def _grid(self, x):
-        """Grid coordinates of the rows of x; a cell is their integer part."""
-        return (x - self.origin) / self.size
+        self.cells = _BoxCells(self.lo[::-1], self.hi[::-1])  # box k is link n - 1 - k
 
     def _inside(self, x, j):
         """Whether row i of x lies in the closed box of link j[i]."""
@@ -220,20 +194,9 @@ class _Run:
 
     def hits(self, X):
         """Box hits of the rows of X as (rows, links, rank): rows ascending,
-        each row's links newest first, and rank a hit's place in its row.
-        A row's cell lists every link whose box can hold it; NaN and
-        infinite rows fall outside the grid."""
-        c = self._grid(X)
-        rows = np.nonzero(np.all((c >= 0.0) & (c < self.shape), axis=1))[0]
-        key = c[rows].astype(int) @ self.stride
-        at = np.minimum(np.searchsorted(self.keys, key), self.keys.size - 1)
-        found = self.keys[at] == key
-        rows, at = rows[found], at[found]
-        start, n = self.start[at], self.start[at + 1] - self.start[at]
-        rows = np.repeat(rows, n)
-        links = self.cell_links[np.arange(rows.size) + np.repeat(start - np.cumsum(n) + n, n)]
-        inside = self._inside(X[rows], links)
-        rows, links = rows[inside], links[inside]
+        each row's links newest first, and rank a hit's place in its row."""
+        rows, boxes = self.cells.hits(X)
+        links = len(self.links) - 1 - boxes
         return rows, links, np.arange(rows.size) - np.searchsorted(rows, rows)
 
     def _frame(self, x, j):
@@ -305,20 +268,20 @@ class ChainOps:
 
     Points are rows of an (N, m) array; a single (m,) point is the N = 1
     case.  The chain is split into contiguous same-level runs of stacked
-    link data (_Run), newest run first.  A run's cell index gives one hit
-    list: every (row, link) whose box holds the row, each row's links
-    newest first (supports within a run are disjoint, boxes near a shared
-    face are not).  The run is evaluated in rounds, each one frame
-    transform and one fiber_moves call over the pending hits; a hit off
-    the open simplex or beyond the largest fade radius skips the fiber
-    map.  A row's hits up to its first moving one are final, and the rest
-    re-test their box at the moved point in the next round.  A final hit's
-    Jacobian is I (it left its box), the link's cached P (an in-box hit the
-    link leaves fixed) or M J_loc M^-1, multiplied into J rank by rank in
-    chain order.  The inverse takes the same hit list, oldest link first,
-    one rank at a time.  Masks are refreshed between runs, as earlier links
-    can move points by more than later slab widths.  Each row has the bits
-    of the link-by-link evaluation.
+    link data (_Run), newest run first.  A run's cell index, the one point
+    location uses, gives one hit list: every (row, link) whose box holds
+    the row, each row's links newest first (supports within a run are
+    disjoint, boxes near a shared face are not).  The run is evaluated in
+    rounds, each one frame transform and one fiber_moves call over the
+    pending hits; a hit off the open simplex or beyond the largest fade
+    radius skips the fiber map.  A row's hits up to its first moving one are
+    final, and the rest re-test their box at the moved point in the next
+    round.  A final hit's Jacobian is I (it left its box), the link's cached
+    P (an in-box hit the link leaves fixed) or M J_loc M^-1, multiplied
+    into J rank by rank in chain order.  The inverse takes the same hit
+    list, oldest link first, one rank at a time.  Masks are refreshed
+    between runs, as earlier links can move points by more than later slab
+    widths.  Each row has the bits of the link-by-link evaluation.
     """
 
     def __init__(self, links):

@@ -9,6 +9,7 @@ import/export.
 All types are immutable after construction and safe for concurrent reads.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
@@ -68,14 +69,6 @@ class Simplex:
         for k in range(1, len(self.vertices) + 1):
             for combo in combinations(self.vertices, k):
                 yield Simplex._trusted(combo)
-
-    def proper_faces(self):
-        for k in range(1, len(self.vertices)):
-            for combo in combinations(self.vertices, k):
-                yield Simplex(combo)
-
-    def has_face(self, other):
-        return set(other.vertices) <= set(self.vertices)
 
 
 def simplex_sort_key(s):
@@ -315,6 +308,62 @@ def carrier_mask(lam, tol):
     return keep
 
 
+class _BoxCells:
+    """A cell index of the closed boxes lo[k]..hi[k], (K, m).  Cells are the
+    mean box extent per axis, from the lowest box corner, or larger where
+    boxes spread so far that keys would pass 2^62; an axis along which
+    every box is flat takes one cell.  A cell lists the boxes that meet it
+    in ascending order."""
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+        m = lo.shape[1]
+        self.origin = lo.min(axis=0)
+        span = hi.max(axis=0) - self.origin
+        size = np.maximum((hi - lo).mean(axis=0), span / 2.0 ** (62 // m))
+        self.size = np.where(size > 0.0, size, 1.0)
+        self.shape = (span / self.size).astype(int) + 1
+        self.stride = np.array([math.prod(self.shape[a + 1:].tolist()) for a in range(m)])
+        # (x - origin) / size is monotone, so a point in a box has a cell
+        # between the cells of the box's corners
+        first = ((lo - self.origin) / self.size).astype(int)
+        n = ((hi - self.origin) / self.size).astype(int) - first + 1
+        count = n.prod(axis=1)
+        box, k = _expand(np.arange(count.max()), np.arange(len(lo)), np.zeros_like(count), count)
+        key = np.zeros(box.size, int)
+        for a in range(m - 1, -1, -1):  # k counts through its box's block of cells
+            key += (first[box, a] + k % n[box, a]) * self.stride[a]
+            k //= n[box, a]
+        order = np.lexsort((box, key))
+        self.keys, start = np.unique(key[order], return_index=True)
+        self.start, self.boxes = np.concatenate([start, [key.size]]), box[order]
+
+    def lookup(self, X):
+        """The cells of the rows of X, (N, m), as (rows, start, n): the rows
+        whose cell lists boxes, ascending, and where that list starts in
+        self.boxes and its length.  NaN and infinite rows are off the grid."""
+        c = (X - self.origin) / self.size
+        rows = np.nonzero(np.all((c >= 0.0) & (c < self.shape), axis=1))[0]
+        key = c[rows].astype(int) @ self.stride
+        at = np.minimum(np.searchsorted(self.keys, key), self.keys.size - 1)
+        found = self.keys[at] == key
+        rows, at = rows[found], at[found]
+        return rows, self.start[at], self.start[at + 1] - self.start[at]
+
+    def hits(self, X):
+        """Every (row, box) whose closed box holds the row of X, (N, m), as
+        (rows, boxes): rows ascending, each row's boxes ascending.  The exact
+        box test decides among the boxes of a row's cell."""
+        rows, boxes = _expand(self.boxes, *self.lookup(X))
+        inside = np.all((X[rows] >= self.lo[boxes]) & (X[rows] <= self.hi[boxes]), axis=1)
+        return rows[inside], boxes[inside]
+
+
+def _expand(lists, rows, start, n):
+    """The pairs (rows[i], lists[start[i] + j]) for j < n[i], by row."""
+    return np.repeat(rows, n), lists[np.arange(n.sum()) + np.repeat(start - np.cumsum(n) + n, n)]
+
+
 # candidate (row, top) pairs per block of a location: bounds its temporaries
 # to a few hundred kB
 _BLOCK_PAIRS = 1 << 13
@@ -354,6 +403,7 @@ class _TopIndex:
             j = np.nonzero(self.size == k)[0]
             self.inv[j, :k] = np.linalg.pinv(np.concatenate(
                 [self.pts[j, :k].transpose(0, 2, 1), np.ones((j.size, 1, k))], axis=1))
+        self.cells = {}  # tol -> _BoxCells of the padded boxes: a memo, built on first use
 
     def first_hits(self, x, tol, cand=None):
         """Locate the rows of x, (N, m), each in the first top, in top
@@ -361,40 +411,30 @@ class _TopIndex:
 
         Returns, for every row some top holds: the row, the top, the
         barycentric coordinates there (zero-padded to the largest top) and
-        the distance from the top's affine hull.  cand = (table, which)
-        restricts row i to the tops table[which[i]], listed in top order
-        and padded with -1; without it every top is a candidate.  Only
-        candidates whose bounding box, padded by tol times the top's own
-        pad, holds the row are tried; the pad covers every point the
-        barycentric test accepts.  Rows go in blocks of at most
-        _BLOCK_PAIRS candidate pairs plus one row's, which bounds the
-        memory of a location; _solve tests a block's pairs in one pass.
+        the distance from the top's affine hull.  The candidates of row i
+        are the tops table[which[i]], padded with -1, for cand = (table,
+        which), and else those its cell lists in the cell index of the
+        padded boxes.  A candidate is tried if its box, padded by tol times
+        the top's own pad, holds the row; the pad covers every point the
+        barycentric test accepts.  Rows go in blocks of at most _BLOCK_PAIRS
+        candidates plus one row's, which bounds the memory of a location;
+        _solve tests a block's pairs in one pass.
         """
         x = np.asarray(x, dtype=float)
-        pad = tol * self.pad
-        lo, hi = self.lo - pad, self.hi + pad
+        lo, hi = self.lo - tol * self.pad, self.hi + tol * self.pad
         if cand is None:
-            # no padded box holds a row outside their union
-            live = np.nonzero(np.all((x >= lo.min(axis=0, initial=np.inf))
-                                     & (x <= hi.max(axis=0, initial=-np.inf)), axis=1))[0]
-            count = np.full(live.size, len(self.tops))
+            cells = self.cells.get(tol) or self.cells.setdefault(tol, _BoxCells(lo, hi))
+            lists, (rows, start, n) = cells.boxes, cells.lookup(x)
         else:
-            live = np.arange(len(x))
-            count = (cand[0] >= 0).sum(axis=1)[cand[1]]
-        blocks = []
-        for rb in np.split(live, np.flatnonzero(np.diff(np.cumsum(count) // _BLOCK_PAIRS)) + 1):
-            xb = x[rb]
-            if cand is None:
-                ip, it = np.nonzero(np.all((xb[:, None, :] >= lo) & (xb[:, None, :] <= hi), axis=2))
-            else:
-                # a star lists its tops first, its -1 padding after them
-                tops = cand[0][cand[1][rb], :count[rb].max(initial=0)]
-                ip, col = np.nonzero(tops >= 0)
-                it = tops[ip, col]
-                near = np.all((xb[ip] >= lo[it]) & (xb[ip] <= hi[it]), axis=1)
-                ip, it = ip[near], it[near]
-            rows, top, lam, resid = self._solve(xb, ip, it, tol)  # pairs by row, then by top
-            blocks.append((rb[rows], top, lam, resid))
+            # a star lists its tops first, its -1 padding after them
+            table, which = cand
+            lists, rows = table.ravel(), np.arange(len(x))
+            start, n = which * table.shape[1], (table >= 0).sum(axis=1)[which]
+        blocks, cut = [], np.flatnonzero(np.diff(np.cumsum(n) // _BLOCK_PAIRS)) + 1
+        for rb in np.split(np.arange(rows.size), cut):
+            ip, it = _expand(lists, rows[rb], start[rb], n[rb])
+            near = np.all((x[ip] >= lo[it]) & (x[ip] <= hi[it]), axis=1)
+            blocks.append(self._solve(x, ip[near], it[near], tol))
         return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
     def _solve(self, x, ip, it, tol):

@@ -1,6 +1,8 @@
-"""Least-squares point location, kept as the oracle of the affine kernel
-in simplicial._TopIndex: every barycentric coordinate comes from one
-least-squares solve of the augmented vertex system [P; 1] lam = (x, 1)."""
+"""Oracles of the location kernels in simplicial: least-squares point
+location for the affine kernel of _TopIndex, where every barycentric
+coordinate comes from one least-squares solve of the augmented vertex
+system [P; 1] lam = (x, 1), and the dense box test for the cell index
+_BoxCells."""
 
 import numpy as np
 
@@ -43,3 +45,10 @@ def lstsq_solve(index, x, ip, it, tol):
     hits = np.nonzero(ok)[0]
     first = hits[np.unique(ip[hits], return_index=True)[1]]
     return ip[first], it[first], lam[first], resid[first]
+
+
+def dense_box_pairs(lo, hi, x):
+    """Every (row, box) whose closed box lo[k]..hi[k], (K, m), holds the row
+    of x, (N, m), by testing each row against each box: (rows, boxes), rows
+    ascending, each row's boxes ascending."""
+    return np.nonzero(np.all((x[:, None, :] >= lo) & (x[:, None, :] <= hi), axis=2))

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lstsq_solve
+from oracles import dense_box_pairs, lstsq_solve
 from transtri import bump, cli, perturb, verify
 from transtri import simplicial as sc
 from transtri.charts import ChainOps, StarLocator, TriangulationState, fiber_moves, make_chart
@@ -644,10 +644,8 @@ def ref_hits(run, X):
     box of a run: (rows, links, rank), each row's links newest first."""
     lo = np.array([lk.support_lo for lk in run.links])
     hi = np.array([lk.support_hi for lk in run.links])
-    order = np.arange(len(run.links))[::-1]
-    hit = np.all((X[:, None, :] >= lo) & (X[:, None, :] <= hi), axis=2)[:, order]
-    rows, cols = np.nonzero(hit)
-    return rows, order[cols], np.arange(rows.size) - np.searchsorted(rows, rows)
+    rows, boxes = dense_box_pairs(lo[::-1], hi[::-1], X)
+    return rows, len(run.links) - 1 - boxes, np.arange(rows.size) - np.searchsorted(rows, rows)
 
 
 def _final_verify_rows(monkeypatch, run):
@@ -667,11 +665,10 @@ def _final_verify_rows(monkeypatch, run):
     return np.concatenate(rows)
 
 
-def _off_grid(links):
-    """Rows just outside the cell grid of a run's boxes, one per axis and
-    side, far away, and holding NaN or an infinity."""
-    lo = np.min([lk.support_lo for lk in links], axis=0)
-    hi = np.max([lk.support_hi for lk in links], axis=0)
+def _off_grid(lo, hi):
+    """Rows just outside the cell grid of the boxes lo[k]..hi[k], one per
+    axis and side, far away, and holding NaN or an infinity."""
+    lo, hi = lo.min(axis=0), hi.max(axis=0)
     out = []
     for a in range(lo.size):
         for value in (np.nextafter(lo[a], -np.inf), np.nextafter(hi[a], np.inf),
@@ -707,7 +704,7 @@ def test_box_hits_equal_the_dense_box_test(monkeypatch, scenario_a_run, chain):
         pts = np.concatenate([rng.uniform(lk.support_lo, lk.support_hi, size=(50, 2)) for lk in links])
     pts = np.concatenate([pts, _on_box_faces(links, rng=rng)])
     for run in ChainOps(links).runs:
-        off = _off_grid(run.links)
+        off = _off_grid(run.lo, run.hi)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no cast of an off-grid row to a cell
             got = run.hits(np.concatenate([pts, off]))
@@ -716,6 +713,51 @@ def test_box_hits_equal_the_dense_box_test(monkeypatch, scenario_a_run, chain):
         assert got[0].max() < len(pts)  # no row off the grid has a hit
     if chain == "scenario_a":
         assert got[2].max() >= 7  # the level-1 run, last, has rows with 8 hits
+
+
+def _flat_index():
+    """The location index of two triangles in the plane z = 0.5 of R^3: at
+    tol = 0 their boxes have zero extent along z."""
+    coords = {0: [0.0, 0.0], 1: [1.0, 0.0], 2: [1.0, 1.0], 3: [0.0, 1.0]}
+    cplx = sc.build_complex(4, [(0, 1, 2), (0, 2, 3)])
+    real = sc.GeometricRealization({v: np.array(p + [0.5]) for v, p in coords.items()}, cplx)
+    return sc._TopIndex(real, sorted(cplx.top_simplices(), key=sc.simplex_sort_key))
+
+
+@pytest.mark.parametrize("boxes", ["random_2d", "random_3d", "single", "flat"])
+def test_box_cells_equal_the_dense_box_pairs(boxes):
+    # random rows, rows on box faces and at box corners, where the box test
+    # is decided by equality, and rows off the grid, NaN or infinite
+    rng = np.random.default_rng(21)
+    if boxes == "flat":
+        index = _flat_index()
+        lo, hi = index.lo, index.hi
+    else:
+        m, k = (2, 40) if boxes == "random_2d" else (3, 40 if boxes == "random_3d" else 1)
+        lo = rng.uniform(-1.0, 1.0, size=(k, m))
+        hi = lo + rng.uniform(0.0, 0.4, size=(k, m))
+    m = lo.shape[1]
+    pick = rng.integers(len(lo), size=300)
+    corner = rng.random((300, m)) < 0.5
+    face = corner & (np.arange(m) == rng.integers(m, size=(300, 1)))
+    inner, off = rng.uniform(lo[pick], hi[pick]), _off_grid(lo, hi)
+    pts = np.concatenate([
+        rng.uniform(lo.min(axis=0) - 0.1, hi.max(axis=0) + 0.1, size=(300, m)), inner,
+        np.where(face, lo[pick], inner), np.where(face, hi[pick], inner),
+        np.where(corner, lo[pick], hi[pick]), off])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no divide by a zero cell size, no cast of NaN
+        got = sc._BoxCells(lo, hi).hits(pts)
+        if boxes == "flat":
+            hits = index.first_hits(pts, 0.0)
+            carriers = index.carriers(pts, 0.0)
+    want = dense_box_pairs(lo, hi, pts)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert got[0].max() < len(pts) - len(off) and len(np.unique(got[0])) > 900
+    if boxes == "flat":
+        # whole-complex location solves the dense pairs
+        assert same_hits(hits, index._solve(pts, *want, 0.0))
+        assert carriers == [None] * len(pts)
 
 
 @pytest.mark.parametrize("fade", ["paper", "wide"])
@@ -871,7 +913,8 @@ def _near_faces(sd, tol):
 
 @pytest.mark.parametrize("name", ["scenario_a", "scenario_b"])
 def test_affine_location_equals_the_least_squares_oracle(monkeypatch, name):
-    # random points, the fiber samples of every containment_ok round of a
+    # random points with rows off the grid of the padded top boxes (NaN,
+    # infinite or far), the fiber samples of every containment_ok round of a
     # run at seed 1 (located by the oracle, so the samples do not depend on
     # the kernel under test), and points near the faces of every top; the
     # samples no star top holds are those containment_ok locates in the
@@ -891,7 +934,9 @@ def test_affine_location_equals_the_least_squares_oracle(monkeypatch, name):
     sd = subdivision_data(state)
     locator = StarLocator(sd.index, tol)
     lo, hi = state.bbox()
-    random = RNG.uniform(lo, hi, size=(100, state.ambient_dim))
+    random = np.concatenate([RNG.uniform(lo, hi, size=(100, state.ambient_dim)),
+                             _off_grid(sd.index.lo - tol * sd.index.pad,
+                                       sd.index.hi + tol * sd.index.pad)])
     near, near_vertex = _near_faces(sd, tol)
     samples, vertex = (np.concatenate(parts) for parts in zip(*seen))
     lost = samples[~locator.contains_base_point(samples, vertex)[1]]
@@ -917,6 +962,7 @@ def test_affine_location_equals_the_least_squares_oracle(monkeypatch, name):
     # test's: every point 0.9 tol outside a face is held, and some 1.1 tol
     # outside a boundary face are not
     assert all(g[1][0][0].size for g in got)
+    assert got[0][1][0][0].max() < 100 and not any(got[0][0][1][100:])
     dims = {c.dim for c in got[2][1][1] if c is not None}
     assert {state.ambient_dim - 1, state.ambient_dim} <= dims
     held = set(got[2][1][0][0].tolist())

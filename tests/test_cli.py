@@ -387,3 +387,14 @@ class TestTruncatedMesh:
         assert main(["verify-only", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("scenario error: malformed mesh file") and where in err
+
+
+@pytest.mark.xfail(strict=True, reason="run aborts at level 1 on edge (21, 42), which the line "
+                                       "crosses at its midpoint: 64 candidates rejected")
+def test_scenario_b_at_resolution_3_runs(tmp_path):
+    with open(scen("scenario_b.cfg")) as fh:
+        text = fh.read()
+    assert text.count("resolution = 2\n") == 1
+    cfg = tmp_path / "scenario_b.cfg"
+    cfg.write_text(text.replace("resolution = 2\n", "resolution = 3\n"))
+    assert run(load_scenario(cfg), out_dir=str(tmp_path / "out")) == 0
