@@ -30,6 +30,25 @@ On top of these the module provides:
 All branch functions return exact zeros on their flat branches, so the
 vanishing of derivatives at the glue locus holds identically in floating
 point, and near-boundary underflow produces a clean 0.0 rather than NaN.
+
+The chain's Jacobians need several of these forms at the same point, and
+each transcendental is taken once:
+
+* ``rho_l_grad`` takes rho' of each factor from the factor's exp: where
+  1/r <= _LOG_SAFE_U, rho_deriv(r, 1) is exp(-1/r) * P_1(1/r) with
+  P_1(u) = u * u, so g * (u * u) has its bits;
+* ``beta_and_deriv`` takes beta and beta' from one pair of exps,
+  rho(1 - r) and rho(r - 1/2), on the rows with 1/2 < r < 1 only.  Off
+  that band the blend is exactly 1.0 or 0.0 and beta' exactly 0.0, so
+  the flat branches are written out;
+* ``scaled_warps`` gives several powers from one log of rho.  The
+  exponent -1/rho - k log(rho) is formed as before, and power 0 takes no
+  log: 0 * log(rho) is +-0 (NaN at rho = inf, as 0 * rho is there), which
+  leaves -1/rho unchanged.
+
+Every value keeps the bits of the form that takes its own exps, as the
+operations on each entry are the same ones; tests/oracles.py keeps those
+forms, and the tests compare against them.
 """
 
 import math
@@ -48,8 +67,10 @@ __all__ = [
     "rho_l_hess",
     "beta",
     "beta_deriv",
+    "beta_and_deriv",
     "c_beta",
     "scaled_warp",
+    "scaled_warps",
 ]
 
 RHO_DERIV_MAX = 4
@@ -102,6 +123,23 @@ def rho_deriv(r, k):
     return out[()]
 
 
+@np.errstate(all="ignore")
+def _rho_d1(r, g):
+    """rho'(r) from g = rho(r), bitwise as rho_deriv(r, 1); entrywise.  Where
+    1/r <= _LOG_SAFE_U that is g * (1/r)**2, the exp of rho_deriv times its
+    P_1(1/r) = u * u, so no exp is taken; beyond, the log-domain branch
+    takes its own exp and log."""
+    u = 1.0 / r
+    uu = u * u
+    out = np.zeros(r.shape)
+    small = (r > 0.0) & (u <= _LOG_SAFE_U)
+    out[small] = g[small] * uu[small]
+    big = (u > _LOG_SAFE_U) & (uu < np.inf)  # 1/r = inf: rho_deriv's NaN poly
+    if big.any():
+        out[big] = entrywise(math.exp, -u[big] + entrywise(math.log, uu[big]))
+    return out
+
+
 def _factor_args(t):
     # Arguments of the rho factors of rho_l, last axis: factor 0 is
     # rho(1 - sum t), factor a >= 1 is rho(t_a).
@@ -126,13 +164,14 @@ def rho_l(t):
 
 def rho_l_grad(t):
     """Gradient of rho_l over the last axis of t, exact zeros outside the
-    open simplex."""
+    open simplex; each factor's rho' comes from its rho (see _rho_d1)."""
     t = np.asarray(t, float)
     l = t.shape[-1]
     if l == 0:
         return np.zeros(t.shape)
     args = _factor_args(t)
-    g, g1 = rho(args), rho_deriv(args, 1)
+    g = rho(args)
+    g1 = _rho_d1(args, g)
     grad = np.empty(t.shape)
     for j in range(l):
         # d/dt_j hits factor 0 with a sign flip, and factor j+1 directly.
@@ -192,27 +231,51 @@ def rho_l_hess(t):
     return hess
 
 
+def _blend_terms(r):
+    """r as an array, its rows in the open band 1/2 < r < 1, and rho(1 - r)
+    and rho(r - 1/2) on them: the one pair of exps of beta and beta'."""
+    r = np.asarray(r, float)
+    band = (r > 0.5) & (r < 1.0)
+    x = r[band]
+    return r, band, x, rho(1.0 - x), rho(x - 0.5)
+
+
+def _beta(r, band, a, b):
+    # off the band the blend gives exactly 1.0 (r <= 1/2) or 0.0 (r >= 1),
+    # and NaN at NaN, as 0 / 0
+    out = np.where(r <= 0.5, 1.0, 0.0)
+    out[np.isnan(r)] = np.nan
+    out[band] = a / (a + b)
+    return out[()]
+
+
 @np.errstate(all="ignore")
 def beta(r):
-    """Smooth step: 1 for r <= 1/2, 0 for r >= 1, rho-ratio blend between;
-    entrywise.
+    """Smooth step: 1 for r <= 1/2, 0 for r >= 1, rho-ratio blend
+    rho(1 - r) / (rho(1 - r) + rho(r - 1/2)) between; entrywise.
 
     rho(r - 1/2) vanishes for r <= 1/2 and rho(1 - r) for r >= 1, so the
-    blend formula itself gives exactly 1.0 and 0.0 on the flat branches.
+    blend is exactly 1.0 and 0.0 on the flat branches; they are written
+    out, and only the rows between take exps.
     """
-    r = np.asarray(r, float)
-    a = rho(1.0 - r)
-    return a / (a + rho(r - 0.5))
+    r, band, _, a, b = _blend_terms(r)
+    return _beta(r, band, a, b)
 
 
 @np.errstate(all="ignore")
+def beta_and_deriv(r):
+    """beta and its first derivative, exactly 0 outside (1/2, 1), from one
+    pair of rho exps on the rows between; entrywise."""
+    r, band, x, a, b = _blend_terms(r)
+    da, db = -_rho_d1(1.0 - x, a), _rho_d1(x - 0.5, b)
+    deriv = np.zeros(r.shape)
+    deriv[band] = (da * b - a * db) / (a + b) ** 2
+    return _beta(r, band, a, b), deriv[()]
+
+
 def beta_deriv(r):
     """First derivative of beta, exactly 0 outside (1/2, 1); entrywise."""
-    r = np.asarray(r, float)
-    a, b = rho(1.0 - r), rho(r - 0.5)
-    da, db = -rho_deriv(1.0 - r, 1), rho_deriv(r - 0.5, 1)
-    blend = (da * b - a * db) / (a + b) ** 2
-    return np.where((r > 0.5) & (r < 1.0), blend, 0.0)[()]
+    return beta_and_deriv(r)[1]
 
 
 @lru_cache(maxsize=1)
@@ -227,16 +290,30 @@ def c_beta():
 
 
 @np.errstate(all="ignore")
+def scaled_warps(rho_value, powers):
+    """scaled_warp at each of powers, as a tuple: the nonzero powers share
+    one math.log, and power 0 takes none."""
+    x = np.asarray(rho_value, float)
+    pos = np.flatnonzero(~(x <= 0.0))  # NaN stays NaN, as in float arithmetic
+    xp = x.flat[pos]
+    inv = -1.0 / xp
+    log = entrywise(math.log, xp) if any(powers) else None
+    outs = []
+    for power in powers:
+        # 0 * x has the bits that 0 * log(x) gives the exponent: +-0 leaves
+        # -1/x unchanged, and x = inf gives NaN either way
+        expo = inv - power * (log if power else xp)
+        live = ~(expo < -745.0)
+        out = np.zeros(x.shape)
+        out.flat[pos[live]] = entrywise(math.exp, expo[live])
+        outs.append(out[()])
+    return tuple(outs)
+
+
 def scaled_warp(rho_value, power=0):
-    """exp(-1/rho) * rho**(-power), evaluated in log space; entrywise.
+    """exp(-1/rho) * rho**(-power) = exp(-1/rho - power log rho); entrywise.
 
     Underflow-coherent: returns exact 0.0 when the combined exponent falls
     below the representable range, and 0.0 when rho_value <= 0.
     """
-    x = np.asarray(rho_value, float)
-    out = np.zeros(x.shape)
-    pos = np.flatnonzero(~(x <= 0.0))  # NaN stays NaN, as in float arithmetic
-    expo = -1.0 / x.flat[pos] - power * entrywise(math.log, x.flat[pos])
-    live = ~(expo < -745.0)
-    out.flat[pos[live]] = entrywise(math.exp, expo[live])
-    return out[()]
+    return scaled_warps(rho_value, (power,))[0]

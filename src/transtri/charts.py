@@ -26,9 +26,10 @@ time, from stacked link data.  A _BoxCells index of the run's boxes gives
 one hit list per call, every (row, link) whose box holds the row; the
 forward map takes it in rounds of one fiber_moves call each (a row's hits
 after its first moving one are re-tested at the moved point in the next
-round), skipping hits the fade radius cannot reach, and an in-box hit the
-link leaves fixed takes the link's cached Jacobian M I M^-1.  The inverse
-unwinds the same list oldest link first through fiber_preimages.
+round), skipping hits the fade radius cannot reach, and an in-box hit
+whose fiber Jacobian is exactly I (skipped, or outside the fade support)
+takes the link's cached Jacobian M I M^-1.  The inverse unwinds the same
+list oldest link first through fiber_preimages.
 """
 
 import itertools
@@ -111,27 +112,30 @@ def _fiber_block(w, wn, bp, w1, eps, v):
 def fiber_moves(t, w, eps, v, with_jacobian=False):
     """The fiber map (t, w) -> (t, w + beta(|w| / (eps rho_l(t))) warp(t) v)
     of one link per row, t (N, l), w and v (N, m-l), eps (N,): the rows
-    that move, their new fibers and on request the (N, m, m) Jacobians in
-    (t, w) order.  Rows on the identity branch (t off the open simplex, w
-    at or beyond the fade radius, or a zero shift) keep J = I."""
+    that move, their new fibers, on request the (N, m, m) Jacobians in
+    (t, w) order, and the support rows, strictly inside the fade radius.
+    Rows off the support (t off the open simplex or w at or beyond the fade
+    radius) keep J = I exactly.  rho_l is read through bump.rho_l alone;
+    beta and beta' share one pair of exps, the warp's powers 1 and 2 one
+    log, and beta', those powers and the gradient of rho_l are only
+    evaluated for the Jacobian."""
     l = t.shape[1]
     J = np.tile(np.eye(l + w.shape[1]), (len(w), 1, 1)) if with_jacobian else None
     rows, rho, fade, wn = _fade_support(t, w, eps)
     if not rows.size:
-        return rows, w[:0], J
+        return rows, w[:0], J, rows
     s, nz = _shift(rho, v, rows)
     r = wn / fade
-    b = bump.beta(r)
+    b, bp = bump.beta_and_deriv(r) if with_jacobian else (bump.beta(r), None)
     w2 = w[rows[nz]] + b[nz, None] * s[nz]
     if with_jacobian:
         v = v[rows]
-        w1 = bump.scaled_warp(rho, 1)
-        bp = bump.beta_deriv(r)
+        w1, warp2 = bump.scaled_warps(rho, (1, 2))
         if l:
             J[rows, l:, :l] = (v[:, :, None] * bump.rho_l_grad(t[rows])[:, None, :]
-                               * (b * bump.scaled_warp(rho, 2) - bp * r * w1)[:, None, None])
+                               * (b * warp2 - bp * r * w1)[:, None, None])
         J[rows, l:, l:] = _fiber_block(w[rows], wn, bp, w1, eps[rows], v)
-    return rows[nz], w2, J
+    return rows[nz], w2, J, rows
 
 
 def fiber_preimages(t, w, eps, v):
@@ -169,7 +173,8 @@ def fiber_preimages(t, w, eps, v):
 class _Run:
     """A same-level run of chain links as stacked arrays: support boxes,
     frames b, A, N, M = [A | N], M^-1 and P = M I M^-1 (the Jacobian of an
-    in-box hit that the link leaves fixed; P != I in floating point),
+    in-box hit whose fiber Jacobian is exactly I: one that skips the fiber
+    map or lies outside the fade support; P != I in floating point),
     epsilon and shift v, and a cell index of the boxes in reverse order, so
     that a row's boxes come newest link first.  reach, the barycentre value
     of rho_l, is read from bump.rho_l when the run is built."""
@@ -223,7 +228,8 @@ class _Run:
         makes one fiber_moves call, on the hits still in their box that
         movable keeps.  A row's hits up to its first moving one are final;
         its later ones saw a stale point and stay pending for the next
-        round."""
+        round.  A final in-box hit off the fade support takes P, and only
+        the hits in it take M J_loc M^-1."""
         m = X.shape[1]
         Jl = np.tile(np.eye(m), (rows.size, 1, 1)) if with_jacobian else None
         pend = np.arange(rows.size)
@@ -234,7 +240,8 @@ class _Run:
             inbox = self._inside(x, j)
             live = inbox & self.movable(t, w, j)
             c = np.nonzero(live)[0]
-            moved, w2, Jc = fiber_moves(t[c], w[c], self.eps[j[c]], self.v[j[c]], with_jacobian)
+            moved, w2, Jc, sup = fiber_moves(t[c], w[c], self.eps[j[c]], self.v[j[c]],
+                                             with_jacobian)
             head = np.diff(r[c[moved]], prepend=-1) > 0  # each row's first moving hit
             h = c[moved[head]]
             X[r[h]] = self._point(j[h], t[h], w2[head])
@@ -242,10 +249,12 @@ class _Run:
             cut[r[h]] = h
             final = np.arange(pend.size) <= cut[r]
             if with_jacobian:
-                fixed = final & inbox & ~live
+                fixed = final & inbox
+                fixed[c[sup]] = False
                 Jl[pend[fixed]] = self.P[j[fixed]]
-                cf = c[final[c]]
-                Jl[pend[cf]] = self.M[j[cf]] @ Jc[final[c]] @ self.Minv[j[cf]]
+                keep = final[c[sup]]
+                cs = c[sup[keep]]
+                Jl[pend[cs]] = self.M[j[cs]] @ Jc[sup[keep]] @ self.Minv[j[cs]]
             pend = pend[~final]
         return Jl
 
@@ -277,7 +286,7 @@ class ChainOps:
     radius skips the fiber map.  A row's hits up to its first moving one are
     final, and the rest re-test their box at the moved point in the next
     round.  A final hit's Jacobian is I (it left its box), the link's cached
-    P (an in-box hit the link leaves fixed) or M J_loc M^-1, multiplied
+    P (an in-box hit off the fade support) or M J_loc M^-1, multiplied
     into J rank by rank in chain order.  The inverse takes the same hit
     list, oldest link first, one rank at a time.  Masks are refreshed
     between runs, as earlier links can move points by more than later slab

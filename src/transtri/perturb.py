@@ -117,13 +117,14 @@ class LocalDiffeo:
         return np.full(n, self.epsilon), np.broadcast_to(self.v, (n, self.v.size))
 
     def moves(self, t, v, with_jacobian=False):
-        """Rows that move, their new fibers and, on request, the Jacobian at
-        every row, from one bump evaluation; t is (N, l) and v is (N, m-l)."""
+        """Rows that move, their new fibers, on request the Jacobian at every
+        row, and the support rows, as fiber_moves gives them; t is (N, l) and
+        v is (N, m-l)."""
         return fiber_moves(t, v, *self._per_row(len(v)), with_jacobian)
 
     def eval(self, t, v):
         """Images (t, v) of the rows of t and v; v itself when no row moves."""
-        moved, v2, _ = self.moves(t, v)
+        moved, v2 = self.moves(t, v)[:2]
         if moved.size:
             v = v.copy()
             v[moved] = v2

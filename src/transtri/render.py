@@ -49,36 +49,37 @@ def write_svg(path, state, h=None, report=None, edge_samples=16, size=800):
     lo = lo - pad
     width = span + 2 * pad
 
-    def pix(p):
-        x = (p[0] - lo[0]) / width * size
-        y = size - (p[1] - lo[1]) / width * size
-        return f"{x:.2f},{y:.2f}"
+    def pix(pts):
+        """Pixel coordinates of the rows of pts, as (x, y) float pairs."""
+        pts = np.asarray(pts, float).reshape(-1, state.ambient_dim)
+        x = (pts[:, 0] - lo[0]) / width * size
+        y = size - (pts[:, 1] - lo[1]) / width * size
+        return zip(x.tolist(), y.tolist())
+
+    def polyline(pts, style):
+        return (f'<polyline fill="none" {style} points="'
+                + " ".join(f"{x:.2f},{y:.2f}" for x, y in pix(pts)) + '"/>')
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
              f'viewBox="0 0 {size} {size}">',
              f'<rect width="{size}" height="{size}" fill="white"/>']
     for pts in _edge_polylines(state, edge_samples):
-        parts.append('<polyline fill="none" stroke="#444" stroke-width="1" points="'
-                     + " ".join(pix(p) for p in pts) + '"/>')
-    for p in _vertex_images(state):
-        parts.append(f'<circle cx="{pix(p).split(",")[0]}" cy="{pix(p).split(",")[1]}" '
-                     f'r="2" fill="#888"/>')
+        parts.append(polyline(pts, 'stroke="#444" stroke-width="1"'))
+    for x, y in pix(_vertex_images(state)):
+        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="#888"/>')
     if h is not None:
         img = h.eval_batch(h.sample_domain(512))
         if img.shape[0] > 1:
             closed = h.domain.kind == "interval" and h.domain.periodic
             pts = np.vstack([img, img[:1]]) if closed else img
-            parts.append('<polyline fill="none" stroke="#1f6fd6" stroke-width="1.5" points="'
-                         + " ".join(pix(p) for p in pts) + '"/>')
+            parts.append(polyline(pts, 'stroke="#1f6fd6" stroke-width="1.5"'))
         else:
-            parts.append(f'<circle cx="{pix(img[0]).split(",")[0]}" '
-                         f'cy="{pix(img[0]).split(",")[1]}" r="4" fill="#1f6fd6"/>')
+            [(x, y)] = pix(img[:1])
+            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="#1f6fd6"/>')
     if report is not None:
         color = {"transverse": "#2d9b38", "tangent": "#e08b00", "skeleton-hit": "#d62718"}
-        for r in report.records:
-            c = pix(np.array(r.point))
-            x, y = c.split(",")
-            parts.append(f'<circle cx="{x}" cy="{y}" r="3" fill="none" '
+        for r, (x, y) in zip(report.records, pix([rec.point for rec in report.records])):
+            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="none" '
                          f'stroke="{color[r.classification]}" stroke-width="1.5"/>')
     parts.append("</svg>")
     atomic_write(path, "\n".join(parts) + "\n")

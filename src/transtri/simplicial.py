@@ -12,6 +12,7 @@ All types are immutable after construction and safe for concurrent reads.
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from operator import attrgetter
 
 import numpy as np
 
@@ -90,7 +91,8 @@ class SimplicialComplex:
         by_dim = {}
         for s in simplices:
             by_dim.setdefault(s.dim, []).append(s)
-        self._by_dim = {d: tuple(sorted(v)) for d, v in by_dim.items()}
+        self._by_dim = {d: tuple(sorted(v, key=attrgetter("vertices")))
+                        for d, v in by_dim.items()}
         self.dim = max(self._by_dim)
         self.vertex_ids = tuple(sorted(s.vertices[0] for s in self._by_dim.get(0, ())))
         self._tops = None
@@ -115,8 +117,9 @@ class SimplicialComplex:
                     continue
                 for fv in combinations(s.vertices, len(s.vertices) - 1):
                     facet_of_something.add(fv)
-            self._tops = tuple(s for s in sorted(self._simplices, key=simplex_sort_key)
-                               if s.vertices not in facet_of_something)
+            self._tops = tuple(sorted((s for s in self._simplices
+                                       if s.vertices not in facet_of_something),
+                                      key=simplex_sort_key))
         return self._tops
 
     def __contains__(self, s):

@@ -164,7 +164,10 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None):
     least-squares problem over the pairs still running, and each pair keeps
     its own best point, stall counter, divergence test and domain test, so
     every result equals that of a one-pair call.  Pair i lies on the patch
-    of owner[i] (owner 0 when no owner is given).
+    of owner[i] (owner 0 when no owner is given).  A vertex patch (l = 0)
+    has no t to step, so it is evaluated once, at every pair, and each
+    iteration takes the rows of the pairs still running: the chain gives
+    each row the bits of a call on it alone.
     """
     n = h.domain.dim
     T = np.atleast_2d(np.array(t0, float))
@@ -177,10 +180,15 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None):
     diverged = np.zeros(P, bool)
     live = np.arange(P)
     step_cap = 0.75  # a (y, t) step is in parameter units, whatever the mesh scale
+    # a vertex patch has no t to step, so its image is evaluated once
+    vertex = patch.eval_jac(T, O) if patch.l == 0 else None
     for _ in range(config.gn_max_iter):
         if not live.size:
             break
-        f, df = patch.eval_jac(T[live], O[live])
+        if vertex is None:
+            f, df = patch.eval_jac(T[live], O[live])
+        else:
+            f, df = vertex[0][live], vertex[1][live]
         r = h.eval_batch(Y[live]) - f
         rn = row_norms(r)
         stall[live] = np.where(rn < 0.9999 * best_r[live], 0, stall[live] + 1)

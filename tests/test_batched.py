@@ -33,6 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import dense_box_pairs, lstsq_solve
 from transtri import bump, cli, perturb, verify
 from transtri import simplicial as sc
@@ -139,9 +140,9 @@ def same_bits(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def _radii():
-    return np.concatenate([RNG.uniform(-0.5, 1.5, 400), RNG.uniform(0.0, 0.003, 100),
-                           10.0 ** RNG.uniform(-300, 0, 100), [0.0, -0.0, 0.5, 0.75, 1.0]])
+def _radii(rng=RNG):
+    return np.concatenate([rng.uniform(-0.5, 1.5, 400), rng.uniform(0.0, 0.003, 100),
+                           10.0 ** rng.uniform(-300, 0, 100), [0.0, -0.0, 0.5, 0.75, 1.0]])
 
 
 class TestBumpForms:
@@ -172,6 +173,62 @@ class TestBumpForms:
         assert same_bits(bump.rho_l(ts), [ref_rho_l(t) for t in ts])
         assert same_bits(bump.rho_l_grad(ts), np.reshape([ref_rho_l_grad(t) for t in ts], ts.shape))
         assert same_bits([bump.rho_l(t) for t in ts], bump.rho_l(ts))
+
+
+def same_bits_or_nan(a, b):
+    """same_bits, with NaN matching NaN."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and same_bits(a[~nan], b[~nan])
+
+
+def _edge_radii():
+    """_radii() from a generator of its own, so that the tests drawing from
+    RNG after these see the same points, the glue points 1/2 and 1, the switch 1/_LOG_SAFE_U of
+    rho's log-domain branch (also as 1 - r and r - 1/2 of the beta blend)
+    and the warp's underflow point, each with its nextafter neighbours, and
+    subnormals, signed zeros, infinities and NaN."""
+    u = 1.0 / bump._LOG_SAFE_U
+    centres = np.array([0.5, 1.0, u, 1.0 - u, 0.5 + u, 1.0 / 745.0])
+    return np.concatenate([_radii(np.random.default_rng(22)), centres, np.nextafter(centres, -np.inf),
+                           np.nextafter(centres, np.inf), u * (1.0 + 1e-3 * np.arange(-5, 6)),
+                           [5e-324, -5e-324, 1e-310, 2.2e-308, 0.0, -0.0, np.inf, -np.inf,
+                            np.nan]])
+
+
+@pytest.mark.parametrize("name", ["beta", "beta_deriv", "beta_and_deriv", "warp0", "warp1",
+                                  "warp2", "warps"])
+def test_shared_bump_forms_equal_their_oracles(name):
+    # the forms that share exps and logs against the forms that took their
+    # own, in value and in the sign of zero, over arrays and scalars
+    fn, ref = {
+        "beta": (bump.beta, oracles.beta),
+        "beta_deriv": (bump.beta_deriv, oracles.beta_deriv),
+        "beta_and_deriv": (lambda r: np.stack(bump.beta_and_deriv(r)),
+                           lambda r: np.stack([oracles.beta(r), oracles.beta_deriv(r)])),
+        "warp0": (lambda r: bump.scaled_warp(r, 0), lambda r: oracles.scaled_warp(r, 0)),
+        "warp1": (lambda r: bump.scaled_warp(r, 1), lambda r: oracles.scaled_warp(r, 1)),
+        "warp2": (lambda r: bump.scaled_warp(r, 2), lambda r: oracles.scaled_warp(r, 2)),
+        "warps": (lambda r: np.stack(bump.scaled_warps(r, (0, 1, 2))),
+                  lambda r: np.stack([oracles.scaled_warp(r, k) for k in range(3)])),
+    }[name]
+    rs = _edge_radii()
+    expected = ref(rs)
+    assert same_bits_or_nan(fn(rs), expected)
+    assert same_bits_or_nan(fn(rs[:, None]), ref(rs[:, None]))
+    assert same_bits_or_nan(np.stack([fn(float(r)) for r in rs], axis=-1), expected)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_rho_l_grad_equals_its_oracle(l):
+    rs, rng = _edge_radii(), np.random.default_rng(l)
+    ts = np.concatenate([rs[:, None] * np.ones(l),
+                         np.stack([rng.permutation(rs) for _ in range(l)], axis=1),
+                         np.concatenate([rs[:, None], (1.0 - rs[:, None]) / l
+                                         * np.ones(l - 1)], axis=1)])
+    with np.errstate(invalid="ignore"):  # inf + -inf in the factor 1 - sum t
+        assert same_bits_or_nan(bump.rho_l_grad(ts), oracles.rho_l_grad(ts))
+        assert same_bits_or_nan([bump.rho_l_grad(t) for t in ts], oracles.rho_l_grad(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +331,39 @@ def test_gauss_newton_pairs_equal_single_pairs(scenario_a_run, name):
         assert not found  # every refinement leaves the map's domain
     else:
         assert found
+
+
+def test_vertex_patches_are_evaluated_once_per_gauss_newton(grid_a, monkeypatch):
+    # scenario A's level-0 searches and its final verify refine roots on
+    # vertex patches; each refinement evaluates its patch once and gives the
+    # roots of the loop that evaluates it at every iteration
+    calls, gauss_newton = [], verify._gauss_newton
+
+    def spy(h, patch, y0, t0, config, scale, owner=None):
+        sizes = []
+
+        def eval_jac(t, o):
+            sizes.append(len(t))
+            return patch.eval_jac(t, o)
+
+        counted = Patch(l=patch.l, eval=patch.eval, eval_jac=eval_jac, size=patch.size)
+        got = gauss_newton(h, counted, y0, t0, config, scale, owner)
+        calls.append((patch.l, sizes, got,
+                      oracles.gauss_newton(h, patch, y0, t0, config, scale, owner)))
+        return got
+
+    monkeypatch.setattr(verify, "_gauss_newton", spy)
+    cplx, real = grid_a
+    perturb.make_transverse(cplx, real, CircleMap((0.0, 0.0), 1.0), PipelineConfig(seed=1))
+    vertex = [c for c in calls if c[0] == 0]
+    assert len(vertex) >= 2 and any(g is not None for c in vertex for g in c[2])
+    for l, sizes, got, want in calls:
+        if l == 0:
+            assert sizes == [len(got)]
+        assert [g is None for g in got] == [w is None for w in want]
+        for g, w in zip(got, want):
+            if g is not None:
+                assert same_bits(g[0], w[0]) and same_bits(g[1], w[1]) and g[2] == w[2]
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +472,18 @@ def ref_fiber_invert(psi, t, w):
     fade = psi.epsilon * rho
     if fade <= 0.0 or float(np.linalg.norm(w)) >= fade:
         return w
-    s = bump.scaled_warp(rho, 0) * psi.v
+    s = oracles.scaled_warp(rho, 0) * psi.v
     if not s.any():
         return w
-    w1 = bump.scaled_warp(rho, 1)
+    w1 = oracles.scaled_warp(rho, 1)
     v = np.array(w, float)
     for _ in range(50):
         vn = float(np.linalg.norm(v))
         r = vn / fade
-        g = v + bump.beta(r) * s - w
+        g = v + oracles.beta(r) * s - w
         if float(np.linalg.norm(g)) < 1e-12:
             return v
-        Jg = ref_fiber_block(psi, v[None], np.array([vn]), np.array([bump.beta_deriv(r)]), w1)
+        Jg = ref_fiber_block(psi, v[None], np.array([vn]), np.array([oracles.beta_deriv(r)]), w1)
         v = v - np.linalg.solve(Jg[0], g)
     raise AssertionError("reference fiber Newton did not converge")
 
@@ -433,8 +523,9 @@ def ref_chain_invert(state, x):
 
 def ref_moves(psi, t, v, with_jacobian):
     """One link's fiber map on the rows of t and v, as the per-link chain
-    evaluated it: the rows that move, their new fibers and on request the
-    local Jacobians."""
+    evaluated it, with the oracle bump forms: the rows that move, their new
+    fibers and on request the local Jacobians.  rho_l is bump's, which the
+    wide-fade tests replace."""
     l, m = psi.l, psi.m
     J = np.tile(np.eye(m), (len(v), 1, 1)) if with_jacobian else None
     rho = bump.rho_l(t)
@@ -442,19 +533,19 @@ def ref_moves(psi, t, v, with_jacobian):
     vn = row_norms(v)
     rows = np.nonzero((fade > 0.0) & (vn < fade))[0]
     rho, fade, vn = rho[rows], fade[rows], vn[rows]
-    s = bump.scaled_warp(rho, 0)[:, None] * psi.v
+    s = oracles.scaled_warp(rho, 0)[:, None] * psi.v
     nz = s.any(axis=1)
     if not rows.size:
         return rows, v[:0], J
     r = vn / fade
-    b = bump.beta(r)
+    b = oracles.beta(r)
     v2 = v[rows[nz]] + b[nz, None] * s[nz]
     if with_jacobian:
-        w1 = bump.scaled_warp(rho, 1)
-        w2 = bump.scaled_warp(rho, 2)
-        bp = bump.beta_deriv(r)
+        w1 = oracles.scaled_warp(rho, 1)
+        w2 = oracles.scaled_warp(rho, 2)
+        bp = oracles.beta_deriv(r)
         if l:
-            J[rows, l:, :l] = (psi.v[:, None] * bump.rho_l_grad(t[rows])[:, None, :]
+            J[rows, l:, :l] = (psi.v[:, None] * oracles.rho_l_grad(t[rows])[:, None, :]
                                * (b * w2 - bp * r * w1)[:, None, None])
         J[rows, l:, l:] = ref_fiber_block(psi, v[rows], vn, bp, w1)
     return rows[nz], v2, J
@@ -639,6 +730,31 @@ def test_rows_pushed_out_of_a_box_skip_its_link(monkeypatch):
     assert_chain_equals_link_by_link([older, newer], pts)
 
 
+@pytest.mark.parametrize("case", ["scenario_a-1", "scenario_a-2", "scenario_a-3",
+                                  "scenario_b-1", "scenario_b-2", "scenario_b-3",
+                                  "skew", "grid"])
+def test_cached_frame_product_is_the_conjugated_identity(case):
+    # an in-box hit with a fiber Jacobian of exactly I takes P[j] for
+    # M[j] @ I @ M^-1[j]; the tetrahedra's triangle frames are F-ordered
+    # stacks, which BLAS rounds apart from C-ordered ones
+    if case in ("skew", "grid"):
+        state = _tetrahedron_chain(case)[0]
+    else:
+        name, seed = case.split("-")
+        base, h, config = _verify_only_case(name)
+        state = perturb.make_transverse(base.complex, base.realization, h,
+                                        config.replace(seed=int(seed)))[0]
+    runs = ChainOps(state.links).runs
+    assert runs
+    for run in runs:
+        n, m = len(run.links), run.M.shape[1]
+        for j in (np.arange(n), np.arange(n)[::-1], *np.arange(n)[:, None]):
+            assert same_bits(run.P[j], run.M[j] @ np.tile(np.eye(m), (j.size, 1, 1))
+                             @ run.Minv[j])
+        if case in ("skew", "grid") and run.l == 2:
+            assert run.M[0].flags.f_contiguous and not run.M.flags.c_contiguous
+
+
 def ref_hits(run, X):
     """Box hits of the rows of X by the dense test of every row against every
     box of a run: (rows, links, rank), each row's links newest first."""
@@ -787,6 +903,33 @@ def test_moving_hits_pass_the_skip_bound(monkeypatch, scenario_a_run, fade):
             assert run.movable(t, w, j)[moved].all()
             # the paper's fade underflows the warp of triangle links
             assert moved.size > 0 or (fade == "paper" and run.l == 2)
+
+
+@pytest.mark.parametrize("with_jacobian,most", [(False, 5), (True, 10)])
+def test_fiber_moves_takes_few_entrywise_passes(monkeypatch, with_jacobian, most):
+    # one call on an edge link with rows on both sides of r = 1/2: each
+    # transcendental of a fade term is taken once, and derivative-only work
+    # waits for the Jacobian
+    link = [lk for lk in _tetrahedron_chain("skew")[0].links if lk.level == 1][0]
+    t = np.repeat(np.linspace(0.2, 0.8, 7), 6)[:, None]
+    frac = np.tile([0.0, 0.3, 0.45, 0.55, 0.95, 1.2], 7)
+    u = np.random.default_rng(22).normal(size=(len(t), 2))
+    w = u / row_norms(u)[:, None] * (frac * link.local.epsilon * bump.rho_l(t))[:, None]
+    eps = np.full(len(t), link.local.epsilon)
+    v = np.tile(link.local.v, (len(t), 1))
+    passes, entrywise = [], bump.entrywise
+
+    def spy(fn, x):
+        passes.append(fn)
+        return entrywise(fn, x)
+
+    monkeypatch.setattr(bump, "entrywise", spy)
+    moved, _, _, support = fiber_moves(t, w, eps, v, with_jacobian)
+    monkeypatch.undo()
+    r = row_norms(w) / (eps * bump.rho_l(t))
+    assert (r[support] < 0.5).any() and (r[support] > 0.5).any() and moved.size
+    assert support.tolist() == np.nonzero(frac < 1.0)[0].tolist()
+    assert len(passes) <= most
 
 
 def test_bump_forms_emit_no_warnings():
