@@ -7,6 +7,10 @@ stack of the single-point results exactly, and the bump forms, the inverse
 and point location must also equal scalar references (the math module for
 the bump forms, the one-point loops the stacked solves replaced for the
 others), because chain metadata and reports print these values with repr.
+The bump forms that share exps and logs must equal the forms that took
+their own, kept in tests/oracles.py, and a Gauss-Newton call that
+evaluates a vertex patch once must equal the loop that evaluates it at
+every iteration.
 The verifier searches all simplices of a dimension at once and shift
 sampling judges one candidate per simplex of a level at once; both must
 give every simplex what searching or sampling it alone gives, and its
@@ -183,15 +187,16 @@ def same_bits_or_nan(a, b):
 
 
 def _edge_radii():
-    """_radii() from a generator of its own, so that the tests drawing from
-    RNG after these see the same points, the glue points 1/2 and 1, the switch 1/_LOG_SAFE_U of
-    rho's log-domain branch (also as 1 - r and r - 1/2 of the beta blend)
-    and the warp's underflow point, each with its nextafter neighbours, and
-    subnormals, signed zeros, infinities and NaN."""
+    """_radii(), drawn from a generator of its own so that later tests draw
+    the same points from RNG; the glue points 1/2 and 1, the switch
+    1/_LOG_SAFE_U of rho's log-domain branch (also as 1 - r and r - 1/2 of
+    the beta blend) and the warp's underflow point, each with its nextafter
+    neighbours; subnormals, signed zeros, infinities and NaN."""
     u = 1.0 / bump._LOG_SAFE_U
     centres = np.array([0.5, 1.0, u, 1.0 - u, 0.5 + u, 1.0 / 745.0])
-    return np.concatenate([_radii(np.random.default_rng(22)), centres, np.nextafter(centres, -np.inf),
-                           np.nextafter(centres, np.inf), u * (1.0 + 1e-3 * np.arange(-5, 6)),
+    return np.concatenate([_radii(np.random.default_rng(22)), centres,
+                           np.nextafter(centres, -np.inf), np.nextafter(centres, np.inf),
+                           u * (1.0 + 1e-3 * np.arange(-5, 6)),
                            [5e-324, -5e-324, 1e-310, 2.2e-308, 0.0, -0.0, np.inf, -np.inf,
                             np.nan]])
 
@@ -483,7 +488,8 @@ def ref_fiber_invert(psi, t, w):
         g = v + oracles.beta(r) * s - w
         if float(np.linalg.norm(g)) < 1e-12:
             return v
-        Jg = ref_fiber_block(psi, v[None], np.array([vn]), np.array([oracles.beta_deriv(r)]), w1)
+        bp = np.array([oracles.beta_deriv(r)])
+        Jg = ref_fiber_block(psi, v[None], np.array([vn]), bp, w1)
         v = v - np.linalg.solve(Jg[0], g)
     raise AssertionError("reference fiber Newton did not converge")
 
