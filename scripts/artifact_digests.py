@@ -10,7 +10,7 @@ same artifacts exactly when their outputs are identical:
     python3 scripts/artifact_digests.py > new.txt
     diff old.txt new.txt
 
-Runs every case once, which takes about two minutes.
+Runs every case once, which takes about 12 s on 2 vCPUs.
 """
 
 import hashlib

@@ -4,7 +4,7 @@ scenario_b at seeds 1-10 and `verify-only` of the six shipped scenarios.
 
 Each run must match its recorded exit status, verdict, records by class
 and the sha256 of chain_metadata.txt.  Prints one line per mismatch and
-"N/N match"; exits 1 on any mismatch.  Takes about two minutes.
+"N/N match"; exits 1 on any mismatch.  Takes about 12 s on 2 vCPUs.
 """
 
 import contextlib

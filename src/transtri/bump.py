@@ -142,8 +142,11 @@ def _rho_d1(r, g):
 
 def _factor_args(t):
     # Arguments of the rho factors of rho_l, last axis: factor 0 is
-    # rho(1 - sum t), factor a >= 1 is rho(t_a).
-    return np.concatenate([1.0 - t.sum(axis=-1)[..., None], t], axis=-1)
+    # rho(1 - sum t), factor a >= 1 is rho(t_a).  A row holding +inf and
+    # -inf sums to NaN, silently, as a row holding NaN does.
+    with np.errstate(invalid="ignore"):
+        s = t.sum(axis=-1)
+    return np.concatenate([1.0 - s[..., None], t], axis=-1)
 
 
 def rho_l(t):

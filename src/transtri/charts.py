@@ -33,7 +33,7 @@ list oldest link first through fiber_preimages.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 
@@ -42,37 +42,27 @@ import numpy as np
 from . import bump
 from .errors import MeshError, NewtonDivergenceError
 from .rows import matvec, row_norms
-from .simplicial import Simplex, _BoxCells, carrier_mask
+from .simplicial import Simplex, _BoxCells, _find_rows, carrier_mask
 
 __all__ = [
     "TubularChart",
     "AmbientDiffeo",
     "TriangulationState",
     "make_chart",
+    "make_charts",
     "dump_chain_metadata",
 ]
 
 
 def _normal_completion(A, m):
-    """Orthonormal basis of the orthogonal complement of the columns of A.
-
-    Signs are fixed so the largest-magnitude entry of each column is
-    positive, for deterministic frames.
-    """
-    l = A.shape[1]
-    if l == 0:
-        return np.eye(m)
-    Q, R = np.linalg.qr(A, mode="complete")
-    # align the leading columns with A's orientation (diag of R positive)
-    for j in range(l):
-        if R[j, j] < 0:
-            Q[:, j] = -Q[:, j]
-            R[j, :] = -R[j, :]
-    N = Q[:, l:]
-    for j in range(N.shape[1]):
-        k = int(np.argmax(np.abs(N[:, j])))
-        if N[k, j] < 0:
-            N[:, j] = -N[:, j]
+    """Orthonormal bases of the orthogonal complements of the columns of
+    each A[i], (n, m, l): views of one complete QR's Q, each column's sign
+    flipped in place so that its largest-magnitude entry is positive."""
+    if A.shape[2] == 0:
+        return np.tile(np.eye(m), (len(A), 1, 1))
+    N = np.linalg.qr(A, mode="complete")[0][:, :, A.shape[2]:]
+    top = np.take_along_axis(N, np.abs(N).argmax(axis=1)[:, None], axis=1)
+    N *= np.where(top < 0, -1.0, 1.0)
     return N
 
 
@@ -336,17 +326,15 @@ class ChainOps:
 
 @dataclass(frozen=True, eq=False)
 class TubularChart:
-    """Affine tubular frame b + A t + N v of one simplex, in base coordinates."""
+    """Affine tubular frame b + A t + N v of one simplex, in base
+    coordinates, with M = [A | N] and its inverse (make_charts builds it)."""
 
     simplex: Simplex
     base: np.ndarray          # frame origin b
     tangent: np.ndarray       # m x l edge matrix A
     normal: np.ndarray        # m x (m-l) orthonormal completion N
-
-    def __post_init__(self):
-        M = np.hstack([self.tangent, self.normal])
-        object.__setattr__(self, "_M", M)
-        object.__setattr__(self, "_Minv", np.linalg.inv(M))
+    _M: np.ndarray = field(repr=False)
+    _Minv: np.ndarray = field(repr=False)
 
     @property
     def l(self):
@@ -360,10 +348,6 @@ class TubularChart:
         """Base-coordinate points b + A t + N v, over rows of t and v."""
         return self.base + matvec(self.tangent, t) + matvec(self.normal, v)
 
-    def frame_coords(self, x):
-        """Invert the affine frame: returns (t, v), over rows of x."""
-        tv = matvec(self._Minv, np.asarray(x, float) - self.base)
-        return tv[..., : self.l], tv[..., self.l :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,12 +411,12 @@ class TriangulationState:
     on a memo at worst repeats a computation).
     """
 
-    def __init__(self, cplx, realization, links=()):
+    def __init__(self, cplx, realization, links=(), mesh_scale=None):
         self.complex = cplx
         self.realization = realization
         self.links = tuple(links)
         self.ambient_dim = realization.ambient_dim
-        self.mesh_scale = realization.min_edge_length(cplx)
+        self.mesh_scale = realization.min_edge_length(cplx) if mesh_scale is None else mesh_scale
         self._ops = ChainOps(self.links)
         self._child = None
         self._search = None
@@ -443,7 +427,8 @@ class TriangulationState:
         links = tuple(links)
         child = self._child
         if child is None or child.links[len(self.links):] != links:
-            child = TriangulationState(self.complex, self.realization, self.links + links)
+            child = TriangulationState(self.complex, self.realization, self.links + links,
+                                       self.mesh_scale)
             self._child = child
         return child
 
@@ -466,23 +451,33 @@ class TriangulationState:
         return lo - pad, hi + pad
 
 
-def make_chart(state, s):
-    """Tubular frame for a realized simplex of dimension l < m, in base
-    coordinates; frame_point(t, 0) is the base realization of the simplex."""
-    m = state.ambient_dim
-    if s.dim >= m:
-        raise MeshError(f"simplex {s.vertices} has no normal directions in R^{m}")
-    if s not in state.complex:
-        raise MeshError(f"simplex {s.vertices} not in complex")
-    b, A = state.realization.simplex_frame(s)
+def make_charts(state, simplices):
+    """Tubular frames, in base coordinates, of realized simplices of one
+    dimension l < m (frame_point(t, 0) realizes the simplex), from one QR
+    and one inverse; tangents are laid out as simplex_frame's."""
+    m, l = state.ambient_dim, simplices[0].dim
+    if l >= m:
+        raise MeshError(f"simplex {simplices[0].vertices} has no normal directions in R^{m}")
+    ids = np.array([s.vertices for s in simplices])
+    at = _find_rows(state.complex.ids(l), ids)
+    if (at < 0).any():
+        raise MeshError(f"simplex {simplices[int(np.argmin(at))].vertices} not in complex")
+    pts = state.realization.points(ids)
+    A = (pts[:, 1:] - pts[:, :1]).transpose(0, 2, 1)
     N = _normal_completion(A, m)
-    return TubularChart(simplex=s, base=b, tangent=A, normal=N)
+    M = np.concatenate([A, N], axis=2)
+    return [TubularChart(*chart) for chart in zip(simplices, pts[:, 0], A, N, M, np.linalg.inv(M))]
+
+
+def make_chart(state, s):
+    """The tubular frame of one realized simplex: make_charts of [s]."""
+    return make_charts(state, [s])[0]
 
 
 class StarLocator:
     """Membership tests for the open stars of the vertices of a complex,
     over the location index of its top simplices (a _TopIndex in simplex
-    order).
+    order), whose star table it shares.
 
     The open star of a vertex is the union of open simplices containing
     it; a point belongs exactly when the carrier simplex of its location
@@ -499,17 +494,8 @@ class StarLocator:
     def __init__(self, index, tol=1e-10):
         self.index = index
         self.tol = tol
-        stars = {}
-        for j, top in enumerate(index.tops):
-            for v in top.vertices:
-                stars.setdefault(v, []).append(j)
         # star[v]: the tops holding vertex v, -1 padded; ids: each top's vertices
-        self.star = np.full((max(stars) + 1, max(map(len, stars.values()))), -1)
-        for v, tops in stars.items():
-            self.star[v, :len(tops)] = tops
-        self.ids = np.full(index.pts.shape[:2], -1)
-        for j, top in enumerate(index.tops):
-            self.ids[j, :len(top.vertices)] = top.vertices
+        self.star, self.ids = index.star, index.ids
 
     def contains_base_point(self, p, vertex):
         """Whether each row of p lies in the open star of its vertex (one id,

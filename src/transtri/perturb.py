@@ -41,13 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bump
-from .charts import (AmbientDiffeo, StarLocator, TriangulationState, _stack, fiber_moves,
-                     fiber_preimages, make_chart)
+from .charts import AmbientDiffeo, StarLocator, TriangulationState, _stack, fiber_moves, make_charts
 from .config import PipelineConfig
 from .errors import (DegenerateGeometryError, EpsilonTooLargeError, MeshError,
                      PerturbationError, SamplingFailureError)
 from .rows import matvec, row_norms
-from .simplicial import Simplex, _TopIndex, barycentric_subdivision, simplex_sort_key
+from .simplicial import Simplex, SubdivisionData
 from .verify import (find_intersections, interior_lattice, lattice_per_dim, simplex_passes,
                      verify_triangulation)
 
@@ -76,11 +75,10 @@ class LocalDiffeo:
     shrinks_used count the candidates rejected and the epsilon halvings
     before this one.
 
-    Every method takes rows of t (N, l) and of fiber points (N, m-l).  A
-    row on the identity branch (t outside the open simplex, a fiber point
-    at or beyond the fade radius, or a shift that underflowed to zero) is
-    left exactly as it is, and eval returns the input fiber array when no
-    row moves, which keeps exact identity behavior outside the support.
+    The map itself is charts.fiber_moves (inverse fiber_preimages) with
+    epsilon and v on every row: a row on the identity branch (t outside
+    the open simplex, a fiber point at or beyond the fade radius, or a
+    shift that underflowed to zero) is left exactly as it is.
     """
 
     chart: object
@@ -113,58 +111,14 @@ class LocalDiffeo:
         over the rows of t."""
         return np.asarray(bump.scaled_warp(bump.rho_l(t), 0))[..., None] * self.v
 
-    def _per_row(self, n):
-        return np.full(n, self.epsilon), np.broadcast_to(self.v, (n, self.v.size))
-
-    def moves(self, t, v, with_jacobian=False):
-        """Rows that move, their new fibers, on request the Jacobian at every
-        row, and the support rows, as fiber_moves gives them; t is (N, l) and
-        v is (N, m-l)."""
-        return fiber_moves(t, v, *self._per_row(len(v)), with_jacobian)
-
-    def eval(self, t, v):
-        """Images (t, v) of the rows of t and v; v itself when no row moves."""
-        moved, v2 = self.moves(t, v)[:2]
-        if moved.size:
-            v = v.copy()
-            v[moved] = v2
-        return t, v
-
-    def jacobian(self, t, v):
-        """(N, m, m) Jacobians at the rows of t and v."""
-        return self.moves(t, v, with_jacobian=True)[2]
-
-    def inverse_moves(self, t, w):
-        """Rows of w (N, m-l) that the inverse moves, and their preimages."""
-        return fiber_preimages(t, w, *self._per_row(len(w)))
-
 
 # ---------------------------------------------------------------------------
 # clearance (containment) search
 
 
-@dataclass(frozen=True, eq=False)
-class SubdivisionData:
-    """Barycentric subdivision of the base complex plus its location index
-    over the top simplices, in simplex order."""
-
-    cplx: object
-    realization: object
-    barycenter_ids: dict
-    tops: tuple
-    index: object
-
-    def carrier(self, p, tol=1e-10):
-        """Carrier simplex of each row of p, None outside the complex; a 1-D
-        p is one row."""
-        return self.index.carriers(np.atleast_2d(p), tol)
-
-
 def subdivision_data(state):
-    """Barycentric subdivision of the base complex, with barycenter ids."""
-    sd_cplx, sd_real, bids = barycentric_subdivision(state.complex, state.realization)
-    tops = tuple(sorted(sd_cplx.top_simplices(), key=simplex_sort_key))
-    return SubdivisionData(sd_cplx, sd_real, bids, tops, _TopIndex(sd_real, tops))
+    """Barycentric subdivision of the base complex, as SubdivisionData."""
+    return SubdivisionData(state.complex, state.realization)
 
 
 # fiber samples per group of a containment round: a few hundred kB of
@@ -178,15 +132,8 @@ def _unit_directions(k):
     if k == 2:
         angles = np.arange(8) * (np.pi / 4.0)
         return [np.array([np.cos(a), np.sin(a)]) for a in angles]
-    dirs = []
-    for sx in (-1, 0, 1):
-        for sy in (-1, 0, 1):
-            for sz in (-1, 0, 1):
-                if sx == sy == sz == 0:
-                    continue
-                u = np.array([sx, sy, sz], float)
-                dirs.append(u / np.linalg.norm(u))
-    return dirs
+    u = np.array([d for d in itertools.product((-1, 0, 1), repeat=3) if any(d)], float)
+    return list(u / row_norms(u)[:, None])
 
 
 def containment_ok(charts, locator, lattice, dirs, cs, sd_data):
@@ -224,7 +171,7 @@ def containment_ok(charts, locator, lattice, dirs, cs, sd_data):
         owner = np.repeat(np.arange(len(group)), len(ts))
         b, A, N = (_stack([getattr(ch, a) for ch in group]) for a in ("base", "tangent", "normal"))
         base = b[owner] + matvec(A[owner], np.tile(ts, (len(group), 1))) + matvec(N[owner], vs)
-        vertex = np.array([sd_data.barycenter_ids[ch.simplex] for ch in group])
+        vertex = sd_data.barycenters([ch.simplex for ch in group])
         inside, held = locator.contains_base_point(base, vertex[owner])
         ok = np.ones(len(group), bool)
         ok[owner[held & ~inside]] = False  # on the complex, outside the star
@@ -252,14 +199,14 @@ def estimate_c_sigma(state, simplices, config=None, sd_data=None, charts=None):
     config = config or PipelineConfig()
     one = isinstance(simplices, Simplex)
     simplices = [simplices] if one else list(simplices)
-    charts = charts or [make_chart(state, s) for s in simplices]
+    charts = charts or make_charts(state, simplices)
     sd_data = sd_data or subdivision_data(state)
     locator = StarLocator(sd_data.index, config.barycentric_tol)
     l = simplices[0].dim
     lattice = interior_lattice(l, lattice_per_dim(config.containment_density, l))
     dirs = _unit_directions(state.ambient_dim - l)
     index = sd_data.index
-    star = locator.star[[sd_data.barycenter_ids[s] for s in simplices]]
+    star = locator.star[sd_data.barycenters(simplices)]
     real = (star >= 0)[..., None]  # not padding
     cs = row_norms(np.where(real, index.hi[star], -np.inf).max(axis=1)
                    - np.where(real, index.lo[star], np.inf).min(axis=1))
@@ -344,9 +291,9 @@ def _sample_shift(state, draws, h, config):
     """
     live = list(draws)
     while live:
-        links = [extend_to_ambient(LocalDiffeo(
+        links = extend_to_ambient([LocalDiffeo(
             d.chart, d.c_sigma, d.eps, _draw_shift(d.rng, d.chart.m - d.chart.l, d.eps),
-            retries_used=d.tries, shrinks_used=d.shrinks)) for d in live]
+            retries_used=d.tries, shrinks_used=d.shrinks) for d in live])
         verdicts = _candidate_transverse(state, links, h, config)
         still = []
         for d, link, ok in zip(live, links, verdicts):
@@ -414,21 +361,22 @@ def build_local_diffeo(psi):
     return psi
 
 
-def extend_to_ambient(psi):
-    """Extend a local diffeomorphism by the identity to the ambient space.
-
-    The support box is the affine image of the parameter simplex times the
-    maximal fiber radius; outside it the link is the identity exactly.
-    """
-    chart = psi.chart
-    l, m = chart.l, chart.m
+def extend_to_ambient(psis):
+    """Extend local diffeomorphisms of one dimension by the identity to the
+    ambient space: a list of links, one per psi.  A support box is the
+    affine image of the parameter simplex times the maximal fiber radius
+    (outside it the link is the identity exactly), its corners from one
+    stacked frame_point with the bits of each chart's own."""
+    l, m = psis[0].l, psis[0].m
     rho_max = bump.rho_l(np.full(l, 1.0 / (l + 1))) if l else 1.0
-    rad = psi.epsilon * rho_max
-    t_corners = np.vstack([np.zeros(l), np.eye(l)])
-    v_corners = rad * (2.0 * np.array(list(np.ndindex(*(2,) * (m - l))), float) - 1.0)
-    pts = chart.frame_point(np.repeat(t_corners, len(v_corners), axis=0),
-                            np.tile(v_corners, (l + 1, 1)))
-    return AmbientDiffeo(local=psi, support_lo=pts.min(axis=0), support_hi=pts.max(axis=0))
+    rad = np.array([psi.epsilon for psi in psis]) * rho_max
+    corners = 2.0 * np.array(list(np.ndindex(*(2,) * (m - l))), float) - 1.0
+    t = np.repeat(np.vstack([np.zeros(l), np.eye(l)]), len(corners), axis=0)
+    v = rad[:, None, None] * np.tile(corners, (l + 1, 1))
+    b, A, N = (_stack([getattr(psi.chart, a) for psi in psis]) for a in ("base", "tangent", "normal"))
+    pts = b[:, None] + matvec(A[:, None], t) + matvec(N[:, None], v)
+    return [AmbientDiffeo(local=psi, support_lo=lo, support_hi=hi)
+            for psi, lo, hi in zip(psis, pts.min(axis=1), pts.max(axis=1))]
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +429,7 @@ def perturb_level(state, level, h, config=None, sd_data=None):
         return state
     if sd_data is None:
         sd_data = subdivision_data(state)
-    charts = [make_chart(state, s) for s in simplices]
+    charts = make_charts(state, simplices)
     try:
         c_sigmas, error = estimate_c_sigma(state, simplices, config, sd_data, charts), None
     except DegenerateGeometryError as exc:

@@ -10,7 +10,9 @@ All types are immutable after construction and safe for concurrent reads.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, permutations, product
 from operator import attrgetter
 
@@ -76,6 +78,14 @@ def simplex_sort_key(s):
     return (s.dim, s.vertices)
 
 
+def _find_rows(table, rows):
+    """Position of each row of rows in table, whose rows ascend; -1 where
+    absent.  Rows are searched as structured scalars, lexicographically."""
+    t, r = (np.ascontiguousarray(a, int).view([("", int)] * a.shape[1]).ravel() for a in (table, rows))
+    at = np.minimum(np.searchsorted(t, r), len(t) - 1)
+    return np.where((table[at] == rows).all(axis=1), at, -1)
+
+
 class SimplicialComplex:
     """A finite simplicial complex, closed under taking faces.
 
@@ -95,7 +105,7 @@ class SimplicialComplex:
                         for d, v in by_dim.items()}
         self.dim = max(self._by_dim)
         self.vertex_ids = tuple(sorted(s.vertices[0] for s in self._by_dim.get(0, ())))
-        self._tops = None
+        self._ids = {}
 
     @property
     def simplices(self):
@@ -104,23 +114,26 @@ class SimplicialComplex:
     def by_dim(self, l):
         return self._by_dim.get(l, ())
 
-    def top_simplices(self):
-        """Maximal simplices (those that are faces of nothing bigger).
+    def ids(self, l):
+        """The l-simplices' vertex ids, (N, l + 1), in by_dim order; kept."""
+        if l not in self._ids:
+            self._ids[l] = np.array([s.vertices for s in self.by_dim(l)], int).reshape(-1, l + 1)
+        return self._ids[l]
 
-        In a face-closed complex a simplex is maximal iff it never occurs
-        as a facet of another simplex, which keeps this linear.
-        """
-        if self._tops is None:
-            facet_of_something = set()
-            for s in self._simplices:
-                if s.dim == 0:
-                    continue
-                for fv in combinations(s.vertices, len(s.vertices) - 1):
-                    facet_of_something.add(fv)
-            self._tops = tuple(sorted((s for s in self._simplices
-                                       if s.vertices not in facet_of_something),
-                                      key=simplex_sort_key))
-        return self._tops
+    def top_ids(self, l):
+        """The rows of ids(l) that are no facet of an (l + 1)-simplex: in a
+        face-closed complex, the maximal l-simplices."""
+        rows, top = self.ids(l), np.ones(len(self.ids(l)), bool)
+        facets = self.ids(l + 1)[:, list(combinations(range(l + 2), l + 1))]
+        at = _find_rows(rows, facets.reshape(-1, l + 1))
+        top[at[at >= 0]] = False
+        return rows[top]
+
+    def top_simplices(self):
+        """Maximal simplices (those that are faces of nothing bigger), in
+        simplex_sort_key order."""
+        return tuple(Simplex._trusted(tuple(r)) for l in range(self.dim + 1)
+                     for r in self.top_ids(l).tolist())
 
     def __contains__(self, s):
         return s in self._simplices
@@ -144,20 +157,13 @@ def build_complex(vertex_count, top_simplices):
         if len(set(raw)) != len(raw):
             raise MeshError(f"repeated vertex id inside simplex {raw}")
     tops = [Simplex(tuple(sorted(raw))) for raw in raw_tops]
-    seen, dupes = set(), []
-    for t in tops:
-        if t in seen and t.vertices not in dupes:
-            dupes.append(t.vertices)
-        seen.add(t)
+    dupes = [t.vertices for t, count in Counter(tops).items() if count > 1]
     if dupes:
         raise MeshError(f"duplicate top simplices: {sorted(dupes)}")
     bad = [t.vertices for t in tops if t.vertices[-1] >= vertex_count or t.vertices[0] < 0]
     if bad:
         raise MeshError(f"vertex ids out of range 0..{vertex_count - 1}: {bad}")
-    closure = set()
-    for t in tops:
-        closure.update(t.faces())
-    return SimplicialComplex(closure)
+    return SimplicialComplex(f for t in tops for f in t.faces())
 
 
 def skeleton(cplx, l):
@@ -203,18 +209,10 @@ class GeometricRealization:
         missing = [v for v in cplx.vertex_ids if v not in self._coords]
         if missing:
             raise MeshError(f"vertices without coordinates: {missing}")
-        by_d = {}
-        for s in cplx.top_simplices():
-            if s.dim >= 1:
-                by_d.setdefault(s.dim, []).append(s)
-        for d, group in by_d.items():
-            mats = np.stack([self.simplex_frame(s)[1] for s in group])
-            scale = max(1.0, float(np.abs(mats).max()))
-            sv = np.linalg.svd(mats, compute_uv=False)
-            bad = np.nonzero(sv[:, -1] <= 1e-12 * scale)[0]
-            if bad.size:
-                s = group[int(bad[0])]
-                raise MeshError(f"degenerate simplex {s.vertices}: vertices affinely dependent")
+        for l in range(1, cplx.dim + 1):
+            tops = cplx.top_ids(l)
+            if len(tops):
+                _check_independent(self.points(tops), tops)
 
     def point(self, v):
         return self._coords[v]
@@ -222,6 +220,16 @@ class GeometricRealization:
     @property
     def vertex_ids(self):
         return tuple(sorted(self._coords))
+
+    @cached_property
+    def _table(self):
+        ids = np.array(self.vertex_ids)
+        return ids, np.array([self._coords[v] for v in ids.tolist()])
+
+    def points(self, ids):
+        """Coordinates of an int array of vertex ids, ids.shape + (m,)."""
+        vids, table = self._table
+        return table[np.searchsorted(vids, ids)]
 
     def simplex_points(self, s):
         return np.array([self._coords[v] for v in s.vertices])
@@ -239,9 +247,22 @@ class GeometricRealization:
         return pts.min(axis=0), pts.max(axis=0)
 
     def min_edge_length(self, cplx):
-        lengths = [np.linalg.norm(self.point(a) - self.point(b))
-                   for s in cplx.by_dim(1) for a, b in [s.vertices]]
-        return min(lengths) if lengths else 1.0
+        """The shortest edge (rows with the bits of np.linalg.norm), 1.0
+        without edges."""
+        p = self.points(cplx.ids(1))
+        return row_norms(p[:, 0] - p[:, 1]).min() if len(p) else 1.0
+
+
+def _check_independent(pts, ids):
+    """MeshError for the first simplex, vertices pts[i] (N, k, m) and ids[i],
+    whose edge matrix has a singular value <= 1e-12 max(1, its largest
+    entry over all i): one stacked SVD."""
+    mats = (pts[:, 1:] - pts[:, :1]).transpose(0, 2, 1)
+    scale = max(1.0, float(np.abs(mats).max()))
+    bad = np.nonzero(np.linalg.svd(mats, compute_uv=False)[:, -1] <= 1e-12 * scale)[0]
+    if bad.size:
+        raise MeshError(f"degenerate simplex {tuple(ids[bad[0]].tolist())}: "
+                        "vertices affinely dependent")
 
 
 def barycenter(s, realization):
@@ -258,16 +279,68 @@ def barycentric_subdivision(cplx, realization):
     (sd_complex, sd_realization, barycenter_ids) where barycenter_ids maps
     each original simplex to its new vertex id.
     """
-    ordered = sorted(cplx.simplices, key=simplex_sort_key)
-    ids = {s: i for i, s in enumerate(ordered)}
-    coords = {ids[s]: barycenter(s, realization) for s in ordered}
-    tops = []
-    for top in cplx.top_simplices():
-        for perm in permutations(top.vertices):
-            flag = [Simplex._trusted(tuple(sorted(perm[: k + 1]))) for k in range(len(perm))]
-            tops.append(tuple(sorted(ids[f] for f in flag)))
-    sd = build_complex(len(ordered), tops)
-    return sd, GeometricRealization(coords, sd), ids
+    sd = SubdivisionData(cplx, realization)
+    return sd.cplx, sd.realization, sd.barycenter_ids
+
+
+class SubdivisionData:
+    """Barycentric subdivision of a realized complex as arrays, with the
+    location index of its tops.  Vertex offset[l] + i is the barycentre of
+    row i of simplices[l] (= ids(l)), at points[offset[l] + i].  A flag of a
+    top, one per vertex permutation, gives a subdivision top: the ascending
+    ids of its nested faces.  index holds them in simplex_sort_key order,
+    and each is checked for affine independence.  The objects (cplx,
+    realization, barycenter_ids, tops) are built on first use."""
+
+    def __init__(self, cplx, realization):
+        self.simplices = [cplx.ids(l) for l in range(cplx.dim + 1)]
+        self.offset = np.cumsum([0] + [len(t) for t in self.simplices])
+        self.points = np.concatenate([realization.points(t).mean(axis=1) for t in self.simplices])
+        flags = []
+        for d in range(cplx.dim + 1):
+            tops = cplx.top_ids(d)
+            face = {c: self.offset[len(c) - 1] + _find_rows(self.simplices[len(c) - 1], tops[:, c])
+                    for k in range(1, d + 2) for c in combinations(range(d + 1), k)}
+            flags += [np.stack([face[tuple(sorted(p[:k]))] for k in range(1, d + 2)], axis=1)
+                      for p in permutations(range(d + 1))]
+        ids = np.concatenate([np.pad(f, ((0, 0), (0, cplx.dim + 1 - f.shape[1])),
+                                     constant_values=-1) for f in flags])
+        ids = ids[np.lexsort(np.vstack([ids.T[::-1], (ids >= 0).sum(axis=1)]))]
+        self.index = _TopIndex(self.points[ids], ids)
+        for k in sorted(set(self.index.size.tolist()) - {1}):
+            j = np.nonzero(self.index.size == k)[0]
+            _check_independent(self.index.pts[j, :k], ids[j, :k])
+
+    def barycenters(self, simplices):
+        """Barycentre ids of simplices of one dimension, as an array."""
+        l = simplices[0].dim
+        at = _find_rows(self.simplices[l], np.array([s.vertices for s in simplices]))
+        if (at < 0).any():
+            raise MeshError(f"simplex {simplices[int(np.argmin(at))].vertices} not in complex")
+        return self.offset[l] + at
+
+    @cached_property
+    def tops(self):
+        return tuple(Simplex._trusted(tuple(v for v in r if v >= 0))
+                     for r in self.index.ids.tolist())
+
+    @cached_property
+    def cplx(self):
+        return build_complex(len(self.points), [t.vertices for t in self.tops])
+
+    @cached_property
+    def realization(self):
+        return GeometricRealization(dict(enumerate(self.points)))
+
+    @cached_property
+    def barycenter_ids(self):
+        rows = (r for t in self.simplices for r in t.tolist())
+        return {Simplex._trusted(tuple(r)): i for i, r in enumerate(rows)}
+
+    def carrier(self, p, tol=1e-10):
+        """Carrier simplex of each row of p, None outside the complex; a 1-D
+        p is one row."""
+        return self.index.carriers(np.atleast_2d(p), tol)
 
 
 @dataclass(frozen=True)
@@ -374,15 +447,18 @@ _BLOCK_PAIRS = 1 << 13
 
 class _TopIndex:
     """Bounding boxes, vertex coordinates, residual scales and barycentric
-    maps of a set of simplices, for locating many points at once."""
+    maps of a set of simplices, for locating many points at once: stacked
+    over the tops' vertex coordinates pts (K, k, m) and ascending ids (K,
+    k), where -1 pads a smaller top's ids and zeros its pts."""
 
-    def __init__(self, realization, tops):
-        self.tops = tuple(tops)
-        pts = [realization.simplex_points(s) for s in self.tops]
-        self.lo = np.array([p.min(axis=0) for p in pts])
-        self.hi = np.array([p.max(axis=0) for p in pts])
-        self.scale = np.array([max(1.0, float(np.abs(p).max())) for p in pts])
-        self.size = np.array([len(p) for p in pts])
+    def __init__(self, pts, ids):
+        self.ids = ids
+        real = (ids >= 0)[..., None]
+        self.pts = np.where(real, pts, 0.0)
+        self.size = real.sum(axis=(1, 2))
+        self.lo = np.where(real, pts, np.inf).min(axis=1)
+        self.hi = np.where(real, pts, -np.inf).max(axis=1)
+        self.scale = np.fmax(1.0, np.abs(self.pts).max(axis=(1, 2)))
         # _accepted means x = P lam - e, lam_i >= -tol, |e| <= tol scale, and
         # lam = M+ (x, 1) is the least-squares solution, whose normal
         # equations give sum(lam) - 1 = -p_i . e (e = 0 and sum(lam) = 1 for
@@ -390,23 +466,36 @@ class _TopIndex:
         # tol (k ext + scale + scale^2 min |p_i|) of the box.  The pad per
         # unit tol doubles that, for rounding: the computed lam is off by
         # about cond(M) eps, far below tol.
-        pmin = np.array([float(np.linalg.norm(p, axis=1).min()) for p in pts])
+        pmin = np.where(real[..., 0], np.linalg.norm(self.pts, axis=2), np.inf).min(axis=1)
         self.pad = 2.0 * (self.size[:, None] * (self.hi - self.lo)
                           + (self.scale * (1.0 + self.scale * pmin))[:, None])
-        # vertex coordinates, zero rows padding the smaller tops
-        m = realization.ambient_dim
-        self.pts = np.zeros((len(pts), self.size.max(initial=0), m))
-        for i, p in enumerate(pts):
-            self.pts[i, :len(p)] = p
         # barycentric map of each top: the (pseudo-)inverse M+ of its
         # augmented vertex matrix M = [P; 1], (m + 1, k), zero rows padding
         # the smaller tops; one stacked call per simplex size
-        self.inv = np.zeros((len(pts), self.pts.shape[1], m + 1))
+        m = pts.shape[2]
+        self.inv = np.zeros((len(pts), pts.shape[1], m + 1))
         for k in set(self.size.tolist()):
             j = np.nonzero(self.size == k)[0]
             self.inv[j, :k] = np.linalg.pinv(np.concatenate(
                 [self.pts[j, :k].transpose(0, 2, 1), np.ones((j.size, 1, k))], axis=1))
         self.cells = {}  # tol -> _BoxCells of the padded boxes: a memo, built on first use
+
+    @classmethod
+    def of(cls, realization, tops):
+        """The index of Simplex tops of a realization, in the given order."""
+        k = max(len(s.vertices) for s in tops)
+        ids = np.array([s.vertices + (-1,) * (k - len(s.vertices)) for s in tops])
+        return cls(realization.points(ids), ids)
+
+    @cached_property
+    def star(self):
+        """The tops holding each vertex id, in top order, -1 padded."""
+        top, col = np.nonzero(self.ids >= 0)
+        v = self.ids[top, col]
+        order, n = np.lexsort((top, v)), np.bincount(v)
+        star = np.full((n.size, n.max()), -1)
+        star[v[order], np.arange(v.size) - np.repeat(np.cumsum(n) - n, n)] = top[order]
+        return star
 
     def first_hits(self, x, tol, cand=None):
         """Locate the rows of x, (N, m), each in the first top, in top
@@ -457,9 +546,11 @@ class _TopIndex:
     def carriers(self, x, tol):
         """Carrier simplex of each row of x, (N, m), None outside every top."""
         rows, top, lam, _ = self.first_hits(x, tol)
+        lam = np.where(np.arange(lam.shape[1]) < self.size[top, None], lam, -np.inf)
         out = [None] * len(x)
-        for i, j, lam_i in zip(rows.tolist(), top.tolist(), lam):
-            out[i] = carrier_face(self.tops[j], lam_i[:self.size[j]], tol)[0]
+        for i, ids, keep in zip(rows.tolist(), self.ids[top].tolist(),
+                                carrier_mask(lam, tol).tolist()):
+            out[i] = Simplex(tuple(v for v, k in zip(ids, keep) if k))
         return out
 
 
@@ -472,8 +563,8 @@ def point_locate(cplx, realization, x, tol=1e-10):
     from boundary: barycentric coordinates below tol are treated as zero
     and the corresponding vertices dropped from the carrier.
     """
-    tops = sorted(cplx.top_simplices(), key=simplex_sort_key)
-    _, top, lam, resid = _TopIndex(realization, tops).first_hits(
+    tops = cplx.top_simplices()
+    _, top, lam, resid = _TopIndex.of(realization, tops).first_hits(
         np.asarray(x, dtype=float)[None], tol)
     if not top.size:
         return None
@@ -500,37 +591,19 @@ def grid_triangulation(box_lo, box_hi, resolution):
     if n < 1:
         raise MeshError("resolution must be >= 1")
 
-    shape = (n + 1,) * m
-
-    def vid(idx):
-        out = 0
-        for i in idx:
-            out = out * (n + 1) + i
-        return out
-
-    coords = {}
-    for idx in product(range(n + 1), repeat=m):
-        coords[vid(idx)] = lo + (hi - lo) * np.array(idx, dtype=float) / n
-
-    tops = []
-    axes = list(range(m))
-    for cell in product(range(n), repeat=m):
-        for perm in permutations(axes):
-            path = [tuple(cell)]
-            cur = list(cell)
-            for ax in perm:
-                cur[ax] += 1
-                path.append(tuple(cur))
-            tops.append(tuple(vid(p) for p in path))
-    # identical simplices can arise only if permutation paths collide, which
-    # they do not; duplicates would be a bug caught by build_complex.
-    cplx = build_complex((n + 1) ** m, tops)
+    # vertex ids count the grid points (row-major) and a cell's tops walk
+    # from its lowest corner one axis at a time, in every axis order
+    grid = np.array(list(product(range(n + 1), repeat=m)))
+    coords = dict(enumerate(lo + (hi - lo) * grid / n))
+    cells = grid[(grid < n).all(axis=1)] @ (n + 1) ** np.arange(m - 1, -1, -1)
+    steps = [np.cumsum([0] + [(n + 1) ** (m - 1 - a) for a in p]) for p in permutations(range(m))]
+    cplx = build_complex((n + 1) ** m, (cells[:, None, None] + steps).reshape(-1, m + 1).tolist())
     return cplx, GeometricRealization(coords, cplx)
 
 
 def write_mesh(path, cplx, realization):
     """Write an OFF-style text mesh: counts, coordinates, top simplices."""
-    tops = sorted(cplx.top_simplices(), key=simplex_sort_key)
+    tops = cplx.top_simplices()
     vids = realization.vertex_ids
     remap = {v: i for i, v in enumerate(vids)}
     lines = [f"{len(vids)} {len(tops)}"]

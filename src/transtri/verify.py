@@ -15,6 +15,7 @@ spanning is possible, the test is that the column-normalized matrix
 
 import logging
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -101,7 +102,7 @@ def simplex_patch(state, simplices):
     size = 1 case.  The frames are simplex_frame's, stacked in C order."""
     if isinstance(simplices, Simplex):
         simplices = [simplices]
-    pts = _corners(state.realization, simplices)
+    pts = state.realization.points(np.array([s.vertices for s in simplices]))
     b = pts[:, 0]
     A = np.ascontiguousarray((pts[:, 1:] - pts[:, :1]).transpose(0, 2, 1))
 
@@ -115,29 +116,13 @@ def simplex_patch(state, simplices):
     return Patch(l=simplices[0].dim, eval=ev, eval_jac=ej, size=len(simplices))
 
 
-def _corners(realization, simplices):
-    """Vertex coordinates of simplices of one dimension, (N, l + 1, m), in
-    one gather from a table of the realization's vertices."""
-    ids = realization.vertex_ids
-    table = np.array([realization.point(v) for v in ids])
-    return table[np.searchsorted(ids, np.array([s.vertices for s in simplices]))]
-
-
 def interior_lattice(l, per_dim):
-    """Strictly interior lattice points of the standard l-simplex, as rows."""
+    """Strictly interior lattice points of the standard l-simplex, as rows,
+    in lexicographic order."""
     if l == 0:
         return np.zeros((1, 0))
     n = per_dim + l
-    pts = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == l:
-            pts.append(prefix)
-            return
-        for i in range(1, remaining):
-            rec(prefix + [i], remaining - i)
-
-    rec([], n)
+    pts = [p for p in product(range(1, n), repeat=l) if sum(p) < n]
     return np.array(pts, float).reshape(-1, l) / n
 
 
@@ -467,7 +452,7 @@ def _records(state, h, group, hits, config):
     lam = np.clip(lam[valid], 0.0, None)
     keep = carrier_mask(lam, config.barycentric_tol)
     verts = np.array([s.vertices for s in group])
-    corners = _corners(state.realization, group)
+    corners = state.realization.points(verts)
     size = keep.sum(axis=1)
     base = np.empty((len(owner), m))
     faces = []

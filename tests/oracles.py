@@ -10,14 +10,28 @@ its own exps and logs, before the forms in bump shared them.
 
 Gauss-Newton: the refinement loop that evaluates the patch at every
 iteration, also for a vertex patch, whose image never moves.
+
+Set-up: the object builds that stacked array builds replaced, one
+simplex at a time: the grid mesh, the maximal simplices and the
+affine-independence check of a complex, the barycentric subdivision with
+its location index fields and star tables, tubular charts with their QR
+normal completion, a link's support box and the shortest edge, and the
+clearance search's sample lattice and directions, point by point.
+
+Test-only views: one local diffeomorphism's fiber map, Jacobian and
+inverse, and a chart's frame coordinates, which the pipeline reads from
+stacked link data instead.
 """
 
 import math
+from itertools import combinations, permutations, product
 
 import numpy as np
 
 from transtri import bump
 from transtri import simplicial as sc
+from transtri.charts import AmbientDiffeo, TubularChart, fiber_moves, fiber_preimages
+from transtri.errors import MeshError
 from transtri.rows import entrywise, lstsq_rows, matvec, row_norms
 
 
@@ -97,12 +111,14 @@ def beta_deriv(r):
 
 def rho_l_grad(t):
     """Gradient of rho_l over the last axis of t, with rho and rho_deriv of
-    every factor."""
+    every factor; 1 - sum t is NaN, silently, on a row holding both
+    infinities."""
     t = np.asarray(t, float)
     l = t.shape[-1]
     if l == 0:
         return np.zeros(t.shape)
-    args = np.concatenate([1.0 - t.sum(axis=-1)[..., None], t], axis=-1)
+    with np.errstate(invalid="ignore"):
+        args = np.concatenate([1.0 - t.sum(axis=-1)[..., None], t], axis=-1)
     g, g1 = bump.rho(args), bump.rho_deriv(args, 1)
     grad = np.empty(t.shape)
     for j in range(l):
@@ -158,3 +174,229 @@ def gauss_newton(h, patch, y0, t0, config, scale, owner=None):
         live = p[~far & (sn >= 1e-15)]
     ok = ~diverged & (best_r < np.inf) & h.domain.contains(best_y, tol=1e-6 * (1.0 + scale))
     return [(best_y[p], best_t[p], float(best_r[p])) if ok[p] else None for p in range(P)]
+
+
+def top_simplices(cplx):
+    """Maximal simplices: those that never occur as a facet of another."""
+    facet_of_something = set()
+    for s in cplx.simplices:
+        if s.dim == 0:
+            continue
+        for fv in combinations(s.vertices, len(s.vertices) - 1):
+            facet_of_something.add(fv)
+    return tuple(sorted((s for s in cplx.simplices if s.vertices not in facet_of_something),
+                        key=sc.simplex_sort_key))
+
+
+def validate(realization, cplx):
+    """The affine-independence check of every top of dimension >= 1, one
+    stacked SVD per dimension of the frames simplex_frame builds."""
+    by_d = {}
+    for s in top_simplices(cplx):
+        if s.dim >= 1:
+            by_d.setdefault(s.dim, []).append(s)
+    for d, group in by_d.items():
+        mats = np.stack([realization.simplex_frame(s)[1] for s in group])
+        scale = max(1.0, float(np.abs(mats).max()))
+        sv = np.linalg.svd(mats, compute_uv=False)
+        bad = np.nonzero(sv[:, -1] <= 1e-12 * scale)[0]
+        if bad.size:
+            s = group[int(bad[0])]
+            raise MeshError(f"degenerate simplex {s.vertices}: vertices affinely dependent")
+
+
+def barycentric_subdivision(cplx, realization):
+    """The subdivision from Simplex objects: (sd_complex, sd_realization,
+    barycenter_ids, tops in simplex_sort_key order), the check run on
+    every top."""
+    ordered = sorted(cplx.simplices, key=sc.simplex_sort_key)
+    ids = {s: i for i, s in enumerate(ordered)}
+    coords = {ids[s]: sc.barycenter(s, realization) for s in ordered}
+    tops = []
+    for top in top_simplices(cplx):
+        for perm in permutations(top.vertices):
+            flag = [sc.Simplex(tuple(sorted(perm[: k + 1]))) for k in range(len(perm))]
+            tops.append(tuple(sorted(ids[f] for f in flag)))
+    sd = sc.build_complex(len(ordered), tops)
+    real = sc.GeometricRealization(coords)
+    validate(real, sd)
+    return sd, real, ids, top_simplices(sd)
+
+
+def top_index(realization, tops):
+    """The fields of _TopIndex, one top at a time: lo, hi, scale, size, pad,
+    pts and inv, as a dict."""
+    pts = [realization.simplex_points(s) for s in tops]
+    f = {"lo": np.array([p.min(axis=0) for p in pts]),
+         "hi": np.array([p.max(axis=0) for p in pts]),
+         "scale": np.array([max(1.0, float(np.abs(p).max())) for p in pts]),
+         "size": np.array([len(p) for p in pts])}
+    pmin = np.array([float(np.linalg.norm(p, axis=1).min()) for p in pts])
+    f["pad"] = 2.0 * (f["size"][:, None] * (f["hi"] - f["lo"])
+                      + (f["scale"] * (1.0 + f["scale"] * pmin))[:, None])
+    m = realization.ambient_dim
+    f["pts"] = np.zeros((len(pts), f["size"].max(), m))
+    for i, p in enumerate(pts):
+        f["pts"][i, :len(p)] = p
+    f["inv"] = np.zeros((len(pts), f["pts"].shape[1], m + 1))
+    for k in set(f["size"].tolist()):
+        j = np.nonzero(f["size"] == k)[0]
+        f["inv"][j, :k] = np.linalg.pinv(np.concatenate(
+            [f["pts"][j, :k].transpose(0, 2, 1), np.ones((j.size, 1, k))], axis=1))
+    return f
+
+
+def star_tables(tops):
+    """StarLocator's tables from Simplex tops: each vertex's tops in order,
+    -1 padded, and each top's vertices, -1 padded."""
+    stars = {}
+    for j, top in enumerate(tops):
+        for v in top.vertices:
+            stars.setdefault(v, []).append(j)
+    star = np.full((max(stars) + 1, max(map(len, stars.values()))), -1)
+    for v, js in stars.items():
+        star[v, :len(js)] = js
+    ids = np.full((len(tops), max(len(t.vertices) for t in tops)), -1)
+    for j, top in enumerate(tops):
+        ids[j, :len(top.vertices)] = top.vertices
+    return star, ids
+
+
+def normal_completion(A, m):
+    """The orthonormal completion of the columns of one A, by a complete QR
+    and per-column sign fixes."""
+    l = A.shape[1]
+    if l == 0:
+        return np.eye(m)
+    Q, R = np.linalg.qr(A, mode="complete")
+    for j in range(l):
+        if R[j, j] < 0:
+            Q[:, j] = -Q[:, j]
+            R[j, :] = -R[j, :]
+    N = Q[:, l:]
+    for j in range(N.shape[1]):
+        k = int(np.argmax(np.abs(N[:, j])))
+        if N[k, j] < 0:
+            N[:, j] = -N[:, j]
+    return N
+
+
+def make_chart(state, s):
+    """The tubular chart of one simplex, from simplex_frame, with M = [A | N]
+    and its inverse."""
+    b, A = state.realization.simplex_frame(s)
+    N = normal_completion(A, state.ambient_dim)
+    M = np.hstack([A, N])
+    return TubularChart(s, b, A, N, M, np.linalg.inv(M))
+
+
+def extend_to_ambient(psi):
+    """The link of one local diffeomorphism, its support box from the
+    chart's frame_point at the corners."""
+    chart = psi.chart
+    l, m = chart.l, chart.m
+    rho_max = bump.rho_l(np.full(l, 1.0 / (l + 1))) if l else 1.0
+    rad = psi.epsilon * rho_max
+    t_corners = np.vstack([np.zeros(l), np.eye(l)])
+    v_corners = rad * (2.0 * np.array(list(np.ndindex(*(2,) * (m - l))), float) - 1.0)
+    pts = chart.frame_point(np.repeat(t_corners, len(v_corners), axis=0),
+                            np.tile(v_corners, (l + 1, 1)))
+    return AmbientDiffeo(local=psi, support_lo=pts.min(axis=0), support_hi=pts.max(axis=0))
+
+
+def min_edge_length(realization, cplx):
+    """The shortest edge, one norm per edge."""
+    lengths = [np.linalg.norm(realization.point(a) - realization.point(b))
+               for s in cplx.by_dim(1) for a, b in [s.vertices]]
+    return min(lengths) if lengths else 1.0
+
+
+def _per_row(psi, n):
+    return np.full(n, psi.epsilon), np.broadcast_to(psi.v, (n, psi.v.size))
+
+
+def local_moves(psi, t, v, with_jacobian=False):
+    """fiber_moves of one LocalDiffeo at the rows of t (N, l) and v (N, m-l)."""
+    return fiber_moves(t, v, *_per_row(psi, len(v)), with_jacobian)
+
+
+def local_eval(psi, t, v):
+    """Images (t, v) of the rows of t and v under psi; v itself when no row
+    moves."""
+    moved, v2 = local_moves(psi, t, v)[:2]
+    if moved.size:
+        v = v.copy()
+        v[moved] = v2
+    return t, v
+
+
+def local_jacobian(psi, t, v):
+    """(N, m, m) Jacobians of psi at the rows of t and v."""
+    return local_moves(psi, t, v, with_jacobian=True)[2]
+
+
+def local_inverse_moves(psi, t, w):
+    """Rows of w (N, m-l) that psi's inverse moves, and their preimages."""
+    return fiber_preimages(t, w, *_per_row(psi, len(w)))
+
+
+def frame_coords(chart, x):
+    """Frame coordinates (t, v) of the rows of x in a chart."""
+    tv = matvec(chart._Minv, np.asarray(x, float) - chart.base)
+    return tv[..., :chart.l], tv[..., chart.l:]
+
+
+def grid_triangulation(lo, hi, n):
+    """The Kuhn-split grid, one vertex and one path at a time."""
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    m = lo.size
+
+    def vid(idx):
+        out = 0
+        for i in idx:
+            out = out * (n + 1) + i
+        return out
+
+    coords = {vid(idx): lo + (hi - lo) * np.array(idx, dtype=float) / n
+              for idx in product(range(n + 1), repeat=m)}
+    tops = []
+    for cell in product(range(n), repeat=m):
+        for perm in permutations(range(m)):
+            path, cur = [tuple(cell)], list(cell)
+            for ax in perm:
+                cur[ax] += 1
+                path.append(tuple(cur))
+            tops.append(tuple(vid(p) for p in path))
+    cplx = sc.build_complex((n + 1) ** m, tops)
+    return cplx, sc.GeometricRealization(coords, cplx)
+
+
+def interior_lattice(l, per_dim):
+    """The interior lattice of the standard l-simplex, by recursion."""
+    if l == 0:
+        return np.zeros((1, 0))
+    n = per_dim + l
+    pts = []
+
+    def rec(prefix, remaining):
+        if len(prefix) == l:
+            pts.append(prefix)
+            return
+        for i in range(1, remaining):
+            rec(prefix + [i], remaining - i)
+
+    rec([], n)
+    return np.array(pts, float).reshape(-1, l) / n
+
+
+def unit_directions_3d():
+    """The 26 unit directions of the 3 x 3 x 3 stencil, one norm each."""
+    dirs = []
+    for sx in (-1, 0, 1):
+        for sy in (-1, 0, 1):
+            for sz in (-1, 0, 1):
+                if sx == sy == sz == 0:
+                    continue
+                u = np.array([sx, sy, sz], float)
+                dirs.append(u / np.linalg.norm(u))
+    return dirs

@@ -16,7 +16,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 
-
+import oracles
 from transtri import bump
 from transtri import simplicial as sc
 from transtri.charts import TriangulationState, dump_chain_metadata
@@ -136,11 +136,11 @@ def test_criterion_05_jacobian_suite(base_state):
         l = s.dim
 
         def f(tv, psi=psi, l=l):
-            t2, v2 = psi.eval(tv[None, :l], tv[None, l:])
+            t2, v2 = oracles.local_eval(psi, tv[None, :l], tv[None, l:])
             return np.concatenate([t2[0], v2[0]])
 
         def jac(tv, psi=psi, l=l):
-            return psi.jacobian(tv[None, :l], tv[None, l:])[0]
+            return oracles.local_jacobian(psi, tv[None, :l], tv[None, l:])[0]
 
         pts = []
         while len(pts) < 50:

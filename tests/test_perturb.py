@@ -5,6 +5,7 @@ composition, end-to-end behavior and error contracts."""
 import numpy as np
 import pytest
 
+import oracles
 from transtri import bump, perturb
 from transtri import simplicial as sc
 from transtri.charts import StarLocator, TriangulationState, dump_chain_metadata, make_chart
@@ -148,7 +149,7 @@ class TestLocalDiffeo:
         t = np.array([0.5])
         rho = bump.rho_l(t)
         v = np.array([[2.0 * pert.epsilon * rho]])
-        t2, v2 = psi.eval(t[None], v)
+        t2, v2 = oracles.local_eval(psi, t[None], v)
         assert v2 is v  # exact fixed point, same object
 
     def test_identity_outside_open_simplex(self, base_state):
@@ -156,7 +157,7 @@ class TestLocalDiffeo:
         psi = build_local_diffeo(pert)
         for t in (np.array([-0.1]), np.array([0.0]), np.array([1.0])):
             v = np.array([[1e-6]])
-            _, v2 = psi.eval(t[None], v)
+            _, v2 = oracles.local_eval(psi, t[None], v)
             assert v2 is v
 
     def test_zero_section_moves_by_shift(self, base_state):
@@ -164,7 +165,7 @@ class TestLocalDiffeo:
         pert = make_pert(base_state, sc.Simplex((0,)), eps=0.05)
         psi = build_local_diffeo(pert)
         t = np.zeros(0)
-        v2 = psi.eval(t[None], np.zeros((1, 2)))[1][0]
+        v2 = oracles.local_eval(psi, t[None], np.zeros((1, 2)))[1][0]
         assert np.allclose(v2, pert.shift(t), atol=0)
         assert np.allclose(v2, np.exp(-1.0) * pert.v)
 
@@ -176,11 +177,11 @@ class TestLocalDiffeo:
 
         def f(tv):
             t, v = tv[:sdim], tv[sdim:]
-            t2, v2 = psi.eval(t[None], v[None])
+            t2, v2 = oracles.local_eval(psi, t[None], v[None])
             return np.concatenate([t2[0], v2[0]])
 
         def jac(tv):
-            return psi.jacobian(tv[None, :sdim], tv[None, sdim:])[0]
+            return oracles.local_jacobian(psi, tv[None, :sdim], tv[None, sdim:])[0]
 
         pts = []
         while len(pts) < 100:
@@ -199,7 +200,7 @@ class TestLocalDiffeo:
         for _ in range(50):
             v = RNG.uniform(-1, 1, size=2)
             v *= RNG.uniform(0, 1) * pert.epsilon / np.linalg.norm(v)
-            J = psi.jacobian(np.zeros((1, 0)), v[None])[0]
+            J = oracles.local_jacobian(psi, np.zeros((1, 0)), v[None])[0]
             assert np.linalg.norm(J - np.eye(2), 2) < 0.5
 
     @pytest.mark.parametrize("sdim,rows", [(0, 78), (1, 96)])
@@ -232,8 +233,8 @@ class TestLocalDiffeo:
             t = RNG.uniform(0.2, 0.8, size=1)
             rho = bump.rho_l(t)
             v = RNG.uniform(-1, 1, size=1) * pert.epsilon * rho
-            w = psi.eval(t[None], v[None])[1][0]
-            moved, v2 = psi.inverse_moves(t[None], w[None])
+            w = oracles.local_eval(psi, t[None], v[None])[1][0]
+            moved, v2 = oracles.local_inverse_moves(psi, t[None], w[None])
             v2 = v2[0] if moved.size else w
             assert np.linalg.norm(v2 - v) < 1e-11
 
@@ -249,7 +250,7 @@ class TestLocalDiffeo:
 
 class TestAmbientExtension:
     def _link(self, state, s, eps=0.05):
-        return extend_to_ambient(build_local_diffeo(make_pert(state, s, eps=eps)))
+        return extend_to_ambient([build_local_diffeo(make_pert(state, s, eps=eps))])[0]
 
     def test_identity_outside_support_box(self, base_state):
         link = self._link(base_state, sc.Simplex((0, 3)))

@@ -227,7 +227,7 @@ class TestPointLocate:
             cplx)
         x = np.array([50.0, -5e-9])
         assert sc.point_locate(cplx, real, x).simplex == sc.Simplex((0, 1))
-        index = sc._TopIndex(real, [sc.Simplex((0, 1, 2))])
+        index = sc._TopIndex.of(real, [sc.Simplex((0, 1, 2))])
         assert index.carriers(x[None], 1e-10) == [sc.Simplex((0, 1))]
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -247,7 +247,7 @@ class TestPointLocate:
         cplx = sc.build_complex(len(coords), tops)
         real = sc.GeometricRealization(coords, cplx)
         order = sorted(cplx.top_simplices(), key=sc.simplex_sort_key)
-        index = sc._TopIndex(real, order)
+        index = sc._TopIndex.of(real, order)
         xs = []
         for s in order:
             pts = real.simplex_points(s)
