@@ -1,0 +1,189 @@
+#!/usr/bin/env python3
+"""Time the stages of `run` on a scenario, and count each search's work.
+
+    python3 scripts/time_stages.py scenarios/scenario_a.cfg --seed 1 --runs 3
+
+Each run goes through cli.run in this process, with its artifacts in a
+temporary directory (time_resolution.time_run), under wall-clock wrappers
+installed from here; the package is not edited.  A run prints its
+verdict, records by class and wall time, then the wall time of each
+stage: the barycentric subdivision (perturb.subdivision_data); for each
+level its clearance search (estimate_c_sigma), shift sampling
+(_sample_shift, which holds the level's candidate searches) and guard
+(build_local_diffeo); the final verify (verify_triangulation) and its
+search of each simplex dimension; and the artifacts
+(cli._write_artifacts).  Then one line per search (find_intersections):
+where it ran, the dimension and number of its simplices, its seed pairs,
+its Gauss-Newton iterations (one map evaluation each) and its chain
+passes and rows (ChainOps._forward).  A search the final verify takes
+from the last trial state searches nothing and shows as kept.  The chain
+passes outside any search (the figure's) come last.
+"""
+
+import argparse
+import sys
+import time
+
+import numpy as np
+
+from time_resolution import cli, time_run  # puts src/ on the path first
+from transtri import charts, perturb, smoothmap, verify
+
+
+class Probe:
+    """Stage times and search counts of one run, filled by the wrappers."""
+
+    def __init__(self):
+        self.stages = {}  # label -> wall s, in order of first call
+        self.searches = []  # [where, dim, simplices, pairs, iterations, passes, rows]
+        self.outside = [0, 0]  # chain passes and rows outside any search
+        self.level = None
+        self.final = False
+        self.search = None
+        self.in_gn = False
+
+    def add(self, label, seconds):
+        self.stages[label] = self.stages.get(label, 0.0) + seconds
+
+
+def install(probe):
+    """Wrap the stage and search boundaries; returns the originals to restore."""
+    saved = []
+
+    def patch(owner, name, make):
+        plain = getattr(owner, name)
+        saved.append((owner, name, plain))
+        setattr(owner, name, make(plain))
+
+    def timed(label):
+        def make(plain):
+            def wrapper(*args, **kwargs):
+                t0 = time.perf_counter()
+                try:
+                    return plain(*args, **kwargs)
+                finally:
+                    probe.add(label(), time.perf_counter() - t0)
+            return wrapper
+        return make
+
+    def in_level(plain):
+        def wrapper(state, level, *args, **kwargs):
+            probe.level = level
+            try:
+                return plain(state, level, *args, **kwargs)
+            finally:
+                probe.level = None
+        return wrapper
+
+    def in_final(plain):
+        def wrapper(*args, **kwargs):
+            probe.final = True
+            t0 = time.perf_counter()
+            try:
+                return plain(*args, **kwargs)
+            finally:
+                probe.final = False
+                probe.add("verify", time.perf_counter() - t0)
+        return wrapper
+
+    def search(plain):
+        def wrapper(state, simplices, *args, **kwargs):
+            group = list(simplices)
+            where = "verify" if probe.final else f"level {probe.level} sampling"
+            probe.search = [where, group[0].dim, len(group), None, 0, 0, 0]
+            t0 = time.perf_counter()
+            try:
+                return plain(state, group, *args, **kwargs)
+            finally:
+                if probe.final:
+                    probe.add(f"verify dim {group[0].dim}", time.perf_counter() - t0)
+                probe.searches.append(probe.search)
+                probe.search = None
+        return wrapper
+
+    def pair_seeds(plain):
+        def wrapper(*args, **kwargs):
+            out = plain(*args, **kwargs)
+            if probe.search is not None:
+                probe.search[3] = len(out[2])
+            return out
+        return wrapper
+
+    def gauss_newton(plain):
+        def wrapper(*args, **kwargs):
+            probe.in_gn = True
+            try:
+                return plain(*args, **kwargs)
+            finally:
+                probe.in_gn = False
+        return wrapper
+
+    def eval_batch(plain):
+        def wrapper(self, ys):
+            if probe.in_gn and probe.search is not None:
+                probe.search[4] += 1
+            return plain(self, ys)
+        return wrapper
+
+    def forward(plain):
+        def wrapper(self, x, with_jacobian):
+            rows = np.size(x) // np.shape(x)[-1]
+            if probe.search is None:
+                probe.outside[0] += 1
+                probe.outside[1] += rows
+            else:
+                probe.search[5] += 1
+                probe.search[6] += rows
+            return plain(self, x, with_jacobian)
+        return wrapper
+
+    patch(perturb, "perturb_level", in_level)
+    patch(perturb, "estimate_c_sigma", timed(lambda: f"level {probe.level} clearance"))
+    patch(perturb, "_sample_shift", timed(lambda: f"level {probe.level} sampling"))
+    patch(perturb, "build_local_diffeo", timed(lambda: f"level {probe.level} guard"))
+    patch(perturb, "verify_triangulation", in_final)
+    patch(perturb, "find_intersections", search)
+    patch(verify, "find_intersections", search)
+    patch(verify, "_pair_seeds", pair_seeds)
+    patch(verify, "_gauss_newton", gauss_newton)
+    patch(smoothmap.SmoothMap, "eval_batch", eval_batch)
+    patch(charts.ChainOps, "_forward", forward)
+    patch(cli, "_write_artifacts", timed(lambda: "artifacts"))
+    return saved
+
+
+def report(probe, result, wall, setup):
+    lines = [f"{result} in {wall:.3f} s", f"  {'subdivision':<24}{setup:9.4f} s"]
+    lines += [f"  {label:<24}{seconds:9.4f} s" for label, seconds in probe.stages.items()]
+    lines.append(f"  {'search':<20}{'dim':>4}{'simplices':>10}{'pairs':>7}"
+                 f"{'gn iterations':>15}{'chain passes':>14}{'rows':>7}")
+    for where, dim, size, pairs, iterations, passes, rows in probe.searches:
+        lines.append(f"  {where:<20}{dim:>4}{size:>10}{'kept' if pairs is None else pairs:>7}"
+                     f"{iterations:>15}{passes:>14}{rows:>7}")
+    lines.append(f"  {'outside searches':<20}{'':>4}{'':>10}{'':>7}{'':>15}"
+                 f"{probe.outside[0]:>14}{probe.outside[1]:>7}")
+    total = probe.outside[0] + sum(s[5] for s in probe.searches)
+    lines.append(f"  chain passes in all: {total}")
+    return "\n".join(lines)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("scenario", help="a scenario file")
+    ap.add_argument("--runs", type=int, default=1)
+    ap.add_argument("--seed", type=int, default=None, help="the scenario's seed by default")
+    args = ap.parse_args()
+    scenario = cli.load_scenario(args.scenario)
+    for i in range(args.runs):
+        probe = Probe()
+        saved = install(probe)
+        try:
+            result, wall, setup = time_run(scenario, args.seed)
+        finally:
+            for owner, name, plain in reversed(saved):
+                setattr(owner, name, plain)
+        print(f"run {i + 1}: {report(probe, result, wall, setup)}", flush=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -74,20 +74,13 @@ def _stack(arrays):
     return np.array(arrays)
 
 
-def _fade_support(t, w, eps):
-    """Rows of w strictly inside the fade radius eps * rho_l(t), with rho_l,
-    that radius and |w| there."""
+def _fade_support(t, wn, eps):
+    """Rows of |w| = wn strictly inside the fade radius eps * rho_l(t), with
+    rho_l, that radius and wn there."""
     rho = bump.rho_l(t)
     fade = eps * rho
-    wn = row_norms(w)
     rows = np.nonzero((fade > 0.0) & (wn < fade))[0]
     return rows, rho[rows], fade[rows], wn[rows]
-
-
-def _shift(rho, v, rows):
-    """Shifts s = warp * v of the given rows, and whether each is nonzero."""
-    s = bump.scaled_warp(rho, 0)[:, None] * v[rows]
-    return s, s.any(axis=1)
 
 
 def _fiber_block(w, wn, bp, w1, eps, v):
@@ -99,32 +92,36 @@ def _fiber_block(w, wn, bp, w1, eps, v):
     return J
 
 
-def fiber_moves(t, w, eps, v, with_jacobian=False):
+def fiber_moves(t, w, eps, v, with_jacobian=False, wn=None):
     """The fiber map (t, w) -> (t, w + beta(|w| / (eps rho_l(t))) warp(t) v)
     of one link per row, t (N, l), w and v (N, m-l), eps (N,): the rows
-    that move, their new fibers, on request the (N, m, m) Jacobians in
-    (t, w) order, and the support rows, strictly inside the fade radius.
-    Rows off the support (t off the open simplex or w at or beyond the fade
-    radius) keep J = I exactly.  rho_l is read through bump.rho_l alone;
-    beta and beta' share one pair of exps, the warp's powers 1 and 2 one
-    log, and beta', those powers and the gradient of rho_l are only
-    evaluated for the Jacobian."""
+    that move, their new fibers, on request the (S, m, m) Jacobians in
+    (t, w) order of the S support rows, and those support rows, strictly
+    inside the fade radius.  Rows off the support (t off the open simplex
+    or w at or beyond the fade radius) have J = I exactly, and no block is
+    built for them.  wn is |w| when the caller has it.  rho_l is read
+    through bump.rho_l alone; beta and beta' share one pair of exps, the
+    warp's powers 0, 1 and 2 come from one scaled_warps call with one log,
+    and beta', powers 1 and 2 and the gradient of rho_l are only evaluated
+    for the Jacobian."""
     l = t.shape[1]
-    J = np.tile(np.eye(l + w.shape[1]), (len(w), 1, 1)) if with_jacobian else None
-    rows, rho, fade, wn = _fade_support(t, w, eps)
+    rows, rho, fade, wn = _fade_support(t, row_norms(w) if wn is None else wn, eps)
+    J = np.tile(np.eye(l + w.shape[1]), (rows.size, 1, 1)) if with_jacobian else None
     if not rows.size:
         return rows, w[:0], J, rows
-    s, nz = _shift(rho, v, rows)
+    warps = bump.scaled_warps(rho, (0, 1, 2) if with_jacobian else (0,))
+    s = warps[0][:, None] * v[rows]
+    nz = s.any(axis=1)
     r = wn / fade
     b, bp = bump.beta_and_deriv(r) if with_jacobian else (bump.beta(r), None)
     w2 = w[rows[nz]] + b[nz, None] * s[nz]
     if with_jacobian:
         v = v[rows]
-        w1, warp2 = bump.scaled_warps(rho, (1, 2))
+        w1, warp2 = warps[1:]
         if l:
-            J[rows, l:, :l] = (v[:, :, None] * bump.rho_l_grad(t[rows])[:, None, :]
-                               * (b * warp2 - bp * r * w1)[:, None, None])
-        J[rows, l:, l:] = _fiber_block(w[rows], wn, bp, w1, eps[rows], v)
+            J[:, l:, :l] = (v[:, :, None] * bump.rho_l_grad(t[rows])[:, None, :]
+                            * (b * warp2 - bp * r * w1)[:, None, None])
+        J[:, l:, l:] = _fiber_block(w[rows], wn, bp, w1, eps[rows], v)
     return rows[nz], w2, J, rows
 
 
@@ -132,15 +129,18 @@ def fiber_preimages(t, w, eps, v):
     """Rows of w that the inverse fiber map moves and their preimages, per row
     as in fiber_moves, by Newton on x + beta(|x| / (eps rho)) s = w; the |J -
     I| < 1/2 guard makes it a contraction, so rows that do not converge raise
-    NewtonDivergenceError, with their indices as rows."""
-    rows, rho, fade, _ = _fade_support(t, w, eps)
+    NewtonDivergenceError, with their indices as rows.  Each iteration takes
+    beta and beta' from one beta_and_deriv call."""
+    rows, rho, fade, _ = _fade_support(t, row_norms(w), eps)
     if not rows.size:
         return rows, w[:0]
-    s, nz = _shift(rho, v, rows)
+    w0, w1 = bump.scaled_warps(rho, (0, 1))
+    s = w0[:, None] * v[rows]
+    nz = s.any(axis=1)
     rows, s = rows[nz], s[nz]
     if not rows.size:
         return rows, w[:0]
-    fade, w, w1 = fade[nz], w[rows], bump.scaled_warp(rho[nz], 1)
+    fade, w, w1 = fade[nz], w[rows], w1[nz]
     eps, v = eps[rows], v[rows]
     x = w.copy()
     live = np.arange(rows.size)
@@ -148,12 +148,13 @@ def fiber_preimages(t, w, eps, v):
         xl = x[live]
         xn = row_norms(xl)
         r = xn / fade[live]
-        g = xl + bump.beta(r)[:, None] * s[live] - w[live]
+        b, bp = bump.beta_and_deriv(r)
+        g = xl + b[:, None] * s[live] - w[live]
         go = ~(row_norms(g) < 1e-12)
         if not go.any():
             return rows, x
-        live, xl, xn, r, g = live[go], xl[go], xn[go], r[go], g[go]
-        Jg = _fiber_block(xl, xn, bump.beta_deriv(r), w1[live], eps[live], v[live])
+        live, xl, xn, bp, g = live[go], xl[go], xn[go], bp[go], g[go]
+        Jg = _fiber_block(xl, xn, bp, w1[live], eps[live], v[live])
         x[live] = xl - np.linalg.solve(Jg, g[..., None])[..., 0]
     exc = NewtonDivergenceError("fiber Newton did not converge")
     exc.rows = rows[live]
@@ -188,11 +189,12 @@ class _Run:
         return np.all((x >= self.lo[j]) & (x <= self.hi[j]), axis=1)
 
     def hits(self, X):
-        """Box hits of the rows of X as (rows, links, rank): rows ascending,
-        each row's links newest first, and rank a hit's place in its row."""
-        rows, boxes = self.cells.hits(X)
+        """Box hits of the rows of X as (rows, links, rank, x): rows
+        ascending, each row's links newest first, rank a hit's place in its
+        row and x the row of X at each hit."""
+        rows, boxes, x = self.cells.hits(X)
         links = len(self.links) - 1 - boxes
-        return rows, links, np.arange(rows.size) - np.searchsorted(rows, rows)
+        return rows, links, np.arange(rows.size) - np.searchsorted(rows, rows), x
 
     def _frame(self, x, j):
         """Frame coordinates (t, w) of row i of x in the chart of link j[i]."""
@@ -203,36 +205,41 @@ class _Run:
         """The point b + A t[i] + N w[i] of the chart of link j[i]."""
         return self.base[j] + matvec(self.A[j], t) + matvec(self.N[j], w)
 
-    def movable(self, t, w, j):
-        """Whether the fiber map of link j[i] can move (t[i], w[i]): t on the
-        open simplex and |w| below the largest fade radius eps * reach, with
-        room for rounding."""
+    def movable(self, t, wn, j):
+        """Whether the fiber map of link j[i] can move (t[i], w[i]), |w[i]|
+        being wn[i]: t on the open simplex and |w| below the largest fade
+        radius eps * reach, with room for rounding."""
         return ((t > 0.0).all(axis=1) & (1.0 - t.sum(axis=1) > 0.0)
-                & (row_norms(w) < self.eps[j] * self.reach * (1.0 + 1e-9)))
+                & (wn < self.eps[j] * self.reach * (1.0 + 1e-9)))
 
-    def apply(self, X, rows, links, with_jacobian):
+    def apply(self, X, rows, links, x, with_jacobian):
         """Apply the hits (rows, links), each row's newest first, to X in
-        place, and on request return each hit's m x m Jacobian.
+        place, and on request return each hit's m x m Jacobian; x holds the
+        row of X at each hit, as hits gives it.
 
         Rounds: each takes every pending hit at its row's current point and
-        makes one fiber_moves call, on the hits still in their box that
-        movable keeps.  A row's hits up to its first moving one are final;
-        its later ones saw a stale point and stay pending for the next
-        round.  A final in-box hit off the fade support takes P, and only
-        the hits in it take M J_loc M^-1."""
+        makes one fiber_moves call, on the hits in their box that movable
+        keeps, with the |w| movable read.  The first round's hits are in
+        their boxes at x, so it tests no box and gathers no row; a later
+        round gathers its rows and re-tests their boxes.  A row's hits up to
+        its first moving one are final; its later ones saw a stale point and
+        stay pending for the next round.  A final in-box hit off the fade
+        support takes P, and only the hits on it, which alone get a block
+        from fiber_moves, take M J_loc M^-1."""
         m = X.shape[1]
         Jl = np.tile(np.eye(m), (rows.size, 1, 1)) if with_jacobian else None
         pend = np.arange(rows.size)
+        inbox = np.ones(rows.size, bool)
         while pend.size:
             r, j = rows[pend], links[pend]
-            x = X[r]
             t, w = self._frame(x, j)
-            inbox = self._inside(x, j)
-            live = inbox & self.movable(t, w, j)
-            c = np.nonzero(live)[0]
+            wn = row_norms(w)
+            c = np.nonzero(inbox & self.movable(t, wn, j))[0]
             moved, w2, Jc, sup = fiber_moves(t[c], w[c], self.eps[j[c]], self.v[j[c]],
-                                             with_jacobian)
-            head = np.diff(r[c[moved]], prepend=-1) > 0  # each row's first moving hit
+                                             with_jacobian, wn[c])
+            rm = r[c[moved]]
+            head = np.ones(rm.size, bool)
+            head[1:] = rm[1:] != rm[:-1]  # each row's first moving hit
             h = c[moved[head]]
             X[r[h]] = self._point(j[h], t[h], w2[head])
             cut = np.full(len(X), pend.size)
@@ -244,8 +251,11 @@ class _Run:
                 Jl[pend[fixed]] = self.P[j[fixed]]
                 keep = final[c[sup]]
                 cs = c[sup[keep]]
-                Jl[pend[cs]] = self.M[j[cs]] @ Jc[sup[keep]] @ self.Minv[j[cs]]
+                Jl[pend[cs]] = self.M[j[cs]] @ Jc[keep] @ self.Minv[j[cs]]
             pend = pend[~final]
+            if pend.size:
+                x = X[rows[pend]]
+                inbox = self._inside(x, links[pend])
         return Jl
 
     def unwind(self, X, rows, links):
@@ -260,6 +270,11 @@ class _Run:
             exc.link = self.links[j[exc.rows].min()]
             raise
         X[r[moved]] = self._point(j[moved], t[moved], w2)
+
+
+def _runs(links):
+    """The _Run of each contiguous same-level run of links, in chain order."""
+    return [_Run(list(run)) for _, run in itertools.groupby(links, key=lambda lk: lk.level)]
 
 
 class ChainOps:
@@ -280,13 +295,23 @@ class ChainOps:
     into J rank by rank in chain order.  The inverse takes the same hit
     list, oldest link first, one rank at a time.  Masks are refreshed
     between runs, as earlier links can move points by more than later slab
-    widths.  Each row has the bits of the link-by-link evaluation.
+    widths.  Each row has the bits of the link-by-link evaluation.  A
+    chain with links appended (extended) shares the runs it keeps.
     """
 
-    def __init__(self, links):
+    def __init__(self, links, runs=None):
         self.links = tuple(links)
-        self.runs = [_Run(list(run))
-                     for _, run in itertools.groupby(self.links, key=lambda lk: lk.level)]
+        self.runs = _runs(self.links) if runs is None else runs
+
+    def extended(self, links):
+        """This chain with links appended, sharing this one's runs: only the
+        runs of the new links are built, with the links of the last run
+        when the first new link continues its level."""
+        links = tuple(links)
+        runs, tail = list(self.runs), links
+        if runs and links and runs[-1].l == links[0].level:
+            tail = tuple(runs.pop().links) + links
+        return ChainOps(self.links + links, runs + _runs(tail))
 
     def apply(self, x):
         return self._forward(x, False)[0]
@@ -302,12 +327,12 @@ class ChainOps:
         X = x.reshape(-1, m).copy()
         J = np.tile(np.eye(m), (len(X), 1, 1)) if with_jacobian else None
         for run in reversed(self.runs):
-            rows, links, rank = run.hits(X)
-            Jl = run.apply(X, rows, links, with_jacobian)
+            rows, links, rank, pts = run.hits(X)
+            Jl = run.apply(X, rows, links, pts, with_jacobian)
             if with_jacobian:
                 # hits that left their box still take I @ J: -0.0 becomes +0.0
                 for p in range(rank.max(initial=-1) + 1):
-                    at = rank == p
+                    at = np.flatnonzero(rank == p)
                     J[rows[at]] = Jl[at] @ J[rows[at]]
         return X.reshape(x.shape), None if J is None else J.reshape(x.shape + (m,))
 
@@ -316,7 +341,7 @@ class ChainOps:
         x = np.asarray(x, float)
         X = x.reshape(-1, x.shape[-1]).copy()
         for run in self.runs:
-            rows, links, _ = run.hits(X)
+            rows, links = run.hits(X)[:2]
             # each row's hits oldest first
             rank = np.searchsorted(rows, rows, side="right") - 1 - np.arange(rows.size)
             for p in range(rank.max(initial=-1) + 1):
@@ -407,8 +432,9 @@ class TriangulationState:
     Its complex, realization and links never change: appending links
     returns a new state.  It memoizes its last with_links child and the
     one search find_intersections was asked to keep on it; neither memo
-    ever changes a result.  Reads are safe to share across threads (a race
-    on a memo at worst repeats a computation).
+    ever changes a result.  Its ChainOps is built on first use, or shared
+    run by run with its parent (see with_links).  Reads are safe to share
+    across threads (a race on a memo at worst repeats a computation).
     """
 
     def __init__(self, cplx, realization, links=(), mesh_scale=None):
@@ -417,18 +443,24 @@ class TriangulationState:
         self.links = tuple(links)
         self.ambient_dim = realization.ambient_dim
         self.mesh_scale = realization.min_edge_length(cplx) if mesh_scale is None else mesh_scale
-        self._ops = ChainOps(self.links)
         self._child = None
         self._search = None
 
+    @cached_property
+    def _ops(self):
+        return ChainOps(self.links)
+
     def with_links(self, links):
         """This state with links appended, the last such state again when
-        links are the same objects in the same order."""
+        links are the same objects in the same order.  The child's chain
+        keeps this state's runs and builds only those of the new links
+        (ChainOps.extended)."""
         links = tuple(links)
         child = self._child
         if child is None or child.links[len(self.links):] != links:
             child = TriangulationState(self.complex, self.realization, self.links + links,
                                        self.mesh_scale)
+            child._ops = self._ops.extended(links)
             self._child = child
         return child
 

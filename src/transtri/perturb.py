@@ -336,8 +336,9 @@ def _sampled_distortion(psis):
     t = np.repeat(ts, 3 * len(dirs), axis=0)  # the sample rows of one psi
     owner = np.repeat(np.arange(len(psis)), len(t))
     v = np.array([psi.v for psi in psis])
-    J = fiber_moves(np.tile(t, (len(psis), 1)), vs, eps[owner], v[owner], with_jacobian=True)[2]
-    norms = np.linalg.norm(J - np.eye(l + k), 2, axis=(1, 2))
+    _, _, J, sup = fiber_moves(np.tile(t, (len(psis), 1)), vs, eps[owner], v[owner], True)
+    norms = np.zeros(len(vs))  # J = I off the fade support
+    norms[sup] = np.linalg.norm(J - np.eye(l + k), 2, axis=(1, 2))
     return norms.reshape(len(psis), len(t)).max(axis=1, initial=0.0)
 
 

@@ -28,17 +28,16 @@ def atomic_write(path, text):
         raise
 
 
-def _edge_polylines(state, samples):
-    """The perturbed edges, samples points each, from one chain call."""
-    edges = state.complex.by_dim(1)
-    t = np.linspace(0.0, 1.0, samples)[:, None]
-    base = [b + matvec(A, t) for b, A in map(state.realization.simplex_frame, edges)]
-    return np.split(state.eval_eta(np.concatenate(base)), len(edges)) if edges else []
-
-
-def _vertex_images(state):
+def _mesh_images(state, samples=0):
+    """The vertex images and, with samples, the perturbed edges as polylines
+    of samples points each, from one chain pass."""
     real = state.realization
-    return state.eval_eta(np.array([real.point(v) for v in real.vertex_ids]))
+    verts = np.array([real.point(v) for v in real.vertex_ids])
+    edges = state.complex.by_dim(1) if samples else []
+    t = np.linspace(0.0, 1.0, samples)[:, None]
+    base = [b + matvec(A, t) for b, A in map(real.simplex_frame, edges)]
+    images = state.eval_eta(np.concatenate([verts] + base))
+    return images[:len(verts)], np.split(images[len(verts):], len(edges)) if edges else []
 
 
 def write_svg(path, state, h=None, report=None, edge_samples=16, size=800):
@@ -63,9 +62,10 @@ def write_svg(path, state, h=None, report=None, edge_samples=16, size=800):
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
              f'viewBox="0 0 {size} {size}">',
              f'<rect width="{size}" height="{size}" fill="white"/>']
-    for pts in _edge_polylines(state, edge_samples):
+    vertices, edges = _mesh_images(state, edge_samples)
+    for pts in edges:
         parts.append(polyline(pts, 'stroke="#444" stroke-width="1"'))
-    for x, y in pix(_vertex_images(state)):
+    for x, y in pix(vertices):
         parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="#888"/>')
     if h is not None:
         img = h.eval_batch(h.sample_domain(512))
@@ -90,7 +90,7 @@ def write_obj(path, state):
     vids = state.realization.vertex_ids
     remap = {v: i + 1 for i, v in enumerate(vids)}
     lines = []
-    for p in _vertex_images(state):
+    for p in _mesh_images(state)[0]:
         lines.append("v " + " ".join(f"{c:.12g}" for c in p))
     for s in state.complex.by_dim(2):
         lines.append("f " + " ".join(str(remap[v]) for v in s.vertices))

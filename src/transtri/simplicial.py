@@ -428,11 +428,13 @@ class _BoxCells:
 
     def hits(self, X):
         """Every (row, box) whose closed box holds the row of X, (N, m), as
-        (rows, boxes): rows ascending, each row's boxes ascending.  The exact
-        box test decides among the boxes of a row's cell."""
+        (rows, boxes, x): rows ascending, each row's boxes ascending, and x
+        the row of X at each hit.  The exact box test decides among the
+        boxes of a row's cell."""
         rows, boxes = _expand(self.boxes, *self.lookup(X))
-        inside = np.all((X[rows] >= self.lo[boxes]) & (X[rows] <= self.hi[boxes]), axis=1)
-        return rows[inside], boxes[inside]
+        x = X[rows]
+        inside = np.all((x >= self.lo[boxes]) & (x <= self.hi[boxes]), axis=1)
+        return rows[inside], boxes[inside], x[inside]
 
 
 def _expand(lists, rows, start, n):

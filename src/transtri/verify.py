@@ -140,7 +140,7 @@ def _domain_seeds(h, config):
     return h.sample_domain(config.surface_density)
 
 
-def _gauss_newton(h, patch, y0, t0, config, scale, owner=None):
+def _gauss_newton(h, patch, y0, t0, config, scale, owner=None, first=None):
     """Refine seed pairs toward h(y) = f(t).
 
     Refines the P pairs of (P, n) and (P, l) rows at once (a 1-D pair is
@@ -149,10 +149,14 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None):
     least-squares problem over the pairs still running, and each pair keeps
     its own best point, stall counter, divergence test and domain test, so
     every result equals that of a one-pair call.  Pair i lies on the patch
-    of owner[i] (owner 0 when no owner is given).  A vertex patch (l = 0)
-    has no t to step, so it is evaluated once, at every pair, and each
-    iteration takes the rows of the pairs still running: the chain gives
-    each row the bits of a call on it alone.
+    of owner[i] (owner 0 when no owner is given).  first holds the patch's
+    (f, df) rows at t0, as the seed pass of patch_roots gives them; without
+    it the patch is evaluated at every pair here.  The first iteration
+    takes its rows from first, and so does every iteration on a vertex
+    patch (l = 0), which has no t to step; the later iterations of a
+    positive-dimensional patch make one chain pass each.  The chain gives
+    each row the bits of a call on it alone, so the rows of first, or of
+    the pairs still running, are those of the pass they would have made.
     """
     n = h.domain.dim
     T = np.atleast_2d(np.array(t0, float))
@@ -165,15 +169,14 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None):
     diverged = np.zeros(P, bool)
     live = np.arange(P)
     step_cap = 0.75  # a (y, t) step is in parameter units, whatever the mesh scale
-    # a vertex patch has no t to step, so its image is evaluated once
-    vertex = patch.eval_jac(T, O) if patch.l == 0 else None
-    for _ in range(config.gn_max_iter):
+    F, DF = patch.eval_jac(T, O) if first is None else first
+    for k in range(config.gn_max_iter):
         if not live.size:
             break
-        if vertex is None:
+        if k and patch.l:
             f, df = patch.eval_jac(T[live], O[live])
         else:
-            f, df = vertex[0][live], vertex[1][live]
+            f, df = F[live], DF[live]
         r = h.eval_batch(Y[live]) - f
         rn = row_norms(r)
         stall[live] = np.where(rn < 0.9999 * best_r[live], 0, stall[live] + 1)
@@ -206,7 +209,7 @@ _BLOCK_SEEDS = 1 << 14
 _BLOCK_PAIRS = 1 << 12
 
 
-def _pair_seeds(h, patch, config, scale, t_per_dim=None):
+def _pair_seeds(h, patch, config, scale, t_per_dim=None, jac=False):
     """Seed (y, t) pairs whose images are close enough to share a root.
 
     ts stacks the simplex seed lattice once per owner, owner k holding rows
@@ -217,7 +220,9 @@ def _pair_seeds(h, patch, config, scale, t_per_dim=None):
     dmin), dmin holding the smallest seed distance of each owner.  The
     distances are formed for a block of owners at a time, at most
     _BLOCK_SEEDS of them (or one owner's) per block, which bounds the
-    memory of a call.
+    memory of a call.  The lattice is evaluated in one chain pass: with
+    jac, through patch.eval_jac, and the result gains a fifth item, the
+    (f, df) rows of ts, which seed the refinement (see _gauss_newton).
     """
     ys = _domain_seeds(h, config)
     hy = h.eval_batch(ys)
@@ -226,7 +231,11 @@ def _pair_seeds(h, patch, config, scale, t_per_dim=None):
     lattice = interior_lattice(patch.l, t_per_dim)
     T = len(lattice)
     ts = np.tile(lattice, (patch.size, 1))
-    ft = patch.eval(ts, np.repeat(np.arange(patch.size), T))
+    owners = np.repeat(np.arange(patch.size), T)
+    if jac:
+        ft, dft = patch.eval_jac(ts, owners)
+    else:
+        ft = patch.eval(ts, owners)
     gap = 0.0
     if len(hy) > 1:
         gap = float(np.linalg.norm(np.diff(hy, axis=0), axis=1).max())
@@ -245,7 +254,8 @@ def _pair_seeds(h, patch, config, scale, t_per_dim=None):
         dist.append(d[row, col])
     iy, it, dist = (np.concatenate(x) for x in (iy, it, dist))
     keep = _nearest_per_column(it, dist, 6)
-    return ys, ts, list(zip(iy[keep].tolist(), it[keep].tolist())), dmin
+    seeds = ys, ts, list(zip(iy[keep].tolist(), it[keep].tolist())), dmin
+    return seeds + ((ft, dft),) if jac else seeds
 
 
 def _seed_distances(a, b):
@@ -290,14 +300,18 @@ def patch_roots(h, patch, config, scale, t_per_dim=None):
     simplex are dropped: a root on the line extension of the patch says
     nothing about the patch (its own face or neighbor owns that point).
     min_residual includes the coarse seed distances, so it is meaningful
-    even when no seed pair survives pruning.  The seed pairs of all owners
-    are refined in one _gauss_newton call, and the roots of all owners are
-    deduplicated in one _dedupe call, each owner a group.
+    even when no seed pair survives pruning.  One chain pass evaluates the
+    seed lattice of every owner with its Jacobian; the seed pairs of all
+    owners are refined in one _gauss_newton call, whose first iteration
+    (every iteration on a vertex patch) reads the rows of that pass, and
+    the roots of all owners are deduplicated in one _dedupe call, each
+    owner a group.
     """
-    ys, ts, pairs, coarse = _pair_seeds(h, patch, config, scale, t_per_dim)
+    ys, ts, pairs, coarse, (f, df) = _pair_seeds(h, patch, config, scale, t_per_dim, jac=True)
     iy, it = np.array(pairs, int).reshape(-1, 2).T
     owner = it // (len(ts) // patch.size)
-    refined = _gauss_newton(h, patch, ys[iy], ts[it], config, scale, owner) if pairs else []
+    refined = (_gauss_newton(h, patch, ys[iy], ts[it], config, scale, owner, (f[it], df[it]))
+               if pairs else [])
     solved = [out for out in refined if out is not None]
     owner = owner[np.array([out is not None for out in refined], bool)]
     Y = np.array([out[0] for out in solved], float).reshape(len(solved), h.domain.dim)

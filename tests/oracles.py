@@ -331,8 +331,12 @@ def local_eval(psi, t, v):
 
 
 def local_jacobian(psi, t, v):
-    """(N, m, m) Jacobians of psi at the rows of t and v."""
-    return local_moves(psi, t, v, with_jacobian=True)[2]
+    """(N, m, m) Jacobians of psi at the rows of t and v: I off the fade
+    support, where fiber_moves builds no block."""
+    _, _, Js, support = local_moves(psi, t, v, with_jacobian=True)
+    J = np.tile(np.eye(t.shape[1] + v.shape[1]), (len(v), 1, 1))
+    J[support] = Js
+    return J
 
 
 def local_inverse_moves(psi, t, w):

@@ -25,6 +25,8 @@ location applies each top's barycentric map and must give the hits of the
 least-squares solves it replaced, with coordinates within 1e-12.
 """
 
+import contextlib
+import io
 import itertools
 import math
 import sys
@@ -339,35 +341,77 @@ def test_gauss_newton_pairs_equal_single_pairs(scenario_a_run, name):
 
 def test_vertex_patches_are_evaluated_once_per_gauss_newton(grid_a, monkeypatch):
     # scenario A's level-0 searches and its final verify refine roots on
-    # vertex patches; each refinement evaluates its patch once and gives the
-    # roots of the loop that evaluates it at every iteration
+    # vertex patches; each refinement takes the patch images of its seed
+    # pairs from the search's seed pass, so it evaluates a vertex patch not
+    # at all and any other patch at every iteration after the first, and
+    # gives the roots of the loop that evaluates the patch at every iteration
     calls, gauss_newton = [], verify._gauss_newton
 
-    def spy(h, patch, y0, t0, config, scale, owner=None):
-        sizes = []
-
+    def counted(patch, sizes):
         def eval_jac(t, o):
             sizes.append(len(t))
             return patch.eval_jac(t, o)
 
-        counted = Patch(l=patch.l, eval=patch.eval, eval_jac=eval_jac, size=patch.size)
-        got = gauss_newton(h, counted, y0, t0, config, scale, owner)
-        calls.append((patch.l, sizes, got,
-                      oracles.gauss_newton(h, patch, y0, t0, config, scale, owner)))
+        return Patch(l=patch.l, eval=patch.eval, eval_jac=eval_jac, size=patch.size)
+
+    def spy(h, patch, y0, t0, config, scale, owner=None, first=None):
+        sizes, want_sizes = [], []
+        got = gauss_newton(h, counted(patch, sizes), y0, t0, config, scale, owner, first)
+        want = oracles.gauss_newton(h, counted(patch, want_sizes), y0, t0, config, scale, owner)
+        calls.append((patch.l, first is not None, sizes, want_sizes, got, want))
         return got
 
     monkeypatch.setattr(verify, "_gauss_newton", spy)
     cplx, real = grid_a
     perturb.make_transverse(cplx, real, CircleMap((0.0, 0.0), 1.0), PipelineConfig(seed=1))
     vertex = [c for c in calls if c[0] == 0]
-    assert len(vertex) >= 2 and any(g is not None for c in vertex for g in c[2])
-    for l, sizes, got, want in calls:
-        if l == 0:
-            assert sizes == [len(got)]
+    assert len(vertex) >= 2 and any(g is not None for c in vertex for g in c[4])
+    assert any(c[0] > 0 and len(c[3]) > 2 for c in calls)
+    for l, seeded, sizes, want_sizes, got, want in calls:
+        assert seeded and want_sizes[0] == len(got)
+        assert sizes == ([] if l == 0 else want_sizes[1:])
         assert [g is None for g in got] == [w is None for w in want]
         for g, w in zip(got, want):
             if g is not None:
                 assert same_bits(g[0], w[0]) and same_bits(g[1], w[1]) and g[2] == w[2]
+
+
+def test_scenario_a_run_makes_28_chain_passes(tmp_path, monkeypatch):
+    # each search makes one pass at its seed lattice, one per Gauss-Newton
+    # iteration after the first and one for its records; the figure makes
+    # one for its edges and vertices (33 passes when Gauss-Newton and the
+    # figure made their own)
+    passes, forward = [], ChainOps._forward
+
+    def spy(self, x, with_jacobian):
+        passes.append(with_jacobian)
+        return forward(self, x, with_jacobian)
+
+    monkeypatch.setattr(ChainOps, "_forward", spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(cli.load_scenario(str(SCENARIOS / "scenario_a.cfg")), seed=1,
+                       out_dir=str(tmp_path)) == 0
+    assert len(passes) == 28 and passes[:-1] == [True] * 27 and passes[-1] is False
+
+
+def test_gauss_newton_evaluates_its_first_iterate_without_seed_data(scenario_a_run):
+    # called without the seed pass's rows, as a one-pair probe calls it,
+    # the refinement evaluates its patch at every pair first and gives the
+    # roots of a seeded call
+    state, h, config = (scenario_a_run[k] for k in ("state", "h", "config"))
+    for l in (0, 1):
+        patch = verify.simplex_patch(state, state.complex.by_dim(l))
+        ys, ts, pairs, _, (f, df) = verify._pair_seeds(h, patch, config, state.mesh_scale, jac=True)
+        iy, it = np.array(pairs).T
+        owner = it // (len(ts) // patch.size)
+        seeded = verify._gauss_newton(h, patch, ys[iy], ts[it], config, state.mesh_scale, owner,
+                                      (f[it], df[it]))
+        plain = verify._gauss_newton(h, patch, ys[iy], ts[it], config, state.mesh_scale, owner)
+        want = oracles.gauss_newton(h, patch, ys[iy], ts[it], config, state.mesh_scale, owner)
+        for a, b, w in zip(seeded, plain, want):
+            assert (a is None) == (b is None) == (w is None)
+            if w is not None:
+                assert all(same_bits(x, y) and same_bits(x, z) for x, y, z in zip(a, b, w))
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +874,8 @@ def test_box_hits_equal_the_dense_box_test(monkeypatch, scenario_a_run, chain):
             warnings.simplefilter("error")  # no cast of an off-grid row to a cell
             got = run.hits(np.concatenate([pts, off]))
         want = ref_hits(run, np.concatenate([pts, off]))
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert len(want) == 3 and all(np.array_equal(g, w) for g, w in zip(got[:3], want))
+        assert same_bits(got[3], np.concatenate([pts, off])[got[0]])
         assert got[0].max() < len(pts)  # no row off the grid has a hit
     if chain == "scenario_a":
         assert got[2].max() >= 7  # the level-1 run, last, has rows with 8 hits
@@ -869,6 +914,8 @@ def test_box_cells_equal_the_dense_box_pairs(boxes):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no divide by a zero cell size, no cast of NaN
         got = sc._BoxCells(lo, hi).hits(pts)
+        assert same_bits(got[2], pts[got[0]])
+        got = got[:2]
         if boxes == "flat":
             hits = index.first_hits(pts, 0.0)
             carriers = index.carriers(pts, 0.0)
@@ -902,10 +949,10 @@ def test_moving_hits_pass_the_skip_bound(monkeypatch, scenario_a_run, fade):
                                             * radius[:, None]))
         pts = np.concatenate(pts)
         for run in ChainOps(links).runs:
-            rows, j, _ = run.hits(pts)
-            t, w = run._frame(pts[rows], j)
+            rows, j, _, x = run.hits(pts)
+            t, w = run._frame(x, j)
             moved = fiber_moves(t, w, run.eps[j], run.v[j])[0]
-            assert run.movable(t, w, j)[moved].all()
+            assert run.movable(t, row_norms(w), j)[moved].all()
             # the paper's fade underflows the warp of triangle links
             assert moved.size > 0 or (fade == "paper" and run.l == 2)
 
@@ -2012,10 +2059,10 @@ def test_final_verify_reuses_only_the_last_full_trial_search(grid_a, monkeypatch
     searched, final = [], []
     pair_seeds, verify_all = verify._pair_seeds, perturb.verify_triangulation
 
-    def spy(h, patch, config, scale, t_per_dim=None):
+    def spy(h, patch, config, scale, t_per_dim=None, **kw):
         if final:
             searched.append(patch.l)
-        return pair_seeds(h, patch, config, scale, t_per_dim)
+        return pair_seeds(h, patch, config, scale, t_per_dim, **kw)
 
     def final_verify(state, h, config):
         final.append(state)
@@ -2036,6 +2083,30 @@ def test_final_verify_reuses_only_the_last_full_trial_search(grid_a, monkeypatch
     assert any(p.retries_used or p.shrinks_used for p in last) == (case == "shrinks")
 
 
+@pytest.mark.parametrize("cut", [0, 20, 25])
+def test_child_states_share_their_parents_runs(scenario_a_run, cut):
+    # a child keeps its parent's runs as objects and builds the new links'
+    # runs, the last one again when the new links continue its level (cut
+    # 20: five vertex links follow), and evaluates as a fresh chain does
+    final = scenario_a_run["state"]
+    parent = TriangulationState(final.complex, final.realization, final.links[:cut])
+    child = parent.with_links(final.links[cut:])
+    fresh = ChainOps(final.links)
+    kept = len(parent._ops.runs) - (0 < cut < 25)
+    assert child.links == final.links and len(child._ops.runs) == len(fresh.runs) == 2
+    assert all(a is b for a, b in zip(child._ops.runs[:kept], parent._ops.runs))
+    assert all(r not in parent._ops.runs for r in child._ops.runs[kept:])
+    for ours, theirs in zip(child._ops.runs, fresh.runs):
+        assert ours.links == theirs.links
+    rng = np.random.default_rng(24)
+    real = final.realization
+    pts = np.concatenate([rng.uniform(-2.0, 2.0, size=(300, 2)),
+                          [real.point(v) + rng.normal(size=2) * 1e-3 for v in real.vertex_ids]])
+    for a, b in zip(child.eval_eta_with_jacobian(pts), fresh.apply_with_jacobian(pts)):
+        assert same_bits(a, b)
+    assert same_bits(child.eval_eta(pts), fresh.apply(pts))
+
+
 def test_searches_are_reused_only_for_identical_inputs(scenario_a_run, monkeypatch):
     h, config = scenario_a_run["h"], scenario_a_run["config"]
     start = _level_start(scenario_a_run, 1)
@@ -2048,9 +2119,9 @@ def test_searches_are_reused_only_for_identical_inputs(scenario_a_run, monkeypat
     searched = []
     pair_seeds = verify._pair_seeds
 
-    def spy(h, patch, config, scale, t_per_dim=None):
+    def spy(h, patch, config, scale, t_per_dim=None, **kw):
         searched.append(patch.size)
-        return pair_seeds(h, patch, config, scale, t_per_dim)
+        return pair_seeds(h, patch, config, scale, t_per_dim, **kw)
 
     monkeypatch.setattr(verify, "_pair_seeds", spy)
     find_intersections(state, edges, h, config)
@@ -2157,10 +2228,10 @@ def test_candidates_are_seeded_on_the_final_report_lattice(monkeypatch):
     config = PipelineConfig(surface_density=6)
     seen = []
 
-    def spy(h, patch, config, scale, t_per_dim=None):
+    def spy(h, patch, config, scale, t_per_dim=None, **kw):
         seen.append(t_per_dim if t_per_dim is not None
                     else lattice_per_dim(config.simplex_seed_density, patch.l))
-        return pair_seeds(h, patch, config, scale, t_per_dim)
+        return pair_seeds(h, patch, config, scale, t_per_dim, **kw)
 
     pair_seeds = verify._pair_seeds
     monkeypatch.setattr(verify, "_pair_seeds", spy)

@@ -424,7 +424,9 @@ class TestNewtonErrorContract:
         a, b = state.links[:2]
         # a NaN fade keeps every fiber Newton iterate off its root; the
         # vertex links move their own vertex, so the Newton runs there
-        monkeypatch.setattr(bump, "beta", lambda r: np.full(np.shape(r), np.nan))
+        beta_and_deriv = bump.beta_and_deriv
+        monkeypatch.setattr(bump, "beta_and_deriv",
+                            lambda r: (np.full(np.shape(r), np.nan), beta_and_deriv(r)[1]))
         centers = [0.5 * (lk.support_lo + lk.support_hi) for lk in (a, b)]
         with pytest.raises(NewtonDivergenceError) as info:
             b.invert(centers[1][None])
