@@ -14,8 +14,9 @@ level its clearance search (estimate_c_sigma), shift sampling
 search of each simplex dimension; and the artifacts
 (cli._write_artifacts).  Then one line per search (find_intersections):
 where it ran, the dimension and number of its simplices, its seed pairs,
-its Gauss-Newton iterations (one map evaluation each) and its chain
-passes and rows (ChainOps._forward).  A search the final verify takes
+its Gauss-Newton iterations (one map evaluation each), its chain passes
+and rows (ChainOps._forward) and its least-squares rows (the stacked
+Gauss-Newton solves, rows.lstsq_rows).  A search the final verify takes
 from the last trial state searches nothing and shows as kept.  The chain
 passes outside any search (the figure's) come last.
 """
@@ -35,7 +36,7 @@ class Probe:
 
     def __init__(self):
         self.stages = {}  # label -> wall s, in order of first call
-        self.searches = []  # [where, dim, simplices, pairs, iterations, passes, rows]
+        self.searches = []  # [where, dim, simplices, pairs, iterations, passes, rows, solved]
         self.outside = [0, 0]  # chain passes and rows outside any search
         self.level = None
         self.final = False
@@ -90,7 +91,7 @@ def install(probe):
         def wrapper(state, simplices, *args, **kwargs):
             group = list(simplices)
             where = "verify" if probe.final else f"level {probe.level} sampling"
-            probe.search = [where, group[0].dim, len(group), None, 0, 0, 0]
+            probe.search = [where, group[0].dim, len(group), None, 0, 0, 0, 0]
             t0 = time.perf_counter()
             try:
                 return plain(state, group, *args, **kwargs)
@@ -125,6 +126,13 @@ def install(probe):
             return plain(self, ys)
         return wrapper
 
+    def lstsq_rows(plain):
+        def wrapper(A, b):
+            if probe.search is not None:
+                probe.search[7] += len(A)
+            return plain(A, b)
+        return wrapper
+
     def forward(plain):
         def wrapper(self, x, with_jacobian):
             rows = np.size(x) // np.shape(x)[-1]
@@ -147,6 +155,7 @@ def install(probe):
     patch(verify, "_pair_seeds", pair_seeds)
     patch(verify, "_gauss_newton", gauss_newton)
     patch(smoothmap.SmoothMap, "eval_batch", eval_batch)
+    patch(verify, "lstsq_rows", lstsq_rows)
     patch(charts.ChainOps, "_forward", forward)
     patch(cli, "_write_artifacts", timed(lambda: "artifacts"))
     return saved
@@ -156,10 +165,10 @@ def report(probe, result, wall, setup):
     lines = [f"{result} in {wall:.3f} s", f"  {'subdivision':<24}{setup:9.4f} s"]
     lines += [f"  {label:<24}{seconds:9.4f} s" for label, seconds in probe.stages.items()]
     lines.append(f"  {'search':<20}{'dim':>4}{'simplices':>10}{'pairs':>7}"
-                 f"{'gn iterations':>15}{'chain passes':>14}{'rows':>7}")
-    for where, dim, size, pairs, iterations, passes, rows in probe.searches:
+                 f"{'gn iterations':>15}{'chain passes':>14}{'rows':>7}{'lstsq rows':>12}")
+    for where, dim, size, pairs, iterations, passes, rows, solved in probe.searches:
         lines.append(f"  {where:<20}{dim:>4}{size:>10}{'kept' if pairs is None else pairs:>7}"
-                     f"{iterations:>15}{passes:>14}{rows:>7}")
+                     f"{iterations:>15}{passes:>14}{rows:>7}{solved:>12}")
     lines.append(f"  {'outside searches':<20}{'':>4}{'':>10}{'':>7}{'':>15}"
                  f"{probe.outside[0]:>14}{probe.outside[1]:>7}")
     total = probe.outside[0] + sum(s[5] for s in probe.searches)

@@ -144,19 +144,22 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None, first=None):
     """Refine seed pairs toward h(y) = f(t).
 
     Refines the P pairs of (P, n) and (P, l) rows at once (a 1-D pair is
-    one row) and returns one (y, t, residual) or None per pair: every
-    iteration evaluates h and the patch once and solves one stacked
-    least-squares problem over the pairs still running, and each pair keeps
-    its own best point, stall counter, divergence test and domain test, so
-    every result equals that of a one-pair call.  Pair i lies on the patch
-    of owner[i] (owner 0 when no owner is given).  first holds the patch's
-    (f, df) rows at t0, as the seed pass of patch_roots gives them; without
-    it the patch is evaluated at every pair here.  The first iteration
-    takes its rows from first, and so does every iteration on a vertex
-    patch (l = 0), which has no t to step; the later iterations of a
-    positive-dimensional patch make one chain pass each.  The chain gives
-    each row the bits of a call on it alone, so the rows of first, or of
-    the pairs still running, are those of the pass they would have made.
+    one row) and returns one (y, t, residual) or None per pair.  Pair i
+    lies on the patch of owner[i] (owner 0 when no owner is given).  Every
+    iteration finds the distinct (owner, t, y) rows of the pairs still
+    running (_distinct_rows), evaluates h and the patch once at each, and
+    solves one stacked least-squares problem over the distinct rows of the
+    pairs still stepping; the results are scattered back, and each pair
+    keeps its own best point, stall counter, divergence test and domain
+    test, so every result equals that of a one-pair call.  first holds the
+    patch's (f, df) rows at t0, as the seed pass of patch_roots gives them;
+    without it the patch is evaluated at every distinct (owner, t) of the
+    pairs here.  The first iteration takes its rows from first, and so
+    does every iteration on a vertex patch (l = 0), which has no t to
+    step; the later iterations of a positive-dimensional patch make one
+    chain pass each.  The chain, the map and lstsq_rows give each row the
+    bits of a call on it alone, so a shared row, and a row of first, is
+    the one its pair would have computed alone.
     """
     n = h.domain.dim
     T = np.atleast_2d(np.array(t0, float))
@@ -169,16 +172,22 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None, first=None):
     diverged = np.zeros(P, bool)
     live = np.arange(P)
     step_cap = 0.75  # a (y, t) step is in parameter units, whatever the mesh scale
-    F, DF = patch.eval_jac(T, O) if first is None else first
+    if first is None:
+        u, inv = _distinct_rows(O, T)
+        F, DF = (x[inv] for x in patch.eval_jac(T[u], O[u]))
+    else:
+        F, DF = first
     for k in range(config.gn_max_iter):
         if not live.size:
             break
+        u, inv = _distinct_rows(O[live], T[live], Y[live])
+        u = live[u]
         if k and patch.l:
-            f, df = patch.eval_jac(T[live], O[live])
+            f, df = patch.eval_jac(T[u], O[u])
         else:
-            f, df = F[live], DF[live]
-        r = h.eval_batch(Y[live]) - f
-        rn = row_norms(r)
+            f, df = F[u], DF[u]
+        r = h.eval_batch(Y[u]) - f
+        rn = row_norms(r)[inv]
         stall[live] = np.where(rn < 0.9999 * best_r[live], 0, stall[live] + 1)
         better = rn < best_r[live]
         improved = live[better]
@@ -190,10 +199,16 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None, first=None):
         if n + patch.l == 0 or not go.size:
             break
         p = live[go]
-        step = lstsq_rows(np.concatenate([h.jacobian_raw(Y[p]), -df[go]], axis=2), -r[go])
+        # the distinct rows of the pairs still stepping, and each pair's row among them
+        stepping = np.zeros(len(u), bool)
+        stepping[inv[go]] = True
+        g = np.flatnonzero(stepping)
+        back = (np.cumsum(stepping) - 1)[inv[go]]
+        step = lstsq_rows(np.concatenate([h.jacobian_raw(Y[u[g]]), -df[g]], axis=2), -r[g])
         sn = row_norms(step)
         cap = sn > step_cap
         step[cap] *= (step_cap / sn[cap])[:, None]
+        step, sn = step[back], sn[back]
         Y[p] = h.domain.wrap(Y[p] + step[:, :n])
         T[p] = T[p] + step[:, n:]
         far = np.any(np.abs(T[p]) > 10.0, axis=1)
@@ -201,6 +216,37 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None, first=None):
         live = p[~far & (sn >= 1e-15)]
     ok = ~diverged & (best_r < np.inf) & h.domain.contains(best_y, tol=1e-6 * (1.0 + scale))
     return [(best_y[p], best_t[p], float(best_r[p])) if ok[p] else None for p in range(P)]
+
+
+def _distinct_rows(*cols):
+    """The distinct rows of side-by-side columns, each an (N,) int array or
+    an (N, k) float array: (u, inv), u indexing one row of each distinct
+    row and row i being bit for bit row u[inv[i]].
+
+    Rows are compared as the int64 bit patterns of their entries, so -0.0
+    and 0.0, and NaNs of different payloads, stay apart.  One argsort of a
+    fixed linear mix of the bit patterns (wrapping uint64 arithmetic)
+    brings equal rows together; rows with different mixes differ, and
+    neighbours that tie on the mix are compared in full.  So rows that tie
+    on the mix but differ are never merged; at worst two equal rows with
+    another between them in that order are not shared.
+    """
+    K = np.concatenate([(c[:, None] if c.ndim == 1 else c).view(np.int64) for c in cols], axis=1)
+    mix = K.view(np.uint64) @ _MIX[:K.shape[1]]
+    order = np.argsort(mix)
+    mix = mix[order]
+    new = np.ones(len(K), bool)
+    new[1:] = mix[1:] != mix[:-1]
+    tie = np.flatnonzero(~new)
+    if tie.size:
+        new[tie] = np.any(K[order[tie]] != K[order[tie - 1]], axis=1)
+    inv = np.empty(len(K), int)
+    inv[order] = np.cumsum(new) - 1
+    return order[new], inv
+
+
+# odd multiples of 2^64 over the golden ratio, one per key column (1 + l + n <= 16)
+_MIX = np.arange(1, 32, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
 
 
 # seed distances per block of owners in _pair_seeds, and row pairs per
@@ -342,19 +388,33 @@ def _dedupe(Y, T, group, radius, y_period=None):
     group holds each row's group id, the groups coming in order, each in
     its own order.  A row is kept when its parameter distance to every
     kept earlier row of its group exceeds radius; periodic parameter axes
-    fold, so roots found from both sides of the seam collapse to one.  The
-    distances of every (earlier, later) row pair of a group are formed in
-    blocks of about _BLOCK_PAIRS pairs, a group larger than a block going
-    row chunk by row chunk.  The greedy choice is then settled for all
-    groups at once, in rounds: each round keeps every open row with no
-    open close earlier row, and drops every open row close to one it kept.
+    fold, so roots found from both sides of the seam collapse to one.
+    Two rows that close have first t coordinates at most radius apart, so
+    the rows of a group are sorted by that coordinate and each is paired
+    with the rows after it up to the radius, widened by a relative 1e-9 so
+    that the rounding of the distance never drops a close pair; the
+    distance formula then decides, and a vertex group (l = 0) pairs all of
+    its rows.  The distances are formed in blocks of about _BLOCK_PAIRS
+    pairs.  The greedy choice is then settled for all groups at once, in
+    rounds: each round keeps every open row with no open close earlier
+    row, and drops every open row close to one it kept.
     """
     N = len(group)
-    later = np.searchsorted(group, group, side="right") - np.arange(N) - 1
+    # (group, first t coordinate) as one complex key, which numpy orders
+    # lexicographically, NaN coordinates last in their group
+    key = np.empty(N, complex)
+    key.real, key.imag = group, T[:, 0] if T.shape[1] else 0.0
+    order = np.argsort(key)
+    key = key[order]
+    reach = key.copy()
+    reach.imag += radius * (1.0 + 1e-9)
+    end = np.searchsorted(key, reach, side="right")
+    later = end - np.arange(N) - 1
     close = []
     for rb in np.split(np.arange(N), np.flatnonzero(np.diff(np.cumsum(later) // _BLOCK_PAIRS)) + 1):
-        i = np.repeat(rb, later[rb])
-        j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(later[rb]) - later[rb], later[rb])
+        a = np.repeat(rb, later[rb])
+        b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(later[rb]) - later[rb], later[rb])
+        i, j = np.minimum(order[a], order[b]), np.maximum(order[a], order[b])
         dy = Y[j] - Y[i]
         if y_period is not None:
             dy = np.abs(dy) % y_period

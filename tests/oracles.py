@@ -9,7 +9,9 @@ Bump forms: scaled_warp, beta, beta_deriv and rho_l_grad as each took
 its own exps and logs, before the forms in bump shared them.
 
 Gauss-Newton: the refinement loop that evaluates the patch at every
-iteration, also for a vertex patch, whose image never moves.
+iteration, also for a vertex patch, whose image never moves, and at every
+pair, also where pairs repeat; the root dedupe that forms the distance of
+every row pair of a group.
 
 Set-up: the object builds that stacked array builds replaced, one
 simplex at a time: the grid mesh, the maximal simplices and the
@@ -133,8 +135,12 @@ def rho_l_grad(t):
     return grad
 
 
-def gauss_newton(h, patch, y0, t0, config, scale, owner=None):
-    """verify._gauss_newton with the patch evaluated at every iteration."""
+def gauss_newton(h, patch, y0, t0, config, scale, owner=None, trace=None):
+    """verify._gauss_newton with the patch, the map and the least-squares
+    solve evaluated at every iteration and every pair still running,
+    repeated pairs included.  A trace list gains one (owner, t, y, go) per
+    iteration: the rows of the pairs running and the positions among them
+    of the pairs that step."""
     n = h.domain.dim
     T = np.atleast_2d(np.array(t0, float))
     P = len(T)
@@ -160,6 +166,8 @@ def gauss_newton(h, patch, y0, t0, config, scale, owner=None):
         lost = ~stop & (rn > 50.0 * (best_r[live] + scale))
         diverged[live[lost]] = True
         go = np.nonzero(~stop & ~lost)[0]
+        if trace is not None:
+            trace.append((O[live], T[live], Y[live], go))
         if n + patch.l == 0 or not go.size:
             break
         p = live[go]
@@ -174,6 +182,34 @@ def gauss_newton(h, patch, y0, t0, config, scale, owner=None):
         live = p[~far & (sn >= 1e-15)]
     ok = ~diverged & (best_r < np.inf) & h.domain.contains(best_y, tol=1e-6 * (1.0 + scale))
     return [(best_y[p], best_t[p], float(best_r[p])) if ok[p] else None for p in range(P)]
+
+
+def dedupe(Y, T, group, radius, y_period=None):
+    """verify._dedupe forming the distance of every (earlier, later) row
+    pair of a group, in one block."""
+    N = len(group)
+    later = np.searchsorted(group, group, side="right") - np.arange(N) - 1
+    i = np.repeat(np.arange(N), later)
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(later) - later, later)
+    dy = Y[j] - Y[i]
+    if y_period is not None:
+        dy = np.abs(dy) % y_period
+        dy = np.minimum(dy, y_period - dy)
+    dt = T[j] - T[i]
+    near = np.sqrt(np.sum(dy ** 2, axis=1) + np.sum(dt ** 2, axis=1)) <= radius
+    i, j = i[near], j[near]
+    keep = np.zeros(N, bool)
+    todo = np.ones(N, bool)
+    while todo.any():
+        waiting = np.zeros(N, bool)
+        waiting[j] = True
+        new = todo & ~waiting
+        keep |= new
+        todo &= waiting
+        todo[j[new[i]]] = False
+        live = todo[i] & todo[j]
+        i, j = i[live], j[live]
+    return np.flatnonzero(keep)
 
 
 def top_simplices(cplx):

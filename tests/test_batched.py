@@ -339,12 +339,20 @@ def test_gauss_newton_pairs_equal_single_pairs(scenario_a_run, name):
         assert found
 
 
+def _distinct_count(*cols):
+    """How many distinct rows the side-by-side columns hold, rows compared
+    by the bytes of their entries (so -0.0 and 0.0 differ)."""
+    return len(set(zip(*([row.tobytes() for row in np.asarray(c)] for c in cols))))
+
+
 def test_vertex_patches_are_evaluated_once_per_gauss_newton(grid_a, monkeypatch):
     # scenario A's level-0 searches and its final verify refine roots on
     # vertex patches; each refinement takes the patch images of its seed
     # pairs from the search's seed pass, so it evaluates a vertex patch not
-    # at all and any other patch at every iteration after the first, and
-    # gives the roots of the loop that evaluates the patch at every iteration
+    # at all and any other patch, at every iteration after the first, at
+    # the distinct (owner, t, y) rows of the pairs still running (counted
+    # from the trajectory of the loop that evaluates the patch at every
+    # iteration and pair), and gives that loop's roots
     calls, gauss_newton = [], verify._gauss_newton
 
     def counted(patch, sizes):
@@ -355,25 +363,91 @@ def test_vertex_patches_are_evaluated_once_per_gauss_newton(grid_a, monkeypatch)
         return Patch(l=patch.l, eval=patch.eval, eval_jac=eval_jac, size=patch.size)
 
     def spy(h, patch, y0, t0, config, scale, owner=None, first=None):
-        sizes, want_sizes = [], []
+        sizes, want_sizes, trace = [], [], []
         got = gauss_newton(h, counted(patch, sizes), y0, t0, config, scale, owner, first)
-        want = oracles.gauss_newton(h, counted(patch, want_sizes), y0, t0, config, scale, owner)
-        calls.append((patch.l, first is not None, sizes, want_sizes, got, want))
+        want = oracles.gauss_newton(h, counted(patch, want_sizes), y0, t0, config, scale, owner,
+                                    trace)
+        distinct = [_distinct_count(o, t, y) for o, t, y, _ in trace]
+        calls.append((patch.l, first is not None, sizes, want_sizes, distinct, got, want))
         return got
 
     monkeypatch.setattr(verify, "_gauss_newton", spy)
     cplx, real = grid_a
     perturb.make_transverse(cplx, real, CircleMap((0.0, 0.0), 1.0), PipelineConfig(seed=1))
     vertex = [c for c in calls if c[0] == 0]
-    assert len(vertex) >= 2 and any(g is not None for c in vertex for g in c[4])
+    assert len(vertex) >= 2 and any(g is not None for c in vertex for g in c[5])
     assert any(c[0] > 0 and len(c[3]) > 2 for c in calls)
-    for l, seeded, sizes, want_sizes, got, want in calls:
-        assert seeded and want_sizes[0] == len(got)
-        assert sizes == ([] if l == 0 else want_sizes[1:])
+    # some iteration shares rows
+    assert any(c[0] > 0 and sum(c[2]) < sum(c[3][1:]) for c in calls)
+    for l, seeded, sizes, want_sizes, distinct, got, want in calls:
+        assert seeded and want_sizes[0] == len(got) and len(want_sizes) == len(distinct)
+        assert sizes == ([] if l == 0 else distinct[1:])
         assert [g is None for g in got] == [w is None for w in want]
         for g, w in zip(got, want):
             if g is not None:
                 assert same_bits(g[0], w[0]) and same_bits(g[1], w[1]) and g[2] == w[2]
+
+
+def test_gauss_newton_evaluates_and_solves_each_distinct_row_once(scenario_a_run, monkeypatch):
+    # scenario A's edge pairs tiled three times, plus copies of every 40th
+    # pair at t = 0.0 and at t = -0.0: every iteration evaluates the map and
+    # the patch at the distinct (owner, t, y) rows of the pairs running, and
+    # solves at those of the pairs stepping, as counted from the oracle's
+    # trajectory; the -0.0 and 0.0 rows are two rows; and every pair gets
+    # the bits of the oracle and of a one-pair call
+    state, h, config = (scenario_a_run[k] for k in ("state", "h", "config"))
+    scale = state.mesh_scale
+    patch = verify.simplex_patch(state, state.complex.by_dim(1))
+    ys, ts, pairs, _, (f, df) = verify._pair_seeds(h, patch, config, scale, jac=True)
+    iy, it = np.array(pairs).T
+    owner = it // (len(ts) // patch.size)
+    ends = np.arange(0, len(iy), 40)
+    edge_t = np.concatenate([np.zeros((len(ends), 1)), np.full((len(ends), 1), -0.0)])
+    y0 = np.concatenate([np.tile(ys[iy], (3, 1)), ys[iy[ends]], ys[iy[ends]]])
+    t0 = np.concatenate([np.tile(ts[it], (3, 1)), edge_t])
+    o = np.concatenate([np.tile(owner, 3), owner[ends], owner[ends]])
+    fe, dfe = patch.eval_jac(edge_t, o[3 * len(iy):])
+    first = (np.concatenate([np.tile(f[it], (3, 1)), fe]),
+             np.concatenate([np.tile(df[it], (3, 1, 1)), dfe]))
+
+    sizes = {"patch": [], "map": [], "dmap": [], "solve": []}
+
+    def counted(name, fn):
+        def wrapper(x, *rest):
+            sizes[name].append(len(x))
+            return fn(x, *rest)
+        return wrapper
+
+    spied_h = SimpleNamespace(domain=h.domain, eval_batch=counted("map", h.eval_batch),
+                              jacobian_raw=counted("dmap", h.jacobian_raw))
+    spied = Patch(l=1, eval=patch.eval, eval_jac=counted("patch", patch.eval_jac),
+                  size=patch.size)
+    monkeypatch.setattr(verify, "lstsq_rows", counted("solve", verify.lstsq_rows))
+    got = verify._gauss_newton(spied_h, spied, y0, t0, config, scale, o, first)
+    monkeypatch.undo()
+    trace = []
+    want = oracles.gauss_newton(h, patch, y0, t0, config, scale, o, trace)
+    live = [_distinct_count(o, t, y) for o, t, y, _ in trace]
+    stepping = [_distinct_count(o[g], t[g], y[g]) for o, t, y, g in trace if g.size]
+    assert len(live) > 5 and sum(live) < sum(len(x[0]) for x in trace)
+    assert sizes["map"] == live and sizes["patch"] == live[1:]
+    assert sizes["dmap"] == sizes["solve"] == stepping
+    # float equality would merge the -0.0 and 0.0 copies
+    merged = len(set(zip(trace[0][0].tolist(), map(tuple, trace[0][1].tolist()),
+                         map(tuple, trace[0][2].tolist()))))
+    assert merged + _distinct_count(owner[ends], ys[iy[ends]]) == live[0] < len(y0)
+    singles = list(range(0, 3 * len(iy), 97)) + list(range(3 * len(iy), len(y0)))
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert (g is None) == (w is None)
+        if i in singles:
+            one = verify._gauss_newton(h, patch, y0[i:i + 1], t0[i:i + 1], config, scale,
+                                       o[i:i + 1])[0]
+            assert (one is None) == (w is None)
+            if one is not None:
+                assert all(same_bits(a, b) for a, b in zip(one, w))
+        if w is not None:
+            assert all(same_bits(a, b) for a, b in zip(g, w))
+    assert any(got[i] is not None for i in range(3 * len(iy), len(y0)))
 
 
 def test_scenario_a_run_makes_28_chain_passes(tmp_path, monkeypatch):
@@ -1799,6 +1873,64 @@ def test_dedupe_pair_blocks_equal_one_block(monkeypatch):
     for block in (1, 7, 59, 60, 61):
         monkeypatch.setattr(verify, "_BLOCK_PAIRS", block)
         assert same_groups(dedupe_groups(groups, r), want)
+
+
+def _window_rows(rng, n, l, radius, period):
+    """(Y, T, group) of five groups of up to 30 rows: rows on a dyadic
+    lattice (so exact ties and exact radii occur) or anywhere, copies of an
+    earlier row of the group, copies moved along the first t coordinate to
+    the window edge (by the radius or the float next to it, either way) or
+    along any axis by a half, one or one and a half radii, and rows with a
+    NaN or an infinite coordinate; some groups sit near t = 1000, and a
+    periodic y lies near the seam."""
+    Y, T, group = [], [], []
+    for g, size in enumerate(rng.integers(0, 31, size=5).tolist()):
+        rows = []
+        for _ in range(size):
+            kind = int(rng.integers(6)) if rows else 0
+            if kind == 0:
+                v = rng.integers(-16, 17, n + l) / 16
+            elif kind == 1:
+                v = rng.uniform(-1.0, 1.0, n + l)
+            elif kind == 5:
+                v = rng.uniform(-1.0, 1.0, n + l)
+                v[rng.integers(n + l)] = rng.choice([np.nan, np.inf, -np.inf])
+            else:
+                v = rows[rng.integers(len(rows))].copy()
+                if kind == 3:
+                    edge = v[n] + rng.choice([-1.0, 1.0]) * radius
+                    v[n] = np.nextafter(edge, rng.choice([-np.inf, np.inf])) if rng.integers(2) else edge
+                elif kind == 4:
+                    v[rng.integers(n + l)] += rng.choice([0.5, 1.0, 1.5]) * radius
+            rows.append(v)
+        v = np.array(rows, float).reshape(size, n + l)
+        if g % 2:
+            v[:, n] += 1000.0
+        if period is not None:
+            seam = rng.uniform(0.0, 4 * radius, size)
+            v[:, 0] = np.where(rng.integers(2, size=size) == 1, seam, period - seam)
+        Y.append(v[:, :n])
+        T.append(v[:, n:])
+        group.append(np.full(size, g))
+    return np.concatenate(Y), np.concatenate(T), np.concatenate(group)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_windowed_dedupe_keeps_the_rows_of_all_pairs(seed):
+    # pairing rows within the radius of their first t coordinate keeps the
+    # rows that pairing every two rows of a group keeps
+    rng = np.random.default_rng(seed)
+    dropped = 0
+    for n, l in itertools.product((0, 1, 2), (1, 2, 3)):
+        for radius in (PipelineConfig().dedupe_radius, 0.0625, 0.25):
+            period = 2 * math.pi if n == 1 and seed % 2 else None
+            with np.errstate(invalid="ignore", over="ignore"):
+                Y, T, group = _window_rows(rng, n, l, radius, period)
+                got = _dedupe(Y, T, group, radius, period)
+                want = oracles.dedupe(Y, T, group, radius, period)
+            assert got.tolist() == want.tolist()
+            dropped += len(group) - len(want)
+    assert dropped > 0
 
 
 def _dedupe_spy(monkeypatch):
