@@ -12,13 +12,19 @@ level its clearance search (estimate_c_sigma), shift sampling
 (_sample_shift, which holds the level's candidate searches) and guard
 (build_local_diffeo); the final verify (verify_triangulation) and its
 search of each simplex dimension; and the artifacts
-(cli._write_artifacts).  Then one line per search (find_intersections):
-where it ran, the dimension and number of its simplices, its seed pairs,
-its Gauss-Newton iterations (one map evaluation each), its chain passes
-and rows (ChainOps._forward) and its least-squares rows (the stacked
-Gauss-Newton solves, rows.lstsq_rows).  A search the final verify takes
-from the last trial state searches nothing and shows as kept.  The chain
-passes outside any search (the figure's) come last.
+(cli._write_artifacts).  Then one line per search (verify._hits, which
+runs the array core verify._roots): where it ran, the dimension and
+number of its simplices, its seed pairs, its hits (roots below the
+threshold in their closed simplex), the records kept of them, its
+Gauss-Newton iterations (one map evaluation each), its chain passes and
+rows (ChainOps._forward) and its least-squares rows (the stacked
+Gauss-Newton solves, rows.lstsq_rows).  A sampling search builds a record
+for every hit, in a verify._records call whose chain pass counts with
+the search; the final verify keeps the records of the hits that survive
+its per-face dedupe, built in one verify._records call that has a line
+of its own.  A search the final verify takes from the last trial state
+searches nothing and shows as kept.  The chain passes outside any search
+(the figure's) come last.
 """
 
 import argparse
@@ -36,8 +42,10 @@ class Probe:
 
     def __init__(self):
         self.stages = {}  # label -> wall s, in order of first call
-        self.searches = []  # [where, dim, simplices, pairs, iterations, passes, rows, solved]
+        # [where, dim, simplices, pairs, hits, records, iterations, passes, rows, solved]
+        self.searches = []
         self.outside = [0, 0]  # chain passes and rows outside any search
+        self.final_hits = []  # (search line, y and residual bytes of its hits) of the final verify
         self.level = None
         self.final = False
         self.search = None
@@ -81,25 +89,51 @@ def install(probe):
             probe.final = True
             t0 = time.perf_counter()
             try:
-                return plain(*args, **kwargs)
+                report = plain(*args, **kwargs)
             finally:
                 probe.final = False
                 probe.add("verify", time.perf_counter() - t0)
+            kept = [_key(r.y, r.residual) for r in report.records]
+            for line, keys in probe.final_hits:
+                line[5] = sum(k in keys for k in kept)
+            return report
         return wrapper
 
     def search(plain):
-        def wrapper(state, simplices, *args, **kwargs):
-            group = list(simplices)
+        def wrapper(state, group, *args, **kwargs):
             where = "verify" if probe.final else f"level {probe.level} sampling"
-            probe.search = [where, group[0].dim, len(group), None, 0, 0, 0, 0]
+            probe.search = [where, group[0].dim, len(group), None, 0, 0, 0, 0, 0, 0]
             t0 = time.perf_counter()
             try:
-                return plain(state, group, *args, **kwargs)
+                out = plain(state, group, *args, **kwargs)
             finally:
                 if probe.final:
                     probe.add(f"verify dim {group[0].dim}", time.perf_counter() - t0)
                 probe.searches.append(probe.search)
                 probe.search = None
+            hits = out[1]
+            line = probe.searches[-1]
+            line[4] = sum(len(R) for *_, R in hits)
+            if probe.final:
+                probe.final_hits.append((line, {_key(y, r) for *_, Y, _, R in hits
+                                                for y, r in zip(Y, R)}))
+            return out
+        return wrapper
+
+    def records(plain):
+        def wrapper(*args, **kwargs):
+            if probe.final:  # the survivors of the final verify's dedupe, on a line of their own
+                probe.search = ["verify records", "", "", "", "", 0, 0, 0, 0, 0]
+            else:  # the records of the search just made
+                probe.search = probe.searches[-1]
+            try:
+                out = plain(*args, **kwargs)
+            finally:
+                if probe.final:
+                    probe.searches.append(probe.search)
+                line, probe.search = probe.search, None
+            line[5] += sum(map(len, out))
+            return out
         return wrapper
 
     def pair_seeds(plain):
@@ -122,14 +156,14 @@ def install(probe):
     def eval_batch(plain):
         def wrapper(self, ys):
             if probe.in_gn and probe.search is not None:
-                probe.search[4] += 1
+                probe.search[6] += 1
             return plain(self, ys)
         return wrapper
 
     def lstsq_rows(plain):
         def wrapper(A, b):
             if probe.search is not None:
-                probe.search[7] += len(A)
+                probe.search[9] += len(A)
             return plain(A, b)
         return wrapper
 
@@ -140,8 +174,8 @@ def install(probe):
                 probe.outside[0] += 1
                 probe.outside[1] += rows
             else:
-                probe.search[5] += 1
-                probe.search[6] += rows
+                probe.search[7] += 1
+                probe.search[8] += rows
             return plain(self, x, with_jacobian)
         return wrapper
 
@@ -150,8 +184,8 @@ def install(probe):
     patch(perturb, "_sample_shift", timed(lambda: f"level {probe.level} sampling"))
     patch(perturb, "build_local_diffeo", timed(lambda: f"level {probe.level} guard"))
     patch(perturb, "verify_triangulation", in_final)
-    patch(perturb, "find_intersections", search)
-    patch(verify, "find_intersections", search)
+    patch(verify, "_hits", search)
+    patch(verify, "_records", records)
     patch(verify, "_pair_seeds", pair_seeds)
     patch(verify, "_gauss_newton", gauss_newton)
     patch(smoothmap.SmoothMap, "eval_batch", eval_batch)
@@ -161,17 +195,23 @@ def install(probe):
     return saved
 
 
+def _key(y, residual):
+    """A root's y and residual, as bytes: a record built from it has them."""
+    return np.asarray(y, float).tobytes() + np.float64(residual).tobytes()
+
+
 def report(probe, result, wall, setup):
     lines = [f"{result} in {wall:.3f} s", f"  {'subdivision':<24}{setup:9.4f} s"]
     lines += [f"  {label:<24}{seconds:9.4f} s" for label, seconds in probe.stages.items()]
-    lines.append(f"  {'search':<20}{'dim':>4}{'simplices':>10}{'pairs':>7}"
-                 f"{'gn iterations':>15}{'chain passes':>14}{'rows':>7}{'lstsq rows':>12}")
-    for where, dim, size, pairs, iterations, passes, rows, solved in probe.searches:
+    lines.append(f"  {'search':<20}{'dim':>4}{'simplices':>10}{'pairs':>7}{'hits':>6}"
+                 f"{'records':>8}{'gn iterations':>15}{'chain passes':>14}{'rows':>7}"
+                 f"{'lstsq rows':>12}")
+    for where, dim, size, pairs, hits, recs, iterations, passes, rows, solved in probe.searches:
         lines.append(f"  {where:<20}{dim:>4}{size:>10}{'kept' if pairs is None else pairs:>7}"
-                     f"{iterations:>15}{passes:>14}{rows:>7}{solved:>12}")
-    lines.append(f"  {'outside searches':<20}{'':>4}{'':>10}{'':>7}{'':>15}"
+                     f"{hits:>6}{recs:>8}{iterations:>15}{passes:>14}{rows:>7}{solved:>12}")
+    lines.append(f"  {'outside searches':<20}{'':>4}{'':>10}{'':>7}{'':>6}{'':>8}{'':>15}"
                  f"{probe.outside[0]:>14}{probe.outside[1]:>7}")
-    total = probe.outside[0] + sum(s[5] for s in probe.searches)
+    total = probe.outside[0] + sum(s[7] for s in probe.searches)
     lines.append(f"  chain passes in all: {total}")
     return "\n".join(lines)
 

@@ -103,7 +103,5 @@ def write_curve_csv(path, h, density=256):
     img = h.eval_batch(ys)
     n = ys.shape[1]
     header = ",".join([f"y{i}" for i in range(n)] + [f"x{i}" for i in range(img.shape[1])])
-    rows = [header]
-    for y, p in zip(ys, img):
-        rows.append(",".join([repr(float(c)) for c in y] + [repr(float(c)) for c in p]))
+    rows = [header] + [",".join(map(repr, y + p)) for y, p in zip(ys.tolist(), img.tolist())]
     atomic_write(path, "\n".join(rows) + "\n")

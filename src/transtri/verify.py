@@ -22,7 +22,7 @@ import numpy as np
 from . import bump
 from .config import PipelineConfig
 from .rows import lstsq_rows, matvec, row_norms
-from .simplicial import Simplex, carrier_mask, simplex_sort_key
+from .simplicial import Simplex, _find_rows, carrier_mask, simplex_sort_key
 
 log = logging.getLogger(__name__)
 
@@ -144,7 +144,8 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None, first=None):
     """Refine seed pairs toward h(y) = f(t).
 
     Refines the P pairs of (P, n) and (P, l) rows at once (a 1-D pair is
-    one row) and returns one (y, t, residual) or None per pair.  Pair i
+    one row) and returns (ok, Y, T, R): per pair whether it converged in
+    the map's domain, and its best (y, t) and residual.  Pair i
     lies on the patch of owner[i] (owner 0 when no owner is given).  Every
     iteration finds the distinct (owner, t, y) rows of the pairs still
     running (_distinct_rows), evaluates h and the patch once at each, and
@@ -215,7 +216,7 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None, first=None):
         diverged[p[far]] = True
         live = p[~far & (sn >= 1e-15)]
     ok = ~diverged & (best_r < np.inf) & h.domain.contains(best_y, tol=1e-6 * (1.0 + scale))
-    return [(best_y[p], best_t[p], float(best_r[p])) if ok[p] else None for p in range(P)]
+    return ok, best_y, best_t, best_r
 
 
 def _distinct_rows(*cols):
@@ -335,50 +336,48 @@ def _nearest_per_column(col, dist, cap):
     return slot[keep]
 
 
-def patch_roots(h, patch, config, scale, t_per_dim=None):
+def _roots(h, patch, config, scale, t_per_dim=None):
     """Gauss-Newton roots of h(y) = patch(t) from pruned grid seeds, for
-    every owner of the patch at once.
+    every owner of the patch at once, as arrays: (owner, Y, T, R,
+    min_residual), the roots ordered by owner and then by residual.
 
-    Returns one (roots, min_residual) per owner, roots being (y, t,
-    residual) tuples in order of residual, deduplicated in parameter space;
-    every converged local minimum is reported, thresholding is the
-    caller's business.  Refinements that leave the closed parameter
-    simplex are dropped: a root on the line extension of the patch says
-    nothing about the patch (its own face or neighbor owns that point).
-    min_residual includes the coarse seed distances, so it is meaningful
-    even when no seed pair survives pruning.  One chain pass evaluates the
-    seed lattice of every owner with its Jacobian; the seed pairs of all
-    owners are refined in one _gauss_newton call, whose first iteration
-    (every iteration on a vertex patch) reads the rows of that pass, and
-    the roots of all owners are deduplicated in one _dedupe call, each
-    owner a group.
+    Every converged local minimum is kept, deduplicated in parameter space
+    owner by owner; thresholding is the caller's business.  A root outside
+    the closed parameter simplex is dropped: it lies on the line extension
+    of the patch, whose own face or neighbor owns that point.
+    min_residual, one per owner, includes the coarse seed distances, so it
+    is meaningful even when no seed pair survives pruning.  One chain pass
+    evaluates the seed lattice of every owner with its Jacobian, one
+    _gauss_newton call refines the seed pairs of all owners from the rows
+    of that pass, and one _dedupe call, each owner a group, deduplicates
+    their roots.
     """
-    ys, ts, pairs, coarse, (f, df) = _pair_seeds(h, patch, config, scale, t_per_dim, jac=True)
+    ys, ts, pairs, min_resid, (f, df) = _pair_seeds(h, patch, config, scale, t_per_dim, jac=True)
     iy, it = np.array(pairs, int).reshape(-1, 2).T
     owner = it // (len(ts) // patch.size)
-    refined = (_gauss_newton(h, patch, ys[iy], ts[it], config, scale, owner, (f[it], df[it]))
-               if pairs else [])
-    solved = [out for out in refined if out is not None]
-    owner = owner[np.array([out is not None for out in refined], bool)]
-    Y = np.array([out[0] for out in solved], float).reshape(len(solved), h.domain.dim)
-    T = np.array([out[1] for out in solved], float).reshape(len(solved), patch.l)
-    R = np.array([out[2] for out in solved], float)
+    ok, Y, T, R = (_gauss_newton(h, patch, ys[iy], ts[it], config, scale, owner, (f[it], df[it]))
+                   if pairs else (np.zeros(0, bool), ys[iy], ts[it], np.zeros(0)))
     # the closed parameter simplex, with a little slack
-    inside = np.all(T >= -1e-6, axis=1) & (T.sum(axis=1) <= 1.0 + 1e-6)
+    inside = ok & np.all(T >= -1e-6, axis=1) & (T.sum(axis=1) <= 1.0 + 1e-6)
     owner, Y, T, R = owner[inside], Y[inside], T[inside], R[inside]
-    min_resid = coarse.copy()
     np.minimum.at(min_resid, owner, R)
     order = np.lexsort((R, owner))
-    owner, Y, T = owner[order], Y[order], T[order]
+    owner, Y, T, R = owner[order], Y[order], T[order], R[order]
     kept = _dedupe(Y, T, owner, config.dedupe_radius, _domain_period(h))
-    bounds = np.searchsorted(owner[kept], np.arange(patch.size + 1)).tolist()
-    resid = R[order].tolist()
-    found = [([(Y[i], T[i], resid[i]) for i in kept[bounds[k]:bounds[k + 1]].tolist()],
-              float(min_resid[k])) for k in range(patch.size)]
-    log.debug("patch_roots: %d seed pairs, %d diverged or left the domain, %d roots outside "
+    log.debug("patch roots: %d seed pairs, %d diverged or left the domain, %d roots outside "
               "the closed simplex, %d duplicate roots dropped", len(pairs),
-              len(pairs) - len(solved), len(solved) - len(R), len(R) - len(kept))
-    return found
+              len(pairs) - ok.sum(), ok.sum() - len(R), len(R) - len(kept))
+    return owner[kept], Y[kept], T[kept], R[kept], min_resid
+
+
+def patch_roots(h, patch, config, scale, t_per_dim=None):
+    """The roots of _roots, as one (roots, min_residual) per owner, roots
+    being (y, t, residual) tuples in order of residual."""
+    owner, Y, T, R, min_resid = _roots(h, patch, config, scale, t_per_dim)
+    bounds = np.searchsorted(owner, np.arange(patch.size + 1)).tolist()
+    resid = R.tolist()
+    return [([(Y[i], T[i], resid[i]) for i in range(bounds[k], bounds[k + 1])],
+             float(min_resid[k])) for k in range(patch.size)]
 
 
 def _dedupe(Y, T, group, radius, y_period=None):
@@ -462,100 +461,106 @@ class IntersectionRecord:
 
 def find_intersections(state, simplices, h, config=None, keep=False):
     """Roots of h(y) = eta(iota_s(t)) with t in the closed simplex s, for
-    every simplex s of one dimension at once.
+    every simplex s of one dimension at once: (records, min_residual) per
+    simplex, records in order of residual, each on its root's carrier face
+    (see _hits), and min_residual the best approach found (used for vertex
+    distance diagnostics).  One _records call builds every record.
 
-    Returns (records, min_residual) per simplex.  Roots landing on the
-    simplex boundary are attributed to the corresponding face.  The
-    intersection threshold is the solve tolerance when spanning is possible
-    and the clearance threshold when it is not; min_residual reports the
-    best approach found (used for vertex distance diagnostics).  One
-    refinement covers every simplex, one chain pass evaluates eta at all
-    of their roots, and the margins of all records on faces of one
-    dimension are one stacked computation.
-
-    With keep, the state keeps the result in place of any it kept before
-    (shift sampling keeps each round's search on its trial state); a call
-    with the same simplices, in the same order, and the same h and config
-    objects returns it, in new lists, without searching again.
+    With keep, the state keeps the search and its records in place of any
+    it kept before (shift sampling keeps each round's search on its trial
+    state); a call with the same simplices, in the same order, and the
+    same h and config objects returns them, in new lists, without
+    searching again.
     """
     config = config or PipelineConfig()
     group = tuple(simplices)
+    owner, hits, min_resid, built = _hits(state, group, h, config)
+    if built is None:
+        built = _records(state, h, [block for _, *block in hits], config)
+    if keep:
+        state._search = (group, h, config, (owner, hits, min_resid, built))
+    out = [([], r) for r in min_resid]
+    for i, rec in sorted((i, rec) for (rows, *_), recs in zip(hits, built)
+                         for i, rec in zip(rows.tolist(), recs)):
+        out[owner[i]][0].append(rec)
+    return out
+
+
+def _hits(state, group, h, config):
+    """The search of the simplices of group, of one dimension: (owner,
+    hits, min_residual, records), owner and min_residual those of _roots
+    as lists, hits one (rows, faces, Y, T, R) block per carrier-face
+    dimension, ascending (the hits' indices among the roots, in order,
+    their faces as vertex-id rows, and their y, t on the face and
+    residual), and records None, or the records of each block for a search
+    the state kept (see find_intersections).  A hit is a root below the
+    intersection threshold (the solve tolerance when spanning is possible,
+    else the clearance threshold) that lands in its closed owner simplex;
+    its carrier face drops the vertices whose barycentric coordinates are
+    at most barycentric_tol.
+    """
     kept = state._search
     if kept is not None and kept[0] == group and kept[1] is h and kept[2] is config:
-        return [(list(records), min_resid) for records, min_resid in kept[3]]
-    l = group[0].dim
-    n = h.domain.dim
-    m = state.ambient_dim
+        return kept[3]
+    l, n, m = group[0].dim, h.domain.dim, state.ambient_dim
     t_per_dim = lattice_per_dim(config.simplex_seed_density, l)
     if n + l > m:
         # intersections come in positive-dimensional families; a sparse
         # sample of the family is enough for the rank verdict
         t_per_dim = max(2, t_per_dim // 4)
-    found = patch_roots(h, simplex_patch(state, group), config, state.mesh_scale, t_per_dim)
-    threshold = config.solve_tol if n + l >= m else config.vertex_clearance
-    hits = [(k, y, t, resid) for k, (roots, _) in enumerate(found)
-            for y, t, resid in roots if resid < threshold]
-    records = [[] for _ in group]
-    for k, rec in _records(state, h, group, hits, config):
-        records[k].append(rec)
-    out = [(recs, min_resid) for recs, (_, min_resid) in zip(records, found)]
-    if keep:
-        state._search = (group, h, config, [(tuple(recs), r) for recs, r in out])
-    return out
+    owner, Y, T, R, min_resid = _roots(h, simplex_patch(state, group), config, state.mesh_scale,
+                                       t_per_dim)
+    lam = np.concatenate([1.0 - T.sum(axis=1, keepdims=True), T], axis=1)
+    # a root outside its simplex is a neighbor's
+    hit = np.flatnonzero((R < (config.solve_tol if n + l >= m else config.vertex_clearance))
+                         & ~(lam.min(axis=1) < -1e-8))
+    lam = np.clip(lam[hit], 0.0, None)
+    keep = carrier_mask(lam, config.barycentric_tol)
+    size = keep.sum(axis=1)
+    verts = np.array([s.vertices for s in group])
+    hits = []
+    for c in sorted(set(size.tolist())):
+        rows = np.flatnonzero(size == c)
+        pos = np.nonzero(keep[rows])[1].reshape(-1, c)
+        sub = lam[rows[:, None], pos]
+        at = hit[rows]
+        hits.append((at, verts[owner[at, None], pos], Y[at],
+                     (sub / sub.sum(axis=1, keepdims=True))[:, 1:], R[at]))
+    return owner.tolist(), hits, min_resid.tolist(), None
 
 
-def _records(state, h, group, hits, config):
-    """(owner, record) of every (owner, y, t, residual) hit that lands in
-    its closed owner simplex, in hit order, each classified on its
-    carrier face.
-
-    One chain pass evaluates eta and its Jacobian at every hit, one
-    jacobian_raw call differentiates the map at every hit, and the margins
-    of the hits on faces of one dimension are one stacked computation.
+def _records(state, h, blocks, config):
+    """The records of roots on carrier faces, one list per (faces, Y, T, R)
+    block, faces of one dimension as vertex-id rows and T the roots'
+    parameters on them.  One chain pass evaluates eta and its Jacobian at
+    every root, one jacobian_raw call differentiates the map at every
+    root, and the margins of a block are one stacked computation.
     """
     n, m = h.domain.dim, state.ambient_dim
-    T = np.array([hit[2] for hit in hits], float).reshape(len(hits), group[0].dim)
-    lam = np.concatenate([1.0 - T.sum(axis=1, keepdims=True), T], axis=1)
-    valid = ~(lam.min(axis=1) < -1e-8)  # a root outside its simplex is a neighbor's
-    hits = [hit for hit, ok in zip(hits, valid.tolist()) if ok]
-    if not hits:
-        return []
-    owner = np.array([hit[0] for hit in hits])
-    Y = np.array([hit[1] for hit in hits], float).reshape(len(hits), n)
-    resid = [hit[3] for hit in hits]
-    lam = np.clip(lam[valid], 0.0, None)
-    keep = carrier_mask(lam, config.barycentric_tol)
-    verts = np.array([s.vertices for s in group])
-    corners = state.realization.points(verts)
-    size = keep.sum(axis=1)
-    base = np.empty((len(owner), m))
-    faces = []
-    for c in sorted(set(size.tolist())):
-        rows = np.nonzero(size == c)[0]
-        pos = np.nonzero(keep[rows])[1].reshape(-1, c)
-        # each face's frame, as simplex_frame builds it, and t on it
-        pts = corners[owner[rows, None], pos]
+    if not sum(len(R) for *_, R in blocks):
+        return [[] for _ in blocks]
+    frames = []
+    for faces, _, T, _ in blocks:
+        # each face's frame, as simplex_frame builds it, and its point at T
+        pts = state.realization.points(faces)
         A = (pts[:, 1:] - pts[:, :1]).transpose(0, 2, 1)
-        sub = lam[rows[:, None], pos]
-        t_face = (sub / sub.sum(axis=1, keepdims=True))[:, 1:]
-        base[rows] = pts[:, 0] + (matvec(A, t_face) if c > 1 else 0.0)
-        faces.append((rows, verts[owner[rows, None], pos], A, t_face))
-    points, jacs = state.eval_eta_with_jacobian(base)
-    dh = h.jacobian_raw(Y)
-    ys, xs = Y.tolist(), points.tolist()
-    out = [None] * len(owner)
-    for rows, fv, A, t_face in faces:
-        if n + A.shape[2] < m:
-            margin, cls = np.zeros(len(rows)), ["skeleton-hit"] * len(rows)
+        frames.append((A, pts[:, 0] + (matvec(A, T) if T.shape[1] else 0.0)))
+    points, jacs = state.eval_eta_with_jacobian(np.concatenate([base for _, base in frames]))
+    dh = h.jacobian_raw(np.concatenate([Y for _, Y, _, _ in blocks]))
+    out, ends = [], np.cumsum([len(R) for *_, R in blocks])
+    for (faces, Y, T, R), (A, _), end in zip(blocks, frames, ends):
+        rows = np.arange(end - len(R), end)
+        if n + T.shape[1] < m:
+            margin, cls = np.zeros(len(R)), ["skeleton-hit"] * len(R)
         else:
             margin = transversality_margin(dh[rows], jacs[rows] @ A)
             cls = np.where(margin >= config.tol_rank, "transverse", "tangent").tolist()
-        for r, vs, t, mg, kind in zip(rows.tolist(), fv.tolist(), t_face.tolist(),
-                                      margin.tolist(), cls):
-            out[r] = IntersectionRecord(simplex=Simplex(tuple(vs)), y=tuple(ys[r]), t=tuple(t),
-                                        point=tuple(xs[r]), residual=resid[r], margin=mg,
-                                        classification=kind)
-    return list(zip(owner.tolist(), out))
+        out.append([IntersectionRecord(simplex=Simplex._trusted(tuple(vs)), y=tuple(y), t=tuple(t),
+                                       point=tuple(x), residual=r, margin=mg, classification=kind)
+                    for vs, y, t, x, r, mg, kind in zip(
+                        faces.tolist(), Y.tolist(), T.tolist(), points[rows].tolist(), R.tolist(),
+                        margin.tolist(), cls)])
+    return out
 
 
 def simplex_passes(n, l, m, records, min_residual, config):
@@ -597,52 +602,48 @@ class TransversalityReport:
 def verify_triangulation(state, h, config=None):
     """Transversality verdict for every simplex of the complex.
 
-    The simplices of each dimension are searched together (see
-    find_intersections, which returns a search the state kept, as the
-    pipeline's last trial state does, without repeating it).  The
-    records attributed to the carrier faces of one dimension are
-    deduplicated in one _dedupe call, each face a group holding its
-    records in the order they were found, and each simplex is judged on
-    the records it keeps by simplex_passes.
+    The simplices of each dimension are searched together, or taken from
+    the search the state kept (see _hits).  The hits on the faces of one
+    dimension, from the searches of that dimension and up, are
+    deduplicated in one _dedupe call, each face a group holding its hits
+    in the order they were found.  A hit that survives gets a record, from
+    one _records call, unless a kept search holds one; each simplex is
+    judged on its records by simplex_passes.
     """
     config = config or PipelineConfig()
-    n = h.domain.dim
-    m = state.ambient_dim
-    cplx = state.complex
-    by_simplex = {}
-    vertex_dist = {}
+    n, m, cplx = h.domain.dim, state.ambient_dim, state.complex
+    found = {}  # face dimension -> [(faces, Y, T, R, records or None)], in search order
     for l in range(cplx.dim + 1):
-        group = cplx.by_dim(l)
-        if not group:
-            continue
-        for s, (records, min_resid) in zip(group, find_intersections(state, group, h, config)):
-            for rec in records:
-                by_simplex.setdefault(rec.simplex, []).append(rec)
-            if l == 0:
-                vertex_dist[s] = min_resid
-    # the records of each carrier face, deduplicated once per face dimension
-    faces = sorted(by_simplex, key=simplex_sort_key)
-    kept = {}
-    for d in sorted({s.dim for s in faces}):
-        group = [s for s in faces if s.dim == d]
-        recs = [r for s in group for r in by_simplex[s]]
-        ids = np.repeat(np.arange(len(group)), [len(by_simplex[s]) for s in group])
-        Y = np.array([r.y for r in recs], float).reshape(len(recs), n)
-        T = np.array([r.t for r in recs], float).reshape(len(recs), d)
-        for i in _dedupe(Y, T, ids, config.dedupe_radius, _domain_period(h)).tolist():
-            kept.setdefault(recs[i].simplex, []).append(recs[i])
-    statuses = {}
-    all_records = []
-    for s in sorted(cplx.simplices, key=simplex_sort_key):
-        recs = tuple(kept.get(s, ()))
-        all_records.extend(recs)
-        ok = simplex_passes(n, s.dim, m, recs, vertex_dist.get(s, np.inf), config)
-        statuses[s] = SimplexStatus(
-            simplex=s, passed=ok, records=recs,
-            min_distance=vertex_dist.get(s) if s.dim == 0 else None,
-        )
+        _, hits, min_resid, built = _hits(state, cplx.by_dim(l), h, config)
+        for (_, faces, Y, T, R), recs in zip(hits, built or [[None] * len(b[-1]) for b in hits]):
+            found.setdefault(T.shape[1], []).append((faces, Y, T, R, recs))
+        if l == 0:
+            vertex_dist = min_resid
+    # the hits of each face dimension, stably sorted by face, deduplicated once
+    survivors, todo = {}, []
+    for d, blocks in sorted(found.items()):
+        faces, Y, T, R = (np.concatenate(x) for x in list(zip(*blocks))[:4])
+        recs = [r for *_, rs in blocks for r in rs]
+        ids = _find_rows(cplx.ids(d), faces)
+        order = np.argsort(ids, kind="stable")
+        order = order[_dedupe(Y[order], T[order], ids[order], config.dedupe_radius,
+                              _domain_period(h))]
+        survivors[d] = ids[order], [recs[i] for i in order.tolist()]
+        new = order[np.array([recs[i] is None for i in order.tolist()], bool)]
+        todo.append((faces[new], Y[new], T[new], R[new]))
+    built = iter(r for recs in _records(state, h, todo, config) for r in recs)
+    statuses, all_records = {}, []
+    for l in range(cplx.dim + 1):
+        ids, recs = survivors.get(l, (np.zeros(0, int), []))
+        recs = [next(built) if r is None else r for r in recs]
+        bounds = np.searchsorted(ids, np.arange(len(cplx.by_dim(l)) + 1)).tolist()
+        for k, s in enumerate(cplx.by_dim(l)):
+            own = tuple(recs[bounds[k]:bounds[k + 1]])
+            all_records.extend(own)
+            dist = vertex_dist[k] if l == 0 else None
+            statuses[s] = SimplexStatus(s, simplex_passes(n, l, m, own, dist, config), own, dist)
     margins = [r.margin for r in all_records if r.classification == "transverse"]
-    finite_dists = [d for d in vertex_dist.values() if np.isfinite(d)]
+    finite_dists = [d for d in vertex_dist if np.isfinite(d)]
     diagnostics = {
         "n_records": len(all_records),
         "n_transverse": sum(r.classification == "transverse" for r in all_records),

@@ -13,6 +13,11 @@ iteration, also for a vertex patch, whose image never moves, and at every
 pair, also where pairs repeat; the root dedupe that forms the distance of
 every row pair of a group.
 
+Verifier: the whole-complex verdict that builds a record for every hit of
+every search and deduplicates the records of each carrier face
+afterwards, where the verifier deduplicates the hits and builds records
+for the survivors only.
+
 Set-up: the object builds that stacked array builds replaced, one
 simplex at a time: the grid mesh, the maximal simplices and the
 affine-independence check of a complex, the barycentric subdivision with
@@ -35,6 +40,8 @@ from transtri import simplicial as sc
 from transtri.charts import AmbientDiffeo, TubularChart, fiber_moves, fiber_preimages
 from transtri.errors import MeshError
 from transtri.rows import entrywise, lstsq_rows, matvec, row_norms
+from transtri.verify import (SimplexStatus, TransversalityReport, _dedupe, _domain_period,
+                            find_intersections, simplex_passes)
 
 
 def barycentric_rows(pts, x):
@@ -210,6 +217,58 @@ def dedupe(Y, T, group, radius, y_period=None):
         live = todo[i] & todo[j]
         i, j = i[live], j[live]
     return np.flatnonzero(keep)
+
+
+def verify_triangulation(state, h, config, find=find_intersections):
+    """verify.verify_triangulation from the records find (find_intersections
+    by default) builds for every hit of each dimension's search, the
+    records of each carrier face deduplicated in one _dedupe call per face
+    dimension."""
+    n = h.domain.dim
+    m = state.ambient_dim
+    cplx = state.complex
+    by_simplex = {}
+    vertex_dist = {}
+    for l in range(cplx.dim + 1):
+        group = cplx.by_dim(l)
+        if not group:
+            continue
+        for s, (records, min_resid) in zip(group, find(state, group, h, config)):
+            for rec in records:
+                by_simplex.setdefault(rec.simplex, []).append(rec)
+            if l == 0:
+                vertex_dist[s] = min_resid
+    faces = sorted(by_simplex, key=sc.simplex_sort_key)
+    kept = {}
+    for d in sorted({s.dim for s in faces}):
+        group = [s for s in faces if s.dim == d]
+        recs = [r for s in group for r in by_simplex[s]]
+        ids = np.repeat(np.arange(len(group)), [len(by_simplex[s]) for s in group])
+        Y = np.array([r.y for r in recs], float).reshape(len(recs), n)
+        T = np.array([r.t for r in recs], float).reshape(len(recs), d)
+        for i in _dedupe(Y, T, ids, config.dedupe_radius, _domain_period(h)).tolist():
+            kept.setdefault(recs[i].simplex, []).append(recs[i])
+    statuses = {}
+    all_records = []
+    for s in sorted(cplx.simplices, key=sc.simplex_sort_key):
+        recs = tuple(kept.get(s, ()))
+        all_records.extend(recs)
+        ok = simplex_passes(n, s.dim, m, recs, vertex_dist.get(s, np.inf), config)
+        statuses[s] = SimplexStatus(simplex=s, passed=ok, records=recs,
+                                    min_distance=vertex_dist.get(s) if s.dim == 0 else None)
+    margins = [r.margin for r in all_records if r.classification == "transverse"]
+    finite_dists = [d for d in vertex_dist.values() if np.isfinite(d)]
+    diagnostics = {
+        "n_records": len(all_records),
+        "n_transverse": sum(r.classification == "transverse" for r in all_records),
+        "n_tangent": sum(r.classification == "tangent" for r in all_records),
+        "n_skeleton_hits": sum(r.classification == "skeleton-hit" for r in all_records),
+        "min_margin": min(margins) if margins else None,
+        "min_vertex_distance": min(finite_dists) if finite_dists else None,
+    }
+    return TransversalityReport(passed=all(st.passed for st in statuses.values()),
+                                statuses=statuses, records=tuple(all_records),
+                                diagnostics=diagnostics)
 
 
 def top_simplices(cplx):

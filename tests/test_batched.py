@@ -19,6 +19,9 @@ equal the per-column, pairwise and per-record loops they replaced.  The
 guard samples every link of a round at once and must give each link's
 one-link value, and a final verify that takes the last level's search
 from its trial state must give the report of a fresh state.  The
+verifier deduplicates each carrier face's hits before it builds any
+record, and its report must equal, bit for bit, that of the oracle that
+builds a record for every hit and deduplicates the records.  The
 clearance test locates its samples in base coordinates and must give the
 verdict of pushing them through the chain and pulling them back.  Point
 location applies each top's barycentric map and must give the hits of the
@@ -320,12 +323,20 @@ def _gn_case(scenario_a_run, name):
     return h, patch, y0, t0, config, state.mesh_scale
 
 
+def gn_pairs(out):
+    """_gauss_newton's (ok, Y, T, R) as one (y, t, residual) or None per
+    pair, the form of oracles.gauss_newton."""
+    ok, Y, T, R = out
+    assert len(ok) == len(Y) == len(T) == len(R)
+    return [(Y[p], T[p], float(R[p])) if ok[p] else None for p in range(len(ok))]
+
+
 @pytest.mark.parametrize("name", ["vertex", "edge", "triangle", "short_line", "point",
                                   "poly_curve"])
 def test_gauss_newton_pairs_equal_single_pairs(scenario_a_run, name):
     h, patch, y0, t0, config, scale = _gn_case(scenario_a_run, name)
-    batched = _gauss_newton(h, patch, y0, t0, config, scale)
-    singles = [_gauss_newton(h, patch, y[None], t[None], config, scale)[0]
+    batched = gn_pairs(_gauss_newton(h, patch, y0, t0, config, scale))
+    singles = [gn_pairs(_gauss_newton(h, patch, y[None], t[None], config, scale))[0]
                for y, t in zip(y0, t0)]
     assert len(batched) == len(singles) == len(y0)
     for b, s in zip(batched, singles):
@@ -368,7 +379,8 @@ def test_vertex_patches_are_evaluated_once_per_gauss_newton(grid_a, monkeypatch)
         want = oracles.gauss_newton(h, counted(patch, want_sizes), y0, t0, config, scale, owner,
                                     trace)
         distinct = [_distinct_count(o, t, y) for o, t, y, _ in trace]
-        calls.append((patch.l, first is not None, sizes, want_sizes, distinct, got, want))
+        calls.append((patch.l, first is not None, sizes, want_sizes, distinct, gn_pairs(got),
+                      want))
         return got
 
     monkeypatch.setattr(verify, "_gauss_newton", spy)
@@ -423,7 +435,7 @@ def test_gauss_newton_evaluates_and_solves_each_distinct_row_once(scenario_a_run
     spied = Patch(l=1, eval=patch.eval, eval_jac=counted("patch", patch.eval_jac),
                   size=patch.size)
     monkeypatch.setattr(verify, "lstsq_rows", counted("solve", verify.lstsq_rows))
-    got = verify._gauss_newton(spied_h, spied, y0, t0, config, scale, o, first)
+    got = gn_pairs(verify._gauss_newton(spied_h, spied, y0, t0, config, scale, o, first))
     monkeypatch.undo()
     trace = []
     want = oracles.gauss_newton(h, patch, y0, t0, config, scale, o, trace)
@@ -440,8 +452,8 @@ def test_gauss_newton_evaluates_and_solves_each_distinct_row_once(scenario_a_run
     for i, (g, w) in enumerate(zip(got, want)):
         assert (g is None) == (w is None)
         if i in singles:
-            one = verify._gauss_newton(h, patch, y0[i:i + 1], t0[i:i + 1], config, scale,
-                                       o[i:i + 1])[0]
+            one = gn_pairs(verify._gauss_newton(h, patch, y0[i:i + 1], t0[i:i + 1], config,
+                                                scale, o[i:i + 1]))[0]
             assert (one is None) == (w is None)
             if one is not None:
                 assert all(same_bits(a, b) for a, b in zip(one, w))
@@ -478,9 +490,10 @@ def test_gauss_newton_evaluates_its_first_iterate_without_seed_data(scenario_a_r
         ys, ts, pairs, _, (f, df) = verify._pair_seeds(h, patch, config, state.mesh_scale, jac=True)
         iy, it = np.array(pairs).T
         owner = it // (len(ts) // patch.size)
-        seeded = verify._gauss_newton(h, patch, ys[iy], ts[it], config, state.mesh_scale, owner,
-                                      (f[it], df[it]))
-        plain = verify._gauss_newton(h, patch, ys[iy], ts[it], config, state.mesh_scale, owner)
+        seeded = gn_pairs(verify._gauss_newton(h, patch, ys[iy], ts[it], config, state.mesh_scale,
+                                               owner, (f[it], df[it])))
+        plain = gn_pairs(verify._gauss_newton(h, patch, ys[iy], ts[it], config, state.mesh_scale,
+                                              owner))
         want = oracles.gauss_newton(h, patch, ys[iy], ts[it], config, state.mesh_scale, owner)
         for a, b, w in zip(seeded, plain, want):
             assert (a is None) == (b is None) == (w is None)
@@ -1534,7 +1547,7 @@ def ref_find(state, s, h, config):
     roots = []
     if pairs:
         iy, it = np.array(pairs).T
-        for out in _gauss_newton(h, patch, ys[iy], ts[it], config, state.mesh_scale):
+        for out in gn_pairs(_gauss_newton(h, patch, ys[iy], ts[it], config, state.mesh_scale)):
             if out is not None and ref_inside_closed_simplex(out[1]):
                 min_resid = min(min_resid, out[2])
                 roots.append(out)
@@ -1583,11 +1596,65 @@ def test_verifier_by_dimension_equals_one_simplex_at_a_time(scenario_a_run, monk
             assert same_bits(min_resid, ref[s][1])
     assert any(records for records, _ in ref.values()) == (case != "scenario_disjoint")
     report = verify_triangulation(state, h, config)
-    monkeypatch.setattr(verify, "find_intersections",
-                        lambda st, group, hh, cfg: [ref[s] for s in group])
-    want = verify_triangulation(state, h, config)
+    want = oracles.verify_triangulation(state, h, config,
+                                        find=lambda st, group, hh, cfg: [ref[s] for s in group])
     assert report_to_csv(report) == report_to_csv(want)
     assert report_summary(report) == report_summary(want)
+
+
+def _report_bits(report):
+    """A report as comparable text: the verdict, every status in order with
+    its verdict, vertex distance and records, every record, and the
+    diagnostics; repr keeps every bit of a float, the sign of zero too."""
+    def records(recs):
+        return [repr(_record_fields(r)) for r in recs]
+
+    return (report.passed, [(repr(s), repr(st.simplex), st.passed, repr(st.min_distance),
+                             records(st.records)) for s, st in report.statuses.items()],
+            records(report.records), repr(report.diagnostics))
+
+
+@pytest.mark.parametrize("name", VERIFY_SCENARIOS)
+def test_verify_only_report_equals_the_record_per_hit_oracle(name):
+    state, h, config = _verify_only_case(name)
+    want = oracles.verify_triangulation(TriangulationState(state.complex, state.realization), h,
+                                        config)
+    assert _report_bits(verify_triangulation(state, h, config)) == _report_bits(want)
+
+
+@pytest.mark.parametrize("name, seed", [("scenario_a", 1), ("scenario_a", 2), ("scenario_b", 1)])
+def test_final_report_from_a_kept_search_equals_the_record_per_hit_oracle(name, seed):
+    # the final verify takes the last level's search from the run's last
+    # trial state and reuses its records; the oracle's find_intersections
+    # takes the same search
+    scenario = cli.load_scenario(str(SCENARIOS / f"{name}.cfg"))
+    cplx, real, h = cli._build_inputs(scenario)
+    config = scenario.config.replace(seed=seed)
+    state, report = perturb.make_transverse(cplx, real, h, config)
+    group, _, _, (*_, kept) = state._search
+    assert group == cplx.by_dim(group[0].dim)
+    assert {id(r) for recs in kept for r in recs} & {id(r) for r in report.records}
+    assert _report_bits(report) == _report_bits(oracles.verify_triangulation(state, h, config))
+
+
+@pytest.mark.parametrize("name, survivors, hits", [("scenario_a", 120, 138),
+                                                   ("scenario_b_degenerate", 370, 835)])
+def test_verify_builds_a_record_only_for_a_surviving_hit(monkeypatch, name, survivors, hits):
+    # the record-per-hit oracle builds one record per hit of every search
+    state, h, config = _verify_only_case(name)
+    built = []
+
+    def spy(**fields):
+        built.append(IntersectionRecord(**fields))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "IntersectionRecord", spy)
+    report = verify_triangulation(state, h, config)
+    assert len(built) == len(report.records) == survivors
+    assert {id(r) for r in built} == {id(r) for r in report.records}
+    del built[:]
+    oracles.verify_triangulation(TriangulationState(state.complex, state.realization), h, config)
+    assert len(built) == hits
 
 
 def ref_simplex_patch(state, simplices):
@@ -1953,20 +2020,25 @@ def _dedupe_spy(monkeypatch):
 def test_cluster_keeps_the_roots_of_the_pairwise_loop_on_both_passes(monkeypatch, name):
     state, h, config = _verify_only_case(name)
     calls = _dedupe_spy(monkeypatch)
-    verify_triangulation(state, h, config)
+    report = verify_triangulation(state, h, config)
     kinds = set()
     for caller, local, Y, T, group, radius, period, kept in calls:
         rows = np.arange(len(group))
         groups = [[(Y[i], T[i], i) for i in rows[group == k].tolist()] for k in np.unique(group)]
         want = [i for items in groups for _, _, i in ref_cluster(items, radius, period)]
         assert kept.tolist() == want
-        # per-owner roots carry their residual, per-carrier roots their record
-        if len(group) and caller == "patch_roots":
+        # per-owner roots carry their residual; per-carrier hits come sorted
+        # by face, and the report's records of a face dimension are its kept hits
+        if len(group) and caller == "_roots":
             kinds.add(type(local["R"].tolist()[0]))
         elif len(group):
-            assert caller == "verify_triangulation"
-            recs = local["recs"]
-            assert same_bits(Y, [r.y for r in recs]) and same_bits(T, [r.t for r in recs])
+            assert caller == "verify_triangulation" and (np.diff(group) >= 0).all()
+            d = T.shape[1]
+            recs = [r for r in report.records if r.simplex.dim == d]
+            assert same_bits(Y[kept], [r.y for r in recs])
+            assert same_bits(T[kept], [r.t for r in recs])
+            assert [r.simplex.vertices for r in recs] == list(
+                map(tuple, state.complex.ids(d)[group[kept]].tolist()))
             kinds.add(type(recs[0]))
     # the disjoint scenario keeps no root at all
     assert kinds == (set() if name == "scenario_disjoint" else {float, verify.IntersectionRecord})
