@@ -272,11 +272,6 @@ class _Run:
         X[r[moved]] = self._point(j[moved], t[moved], w2)
 
 
-def _runs(links):
-    """The _Run of each contiguous same-level run of links, in chain order."""
-    return [_Run(list(run)) for _, run in itertools.groupby(links, key=lambda lk: lk.level)]
-
-
 class ChainOps:
     """Masked evaluation of an ordered chain of compactly supported links.
 
@@ -295,23 +290,13 @@ class ChainOps:
     into J rank by rank in chain order.  The inverse takes the same hit
     list, oldest link first, one rank at a time.  Masks are refreshed
     between runs, as earlier links can move points by more than later slab
-    widths.  Each row has the bits of the link-by-link evaluation.  A
-    chain with links appended (extended) shares the runs it keeps.
+    widths.  Each row has the bits of the link-by-link evaluation.
     """
 
-    def __init__(self, links, runs=None):
+    def __init__(self, links):
         self.links = tuple(links)
-        self.runs = _runs(self.links) if runs is None else runs
-
-    def extended(self, links):
-        """This chain with links appended, sharing this one's runs: only the
-        runs of the new links are built, with the links of the last run
-        when the first new link continues its level."""
-        links = tuple(links)
-        runs, tail = list(self.runs), links
-        if runs and links and runs[-1].l == links[0].level:
-            tail = tuple(runs.pop().links) + links
-        return ChainOps(self.links + links, runs + _runs(tail))
+        self.runs = [_Run(list(run))
+                     for _, run in itertools.groupby(self.links, key=attrgetter("level"))]
 
     def apply(self, x):
         return self._forward(x, False)[0]
@@ -431,9 +416,8 @@ class TriangulationState:
 
     Its complex, realization and links never change: appending links
     returns a new state.  It memoizes its last with_links child and the
-    one search find_intersections was asked to keep on it; neither memo
-    ever changes a result.  Its ChainOps is built on first use, or shared
-    run by run with its parent (see with_links).  Reads are safe to share
+    last search find_intersections made on it; neither memo ever changes a
+    result.  Its ChainOps is built on first use.  Reads are safe to share
     across threads (a race on a memo at worst repeats a computation).
     """
 
@@ -452,16 +436,12 @@ class TriangulationState:
 
     def with_links(self, links):
         """This state with links appended, the last such state again when
-        links are the same objects in the same order.  The child's chain
-        keeps this state's runs and builds only those of the new links
-        (ChainOps.extended)."""
+        links are the same objects in the same order."""
         links = tuple(links)
         child = self._child
         if child is None or child.links[len(self.links):] != links:
-            child = TriangulationState(self.complex, self.realization, self.links + links,
-                                       self.mesh_scale)
-            child._ops = self._ops.extended(links)
-            self._child = child
+            self._child = child = TriangulationState(self.complex, self.realization,
+                                                     self.links + links, self.mesh_scale)
         return child
 
     def eval_eta(self, p):

@@ -46,7 +46,7 @@ from .config import PipelineConfig
 from .errors import (DegenerateGeometryError, EpsilonTooLargeError, MeshError,
                      PerturbationError, SamplingFailureError)
 from .rows import matvec, row_norms
-from .simplicial import Simplex, SubdivisionData
+from .simplicial import SubdivisionData
 from .verify import (find_intersections, interior_lattice, lattice_per_dim, simplex_passes,
                      verify_triangulation)
 
@@ -189,16 +189,14 @@ def estimate_c_sigma(state, simplices, config=None, sd_data=None, charts=None):
     Each simplex runs a halving search from its star's diameter down to
     the configured floor and keeps half its largest passing candidate as
     a safety margin; every round tests all simplices still searching with
-    one containment_ok call.  One Simplex gives one float, a list one
-    float per simplex.  The lowest-index simplex where nothing passes
-    raises DegenerateGeometryError, whose clearances hold the values of
-    the simplices before it; the simplices after it stop searching.  A
-    top-dimensional simplex raises MeshError (no normal directions, callers
-    skip those).
+    one containment_ok call.  Returns one float per simplex, as a list.
+    The lowest-index simplex where nothing passes raises
+    DegenerateGeometryError, whose clearances hold the values of the
+    simplices before it; the simplices after it stop searching.  A
+    top-dimensional simplex raises MeshError (no normal directions,
+    callers skip those).
     """
     config = config or PipelineConfig()
-    one = isinstance(simplices, Simplex)
-    simplices = [simplices] if one else list(simplices)
     charts = charts or make_charts(state, simplices)
     sd_data = sd_data or subdivision_data(state)
     locator = StarLocator(sd_data.index, config.barycentric_tol)
@@ -229,7 +227,7 @@ def estimate_c_sigma(state, simplices, config=None, sd_data=None, charts=None):
         raise DegenerateGeometryError(
             f"no fiber clearance above {config.c_min} for simplex {simplices[failed].vertices}",
             clearances=found[:failed])
-    return found[0] if one else found
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +243,7 @@ def _candidate_transverse(state, links, h, config):
     keeps the search, which the final verify takes when the trial state
     becomes the last level's state."""
     simplices = [lk.simplex for lk in links]
-    found = find_intersections(state.with_links(links), simplices, h, config, keep=True)
+    found = find_intersections(state.with_links(links), simplices, h, config)
     n, l, m = h.domain.dim, simplices[0].dim, state.ambient_dim
     return [simplex_passes(n, l, m, records, min_resid, config) for records, min_resid in found]
 
@@ -342,24 +340,14 @@ def _sampled_distortion(psis):
     return norms.reshape(len(psis), len(t)).max(axis=1, initial=0.0)
 
 
-def build_local_diffeo(psi):
-    """Guard local diffeomorphisms by their sampled |J - I| (see
-    _sampled_distortion): at or above 1/2 the Newton fiber inverse would
-    lose its contraction margin, so the caller must shrink epsilon and
-    resample.
-
-    One LocalDiffeo is the N = 1 case: it is returned, or raises
-    EpsilonTooLargeError.  A list of them, all of one dimension, gives a
-    list of bools, whether each passes, from one evaluation.
+def build_local_diffeo(psis):
+    """Guard local diffeomorphisms of one dimension by their sampled
+    |J - I| (see _sampled_distortion), from one evaluation: whether each
+    passes, as a list of bools.  At or above 1/2 the Newton fiber inverse
+    would lose its contraction margin, so the caller must shrink epsilon
+    and resample.
     """
-    one = isinstance(psi, LocalDiffeo)
-    worst = _sampled_distortion([psi] if one else psi)
-    if not one:
-        return (~(worst >= 0.5)).tolist()
-    if worst[0] >= 0.5:
-        raise EpsilonTooLargeError(
-            f"sampled |J - I| = {float(worst[0]):.3f} >= 1/2 for epsilon {psi.epsilon}")
-    return psi
+    return (~(_sampled_distortion(psis) >= 0.5)).tolist()
 
 
 def extend_to_ambient(psis):

@@ -32,7 +32,6 @@ __all__ = [
     "TransversalityReport",
     "Patch",
     "simplex_patch",
-    "patch_roots",
     "interior_lattice",
     "lattice_per_dim",
     "find_intersections",
@@ -153,7 +152,7 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None, first=None):
     pairs still stepping; the results are scattered back, and each pair
     keeps its own best point, stall counter, divergence test and domain
     test, so every result equals that of a one-pair call.  first holds the
-    patch's (f, df) rows at t0, as the seed pass of patch_roots gives them;
+    patch's (f, df) rows at t0, as the seed pass of _roots gives them;
     without it the patch is evaluated at every distinct (owner, t) of the
     pairs here.  The first iteration takes its rows from first, and so
     does every iteration on a vertex patch (l = 0), which has no t to
@@ -370,16 +369,6 @@ def _roots(h, patch, config, scale, t_per_dim=None):
     return owner[kept], Y[kept], T[kept], R[kept], min_resid
 
 
-def patch_roots(h, patch, config, scale, t_per_dim=None):
-    """The roots of _roots, as one (roots, min_residual) per owner, roots
-    being (y, t, residual) tuples in order of residual."""
-    owner, Y, T, R, min_resid = _roots(h, patch, config, scale, t_per_dim)
-    bounds = np.searchsorted(owner, np.arange(patch.size + 1)).tolist()
-    resid = R.tolist()
-    return [([(Y[i], T[i], resid[i]) for i in range(bounds[k], bounds[k + 1])],
-             float(min_resid[k])) for k in range(patch.size)]
-
-
 def _dedupe(Y, T, group, radius, y_period=None):
     """Greedy dedupe of stacked (y, t) parameter rows, group by group:
     the indices of the rows kept, in row order.
@@ -459,26 +448,23 @@ class IntersectionRecord:
     classification: str  # transverse | tangent | skeleton-hit
 
 
-def find_intersections(state, simplices, h, config=None, keep=False):
+def find_intersections(state, simplices, h, config=None):
     """Roots of h(y) = eta(iota_s(t)) with t in the closed simplex s, for
     every simplex s of one dimension at once: (records, min_residual) per
     simplex, records in order of residual, each on its root's carrier face
     (see _hits), and min_residual the best approach found (used for vertex
     distance diagnostics).  One _records call builds every record.
 
-    With keep, the state keeps the search and its records in place of any
-    it kept before (shift sampling keeps each round's search on its trial
-    state); a call with the same simplices, in the same order, and the
-    same h and config objects returns them, in new lists, without
-    searching again.
+    The state keeps the search in place of any it kept before (shift
+    sampling searches each round's trial state, and the final verify takes
+    the last one); a call with the same simplices, in the same order, and
+    the same h and config objects takes it without searching again.
     """
     config = config or PipelineConfig()
     group = tuple(simplices)
-    owner, hits, min_resid, built = _hits(state, group, h, config)
-    if built is None:
-        built = _records(state, h, [block for _, *block in hits], config)
-    if keep:
-        state._search = (group, h, config, (owner, hits, min_resid, built))
+    owner, hits, min_resid = _hits(state, group, h, config)
+    state._search = (group, h, config, (owner, hits, min_resid))
+    built = _records(state, h, [block for _, *block in hits], config)
     out = [([], r) for r in min_resid]
     for i, rec in sorted((i, rec) for (rows, *_), recs in zip(hits, built)
                          for i, rec in zip(rows.tolist(), recs)):
@@ -487,17 +473,16 @@ def find_intersections(state, simplices, h, config=None, keep=False):
 
 
 def _hits(state, group, h, config):
-    """The search of the simplices of group, of one dimension: (owner,
-    hits, min_residual, records), owner and min_residual those of _roots
-    as lists, hits one (rows, faces, Y, T, R) block per carrier-face
-    dimension, ascending (the hits' indices among the roots, in order,
-    their faces as vertex-id rows, and their y, t on the face and
-    residual), and records None, or the records of each block for a search
-    the state kept (see find_intersections).  A hit is a root below the
-    intersection threshold (the solve tolerance when spanning is possible,
-    else the clearance threshold) that lands in its closed owner simplex;
-    its carrier face drops the vertices whose barycentric coordinates are
-    at most barycentric_tol.
+    """The search of the simplices of group, of one dimension, or the one
+    the state kept for the same inputs (see find_intersections): (owner,
+    hits, min_residual), owner and min_residual those of _roots as lists,
+    hits one (rows, faces, Y, T, R) block per carrier-face dimension,
+    ascending (the hits' indices among the roots, in order, their faces as
+    vertex-id rows, and their y, t on the face and residual).  A hit is a
+    root below the intersection threshold (the solve tolerance when
+    spanning is possible, else the clearance threshold) that lands in its
+    closed owner simplex; its carrier face drops the vertices whose
+    barycentric coordinates are at most barycentric_tol.
     """
     kept = state._search
     if kept is not None and kept[0] == group and kept[1] is h and kept[2] is config:
@@ -526,7 +511,7 @@ def _hits(state, group, h, config):
         at = hit[rows]
         hits.append((at, verts[owner[at, None], pos], Y[at],
                      (sub / sub.sum(axis=1, keepdims=True))[:, 1:], R[at]))
-    return owner.tolist(), hits, min_resid.tolist(), None
+    return owner.tolist(), hits, min_resid.tolist()
 
 
 def _records(state, h, blocks, config):
@@ -606,36 +591,33 @@ def verify_triangulation(state, h, config=None):
     the search the state kept (see _hits).  The hits on the faces of one
     dimension, from the searches of that dimension and up, are
     deduplicated in one _dedupe call, each face a group holding its hits
-    in the order they were found.  A hit that survives gets a record, from
-    one _records call, unless a kept search holds one; each simplex is
-    judged on its records by simplex_passes.
+    in the order they were found.  One _records call builds the record of
+    every hit that survives; each simplex is judged on its records by
+    simplex_passes.
     """
     config = config or PipelineConfig()
     n, m, cplx = h.domain.dim, state.ambient_dim, state.complex
-    found = {}  # face dimension -> [(faces, Y, T, R, records or None)], in search order
+    found = {}  # face dimension -> [(faces, Y, T, R)], in search order
     for l in range(cplx.dim + 1):
-        _, hits, min_resid, built = _hits(state, cplx.by_dim(l), h, config)
-        for (_, faces, Y, T, R), recs in zip(hits, built or [[None] * len(b[-1]) for b in hits]):
-            found.setdefault(T.shape[1], []).append((faces, Y, T, R, recs))
+        _, hits, min_resid = _hits(state, cplx.by_dim(l), h, config)
+        for _, faces, Y, T, R in hits:
+            found.setdefault(T.shape[1], []).append((faces, Y, T, R))
         if l == 0:
             vertex_dist = min_resid
     # the hits of each face dimension, stably sorted by face, deduplicated once
-    survivors, todo = {}, []
-    for d, blocks in sorted(found.items()):
-        faces, Y, T, R = (np.concatenate(x) for x in list(zip(*blocks))[:4])
-        recs = [r for *_, rs in blocks for r in rs]
+    survivors, blocks = {}, []
+    for d, found_d in sorted(found.items()):
+        faces, Y, T, R = (np.concatenate(x) for x in zip(*found_d))
         ids = _find_rows(cplx.ids(d), faces)
         order = np.argsort(ids, kind="stable")
         order = order[_dedupe(Y[order], T[order], ids[order], config.dedupe_radius,
                               _domain_period(h))]
-        survivors[d] = ids[order], [recs[i] for i in order.tolist()]
-        new = order[np.array([recs[i] is None for i in order.tolist()], bool)]
-        todo.append((faces[new], Y[new], T[new], R[new]))
-    built = iter(r for recs in _records(state, h, todo, config) for r in recs)
+        survivors[d] = ids[order]
+        blocks.append((faces[order], Y[order], T[order], R[order]))
+    records = dict(zip(survivors, _records(state, h, blocks, config)))
     statuses, all_records = {}, []
     for l in range(cplx.dim + 1):
-        ids, recs = survivors.get(l, (np.zeros(0, int), []))
-        recs = [next(built) if r is None else r for r in recs]
+        ids, recs = survivors.get(l, np.zeros(0, int)), records.get(l, [])
         bounds = np.searchsorted(ids, np.arange(len(cplx.by_dim(l)) + 1)).tolist()
         for k, s in enumerate(cplx.by_dim(l)):
             own = tuple(recs[bounds[k]:bounds[k + 1]])

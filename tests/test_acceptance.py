@@ -132,15 +132,15 @@ def test_criterion_05_jacobian_suite(base_state):
     checked = 0
     for s, eps in ((sc.Simplex((0,)), 0.059), (sc.Simplex((0, 3)), 0.05)):
         pert = make_pert(base_state, s, eps=eps)
-        psi = build_local_diffeo(pert)
+        assert build_local_diffeo([pert]) == [True]
         l = s.dim
 
-        def f(tv, psi=psi, l=l):
-            t2, v2 = oracles.local_eval(psi, tv[None, :l], tv[None, l:])
+        def f(tv, pert=pert, l=l):
+            t2, v2 = oracles.local_eval(pert, tv[None, :l], tv[None, l:])
             return np.concatenate([t2[0], v2[0]])
 
-        def jac(tv, psi=psi, l=l):
-            return oracles.local_jacobian(psi, tv[None, :l], tv[None, l:])[0]
+        def jac(tv, pert=pert, l=l):
+            return oracles.local_jacobian(pert, tv[None, :l], tv[None, l:])[0]
 
         pts = []
         while len(pts) < 50:

@@ -48,7 +48,7 @@ from transtri import bump, cli, perturb, verify
 from transtri import simplicial as sc
 from transtri.charts import ChainOps, StarLocator, TriangulationState, fiber_moves, make_chart
 from transtri.config import PipelineConfig
-from transtri.errors import DegenerateGeometryError, EpsilonTooLargeError, PerturbationError
+from transtri.errors import DegenerateGeometryError, PerturbationError
 from transtri.perturb import (LocalDiffeo, _draw_shift, _unit_directions, containment_ok,
                               perturb_level, subdivision_data)
 from transtri.rows import lstsq_rows, matvec, row_norms
@@ -57,7 +57,7 @@ from transtri.smoothmap import (CircleMap, LineMap, PointMap, PolyCurveMap, Surf
 from transtri.verify import (IntersectionRecord, Patch, _dedupe, _domain_period, _domain_seeds,
                              _gauss_newton, _pair_seeds,
                              find_intersections, interior_lattice, lattice_per_dim,
-                             patch_roots, report_summary, report_to_csv, simplex_patch,
+                             report_summary, report_to_csv, simplex_patch,
                              transversality_margin, verify_triangulation)
 
 RNG = np.random.default_rng(20261018)
@@ -1322,7 +1322,7 @@ def test_clearance_depends_on_base_geometry_only(scenario_a_run):
     links = [lk for lk in final.links if lk.level == 1]
     assert len(links) == len(final.complex.by_dim(1))
     for lk in links:
-        c = perturb.estimate_c_sigma(base, lk.simplex, config, sd_data=sd)
+        [c] = perturb.estimate_c_sigma(base, [lk.simplex], config, sd_data=sd)
         assert repr(c) == repr(lk.local.c_sigma), lk.simplex.vertices
 
 
@@ -1367,7 +1367,7 @@ def test_level_clearance_equals_the_per_simplex_search(name):
         want = [ref_c_sigma(state, s, config, sd) for s in simplices]
         assert all(type(c) is float for c in got)
         assert [repr(c) for c in got] == [repr(c) for c in want], level
-        one = perturb.estimate_c_sigma(state, simplices[-1], config, sd)
+        [one] = perturb.estimate_c_sigma(state, simplices[-1:], config, sd)
         assert type(one) is float and repr(one) == repr(want[-1])
 
 
@@ -1377,7 +1377,7 @@ def test_level_clearance_names_the_lowest_simplex_without_clearance(scenario_a_r
     state, config = _level_start(scenario_a_run, 0), scenario_a_run["config"]
     sd = subdivision_data(state)
     vertices = state.complex.by_dim(0)
-    passing = 2.0 * perturb.estimate_c_sigma(state, vertices[6], config, sd)
+    passing = 2.0 * perturb.estimate_c_sigma(state, vertices[6:7], config, sd)[0]
     config = config.replace(c_min=passing)
     with pytest.raises(DegenerateGeometryError) as want:
         for s in vertices:
@@ -1625,23 +1625,19 @@ def test_verify_only_report_equals_the_record_per_hit_oracle(name):
 @pytest.mark.parametrize("name, seed", [("scenario_a", 1), ("scenario_a", 2), ("scenario_b", 1)])
 def test_final_report_from_a_kept_search_equals_the_record_per_hit_oracle(name, seed):
     # the final verify takes the last level's search from the run's last
-    # trial state and reuses its records; the oracle's find_intersections
-    # takes the same search
+    # trial state; the oracle searches every dimension again
     scenario = cli.load_scenario(str(SCENARIOS / f"{name}.cfg"))
     cplx, real, h = cli._build_inputs(scenario)
     config = scenario.config.replace(seed=seed)
     state, report = perturb.make_transverse(cplx, real, h, config)
-    group, _, _, (*_, kept) = state._search
+    group, _, _, (owner, hits, min_resid) = state._search
     assert group == cplx.by_dim(group[0].dim)
-    assert {id(r) for recs in kept for r in recs} & {id(r) for r in report.records}
+    assert len(min_resid) == len(group)
     assert _report_bits(report) == _report_bits(oracles.verify_triangulation(state, h, config))
 
 
-@pytest.mark.parametrize("name, survivors, hits", [("scenario_a", 120, 138),
-                                                   ("scenario_b_degenerate", 370, 835)])
-def test_verify_builds_a_record_only_for_a_surviving_hit(monkeypatch, name, survivors, hits):
-    # the record-per-hit oracle builds one record per hit of every search
-    state, h, config = _verify_only_case(name)
+def _record_spy(monkeypatch):
+    """The list of every record verify builds from now on."""
     built = []
 
     def spy(**fields):
@@ -1649,12 +1645,50 @@ def test_verify_builds_a_record_only_for_a_surviving_hit(monkeypatch, name, surv
         return built[-1]
 
     monkeypatch.setattr(verify, "IntersectionRecord", spy)
+    return built
+
+
+@pytest.mark.parametrize("name, survivors, hits", [("scenario_a", 120, 138),
+                                                   ("scenario_b_degenerate", 370, 835)])
+def test_verify_builds_a_record_only_for_a_surviving_hit(monkeypatch, name, survivors, hits):
+    # the record-per-hit oracle builds one record per hit of every search
+    state, h, config = _verify_only_case(name)
+    built = _record_spy(monkeypatch)
     report = verify_triangulation(state, h, config)
     assert len(built) == len(report.records) == survivors
     assert {id(r) for r in built} == {id(r) for r in report.records}
     del built[:]
     oracles.verify_triangulation(TriangulationState(state.complex, state.realization), h, config)
     assert len(built) == hits
+
+
+def test_final_verify_builds_each_surviving_record_once(monkeypatch):
+    # the final verify takes the last level's search, which holds no
+    # records, and builds the record of each hit that survives its dedupe
+    scenario = cli.load_scenario(str(SCENARIOS / "scenario_a.cfg"))
+    cplx, real, h = cli._build_inputs(scenario)
+    built, final, searched = _record_spy(monkeypatch), [], None
+    verify_all, roots = perturb.verify_triangulation, verify._roots
+
+    def final_verify(*args):
+        nonlocal searched
+        searched = []
+        del built[:]
+        report = verify_all(*args)
+        final.extend(built)
+        return report
+
+    def spy(h, patch, *args):
+        if searched is not None:
+            searched.append(patch.l)
+        return roots(h, patch, *args)
+
+    monkeypatch.setattr(perturb, "verify_triangulation", final_verify)
+    monkeypatch.setattr(verify, "_roots", spy)
+    _, report = perturb.make_transverse(cplx, real, h, scenario.config.replace(seed=1))
+    assert searched == [0, 2]  # the edges' search is the last level's
+    assert len(final) == len(report.records) == 121
+    assert {id(r) for r in final} == {id(r) for r in report.records}
 
 
 def ref_simplex_patch(state, simplices):
@@ -2095,11 +2129,11 @@ def ref_candidate(state, pert, h, config):
 
     patch = Patch(l=l, eval=lambda t, owner: state.eval_eta(chart.frame_point(t, pert.shift(t))),
                   eval_jac=ej)
-    [(roots, min_resid)] = patch_roots(h, patch, config, state.mesh_scale)
+    _, Y, T, R, min_resid = verify._roots(h, patch, config, state.mesh_scale)
     if h.domain.dim + l < state.ambient_dim:
-        return min_resid > config.vertex_clearance
+        return min_resid[0] > config.vertex_clearance
     return all(transversality_margin(h.jacobian_raw(y), ej(t[None], None)[1][0]) >= config.tol_rank
-               for y, t, resid in roots if resid < config.solve_tol)
+               for y, t, resid in zip(Y, T, R) if resid < config.solve_tol)
 
 
 def ref_level(state, level, h, config, sd):
@@ -2110,7 +2144,7 @@ def ref_level(state, level, h, config, sd):
         rng = np.random.default_rng([config.seed, level, idx])
         chart = make_chart(state, s)
         try:
-            c_sigma = perturb.estimate_c_sigma(state, s, config, sd_data=sd, charts=[chart])
+            [c_sigma] = perturb.estimate_c_sigma(state, [s], config, sd_data=sd, charts=[chart])
         except DegenerateGeometryError as exc:
             return out, f"level {level} aborted at simplex {s.vertices}: {exc}"
         eps = min(c_sigma, 0.5 / bump.c_beta(), config.epsilon_max,
@@ -2126,9 +2160,7 @@ def ref_level(state, level, h, config, sd):
                              f" candidates rejected for simplex {s.vertices}; the deformation scale"
                              " cannot clear the verifier thresholds (tolerances too strict for"
                              " this geometry)")
-            try:
-                perturb.build_local_diffeo(pert)
-            except EpsilonTooLargeError:
+            if not perturb.build_local_diffeo([pert])[0]:
                 eps *= 0.5
                 continue
             out.append((tuple(v), tries, shrink, eps))
@@ -2147,19 +2179,13 @@ def _level_start(scenario_a_run, level):
 
 def _shrink_guard(times):
     """A guard that rejects the first `times` epsilons of every other
-    simplex, by vertex-id parity, and passes everything else: one pert is
-    returned or raises, a list of them gives one bool each."""
+    simplex, by vertex-id parity, and passes everything else: one bool per
+    pert."""
     real_guard = perturb.build_local_diffeo
 
-    def forced(pert):
-        return sum(pert.chart.simplex.vertices) % 2 == 0 and pert.shrinks_used < times
-
     def guard(perts):
-        if isinstance(perts, LocalDiffeo):
-            if forced(perts):
-                raise EpsilonTooLargeError("forced")
-            return real_guard(perts)
-        return [ok and not forced(p) for p, ok in zip(perts, real_guard(perts))]
+        return [ok and not (sum(p.chart.simplex.vertices) % 2 == 0 and p.shrinks_used < times)
+                for p, ok in zip(perts, real_guard(perts))]
 
     return guard
 
@@ -2239,11 +2265,7 @@ def test_level_guard_equals_the_one_link_guard(scenario_a_run, chain):
         verdicts = perturb.build_local_diffeo(psis)
         assert type(verdicts) is list and verdicts == [not w >= 0.5 for w in want]
         for p, w in zip(psis, want):
-            if w >= 0.5:
-                with pytest.raises(EpsilonTooLargeError, match=f"sampled .J - I. = {w:.3f} >= 1/2"):
-                    perturb.build_local_diffeo(p)
-            else:
-                assert perturb.build_local_diffeo(p) is p
+            assert perturb.build_local_diffeo([p]) == [not w >= 0.5]
         if chain == "inflated" and level == 0:
             assert 0 < verdicts.count(False) < len(verdicts)
 
@@ -2288,18 +2310,14 @@ def test_final_verify_reuses_only_the_last_full_trial_search(grid_a, monkeypatch
 
 
 @pytest.mark.parametrize("cut", [0, 20, 25])
-def test_child_states_share_their_parents_runs(scenario_a_run, cut):
-    # a child keeps its parent's runs as objects and builds the new links'
-    # runs, the last one again when the new links continue its level (cut
-    # 20: five vertex links follow), and evaluates as a fresh chain does
+def test_child_states_evaluate_as_a_fresh_chain(scenario_a_run, cut):
+    # a child evaluates as a fresh chain does, also when its first links
+    # continue its parent's last level (cut 20: five vertex links follow)
     final = scenario_a_run["state"]
     parent = TriangulationState(final.complex, final.realization, final.links[:cut])
     child = parent.with_links(final.links[cut:])
     fresh = ChainOps(final.links)
-    kept = len(parent._ops.runs) - (0 < cut < 25)
     assert child.links == final.links and len(child._ops.runs) == len(fresh.runs) == 2
-    assert all(a is b for a, b in zip(child._ops.runs[:kept], parent._ops.runs))
-    assert all(r not in parent._ops.runs for r in child._ops.runs[kept:])
     for ours, theirs in zip(child._ops.runs, fresh.runs):
         assert ours.links == theirs.links
     rng = np.random.default_rng(24)
@@ -2309,6 +2327,11 @@ def test_child_states_share_their_parents_runs(scenario_a_run, cut):
     for a, b in zip(child.eval_eta_with_jacobian(pts), fresh.apply_with_jacobian(pts)):
         assert same_bits(a, b)
     assert same_bits(child.eval_eta(pts), fresh.apply(pts))
+
+
+def _found_bits(found):
+    """find_intersections' result as comparable text, every bit of a float kept."""
+    return repr([([_record_fields(r) for r in recs], m) for recs, m in found])
 
 
 def test_searches_are_reused_only_for_identical_inputs(scenario_a_run, monkeypatch):
@@ -2328,22 +2351,22 @@ def test_searches_are_reused_only_for_identical_inputs(scenario_a_run, monkeypat
         return pair_seeds(h, patch, config, scale, t_per_dim, **kw)
 
     monkeypatch.setattr(verify, "_pair_seeds", spy)
-    find_intersections(state, edges, h, config)
-    kept = find_intersections(state, edges, h, config, keep=True)
+    first = find_intersections(state, edges, h, config)
     again = find_intersections(state, start.complex.by_dim(1), h, config)
-    assert searched == [len(edges)] * 2  # a search is kept only when asked to
-    assert again == kept and again is not kept
-    assert all(a[0] is not b[0] for a, b in zip(again, kept))  # new lists
+    assert searched == [len(edges)]  # the second call takes the first one's search
+    assert again is not first and all(a[0] is not b[0] for a, b in zip(again, first))  # new lists
+    assert _found_bits(again) == _found_bits(first)
     for other in ([state, edges[::-1], h, config], [state, edges[:5], h, config],
                   [state, edges, CircleMap((0.0, 0.0), 1.0), config],
                   [state, edges, h, config.replace()],
                   [TriangulationState(state.complex, state.realization, state.links), edges, h,
                    config]):
+        find_intersections(state, edges, h, config)  # keep the first search's inputs again
         del searched[:]
         find_intersections(*other)
         assert len(searched) == 1
-    # a kept search replaces the one kept before
-    find_intersections(state, start.complex.by_dim(0), h, config, keep=True)
+    # a new search replaces the kept one
+    find_intersections(state, start.complex.by_dim(0), h, config)
     del searched[:]
     find_intersections(state, edges, h, config)
     assert len(searched) == 1
@@ -2362,7 +2385,7 @@ def test_level_failure_names_the_lowest_index_simplex(scenario_a_run, monkeypatc
     real_search = perturb.estimate_c_sigma
 
     def search(state, simplices, config, sd_data=None, charts=None):
-        batch = [simplices] if isinstance(simplices, sc.Simplex) else list(simplices)
+        batch = list(simplices)
         if degenerate not in batch:
             return real_search(state, simplices, config, sd_data, charts)
         j = batch.index(degenerate)

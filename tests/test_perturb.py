@@ -44,10 +44,10 @@ def chart_point(state, chart, t, v):
 class TestClearanceSearch:
     def test_top_simplex_rejected(self, base_state):
         with pytest.raises(MeshError):
-            estimate_c_sigma(base_state, sc.Simplex((0, 2, 3)), CFG)
+            estimate_c_sigma(base_state, [sc.Simplex((0, 2, 3))], CFG)
 
     def test_interior_edge_has_positive_clearance(self, base_state):
-        c = estimate_c_sigma(base_state, sc.Simplex((0, 3)), CFG)
+        [c] = estimate_c_sigma(base_state, [sc.Simplex((0, 3))], CFG)
         assert c > 0
 
     def test_monotone_under_halving(self, base_state):
@@ -57,7 +57,7 @@ class TestClearanceSearch:
         locator = StarLocator(sd.index, CFG.barycentric_tol)
         lattice = containment_lattice(1, CFG)
         dirs = _unit_directions(1)
-        c = 2.0 * estimate_c_sigma(base_state, s, CFG, sd_data=sd, charts=[chart])
+        c = 2.0 * estimate_c_sigma(base_state, [s], CFG, sd_data=sd, charts=[chart])[0]
         assert containment_ok([chart], locator, lattice, dirs, [c], sd) == [True]
         assert containment_ok([chart], locator, lattice, dirs, [c / 2], sd) == [True]
 
@@ -66,7 +66,7 @@ class TestClearanceSearch:
         s = sc.Simplex((0, 3))
         sd = subdivision_data(base_state)
         chart = make_chart(base_state, s)
-        c = estimate_c_sigma(base_state, s, CFG, sd_data=sd, charts=[chart])
+        [c] = estimate_c_sigma(base_state, [s], CFG, sd_data=sd, charts=[chart])
         star_set = sc.star(sd.cplx, sc.Simplex((sd.barycenter_ids[s],)))
         for t in containment_lattice(1, CFG):
             rho = bump.rho_l(t)
@@ -96,7 +96,7 @@ class TestClearanceSearch:
         # an absurd barycentric tolerance makes every membership test fail
         bad = CFG.replace(barycentric_tol=0.9, c_min=1e-3)
         with pytest.raises(DegenerateGeometryError):
-            estimate_c_sigma(base_state, sc.Simplex((0, 3)), bad)
+            estimate_c_sigma(base_state, [sc.Simplex((0, 3))], bad)
 
 
 def sampled_shift(state, s, h, eps, config, rng):
@@ -145,27 +145,27 @@ class TestSampleRegularValue:
 class TestLocalDiffeo:
     def test_identity_beyond_fade_radius(self, base_state):
         pert = make_pert(base_state, sc.Simplex((0, 3)))
-        psi = build_local_diffeo(pert)
+        assert build_local_diffeo([pert]) == [True]
         t = np.array([0.5])
         rho = bump.rho_l(t)
         v = np.array([[2.0 * pert.epsilon * rho]])
-        t2, v2 = oracles.local_eval(psi, t[None], v)
+        t2, v2 = oracles.local_eval(pert, t[None], v)
         assert v2 is v  # exact fixed point, same object
 
     def test_identity_outside_open_simplex(self, base_state):
         pert = make_pert(base_state, sc.Simplex((0, 3)))
-        psi = build_local_diffeo(pert)
+        assert build_local_diffeo([pert]) == [True]
         for t in (np.array([-0.1]), np.array([0.0]), np.array([1.0])):
             v = np.array([[1e-6]])
-            _, v2 = oracles.local_eval(psi, t[None], v)
+            _, v2 = oracles.local_eval(pert, t[None], v)
             assert v2 is v
 
     def test_zero_section_moves_by_shift(self, base_state):
         # beta(0) = 1, so (t, 0) goes to (t, s(t))
         pert = make_pert(base_state, sc.Simplex((0,)), eps=0.05)
-        psi = build_local_diffeo(pert)
+        assert build_local_diffeo([pert]) == [True]
         t = np.zeros(0)
-        v2 = oracles.local_eval(psi, t[None], np.zeros((1, 2)))[1][0]
+        v2 = oracles.local_eval(pert, t[None], np.zeros((1, 2)))[1][0]
         assert np.allclose(v2, pert.shift(t), atol=0)
         assert np.allclose(v2, np.exp(-1.0) * pert.v)
 
@@ -173,15 +173,15 @@ class TestLocalDiffeo:
     def test_jacobian_matches_finite_differences(self, base_state, sdim):
         s = sc.Simplex((0,)) if sdim == 0 else sc.Simplex((0, 3))
         pert = make_pert(base_state, s, eps=0.05)
-        psi = build_local_diffeo(pert)
+        assert build_local_diffeo([pert]) == [True]
 
         def f(tv):
             t, v = tv[:sdim], tv[sdim:]
-            t2, v2 = oracles.local_eval(psi, t[None], v[None])
+            t2, v2 = oracles.local_eval(pert, t[None], v[None])
             return np.concatenate([t2[0], v2[0]])
 
         def jac(tv):
-            return oracles.local_jacobian(psi, tv[None, :sdim], tv[None, sdim:])[0]
+            return oracles.local_jacobian(pert, tv[None, :sdim], tv[None, sdim:])[0]
 
         pts = []
         while len(pts) < 100:
@@ -196,11 +196,11 @@ class TestLocalDiffeo:
 
     def test_jacobian_guard_samples_below_half(self, base_state):
         pert = make_pert(base_state, sc.Simplex((0,)), eps=0.059)
-        psi = build_local_diffeo(pert)
+        assert build_local_diffeo([pert]) == [True]
         for _ in range(50):
             v = RNG.uniform(-1, 1, size=2)
             v *= RNG.uniform(0, 1) * pert.epsilon / np.linalg.norm(v)
-            J = oracles.local_jacobian(psi, np.zeros((1, 0)), v[None])[0]
+            J = oracles.local_jacobian(pert, np.zeros((1, 0)), v[None])[0]
             assert np.linalg.norm(J - np.eye(2), 2) < 0.5
 
     @pytest.mark.parametrize("sdim,rows", [(0, 78), (1, 96)])
@@ -219,7 +219,7 @@ class TestLocalDiffeo:
             return real_moves(t, v, eps, shift, with_jacobian)
 
         monkeypatch.setattr(perturb, "fiber_moves", moves)
-        assert build_local_diffeo(pert) is pert
+        assert build_local_diffeo([pert]) == [True]
         [(t, v)] = seen
         assert len(v) == rows
         frac = np.linalg.norm(v, axis=1) / (pert.epsilon * bump.rho_l(t))
@@ -228,13 +228,13 @@ class TestLocalDiffeo:
 
     def test_fiber_inverse_round_trip(self, base_state):
         pert = make_pert(base_state, sc.Simplex((0, 3)), eps=0.05)
-        psi = build_local_diffeo(pert)
+        assert build_local_diffeo([pert]) == [True]
         for _ in range(100):
             t = RNG.uniform(0.2, 0.8, size=1)
             rho = bump.rho_l(t)
             v = RNG.uniform(-1, 1, size=1) * pert.epsilon * rho
-            w = oracles.local_eval(psi, t[None], v[None])[1][0]
-            moved, v2 = oracles.local_inverse_moves(psi, t[None], w[None])
+            w = oracles.local_eval(pert, t[None], v[None])[1][0]
+            moved, v2 = oracles.local_inverse_moves(pert, t[None], w[None])
             v2 = v2[0] if moved.size else w
             assert np.linalg.norm(v2 - v) < 1e-11
 
@@ -250,7 +250,9 @@ class TestLocalDiffeo:
 
 class TestAmbientExtension:
     def _link(self, state, s, eps=0.05):
-        return extend_to_ambient([build_local_diffeo(make_pert(state, s, eps=eps))])[0]
+        pert = make_pert(state, s, eps=eps)
+        assert build_local_diffeo([pert]) == [True]
+        return extend_to_ambient([pert])[0]
 
     def test_identity_outside_support_box(self, base_state):
         link = self._link(base_state, sc.Simplex((0, 3)))

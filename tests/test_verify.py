@@ -205,7 +205,7 @@ class TestBoundaryDecay:
         from test_perturb import make_pert
 
         pert = make_pert(base_state, sc.Simplex((0, 3)), eps=0.05)
-        build_local_diffeo(pert)
+        assert build_local_diffeo([pert]) == [True]
         table = boundary_decay_check(pert, max_i=3, max_j=3)
         assert table["passed"]
         for i in range(4):
