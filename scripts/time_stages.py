@@ -17,8 +17,9 @@ runs the array core verify._roots): where it ran, the dimension and
 number of its simplices, its seed pairs, its hits (roots below the
 threshold in their closed simplex), the records kept of them, its
 Gauss-Newton iterations (one map evaluation each), its chain passes and
-rows (ChainOps._forward) and its least-squares rows (the stacked
-Gauss-Newton solves, rows.lstsq_rows).  A sampling search builds a record
+rows (ChainOps._forward), the wall time inside those passes (chain ms)
+and its least-squares rows (the stacked Gauss-Newton solves,
+rows.lstsq_rows).  A sampling search builds a record
 for every hit, in a verify._records call whose chain pass counts with
 the search; the final verify keeps the records of the hits that survive
 its per-face dedupe, built in one verify._records call that has a line
@@ -26,7 +27,11 @@ of its own.  A search the final verify takes from the last trial state
 searches nothing and shows as kept, and its surviving hits get their
 records on that line too (scenario A at seed 1: 121 records, 14 of them
 for hits of the kept search).  The chain passes outside any search (the
-figure's) come last.
+figure's) come next.  Last comes one line per chain run level: the runs
+of that level the forward passes made and the wall time of their hit
+lookups (_Run.hits), their rounds of fiber maps (_Run.apply) and their
+rank-by-rank Jacobian products (charts._compose), so that two versions
+show where a pass's time went.
 """
 
 import argparse
@@ -44,9 +49,13 @@ class Probe:
 
     def __init__(self):
         self.stages = {}  # label -> wall s, in order of first call
-        # [where, dim, simplices, pairs, hits, records, iterations, passes, rows, solved]
+        # [where, dim, simplices, pairs, hits, records, iterations, passes, rows, solved,
+        #  chain s]
         self.searches = []
-        self.outside = [0, 0]  # chain passes and rows outside any search
+        self.outside = [0, 0, 0.0]  # chain passes, rows and s outside any search
+        self.runs = {}  # level -> [runs, hits s, apply s, compose s] of the forward passes
+        self.forward = False  # inside a forward chain pass
+        self.run_level = None  # the level of the run it is at
         self.final_hits = []  # (search line, y and residual bytes of its hits) of the final verify
         self.level = None
         self.final = False
@@ -104,7 +113,7 @@ def install(probe):
     def search(plain):
         def wrapper(state, group, *args, **kwargs):
             where = "verify" if probe.final else f"level {probe.level} sampling"
-            probe.search = [where, group[0].dim, len(group), None, 0, 0, 0, 0, 0, 0]
+            probe.search = [where, group[0].dim, len(group), None, 0, 0, 0, 0, 0, 0, 0.0]
             t0 = time.perf_counter()
             try:
                 out = plain(state, group, *args, **kwargs)
@@ -125,7 +134,7 @@ def install(probe):
     def records(plain):
         def wrapper(*args, **kwargs):
             if probe.final:  # the survivors of the final verify's dedupe, on a line of their own
-                probe.search = ["verify records", "", "", "", "", 0, 0, 0, 0, 0]
+                probe.search = ["verify records", "", "", "", "", 0, 0, 0, 0, 0, 0.0]
             else:  # the records of the search just made
                 probe.search = probe.searches[-1]
             try:
@@ -171,15 +180,41 @@ def install(probe):
 
     def forward(plain):
         def wrapper(self, x, with_jacobian):
-            rows = np.size(x) // np.shape(x)[-1]
-            if probe.search is None:
-                probe.outside[0] += 1
-                probe.outside[1] += rows
-            else:
-                probe.search[7] += 1
-                probe.search[8] += rows
-            return plain(self, x, with_jacobian)
+            probe.forward = True
+            t0 = time.perf_counter()
+            try:
+                return plain(self, x, with_jacobian)
+            finally:
+                probe.forward = False
+                seconds = time.perf_counter() - t0
+                if probe.search is None:
+                    probe.outside[0] += 1
+                    probe.outside[1] += np.size(x) // np.shape(x)[-1]
+                    probe.outside[2] += seconds
+                else:
+                    probe.search[7] += 1
+                    probe.search[8] += np.size(x) // np.shape(x)[-1]
+                    probe.search[10] += seconds
         return wrapper
+
+    def in_run(slot):
+        """Time a forward pass's _Run.hits (slot 1), _Run.apply (2) or
+        charts._compose (3) under the level of the run it serves."""
+        def make(plain):
+            def wrapper(*args):
+                if not probe.forward:  # the inverse's hit lookups
+                    return plain(*args)
+                if slot < 3:
+                    probe.run_level = args[0].l
+                t0 = time.perf_counter()
+                try:
+                    return plain(*args)
+                finally:
+                    line = probe.runs.setdefault(probe.run_level, [0, 0.0, 0.0, 0.0])
+                    line[0] += slot == 1
+                    line[slot] += time.perf_counter() - t0
+            return wrapper
+        return make
 
     patch(perturb, "perturb_level", in_level)
     patch(perturb, "estimate_c_sigma", timed(lambda: f"level {probe.level} clearance"))
@@ -193,6 +228,9 @@ def install(probe):
     patch(smoothmap.SmoothMap, "eval_batch", eval_batch)
     patch(verify, "lstsq_rows", lstsq_rows)
     patch(charts.ChainOps, "_forward", forward)
+    patch(charts._Run, "hits", in_run(1))
+    patch(charts._Run, "apply", in_run(2))
+    patch(charts, "_compose", in_run(3))
     patch(cli, "_write_artifacts", timed(lambda: "artifacts"))
     return saved
 
@@ -207,14 +245,19 @@ def report(probe, result, wall, setup):
     lines += [f"  {label:<24}{seconds:9.4f} s" for label, seconds in probe.stages.items()]
     lines.append(f"  {'search':<20}{'dim':>4}{'simplices':>10}{'pairs':>7}{'hits':>6}"
                  f"{'records':>8}{'gn iterations':>15}{'chain passes':>14}{'rows':>7}"
-                 f"{'lstsq rows':>12}")
-    for where, dim, size, pairs, hits, recs, iterations, passes, rows, solved in probe.searches:
+                 f"{'chain ms':>10}{'lstsq rows':>12}")
+    for (where, dim, size, pairs, hits, recs, iterations, passes, rows, solved,
+         chain) in probe.searches:
         lines.append(f"  {where:<20}{dim:>4}{size:>10}{'kept' if pairs is None else pairs:>7}"
-                     f"{hits:>6}{recs:>8}{iterations:>15}{passes:>14}{rows:>7}{solved:>12}")
+                     f"{hits:>6}{recs:>8}{iterations:>15}{passes:>14}{rows:>7}"
+                     f"{chain * 1e3:>10.2f}{solved:>12}")
     lines.append(f"  {'outside searches':<20}{'':>4}{'':>10}{'':>7}{'':>6}{'':>8}{'':>15}"
-                 f"{probe.outside[0]:>14}{probe.outside[1]:>7}")
+                 f"{probe.outside[0]:>14}{probe.outside[1]:>7}{probe.outside[2] * 1e3:>10.2f}")
     total = probe.outside[0] + sum(s[7] for s in probe.searches)
     lines.append(f"  chain passes in all: {total}")
+    for level, (runs, hits, apply, compose) in sorted(probe.runs.items()):
+        lines.append(f"  chain run level {level}: {runs} runs, hit lookup {hits * 1e3:.2f} ms,"
+                     f" apply {apply * 1e3:.2f} ms, rank products {compose * 1e3:.2f} ms")
     return "\n".join(lines)
 
 

@@ -123,17 +123,14 @@ def rho_deriv(r, k):
     return out[()]
 
 
-@np.errstate(all="ignore")
 def _rho_d1(r, g):
-    """rho'(r) from g = rho(r), bitwise as rho_deriv(r, 1); entrywise.  Where
-    1/r <= _LOG_SAFE_U that is g * (1/r)**2, the exp of rho_deriv times its
-    P_1(1/r) = u * u, so no exp is taken; beyond, the log-domain branch
-    takes its own exp and log."""
+    """rho'(r) from g = rho(r), bitwise as rho_deriv(r, 1); entrywise, under
+    the caller's np.errstate(all="ignore").  Where 1/r <= _LOG_SAFE_U that
+    is g * (1/r)**2, the exp of rho_deriv times its P_1(1/r) = u * u, so no
+    exp is taken; beyond, the log-domain branch takes its own exp and log."""
     u = 1.0 / r
     uu = u * u
-    out = np.zeros(r.shape)
-    small = (r > 0.0) & (u <= _LOG_SAFE_U)
-    out[small] = g[small] * uu[small]
+    out = np.where((r > 0.0) & (u <= _LOG_SAFE_U), g * uu, 0.0)
     big = (u > _LOG_SAFE_U) & (uu < np.inf)  # 1/r = inf: rho_deriv's NaN poly
     if big.any():
         out[big] = entrywise(math.exp, -u[big] + entrywise(math.log, uu[big]))
@@ -165,17 +162,22 @@ def rho_l(t):
     return val
 
 
+@np.errstate(all="ignore")
 def rho_l_grad(t):
     """Gradient of rho_l over the last axis of t, exact zeros outside the
     open simplex; each factor's rho' comes from its rho (see _rho_d1)."""
     t = np.asarray(t, float)
-    l = t.shape[-1]
-    if l == 0:
+    if t.shape[-1] == 0:
         return np.zeros(t.shape)
     args = _factor_args(t)
     g = rho(args)
-    g1 = _rho_d1(args, g)
-    grad = np.empty(t.shape)
+    return _grad_of_factors(g, _rho_d1(args, g))
+
+
+def _grad_of_factors(g, g1):
+    """The gradient of rho_l from its factors g and their rho' g1, (..., l + 1)."""
+    l = g.shape[-1] - 1
+    grad = np.empty(g.shape[:-1] + (l,))
     for j in range(l):
         # d/dt_j hits factor 0 with a sign flip, and factor j+1 directly.
         term0 = -g1[..., 0]
@@ -320,3 +322,50 @@ def scaled_warp(rho_value, power=0):
     below the representable range, and 0.0 when rho_value <= 0.
     """
     return scaled_warps(rho_value, (power,))[0]
+
+
+@np.errstate(all="ignore")
+def _fiber_terms(rho_value, r, t=None, jacobian=False):
+    """The fade terms of the chain's fiber map on its fade support, from one
+    log pass and one exp pass: (warp0, beta), and with the Jacobian also
+    (warp1, warp2, beta', grad rho_l(t)), the gradient None when t is None.
+
+    rho_value > 0 is rho_l's value, one per row or one for every row; r in
+    [0, 1] is each row's fiber radius over its fade radius, and t (S, l)
+    its simplex coordinates.  The warp exponents, beta's factor arguments
+    1 - r and r - 1/2 on the band 1/2 < r < 1 and the gradient's factor
+    arguments take their exps in one pass, and their rho' one _rho_d1
+    call.  An exponent that scaled_warps or rho leaves at 0.0 becomes -inf,
+    whose exp is 0.0; so each value has the bits of scaled_warps(rho_value,
+    (0, 1, 2)), beta_and_deriv(r) and rho_l_grad(t), whose operations per
+    entry are the same ones."""
+    inv = -1.0 / rho_value
+    expo = inv - 0 * rho_value  # see scaled_warps: +-0 unless rho is inf
+    if jacobian:
+        log = entrywise(math.log, rho_value)
+        expo = np.concatenate([expo, inv - log, inv - 2 * log])
+    band = (r > 0.5) & (r < 1.0)
+    x = r[band]
+    args = np.concatenate([1.0 - x, x - 0.5])
+    parts = [np.where(expo < -745.0, -np.inf, expo), -1.0 / args]
+    if t is not None:
+        fa = np.concatenate([1.0 - t.sum(axis=1)[:, None], t], axis=1).ravel()
+        parts.append(np.where(fa > 0.0, -1.0 / fa, -np.inf))
+    ex = entrywise(math.exp, np.concatenate(parts))
+    nw, nb = expo.size, x.size
+    a, b = ex[nw:nw + nb], ex[nw + nb:nw + 2 * nb]
+    # off the band the blend gives exactly 1.0 (r <= 1/2) or 0.0 (r >= 1)
+    blend = np.where(r <= 0.5, 1.0, 0.0)
+    blend[band] = a / (a + b)
+    if not jacobian:
+        return ex[:nw], blend
+    g = ex[nw:]
+    g1 = _rho_d1(args if t is None else np.concatenate([args, fa]), g)
+    deriv = np.zeros(r.shape)
+    deriv[band] = (-g1[:nb] * b - a * g1[nb:2 * nb]) / (a + b) ** 2
+    grad = None
+    if t is not None:
+        shape = (len(t), t.shape[1] + 1)
+        grad = _grad_of_factors(g[2 * nb:].reshape(shape), g1[2 * nb:].reshape(shape))
+    w0, w1, w2 = ex[:nw].reshape(3, -1)
+    return w0, blend, w1, w2, deriv, grad

@@ -42,7 +42,7 @@ import numpy as np
 from . import bump
 from .errors import MeshError, NewtonDivergenceError
 from .rows import matvec, row_norms
-from .simplicial import Simplex, _BoxCells, _find_rows, carrier_mask
+from .simplicial import Simplex, _BoxCells, _find_rows, _rows_all, carrier_mask
 
 __all__ = [
     "TubularChart",
@@ -74,6 +74,16 @@ def _stack(arrays):
     return np.array(arrays)
 
 
+def _take(a, j):
+    """a[j] along the first axis, by np.take, which gathers rows several
+    times faster than indexing.  A 3-D a is a stack from _stack; an
+    F-ordered one is gathered through its C-ordered transpose, so that
+    each matrix keeps its memory order, as indexing keeps it."""
+    if a.ndim < 3 or a.flags.c_contiguous:
+        return a.take(j, axis=0)
+    return a.transpose(0, 2, 1).take(j, axis=0).transpose(0, 2, 1)
+
+
 def _fade_support(t, wn, eps):
     """Rows of |w| = wn strictly inside the fade radius eps * rho_l(t), with
     rho_l, that radius and wn there."""
@@ -83,12 +93,24 @@ def _fade_support(t, wn, eps):
     return rows, rho[rows], fade[rows], wn[rows]
 
 
-def _fiber_block(w, wn, bp, w1, eps, v):
-    """d/dw of w + beta(|w| / (eps rho)) s(t) in the fiber, per row."""
-    J = np.tile(np.eye(w.shape[1]), (len(w), 1, 1))
-    sel = (wn > 0.0) & (bp != 0.0)
-    coef = (bp * w1 / eps)[sel]
-    J[sel] += coef[:, None, None] * (v[sel][:, :, None] * (w[sel] / wn[sel, None])[:, None, :])
+def _eyes(n, m):
+    """n stacked m x m identities."""
+    J = np.zeros((n, m, m))
+    J.reshape(n, m * m)[:, ::m + 1] = 1.0
+    return J
+
+
+def _fiber_block(w, wn, bp, w1, eps, v, J=None):
+    """d/dw of w + beta(|w| / (eps rho)) s(t) in the fiber, per row, written
+    into J when given, a stack of identities."""
+    J = _eyes(len(w), w.shape[1]) if J is None else J
+    sel = ((wn > 0.0) & (bp != 0.0)).nonzero()[0]
+    if sel.size == len(w):
+        J += (bp * w1 / eps)[:, None, None] * (v[:, :, None] * (w / wn[:, None])[:, None, :])
+    elif sel.size:
+        coef = (bp * w1 / eps)[sel]
+        J[sel] += coef[:, None, None] * (v.take(sel, axis=0)[:, :, None]
+                                         * (w.take(sel, axis=0) / wn[sel, None])[:, None, :])
     return J
 
 
@@ -99,30 +121,41 @@ def fiber_moves(t, w, eps, v, with_jacobian=False, wn=None):
     (t, w) order of the S support rows, and those support rows, strictly
     inside the fade radius.  Rows off the support (t off the open simplex
     or w at or beyond the fade radius) have J = I exactly, and no block is
-    built for them.  wn is |w| when the caller has it.  rho_l is read
-    through bump.rho_l alone; beta and beta' share one pair of exps, the
-    warp's powers 0, 1 and 2 come from one scaled_warps call with one log,
-    and beta', powers 1 and 2 and the gradient of rho_l are only evaluated
-    for the Jacobian."""
+    built for them.  wn is |w| when the caller has it.
+
+    rho_l's value is read through bump.rho_l alone: once per row, or for a
+    vertex (l = 0), whose t has no columns, once per call on an empty row,
+    its one value serving every row.  The fade terms come from one
+    bump._fiber_terms call: one log pass for the warp's powers 1 and 2 and
+    one exp pass for the warp's powers, beta's two factors and, for the
+    Jacobian, the gradient's factors; beta', powers 1 and 2 and the
+    gradient are only evaluated for the Jacobian."""
     l = t.shape[1]
-    rows, rho, fade, wn = _fade_support(t, row_norms(w) if wn is None else wn, eps)
-    J = np.tile(np.eye(l + w.shape[1]), (rows.size, 1, 1)) if with_jacobian else None
+    wn = row_norms(w) if wn is None else wn
+    rho = bump.rho_l(t if l else np.empty((1, 0)))
+    fade = eps * rho
+    rows = ((fade > 0.0) & (wn < fade)).nonzero()[0]
     if not rows.size:
-        return rows, w[:0], J, rows
-    warps = bump.scaled_warps(rho, (0, 1, 2) if with_jacobian else (0,))
-    s = warps[0][:, None] * v[rows]
-    nz = s.any(axis=1)
+        return rows, w[:0], _eyes(0, l + w.shape[1]) if with_jacobian else None, rows
+    if l:
+        rho = rho[rows]
+    fade, wn, vr = fade[rows], wn[rows], v.take(rows, axis=0)
     r = wn / fade
-    b, bp = bump.beta_and_deriv(r) if with_jacobian else (bump.beta(r), None)
-    w2 = w[rows[nz]] + b[nz, None] * s[nz]
+    terms = bump._fiber_terms(rho, r, t.take(rows, axis=0) if l and with_jacobian else None,
+                              with_jacobian)
+    w0, b = terms[:2]
+    s = w0[:, None] * vr
+    nz = (~_rows_all(s == 0.0)).nonzero()[0]
+    moved = rows[nz]
+    w2 = w.take(moved, axis=0) + b[nz][:, None] * s.take(nz, axis=0)
+    J = None
     if with_jacobian:
-        v = v[rows]
-        w1, warp2 = warps[1:]
+        w1, warp2, bp, grad = terms[2:]
+        J = _eyes(rows.size, l + w.shape[1])
+        _fiber_block(w.take(rows, axis=0), wn, bp, w1, eps[rows], vr, J[:, l:, l:])
         if l:
-            J[:, l:, :l] = (v[:, :, None] * bump.rho_l_grad(t[rows])[:, None, :]
-                            * (b * warp2 - bp * r * w1)[:, None, None])
-        J[:, l:, l:] = _fiber_block(w[rows], wn, bp, w1, eps[rows], v)
-    return rows[nz], w2, J, rows
+            J[:, l:, :l] = vr[:, :, None] * grad[:, None, :] * (b * warp2 - bp * r * w1)[:, None, None]
+    return moved, w2, J, rows
 
 
 def fiber_preimages(t, w, eps, v):
@@ -166,9 +199,10 @@ class _Run:
     frames b, A, N, M = [A | N], M^-1 and P = M I M^-1 (the Jacobian of an
     in-box hit whose fiber Jacobian is exactly I: one that skips the fiber
     map or lies outside the fade support; P != I in floating point),
-    epsilon and shift v, and a cell index of the boxes in reverse order, so
-    that a row's boxes come newest link first.  reach, the barycentre value
-    of rho_l, is read from bump.rho_l when the run is built."""
+    epsilon and shift v, each link's movable limit and a cell index of the
+    boxes in reverse order, so that a row's boxes come newest link first.
+    reach, the barycentre value of rho_l, is read from bump.rho_l when the
+    run is built."""
 
     def __init__(self, links):
         self.links, self.l = links, links[0].level
@@ -177,40 +211,41 @@ class _Run:
             for a in ("support_lo", "support_hi", "local.epsilon", "local.v"))
         # rho_l peaks at the barycentre, so eps rho_l stays below eps * reach
         self.reach = bump.rho_l(np.full(self.l, 1.0 / (self.l + 1)))
+        self.limit = self.eps * self.reach * (1.0 + 1e-9)
         self.base, self.A, self.N, self.M, self.Minv = (
             _stack([getattr(lk.chart, a) for lk in links])
             for a in ("base", "tangent", "normal", "_M", "_Minv"))
-        m = self.M.shape[1]
-        self.P = self.M @ np.tile(np.eye(m), (len(links), 1, 1)) @ self.Minv
+        self.P = self.M @ _eyes(len(links), self.M.shape[1]) @ self.Minv
         self.cells = _BoxCells(self.lo[::-1], self.hi[::-1])  # box k is link n - 1 - k
 
     def _inside(self, x, j):
         """Whether row i of x lies in the closed box of link j[i]."""
-        return np.all((x >= self.lo[j]) & (x <= self.hi[j]), axis=1)
+        return _rows_all((x >= self.lo.take(j, axis=0)) & (x <= self.hi.take(j, axis=0)))
 
     def hits(self, X):
         """Box hits of the rows of X as (rows, links, rank, x): rows
         ascending, each row's links newest first, rank a hit's place in its
         row and x the row of X at each hit."""
         rows, boxes, x = self.cells.hits(X)
-        links = len(self.links) - 1 - boxes
-        return rows, links, np.arange(rows.size) - np.searchsorted(rows, rows), x
+        return rows, len(self.links) - 1 - boxes, np.arange(rows.size) - np.searchsorted(rows, rows), x
 
     def _frame(self, x, j):
         """Frame coordinates (t, w) of row i of x in the chart of link j[i]."""
-        tv = matvec(self.Minv[j], x - self.base[j])
+        tv = matvec(_take(self.Minv, j), x - self.base.take(j, axis=0))
         return tv[:, :self.l], tv[:, self.l:]
 
     def _point(self, j, t, w):
         """The point b + A t[i] + N w[i] of the chart of link j[i]."""
-        return self.base[j] + matvec(self.A[j], t) + matvec(self.N[j], w)
+        return self.base.take(j, axis=0) + matvec(_take(self.A, j), t) + matvec(_take(self.N, j), w)
 
     def movable(self, t, wn, j):
         """Whether the fiber map of link j[i] can move (t[i], w[i]), |w[i]|
-        being wn[i]: t on the open simplex and |w| below the largest fade
-        radius eps * reach, with room for rounding."""
-        return ((t > 0.0).all(axis=1) & (1.0 - t.sum(axis=1) > 0.0)
-                & (wn < self.eps[j] * self.reach * (1.0 + 1e-9)))
+        being wn[i]: t on the open simplex (always, for a vertex) and |w|
+        below the largest fade radius eps * reach, with room for rounding."""
+        ok = wn < self.limit[j]
+        if self.l:
+            ok &= _rows_all(t > 0.0) & (1.0 - t.sum(axis=1) > 0.0)
+        return ok
 
     def apply(self, X, rows, links, x, with_jacobian):
         """Apply the hits (rows, links), each row's newest first, to X in
@@ -219,43 +254,53 @@ class _Run:
 
         Rounds: each takes every pending hit at its row's current point and
         makes one fiber_moves call, on the hits in their box that movable
-        keeps, with the |w| movable read.  The first round's hits are in
-        their boxes at x, so it tests no box and gathers no row; a later
+        keeps, with the |w| movable read.  The first round takes every hit,
+        each in its box at x, so it tests no box and gathers no row; a later
         round gathers its rows and re-tests their boxes.  A row's hits up to
         its first moving one are final; its later ones saw a stale point and
-        stay pending for the next round.  A final in-box hit off the fade
-        support takes P, and only the hits on it, which alone get a block
-        from fiber_moves, take M J_loc M^-1."""
-        m = X.shape[1]
-        Jl = np.tile(np.eye(m), (rows.size, 1, 1)) if with_jacobian else None
-        pend = np.arange(rows.size)
-        inbox = np.ones(rows.size, bool)
-        while pend.size:
-            r, j = rows[pend], links[pend]
+        stay pending for the next round.  Every hit's Jacobian starts as its
+        link's P; a final hit on the fade support, which alone gets a block
+        from fiber_moves, takes M J_loc M^-1, and a final hit that left its
+        box in a later round takes I."""
+        Jl = _take(self.P, links) if with_jacobian else None
+        r, j, pend, inbox = rows, links, None, None  # pend None: every hit, in order
+        while r.size:
             t, w = self._frame(x, j)
             wn = row_norms(w)
-            c = np.nonzero(inbox & self.movable(t, wn, j))[0]
-            moved, w2, Jc, sup = fiber_moves(t[c], w[c], self.eps[j[c]], self.v[j[c]],
-                                             with_jacobian, wn[c])
-            rm = r[c[moved]]
-            head = np.ones(rm.size, bool)
-            head[1:] = rm[1:] != rm[:-1]  # each row's first moving hit
-            h = c[moved[head]]
-            X[r[h]] = self._point(j[h], t[h], w2[head])
-            cut = np.full(len(X), pend.size)
-            cut[r[h]] = h
-            final = np.arange(pend.size) <= cut[r]
+            c = self.movable(t, wn, j)
+            c = (c if inbox is None else c & inbox).nonzero()[0]
+            moved = sup = c  # no hit to move
+            if c.size:
+                jc = j[c]
+                moved, w2, Jc, sup = fiber_moves(t.take(c, axis=0), w.take(c, axis=0), self.eps[jc],
+                                                 self.v.take(jc, axis=0), with_jacobian, wn[c])
+            h = c[moved]
+            final = None  # every hit of the round, when no row moves
+            if h.size:
+                head = np.ones(h.size, bool)
+                head[1:] = r[h[1:]] != r[h[:-1]]  # each row's first moving hit
+                head = head.nonzero()[0]
+                h = h[head]
+                X[r[h]] = self._point(j[h], t.take(h, axis=0), w2.take(head, axis=0))
+                cut = np.full(len(X), r.size)
+                cut[r[h]] = h
+                final = np.arange(r.size) <= cut[r]
             if with_jacobian:
-                fixed = final & inbox
-                fixed[c[sup]] = False
-                Jl[pend[fixed]] = self.P[j[fixed]]
-                keep = final[c[sup]]
-                cs = c[sup[keep]]
-                Jl[pend[cs]] = self.M[j[cs]] @ Jc[keep] @ self.Minv[j[cs]]
-            pend = pend[~final]
-            if pend.size:
-                x = X[rows[pend]]
-                inbox = self._inside(x, links[pend])
+                s = c[sup]
+                if final is not None:
+                    keep = final[s].nonzero()[0]
+                    s, Jc = s[keep], Jc.take(keep, axis=0)
+                if s.size:
+                    js = j[s]
+                    Jl[s if pend is None else pend[s]] = _take(self.M, js) @ Jc @ _take(self.Minv, js)
+                if inbox is not None:
+                    Jl[pend[~inbox if final is None else ~inbox & final]] = np.eye(X.shape[1])
+            if final is None:
+                break
+            pend = (~final).nonzero()[0] if pend is None else pend[~final]
+            r, j = rows[pend], links[pend]
+            x = X.take(r, axis=0)
+            inbox = self._inside(x, j) if r.size else None
         return Jl
 
     def unwind(self, X, rows, links):
@@ -270,6 +315,20 @@ class _Run:
             exc.link = self.links[j[exc.rows].min()]
             raise
         X[r[moved]] = self._point(j[moved], t[moved], w2)
+
+
+def _compose(J, rows, rank, Jl):
+    """J[rows[i]] = Jl[i] @ J[rows[i]] for every hit i, in chain order: rank
+    by rank (a hit's place in its row), the hits of a rank at once, from
+    one stable sort of the ranks.  A hit that left its box still takes
+    I @ J: -0.0 becomes +0.0."""
+    n = np.bincount(rank)
+    if n.size == 1:
+        J[rows] = Jl @ J.take(rows, axis=0)
+        return
+    for at in np.split(rank.argsort(kind="stable"), n[:-1].cumsum()):
+        r = rows[at]
+        J[r] = Jl.take(at, axis=0) @ J.take(r, axis=0)
 
 
 class ChainOps:
@@ -310,15 +369,12 @@ class ChainOps:
         x = np.asarray(x, float)
         m = x.shape[-1]
         X = x.reshape(-1, m).copy()
-        J = np.tile(np.eye(m), (len(X), 1, 1)) if with_jacobian else None
+        J = _eyes(len(X), m) if with_jacobian else None
         for run in reversed(self.runs):
             rows, links, rank, pts = run.hits(X)
             Jl = run.apply(X, rows, links, pts, with_jacobian)
-            if with_jacobian:
-                # hits that left their box still take I @ J: -0.0 becomes +0.0
-                for p in range(rank.max(initial=-1) + 1):
-                    at = np.flatnonzero(rank == p)
-                    J[rows[at]] = Jl[at] @ J[rows[at]]
+            if with_jacobian and rows.size:
+                _compose(J, rows, rank, Jl)
         return X.reshape(x.shape), None if J is None else J.reshape(x.shape + (m,))
 
     def invert(self, x):

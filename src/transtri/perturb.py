@@ -438,11 +438,12 @@ def perturb_level(state, level, h, config=None, sd_data=None):
         s = failed.chart.simplex
         raise PerturbationError(f"level {level} aborted at simplex {s.vertices}: {failed.error}",
                                 simplex=s, level=level) from failed.error
-    for d in draws:
-        psi = d.link.local
-        log.info("level=%d simplex=%s c_sigma=%.6g epsilon=%.6g |v|=%.6g retries=%d shrinks=%d",
-                 level, d.chart.simplex.vertices, d.c_sigma, d.eps, float(np.linalg.norm(psi.v)),
-                 psi.retries_used, d.shrinks)
+    if log.isEnabledFor(logging.INFO):  # the norms are taken for the log alone
+        for d in draws:
+            psi = d.link.local
+            log.info("level=%d simplex=%s c_sigma=%.6g epsilon=%.6g |v|=%.6g retries=%d shrinks=%d",
+                     level, d.chart.simplex.vertices, d.c_sigma, d.eps, float(np.linalg.norm(psi.v)),
+                     psi.retries_used, d.shrinks)
     return state.with_links([d.link for d in draws])
 
 

@@ -49,15 +49,19 @@ def write_svg(path, state, h=None, report=None, edge_samples=16, size=800):
     width = span + 2 * pad
 
     def pix(pts):
-        """Pixel coordinates of the rows of pts, as (x, y) float pairs."""
+        """Pixel coordinates of the rows of pts, flat: x0, y0, x1, y1, ..."""
         pts = np.asarray(pts, float).reshape(-1, state.ambient_dim)
-        x = (pts[:, 0] - lo[0]) / width * size
-        y = size - (pts[:, 1] - lo[1]) / width * size
-        return zip(x.tolist(), y.tolist())
+        xy = np.empty((len(pts), 2))
+        xy[:, 0] = (pts[:, 0] - lo[0]) / width * size
+        xy[:, 1] = size - (pts[:, 1] - lo[1]) / width * size
+        return xy.ravel().tolist()
 
+    # each polyline, and the vertex circles, is one %-format over a flat
+    # tuple; "%.2f" % x is f"{x:.2f}" for every float
     def polyline(pts, style):
+        xy = pix(pts)
         return (f'<polyline fill="none" {style} points="'
-                + " ".join(f"{x:.2f},{y:.2f}" for x, y in pix(pts)) + '"/>')
+                + " ".join(["%.2f,%.2f"] * (len(xy) // 2)) % tuple(xy) + '"/>')
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
              f'viewBox="0 0 {size} {size}">',
@@ -65,8 +69,10 @@ def write_svg(path, state, h=None, report=None, edge_samples=16, size=800):
     vertices, edges = _mesh_images(state, edge_samples)
     for pts in edges:
         parts.append(polyline(pts, 'stroke="#444" stroke-width="1"'))
-    for x, y in pix(vertices):
-        parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="#888"/>')
+    if len(vertices):
+        xy = pix(vertices)
+        parts.append("\n".join(['<circle cx="%.2f" cy="%.2f" r="2" fill="#888"/>'] * len(vertices))
+                     % tuple(xy))
     if h is not None:
         img = h.eval_batch(h.sample_domain(512))
         if img.shape[0] > 1:
@@ -74,11 +80,12 @@ def write_svg(path, state, h=None, report=None, edge_samples=16, size=800):
             pts = np.vstack([img, img[:1]]) if closed else img
             parts.append(polyline(pts, 'stroke="#1f6fd6" stroke-width="1.5"'))
         else:
-            [(x, y)] = pix(img[:1])
+            x, y = pix(img[:1])
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="#1f6fd6"/>')
     if report is not None:
         color = {"transverse": "#2d9b38", "tangent": "#e08b00", "skeleton-hit": "#d62718"}
-        for r, (x, y) in zip(report.records, pix([rec.point for rec in report.records])):
+        xy = pix([rec.point for rec in report.records])
+        for r, x, y in zip(report.records, xy[0::2], xy[1::2]):
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="none" '
                          f'stroke="{color[r.classification]}" stroke-width="1.5"/>')
     parts.append("</svg>")
@@ -103,5 +110,8 @@ def write_curve_csv(path, h, density=256):
     img = h.eval_batch(ys)
     n = ys.shape[1]
     header = ",".join([f"y{i}" for i in range(n)] + [f"x{i}" for i in range(img.shape[1])])
-    rows = [header] + [",".join(map(repr, y + p)) for y, p in zip(ys.tolist(), img.tolist())]
+    # one %-format over a flat tuple: "%r" % x is repr(x) for every float
+    body = np.concatenate([ys, img], axis=1)
+    rows = [header] + (["\n".join([",".join(["%r"] * body.shape[1])] * len(body))
+                        % tuple(body.ravel().tolist())] if len(body) else [])
     atomic_write(path, "\n".join(rows) + "\n")

@@ -411,20 +411,23 @@ class _BoxCells:
             key += (first[box, a] + k % n[box, a]) * self.stride[a]
             k //= n[box, a]
         order = np.lexsort((box, key))
-        self.keys, start = np.unique(key[order], return_index=True)
-        self.start, self.boxes = np.concatenate([start, [key.size]]), box[order]
+        keys, start = np.unique(key[order], return_index=True)
+        # the keys end in one no cell has, so a key past the last one finds no cell
+        self.keys = np.append(keys, -1)
+        self.start, self.count = start, np.diff(np.append(start, key.size))
+        self.boxes = box[order]
 
     def lookup(self, X):
         """The cells of the rows of X, (N, m), as (rows, start, n): the rows
         whose cell lists boxes, ascending, and where that list starts in
         self.boxes and its length.  NaN and infinite rows are off the grid."""
         c = (X - self.origin) / self.size
-        rows = np.nonzero(np.all((c >= 0.0) & (c < self.shape), axis=1))[0]
-        key = c[rows].astype(int) @ self.stride
-        at = np.minimum(np.searchsorted(self.keys, key), self.keys.size - 1)
-        found = self.keys[at] == key
-        rows, at = rows[found], at[found]
-        return rows, self.start[at], self.start[at + 1] - self.start[at]
+        rows = _rows_all((c >= 0.0) & (c < self.shape)).nonzero()[0]
+        key = c.take(rows, axis=0).astype(int) @ self.stride
+        at = self.keys[:-1].searchsorted(key)
+        found = (self.keys[at] == key).nonzero()[0]
+        at = at[found]
+        return rows[found], self.start[at], self.count[at]
 
     def hits(self, X):
         """Every (row, box) whose closed box holds the row of X, (N, m), as
@@ -432,14 +435,25 @@ class _BoxCells:
         the row of X at each hit.  The exact box test decides among the
         boxes of a row's cell."""
         rows, boxes = _expand(self.boxes, *self.lookup(X))
-        x = X[rows]
-        inside = np.all((x >= self.lo[boxes]) & (x <= self.hi[boxes]), axis=1)
-        return rows[inside], boxes[inside], x[inside]
+        x = X.take(rows, axis=0)
+        inside = _rows_all((x >= self.lo.take(boxes, axis=0))
+                           & (x <= self.hi.take(boxes, axis=0))).nonzero()[0]
+        return rows[inside], boxes[inside], x.take(inside, axis=0)
+
+
+def _rows_all(c):
+    """c.all(axis=1) for a 2-D bool array with at least one column, one &
+    per column: numpy reduces a short last axis row by row."""
+    out = c[:, 0]
+    for a in range(1, c.shape[1]):
+        out = out & c[:, a]
+    return out
 
 
 def _expand(lists, rows, start, n):
     """The pairs (rows[i], lists[start[i] + j]) for j < n[i], by row."""
-    return np.repeat(rows, n), lists[np.arange(n.sum()) + np.repeat(start - np.cumsum(n) + n, n)]
+    end = n.cumsum()
+    return rows.repeat(n), lists[np.arange(end[-1] if end.size else 0) + (start - end + n).repeat(n)]
 
 
 # candidate (row, top) pairs per block of a location: bounds its temporaries

@@ -147,7 +147,8 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None, first=None):
     the map's domain, and its best (y, t) and residual.  Pair i
     lies on the patch of owner[i] (owner 0 when no owner is given).  Every
     iteration finds the distinct (owner, t, y) rows of the pairs still
-    running (_distinct_rows), evaluates h and the patch once at each, and
+    running (_distinct_rows, over the owners and one array holding t and y
+    side by side), evaluates h and the patch once at each, and
     solves one stacked least-squares problem over the distinct rows of the
     pairs still stepping; the results are scattered back, and each pair
     keeps its own best point, stall counter, divergence test and domain
@@ -164,7 +165,9 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None, first=None):
     n = h.domain.dim
     T = np.atleast_2d(np.array(t0, float))
     P = len(T)
-    Y = np.array(y0, float).reshape(P, n)
+    # t and y side by side: a distinct-row key is one gather of TY
+    TY = np.concatenate([T, np.array(y0, float).reshape(P, n)], axis=1)
+    T, Y = TY[:, :T.shape[1]], TY[:, T.shape[1]:]
     O = np.zeros(P, int) if owner is None else np.asarray(owner, int).reshape(P)
     best_y, best_t = Y.copy(), T.copy()
     best_r = np.full(P, np.inf)
@@ -180,7 +183,7 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None, first=None):
     for k in range(config.gn_max_iter):
         if not live.size:
             break
-        u, inv = _distinct_rows(O[live], T[live], Y[live])
+        u, inv = _distinct_rows(O[live], TY.take(live, axis=0))
         u = live[u]
         if k and patch.l:
             f, df = patch.eval_jac(T[u], O[u])
@@ -233,15 +236,15 @@ def _distinct_rows(*cols):
     """
     K = np.concatenate([(c[:, None] if c.ndim == 1 else c).view(np.int64) for c in cols], axis=1)
     mix = K.view(np.uint64) @ _MIX[:K.shape[1]]
-    order = np.argsort(mix)
+    order = mix.argsort()
     mix = mix[order]
     new = np.ones(len(K), bool)
     new[1:] = mix[1:] != mix[:-1]
-    tie = np.flatnonzero(~new)
+    tie = (~new).nonzero()[0]
     if tie.size:
-        new[tie] = np.any(K[order[tie]] != K[order[tie - 1]], axis=1)
+        new[tie] = (K.take(order[tie], axis=0) != K.take(order[tie - 1], axis=0)).any(axis=1)
     inv = np.empty(len(K), int)
-    inv[order] = np.cumsum(new) - 1
+    inv[order] = new.cumsum() - 1
     return order[new], inv
 
 

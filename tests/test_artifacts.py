@@ -13,6 +13,7 @@ the table below and says why.
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from transtri.cli import load_scenario, run, verify_only
@@ -93,3 +94,14 @@ def test_artifacts_are_byte_identical(tmp_path, capsys, kind, name):
         verify_only(scenario, out_dir=str(tmp_path))
     written = {p.name: _digest(p) for p in tmp_path.iterdir() if not p.name.startswith(".")}
     assert written == DIGESTS[kind, name]
+
+
+def test_bulk_float_formats_equal_per_value_ones():
+    # the figure and curve writers format many floats with one %-format:
+    # "%.2f" and "%r" give every float the bytes of f"{x:.2f}" and repr(x)
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([rng.normal(size=20000) * 10.0 ** rng.integers(-300, 300, 20000),
+                         rng.uniform(-1e4, 1e4, 20000),
+                         [0.0, -0.0, np.inf, -np.inf, np.nan, 0.005, -0.005, 2.675]]).tolist()
+    assert " ".join(["%.2f"] * len(xs)) % tuple(xs) == " ".join(f"{x:.2f}" for x in xs)
+    assert ",".join(["%r"] * len(xs)) % tuple(xs) == ",".join(map(repr, xs))

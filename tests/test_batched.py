@@ -1044,11 +1044,11 @@ def test_moving_hits_pass_the_skip_bound(monkeypatch, scenario_a_run, fade):
             assert moved.size > 0 or (fade == "paper" and run.l == 2)
 
 
-@pytest.mark.parametrize("with_jacobian,most", [(False, 5), (True, 10)])
+@pytest.mark.parametrize("with_jacobian,most", [(False, 2), (True, 3)])
 def test_fiber_moves_takes_few_entrywise_passes(monkeypatch, with_jacobian, most):
-    # one call on an edge link with rows on both sides of r = 1/2: each
-    # transcendental of a fade term is taken once, and derivative-only work
-    # waits for the Jacobian
+    # one call on an edge link with rows on both sides of r = 1/2: rho_l
+    # takes one exp pass and the fade terms one more, with one log pass for
+    # the Jacobian's warp powers; derivative-only work waits for the Jacobian
     link = [lk for lk in _tetrahedron_chain("skew")[0].links if lk.level == 1][0]
     t = np.repeat(np.linspace(0.2, 0.8, 7), 6)[:, None]
     frac = np.tile([0.0, 0.3, 0.45, 0.55, 0.95, 1.2], 7)
@@ -1069,6 +1069,69 @@ def test_fiber_moves_takes_few_entrywise_passes(monkeypatch, with_jacobian, most
     assert (r[support] < 0.5).any() and (r[support] > 0.5).any() and moved.size
     assert support.tolist() == np.nonzero(frac < 1.0)[0].tolist()
     assert len(passes) <= most
+
+
+def assert_moves_equal_ref(psi, t, w):
+    """fiber_moves of one link at the rows of t and w equals ref_moves bit
+    for bit, with and without the Jacobian; returns its support rows."""
+    eps, v = np.full(len(w), psi.epsilon), np.tile(psi.v, (len(w), 1))
+    for with_jacobian in (False, True):
+        moved, w2, J, support = fiber_moves(t, w, eps, v, with_jacobian)
+        rows, v2, Jref = ref_moves(psi, t, w, with_jacobian)
+        assert moved.tolist() == rows.tolist() and same_bits(w2, v2)
+        if with_jacobian:
+            full = np.tile(np.eye(psi.m), (len(w), 1, 1))
+            full[support] = J
+            assert J.shape == (support.size, psi.m, psi.m) and same_bits(full, Jref)
+    return support
+
+
+def _rows_at_radii(psi, t, radii):
+    """Rows (t, w) of one link with |w| / (eps rho_l(t)) = radii exactly, w
+    along the first fiber axis, for every row of t."""
+    t = np.repeat(t, len(radii), axis=0)
+    fade = psi.epsilon * bump.rho_l(t)
+    w = np.zeros((len(t), psi.m - psi.l))
+    w[:, 0] = np.tile(radii, len(t) // len(radii)) * fade
+    return t, w, fade
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_fused_fiber_moves_equals_its_reference_at_the_glue_radii(level):
+    # r exactly 1/2 and 1 and their neighbouring floats, r - 1/2 and 1 - r
+    # below 1/_LOG_SAFE_U (beta' takes its log-domain branch), rows off the
+    # fade support and off the open simplex, and an empty call
+    psi = [lk for lk in _tetrahedron_chain("skew")[0].links if lk.level == level][0].local
+    half = 0.5 + np.array([-0.25, 0.0, 1e-9, 1e-3, 1.9e-3, 0.25, 0.499])
+    tails = np.array([np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0),
+                      1.0 - 1e-3, 1.0, np.nextafter(1.0, 2.0), 1.5])
+    ts = RNG.dirichlet(np.ones(level + 1), 4)[:, :level]
+    t, w, fade = _rows_at_radii(psi, ts, np.concatenate([[0.0], half, tails]))
+    w[::3, 0] *= -1.0
+    r = row_norms(w) / fade
+    assert {0.5, 1.0} <= set(r.tolist()) and (1.0 / (r[(r > 0.5) & (r < 1.0)] - 0.5) > 500).any()
+    assert (1.0 / (1.0 - r[(r > 0.5) & (r < 1.0)]) > 500).any()
+    if level:
+        off = np.full((3, level), 0.25)
+        off[0, 0], off[1, 0], off[2, -1] = -0.1, 1.2, 0.0
+        t, w = np.concatenate([t, off]), np.concatenate([w, np.full((3, w.shape[1]), 1e-4)])
+    support = assert_moves_equal_ref(psi, t, w)
+    assert 0 < support.size < len(w) - 3
+    assert_moves_equal_ref(psi, t[:0], w[:0])
+
+
+def test_vertex_fiber_moves_read_rho_0_through_the_seam(monkeypatch):
+    # a vertex's rho_0 is read once per call, through bump.rho_l; with it at
+    # 1/2 the fade radius halves, so rows between eps / 2 and eps stay put
+    psi = [lk for lk in _tetrahedron_chain("skew")[0].links if lk.level == 0][0].local
+    rho_l = bump.rho_l
+    monkeypatch.setattr(bump, "rho_l",
+                        lambda t: np.full(np.shape(t)[:-1], 0.5) if np.shape(t)[-1] == 0 else rho_l(t))
+    u = RNG.normal(size=(60, 3))
+    frac = np.linspace(0.0, 1.2, 60)
+    w = u / row_norms(u)[:, None] * (frac * psi.epsilon)[:, None]
+    support = assert_moves_equal_ref(psi, np.zeros((60, 0)), w)
+    assert support.tolist() == np.nonzero(row_norms(w) < 0.5 * psi.epsilon)[0].tolist()
 
 
 def test_bump_forms_emit_no_warnings():

@@ -320,6 +320,22 @@ class TestLevels:
                     assert np.linalg.norm(after - before) < 1e-12
             state = new_state
 
+    def test_links_are_logged_only_when_info_is_on(self, two_triangle, caplog, monkeypatch):
+        # one line per link, with its |v|, at INFO; below INFO the loop that
+        # takes the norms does not run
+        cplx, real = two_triangle
+        state, h = TriangulationState(cplx, real), CircleMap((0.2, 0.2), 0.3)
+        with caplog.at_level("INFO", logger="transtri.perturb"):
+            out = perturb_level(state, 0, h, CFG)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("level=0 ")]
+        assert len(out.links) == len(lines) > 0
+        assert lines[0].split("|v|=")[1].split()[0] == "%.6g" % np.linalg.norm(out.links[0].local.v)
+        calls = []
+        monkeypatch.setattr(perturb.log, "info", lambda *args: calls.append(args))
+        with caplog.at_level("WARNING", logger="transtri.perturb"):
+            perturb_level(state, 0, h, CFG)
+        assert calls == []
+
     def test_out_of_range_level(self, base_state):
         with pytest.raises(PerturbationError):
             perturb_level(base_state, 2, PointMap((9.0, 9.0)), CFG)
