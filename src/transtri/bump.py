@@ -44,7 +44,10 @@ each transcendental is taken once:
 * ``scaled_warps`` gives several powers from one log of rho.  The
   exponent -1/rho - k log(rho) is formed as before, and power 0 takes no
   log: 0 * log(rho) is +-0 (NaN at rho = inf, as 0 * rho is there), which
-  leaves -1/rho unchanged.
+  leaves -1/rho unchanged;
+* ``_fiber_terms`` gives the chain's fiber map all of these at once: the
+  warp powers, beta's pair of factors and the gradient's factors take
+  their exps in one pass, and their rho' in one _rho_d1 call.
 
 Every value keeps the bits of the form that takes its own exps, as the
 operations on each entry are the same ones; tests/oracles.py keeps those
@@ -326,19 +329,13 @@ def scaled_warp(rho_value, power=0):
 
 @np.errstate(all="ignore")
 def _fiber_terms(rho_value, r, t=None, jacobian=False):
-    """The fade terms of the chain's fiber map on its fade support, from one
-    log pass and one exp pass: (warp0, beta), and with the Jacobian also
-    (warp1, warp2, beta', grad rho_l(t)), the gradient None when t is None.
-
-    rho_value > 0 is rho_l's value, one per row or one for every row; r in
-    [0, 1] is each row's fiber radius over its fade radius, and t (S, l)
-    its simplex coordinates.  The warp exponents, beta's factor arguments
-    1 - r and r - 1/2 on the band 1/2 < r < 1 and the gradient's factor
-    arguments take their exps in one pass, and their rho' one _rho_d1
-    call.  An exponent that scaled_warps or rho leaves at 0.0 becomes -inf,
-    whose exp is 0.0; so each value has the bits of scaled_warps(rho_value,
-    (0, 1, 2)), beta_and_deriv(r) and rho_l_grad(t), whose operations per
-    entry are the same ones."""
+    """The fiber map's fade terms on its support, (warp0, beta), and with
+    the Jacobian also (warp1, warp2, beta', grad rho_l(t) or None), from one
+    log pass and one exp pass.  rho_value > 0 is rho_l's value (per row, or
+    one for all rows), r in [0, 1] the fiber radius over the fade radius
+    and t (S, l) the simplex coordinates.  Each value has the bits of
+    scaled_warps, beta_and_deriv and rho_l_grad: every entry takes the same
+    operations, and an exponent those leave at 0.0 becomes -inf here."""
     inv = -1.0 / rho_value
     expo = inv - 0 * rho_value  # see scaled_warps: +-0 unless rho is inf
     if jacobian:

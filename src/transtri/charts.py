@@ -26,10 +26,14 @@ time, from stacked link data.  A _BoxCells index of the run's boxes gives
 one hit list per call, every (row, link) whose box holds the row; the
 forward map takes it in rounds of one fiber_moves call each (a row's hits
 after its first moving one are re-tested at the moved point in the next
-round), skipping hits the fade radius cannot reach, and an in-box hit
-whose fiber Jacobian is exactly I (skipped, or outside the fade support)
-takes the link's cached Jacobian M I M^-1.  The inverse unwinds the same
-list oldest link first through fiber_preimages.
+round), skipping hits the fade radius cannot reach.  Each hit's Jacobian
+starts as its link's cached M I M^-1, the one of an in-box hit whose fiber
+Jacobian is exactly I (skipped, or outside the fade support), and a round
+overwrites only the hits it settles otherwise.  fiber_moves takes rho_l's
+value from bump.rho_l, once per call for a vertex, and every other fade
+term from one exp pass.  Rows are gathered with np.take, which keeps
+every bit of indexing at a fraction of its cost.  The inverse unwinds the
+same list oldest link first through fiber_preimages.
 """
 
 import itertools
@@ -75,11 +79,9 @@ def _stack(arrays):
 
 
 def _take(a, j):
-    """a[j] along the first axis, by np.take, which gathers rows several
-    times faster than indexing.  A 3-D a is a stack from _stack; an
-    F-ordered one is gathered through its C-ordered transpose, so that
-    each matrix keeps its memory order, as indexing keeps it."""
-    if a.ndim < 3 or a.flags.c_contiguous:
+    """a[j] for a stack a from _stack, by np.take; an F-ordered stack goes
+    through its C-ordered transpose, so each matrix keeps its memory order."""
+    if a.flags.c_contiguous:
         return a.take(j, axis=0)
     return a.transpose(0, 2, 1).take(j, axis=0).transpose(0, 2, 1)
 
@@ -121,15 +123,12 @@ def fiber_moves(t, w, eps, v, with_jacobian=False, wn=None):
     (t, w) order of the S support rows, and those support rows, strictly
     inside the fade radius.  Rows off the support (t off the open simplex
     or w at or beyond the fade radius) have J = I exactly, and no block is
-    built for them.  wn is |w| when the caller has it.
-
-    rho_l's value is read through bump.rho_l alone: once per row, or for a
-    vertex (l = 0), whose t has no columns, once per call on an empty row,
-    its one value serving every row.  The fade terms come from one
-    bump._fiber_terms call: one log pass for the warp's powers 1 and 2 and
-    one exp pass for the warp's powers, beta's two factors and, for the
-    Jacobian, the gradient's factors; beta', powers 1 and 2 and the
-    gradient are only evaluated for the Jacobian."""
+    built for them.  wn is |w| when the caller has it.  rho_l's value is
+    read through bump.rho_l alone, per row, or for a vertex (l = 0), whose
+    t has no columns, once per call on an empty row.  The other fade terms
+    come from one bump._fiber_terms call, one exp pass (and one log pass
+    for the Jacobian's warp powers); beta', powers 1 and 2 and the
+    gradient of rho_l are only evaluated for the Jacobian."""
     l = t.shape[1]
     wn = row_norms(w) if wn is None else wn
     rho = bump.rho_l(t if l else np.empty((1, 0)))
@@ -262,14 +261,14 @@ class _Run:
         link's P; a final hit on the fade support, which alone gets a block
         from fiber_moves, takes M J_loc M^-1, and a final hit that left its
         box in a later round takes I."""
-        Jl = _take(self.P, links) if with_jacobian else None
+        Jl = self.P.take(links, axis=0) if with_jacobian else None
         r, j, pend, inbox = rows, links, None, None  # pend None: every hit, in order
         while r.size:
             t, w = self._frame(x, j)
             wn = row_norms(w)
             c = self.movable(t, wn, j)
             c = (c if inbox is None else c & inbox).nonzero()[0]
-            moved = sup = c  # no hit to move
+            moved = sup = c  # empty: no hit to move
             if c.size:
                 jc = j[c]
                 moved, w2, Jc, sup = fiber_moves(t.take(c, axis=0), w.take(c, axis=0), self.eps[jc],
@@ -300,7 +299,7 @@ class _Run:
             pend = (~final).nonzero()[0] if pend is None else pend[~final]
             r, j = rows[pend], links[pend]
             x = X.take(r, axis=0)
-            inbox = self._inside(x, j) if r.size else None
+            inbox = self._inside(x, j)
         return Jl
 
     def unwind(self, X, rows, links):
@@ -322,11 +321,10 @@ def _compose(J, rows, rank, Jl):
     by rank (a hit's place in its row), the hits of a rank at once, from
     one stable sort of the ranks.  A hit that left its box still takes
     I @ J: -0.0 becomes +0.0."""
-    n = np.bincount(rank)
-    if n.size == 1:
-        J[rows] = Jl @ J.take(rows, axis=0)
-        return
-    for at in np.split(rank.argsort(kind="stable"), n[:-1].cumsum()):
+    order, start = rank.argsort(kind="stable"), 0
+    for n in np.bincount(rank).tolist():
+        at = order[start:start + n]
+        start += n
         r = rows[at]
         J[r] = Jl.take(at, axis=0) @ J.take(r, axis=0)
 

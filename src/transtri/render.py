@@ -41,7 +41,9 @@ def _mesh_images(state, samples=0):
 
 
 def write_svg(path, state, h=None, report=None, edge_samples=16, size=800):
-    """Plane figure: perturbed mesh edges, map image, intersection marks."""
+    """Plane figure: perturbed mesh edges, map image, intersection marks.
+    Each polyline, and the vertex circles, is one %-format over a flat
+    tuple: "%.2f" % x is f"{x:.2f}" for every float."""
     lo, hi = state.realization.bbox()
     span = float(max(hi - lo))
     pad = 0.06 * span
@@ -56,8 +58,6 @@ def write_svg(path, state, h=None, report=None, edge_samples=16, size=800):
         xy[:, 1] = size - (pts[:, 1] - lo[1]) / width * size
         return xy.ravel().tolist()
 
-    # each polyline, and the vertex circles, is one %-format over a flat
-    # tuple; "%.2f" % x is f"{x:.2f}" for every float
     def polyline(pts, style):
         xy = pix(pts)
         return (f'<polyline fill="none" {style} points="'
@@ -112,6 +112,5 @@ def write_curve_csv(path, h, density=256):
     header = ",".join([f"y{i}" for i in range(n)] + [f"x{i}" for i in range(img.shape[1])])
     # one %-format over a flat tuple: "%r" % x is repr(x) for every float
     body = np.concatenate([ys, img], axis=1)
-    rows = [header] + (["\n".join([",".join(["%r"] * body.shape[1])] * len(body))
-                        % tuple(body.ravel().tolist())] if len(body) else [])
-    atomic_write(path, "\n".join(rows) + "\n")
+    line = ",".join(["%r"] * body.shape[1])
+    atomic_write(path, "\n".join([header] + [line] * len(body)) % tuple(body.ravel().tolist()) + "\n")

@@ -411,11 +411,8 @@ class _BoxCells:
             key += (first[box, a] + k % n[box, a]) * self.stride[a]
             k //= n[box, a]
         order = np.lexsort((box, key))
-        keys, start = np.unique(key[order], return_index=True)
-        # the keys end in one no cell has, so a key past the last one finds no cell
-        self.keys = np.append(keys, -1)
-        self.start, self.count = start, np.diff(np.append(start, key.size))
-        self.boxes = box[order]
+        self.keys, start = np.unique(key[order], return_index=True)
+        self.start, self.boxes = np.concatenate([start, [key.size]]), box[order]
 
     def lookup(self, X):
         """The cells of the rows of X, (N, m), as (rows, start, n): the rows
@@ -424,10 +421,10 @@ class _BoxCells:
         c = (X - self.origin) / self.size
         rows = _rows_all((c >= 0.0) & (c < self.shape)).nonzero()[0]
         key = c.take(rows, axis=0).astype(int) @ self.stride
-        at = self.keys[:-1].searchsorted(key)
+        at = np.minimum(self.keys.searchsorted(key), self.keys.size - 1)
         found = (self.keys[at] == key).nonzero()[0]
         at = at[found]
-        return rows[found], self.start[at], self.count[at]
+        return rows[found], self.start[at], self.start[at + 1] - self.start[at]
 
     def hits(self, X):
         """Every (row, box) whose closed box holds the row of X, (N, m), as
