@@ -107,9 +107,7 @@ def _fiber_block(w, wn, bp, w1, eps, v, J=None):
     into J when given, a stack of identities."""
     J = _eyes(len(w), w.shape[1]) if J is None else J
     sel = ((wn > 0.0) & (bp != 0.0)).nonzero()[0]
-    if sel.size == len(w):
-        J += (bp * w1 / eps)[:, None, None] * (v[:, :, None] * (w / wn[:, None])[:, None, :])
-    elif sel.size:
+    if sel.size:
         coef = (bp * w1 / eps)[sel]
         J[sel] += coef[:, None, None] * (v.take(sel, axis=0)[:, :, None]
                                          * (w.take(sel, axis=0) / wn[sel, None])[:, None, :])

@@ -1044,18 +1044,21 @@ def test_moving_hits_pass_the_skip_bound(monkeypatch, scenario_a_run, fade):
             assert moved.size > 0 or (fade == "paper" and run.l == 2)
 
 
-@pytest.mark.parametrize("with_jacobian,most", [(False, 2), (True, 3)])
-def test_fiber_moves_takes_few_entrywise_passes(monkeypatch, with_jacobian, most):
-    # one call on an edge link with rows on both sides of r = 1/2: rho_l
-    # takes one exp pass and the fade terms one more, with one log pass for
-    # the Jacobian's warp powers; derivative-only work waits for the Jacobian
+def _edge_rows_across_the_band():
+    """One edge link's fiber map arguments (t, w, eps, v), with rows on both
+    sides of r = 1/2 and at and beyond the fade radius, and each row's |w|
+    over its fade radius."""
     link = [lk for lk in _tetrahedron_chain("skew")[0].links if lk.level == 1][0]
     t = np.repeat(np.linspace(0.2, 0.8, 7), 6)[:, None]
     frac = np.tile([0.0, 0.3, 0.45, 0.55, 0.95, 1.2], 7)
     u = np.random.default_rng(22).normal(size=(len(t), 2))
     w = u / row_norms(u)[:, None] * (frac * link.local.epsilon * bump.rho_l(t))[:, None]
     eps = np.full(len(t), link.local.epsilon)
-    v = np.tile(link.local.v, (len(t), 1))
+    return (t, w, eps, np.tile(link.local.v, (len(t), 1))), frac
+
+
+def _entrywise_passes(monkeypatch, call):
+    """The math functions of the bump.entrywise passes call() makes, and its result."""
     passes, entrywise = [], bump.entrywise
 
     def spy(fn, x):
@@ -1063,12 +1066,33 @@ def test_fiber_moves_takes_few_entrywise_passes(monkeypatch, with_jacobian, most
         return entrywise(fn, x)
 
     monkeypatch.setattr(bump, "entrywise", spy)
-    moved, _, _, support = fiber_moves(t, w, eps, v, with_jacobian)
+    out = call()
     monkeypatch.undo()
+    return passes, out
+
+
+@pytest.mark.parametrize("with_jacobian,most", [(False, 5), (True, 10)])
+def test_fiber_moves_takes_few_entrywise_passes(monkeypatch, with_jacobian, most):
+    # one call on an edge link with rows on both sides of r = 1/2: each
+    # transcendental of a fade term is taken once, and derivative-only work
+    # waits for the Jacobian
+    (t, w, eps, v), frac = _edge_rows_across_the_band()
+    passes, (moved, _, _, support) = _entrywise_passes(
+        monkeypatch, lambda: fiber_moves(t, w, eps, v, with_jacobian))
     r = row_norms(w) / (eps * bump.rho_l(t))
     assert (r[support] < 0.5).any() and (r[support] > 0.5).any() and moved.size
     assert support.tolist() == np.nonzero(frac < 1.0)[0].tolist()
     assert len(passes) <= most
+
+
+@pytest.mark.parametrize("with_jacobian", [False, True])
+def test_fused_fiber_moves_takes_one_exp_pass_after_rho_l(monkeypatch, with_jacobian):
+    # rho_l takes its own exp pass; then every fade term, beta's factors and
+    # the gradient's factors take their exps in one pass, after one log
+    # pass for the Jacobian's warp powers
+    args, _ = _edge_rows_across_the_band()
+    passes, _ = _entrywise_passes(monkeypatch, lambda: fiber_moves(*args, with_jacobian))
+    assert passes == [math.exp] + [math.log] * with_jacobian + [math.exp]
 
 
 def assert_moves_equal_ref(psi, t, w):
