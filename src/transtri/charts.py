@@ -224,7 +224,8 @@ class _Run:
         ascending, each row's links newest first, rank a hit's place in its
         row and x the row of X at each hit."""
         rows, boxes, x = self.cells.hits(X)
-        return rows, len(self.links) - 1 - boxes, np.arange(rows.size) - np.searchsorted(rows, rows), x
+        links = len(self.links) - 1 - boxes
+        return rows, links, np.arange(rows.size) - np.searchsorted(rows, rows), x
 
     def _frame(self, x, j):
         """Frame coordinates (t, w) of row i of x in the chart of link j[i]."""
