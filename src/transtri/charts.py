@@ -225,7 +225,7 @@ class _Run:
         row and x the row of X at each hit."""
         rows, boxes, x = self.cells.hits(X)
         links = len(self.links) - 1 - boxes
-        return rows, links, np.arange(rows.size) - np.searchsorted(rows, rows), x
+        return rows, links, np.arange(rows.size) - rows.searchsorted(rows), x
 
     def _frame(self, x, j):
         """Frame coordinates (t, w) of row i of x in the chart of link j[i]."""
@@ -370,7 +370,7 @@ class ChainOps:
         for run in reversed(self.runs):
             rows, links, rank, pts = run.hits(X)
             Jl = run.apply(X, rows, links, pts, with_jacobian)
-            if with_jacobian and rows.size:
+            if with_jacobian:
                 _compose(J, rows, rank, Jl)
         return X.reshape(x.shape), None if J is None else J.reshape(x.shape + (m,))
 
