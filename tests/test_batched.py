@@ -25,7 +25,10 @@ builds a record for every hit and deduplicates the records.  The
 clearance test locates its samples in base coordinates and must give the
 verdict of pushing them through the chain and pulling them back.  Point
 location applies each top's barycentric map and must give the hits of the
-least-squares solves it replaced, with coordinates within 1e-12.
+least-squares solves it replaced, with coordinates within 1e-12.  The
+fiber map takes its fade terms from one exp pass and must equal the
+per-link reference bit for bit at beta's glue radii, on both branches of
+beta', and for a vertex whose rho_0 it reads once through bump.rho_l.
 """
 
 import contextlib
