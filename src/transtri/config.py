@@ -14,7 +14,7 @@ class PipelineConfig:
     seed: int = 0
     # perturbation stage
     max_retries: int = 64              # regular-value candidates per simplex
-    containment_density: int = 12      # per-dim parameter samples in the clearance search
+    containment_density: int = 12      # per-dim lattice steps of the clearance search
     c_min: float = 1e-8                # clearance floor before declaring degenerate geometry
     epsilon_max: float = 0.25
     mesh_scale_factor: float = 0.1     # extra epsilon cap, fraction of the shortest edge
@@ -27,7 +27,8 @@ class PipelineConfig:
     solve_tol: float = 1e-10           # residual below which a root counts as an intersection
     vertex_clearance: float = 1e-7     # separation demanded when dimensions cannot span
     dedupe_radius: float = 1e-6        # parameter-space clustering radius
-    barycentric_tol: float = 1e-10     # interior/boundary split for located points
+    barycentric_tol: float = 1e-10     # interior/boundary split for located points; the
+                                       # clearance search locates none and does not read it
     gn_max_iter: int = 60              # Gauss-Newton iterations per seed pair
 
     def __post_init__(self):

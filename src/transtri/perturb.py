@@ -4,11 +4,12 @@ For one simplex of dimension l < m the stages are:
 
 1. clearance search: find c such that the fiber region
    {(t, v) : |v| <= c * rho_l(t)} around the simplex stays inside the
-   open star of the simplex barycenter in the barycentric subdivision
-   (sampled containment, halving search, half the passing value kept as
-   margin).  The chain telescopes so that every link acts in base
-   coordinates (see charts), so the region is tested there and c depends
-   on base geometry alone;
+   open star of the simplex barycenter in the barycentric subdivision, or
+   off the complex (c rho_l(t) below the exact distance from each lattice
+   point to the complex minus the open star, halving search, half the
+   passing value kept as margin).  The chain telescopes so that every
+   link acts in base coordinates (see charts), so the region is tested
+   there and c depends on base geometry alone;
 2. regular-value sampling: draw shift vectors v with |v| < eps^2 until the
    deformed embedding t -> eta(chart(t, warp(t) v)) is certified transverse to
    the target map: each candidate, built as a link (stages 3 and 4), joins
@@ -26,12 +27,13 @@ automatically transverse).  Within a level every simplex is built against
 the state at the start of the level; supports of same-level links live in
 disjoint stars, so the links commute and the append order (ascending
 simplex id) is a determinism convention, not a mathematical need.  Stages
-1 and 2 run over the whole level at once.  Each clearance round tests
-every simplex still searching, each at its own c, with one containment
-call.  Each sampling round draws one candidate per unresolved simplex,
-from that simplex's own rng, and certifies the round with one verifier
-search on one trial state; one guard call then samples every accepted
-link of the round, and the level appends the accepted trial links.
+1 and 2 run over the whole level at once.  The clearance search takes
+the level's distances once, and each round compares every simplex still
+searching, each at its own c, with them.  Each sampling round draws one
+candidate per unresolved simplex, from that simplex's own rng, and
+certifies the round with one verifier search on one trial state; one
+guard call then samples every accepted link of the round, and the level
+appends the accepted trial links.
 """
 
 import itertools
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bump
-from .charts import AmbientDiffeo, StarLocator, TriangulationState, _stack, fiber_moves, make_charts
+from .charts import AmbientDiffeo, TriangulationState, _stack, fiber_moves, make_charts
 from .config import PipelineConfig
 from .errors import (DegenerateGeometryError, EpsilonTooLargeError, MeshError,
                      PerturbationError, SamplingFailureError)
@@ -154,6 +156,10 @@ def containment_ok(charts, locator, lattice, dirs, cs, sd_data):
     the whole complex only those no star top holds, of simplices not
     failed yet; that location only asks whether some top holds a sample,
     so it reads the rows of first_hits and builds no carrier simplex.
+
+    The pipeline does not call it: estimate_c_sigma compares each
+    candidate with exact distances.  The sampled search of
+    tests/oracles.py runs on it.
     """
     rho = bump.rho_l(lattice)
     live = rho > 0.0
@@ -186,28 +192,37 @@ def containment_ok(charts, locator, lattice, dirs, cs, sd_data):
 def estimate_c_sigma(state, simplices, config=None, sd_data=None, charts=None):
     """Fiber clearance coefficients of simplices of one dimension.
 
-    Each simplex runs a halving search from its star's diameter down to
-    the configured floor and keeps half its largest passing candidate as
-    a safety margin; every round tests all simplices still searching with
-    one containment_ok call.  Returns one float per simplex, as a list.
-    The lowest-index simplex where nothing passes raises
-    DegenerateGeometryError, whose clearances hold the values of the
-    simplices before it; the simplices after it stop searching.  A
-    top-dimensional simplex raises MeshError (no normal directions,
-    callers skip those).
+    A candidate c clears a simplex when c rho_l(t) < d(t) at every point
+    t of its lattice (rho_l(t) > 0), where d(t) is the distance from the
+    lattice point's image x(t) to |K| minus the open star of the
+    simplex's barycenter (SubdivisionData.star_distances): then the whole
+    fiber ball of radius c rho_l(t) lies in the open star or off the
+    complex.  Each simplex runs a halving search from its star's diameter
+    down to the configured floor and keeps half its largest passing
+    candidate as a safety margin; every round tests all simplices still
+    searching at once, against distances computed once.  Returns one
+    float per simplex, as a list.  The lowest-index simplex where nothing
+    passes raises DegenerateGeometryError, whose clearances hold the
+    values of the simplices before it; the simplices after it stop
+    searching.  A top-dimensional simplex raises MeshError (no normal
+    directions, callers skip those).
     """
     config = config or PipelineConfig()
     charts = charts or make_charts(state, simplices)
     sd_data = sd_data or subdivision_data(state)
-    locator = StarLocator(sd_data.index, config.barycentric_tol)
     l = simplices[0].dim
     lattice = interior_lattice(l, lattice_per_dim(config.containment_density, l))
-    dirs = _unit_directions(state.ambient_dim - l)
+    rho = bump.rho_l(lattice)
+    lattice, rho = lattice[rho > 0.0], rho[rho > 0.0]
     index = sd_data.index
-    star = locator.star[sd_data.barycenters(simplices)]
+    vertex = sd_data.barycenters(simplices)
+    star = index.stars(vertex)
     real = (star >= 0)[..., None]  # not padding
     cs = row_norms(np.where(real, index.hi[star], -np.inf).max(axis=1)
                    - np.where(real, index.lo[star], np.inf).min(axis=1))
+    b, A = (_stack([getattr(ch, a) for ch in charts]) for a in ("base", "tangent"))
+    # no candidate exceeds the first, so d matters only up to its c rho
+    d = sd_data.star_distances(vertex, b[:, None] + matvec(A[:, None], lattice), cs[:, None] * rho)
     found = [None] * len(simplices)
     live = np.arange(len(simplices))
     while True:
@@ -216,8 +231,7 @@ def estimate_c_sigma(state, simplices, config=None, sd_data=None, charts=None):
         live = live[over & (live < live[~over].min(initial=len(cs)))]
         if not live.size:
             break
-        ok = np.array(containment_ok([charts[i] for i in live], locator, lattice, dirs,
-                                     cs[live], sd_data))
+        ok = (cs[live, None] * rho < d[live]).all(axis=1)
         for i in live[ok].tolist():
             found[i] = float(cs[i]) / 2.0
         live = live[~ok]

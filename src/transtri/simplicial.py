@@ -320,6 +320,84 @@ class SubdivisionData:
         return self.offset[l] + at
 
     @cached_property
+    def boundary(self):
+        """The boundary of |K| in R^m as closed pieces, (ids, pts, lo, hi,
+        on): each piece's vertex ids (-1 padded), coordinates (zero padded)
+        and box, and whether each subdivision vertex lies on a piece.  The
+        pieces are the subdivision facets that lie in a facet of one
+        m-simplex alone, and every top of lower dimension, whole.  A top of
+        full dimension is a flag (..., f, T) ending at the barycentres of a
+        facet f of its m-simplex T; dropping T gives its one facet on the
+        boundary of T, and every other facet is shared with another flag.
+        Each m-simplex holding f gives m! flags ending at f."""
+        index, m = self.index, self.points.shape[1]
+        full = index.size == m + 1
+        piece = ~full
+        if full.any():
+            f = index.ids[full, m - 1]
+            piece[full] = np.bincount(f)[f] == math.factorial(m)
+        ids, pts = index.ids[piece, :m], index.pts[piece, :m]
+        real = (ids >= 0)[..., None]
+        on = np.zeros(len(self.points), bool)
+        on[ids[real[..., 0]]] = True
+        return (ids, pts, np.where(real, pts, np.inf).min(axis=1),
+                np.where(real, pts, -np.inf).max(axis=1), on)
+
+    def star_distances(self, vertex, x, reach):
+        """Distance from each row of x[i], (S, P, m), a point of the open
+        star of vertex[i], to |K| minus that open star, as (S, P): exact
+        where it is at most reach, (S, P), and above reach elsewhere.  The
+        vertices are the barycentres of simplices of one dimension l.
+
+        That set is the vertex's link (the facets of its star tops opposite
+        it) and the tops without the vertex.  Subdivision top ids ascend
+        with the dimension of their faces, so the vertex sits in column l
+        of each of its star tops, and the other columns give the facet.  A
+        segment from x to a top without the vertex crosses the link, or it
+        leaves |K| through a boundary piece (see boundary) holding the
+        vertex and comes back through one without it.  So the link gives
+        the distance of a vertex on no piece, and a vertex on one also
+        takes the pieces without it whose box lies within reach and nearer
+        than the link: a cell index of the piece boxes, padded by the
+        largest such radius, gives the candidates.  Each distance is to a
+        point, a segment or a triangle (_closest_distances).  The link pairs
+        go in blocks of about _BLOCK_PAIRS.
+        """
+        index = self.index
+        S, P, m = x.shape
+        l = int(np.searchsorted(self.offset, vertex[0], side="right")) - 1
+        star = index.stars(vertex)
+        cols = [j for j in range(index.ids.shape[1]) if j != l]
+        d = np.empty((S, P))
+        step = max(1, _BLOCK_PAIRS // max(1, star.shape[1] * P))
+        for i in range(0, S, step):
+            st, xb = star[i:i + step], x[i:i + step]
+            n = np.where(st >= 0, index.size[st] - 1, 0)
+            dist = np.full(st.shape + (P,), np.inf)
+            for k in set(n.ravel().tolist()) - {0}:
+                fs, ft = (n == k).nonzero()
+                facets = index.pts[st[fs, ft, None], cols[:k]]
+                dist[fs, ft] = _closest_distances(xb[fs], facets[:, None])
+            d[i:i + step] = dist.min(axis=1)
+        ids, pts, lo, hi, on = self.boundary
+        out = on[vertex].nonzero()[0]
+        if not out.size:
+            return d
+        r = d[out].ravel()
+        radius = np.minimum(r, reach[out].ravel())
+        pad = radius.max()
+        rows, piece, xs = _BoxCells(lo - pad, hi + pad).hits(x[out].reshape(-1, m))
+        gap = np.maximum(np.maximum(lo.take(piece, axis=0) - xs, xs - hi.take(piece, axis=0)), 0.0)
+        near = ((row_norms(gap) <= radius[rows])
+                & ~(ids.take(piece, axis=0) == vertex[out[rows // P], None]).any(axis=1)).nonzero()[0]
+        n = (ids >= 0).sum(axis=1)[piece[near]]
+        for k in set(n.tolist()):
+            j = near[n == k]
+            np.minimum.at(r, rows[j], _closest_distances(xs.take(j, axis=0), pts[piece[j], :k]))
+        d[out] = r.reshape(-1, P)
+        return d
+
+    @cached_property
     def tops(self):
         return tuple(Simplex._trusted(tuple(v for v in r if v >= 0))
                      for r in self.index.ids.tolist())
@@ -447,6 +525,43 @@ def _rows_all(c):
     return out
 
 
+def _dots(a, b):
+    """Dot products over the last axis, broadcast over the others, one
+    multiply-add per coordinate."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out = out + a[..., i] * b[..., i]
+    return out
+
+
+def _closest_distances(x, p):
+    """Distance from each point x, (..., m), to the closed simplex of the
+    points p, (..., k, m), broadcast over the leading axes: a point, a
+    segment or a triangle (k <= 3; see Ericson, Real-Time Collision
+    Detection, 2005, section 5.1)."""
+    a = p[..., 0, :]
+    ap = x - a
+    if p.shape[-2] == 1:
+        return np.sqrt(_dots(ap, ap))
+    ab = p[..., 1, :] - a
+    if p.shape[-2] == 2:
+        e = ap - np.clip(_dots(ap, ab) / _dots(ab, ab), 0.0, 1.0)[..., None] * ab
+        return np.sqrt(_dots(e, e))
+    # a triangle: the foot point in its plane where that lies inside it,
+    # else the nearest point of an edge
+    ac = p[..., 2, :] - a
+    g00, g01, g11 = _dots(ab, ab), _dots(ab, ac), _dots(ac, ac)
+    b0, b1 = _dots(ap, ab), _dots(ap, ac)
+    det = g00 * g11 - g01 * g01
+    u, w = (g11 * b0 - g01 * b1) / det, (g00 * b1 - g01 * b0) / det
+    edges = np.minimum(np.minimum(_closest_distances(x, p[..., :2, :]),
+                                  _closest_distances(x, p[..., 1:, :])),
+                       _closest_distances(x, p[..., ::2, :]))
+    e = ap - u[..., None] * ab - w[..., None] * ac
+    inside = (u >= 0.0) & (w >= 0.0) & (u + w <= 1.0)
+    return np.where(inside, np.minimum(np.sqrt(_dots(e, e)), edges), edges)
+
+
 def _expand(lists, rows, start, n):
     """The pairs (rows[i], lists[start[i] + j]) for j < n[i], by row."""
     end = n.cumsum()
@@ -482,16 +597,21 @@ class _TopIndex:
         pmin = np.where(real[..., 0], np.linalg.norm(self.pts, axis=2), np.inf).min(axis=1)
         self.pad = 2.0 * (self.size[:, None] * (self.hi - self.lo)
                           + (self.scale * (1.0 + self.scale * pmin))[:, None])
-        # barycentric map of each top: the (pseudo-)inverse M+ of its
-        # augmented vertex matrix M = [P; 1], (m + 1, k), zero rows padding
-        # the smaller tops; one stacked call per simplex size
-        m = pts.shape[2]
-        self.inv = np.zeros((len(pts), pts.shape[1], m + 1))
+        self.cells = {}  # tol -> _BoxCells of the padded boxes: a memo, built on first use
+
+    @cached_property
+    def inv(self):
+        """The barycentric map of each top: the (pseudo-)inverse M+ of its
+        augmented vertex matrix M = [P; 1], (m + 1, k), zero rows padding
+        the smaller tops; one stacked call per simplex size, on first
+        location."""
+        m = self.pts.shape[2]
+        inv = np.zeros((len(self.pts), self.pts.shape[1], m + 1))
         for k in set(self.size.tolist()):
             j = np.nonzero(self.size == k)[0]
-            self.inv[j, :k] = np.linalg.pinv(np.concatenate(
+            inv[j, :k] = np.linalg.pinv(np.concatenate(
                 [self.pts[j, :k].transpose(0, 2, 1), np.ones((j.size, 1, k))], axis=1))
-        self.cells = {}  # tol -> _BoxCells of the padded boxes: a memo, built on first use
+        return inv
 
     @classmethod
     def of(cls, realization, tops):
@@ -509,6 +629,12 @@ class _TopIndex:
         star = np.full((n.size, n.max()), -1)
         star[v[order], np.arange(v.size) - np.repeat(np.cumsum(n) - n, n)] = top[order]
         return star
+
+    def stars(self, vertex):
+        """The rows of star for the ids of vertex, trimmed to the longest:
+        a star lists its tops first."""
+        star = self.star[vertex]
+        return star[:, :(star >= 0).sum(axis=1).max()]
 
     def first_hits(self, x, tol, cand=None):
         """Locate the rows of x, (N, m), each in the first top, in top
@@ -538,7 +664,8 @@ class _TopIndex:
         blocks, cut = [], np.flatnonzero(np.diff(np.cumsum(n) // _BLOCK_PAIRS)) + 1
         for rb in np.split(np.arange(rows.size), cut):
             ip, it = _expand(lists, rows[rb], start[rb], n[rb])
-            near = np.all((x[ip] >= lo[it]) & (x[ip] <= hi[it]), axis=1)
+            xs = x.take(ip, axis=0)
+            near = _rows_all((xs >= lo.take(it, axis=0)) & (xs <= hi.take(it, axis=0)))
             blocks.append(self._solve(x, ip[near], it[near], tol))
         return tuple(np.concatenate(parts) for parts in zip(*blocks))
 

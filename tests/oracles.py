@@ -25,6 +25,10 @@ its location index fields and star tables, tubular charts with their QR
 normal completion, a link's support box and the shortest edge, and the
 clearance search's sample lattice and directions, point by point.
 
+Clearance: the sampled halving search, which tests fiber samples in a
+few directions with perturb.containment_ok where the pipeline compares
+each candidate with the exact distance to the barycentre's link.
+
 Test-only views: one local diffeomorphism's fiber map, Jacobian and
 inverse, and a chart's frame coordinates, which the pipeline reads from
 stacked link data instead.
@@ -35,13 +39,16 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from transtri import bump
+from transtri import bump, perturb
 from transtri import simplicial as sc
-from transtri.charts import AmbientDiffeo, TubularChart, fiber_moves, fiber_preimages
-from transtri.errors import MeshError
+from transtri.charts import (AmbientDiffeo, StarLocator, TubularChart, fiber_moves,
+                             fiber_preimages, make_charts)
+from transtri.config import PipelineConfig
+from transtri.errors import DegenerateGeometryError, MeshError
 from transtri.rows import entrywise, lstsq_rows, matvec, row_norms
 from transtri.verify import (SimplexStatus, TransversalityReport, _dedupe, _domain_period,
-                            find_intersections, simplex_passes)
+                            find_intersections, interior_lattice, lattice_per_dim,
+                            simplex_passes)
 
 
 def barycentric_rows(pts, x):
@@ -86,6 +93,45 @@ def dense_box_pairs(lo, hi, x):
     of x, (N, m), by testing each row against each box: (rows, boxes), rows
     ascending, each row's boxes ascending."""
     return np.nonzero(np.all((x[:, None, :] >= lo) & (x[:, None, :] <= hi), axis=2))
+
+
+def sampled_c_sigma(state, simplices, config=None, sd_data=None, charts=None):
+    """perturb.estimate_c_sigma with the sampled test: each halving round
+    tests every simplex still searching, each at its own c, with one
+    perturb.containment_ok call (fiber samples at radii c rho and c rho / 2
+    in every direction of perturb._unit_directions, located with the
+    configured barycentric tolerance)."""
+    config = config or PipelineConfig()
+    charts = charts or make_charts(state, simplices)
+    sd_data = sd_data or perturb.subdivision_data(state)
+    locator = StarLocator(sd_data.index, config.barycentric_tol)
+    l = simplices[0].dim
+    lattice = interior_lattice(l, lattice_per_dim(config.containment_density, l))
+    dirs = perturb._unit_directions(state.ambient_dim - l)
+    index = sd_data.index
+    star = locator.star[sd_data.barycenters(simplices)]
+    real = (star >= 0)[..., None]
+    cs = row_norms(np.where(real, index.hi[star], -np.inf).max(axis=1)
+                   - np.where(real, index.lo[star], np.inf).min(axis=1))
+    found = [None] * len(simplices)
+    live = np.arange(len(simplices))
+    while True:
+        over = cs[live] > config.c_min
+        live = live[over & (live < live[~over].min(initial=len(cs)))]
+        if not live.size:
+            break
+        ok = np.array(perturb.containment_ok([charts[i] for i in live], locator, lattice, dirs,
+                                             cs[live], sd_data))
+        for i in live[ok].tolist():
+            found[i] = float(cs[i]) / 2.0
+        live = live[~ok]
+        cs[live] *= 0.5
+    failed = next((i for i, c in enumerate(found) if c is None), None)
+    if failed is not None:
+        raise DegenerateGeometryError(
+            f"no fiber clearance above {config.c_min} for simplex {simplices[failed].vertices}",
+            clearances=found[:failed])
+    return found
 
 
 @np.errstate(all="ignore")

@@ -22,10 +22,13 @@ from its trial state must give the report of a fresh state.  The
 verifier deduplicates each carrier face's hits before it builds any
 record, and its report must equal, bit for bit, that of the oracle that
 builds a record for every hit and deduplicates the records.  The
-clearance test locates its samples in base coordinates and must give the
-verdict of pushing them through the chain and pulling them back.  Point
-location applies each top's barycentric map and must give the hits of the
-least-squares solves it replaced, with coordinates within 1e-12.  The
+sampled clearance test locates its samples in base coordinates and must
+give the verdict of pushing them through the chain and pulling them back,
+and the clearance search, which compares each candidate with the exact
+distance to the barycentre's link, must give every c_sigma of the sampled
+search.  Point location applies each top's barycentric map and must give
+the hits of the least-squares solves it replaced, with coordinates
+within 1e-12.  The
 fiber map takes its fade terms from one exp pass and must equal the
 per-link reference bit for bit at beta's glue radii, on both branches of
 beta', and for a vertex whose rho_0 it reads once through bump.rho_l.
@@ -1292,12 +1295,12 @@ def _near_faces(sd, tol):
 @pytest.mark.parametrize("name", ["scenario_a", "scenario_b"])
 def test_affine_location_equals_the_least_squares_oracle(monkeypatch, name):
     # random points with rows off the grid of the padded top boxes (NaN,
-    # infinite or far), the fiber samples of every containment_ok round of a
-    # run at seed 1 (located by the oracle, so the samples do not depend on
-    # the kernel under test), and points near the faces of every top; the
-    # samples no star top holds are those containment_ok locates in the
-    # whole complex
-    state, h, config = _verify_only_case(name)
+    # infinite or far), the fiber samples of every containment_ok round of
+    # the sampled clearance search at every level (located by the oracle, so
+    # the samples do not depend on the kernel under test), and points near
+    # the faces of every top; the samples no star top holds are those
+    # containment_ok locates in the whole complex
+    state, _, config = _verify_only_case(name)
     tol = config.barycentric_tol
     spied, seen = StarLocator.contains_base_point, []
 
@@ -1305,11 +1308,12 @@ def test_affine_location_equals_the_least_squares_oracle(monkeypatch, name):
         seen.append((p, np.broadcast_to(vertex, (len(p),))))
         return spied(self, p, vertex)
 
+    sd = subdivision_data(state)
     with monkeypatch.context() as m:
         m.setattr(StarLocator, "contains_base_point", spy)
         m.setattr(sc._TopIndex, "_solve", lstsq_solve)
-        perturb.make_transverse(state.complex, state.realization, h, config.replace(seed=1))
-    sd = subdivision_data(state)
+        for level in range(state.ambient_dim):
+            oracles.sampled_c_sigma(state, state.complex.by_dim(level), config, sd)
     locator = StarLocator(sd.index, tol)
     lo, hi = state.bbox()
     random = np.concatenate([RNG.uniform(lo, hi, size=(100, state.ambient_dim)),
@@ -1447,14 +1451,25 @@ def ref_c_sigma(state, s, config, sd):
                                   f"{s.vertices}")
 
 
-@pytest.mark.parametrize("name", ["scenario_a", "scenario_b", "scenario_c"])
+@pytest.mark.parametrize("name", ["scenario_a", "scenario_b", "scenario_c", "scenario_tangent",
+                                  "scenario_a-3", "scenario_a-8", "scenario_b-3"])
 def test_level_clearance_equals_the_per_simplex_search(name):
-    state, _, config = _verify_only_case(name)
+    # the shipped scenarios against the per-simplex sampled search, and
+    # every case, grids at other resolutions too, against the level-wide one
+    name, _, resolution = name.partition("-")
+    scenario = cli.load_scenario(str(SCENARIOS / f"{name}.cfg"))
+    if resolution:
+        scenario.mesh_spec["resolution"] = int(resolution)
+    cplx, real, _ = cli._build_inputs(scenario)
+    state, config = TriangulationState(cplx, real), scenario.config
     sd = subdivision_data(state)
     for level in range(state.ambient_dim):
         simplices = state.complex.by_dim(level)
         got = perturb.estimate_c_sigma(state, simplices, config, sd)
-        want = [ref_c_sigma(state, s, config, sd) for s in simplices]
+        want = oracles.sampled_c_sigma(state, simplices, config, sd)
+        if not resolution:
+            assert [repr(c) for c in want] == [repr(ref_c_sigma(state, s, config, sd))
+                                               for s in simplices], level
         assert all(type(c) is float for c in got)
         assert [repr(c) for c in got] == [repr(c) for c in want], level
         [one] = perturb.estimate_c_sigma(state, simplices[-1:], config, sd)

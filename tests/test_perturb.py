@@ -8,7 +8,8 @@ import pytest
 import oracles
 from transtri import bump, perturb
 from transtri import simplicial as sc
-from transtri.charts import StarLocator, TriangulationState, dump_chain_metadata, make_chart
+from transtri.charts import (StarLocator, TriangulationState, dump_chain_metadata, make_chart,
+                             make_charts)
 from transtri.config import PipelineConfig
 from transtri.errors import (DegenerateGeometryError, MeshError,
                              PerturbationError, SamplingFailureError)
@@ -93,10 +94,106 @@ class TestClearanceSearch:
         assert containment_ok([chart], StarLocator(sd.index, 1e-10), *args) == [True]
 
     def test_degenerate_floor_raises(self, base_state):
-        # an absurd barycentric tolerance makes every membership test fail
+        # an absurd barycentric tolerance makes every membership test of the
+        # sampled search fail
         bad = CFG.replace(barycentric_tol=0.9, c_min=1e-3)
         with pytest.raises(DegenerateGeometryError):
-            estimate_c_sigma(base_state, [sc.Simplex((0, 3))], bad)
+            oracles.sampled_c_sigma(base_state, [sc.Simplex((0, 3))], bad)
+        # a floor above every star diameter leaves the search no candidate:
+        # the first simplex is named, with no clearance before it
+        edges = base_state.complex.by_dim(1)
+        with pytest.raises(DegenerateGeometryError, match=r"simplex \(0, 1\)$") as err:
+            estimate_c_sigma(base_state, edges, CFG.replace(c_min=10.0))
+        assert err.value.clearances == []
+
+    def test_comb_slot_needs_the_boundary_pieces(self):
+        # a fiber ball of a vertex on a slot wall leaves |K| into the slot
+        # and comes back on its other wall, outside the star; the distance to
+        # the link alone would let it, doubling c_sigma on both walls
+        state = comb_state()
+        sd = subdivision_data(state)
+        got = {}
+        for l in (0, 1):
+            simplices = state.complex.by_dim(l)
+            got[l] = estimate_c_sigma(state, simplices, CFG, sd)
+            want = oracles.sampled_c_sigma(state, simplices, CFG, sd)
+            assert [repr(c) for c in got[l]] == [repr(c) for c in want], l
+        assert len(got[0]) + len(got[1]) == 93
+        assert repr(got[0][12]) == "0.08398185154477657"
+        link_only = subdivision_data(state)
+        ids, pts, lo, hi, on = link_only.boundary
+        link_only.boundary = (ids, pts, lo, hi, np.zeros_like(on))
+        vertices = state.complex.by_dim(0)
+        link = estimate_c_sigma(state, vertices, CFG, link_only)
+        walls = [12, 13, 14, 17, 18, 19]
+        assert [i for i, (a, b) in enumerate(zip(got[0], link)) if a != b] == walls
+        assert all(link[i] == 2.0 * got[0][i] for i in walls)
+        assert estimate_c_sigma(state, state.complex.by_dim(1), CFG, link_only) == got[1]
+        # the ball of vertex 12 at the link-only passing radius reaches the far wall
+        pts, owner = fiber_ball_points(state, sd, 0, [2.0 * c for c in link],
+                                       np.random.default_rng(3))
+        out = on_complex_outside_star(sd, StarLocator(sd.index, CFG.barycentric_tol), pts, owner)
+        assert out[owner == sd.barycenter_ids[vertices[12]]].any()
+
+    @pytest.mark.parametrize("case", ["comb", "scenario_a", "scenario_b"])
+    def test_whole_fiber_ball_stays_in_the_open_star(self, case):
+        # fiber points in random directions, at the passing radius
+        # 2 c_sigma rho(t) and at random fractions of it, lie in the open star
+        # of the barycentre or off |K|: the sampled search only tried a few
+        # directions
+        grids = {"scenario_a": ((-2, -2), (2, 2), 4), "scenario_b": ((-1, -1, -1), (1, 1, 1), 2)}
+        state = comb_state() if case == "comb" else TriangulationState(
+            *sc.grid_triangulation(*grids[case]))
+        sd = subdivision_data(state)
+        locator = StarLocator(sd.index, CFG.barycentric_tol)
+        rng = np.random.default_rng(11)
+        off = 0
+        for l in range(state.ambient_dim):
+            cs = estimate_c_sigma(state, state.complex.by_dim(l), CFG, sd)
+            pts, owner = fiber_ball_points(state, sd, l, [2.0 * c for c in cs], rng)
+            assert not on_complex_outside_star(sd, locator, pts, owner).any(), l
+            off += sum(c is None for c in sd.carrier(pts, CFG.barycentric_tol))
+        assert off  # the balls of boundary simplices leave the complex
+
+
+def comb_state():
+    """A comb of unit-high cells at x = 0, 1, 2, 2.25, 3.25, 4.25 and y = 0..4
+    (vertex 5 i + j at (x_i, j)), Kuhn-split, without the cells of column 2
+    above row 0: a slot 0.25 wide between vertices 11..14 and 16..19."""
+    xs = [0.0, 1.0, 2.0, 2.25, 3.25, 4.25]
+    coords = {5 * i + j: np.array([x, float(j)]) for i, x in enumerate(xs) for j in range(5)}
+    tops = [t for i in range(5) for j in range(4) if i != 2 or j == 0
+            for c in [5 * i + j] for t in ((c, c + 5, c + 6), (c, c + 1, c + 6))]
+    cplx = sc.build_complex(30, tops)
+    return TriangulationState(cplx, sc.GeometricRealization(coords, cplx))
+
+
+def fiber_ball_points(state, sd, l, radii, rng, n=32):
+    """Fiber points of the l-simplices of state at every point t of their
+    clearance lattice, n per point: in random normal directions, half at
+    radii[i] rho(t) and half at random fractions of it; with the
+    barycentre of each point's simplex."""
+    simplices = state.complex.by_dim(l)
+    lattice = containment_lattice(l, CFG)
+    rho = bump.rho_l(lattice)
+    frac = np.concatenate([np.ones((len(lattice), n // 2)),
+                           rng.uniform(size=(len(lattice), n - n // 2))], axis=1)
+    pts = []
+    for chart, r in zip(make_charts(state, simplices), radii):
+        u = rng.normal(size=(len(lattice), n, state.ambient_dim - l))
+        u /= np.linalg.norm(u, axis=2, keepdims=True)
+        vs = (r * rho[:, None] * frac)[..., None] * u
+        pts.append(chart.frame_point(np.repeat(lattice, n, axis=0), vs.reshape(-1, u.shape[2])))
+    return np.concatenate(pts), np.repeat(sd.barycenters(simplices), len(lattice) * n)
+
+
+def on_complex_outside_star(sd, locator, pts, vertex):
+    """Whether each row of pts lies on |K| outside the open star of its
+    vertex, by location."""
+    inside = locator.contains_base_point(pts, vertex)[0]
+    out = np.zeros(len(pts), bool)
+    out[~inside] = [c is not None for c in sd.carrier(pts[~inside], locator.tol)]
+    return out
 
 
 def sampled_shift(state, s, h, eps, config, rng):
