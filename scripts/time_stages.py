@@ -8,9 +8,9 @@ temporary directory (time_resolution.time_run), under wall-clock wrappers
 installed from here; the package is not edited.  A run prints its
 verdict, records by class and wall time, then the wall time of each
 stage: the barycentric subdivision (perturb.subdivision_data); for each
-level its clearance search (estimate_c_sigma), shift sampling
-(_sample_shift, which holds the level's candidate searches) and guard
-(build_local_diffeo); the final verify (verify_triangulation) and its
+level its clearance search (estimate_c_sigma) and shift sampling
+(_sample_shift, which holds the level's candidate searches and link
+builds); the final verify (verify_triangulation) and its
 search of each simplex dimension; and the artifacts
 (cli._write_artifacts).  Then one line per search (verify._hits, which
 runs the array core verify._roots): where it ran, the dimension and
@@ -219,7 +219,6 @@ def install(probe):
     patch(perturb, "perturb_level", in_level)
     patch(perturb, "estimate_c_sigma", timed(lambda: f"level {probe.level} clearance"))
     patch(perturb, "_sample_shift", timed(lambda: f"level {probe.level} sampling"))
-    patch(perturb, "build_local_diffeo", timed(lambda: f"level {probe.level} guard"))
     patch(perturb, "verify_triangulation", in_final)
     patch(verify, "_hits", search)
     patch(verify, "_records", records)

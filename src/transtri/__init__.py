@@ -11,9 +11,8 @@ differentials.
 """
 
 from .config import PipelineConfig
-from .errors import (ConfigError, DegenerateGeometryError, DomainError,
-                     EpsilonTooLargeError, MeshError, NewtonDivergenceError,
-                     PerturbationError, SamplingFailureError)
+from .errors import (ConfigError, DegenerateGeometryError, DomainError, MeshError,
+                     NewtonDivergenceError, PerturbationError, SamplingFailureError)
 from .simplicial import (GeometricRealization, PointLocation, Simplex,
                          SimplicialComplex, barycenter, barycentric_subdivision,
                          build_complex, grid_triangulation, point_locate,
@@ -22,8 +21,7 @@ from .smoothmap import (CircleMap, Domain, LineMap, PointMap, PolyCurveMap,
                         SmoothMap, SurfacePatchMap, TorusKnotMap, map_from_params)
 from .charts import (AmbientDiffeo, TriangulationState, TubularChart,
                      dump_chain_metadata, make_chart)
-from .perturb import (LocalDiffeo, build_local_diffeo, estimate_c_sigma,
-                      make_transverse, perturb_level)
+from .perturb import LocalDiffeo, estimate_c_sigma, make_transverse, perturb_level
 from .verify import (IntersectionRecord, TransversalityReport,
                      boundary_crossing_counts, boundary_decay_check,
                      fd_jacobian_check, find_intersections,

@@ -288,7 +288,10 @@ def beta_deriv(r):
 
 @lru_cache(maxsize=1)
 def c_beta():
-    """Sampled upper bound for sup |beta'| (dense grid times 1.05).
+    """Upper bound for sup |beta'|: a dense sample's largest times 1.05,
+    8.4.  tests/test_bump.py proves sup |beta'| <= 8.03 by interval
+    arithmetic (test_c_beta_bounds_beta_deriv_by_interval_arithmetic);
+    every link's |J - I| < 1/2 rests on it (see perturb.LocalDiffeo).
 
     Only ever used through constraints of the form eps < 1/c_beta, so an
     over-estimate is safe.

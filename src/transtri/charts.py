@@ -157,10 +157,11 @@ def fiber_moves(t, w, eps, v, with_jacobian=False, wn=None):
 
 def fiber_preimages(t, w, eps, v):
     """Rows of w that the inverse fiber map moves and their preimages, per row
-    as in fiber_moves, by Newton on x + beta(|x| / (eps rho)) s = w; the |J -
-    I| < 1/2 guard makes it a contraction, so rows that do not converge raise
-    NewtonDivergenceError, with their indices as rows.  Each iteration takes
-    beta and beta' from one beta_and_deriv call."""
+    as in fiber_moves, by Newton on x + beta(|x| / (eps rho)) s = w; |J -
+    I| < 1/2 (see perturb.LocalDiffeo) makes it a contraction, so rows
+    that do not converge raise NewtonDivergenceError, with their indices as
+    rows.  Each iteration takes beta and beta' from one beta_and_deriv
+    call."""
     rows, rho, fade, _ = _fade_support(t, row_norms(w), eps)
     if not rows.size:
         return rows, w[:0]

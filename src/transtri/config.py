@@ -18,7 +18,6 @@ class PipelineConfig:
     c_min: float = 1e-8                # clearance floor before declaring degenerate geometry
     epsilon_max: float = 0.25
     mesh_scale_factor: float = 0.1     # extra epsilon cap, fraction of the shortest edge
-    max_eps_shrinks: int = 8
     # verification stage
     tol_rank: float = 1e-6             # smallest normalized singular value accepted as spanning
     curve_density: int = 64            # seeds per curve parameter unit
@@ -40,7 +39,7 @@ class PipelineConfig:
             "containment_density", "c_min", "epsilon_max", "mesh_scale_factor",
             "tol_rank", "curve_density", "surface_density", "simplex_seed_density",
             "solve_tol", "vertex_clearance", "dedupe_radius", "barycentric_tol",
-            "gn_max_iter", "max_eps_shrinks",
+            "gn_max_iter",
         ]
         for name in positive:
             if getattr(self, name) <= 0:

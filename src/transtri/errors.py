@@ -37,10 +37,6 @@ class NewtonDivergenceError(RuntimeError):
         self.link = link
 
 
-class EpsilonTooLargeError(RuntimeError):
-    """Sampled Jacobian drifted too far from the identity for the chosen epsilon."""
-
-
 class PerturbationError(RuntimeError):
     """A perturbation level aborted; carries the offending simplex."""
 

@@ -18,7 +18,8 @@ For one simplex of dimension l < m the stages are:
 3. local diffeomorphism: the fiber map
    (t, v) -> (t, v + beta(|v| / (eps rho_l(t))) * warp(t) * v_shift),
    identity outside the fiber region, with its analytic Jacobian and a
-   Newton fiber inverse;
+   Newton fiber inverse; LocalDiffeo's invariants bound |J - I| below
+   1/2 in closed form, so nothing is sampled to check it;
 4. ambient extension: conjugate by the affine chart frame, record the
    support box, and append to the chain.
 
@@ -30,10 +31,10 @@ simplex id) is a determinism convention, not a mathematical need.  Stages
 1 and 2 run over the whole level at once.  The clearance search takes
 the level's distances once, and each round compares every simplex still
 searching, each at its own c, with them.  Each sampling round draws one
-candidate per unresolved simplex, from that simplex's own rng, and
-certifies the round with one verifier search on one trial state; one
-guard call then samples every accepted link of the round, and the level
-appends the accepted trial links.
+candidate per unresolved simplex, from that simplex's own rng, builds
+the round's local diffeomorphisms in one build_local_diffeo call and
+certifies the round with one verifier search on one trial state; the
+level appends the accepted trial links.
 """
 
 import itertools
@@ -43,10 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bump
-from .charts import AmbientDiffeo, TriangulationState, _stack, fiber_moves, make_charts
+from .charts import AmbientDiffeo, TriangulationState, _stack, make_charts
 from .config import PipelineConfig
-from .errors import (DegenerateGeometryError, EpsilonTooLargeError, MeshError,
-                     PerturbationError, SamplingFailureError)
+from .errors import DegenerateGeometryError, MeshError, PerturbationError, SamplingFailureError
 from .rows import matvec, row_norms
 from .simplicial import SubdivisionData
 from .verify import (find_intersections, interior_lattice, lattice_per_dim, simplex_passes,
@@ -60,7 +60,6 @@ __all__ = [
     "subdivision_data",
     "estimate_c_sigma",
     "containment_ok",
-    "build_local_diffeo",
     "extend_to_ambient",
     "perturb_level",
     "make_transverse",
@@ -73,9 +72,16 @@ class LocalDiffeo:
     coordinates of its chart: (t, w) -> (t, w + beta(|w| / (epsilon
     rho_l(t))) s(t)), with the shift field s(t) = warp(t) * v and
     |v| < epsilon^2, so |s(t)| < epsilon^2 rho_l(t) as warp < rho_l.
-    c_sigma is the simplex's fiber clearance; retries_used and
-    shrinks_used count the candidates rejected and the epsilon halvings
-    before this one.
+    c_sigma is the simplex's fiber clearance and retries_used counts the
+    candidates rejected before this one.  shrinks_used is always 0 (no
+    link needs its epsilon halved); chain_metadata.txt prints it.
+
+    The invariants checked at construction make it a diffeomorphism.  With
+    w1 = exp(-1/rho_l) / rho_l <= exp(-1), the fiber block of J - I is rank
+    one, of norm |beta'(r)| w1 |v| / epsilon < c_beta epsilon w1 < exp(-1),
+    and for l >= 1 the t block adds less than 1e-20 (rho_l <= exp(-4)).
+    So |J - I| < 1/2, and tests/test_batched.py checks sampled Jacobians of
+    drawn links against that closed-form bound.
 
     The map itself is charts.fiber_moves (inverse fiber_preimages) with
     epsilon and v on every row: a row on the identity branch (t outside
@@ -274,27 +280,36 @@ def _draw_shift(rng, dim, eps):
 @dataclass(eq=False)
 class _Draw:
     """Shift sampling state of one simplex: its chart, scales and rng, the
-    rejections and shrinks so far, and the outcome (the accepted trial
-    link, guarded once _guard passes it, or the error that ends the
-    simplex)."""
+    rejections so far, and the outcome (the accepted trial link, or the
+    error that ends the simplex).  Its epsilon is final, as every link's
+    |J - I| is below 1/2 (see LocalDiffeo), so shrinks_used stays 0."""
 
     chart: object
     rng: object
     c_sigma: float = None
     eps: float = None
     tries: int = 0
-    shrinks: int = 0
     link: object = None
     error: Exception = None
+
+
+def build_local_diffeo(draws):
+    """The local diffeomorphisms of one sampling round, one per draw: each
+    takes its shift from the draw's own rng at the draw's epsilon, and
+    counts the draw's rejections so far.  No Jacobian is sampled:
+    LocalDiffeo's invariants bound |J - I| below 1/2."""
+    return [LocalDiffeo(d.chart, d.c_sigma, d.eps, _draw_shift(d.rng, d.chart.m - d.chart.l, d.eps),
+                        retries_used=d.tries) for d in draws]
 
 
 def _sample_shift(state, draws, h, config):
     """Draw certified shift vectors for simplices of one dimension.
 
     Runs in rounds: each round draws one candidate per unresolved simplex
-    from that simplex's own rng, extends it to a link and judges the whole
-    round with one _candidate_transverse call, so every simplex sees the
-    candidates and verdicts that drawing for it alone would give.  An
+    from that simplex's own rng (build_local_diffeo), extends it to a link
+    and judges the whole round with one _candidate_transverse call, so
+    every simplex sees the candidates and verdicts that drawing for it
+    alone would give.  An
     accepted link goes to draw.link (the retries_used of its local
     diffeomorphism counts the rejections before it);
     max_retries rejections leave a SamplingFailureError in draw.error.
@@ -303,9 +318,7 @@ def _sample_shift(state, draws, h, config):
     """
     live = list(draws)
     while live:
-        links = extend_to_ambient([LocalDiffeo(
-            d.chart, d.c_sigma, d.eps, _draw_shift(d.rng, d.chart.m - d.chart.l, d.eps),
-            retries_used=d.tries, shrinks_used=d.shrinks) for d in live])
+        links = extend_to_ambient(build_local_diffeo(live))
         verdicts = _candidate_transverse(state, links, h, config)
         still = []
         for d, link, ok in zip(live, links, verdicts):
@@ -328,40 +341,7 @@ def _sample_shift(state, draws, h, config):
 
 
 # ---------------------------------------------------------------------------
-# local diffeomorphism and ambient extension
-
-
-def _sampled_distortion(psis):
-    """Largest sampled |J - I| of each local diffeomorphism of psis, all of
-    one dimension, as an array: at fiber radii 0, 0.4 and 0.8 of the fade
-    radius, in every direction, over an interior lattice of the simplex.
-    One fiber_moves call and one stacked 2-norm cover every psi, and each
-    value has the bits of a one-psi call."""
-    l, k = psis[0].l, psis[0].v.size
-    ts = interior_lattice(l, lattice_per_dim(4, l))
-    rho = bump.rho_l(ts)
-    ts, rho = ts[rho > 0.0], rho[rho > 0.0]
-    dirs = np.asarray(_unit_directions(k))
-    eps = np.array([psi.epsilon for psi in psis])
-    rad = (np.array([0.0, 0.4, 0.8]) * eps[:, None])[:, None, :] * rho[None, :, None]
-    vs = (rad[..., None, None] * dirs).reshape(-1, k)
-    t = np.repeat(ts, 3 * len(dirs), axis=0)  # the sample rows of one psi
-    owner = np.repeat(np.arange(len(psis)), len(t))
-    v = np.array([psi.v for psi in psis])
-    _, _, J, sup = fiber_moves(np.tile(t, (len(psis), 1)), vs, eps[owner], v[owner], True)
-    norms = np.zeros(len(vs))  # J = I off the fade support
-    norms[sup] = np.linalg.norm(J - np.eye(l + k), 2, axis=(1, 2))
-    return norms.reshape(len(psis), len(t)).max(axis=1, initial=0.0)
-
-
-def build_local_diffeo(psis):
-    """Guard local diffeomorphisms of one dimension by their sampled
-    |J - I| (see _sampled_distortion), from one evaluation: whether each
-    passes, as a list of bools.  At or above 1/2 the Newton fiber inverse
-    would lose its contraction margin, so the caller must shrink epsilon
-    and resample.
-    """
-    return (~(_sampled_distortion(psis) >= 0.5)).tolist()
+# ambient extension
 
 
 def extend_to_ambient(psis):
@@ -386,30 +366,6 @@ def extend_to_ambient(psis):
 # per-level pipeline
 
 
-def _guard(draws, config):
-    """Guard the accepted candidates of draws up to the first failed one,
-    all with one build_local_diffeo call; returns the draws whose epsilon
-    the guard halved, to be sampled again, walking them in order.  Past
-    max_eps_shrinks halvings a draw keeps an EpsilonTooLargeError instead,
-    and the draws after it no longer matter."""
-    live = list(itertools.takewhile(lambda d: d.error is None, draws))
-    passed = build_local_diffeo([d.link.local for d in live]) if live else []
-    again = []
-    for d, ok in zip(live, passed):
-        if ok:
-            continue
-        if d.shrinks == config.max_eps_shrinks:
-            d.error = EpsilonTooLargeError(
-                f"epsilon still too large after {config.max_eps_shrinks} shrinks"
-                f" for simplex {d.chart.simplex.vertices}")
-            break
-        d.eps *= 0.5
-        d.shrinks += 1
-        d.tries = 0
-        again.append(d)
-    return again
-
-
 def perturb_level(state, level, h, config=None, sd_data=None):
     """Perturb every simplex of one dimension into transverse position.
 
@@ -418,10 +374,11 @@ def perturb_level(state, level, h, config=None, sd_data=None):
     are then appended in ascending simplex order for determinism.  The
     clearance search runs over the whole level at once (estimate_c_sigma),
     and so does shift sampling, each simplex drawing from its own rng (see
-    _sample_shift), and so does each guard round (_guard).  Any
-    per-simplex failure aborts the level, naming the lowest-index failing
-    simplex.  The returned state is the last round's trial state, with
-    its search, when that round held every link of the level.
+    _sample_shift), in one pass: no accepted link needs its epsilon
+    shrunk (see LocalDiffeo).  Any per-simplex failure aborts the level,
+    naming the lowest-index failing simplex.  The returned state is the
+    last round's trial state, with its search, when that round held every
+    link of the level.
     """
     config = config or PipelineConfig()
     m = state.ambient_dim
@@ -443,10 +400,7 @@ def perturb_level(state, level, h, config=None, sd_data=None):
              for idx, (chart, c) in enumerate(zip(charts, c_sigmas))]
     if error is not None:
         draws.append(_Draw(charts[len(draws)], None, error=error))
-    pending = [d for d in draws if d.error is None]
-    while pending:
-        _sample_shift(state, pending, h, config)
-        pending = _guard(pending, config)
+    _sample_shift(state, [d for d in draws if d.error is None], h, config)
     failed = next((d for d in draws if d.error is not None), None)
     if failed is not None:
         s = failed.chart.simplex
@@ -455,9 +409,9 @@ def perturb_level(state, level, h, config=None, sd_data=None):
     if log.isEnabledFor(logging.INFO):  # the norms are taken for the log alone
         for d in draws:
             psi = d.link.local
-            log.info("level=%d simplex=%s c_sigma=%.6g epsilon=%.6g |v|=%.6g retries=%d shrinks=%d",
+            log.info("level=%d simplex=%s c_sigma=%.6g epsilon=%.6g |v|=%.6g retries=%d",
                      level, d.chart.simplex.vertices, d.c_sigma, d.eps, float(np.linalg.norm(psi.v)),
-                     psi.retries_used, d.shrinks)
+                     psi.retries_used)
     return state.with_links([d.link for d in draws])
 
 

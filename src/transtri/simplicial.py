@@ -538,7 +538,11 @@ def _closest_distances(x, p):
     """Distance from each point x, (..., m), to the closed simplex of the
     points p, (..., k, m), broadcast over the leading axes: a point, a
     segment or a triangle (k <= 3; see Ericson, Real-Time Collision
-    Detection, 2005, section 5.1)."""
+    Detection, 2005, section 5.1).  A larger simplex, such as a
+    tetrahedron facet of a star in R^4, raises MeshError: its distance
+    is not the distance to one of its faces."""
+    if p.shape[-2] > 3:
+        raise MeshError(f"distance to a simplex of {p.shape[-2]} vertices: at most 3 are supported")
     a = p[..., 0, :]
     ap = x - a
     if p.shape[-2] == 1:

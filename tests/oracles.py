@@ -32,6 +32,10 @@ each candidate with the exact distance to the barycentre's link.
 Test-only views: one local diffeomorphism's fiber map, Jacobian and
 inverse, and a chart's frame coordinates, which the pipeline reads from
 stacked link data instead.
+
+Distortion: the sampled |J - I| of one local diffeomorphism, which the
+pipeline once checked for every link, and the closed-form bound on the
+whole fiber region that replaced that check.
 """
 
 import math
@@ -483,6 +487,43 @@ def local_jacobian(psi, t, v):
 def local_inverse_moves(psi, t, w):
     """Rows of w (N, m-l) that psi's inverse moves, and their preimages."""
     return fiber_preimages(t, w, *_per_row(psi, len(w)))
+
+
+def sampled_distortion(psi):
+    """Largest sampled |J - I| of one local diffeomorphism, through its own
+    Jacobian: at fiber radii 0, 0.4 and 0.8 of the fade radius, in every
+    direction of perturb._unit_directions, over an interior lattice of the
+    simplex."""
+    ts = interior_lattice(psi.l, lattice_per_dim(4, psi.l))
+    rho = bump.rho_l(ts)
+    ts, rho = ts[rho > 0.0], rho[rho > 0.0]
+    dirs = np.asarray(perturb._unit_directions(psi.v.size))
+    rad = (np.array([0.0, 0.4, 0.8]) * psi.epsilon)[None, :] * rho[:, None]
+    vs = (rad[:, :, None, None] * dirs).reshape(-1, dirs.shape[1])
+    J = local_jacobian(psi, np.repeat(ts, 3 * len(dirs), axis=0), vs)
+    return float(np.linalg.norm(J - np.eye(psi.m), 2, axis=(1, 2)).max(initial=0.0))
+
+
+def distortion_bound(psi):
+    """Closed-form bound on |J - I| of one local diffeomorphism over its
+    whole fiber region (r = |w| / (epsilon rho_l) <= 1).
+
+    With w1 = exp(-1/rho) / rho and w2 = w1 / rho at rho = rho_l(t):
+
+    * the fiber block is rank one, of norm |beta'(r)| w1 |v| / epsilon;
+    * for l >= 1 the t block is |v| |grad rho_l| |beta w2 - beta' r w1|,
+      and each entry of grad rho_l is rho_l / t_i^2 - rho_l / s^2 (s = 1 -
+      sum t), a difference of two terms in [0, sup rho' = 4 exp(-2)].
+
+    |beta'| <= c_beta (bump.c_beta), and w1 (on rho <= 1) and w2 (on rho
+    <= 1/2) increase, so both are taken at rho_l's largest value: 1 for a
+    vertex, exp(-(l + 1)^2) at the barycentre otherwise."""
+    l, cb = psi.l, bump.c_beta()
+    rho = math.exp(-(l + 1) ** 2) if l else 1.0
+    w1 = math.exp(-1.0 / rho) / rho
+    v = float(np.linalg.norm(psi.v))
+    fiber = cb * w1 * v / psi.epsilon
+    return fiber + v * math.sqrt(l) * 4.0 * math.exp(-2.0) * (w1 / rho + cb * w1)
 
 
 def frame_coords(chart, x):

@@ -15,10 +15,12 @@ The verifier searches all simplices of a dimension at once and shift
 sampling judges one candidate per simplex of a level at once; both must
 give every simplex what searching or sampling it alone gives, and its
 seed pairing, root dedupe and record margins, now array operations, must
-equal the per-column, pairwise and per-record loops they replaced.  The
-guard samples every link of a round at once and must give each link's
-one-link value, and a final verify that takes the last level's search
-from its trial state must give the report of a fresh state.  The
+equal the per-column, pairwise and per-record loops they replaced.  No
+link's Jacobian is sampled in the pipeline: the sampled |J - I| of the
+pipeline's links and of drawn links must stay under the closed-form
+bound that LocalDiffeo's invariants give, which lies below 1/2.  A final
+verify that takes the last level's search from its trial state must give
+the report of a fresh state.  The
 verifier deduplicates each carrier face's hits before it builds any
 record, and its report must equal, bit for bit, that of the oracle that
 builds a record for every hit and deduplicates the records.  The
@@ -45,7 +47,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -2242,7 +2244,7 @@ def ref_candidate(state, pert, h, config):
 
 
 def ref_level(state, level, h, config, sd):
-    """Each simplex's (v, retries, shrinks), or the message of the first
+    """Each simplex's (v, retries, epsilon), or the message of the first
     failure, from the one-simplex-at-a-time loop."""
     out = []
     for idx, s in enumerate(state.complex.by_dim(level)):
@@ -2254,25 +2256,16 @@ def ref_level(state, level, h, config, sd):
             return out, f"level {level} aborted at simplex {s.vertices}: {exc}"
         eps = min(c_sigma, 0.5 / bump.c_beta(), config.epsilon_max,
                   config.mesh_scale_factor * state.mesh_scale)
-        for shrink in range(config.max_eps_shrinks + 1):
-            for tries in range(config.max_retries):
-                v = _draw_shift(rng, state.ambient_dim - level, eps)
-                pert = LocalDiffeo(chart, c_sigma, eps, v, tries, shrink)
-                if ref_candidate(state, pert, h, config):
-                    break
-            else:
-                return out, (f"level {level} aborted at simplex {s.vertices}: {config.max_retries}"
-                             f" candidates rejected for simplex {s.vertices}; the deformation scale"
-                             " cannot clear the verifier thresholds (tolerances too strict for"
-                             " this geometry)")
-            if not perturb.build_local_diffeo([pert])[0]:
-                eps *= 0.5
-                continue
-            out.append((tuple(v), tries, shrink, eps))
-            break
+        for tries in range(config.max_retries):
+            v = _draw_shift(rng, state.ambient_dim - level, eps)
+            if ref_candidate(state, LocalDiffeo(chart, c_sigma, eps, v, tries), h, config):
+                break
         else:
-            return out, (f"level {level} aborted at simplex {s.vertices}: epsilon still too large"
-                         f" after {config.max_eps_shrinks} shrinks for simplex {s.vertices}")
+            return out, (f"level {level} aborted at simplex {s.vertices}: {config.max_retries}"
+                         f" candidates rejected for simplex {s.vertices}; the deformation scale"
+                         " cannot clear the verifier thresholds (tolerances too strict for"
+                         " this geometry)")
+        out.append((tuple(v), tries, eps))
     return out, None
 
 
@@ -2282,17 +2275,17 @@ def _level_start(scenario_a_run, level):
                               [lk for lk in final.links if lk.level < level])
 
 
-def _shrink_guard(times):
-    """A guard that rejects the first `times` epsilons of every other
-    simplex, by vertex-id parity, and passes everything else: one bool per
-    pert."""
-    real_guard = perturb.build_local_diffeo
+def _reject_first_edge_candidates(monkeypatch):
+    """Make shift sampling reject the first candidate of every other edge, by
+    vertex-id parity, and judge every other candidate as before."""
+    judge = perturb._candidate_transverse
 
-    def guard(perts):
-        return [ok and not (sum(p.chart.simplex.vertices) % 2 == 0 and p.shrinks_used < times)
-                for p, ok in zip(perts, real_guard(perts))]
+    def candidates(state, links, h, config):
+        return [ok and not (lk.level == 1 and sum(lk.simplex.vertices) % 2 == 0
+                            and lk.local.retries_used == 0)
+                for lk, ok in zip(links, judge(state, links, h, config))]
 
-    return guard
+    monkeypatch.setattr(perturb, "_candidate_transverse", candidates)
 
 
 def _sampled(state, level, h, config, sd):
@@ -2300,82 +2293,78 @@ def _sampled(state, level, h, config, sd):
         new = perturb_level(state, level, h, config, sd)
     except PerturbationError as exc:
         return str(exc)
-    links = new.links[len(state.links):]
-    perts = [lk.local for lk in links]
-    return [(tuple(float(c) for c in p.v), p.retries_used, p.shrinks_used, p.epsilon)
-            for p in perts]
+    perts = [lk.local for lk in new.links[len(state.links):]]
+    assert not any(p.shrinks_used for p in perts)
+    return [(tuple(float(c) for c in p.v), p.retries_used, p.epsilon) for p in perts]
 
 
-@pytest.mark.parametrize("case", ["level0", "level1", "rejections", "shrinks",
-                                  "shrinks_exhausted"])
-def test_level_sampling_equals_one_simplex_loop(scenario_a_run, monkeypatch, case):
+@pytest.mark.parametrize("case", ["level0", "level1", "rejections"])
+def test_level_sampling_equals_one_simplex_loop(scenario_a_run, case):
     h, config = scenario_a_run["h"], scenario_a_run["config"]
     level = 1 if case == "level1" else 0
     if case == "rejections":
         # vertices on the circle lose the candidates that move them less
         # than the clearance off it; they move by exp(-1) |v| < 1.3e-3
         config = config.replace(vertex_clearance=1e-3)
-    if case.startswith("shrinks"):
-        monkeypatch.setattr(perturb, "build_local_diffeo", _shrink_guard(2))
-    if case == "shrinks_exhausted":
-        config = config.replace(max_eps_shrinks=1)
     state = _level_start(scenario_a_run, level)
     sd = subdivision_data(state)
     want, error = ref_level(state, level, h, config, sd)
+    assert error is None
     got = _sampled(state, level, h, config, sd)
-    if error is not None:
-        assert got == error
-        assert case == "shrinks_exhausted"
-        return
     assert got == want
-    retries = [r for _, r, _, _ in got]
-    shrinks = [k for _, _, k, _ in got]
-    assert any(retries) == (case == "rejections")
-    assert (max(shrinks) == 2) == (case == "shrinks")
+    assert any(r for _, r, _ in got) == (case == "rejections")
 
 
-def ref_distortion(psi):
-    """Largest sampled |J - I| of one local diffeomorphism, through its own
-    jacobian, as the one-link guard computed it."""
-    ts = interior_lattice(psi.l, lattice_per_dim(4, psi.l))
-    rho = bump.rho_l(ts)
-    ts, rho = ts[rho > 0.0], rho[rho > 0.0]
-    dirs = np.asarray(_unit_directions(psi.v.size))
-    rad = (np.array([0.0, 0.4, 0.8]) * psi.epsilon)[None, :] * rho[:, None]
-    vs = (rad[:, :, None, None] * dirs).reshape(-1, dirs.shape[1])
-    J = oracles.local_jacobian(psi, np.repeat(ts, 3 * len(dirs), axis=0), vs)
-    return float(np.linalg.norm(J - np.eye(psi.m), 2, axis=(1, 2)).max(initial=0.0))
-
-
-def _inflated(psi, factor):
-    """psi with its shift scaled past the |v| < epsilon^2 invariant, which
-    keeps every admissible shift far below the guard's 1/2."""
-    out = LocalDiffeo(psi.chart, psi.c_sigma, psi.epsilon, psi.v)
-    object.__setattr__(out, "v", factor * psi.v)
-    return out
+def _distortion_checked(psi):
+    """psi's sampled |J - I|, checked against its closed-form bound, which
+    must lie below 1/2, and below 0.19 at the pipeline's epsilon <=
+    1/(2 c_beta)."""
+    got, bound = oracles.sampled_distortion(psi), oracles.distortion_bound(psi)
+    assert got <= bound < (0.19 if psi.epsilon <= 0.5 / bump.c_beta() else 0.5)
+    return got
 
 
 @pytest.mark.parametrize("chain", ["scenario_a", "tetrahedron", "inflated"])
-def test_level_guard_equals_the_one_link_guard(scenario_a_run, chain):
+def test_link_distortion_stays_under_the_closed_form_bound(scenario_a_run, chain):
+    # every link is a diffeomorphism with |J - I| < 1/2 because of
+    # LocalDiffeo's invariants, not because a sample was checked: the
+    # chain's own links and links drawn at every level stay under the
+    # bound, in R^2 (scenario A's charts) and R^3 (a tetrahedron's faces)
     links = scenario_a_run["state"].links
+    if chain == "inflated":  # the invariant |v| < epsilon^2 is enforced
+        for psi in (lk.local for lk in links):
+            u = np.eye(psi.v.size)[0]
+            with pytest.raises(ValueError, match=r"\|v\|"):
+                LocalDiffeo(psi.chart, psi.c_sigma, psi.epsilon, psi.epsilon ** 2 * u)
+            LocalDiffeo(psi.chart, psi.c_sigma, psi.epsilon,
+                        np.nextafter(psi.epsilon ** 2, 0.0) * u)
+        return
     if chain == "tetrahedron":
         links = _tetrahedron_chain("skew")[0].links
-    for level in sorted({lk.level for lk in links}):
-        psis = [lk.local for lk in links if lk.level == level]
-        if chain == "inflated":  # every other link far past the guard
-            psis = [_inflated(p, 200.0 if k % 2 else 1.0) for k, p in enumerate(psis)]
-        want = [ref_distortion(p) for p in psis]
-        got = perturb._sampled_distortion(psis)
-        assert same_bits(got, want)
-        verdicts = perturb.build_local_diffeo(psis)
-        assert type(verdicts) is list and verdicts == [not w >= 0.5 for w in want]
-        for p, w in zip(psis, want):
-            assert perturb.build_local_diffeo([p]) == [not w >= 0.5]
-        if chain == "inflated" and level == 0:
-            assert 0 < verdicts.count(False) < len(verdicts)
+    levels = sorted({lk.level for lk in links})
+    assert levels == list(range(links[0].local.m))
+    worst = {level: max(_distortion_checked(lk.local) for lk in links if lk.level == level)
+             for level in levels}
+    if chain == "scenario_a":  # the pipeline's own links: 0.106 and 1.8e-27 at most
+        assert 0.0 < worst[0] < 0.19 and worst[1] < 1e-20
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def drawn(level, data):
+        chart = data.draw(st.sampled_from([lk.local.chart for lk in links if lk.level == level]))
+        eps = data.draw(st.floats(1e-4, 1.0 / bump.c_beta(), exclude_max=True))
+        u = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=chart.m - level,
+                                        max_size=chart.m - level)))
+        assume(np.linalg.norm(u) > 1e-3)
+        frac = data.draw(st.floats(1e-6, 1.0 - 1e-9))  # no subnormal products
+        v = frac * eps ** 2 * u / np.linalg.norm(u)
+        _distortion_checked(LocalDiffeo(chart, eps, eps, v))
+
+    for level in levels:
+        drawn(level)
 
 
-@pytest.mark.parametrize("case", ["seed1", "seed2", "seed3", "rejections", "shrinks"])
+@pytest.mark.parametrize("case", ["seed1", "seed2", "seed3", "rejections", "edge_rejections"])
 def test_final_verify_reuses_only_the_last_full_trial_search(grid_a, monkeypatch, case):
     # the final verify takes the last level's search from its last trial
     # state only when that round held every link of the level; its report
@@ -2385,8 +2374,8 @@ def test_final_verify_reuses_only_the_last_full_trial_search(grid_a, monkeypatch
     config = PipelineConfig(seed=int(case[-1]) if case.startswith("seed") else 1)
     if case == "rejections":
         config = config.replace(vertex_clearance=1e-3)
-    if case == "shrinks":
-        monkeypatch.setattr(perturb, "build_local_diffeo", _shrink_guard(2))
+    if case == "edge_rejections":
+        _reject_first_edge_candidates(monkeypatch)
     searched, final = [], []
     pair_seeds, verify_all = verify._pair_seeds, perturb.verify_triangulation
 
@@ -2408,10 +2397,10 @@ def test_final_verify_reuses_only_the_last_full_trial_search(grid_a, monkeypatch
     assert searched == [0, 1, 2]
     assert report_to_csv(report) == report_to_csv(fresh)
     assert report_summary(report) == report_summary(fresh)
-    # the shrinks case's last trial round held only the re-sampled edges
-    assert reused == (case != "shrinks")
+    # the edge_rejections case's last trial round held only the re-sampled edges
+    assert reused == (case != "edge_rejections")
     last = [lk.local for lk in state.links if lk.level == 1]
-    assert any(p.retries_used or p.shrinks_used for p in last) == (case == "shrinks")
+    assert any(p.retries_used for p in last) == (case == "edge_rejections")
 
 
 @pytest.mark.parametrize("cut", [0, 20, 25])

@@ -185,6 +185,34 @@ class TestBeta:
         assert all(abs(bump.beta_deriv(float(r))) <= cb for r in rs)
         assert cb >= 8.0
 
+    def test_c_beta_bounds_beta_deriv_by_interval_arithmetic(self):
+        # On 1/2 < r < 1, |beta'| = (rho'(x) rho(y) + rho(x) rho'(y)) / (rho(x) +
+        # rho(y))^2 with x = 1 - r and y = r - 1/2, and it is 0 off that band.
+        # Both x and y lie in [0, 1/2], where rho and rho'(x) = exp(-1/x) / x^2
+        # increase (rho'' = exp(-1/x) (1 - 2x) / x^4), so on a cell each factor
+        # lies between its values at the cell's ends, 0 at an end 0 (r = 1/2 or
+        # r = 1).  The 4096 cells have dyadic ends, the grid k / 8192, and
+        # mpmath.iv rounds every enclosure outward.
+        from mpmath import iv
+
+        def between(f, lo, hi):
+            return iv.mpf([f[lo].a, f[hi].b])
+
+        prec, iv.prec = iv.prec, 80
+        try:
+            grid = [iv.mpf(k) / 8192 for k in range(4097)]
+            g = [iv.mpf(0)] + [iv.exp(-1 / x) for x in grid[1:]]
+            d = [iv.mpf(0)] + [gk / x ** 2 for gk, x in zip(g[1:], grid[1:])]
+            sup = iv.mpf(0)
+            for i in range(4096):  # r in [1/2 + i / 8192, 1/2 + (i + 1) / 8192]
+                gx, dx = between(g, 4095 - i, 4096 - i), between(d, 4095 - i, 4096 - i)
+                gy, dy = between(g, i, i + 1), between(d, i, i + 1)
+                sup = max(sup, ((dx * gy + gx * dy) / (gx + gy) ** 2).b)
+        finally:
+            iv.prec = prec
+        assert 8.0 <= sup < 8.05  # |beta'(3/4)| = 8
+        assert sup < bump.c_beta() == 8.4
+
     @given(st.floats(min_value=-10, max_value=10, allow_nan=False))
     def test_range_and_antisymmetry(self, r):
         b = bump.beta(r)

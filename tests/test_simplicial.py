@@ -198,6 +198,28 @@ class TestSubdivision:
             assert sc.point_locate(cplx, real, x2, tol=1e-12) is not None
 
 
+class TestClosestDistances:
+    """Distances to the faces of a star in R^4, where a facet of the link is
+    a tetrahedron: not a point, segment or triangle."""
+
+    TET = np.vstack([np.zeros(4), np.eye(4)[:3]])
+    X = np.array([0.1, 0.1, 0.1, 0.5])  # 0.5 above an interior point of TET
+
+    def test_tetrahedron_in_r4_raises(self):
+        # its first triangle alone is sqrt(0.26) = 0.5099 away, not 0.5
+        assert sc._closest_distances(self.X, self.TET[:3]) == pytest.approx(math.sqrt(0.26))
+        with pytest.raises(MeshError, match="4 vertices"):
+            sc._closest_distances(self.X, self.TET)
+
+    def test_star_distances_in_r4_raise(self):
+        cplx = sc.build_complex(5, [(0, 1, 2, 3, 4)])
+        real = sc.GeometricRealization(dict(enumerate(np.vstack([np.zeros(4), np.eye(4)]))), cplx)
+        sd = sc.SubdivisionData(cplx, real)
+        with pytest.raises(MeshError, match="4 vertices"):
+            sd.star_distances(sd.barycenters([sc.Simplex((0,))]), self.X[None, None],
+                              np.ones((1, 1)))
+
+
 class TestPointLocate:
     def test_triangle_barycenter(self):
         cplx = sc.build_complex(3, [(0, 1, 2)])
