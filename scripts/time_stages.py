@@ -19,7 +19,8 @@ threshold in their closed simplex), the records kept of them, its
 Gauss-Newton iterations (one map evaluation each), its chain passes and
 rows (ChainOps._forward), the wall time inside those passes (chain ms)
 and its least-squares rows (the stacked Gauss-Newton solves,
-rows.lstsq_rows).  A sampling search builds a record
+rows.lstsq_rows), split into the rows solved in closed form and the rows
+that went to LAPACK (rows.dgelsd_rows).  A sampling search builds a record
 for every hit, in a verify._records call whose chain pass counts with
 the search; the final verify keeps the records of the hits that survive
 its per-face dedupe, built in one verify._records call that has a line
@@ -41,7 +42,7 @@ import time
 import numpy as np
 
 from time_resolution import cli, time_run  # puts src/ on the path first
-from transtri import charts, perturb, smoothmap, verify
+from transtri import charts, perturb, rows, smoothmap, verify
 
 
 class Probe:
@@ -50,7 +51,7 @@ class Probe:
     def __init__(self):
         self.stages = {}  # label -> wall s, in order of first call
         # [where, dim, simplices, pairs, hits, records, iterations, passes, rows, solved,
-        #  chain s]
+        #  chain s, solved by LAPACK]
         self.searches = []
         self.outside = [0, 0, 0.0]  # chain passes, rows and s outside any search
         self.runs = {}  # level -> [runs, hits s, apply s, compose s] of the forward passes
@@ -113,7 +114,7 @@ def install(probe):
     def search(plain):
         def wrapper(state, group, *args, **kwargs):
             where = "verify" if probe.final else f"level {probe.level} sampling"
-            probe.search = [where, group[0].dim, len(group), None, 0, 0, 0, 0, 0, 0, 0.0]
+            probe.search = [where, group[0].dim, len(group), None, 0, 0, 0, 0, 0, 0, 0.0, 0]
             t0 = time.perf_counter()
             try:
                 out = plain(state, group, *args, **kwargs)
@@ -134,7 +135,7 @@ def install(probe):
     def records(plain):
         def wrapper(*args, **kwargs):
             if probe.final:  # the survivors of the final verify's dedupe, on a line of their own
-                probe.search = ["verify records", "", "", "", "", 0, 0, 0, 0, 0, 0.0]
+                probe.search = ["verify records", "", "", "", "", 0, 0, 0, 0, 0, 0.0, 0]
             else:  # the records of the search just made
                 probe.search = probe.searches[-1]
             try:
@@ -175,6 +176,13 @@ def install(probe):
         def wrapper(A, b):
             if probe.search is not None:
                 probe.search[9] += len(A)
+            return plain(A, b)
+        return wrapper
+
+    def dgelsd_rows(plain):  # called by lstsq_rows only
+        def wrapper(A, b):
+            if probe.search is not None:
+                probe.search[11] += len(A)
             return plain(A, b)
         return wrapper
 
@@ -226,6 +234,7 @@ def install(probe):
     patch(verify, "_gauss_newton", gauss_newton)
     patch(smoothmap.SmoothMap, "eval_batch", eval_batch)
     patch(verify, "lstsq_rows", lstsq_rows)
+    patch(rows, "dgelsd_rows", dgelsd_rows)
     patch(charts.ChainOps, "_forward", forward)
     patch(charts._Run, "hits", in_run(1))
     patch(charts._Run, "apply", in_run(2))
@@ -244,12 +253,12 @@ def report(probe, result, wall, setup):
     lines += [f"  {label:<24}{seconds:9.4f} s" for label, seconds in probe.stages.items()]
     lines.append(f"  {'search':<20}{'dim':>4}{'simplices':>10}{'pairs':>7}{'hits':>6}"
                  f"{'records':>8}{'gn iterations':>15}{'chain passes':>14}{'rows':>7}"
-                 f"{'chain ms':>10}{'lstsq rows':>12}")
-    for (where, dim, size, pairs, hits, recs, iterations, passes, rows, solved,
-         chain) in probe.searches:
+                 f"{'chain ms':>10}{'closed rows':>13}{'lapack rows':>13}")
+    for (where, dim, size, pairs, hits, recs, iterations, passes, points, solved,
+         chain, lapack) in probe.searches:
         lines.append(f"  {where:<20}{dim:>4}{size:>10}{'kept' if pairs is None else pairs:>7}"
-                     f"{hits:>6}{recs:>8}{iterations:>15}{passes:>14}{rows:>7}"
-                     f"{chain * 1e3:>10.2f}{solved:>12}")
+                     f"{hits:>6}{recs:>8}{iterations:>15}{passes:>14}{points:>7}"
+                     f"{chain * 1e3:>10.2f}{solved - lapack:>13}{lapack:>13}")
     lines.append(f"  {'outside searches':<20}{'':>4}{'':>10}{'':>7}{'':>6}{'':>8}{'':>15}"
                  f"{probe.outside[0]:>14}{probe.outside[1]:>7}{probe.outside[2] * 1e3:>10.2f}")
     total = probe.outside[0] + sum(s[7] for s in probe.searches)

@@ -5,7 +5,7 @@ polyline.  All writers go through a temp file and an atomic rename.
 """
 
 import os
-import tempfile
+import secrets
 
 import numpy as np
 
@@ -15,11 +15,14 @@ __all__ = ["atomic_write", "write_svg", "write_obj", "write_curve_csv"]
 
 
 def atomic_write(path, text):
-    """Write text to path via temp file + rename, never leaving partials."""
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    """Write text to path via temp file + rename, never leaving partials.
+    The temp file is created as open(path, "w") creates a file, so path
+    gets mode 0o666 less the umask."""
+    d = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(d, f".tmp-{secrets.token_hex(8)}")
+    fh = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

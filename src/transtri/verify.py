@@ -158,7 +158,9 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None, first=None):
     pairs here.  The first iteration takes its rows from first, and so
     does every iteration on a vertex patch (l = 0), which has no t to
     step; the later iterations of a positive-dimensional patch make one
-    chain pass each.  The chain, the map and lstsq_rows give each row the
+    chain pass each.  The step solves the stacked least-squares problems
+    with lstsq_rows: in closed form, and with LAPACK where the problem is
+    ill-conditioned.  The chain, the map and lstsq_rows give each row the
     bits of a call on it alone, so a shared row, and a row of first, is
     the one its pair would have computed alone.
     """

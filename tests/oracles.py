@@ -2,8 +2,9 @@
 
 Location: least-squares point location for the affine kernel of
 _TopIndex, where every barycentric coordinate comes from one
-least-squares solve of the augmented vertex system [P; 1] lam = (x, 1),
-and the dense box test for the cell index _BoxCells.
+least-squares solve of the augmented vertex system [P; 1] lam = (x, 1)
+by LAPACK's dgelsd (rows.dgelsd_rows, not the closed form of
+rows.lstsq_rows), and the dense box test for the cell index _BoxCells.
 
 Bump forms: scaled_warp, beta, beta_deriv and rho_l_grad as each took
 its own exps and logs, before the forms in bump shared them.
@@ -49,7 +50,7 @@ from transtri.charts import (AmbientDiffeo, StarLocator, TubularChart, fiber_mov
                              fiber_preimages, make_charts)
 from transtri.config import PipelineConfig
 from transtri.errors import DegenerateGeometryError, MeshError
-from transtri.rows import entrywise, lstsq_rows, matvec, row_norms
+from transtri.rows import dgelsd_rows, entrywise, lstsq_rows, matvec, row_norms
 from transtri.verify import (SimplexStatus, TransversalityReport, _dedupe, _domain_period,
                             find_intersections, interior_lattice, lattice_per_dim,
                             simplex_passes)
@@ -59,11 +60,11 @@ def barycentric_rows(pts, x):
     """Barycentric coordinates of each row of x, (Q, m), with respect to the
     simplex whose vertices are the rows of pts[i], (Q, k, m), and the
     distance of x[i] from that simplex's affine hull; one stacked
-    least-squares solve for all rows."""
+    least-squares solve for all rows, by LAPACK's dgelsd."""
     q, k, _ = pts.shape
     P = pts.transpose(0, 2, 1)
-    lam = lstsq_rows(np.concatenate([P, np.ones((q, 1, k))], axis=1),
-                     np.concatenate([x, np.ones((q, 1))], axis=1))
+    lam = dgelsd_rows(np.concatenate([P, np.ones((q, 1, k))], axis=1),
+                      np.concatenate([x, np.ones((q, 1))], axis=1))
     return lam, row_norms(matvec(P, lam) - x)
 
 

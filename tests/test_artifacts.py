@@ -2,7 +2,12 @@
 verify-only of the six shipped scenarios and by `run` of scenario A at
 seed 1 is pinned to the value recorded at commit 9fba631, and of `run` of
 scenario B at seed 1, the only shipped 3-d run, to the value recorded at
-commit 90974b0.
+commit 90974b0.  The report.csv digests of both runs and of verify-only
+of A, B, B-degenerate and the tangent scenario, and the mesh.svg digests
+of A's run and of verify-only of A and the tangent scenario, were
+re-pinned when Gauss-Newton's least-squares step moved to a closed form
+(rows.lstsq_rows): roots on positive-dimensional families moved within
+their family, and last bits of the rest moved; no count or verdict did.
 
 summary.txt is hashed without its elapsed-seconds line, the only timing
 in it, as scripts/artifact_digests.py does.  A refactor that keeps the
@@ -24,20 +29,20 @@ EMPTY_CHAIN = "c8619c088fd3a5f0df214255536af3370f6907b389c77c3cf2628774b308699c"
 
 DIGESTS = {
     ("verify", "scenario_a"): {
-        "report.csv": "5b3656160565d1c949b71b928c7c61984b2eea183eb62a2be027f3730b727331",
+        "report.csv": "45e46a95d144f59823e4bd58b1ccb16e95faf3431101ff72ed84da1da08a2ba3",
         "summary.txt": "70219b53823261daedd8a53b464d4c613c9c60ce42b9e120cb8cb7eb5895df8a",
-        "mesh.svg": "643a40b5430af45ae02a6a1b7a35c722b9f36766a3b1754cb25151001d77372d",
+        "mesh.svg": "fb7e66357f91739ca24177c099893a9e8dc2a38bcef97fc29483ccc557e245d0",
         "chain_metadata.txt": EMPTY_CHAIN,
     },
     ("verify", "scenario_b"): {
-        "report.csv": "852bd12718758968c8f8dc690b36676bdcb6289d573a8b6a83d1c86c8975c0d5",
+        "report.csv": "0b70814752cb2766150619237a8fcc28af5629cb512c339275b243f1543aca9a",
         "summary.txt": "5917186896b893ce4e659576917fa029558203c5f22b4e2c8c1449ce10529a91",
         "mesh.obj": "17c5121dca2e7850b7f5dfc62ed5b401634685d5852d2fc531ceacc07d86cc35",
         "curve_samples.csv": "f7a2f4c764752f0dc392d734a4532d325e15ebcf8b6d67f8c96cf32191ad7469",
         "chain_metadata.txt": EMPTY_CHAIN,
     },
     ("verify", "scenario_b_degenerate"): {
-        "report.csv": "ede4d4c8e06eb065f16a2d59d7871350a7dd982ec00e6c0a9492a7f081572350",
+        "report.csv": "cf7aa5bddb489cd92a074a2dc4cfb2184317f0b9aaa543ae2f227ae74ad181b3",
         "summary.txt": "37bd8d63903c0da84103aa0ab066ac95ee9af159d9ba85db747fd0be65b84112",
         "mesh.obj": "17c5121dca2e7850b7f5dfc62ed5b401634685d5852d2fc531ceacc07d86cc35",
         "curve_samples.csv": "90b1bd9917af46c28448682649ebb0fac2ba322853649bb1aed7bad70611f05f",
@@ -56,19 +61,19 @@ DIGESTS = {
         "chain_metadata.txt": EMPTY_CHAIN,
     },
     ("verify", "scenario_tangent"): {
-        "report.csv": "fc7b060e42a4aeac20a0816b118a1fdeb429261238a09d93fb3723218335f8bf",
+        "report.csv": "eb057605bc7ad5d1b5ea6d5da2e7c62de4c26a21d4d4f6262a413f1343671667",
         "summary.txt": "4730bd076264f10c01caa0f45fcea8404c7f750979aebb081a3868f18251f79c",
-        "mesh.svg": "da281dabd7c94545dbb864aa0608599cb885acb3361b9dd4ac6a8beecff55180",
+        "mesh.svg": "4daa01057efa91cc952829c0eb293bfaf14499981fef954edb73e22243802949",
         "chain_metadata.txt": EMPTY_CHAIN,
     },
     ("run", "scenario_a"): {
-        "report.csv": "41043c15898e0a5cec99cd56019f5310bda22b47034a6e061c36e6bef368d1d0",
+        "report.csv": "d46f3781ad5978d18ef707a11c715c2d7e2720bf1589f06b3c916dfefae30eb1",
         "summary.txt": "f589122b48d23c9cd2cbab3b32e858b76ff8ab3324f4a371c0b984d64af6b289",
-        "mesh.svg": "92a27b64f4bbdd7bf6723f862c660d8eb82597e35a7fb8dff7b63a3a162c4dbf",
+        "mesh.svg": "1b5fcec6706921e09e3cc6253cbe2da133a6166436436875e383a2aedd3b922d",
         "chain_metadata.txt": "add88ba690cc842dc373afa7d12e30f62ae1612f91997faae44d810a8630362e",
     },
     ("run", "scenario_b"): {
-        "report.csv": "8b1dbc91ef03ec9a6c4c664e6025d35409e80b39eadcba152e920f1e2a1c8533",
+        "report.csv": "dc749ed95510b4ad2e02085d4a4b7357b0d1044fb5a2c88b23d96d1f43cd7112",
         "summary.txt": "322692c55b5ff3274b854fedf37c496e6e6345574cbb0641075aed573903ab6e",
         "mesh.obj": "d4545f24eadd61604364492aee4c5e95841eeca5ec8e93b4eddc3ac23afa2aca",
         "curve_samples.csv": "f7a2f4c764752f0dc392d734a4532d325e15ebcf8b6d67f8c96cf32191ad7469",

@@ -34,6 +34,11 @@ within 1e-12.  The
 fiber map takes its fade terms from one exp pass and must equal the
 per-link reference bit for bit at beta's glue radii, on both branches of
 beta', and for a vertex whose rho_0 it reads once through bump.rho_l.
+The stacked least-squares kernel must give each row the bits of a
+one-row call, np.linalg.lstsq's bits on every row it sends to LAPACK,
+and on the rows it solves in closed form agree with np.linalg.lstsq to
+within a bound of eps times the condition number, with the minimum norm
+where a row has fewer equations than unknowns.
 """
 
 import contextlib
@@ -59,7 +64,8 @@ from transtri.config import PipelineConfig
 from transtri.errors import DegenerateGeometryError, PerturbationError
 from transtri.perturb import (LocalDiffeo, _draw_shift, _unit_directions, containment_ok,
                               perturb_level, subdivision_data)
-from transtri.rows import lstsq_rows, matvec, row_norms
+from transtri.rows import (KAPPA_GRAM, KAPPA_SQUARE, dgelsd_rows, lstsq_rows, matvec,
+                           row_norms)
 from transtri.smoothmap import (CircleMap, LineMap, PointMap, PolyCurveMap, SurfacePatchMap,
                                 TorusKnotMap)
 from transtri.verify import (IntersectionRecord, Patch, _dedupe, _domain_period, _domain_seeds,
@@ -574,18 +580,180 @@ def test_map_differential_rows_equal_one_row_calls(family):
 # stacked least squares
 
 
+# the shapes of Gauss-Newton's rows: m = 2 or 3 map coordinates against
+# n + l = 1 .. 4 unknowns
+LSTSQ_SHAPES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (3, 4)]
+EPS = np.finfo(float).eps
+
+
+def _rank_deficient(A):
+    """A with the last row (at most as many rows as columns) or the last
+    column twice the first, or zero where min(M, K) = 1, so that A has rank
+    below min(M, K) exactly."""
+    A = A.copy()
+    if min(A.shape[1:]) == 1:
+        A[:] = 0.0
+    elif A.shape[1] <= A.shape[2]:
+        A[:, -1, :] = 2.0 * A[:, 0, :]
+    else:
+        A[:, :, -1] = 2.0 * A[:, :, 0]
+    return A
+
+
+def _conditioned(rng, shape, decades, scale):
+    """A stack of len(decades) matrices of the given shape with orthogonal
+    singular vectors and singular values scale * 10^(-decades * j / (g - 1)),
+    j = 0 .. g - 1, g = min(shape)."""
+    M, K = shape
+    g = min(M, K)
+    N = len(decades)
+    U = np.linalg.qr(rng.normal(size=(N, M, M)))[0][:, :, :g]
+    V = np.linalg.qr(rng.normal(size=(N, K, K)))[0][:, :, :g]
+    s = scale[:, None] * 10.0 ** (-decades[:, None] * np.linspace(0.0, 1.0, g))
+    return (U * s[:, None, :]) @ V.transpose(0, 2, 1)
+
+
+def _kappa(A):
+    """The Frobenius condition number of the matrix lstsq_rows inverts for
+    each row of A, and the bound under which it solves in closed form."""
+    M, K = A.shape[1:]
+    if M == K:
+        return np.linalg.cond(A, "fro"), KAPPA_SQUARE
+    G = A.transpose(0, 2, 1) @ A if M > K else A @ A.transpose(0, 2, 1)
+    return np.linalg.cond(G, "fro"), KAPPA_GRAM
+
+
+def _agrees_with_lapack(A, b, x):
+    """|x - x_lapack| <= 64 eps kappa (|x_lapack| + |b| / |A|_F) in every
+    row: the error of a backward-stable solve of the matrix inverted, whose
+    right-hand side A^T b carries the residual into tall rows."""
+    want = np.array([np.linalg.lstsq(Ai, bi, rcond=None)[0] for Ai, bi in zip(A, b)])
+    scale = row_norms(want) + row_norms(b) / np.linalg.norm(A, axis=(1, 2))
+    return bool((row_norms(x - want) <= 64.0 * EPS * _kappa(A)[0] * scale).all())
+
+
+@st.composite
+def lstsq_stacks(draw, decades):
+    """(A, b): 40 rows of one of LSTSQ_SHAPES at one scale in 1e-8 .. 1e8,
+    with right-hand sides at another, and singular values spread over
+    decades(shape) decades, a (low, high) range drawn from row by row."""
+    shape = draw(st.sampled_from(LSTSQ_SHAPES))
+    scale, b_scale = (10.0 ** draw(st.floats(-8.0, 8.0)) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = _conditioned(rng, shape, rng.uniform(*decades(shape), 40), np.full(40, scale))
+    return A, b_scale * rng.normal(size=(40, shape[0]))
+
+
+def _under_the_bound(shape):
+    # kappa_F of A, or of its Gram matrix, stays under its bound: kappa_F is
+    # at most g times the ratio of the extreme singular values, squared for
+    # a Gram matrix
+    gram = 1 if shape[0] == shape[1] else 2
+    bound = KAPPA_SQUARE if gram == 1 else KAPPA_GRAM
+    return 0.0, (np.log10(bound) - np.log10(min(shape))) / gram
+
+
+def _over_the_bound(shape):
+    # kappa_F is at least ten times its bound
+    gram = 1 if shape[0] == shape[1] else 2
+    bound = KAPPA_SQUARE if gram == 1 else KAPPA_GRAM
+    return (np.log10(bound) + 1.0) / gram, 14.0
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (3, 2), (4, 3), (2, 3), (3, 4)],
                          ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("rank_deficient", [False, True], ids=["full", "deficient"])
 def test_lstsq_rows_equal_single_solves(shape, rank_deficient):
+    # every row has the bits of a one-row call, and a rank-deficient row
+    # goes to dgelsd and has np.linalg.lstsq's bits
     A = RNG.normal(size=(300,) + shape) * 10.0 ** RNG.uniform(-4.0, 4.0, size=(300, 1, 1))
     if rank_deficient:
-        A[:, :, -1] = 2.0 * A[:, :, 0]
+        A = _rank_deficient(A)
     b = RNG.normal(size=(300, shape[0]))
     x = lstsq_rows(A, b)
     assert x.shape == (300, shape[1])
-    for Ai, bi, xi in zip(A, b, x):
-        assert same_bits(xi, np.linalg.lstsq(Ai, bi, rcond=None)[0])
+    assert same_bits(x, [lstsq_rows(Ai[None], bi[None])[0] for Ai, bi in zip(A, b)])
+    if rank_deficient:
+        assert same_bits(x, [np.linalg.lstsq(Ai, bi, rcond=None)[0] for Ai, bi in zip(A, b)])
+
+
+@given(lstsq_stacks(lambda shape: (0.0, 16.0)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_lstsq_rows_are_batch_independent(stack, data):
+    # a stack mixing closed-form rows, rows over the bound, rank-deficient
+    # rows and rows with an infinite right-hand side, in any order: every
+    # row has the bits of a one-row call
+    A, b = stack
+    A[::5] = _rank_deficient(A[::5])
+    b[3::7, 0] = np.inf
+    order = np.array(data.draw(st.permutations(range(len(A)))))
+    x = lstsq_rows(A[order], b[order])
+    one = [lstsq_rows(Ai[None], bi[None])[0] for Ai, bi in zip(A, b)]
+    assert same_bits_or_nan(x, np.asarray(one)[order])
+
+
+@given(lstsq_stacks(_under_the_bound))
+@settings(max_examples=80, deadline=None)
+def test_lstsq_rows_agree_with_lapack_under_the_bound(stack):
+    # rows under the bound agree with dgelsd to a kappa-scaled bound
+    A, b = stack
+    kappa, bound = _kappa(A)
+    assert (kappa <= bound).all()
+    assert _agrees_with_lapack(A, b, lstsq_rows(A, b))
+
+
+@given(lstsq_stacks(_over_the_bound))
+@settings(max_examples=60, deadline=None)
+def test_lstsq_rows_keep_lapack_bits_off_the_closed_form(stack):
+    # rows over the bound, rank-deficient rows and rows with an infinite
+    # right-hand side have np.linalg.lstsq's bits (a 1 x 1 matrix inverted
+    # has kappa_F = 1)
+    A, b = stack
+    assume(min(A.shape[1:]) > 1)
+    assert (_kappa(A)[0] >= 10.0 * _kappa(A)[1]).all()
+    A[::3] = _rank_deficient(A[::3])
+    b[1::4, -1] = -np.inf
+    want = [np.linalg.lstsq(Ai, bi, rcond=None)[0] for Ai, bi in zip(A, b)]
+    assert same_bits_or_nan(lstsq_rows(A, b), want)
+
+
+@given(lstsq_stacks(_under_the_bound))
+@settings(max_examples=60, deadline=None)
+def test_wide_lstsq_rows_have_the_minimum_norm(stack):
+    # a wide row solves A x = b and has no component in the null space of A
+    A, b = stack
+    M, K = A.shape[1:]
+    assume(M < K)
+    kappa = _kappa(A)[0]
+    x = lstsq_rows(A, b)
+    null = np.linalg.svd(A)[2][:, M:]  # (N, K - M, K): rows span the null space
+    norm = np.linalg.norm(x, axis=1)
+    assert (row_norms((null @ x[:, :, None])[..., 0]) <= 64.0 * EPS * kappa * norm).all()
+    assert (row_norms((A @ x[:, :, None])[..., 0] - b)
+            <= 64.0 * EPS * kappa * np.linalg.norm(A, axis=(1, 2)) * norm).all()
+
+
+def test_lstsq_rows_solve_well_conditioned_rows_in_closed_form(monkeypatch):
+    # no well-conditioned row of a shape with g <= 3 reaches dgelsd, at any
+    # scale of A from 1e-150 to 1e150 (a Gram determinant of an unscaled
+    # row would underflow or overflow); a row with an infinite entry of A
+    # does, and raises as np.linalg.lstsq does
+    rng = np.random.default_rng(32)  # RNG's draws stay those of the later tests
+    reached = []
+    monkeypatch.setattr("transtri.rows.dgelsd_rows",
+                        lambda A, b: reached.append(len(A)) or dgelsd_rows(A, b))
+    for shape in LSTSQ_SHAPES:
+        A = _conditioned(rng, shape, np.zeros(50), 10.0 ** rng.uniform(-150.0, 150.0, 50))
+        b = rng.normal(size=(50, shape[0]))
+        assert _agrees_with_lapack(A, b, lstsq_rows(A, b))
+    assert reached == []
+    A = rng.normal(size=(3, 3, 2))
+    A[1, 0, 1] = np.inf
+    with pytest.raises(np.linalg.LinAlgError):
+        lstsq_rows(A, np.ones((3, 3)))
+    assert reached == [1]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(A[1], np.ones(3), rcond=None)
 
 
 def test_lstsq_rows_raises_on_nan():

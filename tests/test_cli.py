@@ -164,6 +164,19 @@ class TestCommands:
         assert not [p for p in os.listdir(out) if p.startswith(".tmp-")]
         assert "result: PASS" in (out / "summary.txt").read_text()
 
+    def test_artifacts_get_the_mode_of_a_plain_open(self, tmp_path):
+        # under umask 0o022 a plain open(path, "w") makes a file 0o644, and so
+        # must the temp-file-and-rename writer, for every artifact of a run
+        old = os.umask(0o022)
+        try:
+            code = main(["run", scen("scenario_c.cfg"), "--out", str(tmp_path / "o")])
+        finally:
+            os.umask(old)
+        assert code == 0
+        modes = {p.name: p.stat().st_mode & 0o777 for p in (tmp_path / "o").iterdir()}
+        assert set(modes) == {"report.csv", "summary.txt", "chain_metadata.txt", "mesh.svg"}
+        assert set(modes.values()) == {0o644}
+
     def test_verify_only_disjoint_passes(self, tmp_path):
         code = main(["verify-only", scen("scenario_disjoint.cfg"),
                      "--out", str(tmp_path / "o")])
