@@ -38,7 +38,8 @@ The stacked least-squares kernel must give each row the bits of a
 one-row call, np.linalg.lstsq's bits on every row it sends to LAPACK,
 and on the rows it solves in closed form agree with np.linalg.lstsq to
 within a bound of eps times the condition number, with the minimum norm
-where a row has fewer equations than unknowns.
+where a row has fewer equations than unknowns; its refined 3 x 3 solves
+must be backward stable.
 """
 
 import contextlib
@@ -700,6 +701,24 @@ def test_lstsq_rows_agree_with_lapack_under_the_bound(stack):
     kappa, bound = _kappa(A)
     assert (kappa <= bound).all()
     assert _agrees_with_lapack(A, b, lstsq_rows(A, b))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 4)], ids=["3x3", "3x4"])
+def test_refined_lstsq_rows_have_a_small_residual(shape):
+    # a 3 x 3 solve is refined once, which makes it backward stable:
+    # |A x - b| <= 16 eps |A|_F |x| for a square row, and sqrt(kappa_F)
+    # times that for a wide one, whose Gram matrix squares the condition
+    # number (an unrefined adjugate solve misses either by thousands)
+    rng = np.random.default_rng(33)
+    top = _under_the_bound(shape)[1]
+    A = _conditioned(rng, shape, rng.uniform(0.0, top, 2000),
+                     10.0 ** rng.uniform(-8.0, 8.0, 2000))
+    b = rng.normal(size=(2000, shape[0])) * 10.0 ** rng.uniform(-8.0, 8.0, (2000, 1))
+    x = lstsq_rows(A, b)
+    kappa = _kappa(A)[0]
+    amplify = 1.0 if shape[0] == shape[1] else np.sqrt(kappa)
+    assert (row_norms((A @ x[:, :, None])[..., 0] - b)
+            <= 16.0 * EPS * np.linalg.norm(A, axis=(1, 2)) * row_norms(x) * amplify).all()
 
 
 @given(lstsq_stacks(_over_the_bound))
