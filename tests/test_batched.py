@@ -649,16 +649,14 @@ def _under_the_bound(shape):
     # kappa_F of A, or of its Gram matrix, stays under its bound: kappa_F is
     # at most g times the ratio of the extreme singular values, squared for
     # a Gram matrix
-    gram = 1 if shape[0] == shape[1] else 2
-    bound = KAPPA_SQUARE if gram == 1 else KAPPA_GRAM
-    return 0.0, (np.log10(bound) - np.log10(min(shape))) / gram
+    power, bound = (1, KAPPA_SQUARE) if shape[0] == shape[1] else (2, KAPPA_GRAM)
+    return 0.0, (np.log10(bound) - np.log10(min(shape))) / power
 
 
 def _over_the_bound(shape):
     # kappa_F is at least ten times its bound
-    gram = 1 if shape[0] == shape[1] else 2
-    bound = KAPPA_SQUARE if gram == 1 else KAPPA_GRAM
-    return (np.log10(bound) + 1.0) / gram, 14.0
+    power, bound = (1, KAPPA_SQUARE) if shape[0] == shape[1] else (2, KAPPA_GRAM)
+    return (np.log10(bound) + 1.0) / power, 14.0
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 3), (3, 2), (4, 3), (2, 3), (3, 4)],
@@ -746,7 +744,7 @@ def test_wide_lstsq_rows_have_the_minimum_norm(stack):
     kappa = _kappa(A)[0]
     x = lstsq_rows(A, b)
     null = np.linalg.svd(A)[2][:, M:]  # (N, K - M, K): rows span the null space
-    norm = np.linalg.norm(x, axis=1)
+    norm = row_norms(x)
     assert (row_norms((null @ x[:, :, None])[..., 0]) <= 64.0 * EPS * kappa * norm).all()
     assert (row_norms((A @ x[:, :, None])[..., 0] - b)
             <= 64.0 * EPS * kappa * np.linalg.norm(A, axis=(1, 2)) * norm).all()
