@@ -26,13 +26,18 @@ the search; the final verify keeps the records of the hits that survive
 its per-face dedupe, built in one verify._records call that has a line
 of its own.  A search the final verify takes from the last trial state
 searches nothing and shows as kept, and its surviving hits get their
-records on that line too (scenario A at seed 1: 121 records, 14 of them
-for hits of the kept search).  The chain passes outside any search (the
-figure's) come next.  Last comes one line per chain run level: the runs
-of that level the forward passes made and the wall time of their hit
-lookups (_Run.hits), their rounds of fiber maps (_Run.apply) and their
-rank-by-rank Jacobian products (charts._compose), so that two versions
-show where a pass's time went.
+records on that line too (scenario A at seed 1: the vertices' and the
+edges' searches are kept, and 14 of its 121 records are for hits of the
+edges' search).  The chain passes outside any search (the figure's) come
+next.  Then one line per chain run level: the runs of that level the
+forward passes made and the wall time of their hit lookups (_Run.hits),
+their rounds of fiber maps (_Run.apply) and their rank-by-rank Jacobian
+products (charts._compose), so that two versions show where a pass's
+time went; only levels whose links the state evaluates have runs.  Last,
+for each level of the final state's links, the largest closed-form move
+bound and |J - I| bound of its links (AmbientDiffeo.bounds) and how many
+of them its chain evaluates and how many it skips, as below
+floating-point resolution.
 """
 
 import argparse
@@ -62,6 +67,7 @@ class Probe:
         self.final = False
         self.search = None
         self.in_gn = False
+        self.state = None  # the state the final verify judged
 
     def add(self, label, seconds):
         self.stages[label] = self.stages.get(label, 0.0) + seconds
@@ -98,7 +104,7 @@ def install(probe):
 
     def in_final(plain):
         def wrapper(*args, **kwargs):
-            probe.final = True
+            probe.final, probe.state = True, args[0]
             t0 = time.perf_counter()
             try:
                 report = plain(*args, **kwargs)
@@ -266,6 +272,13 @@ def report(probe, result, wall, setup):
     for level, (runs, hits, apply, compose) in sorted(probe.runs.items()):
         lines.append(f"  chain run level {level}: {runs} runs, hit lookup {hits * 1e3:.2f} ms,"
                      f" apply {apply * 1e3:.2f} ms, rank products {compose * 1e3:.2f} ms")
+    state = probe.state
+    for level in sorted({lk.level for lk in state.links} if state else ()):
+        links = [lk for lk in state.links if lk.level == level]
+        evaluated = sum(lk in state._evaluated for lk in links)
+        lines.append(f"  links level {level}: move bound {max(lk.bounds[0] for lk in links):.3g},"
+                     f" |J - I| bound {max(lk.bounds[1] for lk in links):.3g},"
+                     f" {evaluated} evaluated, {len(links) - evaluated} skipped")
     return "\n".join(lines)
 
 

@@ -2,7 +2,10 @@
 
 A TriangulationState tracks the current map eta from the realized complex
 into R^m: the base realization composed with an ordered chain of ambient
-diffeomorphisms, each compactly supported near one simplex.
+diffeomorphisms, each compactly supported near one simplex.  Its chain
+evaluates only the links whose closed-form bounds (AmbientDiffeo.bounds)
+put their effect above floating-point resolution; at the paper's fade
+rate those are the level-0 links.
 
 A TubularChart is the affine frame of a simplex of dimension l < m in
 *base* coordinates,
@@ -56,6 +59,11 @@ __all__ = [
     "make_charts",
     "dump_chain_metadata",
 ]
+
+
+# a link whose closed-form bounds stay within this, relative to the mesh
+# scale for its move, is below floating-point resolution (TriangulationState)
+_RESOLUTION = 2.0 ** -53
 
 
 def _normal_completion(A, m):
@@ -440,6 +448,15 @@ class AmbientDiffeo:
     def level(self):
         return self.local.chart.l
 
+    @cached_property
+    def bounds(self):
+        """Closed-form bounds on the link's move |x' - x| and on |J - I|
+        over R^m: its local diffeomorphism's move_bound, and its
+        distortion_bound times |M|_F |M^-1|_F, as J = M J_loc M^-1."""
+        psi, chart = self.local, self.chart
+        cond = float(np.linalg.norm(chart._M) * np.linalg.norm(chart._Minv))
+        return psi.move_bound(), cond * psi.distortion_bound()
+
     def box_mask(self, x):
         """Rows of x inside the closed support box."""
         return np.all((x >= self.support_lo) & (x <= self.support_hi), axis=-1)
@@ -469,10 +486,19 @@ class TriangulationState:
     """Base realization plus an ordered chain of ambient diffeomorphisms.
 
     Its complex, realization and links never change: appending links
-    returns a new state.  It memoizes its last with_links child and the
-    last search find_intersections made on it; neither memo ever changes a
-    result.  Its ChainOps is built on first use.  Reads are safe to share
-    across threads (a race on a memo at worst repeats a computation).
+    returns a new state.  Its map eta runs only the evaluated links: a link
+    is skipped when its closed-form bounds (AmbientDiffeo.bounds) put its
+    move at most 2^-53 mesh_scale and its |J - I| at most 2^-53, which at
+    the paper's fade rate is every link above level 0 (each moves a point
+    by less than 3e-26).  Every link is still built, sampled and recorded.
+    Its ChainOps, over the evaluated links, is built on first use.
+
+    It memoizes its last with_links child and, per simplex dimension, the
+    last search find_intersections made on it; no memo ever changes a
+    result.  A child whose new links are all skipped evaluates exactly as
+    its parent: it shares the parent's ChainOps and starts with the
+    parent's kept searches.  Reads are safe to share across threads (a race
+    on a memo at worst repeats a computation).
     """
 
     def __init__(self, cplx, realization, links=(), mesh_scale=None):
@@ -482,11 +508,20 @@ class TriangulationState:
         self.ambient_dim = realization.ambient_dim
         self.mesh_scale = realization.min_edge_length(cplx) if mesh_scale is None else mesh_scale
         self._child = None
-        self._search = None
+        self._searches = {}  # simplex dimension -> (simplices, h, config, search)
+
+    def _evaluates(self, link):
+        """Whether a link's effect reaches floating-point resolution."""
+        move, distortion = link.bounds
+        return move > _RESOLUTION * self.mesh_scale or distortion > _RESOLUTION
+
+    @cached_property
+    def _evaluated(self):
+        return tuple(filter(self._evaluates, self.links))
 
     @cached_property
     def _ops(self):
-        return ChainOps(self.links)
+        return ChainOps(self._evaluated)
 
     def with_links(self, links):
         """This state with links appended, the last such state again when
@@ -496,6 +531,10 @@ class TriangulationState:
         if child is None or child.links[len(self.links):] != links:
             self._child = child = TriangulationState(self.complex, self.realization,
                                                      self.links + links, self.mesh_scale)
+            new = tuple(filter(self._evaluates, links))
+            child._evaluated = self._evaluated + new
+            if not new:
+                child._ops, child._searches = self._ops, dict(self._searches)
         return child
 
     def eval_eta(self, p):
@@ -508,7 +547,7 @@ class TriangulationState:
 
     def eval_eta_inverse(self, x):
         """Preimage of ambient points (rows) under the current eta, oldest
-        links unwound first, each by its fiber Newton."""
+        evaluated links unwound first, each by its fiber Newton."""
         return self._ops.invert(x)
 
     def bbox(self):

@@ -39,6 +39,7 @@ level appends the accepted trial links.
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,9 @@ class LocalDiffeo:
     w1 = exp(-1/rho_l) / rho_l <= exp(-1), the fiber block of J - I is rank
     one, of norm |beta'(r)| w1 |v| / epsilon < c_beta epsilon w1 < exp(-1),
     and for l >= 1 the t block adds less than 1e-20 (rho_l <= exp(-4)).
-    So |J - I| < 1/2, and tests/test_batched.py checks sampled Jacobians of
-    drawn links against that closed-form bound.
+    So |J - I| < 1/2 (distortion_bound), and tests/test_batched.py checks
+    sampled Jacobians and moves of drawn links against distortion_bound
+    and move_bound.
 
     The map itself is charts.fiber_moves (inverse fiber_preimages) with
     epsilon and v on every row: a row on the identity branch (t outside
@@ -118,6 +120,38 @@ class LocalDiffeo:
         """s(t) = warp(t) * v, the normal displacement of the zero section,
         over the rows of t."""
         return np.asarray(bump.scaled_warp(bump.rho_l(t), 0))[..., None] * self.v
+
+    @property
+    def rho_max(self):
+        """rho_l's largest value: 1 for a vertex, exp(-(l + 1)^2) at the
+        barycentre otherwise."""
+        return math.exp(-(self.l + 1) ** 2) if self.l else 1.0
+
+    def move_bound(self):
+        """Closed-form bound on |psi(t, w) - (t, w)| over the whole fiber
+        region: beta <= 1 and warp = exp(-1/rho_l) increases with rho_l, so
+        |beta(r) s(t)| <= exp(-1/rho_max) |v|.  The chart's normal basis is
+        orthonormal, so it bounds the link's move in R^m too."""
+        return math.exp(-1.0 / self.rho_max) * float(np.linalg.norm(self.v))
+
+    def distortion_bound(self):
+        """Closed-form bound on |J - I| over the whole fiber region (r = |w|
+        / (epsilon rho_l) <= 1).
+
+        With w1 = exp(-1/rho) / rho and w2 = w1 / rho at rho = rho_l(t):
+
+        * the fiber block is rank one, of norm |beta'(r)| w1 |v| / epsilon;
+        * for l >= 1 the t block is |v| |grad rho_l| |beta w2 - beta' r w1|,
+          and each entry of grad rho_l is rho_l / t_i^2 - rho_l / s^2 (s = 1
+          - sum t), a difference of two terms in [0, sup rho' = 4 exp(-2)].
+
+        |beta'| <= c_beta (bump.c_beta), and w1 (on rho <= 1) and w2 (on rho
+        <= 1/2) increase, so both are taken at rho_max."""
+        l, cb, rho = self.l, bump.c_beta(), self.rho_max
+        w1 = math.exp(-1.0 / rho) / rho
+        v = float(np.linalg.norm(self.v))
+        fiber = cb * w1 * v / self.epsilon
+        return fiber + v * math.sqrt(l) * 4.0 * math.exp(-2.0) * (w1 / rho + cb * w1)
 
 
 # ---------------------------------------------------------------------------

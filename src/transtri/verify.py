@@ -460,15 +460,17 @@ def find_intersections(state, simplices, h, config=None):
     (see _hits), and min_residual the best approach found (used for vertex
     distance diagnostics).  One _records call builds every record.
 
-    The state keeps the search in place of any it kept before (shift
-    sampling searches each round's trial state, and the final verify takes
-    the last one); a call with the same simplices, in the same order, and
-    the same h and config objects takes it without searching again.
+    The state keeps the search in place of any it kept before for the
+    same dimension (shift sampling searches each round's trial state, a
+    trial state that evaluates as its parent starts with the parent's kept
+    searches, and the final verify takes every one); a call with the same
+    simplices, in the same order, and the same h and config objects takes
+    it without searching again.
     """
     config = config or PipelineConfig()
     group = tuple(simplices)
     owner, hits, min_resid = _hits(state, group, h, config)
-    state._search = (group, h, config, (owner, hits, min_resid))
+    state._searches[group[0].dim] = (group, h, config, (owner, hits, min_resid))
     built = _records(state, h, [block for _, *block in hits], config)
     out = [([], r) for r in min_resid]
     for i, rec in sorted((i, rec) for (rows, *_), recs in zip(hits, built)
@@ -489,7 +491,7 @@ def _hits(state, group, h, config):
     closed owner simplex; its carrier face drops the vertices whose
     barycentric coordinates are at most barycentric_tol.
     """
-    kept = state._search
+    kept = state._searches.get(group[0].dim)
     if kept is not None and kept[0] == group and kept[1] is h and kept[2] is config:
         return kept[3]
     l, n, m = group[0].dim, h.domain.dim, state.ambient_dim
@@ -593,7 +595,10 @@ def verify_triangulation(state, h, config=None):
     """Transversality verdict for every simplex of the complex.
 
     The simplices of each dimension are searched together, or taken from
-    the search the state kept (see _hits).  The hits on the faces of one
+    the search the state kept for that dimension (see _hits): after a
+    pipeline run whose links above level 0 are below floating-point
+    resolution (see charts.TriangulationState), every level's search, so
+    only the top simplices are searched.  The hits on the faces of one
     dimension, from the searches of that dimension and up, are
     deduplicated in one _dedupe call, each face a group holding its hits
     in the order they were found.  One _records call builds the record of

@@ -490,41 +490,34 @@ def local_inverse_moves(psi, t, w):
     return fiber_preimages(t, w, *_per_row(psi, len(w)))
 
 
-def sampled_distortion(psi):
-    """Largest sampled |J - I| of one local diffeomorphism, through its own
-    Jacobian: at fiber radii 0, 0.4 and 0.8 of the fade radius, in every
-    direction of perturb._unit_directions, over an interior lattice of the
-    simplex."""
+def _fiber_samples(psi):
+    """Frame rows (t, w) of one local diffeomorphism at fiber radii 0, 0.4
+    and 0.8 of the fade radius, in every direction of
+    perturb._unit_directions, over an interior lattice of the simplex."""
     ts = interior_lattice(psi.l, lattice_per_dim(4, psi.l))
     rho = bump.rho_l(ts)
     ts, rho = ts[rho > 0.0], rho[rho > 0.0]
     dirs = np.asarray(perturb._unit_directions(psi.v.size))
     rad = (np.array([0.0, 0.4, 0.8]) * psi.epsilon)[None, :] * rho[:, None]
     vs = (rad[:, :, None, None] * dirs).reshape(-1, dirs.shape[1])
-    J = local_jacobian(psi, np.repeat(ts, 3 * len(dirs), axis=0), vs)
+    return np.repeat(ts, 3 * len(dirs), axis=0), vs
+
+
+def sampled_distortion(psi):
+    """Largest sampled |J - I| of one local diffeomorphism, through its own
+    Jacobian, at the rows of _fiber_samples."""
+    J = local_jacobian(psi, *_fiber_samples(psi))
     return float(np.linalg.norm(J - np.eye(psi.m), 2, axis=(1, 2)).max(initial=0.0))
 
 
-def distortion_bound(psi):
-    """Closed-form bound on |J - I| of one local diffeomorphism over its
-    whole fiber region (r = |w| / (epsilon rho_l) <= 1).
-
-    With w1 = exp(-1/rho) / rho and w2 = w1 / rho at rho = rho_l(t):
-
-    * the fiber block is rank one, of norm |beta'(r)| w1 |v| / epsilon;
-    * for l >= 1 the t block is |v| |grad rho_l| |beta w2 - beta' r w1|,
-      and each entry of grad rho_l is rho_l / t_i^2 - rho_l / s^2 (s = 1 -
-      sum t), a difference of two terms in [0, sup rho' = 4 exp(-2)].
-
-    |beta'| <= c_beta (bump.c_beta), and w1 (on rho <= 1) and w2 (on rho
-    <= 1/2) increase, so both are taken at rho_l's largest value: 1 for a
-    vertex, exp(-(l + 1)^2) at the barycentre otherwise."""
-    l, cb = psi.l, bump.c_beta()
-    rho = math.exp(-(l + 1) ** 2) if l else 1.0
-    w1 = math.exp(-1.0 / rho) / rho
-    v = float(np.linalg.norm(psi.v))
-    fiber = cb * w1 * v / psi.epsilon
-    return fiber + v * math.sqrt(l) * 4.0 * math.exp(-2.0) * (w1 / rho + cb * w1)
+def sampled_move(psi):
+    """Largest sampled |psi(t, w) - (t, w)| of one local diffeomorphism, at
+    the rows of _fiber_samples, and the largest |w| among them: w + beta s
+    rounds by at most an ulp of that per entry."""
+    t, w = _fiber_samples(psi)
+    moved, w2 = local_moves(psi, t, w)[:2]
+    move = np.linalg.norm(w2 - w[moved], axis=1).max(initial=0.0)
+    return float(move), float(np.linalg.norm(w, axis=1).max(initial=0.0))
 
 
 def frame_coords(chart, x):

@@ -372,8 +372,8 @@ def _distinct_count(*cols):
 
 
 def test_vertex_patches_are_evaluated_once_per_gauss_newton(grid_a, monkeypatch):
-    # scenario A's level-0 searches and its final verify refine roots on
-    # vertex patches; each refinement takes the patch images of its seed
+    # scenario A's level-0 search, which its final verify takes, refines
+    # roots on vertex patches; each refinement takes the patch images of its seed
     # pairs from the search's seed pass, so it evaluates a vertex patch not
     # at all and any other patch, at every iteration after the first, at
     # the distinct (owner, t, y) rows of the pairs still running (counted
@@ -402,7 +402,7 @@ def test_vertex_patches_are_evaluated_once_per_gauss_newton(grid_a, monkeypatch)
     cplx, real = grid_a
     perturb.make_transverse(cplx, real, CircleMap((0.0, 0.0), 1.0), PipelineConfig(seed=1))
     vertex = [c for c in calls if c[0] == 0]
-    assert len(vertex) >= 2 and any(g is not None for c in vertex for g in c[5])
+    assert len(vertex) == 1 and any(g is not None for c in vertex for g in c[5])
     assert any(c[0] > 0 and len(c[3]) > 2 for c in calls)
     # some iteration shares rows
     assert any(c[0] > 0 and sum(c[2]) < sum(c[3][1:]) for c in calls)
@@ -477,11 +477,12 @@ def test_gauss_newton_evaluates_and_solves_each_distinct_row_once(scenario_a_run
     assert any(got[i] is not None for i in range(3 * len(iy), len(y0)))
 
 
-def test_scenario_a_run_makes_28_chain_passes(tmp_path, monkeypatch):
+def test_scenario_a_run_makes_27_chain_passes(tmp_path, monkeypatch):
     # each search makes one pass at its seed lattice, one per Gauss-Newton
-    # iteration after the first and one for its records; the figure makes
-    # one for its edges and vertices (33 passes when Gauss-Newton and the
-    # figure made their own)
+    # iteration after the first and one for its records; the final verify
+    # searches the triangles alone, and the figure makes one pass for its
+    # edges and vertices (28 passes when the final verify searched the
+    # vertices again, 33 when Gauss-Newton and the figure made their own)
     passes, forward = [], ChainOps._forward
 
     def spy(self, x, with_jacobian):
@@ -492,7 +493,7 @@ def test_scenario_a_run_makes_28_chain_passes(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(cli.load_scenario(str(SCENARIOS / "scenario_a.cfg")), seed=1,
                        out_dir=str(tmp_path)) == 0
-    assert len(passes) == 28 and passes[:-1] == [True] * 27 and passes[-1] is False
+    assert len(passes) == 27 and passes[:-1] == [True] * 26 and passes[-1] is False
 
 
 def test_gauss_newton_evaluates_its_first_iterate_without_seed_data(scenario_a_run):
@@ -837,9 +838,10 @@ def ref_box_hits(run, X):
 
 
 def ref_chain_invert(state, x):
-    """Preimage of one point: a box test per same-level run, then every
-    link in it, oldest first, re-testing its own box."""
-    for run in ref_runs(state.links):
+    """Preimage of one point under the state's chain, its evaluated links:
+    a box test per same-level run, then every link in it, oldest first,
+    re-testing its own box."""
+    for run in ref_runs(state._evaluated):
         for link, _ in ref_box_hits(run, x[None]):
             if not link.in_box(x):
                 continue
@@ -951,6 +953,17 @@ def assert_chain_equals_link_by_link(links, pts):
         assert same_bits(ops.apply(p), rx[np.all(pts == p, axis=1)][0])
 
 
+def assert_state_equals_link_by_link(state, pts):
+    """The state's chain runs its evaluated links alone, which are its
+    level-0 links at the paper's fade rate, as the link-by-link oracle
+    over them does, bit for bit."""
+    assert state._evaluated == tuple(lk for lk in state.links if lk.level == 0)
+    x, J = state.eval_eta_with_jacobian(pts)
+    rx, rJ = ref_chain_forward(state._evaluated, pts, True)
+    assert same_bits(x, rx) and same_bits(J, rJ)
+    assert same_bits(state.eval_eta(pts), rx)
+
+
 def most_box_hits_in_one_run(links, pts):
     return max(np.sum([lk.box_mask(pts) for lk in run], axis=0).max() for run in ref_runs(links))
 
@@ -962,6 +975,7 @@ def test_chain_runs_equal_link_by_link(scenario_a_run, kind):
     if kind == "near_vertex":
         pts = np.concatenate([pts, [state.realization.point(v) for v in state.complex.vertex_ids]])
     assert_chain_equals_link_by_link(state.links, pts)
+    assert_state_equals_link_by_link(state, pts)
     if kind == "near_vertex":
         # edge boxes overlap at their shared vertex, and a diagonal edge's box
         # covers its whole grid cell: a row near an interior vertex hits 6
@@ -1030,6 +1044,8 @@ def test_chain_runs_equal_link_by_link_in_space(monkeypatch, fade, shape):
         level2 = [lk for lk in state.links if lk.level == 2]
         assert (ChainOps(level2).apply(pts) != pts).any(axis=1).sum() > 20
     assert_chain_equals_link_by_link(state.links, pts)
+    if fade == "paper":  # the bounds that skip links hold for the paper's fade
+        assert_state_equals_link_by_link(state, pts)
     assert most_box_hits_in_one_run(state.links, pts) >= 2
     x = state.eval_eta(pts)
     assert (x != pts).any(axis=1).sum() > 40
@@ -1916,16 +1932,75 @@ def test_verify_only_report_equals_the_record_per_hit_oracle(name):
 
 @pytest.mark.parametrize("name, seed", [("scenario_a", 1), ("scenario_a", 2), ("scenario_b", 1)])
 def test_final_report_from_a_kept_search_equals_the_record_per_hit_oracle(name, seed):
-    # the final verify takes the last level's search from the run's last
-    # trial state; the oracle searches every dimension again
-    scenario = cli.load_scenario(str(SCENARIOS / f"{name}.cfg"))
-    cplx, real, h = cli._build_inputs(scenario)
-    config = scenario.config.replace(seed=seed)
-    state, report = perturb.make_transverse(cplx, real, h, config)
-    group, _, _, (owner, hits, min_resid) = state._search
-    assert group == cplx.by_dim(group[0].dim)
-    assert len(min_resid) == len(group)
+    # the final verify takes the search of every level from the run's last
+    # trial state, as its links above level 0 are below floating-point
+    # resolution; the oracle searches every dimension again
+    state, report, h, config = _pipeline_run(name, seed)
+    cplx = state.complex
+    assert sorted(state._searches) == list(range(cplx.dim))
+    for dim, (group, _, _, (owner, hits, min_resid)) in state._searches.items():
+        assert group == cplx.by_dim(dim)
+        assert len(min_resid) == len(group)
     assert _report_bits(report) == _report_bits(oracles.verify_triangulation(state, h, config))
+
+
+def _search_bits(search):
+    """A kept search, (owner, hits, min_residual), as comparable text,
+    every bit of a float kept."""
+    owner, hits, min_resid = search
+    return repr((owner, [[a.tolist() for a in block] for block in hits], min_resid))
+
+
+@pytest.mark.parametrize("name, seed, resolution", [("scenario_a", 1, None), ("scenario_b", 1, None),
+                                                    ("scenario_a", 1, 8)])
+def test_kept_searches_equal_a_fresh_search(monkeypatch, name, seed, resolution):
+    # the final verify searches the top simplices alone: every other
+    # dimension's search is kept from its level's last trial state, and
+    # equals, bit for bit, a search of that dimension on a fresh state with
+    # the final links
+    searched, final, pair_seeds = [], [], verify._pair_seeds
+    verify_all = perturb.verify_triangulation
+
+    def spy(h, patch, *args, **kw):
+        if final:
+            searched.append(patch.l)
+        return pair_seeds(h, patch, *args, **kw)
+
+    def final_verify(*args):
+        final.append(True)
+        return verify_all(*args)
+
+    monkeypatch.setattr(verify, "_pair_seeds", spy)
+    monkeypatch.setattr(perturb, "verify_triangulation", final_verify)
+    state, _, h, config = _pipeline_run(name, seed, resolution)
+    cplx = state.complex
+    assert searched == [cplx.dim] and sorted(state._searches) == list(range(cplx.dim))
+    fresh = TriangulationState(cplx, state.realization, state.links)
+    for dim, (group, h_kept, config_kept, search) in state._searches.items():
+        assert group == cplx.by_dim(dim) and h_kept is h and config_kept is config
+        assert _search_bits(search) == _search_bits(verify._hits(fresh, group, h, config))
+
+
+def test_child_inherits_searches_only_when_it_evaluates_as_its_parent(scenario_a_run):
+    # a child that appends links below floating-point resolution (edges)
+    # starts with its parent's kept searches, in a dict of its own; one that
+    # appends vertex links, which move points, inherits none
+    h, config = scenario_a_run["h"], scenario_a_run["config"]
+    final = scenario_a_run["state"]
+    vertices = [lk for lk in final.links if lk.level == 0]
+    edges = [lk for lk in final.links if lk.level == 1]
+    parent = TriangulationState(final.complex, final.realization, vertices[:-1])
+    find_intersections(parent, parent.complex.by_dim(0), h, config)
+    assert sorted(parent._searches) == [0]
+    child = parent.with_links(vertices[-1:])
+    assert child._searches == {} and child._ops is not parent._ops
+    kept = child.with_links(edges)
+    find_intersections(child, child.complex.by_dim(0), h, config)
+    assert kept._searches == {} and child._ops is kept._ops  # a copy made when kept was built
+    grandchild = child.with_links(edges[:-1])
+    assert grandchild._searches[0] is child._searches[0] and grandchild._searches is not child._searches
+    find_intersections(grandchild, grandchild.complex.by_dim(1), h, config)
+    assert sorted(grandchild._searches) == [0, 1] and sorted(child._searches) == [0]
 
 
 def _record_spy(monkeypatch):
@@ -1955,8 +2030,8 @@ def test_verify_builds_a_record_only_for_a_surviving_hit(monkeypatch, name, surv
 
 
 def test_final_verify_builds_each_surviving_record_once(monkeypatch):
-    # the final verify takes the last level's search, which holds no
-    # records, and builds the record of each hit that survives its dedupe
+    # the final verify takes every level's search, which holds no records,
+    # and builds the record of each hit that survives its dedupe
     scenario = cli.load_scenario(str(SCENARIOS / "scenario_a.cfg"))
     cplx, real, h = cli._build_inputs(scenario)
     built, final, searched = _record_spy(monkeypatch), [], None
@@ -1978,7 +2053,7 @@ def test_final_verify_builds_each_surviving_record_once(monkeypatch):
     monkeypatch.setattr(perturb, "verify_triangulation", final_verify)
     monkeypatch.setattr(verify, "_roots", spy)
     _, report = perturb.make_transverse(cplx, real, h, scenario.config.replace(seed=1))
-    assert searched == [0, 2]  # the edges' search is the last level's
+    assert searched == [2]  # the vertices' and the edges' searches are their levels'
     assert len(final) == len(report.records) == 121
     assert {id(r) for r in final} == {id(r) for r in report.records}
 
@@ -2503,9 +2578,13 @@ def test_level_sampling_equals_one_simplex_loop(scenario_a_run, case):
 def _distortion_checked(psi):
     """psi's sampled |J - I|, checked against its closed-form bound, which
     must lie below 1/2, and below 0.19 at the pipeline's epsilon <=
-    1/(2 c_beta)."""
-    got, bound = oracles.sampled_distortion(psi), oracles.distortion_bound(psi)
+    1/(2 c_beta); and psi's sampled move, checked against its closed-form
+    bound, with room for the rounding of the norms (a few ulps of the
+    bound) and of w + beta s (an ulp of the largest |w| sampled)."""
+    got, bound = oracles.sampled_distortion(psi), psi.distortion_bound()
     assert got <= bound < (0.19 if psi.epsilon <= 0.5 / bump.c_beta() else 0.5)
+    move, w = oracles.sampled_move(psi)
+    assert move <= psi.move_bound() * (1.0 + 2.0 ** -50) + 2.0 ** -52 * w
     return got
 
 
@@ -2514,7 +2593,8 @@ def test_link_distortion_stays_under_the_closed_form_bound(scenario_a_run, chain
     # every link is a diffeomorphism with |J - I| < 1/2 because of
     # LocalDiffeo's invariants, not because a sample was checked: the
     # chain's own links and links drawn at every level stay under the
-    # bound, in R^2 (scenario A's charts) and R^3 (a tetrahedron's faces)
+    # bound, in R^2 (scenario A's charts) and R^3 (a tetrahedron's faces),
+    # and move points by no more than their move bound
     links = scenario_a_run["state"].links
     if chain == "inflated":  # the invariant |v| < epsilon^2 is enforced
         for psi in (lk.local for lk in links):
@@ -2532,6 +2612,12 @@ def test_link_distortion_stays_under_the_closed_form_bound(scenario_a_run, chain
              for level in levels}
     if chain == "scenario_a":  # the pipeline's own links: 0.106 and 1.8e-27 at most
         assert 0.0 < worst[0] < 0.19 and worst[1] < 1e-20
+        moves = [max(oracles.sampled_move(lk.local)[0] for lk in links if lk.level == level)
+                 for level in levels]
+        assert 1e-4 < moves[0] < 2e-3 and 0.0 < moves[1] < 1e-26
+    else:  # the warp exp(-1/rho_2) underflows: a triangle link moves nothing
+        assert {oracles.sampled_move(lk.local)[0] for lk in links if lk.level == 2} == {0.0}
+        assert {lk.local.move_bound() for lk in links if lk.level == 2} == {0.0}
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -2551,9 +2637,11 @@ def test_link_distortion_stays_under_the_closed_form_bound(scenario_a_run, chain
 
 @pytest.mark.parametrize("case", ["seed1", "seed2", "seed3", "rejections", "edge_rejections"])
 def test_final_verify_reuses_only_the_last_full_trial_search(grid_a, monkeypatch, case):
-    # the final verify takes the last level's search from its last trial
-    # state only when that round held every link of the level; its report
-    # must equal that of a fresh state with the same links
+    # the final verify takes a level's search from its last trial state
+    # only when that round held every link of the level, and takes the
+    # vertices' search only when the edges' trial states evaluate as the
+    # level-0 state that kept it; its report must equal that of a fresh
+    # state with the same links
     cplx, real = grid_a
     h = CircleMap((0.0, 0.0), 1.0)
     config = PipelineConfig(seed=int(case[-1]) if case.startswith("seed") else 1)
@@ -2577,6 +2665,7 @@ def test_final_verify_reuses_only_the_last_full_trial_search(grid_a, monkeypatch
     monkeypatch.setattr(perturb, "verify_triangulation", final_verify)
     state, report = perturb.make_transverse(cplx, real, h, config)
     reused = 1 not in searched
+    assert searched == {"rejections": [0, 2], "edge_rejections": [1, 2]}.get(case, [2])
     del searched[:]
     fresh = verify_triangulation(TriangulationState(cplx, real, state.links), h, config)
     assert searched == [0, 1, 2]
@@ -2590,22 +2679,86 @@ def test_final_verify_reuses_only_the_last_full_trial_search(grid_a, monkeypatch
 
 @pytest.mark.parametrize("cut", [0, 20, 25])
 def test_child_states_evaluate_as_a_fresh_chain(scenario_a_run, cut):
-    # a child evaluates as a fresh chain does, also when its first links
-    # continue its parent's last level (cut 20: five vertex links follow)
+    # a child evaluates as a fresh state with its links does, over the
+    # same evaluated links (the vertex links), also when its first links
+    # continue its parent's last level (cut 20: five vertex links follow);
+    # a child that appends only links below floating-point resolution (cut
+    # 25: the edge links) shares its parent's chain
     final = scenario_a_run["state"]
     parent = TriangulationState(final.complex, final.realization, final.links[:cut])
     child = parent.with_links(final.links[cut:])
-    fresh = ChainOps(final.links)
-    assert child.links == final.links and len(child._ops.runs) == len(fresh.runs) == 2
-    for ours, theirs in zip(child._ops.runs, fresh.runs):
-        assert ours.links == theirs.links
+    fresh = TriangulationState(final.complex, final.realization, final.links)
+    vertex_links = tuple(lk for lk in final.links if lk.level == 0)
+    assert child.links == final.links and child._evaluated == fresh._evaluated == vertex_links
+    assert len(child._ops.runs) == len(fresh._ops.runs) == 1
+    assert child._ops.runs[0].links == fresh._ops.runs[0].links == list(vertex_links)
+    assert (child._ops is parent._ops) == (cut == 25)
     rng = np.random.default_rng(24)
     real = final.realization
     pts = np.concatenate([rng.uniform(-2.0, 2.0, size=(300, 2)),
                           [real.point(v) + rng.normal(size=2) * 1e-3 for v in real.vertex_ids]])
-    for a, b in zip(child.eval_eta_with_jacobian(pts), fresh.apply_with_jacobian(pts)):
-        assert same_bits(a, b)
-    assert same_bits(child.eval_eta(pts), fresh.apply(pts))
+    want = ChainOps(vertex_links).apply_with_jacobian(pts)
+    for a, b, c in zip(child.eval_eta_with_jacobian(pts), fresh.eval_eta_with_jacobian(pts), want):
+        assert same_bits(a, b) and same_bits(a, c)
+    assert same_bits(child.eval_eta(pts), want[0])
+
+
+def _pipeline_run(name, seed=1, resolution=None):
+    """The final state, report, map and config of `run` of a shipped
+    scenario, at a seed and, on request, another mesh resolution."""
+    scenario = cli.load_scenario(str(SCENARIOS / f"{name}.cfg"))
+    if resolution is not None:
+        scenario.mesh_spec["resolution"] = resolution
+    cplx, real, h = cli._build_inputs(scenario)
+    config = scenario.config.replace(seed=seed)
+    state, report = perturb.make_transverse(cplx, real, h, config)
+    return state, report, h, config
+
+
+@pytest.mark.parametrize("name", ["scenario_a", "scenario_b"])
+def test_state_chain_skips_only_the_links_below_resolution(name):
+    # at the paper's fade rate a link above level 0 moves a point by less
+    # than 3e-26 and changes |J - I| by about 1e-22 (B's level 2: 0.0), so
+    # the state's chain skips exactly those links.  At random rows, rows
+    # near vertices and rows on every face below the top, it differs from
+    # the chain of every link by at most their summed move bound plus 4 ulps
+    # of the mesh's largest coordinate (the frame round trips b + A t + N w
+    # that the skipped links make); its Jacobians by at most |J| times the
+    # |J - I| bounds of the skipped links whose box holds the row, each
+    # plus |P - I| (the cached P = M I M^-1 that such a link takes off its
+    # fade support rounds away from I), plus a rounding of the products
+    state = _pipeline_run(name)[0]
+    links, m, real = state.links, state.ambient_dim, state.realization
+    res = 2.0 ** -53
+    skipped = [lk for lk in links if lk.level]
+    assert state._evaluated == tuple(lk for lk in links if lk.level == 0)
+    assert all(lk.bounds[0] > res * state.mesh_scale for lk in state._evaluated)
+    assert all(lk.bounds[0] <= res * state.mesh_scale and lk.bounds[1] <= res for lk in skipped)
+    assert max(lk.bounds[0] for lk in skipped) < 3e-26
+    if m == 3:
+        assert {lk.bounds for lk in skipped if lk.level == 2} == {(0.0, 0.0)}
+    rng = np.random.default_rng(34)
+    lo, hi = real.bbox()
+    verts = np.array([real.point(v) for v in state.complex.vertex_ids])
+    pts = [rng.uniform(lo, hi, size=(500, m)),
+           verts[rng.integers(len(verts), size=500)] + 1e-3 * rng.normal(size=(500, m))]
+    for l in range(1, m):
+        faces = real.points(np.array([s.vertices for s in state.complex.by_dim(l)]))
+        own = rng.integers(len(faces), size=500)
+        pts.append(np.einsum("ik,ikj->ij", rng.dirichlet(np.ones(l + 1), size=500), faces[own]))
+    pts = np.concatenate(pts)
+    full = ChainOps(links)
+    x, J = state.eval_eta_with_jacobian(pts)
+    fx, fJ = full.apply_with_jacobian(pts)
+    assert same_bits(state.eval_eta(pts), x)
+    ulp = np.spacing(np.abs(np.array([lo, hi])).max())
+    assert np.abs(x - fx).max() <= sum(lk.bounds[0] for lk in skipped) + 4.0 * ulp
+    assert (x != fx).any()  # the round trips move last bits of some rows on edges
+    eye = np.eye(m)
+    off = {id(lk): np.linalg.norm(P - eye) for run in full.runs for lk, P in zip(run.links, run.P)}
+    room = sum(lk.box_mask(pts) * (lk.bounds[1] + off[id(lk)]) for lk in skipped) + 2.0 ** -50
+    assert (np.linalg.norm(J - fJ, axis=(1, 2)) <= room * np.linalg.norm(fJ, axis=(1, 2))).all()
+    assert (J != fJ).any()
 
 
 def _found_bits(found):
@@ -2644,8 +2797,13 @@ def test_searches_are_reused_only_for_identical_inputs(scenario_a_run, monkeypat
         del searched[:]
         find_intersections(*other)
         assert len(searched) == 1
-    # a new search replaces the kept one
+    # a search of another dimension is kept beside it, and one of the same
+    # dimension replaces it
     find_intersections(state, start.complex.by_dim(0), h, config)
+    del searched[:]
+    find_intersections(state, edges, h, config)
+    assert searched == [] and sorted(state._searches) == [0, 1]
+    find_intersections(state, edges[:5], h, config)
     del searched[:]
     find_intersections(state, edges, h, config)
     assert len(searched) == 1
