@@ -16,7 +16,6 @@ class PipelineConfig:
     max_retries: int = 64              # regular-value candidates per simplex
     containment_density: int = 12      # per-dim lattice steps of the clearance search
     c_min: float = 1e-8                # clearance floor before declaring degenerate geometry
-    epsilon_max: float = 0.25
     mesh_scale_factor: float = 0.1     # extra epsilon cap, fraction of the shortest edge
     # verification stage
     tol_rank: float = 1e-6             # smallest normalized singular value accepted as spanning
@@ -36,7 +35,7 @@ class PipelineConfig:
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
         positive = [
-            "containment_density", "c_min", "epsilon_max", "mesh_scale_factor",
+            "containment_density", "c_min", "mesh_scale_factor",
             "tol_rank", "curve_density", "surface_density", "simplex_seed_density",
             "solve_tol", "vertex_clearance", "dedupe_radius", "barycentric_tol",
             "gn_max_iter",

@@ -429,8 +429,7 @@ def perturb_level(state, level, h, config=None, sd_data=None):
     except DegenerateGeometryError as exc:
         c_sigmas, error = exc.clearances, exc  # the simplices after this one no longer matter
     draws = [_Draw(chart, np.random.default_rng([config.seed, level, idx]), c_sigma=c,
-                   eps=min(c, 0.5 / bump.c_beta(), config.epsilon_max,
-                           config.mesh_scale_factor * state.mesh_scale))
+                   eps=min(c, 0.5 / bump.c_beta(), config.mesh_scale_factor * state.mesh_scale))
              for idx, (chart, c) in enumerate(zip(charts, c_sigmas))]
     if error is not None:
         draws.append(_Draw(charts[len(draws)], None, error=error))

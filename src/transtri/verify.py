@@ -139,37 +139,26 @@ def _domain_seeds(h, config):
     return h.sample_domain(config.surface_density)
 
 
-def _gauss_newton(h, patch, y0, t0, config, scale, owner=None, first=None):
+def _gauss_newton(h, patch, y0, t0, config, scale, owner=None):
     """Refine seed pairs toward h(y) = f(t).
 
     Refines the P pairs of (P, n) and (P, l) rows at once (a 1-D pair is
     one row) and returns (ok, Y, T, R): per pair whether it converged in
     the map's domain, and its best (y, t) and residual.  Pair i
     lies on the patch of owner[i] (owner 0 when no owner is given).  Every
-    iteration finds the distinct (owner, t, y) rows of the pairs still
-    running (_distinct_rows, over the owners and one array holding t and y
-    side by side), evaluates h and the patch once at each, and
-    solves one stacked least-squares problem over the distinct rows of the
-    pairs still stepping; the results are scattered back, and each pair
-    keeps its own best point, stall counter, divergence test and domain
-    test, so every result equals that of a one-pair call.  first holds the
-    patch's (f, df) rows at t0, as the seed pass of _roots gives them;
-    without it the patch is evaluated at every distinct (owner, t) of the
-    pairs here.  The first iteration takes its rows from first, and so
-    does every iteration on a vertex patch (l = 0), which has no t to
-    step; the later iterations of a positive-dimensional patch make one
-    chain pass each.  The step solves the stacked least-squares problems
-    with lstsq_rows: in closed form, and with LAPACK where the problem is
-    ill-conditioned.  The chain, the map and lstsq_rows give each row the
-    bits of a call on it alone, so a shared row, and a row of first, is
-    the one its pair would have computed alone.
+    iteration evaluates h and the patch at the pairs still running, and
+    solves one stacked least-squares problem over the pairs still
+    stepping, with lstsq_rows: in closed form, and with LAPACK where the
+    problem is ill-conditioned.  A vertex patch (l = 0) has no t to step
+    and is evaluated once per call.  Each pair keeps its own best point,
+    stall counter, divergence test and domain test, and the chain, the
+    map and lstsq_rows give each row the bits of a call on it alone, so
+    every result equals that of a one-pair call.
     """
     n = h.domain.dim
     T = np.atleast_2d(np.array(t0, float))
     P = len(T)
-    # t and y side by side: a distinct-row key is one gather of TY
-    TY = np.concatenate([T, np.array(y0, float).reshape(P, n)], axis=1)
-    T, Y = TY[:, :T.shape[1]], TY[:, T.shape[1]:]
+    Y = np.array(y0, float).reshape(P, n)
     O = np.zeros(P, int) if owner is None else np.asarray(owner, int).reshape(P)
     best_y, best_t = Y.copy(), T.copy()
     best_r = np.full(P, np.inf)
@@ -177,22 +166,14 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None, first=None):
     diverged = np.zeros(P, bool)
     live = np.arange(P)
     step_cap = 0.75  # a (y, t) step is in parameter units, whatever the mesh scale
-    if first is None:
-        u, inv = _distinct_rows(O, T)
-        F, DF = (x[inv] for x in patch.eval_jac(T[u], O[u]))
-    else:
-        F, DF = first
-    for k in range(config.gn_max_iter):
+    if not patch.l:
+        F, DF = patch.eval_jac(T, O)
+    for _ in range(config.gn_max_iter):
         if not live.size:
             break
-        u, inv = _distinct_rows(O[live], TY.take(live, axis=0))
-        u = live[u]
-        if k and patch.l:
-            f, df = patch.eval_jac(T[u], O[u])
-        else:
-            f, df = F[u], DF[u]
-        r = h.eval_batch(Y[u]) - f
-        rn = row_norms(r)[inv]
+        f, df = patch.eval_jac(T[live], O[live]) if patch.l else (F[live], DF[live])
+        r = h.eval_batch(Y[live]) - f
+        rn = row_norms(r)
         stall[live] = np.where(rn < 0.9999 * best_r[live], 0, stall[live] + 1)
         better = rn < best_r[live]
         improved = live[better]
@@ -204,16 +185,10 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None, first=None):
         if n + patch.l == 0 or not go.size:
             break
         p = live[go]
-        # the distinct rows of the pairs still stepping, and each pair's row among them
-        stepping = np.zeros(len(u), bool)
-        stepping[inv[go]] = True
-        g = np.flatnonzero(stepping)
-        back = (np.cumsum(stepping) - 1)[inv[go]]
-        step = lstsq_rows(np.concatenate([h.jacobian_raw(Y[u[g]]), -df[g]], axis=2), -r[g])
+        step = lstsq_rows(np.concatenate([h.jacobian_raw(Y[p]), -df[go]], axis=2), -r[go])
         sn = row_norms(step)
         cap = sn > step_cap
         step[cap] *= (step_cap / sn[cap])[:, None]
-        step, sn = step[back], sn[back]
         Y[p] = h.domain.wrap(Y[p] + step[:, :n])
         T[p] = T[p] + step[:, n:]
         far = np.any(np.abs(T[p]) > 10.0, axis=1)
@@ -223,44 +198,13 @@ def _gauss_newton(h, patch, y0, t0, config, scale, owner=None, first=None):
     return ok, best_y, best_t, best_r
 
 
-def _distinct_rows(*cols):
-    """The distinct rows of side-by-side columns, each an (N,) int array or
-    an (N, k) float array: (u, inv), u indexing one row of each distinct
-    row and row i being bit for bit row u[inv[i]].
-
-    Rows are compared as the int64 bit patterns of their entries, so -0.0
-    and 0.0, and NaNs of different payloads, stay apart.  One argsort of a
-    fixed linear mix of the bit patterns (wrapping uint64 arithmetic)
-    brings equal rows together; rows with different mixes differ, and
-    neighbours that tie on the mix are compared in full.  So rows that tie
-    on the mix but differ are never merged; at worst two equal rows with
-    another between them in that order are not shared.
-    """
-    K = np.concatenate([(c[:, None] if c.ndim == 1 else c).view(np.int64) for c in cols], axis=1)
-    mix = K.view(np.uint64) @ _MIX[:K.shape[1]]
-    order = mix.argsort()
-    mix = mix[order]
-    new = np.ones(len(K), bool)
-    new[1:] = mix[1:] != mix[:-1]
-    tie = (~new).nonzero()[0]
-    if tie.size:
-        new[tie] = (K.take(order[tie], axis=0) != K.take(order[tie - 1], axis=0)).any(axis=1)
-    inv = np.empty(len(K), int)
-    inv[order] = new.cumsum() - 1
-    return order[new], inv
-
-
-# odd multiples of 2^64 over the golden ratio, one per key column (1 + l + n <= 16)
-_MIX = np.arange(1, 32, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-
-
 # seed distances per block of owners in _pair_seeds, and row pairs per
 # block of _dedupe: bounds the float temporaries of either to a few hundred kB
 _BLOCK_SEEDS = 1 << 14
 _BLOCK_PAIRS = 1 << 12
 
 
-def _pair_seeds(h, patch, config, scale, t_per_dim=None, jac=False):
+def _pair_seeds(h, patch, config, scale, t_per_dim=None):
     """Seed (y, t) pairs whose images are close enough to share a root.
 
     ts stacks the simplex seed lattice once per owner, owner k holding rows
@@ -271,9 +215,8 @@ def _pair_seeds(h, patch, config, scale, t_per_dim=None, jac=False):
     dmin), dmin holding the smallest seed distance of each owner.  The
     distances are formed for a block of owners at a time, at most
     _BLOCK_SEEDS of them (or one owner's) per block, which bounds the
-    memory of a call.  The lattice is evaluated in one chain pass: with
-    jac, through patch.eval_jac, and the result gains a fifth item, the
-    (f, df) rows of ts, which seed the refinement (see _gauss_newton).
+    memory of a call.  The lattice is evaluated in one chain pass, without
+    Jacobians.
     """
     ys = _domain_seeds(h, config)
     hy = h.eval_batch(ys)
@@ -283,10 +226,7 @@ def _pair_seeds(h, patch, config, scale, t_per_dim=None, jac=False):
     T = len(lattice)
     ts = np.tile(lattice, (patch.size, 1))
     owners = np.repeat(np.arange(patch.size), T)
-    if jac:
-        ft, dft = patch.eval_jac(ts, owners)
-    else:
-        ft = patch.eval(ts, owners)
+    ft = patch.eval(ts, owners)
     gap = 0.0
     if len(hy) > 1:
         gap = float(np.linalg.norm(np.diff(hy, axis=0), axis=1).max())
@@ -305,8 +245,7 @@ def _pair_seeds(h, patch, config, scale, t_per_dim=None, jac=False):
         dist.append(d[row, col])
     iy, it, dist = (np.concatenate(x) for x in (iy, it, dist))
     keep = _nearest_per_column(it, dist, 6)
-    seeds = ys, ts, list(zip(iy[keep].tolist(), it[keep].tolist())), dmin
-    return seeds + ((ft, dft),) if jac else seeds
+    return ys, ts, list(zip(iy[keep].tolist(), it[keep].tolist())), dmin
 
 
 def _seed_distances(a, b):
@@ -350,16 +289,15 @@ def _roots(h, patch, config, scale, t_per_dim=None):
     the closed parameter simplex is dropped: it lies on the line extension
     of the patch, whose own face or neighbor owns that point.
     min_residual, one per owner, includes the coarse seed distances, so it
-    is meaningful even when no seed pair survives pruning.  One chain pass
-    evaluates the seed lattice of every owner with its Jacobian, one
-    _gauss_newton call refines the seed pairs of all owners from the rows
-    of that pass, and one _dedupe call, each owner a group, deduplicates
-    their roots.
+    is meaningful even when no seed pair survives pruning.  One value-only
+    chain pass evaluates the seed lattice of every owner, one _gauss_newton
+    call refines the seed pairs of all owners, and one _dedupe call, each
+    owner a group, deduplicates their roots.
     """
-    ys, ts, pairs, min_resid, (f, df) = _pair_seeds(h, patch, config, scale, t_per_dim, jac=True)
+    ys, ts, pairs, min_resid = _pair_seeds(h, patch, config, scale, t_per_dim)
     iy, it = np.array(pairs, int).reshape(-1, 2).T
     owner = it // (len(ts) // patch.size)
-    ok, Y, T, R = (_gauss_newton(h, patch, ys[iy], ts[it], config, scale, owner, (f[it], df[it]))
+    ok, Y, T, R = (_gauss_newton(h, patch, ys[iy], ts[it], config, scale, owner)
                    if pairs else (np.zeros(0, bool), ys[iy], ts[it], np.zeros(0)))
     # the closed parameter simplex, with a little slack
     inside = ok & np.all(T >= -1e-6, axis=1) & (T.sum(axis=1) <= 1.0 + 1e-6)

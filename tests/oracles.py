@@ -193,12 +193,10 @@ def rho_l_grad(t):
     return grad
 
 
-def gauss_newton(h, patch, y0, t0, config, scale, owner=None, trace=None):
-    """verify._gauss_newton with the patch, the map and the least-squares
-    solve evaluated at every iteration and every pair still running,
-    repeated pairs included.  A trace list gains one (owner, t, y, go) per
-    iteration: the rows of the pairs running and the positions among them
-    of the pairs that step."""
+def gauss_newton(h, patch, y0, t0, config, scale, owner=None):
+    """verify._gauss_newton with every patch, a vertex patch included,
+    evaluated at every iteration, at the pairs still running, and one
+    (y, t, residual) or None per pair."""
     n = h.domain.dim
     T = np.atleast_2d(np.array(t0, float))
     P = len(T)
@@ -224,8 +222,6 @@ def gauss_newton(h, patch, y0, t0, config, scale, owner=None, trace=None):
         lost = ~stop & (rn > 50.0 * (best_r[live] + scale))
         diverged[live[lost]] = True
         go = np.nonzero(~stop & ~lost)[0]
-        if trace is not None:
-            trace.append((O[live], T[live], Y[live], go))
         if n + patch.l == 0 or not go.size:
             break
         p = live[go]

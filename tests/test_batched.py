@@ -316,6 +316,21 @@ def test_map_rows_equal_single_points(h):
 def _gn_case(scenario_a_run, name):
     state, config = scenario_a_run["state"], scenario_a_run["config"]
     circle = scenario_a_run["h"]
+    scale = state.mesh_scale
+    if name == "repeated_edges":
+        # scenario A's edge pairs tiled three times, plus copies of every
+        # 40th pair at t = 0.0 and at t = -0.0: repeated rows, and rows
+        # that compare equal as floats but differ in their sign bits
+        patch = simplex_patch(state, state.complex.by_dim(1))
+        ys, ts, pairs, _ = _pair_seeds(circle, patch, config, scale)
+        iy, it = np.array(pairs).T
+        owner = it // (len(ts) // patch.size)
+        ends = np.arange(0, len(iy), 40)
+        y0 = np.concatenate([np.tile(ys[iy], (3, 1)), ys[iy[ends]], ys[iy[ends]]])
+        t0 = np.concatenate([np.tile(ts[it], (3, 1)), np.zeros((len(ends), 1)),
+                             np.full((len(ends), 1), -0.0)])
+        o = np.concatenate([np.tile(owner, 3), owner[ends], owner[ends]])
+        return circle, patch, y0, t0, o, config, scale
     # vertex 7 is (-1, 0), on the circle; 12 is (0, 0) and 13 is (0, 1)
     simplex = {"vertex": sc.Simplex((7,)), "edge": sc.Simplex((7, 12)),
                "triangle": sc.Simplex((7, 12, 13))}
@@ -330,12 +345,12 @@ def _gn_case(scenario_a_run, name):
     }[name]
     assert s in state.complex
     patch = simplex_patch(state, s)
-    ys, ts, pairs, _ = _pair_seeds(h, patch, config, state.mesh_scale)
+    ys, ts, pairs, _ = _pair_seeds(h, patch, config, scale)
     iy, it = np.array(pairs, int).reshape(-1, 2).T
     # plus a few unpruned seeds, some far off the simplex
     y0 = np.concatenate([ys[iy], ys[RNG.integers(len(ys), size=5)]])
     t0 = np.concatenate([ts[it], RNG.uniform(-1.0, 2.0, size=(5, s.dim))])
-    return h, patch, y0, t0, config, state.mesh_scale
+    return h, patch, y0, t0, np.zeros(len(y0), int), config, scale
 
 
 def gn_pairs(out):
@@ -347,17 +362,17 @@ def gn_pairs(out):
 
 
 @pytest.mark.parametrize("name", ["vertex", "edge", "triangle", "short_line", "point",
-                                  "poly_curve"])
+                                  "poly_curve", "repeated_edges"])
 def test_gauss_newton_pairs_equal_single_pairs(scenario_a_run, name):
-    h, patch, y0, t0, config, scale = _gn_case(scenario_a_run, name)
-    batched = gn_pairs(_gauss_newton(h, patch, y0, t0, config, scale))
-    singles = [gn_pairs(_gauss_newton(h, patch, y[None], t[None], config, scale))[0]
-               for y, t in zip(y0, t0)]
+    h, patch, y0, t0, owner, config, scale = _gn_case(scenario_a_run, name)
+    batched = gn_pairs(_gauss_newton(h, patch, y0, t0, config, scale, owner))
+    singles = [gn_pairs(_gauss_newton(h, patch, y0[i:i + 1], t0[i:i + 1], config, scale,
+                                      owner[i:i + 1]))[0] for i in range(len(y0))]
     assert len(batched) == len(singles) == len(y0)
     for b, s in zip(batched, singles):
         assert (b is None) == (s is None)
         if b is not None:
-            assert np.array_equal(b[0], s[0]) and np.array_equal(b[1], s[1]) and b[2] == s[2]
+            assert same_bits(b[0], s[0]) and same_bits(b[1], s[1]) and b[2] == s[2]
     found = [b for b in batched if b is not None]
     if name == "short_line":
         assert not found  # every refinement leaves the map's domain
@@ -365,20 +380,12 @@ def test_gauss_newton_pairs_equal_single_pairs(scenario_a_run, name):
         assert found
 
 
-def _distinct_count(*cols):
-    """How many distinct rows the side-by-side columns hold, rows compared
-    by the bytes of their entries (so -0.0 and 0.0 differ)."""
-    return len(set(zip(*([row.tobytes() for row in np.asarray(c)] for c in cols))))
-
-
 def test_vertex_patches_are_evaluated_once_per_gauss_newton(grid_a, monkeypatch):
     # scenario A's level-0 search, which its final verify takes, refines
-    # roots on vertex patches; each refinement takes the patch images of its seed
-    # pairs from the search's seed pass, so it evaluates a vertex patch not
-    # at all and any other patch, at every iteration after the first, at
-    # the distinct (owner, t, y) rows of the pairs still running (counted
-    # from the trajectory of the loop that evaluates the patch at every
-    # iteration and pair), and gives that loop's roots
+    # roots on vertex patches; each refinement evaluates a vertex patch once,
+    # at every pair, and any other patch at every iteration, at the pairs
+    # still running (the sizes of the oracle's trajectory, which evaluates
+    # every patch at every iteration), and gives the oracle's roots
     calls, gauss_newton = [], verify._gauss_newton
 
     def counted(patch, sizes):
@@ -388,101 +395,35 @@ def test_vertex_patches_are_evaluated_once_per_gauss_newton(grid_a, monkeypatch)
 
         return Patch(l=patch.l, eval=patch.eval, eval_jac=eval_jac, size=patch.size)
 
-    def spy(h, patch, y0, t0, config, scale, owner=None, first=None):
-        sizes, want_sizes, trace = [], [], []
-        got = gauss_newton(h, counted(patch, sizes), y0, t0, config, scale, owner, first)
-        want = oracles.gauss_newton(h, counted(patch, want_sizes), y0, t0, config, scale, owner,
-                                    trace)
-        distinct = [_distinct_count(o, t, y) for o, t, y, _ in trace]
-        calls.append((patch.l, first is not None, sizes, want_sizes, distinct, gn_pairs(got),
-                      want))
+    def spy(h, patch, y0, t0, config, scale, owner=None):
+        sizes, want_sizes = [], []
+        got = gauss_newton(h, counted(patch, sizes), y0, t0, config, scale, owner)
+        want = oracles.gauss_newton(h, counted(patch, want_sizes), y0, t0, config, scale, owner)
+        calls.append((patch.l, sizes, want_sizes, gn_pairs(got), want))
         return got
 
     monkeypatch.setattr(verify, "_gauss_newton", spy)
     cplx, real = grid_a
     perturb.make_transverse(cplx, real, CircleMap((0.0, 0.0), 1.0), PipelineConfig(seed=1))
     vertex = [c for c in calls if c[0] == 0]
-    assert len(vertex) == 1 and any(g is not None for c in vertex for g in c[5])
-    assert any(c[0] > 0 and len(c[3]) > 2 for c in calls)
-    # some iteration shares rows
-    assert any(c[0] > 0 and sum(c[2]) < sum(c[3][1:]) for c in calls)
-    for l, seeded, sizes, want_sizes, distinct, got, want in calls:
-        assert seeded and want_sizes[0] == len(got) and len(want_sizes) == len(distinct)
-        assert sizes == ([] if l == 0 else distinct[1:])
+    assert len(vertex) == 1 and any(g is not None for c in vertex for g in c[3])
+    assert all(len(c[2]) > 2 for c in calls)
+    for l, sizes, want_sizes, got, want in calls:
+        assert want_sizes[0] == len(got)
+        assert sizes == (want_sizes[:1] if l == 0 else want_sizes)
         assert [g is None for g in got] == [w is None for w in want]
         for g, w in zip(got, want):
             if g is not None:
                 assert same_bits(g[0], w[0]) and same_bits(g[1], w[1]) and g[2] == w[2]
 
 
-def test_gauss_newton_evaluates_and_solves_each_distinct_row_once(scenario_a_run, monkeypatch):
-    # scenario A's edge pairs tiled three times, plus copies of every 40th
-    # pair at t = 0.0 and at t = -0.0: every iteration evaluates the map and
-    # the patch at the distinct (owner, t, y) rows of the pairs running, and
-    # solves at those of the pairs stepping, as counted from the oracle's
-    # trajectory; the -0.0 and 0.0 rows are two rows; and every pair gets
-    # the bits of the oracle and of a one-pair call
-    state, h, config = (scenario_a_run[k] for k in ("state", "h", "config"))
-    scale = state.mesh_scale
-    patch = verify.simplex_patch(state, state.complex.by_dim(1))
-    ys, ts, pairs, _, (f, df) = verify._pair_seeds(h, patch, config, scale, jac=True)
-    iy, it = np.array(pairs).T
-    owner = it // (len(ts) // patch.size)
-    ends = np.arange(0, len(iy), 40)
-    edge_t = np.concatenate([np.zeros((len(ends), 1)), np.full((len(ends), 1), -0.0)])
-    y0 = np.concatenate([np.tile(ys[iy], (3, 1)), ys[iy[ends]], ys[iy[ends]]])
-    t0 = np.concatenate([np.tile(ts[it], (3, 1)), edge_t])
-    o = np.concatenate([np.tile(owner, 3), owner[ends], owner[ends]])
-    fe, dfe = patch.eval_jac(edge_t, o[3 * len(iy):])
-    first = (np.concatenate([np.tile(f[it], (3, 1)), fe]),
-             np.concatenate([np.tile(df[it], (3, 1, 1)), dfe]))
-
-    sizes = {"patch": [], "map": [], "dmap": [], "solve": []}
-
-    def counted(name, fn):
-        def wrapper(x, *rest):
-            sizes[name].append(len(x))
-            return fn(x, *rest)
-        return wrapper
-
-    spied_h = SimpleNamespace(domain=h.domain, eval_batch=counted("map", h.eval_batch),
-                              jacobian_raw=counted("dmap", h.jacobian_raw))
-    spied = Patch(l=1, eval=patch.eval, eval_jac=counted("patch", patch.eval_jac),
-                  size=patch.size)
-    monkeypatch.setattr(verify, "lstsq_rows", counted("solve", verify.lstsq_rows))
-    got = gn_pairs(verify._gauss_newton(spied_h, spied, y0, t0, config, scale, o, first))
-    monkeypatch.undo()
-    trace = []
-    want = oracles.gauss_newton(h, patch, y0, t0, config, scale, o, trace)
-    live = [_distinct_count(o, t, y) for o, t, y, _ in trace]
-    stepping = [_distinct_count(o[g], t[g], y[g]) for o, t, y, g in trace if g.size]
-    assert len(live) > 5 and sum(live) < sum(len(x[0]) for x in trace)
-    assert sizes["map"] == live and sizes["patch"] == live[1:]
-    assert sizes["dmap"] == sizes["solve"] == stepping
-    # float equality would merge the -0.0 and 0.0 copies
-    merged = len(set(zip(trace[0][0].tolist(), map(tuple, trace[0][1].tolist()),
-                         map(tuple, trace[0][2].tolist()))))
-    assert merged + _distinct_count(owner[ends], ys[iy[ends]]) == live[0] < len(y0)
-    singles = list(range(0, 3 * len(iy), 97)) + list(range(3 * len(iy), len(y0)))
-    for i, (g, w) in enumerate(zip(got, want)):
-        assert (g is None) == (w is None)
-        if i in singles:
-            one = gn_pairs(verify._gauss_newton(h, patch, y0[i:i + 1], t0[i:i + 1], config,
-                                                scale, o[i:i + 1]))[0]
-            assert (one is None) == (w is None)
-            if one is not None:
-                assert all(same_bits(a, b) for a, b in zip(one, w))
-        if w is not None:
-            assert all(same_bits(a, b) for a, b in zip(g, w))
-    assert any(got[i] is not None for i in range(3 * len(iy), len(y0)))
-
-
-def test_scenario_a_run_makes_27_chain_passes(tmp_path, monkeypatch):
-    # each search makes one pass at its seed lattice, one per Gauss-Newton
-    # iteration after the first and one for its records; the final verify
-    # searches the triangles alone, and the figure makes one pass for its
-    # edges and vertices (28 passes when the final verify searched the
-    # vertices again, 33 when Gauss-Newton and the figure made their own)
+def test_scenario_a_run_makes_30_chain_passes(tmp_path, monkeypatch):
+    # each of the three searches (vertices, edges, and the final verify's
+    # triangles) makes one value-only pass at its seed lattice, then passes
+    # with Jacobians: one per Gauss-Newton iteration on a positive-dimensional
+    # patch, one per refinement on the vertices, and one for its records,
+    # which the vertices, kept clear of the circle, have none of; the
+    # figure makes one value-only pass for its edges and vertices
     passes, forward = [], ChainOps._forward
 
     def spy(self, x, with_jacobian):
@@ -493,28 +434,7 @@ def test_scenario_a_run_makes_27_chain_passes(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(cli.load_scenario(str(SCENARIOS / "scenario_a.cfg")), seed=1,
                        out_dir=str(tmp_path)) == 0
-    assert len(passes) == 27 and passes[:-1] == [True] * 26 and passes[-1] is False
-
-
-def test_gauss_newton_evaluates_its_first_iterate_without_seed_data(scenario_a_run):
-    # called without the seed pass's rows, as a one-pair probe calls it,
-    # the refinement evaluates its patch at every pair first and gives the
-    # roots of a seeded call
-    state, h, config = (scenario_a_run[k] for k in ("state", "h", "config"))
-    for l in (0, 1):
-        patch = verify.simplex_patch(state, state.complex.by_dim(l))
-        ys, ts, pairs, _, (f, df) = verify._pair_seeds(h, patch, config, state.mesh_scale, jac=True)
-        iy, it = np.array(pairs).T
-        owner = it // (len(ts) // patch.size)
-        seeded = gn_pairs(verify._gauss_newton(h, patch, ys[iy], ts[it], config, state.mesh_scale,
-                                               owner, (f[it], df[it])))
-        plain = gn_pairs(verify._gauss_newton(h, patch, ys[iy], ts[it], config, state.mesh_scale,
-                                              owner))
-        want = oracles.gauss_newton(h, patch, ys[iy], ts[it], config, state.mesh_scale, owner)
-        for a, b, w in zip(seeded, plain, want):
-            assert (a is None) == (b is None) == (w is None)
-            if w is not None:
-                assert all(same_bits(x, y) and same_bits(x, z) for x, y, z in zip(a, b, w))
+    assert len(passes) == 30 and [i for i, jac in enumerate(passes) if not jac] == [0, 2, 19, 29]
 
 
 # ---------------------------------------------------------------------------
@@ -2514,8 +2434,7 @@ def ref_level(state, level, h, config, sd):
             [c_sigma] = perturb.estimate_c_sigma(state, [s], config, sd_data=sd, charts=[chart])
         except DegenerateGeometryError as exc:
             return out, f"level {level} aborted at simplex {s.vertices}: {exc}"
-        eps = min(c_sigma, 0.5 / bump.c_beta(), config.epsilon_max,
-                  config.mesh_scale_factor * state.mesh_scale)
+        eps = min(c_sigma, 0.5 / bump.c_beta(), config.mesh_scale_factor * state.mesh_scale)
         for tries in range(config.max_retries):
             v = _draw_shift(rng, state.ambient_dim - level, eps)
             if ref_candidate(state, LocalDiffeo(chart, c_sigma, eps, v, tries), h, config):
